@@ -22,8 +22,9 @@ Two layers:
   tests hold them to that.
 
 Mobility-two charts additionally carry a vector field ``v`` with
-``L_v A = A(Id - A)`` and ``L_v g = -gA - (sum rho_i + C) g``; its
-components off the eigenvalue leaf are reconstructed by a least-squares
+``L_v A = A(Id - A)`` and ``L_v g = -gA - (sum rho_i + C) g``: the leaf
+term ``sum rho_i (1 - rho_i) d/drho_i`` plus an affine map of the
+coordinates, whose coefficient matrix is reconstructed by a least-squares
 solve over samples and certified by the reported fit residual.
 """
 
@@ -33,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .jets import (
     Jet, jstack, jet_einsum, jet_inv, jet_matmul, jet_transpose, polyval,
@@ -45,11 +45,10 @@ __all__ = [
     "PowerProfile", "CompatiblePairSpec", "ConstantBlock",
     "BuilderError", "QuotientPair", "KahlerChart", "ChartFields",
     "QPFields", "ProjectiveMobilityChart",
-    "build_quotient_pair", "lift_pair", "lift_nonconstant",
-    "lift_with_constant_block", "build_main_example", "build_mobility2",
-    "build_mobility2_projective", "mobility_spec", "mobility_rhs",
-    "solve_jordan_odes", "JordanOdeSolution", "jordan_pair_spec",
-    "esp_jets",
+    "build_quotient_pair", "lift_pair", "build_main_example",
+    "build_mobility2", "build_mobility2_projective", "mobility_spec",
+    "mobility_rhs", "mobility_field", "solve_jordan_odes",
+    "JordanOdeSolution", "jordan_pair_spec", "esp_jets",
 ]
 
 EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
@@ -447,13 +446,13 @@ class QuotientPair:
                 Lc[off][off + 2] = x1
                 Lc[off + 1][off + 2] = f2x
 
-        v = self._block_v(rows, dim, order, n) \
+        v = self._jordan_field(rows, dim, order, n) \
             if any(isinstance(b, (Jordan2, Jordan3)) for b in self.blocks) \
             else None
         return QPFields(h=jstack(hc), L=jstack(Lc), rhos=rhos, mults=mults,
                         mus=mus, v=v)
 
-    def _block_v(self, rows, dim, order, n):
+    def _jordan_field(self, rows, dim, order, n):
         """The projective field of the split equations on Jordan specs."""
         comps = [_zero(dim, order, (n,)) for _ in range(self.dim)]
         for kind, r, extra, b, off in rows:
@@ -477,10 +476,6 @@ class QuotientPair:
             elif kind == "rho":
                 comps[off] = r * (1.0 - r)
         return jstack(comps)
-
-    def regular_mask(self, pts, gap: float = EIGEN_GAP):
-        f = self.eval(pts, order=0)
-        return _gap_mask([r.c[0] for r in f.rhos], [], gap)
 
 
 def _prod_deriv(r, all_roots, k, dim, order, shape):
@@ -541,6 +536,45 @@ class ChartFields:
     qp: QPFields | None = None
 
 
+def mobility_field(pts, order, M, rho_idx) -> Jet:
+    """Jet of v(x) = sum_i x_i (1 - x_i) d/dx_i + M [1, x] at the points.
+
+    The leaf term runs over the eigenvalue coordinates ``rho_idx``; M has
+    shape (d, 1 + d), column 0 the constant part.  v is quadratic, so its
+    jet is exact: gradient M[:, 1:] plus 1 - 2 rho on the rho diagonal,
+    Hessian -2 at (rho, rho, rho), third order zero.
+    """
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    n, d = pts.shape
+    idx = np.asarray(rho_idx, dtype=int)
+    r = pts[:, idx]
+    val = M[:, 0] + pts @ M[:, 1:].T
+    val[:, idx] += r * (1.0 - r)
+    coeffs = [val]
+    if order >= 1:
+        grad = np.repeat(M[None, :, 1:], n, axis=0)
+        grad[:, idx, idx] += 1.0 - 2.0 * r
+        coeffs.append(grad)
+    if order >= 2:
+        hess = np.zeros((n, d, d, d))
+        hess[:, idx, idx, idx] = -2.0
+        coeffs.append(hess)
+    if order >= 3:
+        coeffs.append(np.zeros((n,) + (d,) * 4))
+    return Jet(d, order, coeffs)
+
+
+def _v_support(d, t_sl, y_sl):
+    """Entries of the v matrix a fit may use: a t row takes the constant,
+    t and y; a y row takes the constant and y."""
+    t_cols = slice(1 + t_sl.start, 1 + t_sl.stop)
+    y_cols = slice(1 + y_sl.start, 1 + y_sl.stop)
+    mask = np.zeros((d, 1 + d), dtype=bool)
+    mask[t_sl, 0] = mask[t_sl, t_cols] = mask[t_sl, y_cols] = True
+    mask[y_sl, 0] = mask[y_sl, y_cols] = True
+    return mask
+
+
 class KahlerChart:
     """Kahler structure on coordinates (t_1..t_ell, U, y)."""
 
@@ -570,7 +604,10 @@ class KahlerChart:
                              np.full(self.ydim, y_window[1])])
         self.window = Box(lo, hi)
         self._check_const_separation()
-        self.v_coeffs = None
+        self.rho_idx = [self.ell + off for b, off in zip(qp.blocks, qp.offsets)
+                        if isinstance(b, RealRho)]
+        self.v_support = _v_support(self.dim, self.t_sl, self.y_sl)
+        self.v_matrix = None
         self.meta = {}
 
     def _check_const_separation(self, margin=0.01):
@@ -824,7 +861,8 @@ class KahlerChart:
             ginv = jet_inv(g)
             J = jet_einsum("nac,nbc->nab", ginv, w)
 
-        v = self._eval_v(pts, order) if self.v_coeffs is not None else None
+        v = None if self.v_matrix is None else \
+            mobility_field(pts, order, self.v_matrix, self.rho_idx)
         return ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
                            v=v, qp=qpf)
 
@@ -908,66 +946,11 @@ class KahlerChart:
 
     # -- mobility vector field -------------------------------------------
 
-    def v_basis(self, pts, order):
-        """Polynomial candidates for the off-leaf part of v."""
-        n = pts.shape[0]
-        d, ell, ydim = self.dim, self.ell, self.ydim
-        names, fields = [], []
-        t = [Jet.seed(i, pts[:, i], d, order) for i in range(ell)]
-        y = [Jet.seed(self.y_sl.start + q, pts[:, self.y_sl.start + q],
-                      d, order) for q in range(ydim)]
-
-        def unit(i, comp):
-            cells = [_zero(d, order, (n,)) for _ in range(d)]
-            cells[i] = comp
-            return jstack(cells)
-
-        one = _const(1.0, d, order, (n,))
-        for j in range(ell):
-            names.append(f"1->t{j}")
-            fields.append(unit(j, one))
-            for k in range(ell):
-                names.append(f"t{k}->t{j}")
-                fields.append(unit(j, t[k]))
-            for q in range(ydim):
-                names.append(f"y{q}->t{j}")
-                fields.append(unit(j, y[q]))
-        for p in range(ydim):
-            qi = self.y_sl.start + p
-            names.append(f"1->y{p}")
-            fields.append(unit(qi, one))
-            for q in range(ydim):
-                names.append(f"y{q}->y{p}")
-                fields.append(unit(qi, y[q]))
-        return names, fields
-
-    def leaf_v(self, pts, order):
-        """sum_i rho_i (1 - rho_i) d/drho_i on eigenvalue coordinates."""
-        n = pts.shape[0]
-        d = self.dim
-        comps = [_zero(d, order, (n,)) for _ in range(d)]
-        for b, off in zip(self.qp.blocks, self.qp.offsets):
-            if not isinstance(b, RealRho):
-                raise BuilderError(
-                    "mobility charts use eigenvalue coordinates")
-            r = Jet.seed(self.ell + off, pts[:, self.ell + off], d, order)
-            comps[self.ell + off] = r * (1.0 - r)
-        return jstack(comps)
-
-    def _eval_v(self, pts, order):
-        names, fields = self.v_basis(pts, order)
-        v = self.leaf_v(pts, order)
-        for c, f in zip(self.v_coeffs, fields):
-            if c != 0.0:
-                v = v + c * f
-        return v
-
     def v_field(self, pts, order=1) -> Jet:
         """The vector field alone (no tensor assembly)."""
-        if self.v_coeffs is None:
+        if self.v_matrix is None:
             raise BuilderError("chart carries no fitted vector field")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._eval_v(pts, order)
+        return mobility_field(pts, order, self.v_matrix, self.rho_idx)
 
 
 def _delta(r, all_roots, dim, order, shape):
@@ -998,14 +981,6 @@ def lift_pair(qp: QuotientPair, cb=(), route="jacobian", **kw) -> KahlerChart:
     return KahlerChart(qp, cb=cb, route=route, **kw)
 
 
-def lift_nonconstant(qp: QuotientPair, **kw) -> KahlerChart:
-    return lift_pair(qp, cb=(), **kw)
-
-
-def lift_with_constant_block(qp: QuotientPair, cb, **kw) -> KahlerChart:
-    return lift_pair(qp, cb=cb, **kw)
-
-
 def build_main_example(spec: CompatiblePairSpec, cb=(), **kw) -> KahlerChart:
     qp = build_quotient_pair(spec)
     return KahlerChart(qp, cb=cb, route="explicit", **kw)
@@ -1034,8 +1009,9 @@ def build_mobility2(ell, a, C, cb=(), fit_v=True, windows=None,
     """Mobility-two Kahler chart with its canonical vector field.
 
     Profiles are F_i(t) = a_i (1-t)^(-C) t^(1+ell+C); v restricts to
-    sum rho_i (1-rho_i) d/drho_i on the leaf and the remaining components
-    are reconstructed by least squares, residual-certified.
+    sum rho_i (1-rho_i) d/drho_i on the leaf and its affine part
+    (``chart.v_matrix``) is reconstructed by least squares,
+    residual-certified.
     """
     spec = mobility_spec(ell, a, C, windows)
     qp = build_quotient_pair(spec)
@@ -1069,26 +1045,38 @@ def mobility_rhs(flds: ChartFields, C):
 
 
 def _fit_field(chart, C, n_samples, seed):
+    """Least-squares fit of the v matrix over the chart's allowed entries.
+
+    L_v g and L_v A are linear in v, so the column of entry (i, j) is the
+    Lie derivative of the field with M = E_ij and no leaf term."""
+    if len(chart.rho_idx) != chart.ell:
+        raise BuilderError("mobility charts use eigenvalue coordinates")
     rng = np.random.default_rng(seed)
     pts = chart.window.random(n_samples, rng)
+    n, d = pts.shape
     flds = chart.eval(pts, order=1)
-    rhs_g, rhs_A = mobility_rhs(flds, C)
-    v0 = chart.leaf_v(pts, 1)
-    tg = rhs_g - lie_metric(flds.g, v0)
-    tA = rhs_A - lie_endo(flds.A, v0)
-    target = np.concatenate([tg.reshape(len(pts), -1),
-                             tA.reshape(len(pts), -1)], axis=1).ravel()
-    names, fields = chart.v_basis(pts, 1)
-    cols = [np.concatenate(
-        [lie_metric(flds.g, f).reshape(len(pts), -1),
-         lie_endo(flds.A, f).reshape(len(pts), -1)], axis=1).ravel()
-        for f in fields]
-    M = np.stack(cols, axis=1)
-    coeffs, *_ = np.linalg.lstsq(M, target, rcond=None)
-    resid = (np.max(np.abs(M @ coeffs - target))
+
+    def flat(g_part, A_part):
+        return np.concatenate([g_part.reshape(n, -1), A_part.reshape(n, -1)],
+                              axis=1).ravel()
+
+    def lie_of(M, rho_idx):
+        v = mobility_field(pts, 1, M, rho_idx)
+        return flat(lie_metric(flds.g, v), lie_endo(flds.A, v))
+
+    target = flat(*mobility_rhs(flds, C)) \
+        - lie_of(np.zeros((d, 1 + d)), chart.rho_idx)
+    cols = []
+    for i, j in np.argwhere(chart.v_support):
+        E = np.zeros((d, 1 + d))
+        E[i, j] = 1.0
+        cols.append(lie_of(E, []))
+    X = np.stack(cols, axis=1)
+    coeffs, *_ = np.linalg.lstsq(X, target, rcond=None)
+    resid = (np.max(np.abs(X @ coeffs - target))
              / (1.0 + np.max(np.abs(target))))
-    chart.v_coeffs = coeffs
-    chart.meta["v_basis_names"] = names
+    chart.v_matrix = np.zeros((d, 1 + d))
+    chart.v_matrix[chart.v_support] = coeffs
     return float(resid)
 
 
@@ -1128,7 +1116,10 @@ class ProjectiveMobilityChart:
         hi = np.concatenate([[rho_window[1]],
                              np.full(self.ydim, y_window[1])])
         self.window = Box(lo, hi)
-        self.v_coeffs = None
+        self.rho_idx = [0]
+        self.v_support = _v_support(self.dim, slice(0, 0),
+                                    slice(1, self.dim))
+        self.v_matrix = None
         self.meta = {"C": C, "m0": m0, "m1": m1}
         self.ell = 1
 
@@ -1151,52 +1142,12 @@ class ProjectiveMobilityChart:
             acells[1 + p][1 + p] = _const(self.ceigs[p], d, order, (n,))
         g = jstack(gcells)
         A = jstack(acells)
-        v = self._v(pts, order) if self.v_coeffs is not None else None
+        v = None if self.v_matrix is None else \
+            mobility_field(pts, order, self.v_matrix, self.rho_idx)
         return ChartFields(g=g, omega=None, J=None, A=A,
                            rhos=[r], mus=esp_jets([r], d, order), v=v)
 
-    def v_basis(self, pts, order):
-        n = pts.shape[0]
-        d = self.dim
-        y = [Jet.seed(1 + q, pts[:, 1 + q], d, order)
-             for q in range(self.ydim)]
-        names, fields = [], []
-
-        def unit(i, comp):
-            cells = [_zero(d, order, (n,)) for _ in range(d)]
-            cells[i] = comp
-            return jstack(cells)
-
-        one = _const(1.0, d, order, (n,))
-        for p in range(self.ydim):
-            names.append(f"1->y{p}")
-            fields.append(unit(1 + p, one))
-            for q in range(self.ydim):
-                names.append(f"y{q}->y{p}")
-                fields.append(unit(1 + p, y[q]))
-        return names, fields
-
-    def leaf_v(self, pts, order):
-        n = pts.shape[0]
-        d = self.dim
-        r = Jet.seed(0, pts[:, 0], d, order)
-        comps = [_zero(d, order, (n,)) for _ in range(d)]
-        comps[0] = r * (1.0 - r)
-        return jstack(comps)
-
-    def _v(self, pts, order):
-        names, fields = self.v_basis(pts, order)
-        v = self.leaf_v(pts, order)
-        for c, f in zip(self.v_coeffs, fields):
-            if c != 0.0:
-                v = v + c * f
-        return v
-
-    def v_field(self, pts, order=1) -> Jet:
-        if self.v_coeffs is None:
-            raise BuilderError("chart carries no fitted vector field")
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return self._v(pts, order)
+    v_field = KahlerChart.v_field
 
 
 def build_mobility2_projective(C, m0=1, m1=1, B=1.0, signature=None,
@@ -1243,6 +1194,8 @@ class JordanOdeSolution:
         y0 = np.atleast_1d(np.asarray(init, dtype=float))
         if y0.size != self.NSTATE[kind]:
             raise BuilderError("initial state size does not match the kind")
+        from scipy.integrate import solve_ivp
+
         mid = 0.5 * (lo + hi)
         sols = []
         for b in (lo, hi):

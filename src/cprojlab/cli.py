@@ -1,7 +1,8 @@
 """Scenario runner: parse a config, build the instance, run check suites,
 emit a deterministic report and optional CSV data.
 
-Exit code 0 iff every selected check passes.
+Exit codes: 0 when every selected check passes, 1 when a check fails,
+2 on a bad config or an instance that cannot be built.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, parse_config, serialize_config
 from .report import CheckEntry, ResidualReport, config_hash, fmt
-from .geometry import GridSpec, max_abs
-from .jets import Jet
+from .geometry import GeometryError, GridSpec, max_abs
+from .jets import Jet, JetError
 from .builders import (
-    CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
+    BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
     build_main_example, build_mobility2, build_quotient_pair,
     jordan_pair_spec, lift_pair, solve_jordan_odes,
 )
@@ -413,7 +414,11 @@ def main(argv=None) -> int:
         return 0
 
     t0 = time.monotonic()
-    rep, csv = RUNNERS[cfg.kind](cfg, args, args.tol_scale)
+    try:
+        rep, csv = RUNNERS[cfg.kind](cfg, args, args.tol_scale)
+    except (ConfigError, BuilderError, GeometryError, JetError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - t0
 
     if args.only:

@@ -116,22 +116,6 @@ def curvature_operator_matrix(flds, sample=0):
     return Rmat, basis
 
 
-def apply_curvature(flds, X, sample=0):
-    """R(X) for a skew-hermitian X at one sample, same normalization as
-    curvature_operator_matrix."""
-    g, J = flds.g, flds.J
-    gv = g.c[0][sample]
-    Jv = J.c[0][sample]
-    gam = christoffel(g)
-    Rc = riemann(gam)[sample]
-    _, wedges = unitary_basis(gv, Jv)
-    wmats = np.stack([w for _, w in wedges])
-    wflat = wmats.reshape(len(wedges), -1).T
-    rw = np.stack([Rc[:, :, a, b] for (a, b), _ in wedges])
-    coef, *_ = np.linalg.lstsq(wflat, X.ravel(), rcond=None)
-    return np.einsum("w,wab->ab", coef, rw)
-
-
 # ---------------------------------------------------------------------------
 # nabla Lambda and the commutator identity
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .geometry import christoffel, lie_endo, lie_metric, max_abs
 from .report import CheckEntry, ResidualReport
@@ -62,6 +61,8 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
 
     ``alpha``/``beta`` are scalar functions of the curve parameter (or
     None for a plain geodesic)."""
+    from scipy.integrate import solve_ivp
+
     d = chart.dim
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -174,6 +175,8 @@ def fixed_points(ode: str):
 def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
                     blowup=1e6) -> Trajectory:
     """Complex trajectory of the scalar flow; reports finite-time escape."""
+    from scipy.integrate import solve_ivp
+
     f = _ODES[ode]
 
     def rhs(t, y):
@@ -269,7 +272,9 @@ def lie_residual_suite(chart, grid_pts=None, coeffs=None, tol=1e-6,
 
 def flow_point(chart, x0, T, tol=1e-10, n_out=120) -> Trajectory:
     """Integral curve of the chart's vector field v."""
-    if chart.v_coeffs is None:
+    from scipy.integrate import solve_ivp
+
+    if chart.v_matrix is None:
         raise FlowError("chart carries no vector field")
 
     def rhs(t, y):

@@ -174,15 +174,6 @@ def cov_deriv_vector(v: Jet, gamma: Jet) -> np.ndarray:
             + np.einsum("nbad,nd->nab", gamma.c[0], v.c[0]))
 
 
-def cov_deriv_endo_jet(A: Jet, gamma: Jet) -> Jet:
-    """(nabla_a A)^b_c as a jet (component order a,b,c), order reduced."""
-    dA = jet_map("nbca->nabc", tensor_partial(A))
-    k = dA.order
-    up = jet_einsum("nbad,ndc->nabc", gamma.truncate(k), A.truncate(k))
-    dn = jet_einsum("ndac,nbd->nabc", gamma.truncate(k), A.truncate(k))
-    return dA + up - dn
-
-
 # ---------------------------------------------------------------------------
 # Lie derivatives (coordinate formulas, order >= 1 jets for field and v)
 # ---------------------------------------------------------------------------

@@ -45,12 +45,6 @@ def report(num, ok, detail):
     return ok
 
 
-def grid_for(chart):
-    if chart.dim >= 6:
-        return GridSpec(per_axis=5, n_random=64, seed=0)
-    return GridSpec(per_axis=5, n_random=64, seed=0)
-
-
 @pytest.fixture(scope="module")
 def corpus6():
     cb0 = (ConstantBlock(0.0, 2),)

@@ -12,6 +12,7 @@ from cprojlab.jets import Jet
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
 from conftest import pair_complex, pair_dini, pair_ell1, sample
+from fd_oracle import fd_gradient
 
 
 def test_dini_quotient_pair_form(qp_dini):
@@ -179,11 +180,28 @@ def test_mobility_v_known_coefficients():
     # ell = 1: v = rho(1-rho) d_rho - (1+C) t d_t - (1+C)/2 y d_y
     C = -0.5
     ch = build_mobility2(1, 1.0, C, cb=(ConstantBlock(0.0, 2),))
-    names = ch.meta["v_basis_names"]
-    got = dict(zip(names, ch.v_coeffs))
-    assert abs(got["t0->t0"] + (1 + C)) <= 1e-12
-    for q in range(2):
-        assert abs(got[f"y{q}->y{q}"] + (1 + C) / 2) <= 1e-12
+    M = ch.v_matrix
+    t0 = ch.t_sl.start
+    assert abs(M[t0, 1 + t0] + (1 + C)) <= 1e-12
+    for yq in range(ch.y_sl.start, ch.y_sl.stop):
+        assert abs(M[yq, 1 + yq] + (1 + C) / 2) <= 1e-12
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_mobility2(1, 1.0, -0.5, cb=(ConstantBlock(0.0, 2),
+                                              ConstantBlock(1.0, 2))),
+    lambda: build_mobility2_projective(-1.5, m0=2, m1=1),
+], ids=["kahler", "projective"])
+def test_mobility_v_closed_form_jet(build):
+    ch = build()
+    pts = sample(ch, 12)
+    v = ch.v_field(pts, order=2)
+    value = lambda x: ch.v_field(x, order=0).c[0]
+    grad = lambda x: ch.v_field(x, order=1).c[1]
+    assert np.allclose(v.c[0], value(pts), rtol=0, atol=1e-15)
+    assert max_abs(v.c[1] - fd_gradient(value, pts)) <= 1e-9
+    assert max_abs(v.c[2] - fd_gradient(grad, pts)) <= 1e-9
+    assert not ch.v_field(pts, order=3).c[3].any()
 
 
 def test_mobility_projective_variant():

@@ -108,6 +108,29 @@ def test_grid_and_seed_flags():
     assert "provenance.seed=5" in out
 
 
+@pytest.mark.parametrize("old,new", [
+    ("window = 0.2 0.8", "window = 0.8 0.2"),   # invalid box bounds
+    ("rho = 2.0 1.0", "rho = 0.0 1.0"),         # coinciding rho blocks
+], ids=["reversed-window", "coinciding-rho"])
+def test_unbuildable_instance_exits_2(tmp_path, old, new):
+    text = (CONFIGS / "dini-pair.cfg").read_text()
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old, new, 1))
+    code, out, err = run_cli("run", str(cfg))
+    assert code == 2
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_cli_import_skips_scipy_integrate():
+    code = ("import sys, cprojlab.cli; "
+            "sys.exit('scipy.integrate' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_missing_config_is_reported():
     code, out, err = run_cli("run", "/nonexistent.cfg")
     assert code == 2
