@@ -62,20 +62,27 @@ def _grid(cfg, args):
     return GridSpec(per_axis=per, n_random=rnd, seed=seed)
 
 
+def _req(d, key, section):
+    """``d[key]`` of a config section, or a ConfigError naming both."""
+    if key not in d:
+        raise ConfigError(f"[{section}] section lacks required key {key!r}")
+    return d[key]
+
+
 def _pair_spec(cfg) -> CompatiblePairSpec:
     blocks = []
     for d in cfg.blocks("block"):
         kind = d.get("kind", "real1d")
         if kind == "real1d":
-            w = d["window"]
-            blocks.append(Real1D(int(d.get("eps", 1)),
-                                 tuple(np.atleast_1d(d["rho"])),
+            w = _req(d, "window", "block")
+            rho = np.atleast_1d(_req(d, "rho", "block"))
+            blocks.append(Real1D(int(d.get("eps", 1)), tuple(rho),
                                  (w[0], w[1])))
         elif kind == "complex2d":
-            re = np.atleast_1d(d["rho_re"]).astype(float)
+            re = np.atleast_1d(_req(d, "rho_re", "block")).astype(float)
             im = np.atleast_1d(d.get("rho_im", np.zeros_like(re)))
             coeffs = tuple(re + 1j * np.asarray(im, dtype=float))
-            w = d["window"]
+            w = _req(d, "window", "block")
             blocks.append(Complex2D(coeffs, ((w[0], w[1]), (w[2], w[3]))))
         else:
             raise ConfigError(f"unknown block kind {kind!r}")
@@ -90,7 +97,8 @@ def _const_blocks(cfg):
     for d in cfg.blocks("constant_block"):
         sig = d.get("signature", [])
         sig = tuple(int(s) for s in np.atleast_1d(sig)) if sig != [] else ()
-        out.append(ConstantBlock(float(d["c"]), int(d["dim"]), sig))
+        out.append(ConstantBlock(float(_req(d, "c", "constant_block")),
+                                 int(_req(d, "dim", "constant_block")), sig))
     return tuple(out)
 
 

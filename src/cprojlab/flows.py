@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .builders import ProjectiveMobilityChart
 from .geometry import christoffel, lie_endo, lie_metric, max_abs
 from .report import CheckEntry, ResidualReport
 from .curvspec import lambda_two_eigen
@@ -296,7 +297,7 @@ def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6,
     """Eigenvalue transport along v against the logistic closed form."""
     if x0 is None:
         x0 = chart.window.center()
-    rho_idx = chart.ell if hasattr(chart, "t_sl") else 0
+    rho_idx = chart.rho_idx[0]
     rho0 = float(x0[rho_idx])
     worst = 0.0
     for T in (t_span[1], t_span[0]):
@@ -333,15 +334,14 @@ def volume_coefficient(chart, grid_pts=None, n_random=40, seed=5,
     if fl.v is None:
         raise FlowError("chart carries no vector field")
     d = chart.dim
-    kahler = hasattr(chart, "t_sl")
-    rho_idx = chart.ell if kahler else 0
+    rho_idx = chart.rho_idx[0]
     leaf = [i for i in range(d) if i != rho_idx]
     C = chart.meta["C"]
     m0, m1 = chart.meta["m0"], chart.meta["m1"]
-    if kahler:
-        predicted = (-C - 1.0) * (m0 + m1 + 1.0)
-    else:
+    if isinstance(chart, ProjectiveMobilityChart):
         predicted = 0.5 * (-C - 1.0) * (m0 + m1)
+    else:
+        predicted = (-C - 1.0) * (m0 + m1 + 1.0)
 
     # v must preserve the leaf distribution: v^rho depends on rho only
     vrho_leafgrad = fl.v.c[1][:, rho_idx, :][:, leaf]

@@ -9,18 +9,25 @@ computation needs (metric derivatives up to third order, derivatives of
 eigenvalue functions, of ``F(t) = a (1-t)^{-C} t^{p}`` profiles, ...) comes
 out exact to truncation order rather than from finite differencing.
 
-Layout: each coefficient array has shape ``batch + (dim,)*k`` with the
-derivative axes trailing.  The batch is normally ``(N,)`` for N sample
-points; ``jstack`` extends it with component axes so a whole tensor field
-evaluated on a grid is a single Jet of batch shape ``(N, i, j, ...)``.
-Complex dtype is supported (holomorphic eigenvalue blocks need it).
+Layout and contraction kernel: each coefficient array has shape
+``batch + (dim,)*k`` with the derivative axes trailing (``jstack`` makes
+the batch ``(N, i, j, ...)``, so a tensor field on a grid is one Jet;
+complex dtype is supported).  Every contraction goes through
+``_contract``, one batched ``np.matmul`` over the operands transposed to
+(batch, free, contracted) and (batch, contracted, free).  ``jet_einsum``
+computes one contraction per Leibniz split i+j=k and spreads it over the
+C(k, i) placements of the derivative axes by transposes, which are views.
+The plan of a spec (letter classes, permutations, term specs) is worked
+out once per ``(spec, order)`` and cached.
 
 Jets are immutable values and every operation is pure.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 
 import numpy as np
 
@@ -375,33 +382,111 @@ def jet_map(sub: str, a: Jet) -> Jet:
     return Jet(a.dim, a.order, coeffs)
 
 
+@functools.lru_cache(maxsize=None)
+def _contract_plan(spec: str):
+    """Letter classes and axis permutations of a two-operand spec.
+
+    Batch letters sit in both operands and the output, contracted letters
+    in both operands only, free letters in one operand and the output.
+    """
+    ins, out = spec.split("->")
+    sa, sb = ins.split(",")
+    for s in (sa, sb, out):
+        if len(set(s)) != len(s):
+            raise JetError(f"repeated index letter in {spec!r}")
+    batch = [c for c in out if c in sa and c in sb]
+    con = [c for c in sa if c in sb and c not in out]
+    fa = [c for c in sa if c not in sb]
+    fb = [c for c in sb if c not in sa]
+    if set(fa + fb) - set(out) or set(out) - set(sa + sb):
+        raise JetError(f"every letter of {spec!r} must be contracted or kept")
+    pa = tuple(sa.index(c) for c in batch + fa + con)
+    pb = tuple(sb.index(c) for c in batch + con + fb)
+    res = batch + fa + fb
+    pout = tuple(res.index(c) for c in out)
+    return (len(batch), len(fa), len(con), _perm(pa), _perm(pb), _perm(pout))
+
+
+def _perm(p):
+    """An axis permutation, or None where it is the identity."""
+    return None if p == tuple(range(len(p))) else p
+
+
+def _contract(spec: str, x, y):
+    """``np.einsum(spec, x, y)`` as one batched matmul.
+
+    The batch axes broadcast; free and contracted axes are folded into the
+    two matrix axes of each operand.
+    """
+    nb, nfa, nc, pa, pb, pout = _contract_plan(spec)
+    if pa is not None:
+        x = x.transpose(pa)
+    if pb is not None:
+        y = y.transpose(pb)
+    fa = x.shape[nb:nb + nfa]
+    k = math.prod(x.shape[nb + nfa:])
+    fb = y.shape[nb + nc:]
+    z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
+                  y.reshape(y.shape[:nb] + (k, math.prod(fb))))
+    z = z.reshape(z.shape[:nb] + fa + fb)
+    return z if pout is None else z.transpose(pout)
+
+
+@functools.lru_cache(maxsize=None)
+def _leibniz_plan(sub: str, order: int):
+    """Per order k, the terms ``(spec, i, perms)`` of the split i + (k-i).
+
+    ``spec`` contracts ``a.c[i]`` with ``b.c[k-i]`` into the output with
+    a's derivative axes first; each permutation in ``perms`` moves them to
+    one of the C(k, i) placements (``None`` for the identity).
+    """
+    ins, out = sub.split("->")
+    sa, sb = ins.split(",")
+    n = len(out)
+    plan = []
+    for k in range(order + 1):
+        terms = []
+        for i in range(k + 1):
+            la, lb = _DAX[:i], _DAX[i:k]
+            spec = f"{sa}{la},{sb}{lb}->{out}{la}{lb}"
+            perms = []
+            for pick in itertools.combinations(range(k), i):
+                rest = [p for p in range(k) if p not in pick]
+                src = [pick.index(p) if p in pick else i + rest.index(p)
+                       for p in range(k)]
+                perm = tuple(range(n)) + tuple(n + q for q in src)
+                perms.append(_perm(perm))
+            terms.append((spec, i, tuple(perms)))
+        plan.append(tuple(terms))
+    return tuple(plan)
+
+
+def _leibniz_term(terms, ac, bc, k):
+    """Order-k coefficient of the product of coefficient lists ac, bc,
+    summed over the plan's ``terms`` (a slice of ``_leibniz_plan()[k]``)."""
+    total = None
+    for spec, i, perms in terms:
+        t = _contract(spec, ac[i], bc[k - i])
+        for p in perms:
+            tp = t if p is None else t.transpose(p)
+            total = tp if total is None else total + tp
+        del t, tp  # free the term before the next contraction
+    return total
+
+
 def jet_einsum(sub: str, a: Jet, b: Jet) -> Jet:
     """Two-operand einsum with the Leibniz rule over derivative orders.
 
     ``sub`` is an ordinary einsum spec over batch/component axes, e.g.
     ``'nij,njk->nik'``; derivative axes are distributed over both operands
-    in all symmetric ways, which is exact because the coefficient blocks
-    are symmetric.
+    in all C(k, i) ways.  One contraction per split i + j = k serves all
+    placements, which are transposes of it.
     """
     if a.dim != b.dim or a.order != b.order:
         raise JetError("jet_einsum operands must share dim and order")
-    ins, out = sub.split("->")
-    sa, sb = ins.split(",")
-    order = a.order
-    coeffs = []
-    for k in range(order + 1):
-        letters = _DAX[:k]
-        total = None
-        for i in range(k + 1):
-            j = k - i
-            for pick in itertools.combinations(range(k), i):
-                la = "".join(letters[p] for p in pick)
-                lb = "".join(letters[p] for p in range(k) if p not in pick)
-                term = np.einsum(f"{sa}{la},{sb}{lb}->{out}{letters}",
-                                 a.c[i], b.c[j])
-                total = term if total is None else total + term
-        coeffs.append(total)
-    return Jet(a.dim, order, coeffs)
+    return Jet(a.dim, a.order,
+               [_leibniz_term(terms, a.c, b.c, k)
+                for k, terms in enumerate(_leibniz_plan(sub, a.order))])
 
 
 def tensor_partial(t: Jet) -> Jet:
@@ -431,50 +516,22 @@ def jet_transpose(a: Jet) -> Jet:
     return jet_map("nij->nji", a)
 
 
-def _bmm(*mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = np.einsum("n...ij,n...jk->n...ik", out, m)
-    return out
-
-
 def jet_inv(m: Jet) -> Jet:
     """Inverse of a batched square-matrix jet ``(N, n, n)``.
 
-    Propagates derivatives analytically from the pointwise inverse, so LAPACK
-    handles pivoting and the jet layer stays division-free.
+    LAPACK inverts the value pointwise, so it handles pivoting and the jet
+    layer stays division-free.  The Leibniz rule on M G = Id gives the
+    higher coefficients one order at a time:
+    G_k = -G_0 (sum of the terms M_i G_(k-i), i >= 1).
     """
-    m0 = m.c[0]
-    g0 = np.linalg.inv(m0)
-    coeffs = [g0]
-    if m.order >= 1:
-        # d_a G = -G (d_a M) G ; derivative axis moved behind components
-        m1 = np.moveaxis(m.c[1], -1, 1)  # (N,a,i,j)
-        g1 = -_bmm(g0[:, None], m1, g0[:, None])  # (N,a,i,j)
-        coeffs.append(np.moveaxis(g1, 1, -1))
-    if m.order >= 2:
-        m2 = np.moveaxis(m.c[2], (-2, -1), (1, 2))  # (N,a,b,i,j)
-        Gb = g1[:, None, :]        # (N,1,b,i,j)
-        M1a = m1[:, :, None]
-        g0e = g0[:, None, None]
-        g2 = -( _bmm(Gb, M1a, g0e) + _bmm(g0e, m2, g0e) + _bmm(g0e, M1a, Gb) )
-        coeffs.append(np.moveaxis(g2, (1, 2), (-2, -1)))
-    if m.order >= 3:
-        m3 = np.moveaxis(m.c[3], (-3, -2, -1), (1, 2, 3))  # (N,a,b,c,i,j)
-        A, B, C = 1, 2, 3
-        e = lambda arr, *axes: np.expand_dims(arr, axis=axes)
-        G0 = g0[:, None, None, None]
-        G1b = e(g1, A, C); G1c = e(g1, A, B)
-        M1a = e(m1, B, C)
-        M2ab = e(m2, C); M2ac = e(m2, B)
-        G2bc = e(g2, A)
-        g3 = -(
-            _bmm(G2bc, M1a, G0) + _bmm(G1b, M2ac, G0) + _bmm(G1b, M1a, G1c)
-            + _bmm(G1c, M2ab, G0) + _bmm(G0, m3, G0) + _bmm(G0, M2ab, G1c)
-            + _bmm(G1c, M1a, G1b) + _bmm(G0, M2ac, G1b) + _bmm(G0, M1a, G2bc)
-        )
-        coeffs.append(np.moveaxis(g3, (1, 2, 3), (-3, -2, -1)))
-    return Jet(m.dim, m.order, coeffs)
+    g = [np.linalg.inv(m.c[0])]
+    neg_g0 = -g[0]
+    plan = _leibniz_plan("nij,njk->nik", m.order)
+    for k in range(1, m.order + 1):
+        # plan[k][0] is the term M_0 G_k: its spec multiplies by G_0
+        rest = _leibniz_term(plan[k][1:], m.c, g, k)
+        g.append(_contract(plan[k][0][0], neg_g0, rest))
+    return Jet(m.dim, m.order, g)
 
 
 def jet_det(m: Jet) -> Jet:
@@ -488,24 +545,11 @@ def jet_det(m: Jet) -> Jet:
         raise JetDomainError("determinant vanished at a sample")
     if m.order == 0:
         return Jet(m.dim, 0, [det0])
-    g = jet_inv(m.truncate(m.order - 1)) if m.order >= 1 else None
-    g0 = g.c[0]
-    m1 = np.moveaxis(m.c[1], -1, 1)
-    l1 = np.einsum("nij,naji->na", g0, m1)
-    coeffs = [np.zeros_like(det0), l1]
-    if m.order >= 2:
-        g1 = np.moveaxis(g.c[1], -1, 1)
-        m2 = np.moveaxis(m.c[2], (-2, -1), (1, 2))
-        l2 = (np.einsum("nbij,naji->nab", g1, m1)
-              + np.einsum("nij,nabji->nab", g0, m2))
-        coeffs.append(l2)
-    if m.order >= 3:
-        g2 = np.moveaxis(g.c[2], (-2, -1), (1, 2))
-        m3 = np.moveaxis(m.c[3], (-3, -2, -1), (1, 2, 3))
-        l3 = (np.einsum("nbcij,naji->nabc", g2, m1)
-              + np.einsum("nbij,nacji->nabc", g1, m2)
-              + np.einsum("ncij,nabji->nabc", g1, m2)
-              + np.einsum("nij,nabcji->nabc", g0, m3))
-        coeffs.append(l3)
+    # d_a log|det| = tr(G M_a), G = M^{-1} one order lower; its jet
+    # comes from the Leibniz rule over G and the gradient coefficients
+    g = jet_inv(m.truncate(m.order - 1)).c
+    plan = _leibniz_plan("nij,njia->na", m.order - 1)
+    coeffs = [np.zeros_like(det0)] + [
+        _leibniz_term(terms, g, m.c[1:], k) for k, terms in enumerate(plan)]
     s = Jet(m.dim, m.order, coeffs)
     return s.exp() * det0

@@ -96,7 +96,6 @@ def cproj_residual(flds, tol=1e-6) -> ResidualReport:
     lflat = np.einsum("ncb,nb->nc", gv, lv)
     Jlam = np.einsum("nab,nb->na", Jv, lv)
     Jlflat = np.einsum("ncb,nb->nc", gv, Jlam)
-    eye = np.eye(d)[None]
     rhs = (np.einsum("nac,nb->nabc", gv, lv)
            + np.einsum("nc,ab->nabc", lflat, np.eye(d))
            + np.einsum("ndc,nda,nb->nabc", gv, Jv, Jlam)
@@ -152,7 +151,6 @@ def shift_endo(A: Jet, c0: float) -> Jet:
 
 def spectrum_safe_shift(flds, margin=0.05) -> float:
     """A shift c0 with the spectrum of A + c0 Id away from zero."""
-    vals = [np.abs(r.c[0]) for r in flds.rhos]
     eigs = np.linalg.eigvals(flds.A.c[0])
     low = float(np.min(np.abs(eigs)))
     if low > margin:
@@ -200,7 +198,7 @@ def complex_char_poly(A: Jet, J: Jet):
     ps = []
     for k in range(1, ncx + 1):
         tr = jet_trace(Ak)
-        trJ = jet_trace(jet_matmul(J, Ak))
+        trJ = jet_einsum("nij,nji->n", J, Ak)
         ps.append((tr - 1j * trJ) * 0.5)
         if k < ncx:
             Ak = jet_matmul(Ak, A)

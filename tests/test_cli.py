@@ -123,6 +123,25 @@ def test_unbuildable_instance_exits_2(tmp_path, old, new):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("name,line", [
+    ("dini-lift", "rho = 0.0 1.0"),              # real1d without rho
+    ("complex-pair", "window = 0.2 0.8 0.2 0.8"),  # complex2d without window
+    ("mobility2", "c = 0.0"),                    # constant_block without c
+], ids=["real1d-rho", "complex2d-window", "constant_block-c"])
+def test_missing_required_key_exits_2(tmp_path, capsys, name, line):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert line + "\n" in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(line + "\n", "", 1))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    key = line.split("=")[0].strip()
+    assert repr(key) in lines[0] and "block]" in lines[0]
+
+
 def test_cli_import_skips_scipy_integrate():
     code = ("import sys, cprojlab.cli; "
             "sys.exit('scipy.integrate' in sys.modules)")

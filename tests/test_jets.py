@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,3 +301,137 @@ def test_jet_einsum_leibniz_against_scalar_product():
     direct = (x * y) * x.cos() + y.exp() * (x * x)
     for k in range(4):
         assert np.allclose(dot.c[k], direct.c[k], atol=1e-11)
+
+
+# ---------------------------------------------------------------------------
+# property tests of the contraction kernel against a placement-by-placement
+# np.einsum reference
+# ---------------------------------------------------------------------------
+
+LEIBNIZ_SPECS = ["nij,njk->nik", "nij,nj->ni", "nac,nbc->nab",
+                 "ncb,nca->nab", "ncd,ndab->ncab", "nab,n->nab",
+                 "nij,nji->n"]
+
+_jet_shapes = dict(dim=st.integers(1, 4), size=st.integers(1, 5),
+                   order=st.integers(0, 3), n=st.integers(1, 4),
+                   seed=st.integers(0, 2 ** 32 - 1))
+
+
+def _sym_coeffs(rng, batch, dim, order, cplx):
+    """Random coefficient blocks, each symmetric in its derivative axes."""
+    coeffs = []
+    for k in range(order + 1):
+        a = rng.normal(size=batch + (dim,) * k)
+        if cplx:
+            a = a + 1j * rng.normal(size=a.shape)
+        lead = tuple(range(len(batch)))
+        perms = list(itertools.permutations(range(len(batch), a.ndim)))
+        coeffs.append(sum(np.transpose(a, lead + p) for p in perms)
+                      / len(perms))
+    return coeffs
+
+
+def _einsum_reference(sub, a, b):
+    """Leibniz rule with one np.einsum per placement of the derivative
+    axes over the two operands."""
+    ins, out = sub.split("->")
+    sa, sb = ins.split(",")
+    coeffs = []
+    for k in range(a.order + 1):
+        letters = "xyz"[:k]
+        total = 0.0
+        for i in range(k + 1):
+            for pick in itertools.combinations(range(k), i):
+                la = "".join(letters[p] for p in pick)
+                lb = "".join(letters[p] for p in range(k) if p not in pick)
+                total = total + np.einsum(
+                    f"{sa}{la},{sb}{lb}->{out}{letters}", a.c[i], b.c[k - i])
+        coeffs.append(total)
+    return coeffs
+
+
+@given(spec=st.sampled_from(LEIBNIZ_SPECS),
+       cplx=st.tuples(st.booleans(), st.booleans()), **_jet_shapes)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_jet_einsum_matches_placement_reference(spec, cplx, dim, size,
+                                                order, n, seed):
+    rng = np.random.default_rng(seed)
+    ops = []
+    for s, c in zip(spec.split("->")[0].split(","), cplx):
+        batch = tuple(n if ch == "n" else size for ch in s)
+        ops.append(Jet(dim, order, _sym_coeffs(rng, batch, dim, order, c)))
+    got = jet_einsum(spec, *ops)
+    for g, r in zip(got.c, _einsum_reference(spec, *ops)):
+        assert g.shape == r.shape
+        np.testing.assert_allclose(g, r, rtol=0,
+                                   atol=1e-12 * np.max(np.abs(r)))
+
+
+def _matrix_jet(rng, dim, size, order, n, cplx):
+    c = _sym_coeffs(rng, (n, size, size), dim, order, cplx)
+    c[0] = 0.2 * c[0] + 2.0 * np.eye(size)   # well conditioned
+    return Jet(dim, order, c)
+
+
+@given(cplx=st.booleans(), **_jet_shapes)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_jet_inv_property_times_matrix_is_identity_jet(cplx, dim, size,
+                                                       order, n, seed):
+    m = _matrix_jet(np.random.default_rng(seed), dim, size, order, n, cplx)
+    prod = jet_matmul(jet_inv(m), m)
+    scale = max(np.max(np.abs(c)) for c in m.c)
+    np.testing.assert_allclose(prod.c[0], np.broadcast_to(
+        np.eye(size), (n, size, size)), rtol=0, atol=1e-12 * scale)
+    for k in range(1, order + 1):
+        np.testing.assert_allclose(prod.c[k], 0.0, rtol=0,
+                                   atol=1e-11 * scale)
+
+
+@given(cplx=st.booleans(), **_jet_shapes)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_jet_det_property_against_fd(cplx, dim, size, order, n, seed):
+    # m(x) = A0 + x_a A1[a] + x_a x_b A2[a, b], a quadratic matrix field
+    rng = np.random.default_rng(seed)
+    A0 = _matrix_jet(rng, dim, size, 0, 1, cplx).c[0][0]
+    _, A1, A2 = (0.3 * c for c in _sym_coeffs(rng, (size, size), dim, 2,
+                                              cplx))
+    pts = rng.uniform(-0.5, 0.5, size=(n, dim))
+
+    def mat(x):
+        return (A0 + np.einsum("...a,ija->...ij", x, A1)
+                + np.einsum("...a,...b,ijab->...ij", x, x, A2))
+
+    def det_jet(x, k):
+        c = [mat(x), A1 + 2 * np.einsum("ijab,nb->nija", A2, x),
+             np.broadcast_to(2 * A2, (x.shape[0],) + A2.shape),
+             np.zeros((x.shape[0], size, size) + (dim,) * 3)]
+        return jet_det(Jet(dim, k, c[:k + 1]))
+
+    def fd(oracle, f, h):
+        # the oracle fills real arrays: difference each part on its own
+        return (oracle(lambda x: f(x).real, pts, h)
+                + 1j * oracle(lambda x: f(x).imag, pts, h))
+
+    def det_fn(x):
+        return np.linalg.det(mat(x))
+
+    det = det_jet(pts, order)
+    scale = np.max(np.abs(det.c[0]))
+    np.testing.assert_allclose(det.c[0], det_fn(pts), rtol=1e-12)
+    if order >= 1:
+        np.testing.assert_allclose(det.c[1], fd(fd_gradient, det_fn, 1e-4),
+                                   rtol=0, atol=1e-6 * scale)
+    if order >= 2:
+        np.testing.assert_allclose(det.c[2], fd(fd_hessian, det_fn, 1e-3),
+                                   rtol=0, atol=1e-5 * scale)
+    if order >= 3:
+        third = fd(fd_gradient, lambda x: det_jet(x, 2).c[2], 1e-4)
+        np.testing.assert_allclose(det.c[3], third, rtol=0, atol=1e-6 * scale)
+
+
+@pytest.mark.parametrize("spec", ["nii,ni->n", "nij,nkk->nij",
+                                  "nij,nj->nii"])
+def test_repeated_letter_spec_raises(spec):
+    a = Jet.const(np.ones((2, 3, 3)), dim=2, order=1)
+    with pytest.raises(JetError, match="repeated"):
+        jet_einsum(spec, a, a)
