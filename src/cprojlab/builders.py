@@ -30,15 +30,21 @@ solve over samples and certified by the reported fit residual.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .jets import (
-    Jet, jstack, jet_einsum, jet_inv, jet_matmul, jet_transpose, polyval,
+    Jet, jstack, jet_einsum, jet_inv, jet_matmul, jet_trace, jet_transpose,
+    polyval,
 )
-from .geometry import Box, lie_endo, lie_metric
+from .geometry import (
+    Box, christoffel, gradient, lie_endo, lie_metric, metric_inverse,
+    riemann,
+)
 
 __all__ = [
     "Real1D", "Complex2D", "RealRho", "Jordan2", "Jordan3",
@@ -524,8 +530,16 @@ def build_quotient_pair(spec: CompatiblePairSpec) -> QuotientPair:
 # Kahler charts
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ChartFields:
+    """The fields of one chart evaluation and the quantities derived from g.
+
+    ``ginv``, ``gamma``, ``lam`` and ``riemann`` are computed on first use
+    and kept as long as the object.  The class is frozen, so a cached
+    quantity cannot outlive the field it came from: build an edited copy
+    with ``dataclasses.replace`` or the ``replace`` method.
+    """
+
     g: Jet
     omega: Jet | None
     J: Jet | None
@@ -534,6 +548,39 @@ class ChartFields:
     mus: list
     v: Jet | None = None
     qp: QPFields | None = None
+
+    @cached_property
+    def ginv(self) -> Jet:
+        """g^-1 one order below g, the order Gamma and gradients read."""
+        return metric_inverse(self.g.truncate(max(self.g.order - 1, 0)))
+
+    @cached_property
+    def gamma(self) -> Jet:
+        """Levi-Civita symbols Gamma^c_ab, one order below g."""
+        return christoffel(self.g, self.ginv)
+
+    @cached_property
+    def lam(self) -> Jet:
+        """La = (1/4) grad tr A as a vector jet, one order below A."""
+        return gradient(jet_trace(self.A), self.ginv) * 0.25
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """Curvature values R^d_cab."""
+        return riemann(self.gamma)
+
+    def replace(self, **changes) -> "ChartFields":
+        """``dataclasses.replace`` that keeps the derived quantities whose
+        inputs are unchanged (the g-only ones when g is kept)."""
+        new = dataclasses.replace(self, **changes)
+        for name, inputs in _DERIVED_INPUTS.items():
+            if name in self.__dict__ and not changes.keys() & inputs:
+                new.__dict__[name] = self.__dict__[name]
+        return new
+
+
+_DERIVED_INPUTS = {"ginv": {"g"}, "gamma": {"g"}, "riemann": {"g"},
+                   "lam": {"g", "A"}}
 
 
 def mobility_field(pts, order, M, rho_idx) -> Jet:

@@ -50,16 +50,32 @@ DEFAULT_TOLS = {
 }
 
 
+def _num(cfg, key, default, kind=float):
+    """Option ``key`` as ``kind`` (int or float), or a ConfigError naming
+    the key.  An int option rejects fractional values."""
+    val = cfg.opt(key, default)
+    try:
+        out = kind(val)
+    except (TypeError, ValueError):
+        out = None
+    if out is None or isinstance(val, bool) or (kind is int and out != val):
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"option {key!r} needs {what}, got {val!r}")
+    return out
+
+
 def _tol(cfg, scale, cls):
-    base = cfg.opt(f"tol.{cls}", DEFAULT_TOLS[cls])
-    return float(base) * scale
+    return _num(cfg, f"tol.{cls}", DEFAULT_TOLS[cls]) * scale
+
+
+def _seed(cfg, args):
+    return args.seed if args.seed is not None else _num(cfg, "seed", 0, int)
 
 
 def _grid(cfg, args):
-    per = args.grid if args.grid else int(cfg.opt("grid", 5))
-    rnd = int(cfg.opt("random", 64))
-    seed = args.seed if args.seed is not None else int(cfg.opt("seed", 0))
-    return GridSpec(per_axis=per, n_random=rnd, seed=seed)
+    per = args.grid if args.grid else _num(cfg, "grid", 5, int)
+    rnd = _num(cfg, "random", 64, int)
+    return GridSpec(per_axis=per, n_random=rnd, seed=_seed(cfg, args))
 
 
 def _req(d, key, section):
@@ -129,7 +145,7 @@ def _kahler_chart_checks(chart, cfg, args, scale, consts):
     pts = _grid(cfg, args).points(chart.window)
     fl = chart.eval(pts, order=2)
     rep = ResidualReport(title=chart.name)
-    eps = float(cfg.opt("defect.omega_eps", 0.0))
+    eps = _num(cfg, "defect.omega_eps", 0.0)
     if eps:
         w = fl.omega
         coeffs = [c.copy() for c in w.c]
@@ -139,7 +155,7 @@ def _kahler_chart_checks(chart, cfg, args, scale, consts):
         coeffs[0][:, j, i] -= eps * x0
         coeffs[1][:, i, j, 0] += eps
         coeffs[1][:, j, i, 0] -= eps
-        fl.omega = Jet(w.dim, w.order, coeffs)
+        fl = fl.replace(omega=Jet(w.dim, w.order, coeffs))
     rep.extend(check_kahler(fl, tol=_tol(cfg, scale, "kahler")))
     rep.extend(cproj_residual(fl, tol=_tol(cfg, scale, "cproj")))
     rep.extend(eigenvector_gradient_residual(fl, tol=_tol(cfg, scale,
@@ -151,9 +167,7 @@ def _kahler_chart_checks(chart, cfg, args, scale, consts):
     # zero eigenvalues block the inverse; a constant shift of A solves the
     # same equation and clears the spectrum
     c0 = spectrum_safe_shift(fl)
-    shifted = fl if c0 == 0.0 else type(fl)(
-        g=fl.g, omega=fl.omega, J=fl.J, A=shift_endo(fl.A, c0),
-        rhos=fl.rhos, mus=fl.mus, v=fl.v, qp=fl.qp)
+    shifted = fl if c0 == 0.0 else fl.replace(A=shift_endo(fl.A, c0))
     note = f"shift={c0:g}" if c0 else ""
     ham = hamiltonian_killing_check(shifted,
                                     tol=_tol(cfg, scale, "killing"))
@@ -167,8 +181,8 @@ def _kahler_chart_checks(chart, cfg, args, scale, consts):
     rep.add(CheckEntry("partner_roundtrip", "recover(partner(g,A))=A",
                        rt, _tol(cfg, scale, "roundtrip"),
                        samples=pts.shape[0], note=note))
-    cd = connection_difference_check(
-        shifted.g, ghat, shifted.J, tol=_tol(cfg, scale, "cproj"))
+    cd = connection_difference_check(shifted, ghat,
+                                     tol=_tol(cfg, scale, "cproj"))
     for e in cd.entries:
         e.note = note
     rep.extend(cd)
@@ -211,9 +225,9 @@ def run_main_example(cfg, args, scale):
 
 
 def run_mobility2(cfg, args, scale):
-    ell = int(cfg.opt("ell", 1))
+    ell = _num(cfg, "ell", 1, int)
     a = cfg.opt("a", 1.0)
-    C = float(cfg.opt("C", -1.0))
+    C = _num(cfg, "C", -1.0)
     cb = _const_blocks(cfg)
     chart = build_mobility2(ell, a, C, cb=cb,
                             name=str(cfg.opt("name", "mobility2")))
@@ -234,8 +248,8 @@ def run_mobility2(cfg, args, scale):
 
 def run_jordan(cfg, args, scale):
     kind = str(cfg.opt("kind", "2x2"))
-    n2 = float(cfg.opt("n2", 2))
-    C = float(cfg.opt("C", -1.5))
+    n2 = _num(cfg, "n2", 2)
+    C = _num(cfg, "C", -1.5)
     init = np.atleast_1d(cfg.opt("init", [0.5, 0.1]))
     lo, hi = cfg.opt("interval", [0.2, 0.8])
     sol = solve_jordan_odes(kind, n2, C, init, (lo, hi))
@@ -306,9 +320,10 @@ def run_flows(cfg, args, scale):
     csv = {}
     seeds = {"rho^2+1": 0.3 + 0.4j, "rho(1-rho)": 0.5 + 0.3j,
              "rho^2": 0.4 + 0.3j}
+    T = _num(cfg, "T", 6.0)
     for ode, r0 in seeds.items():
-        traj = eigenvalue_flow(ode, r0, float(cfg.opt("T", 6.0)))
-        back = eigenvalue_flow(ode, r0, -float(cfg.opt("T", 6.0)))
+        traj = eigenvalue_flow(ode, r0, T)
+        back = eigenvalue_flow(ode, r0, -T)
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         c, r, resid = circle_fit(z)
         rep.add(CheckEntry(f"circle_{ode}", "complex orbit is a circle",
@@ -335,9 +350,8 @@ def run_flows(cfg, args, scale):
 
 def run_appendix(cfg, args, scale):
     rep = ResidualReport(title="appendix")
-    chart = build_mobility2(2, 1.0, float(cfg.opt("C", -1.5)),
-                            fit_v=False)
-    rng = np.random.default_rng(int(cfg.opt("seed", 0)))
+    chart = build_mobility2(2, 1.0, _num(cfg, "C", -1.5), fit_v=False)
+    rng = np.random.default_rng(_num(cfg, "seed", 0, int))
     pts = chart.window.random(8, rng)
     fl = chart.eval(pts, order=2)
     rep.extend(ricci_identity_check(fl, tol=_tol(cfg, scale, "ricci")))
@@ -423,6 +437,7 @@ def main(argv=None) -> int:
 
     t0 = time.monotonic()
     try:
+        seed = _seed(cfg, args)
         rep, csv = RUNNERS[cfg.kind](cfg, args, args.tol_scale)
     except (ConfigError, BuilderError, GeometryError, JetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -436,8 +451,7 @@ def main(argv=None) -> int:
 
     rep.provenance = {
         "config_hash": config_hash(serialize_config(cfg)),
-        "seed": args.seed if args.seed is not None
-        else int(cfg.opt("seed", 0)),
+        "seed": seed,
         "version": __version__,
         "scenario": cfg.kind,
     }

@@ -97,11 +97,9 @@ def curvature_operator_matrix(flds, sample=0):
     eigenvalue predictions refer to.  Arbitrary X are expanded over the
     coordinate-wedge span by least squares (exact on u(g, J)).
     """
-    g, J = flds.g, flds.J
-    gv = g.c[0][sample]
-    Jv = J.c[0][sample]
-    gam = christoffel(g)
-    Rc = riemann(gam)[sample]            # R^d_cab
+    gv = flds.g.c[0][sample]
+    Jv = flds.J.c[0][sample]
+    Rc = flds.riemann[sample]            # R^d_cab
     basis, wedges = unitary_basis(gv, Jv)
     k = basis.shape[0]
     wmats = np.stack([w for _, w in wedges])
@@ -122,11 +120,8 @@ def curvature_operator_matrix(flds, sample=0):
 
 def nabla_lambda_endo(flds):
     """(nabla La)^b_a values, La = (1/4) grad tr A; shape (n, b, a)."""
-    g = flds.g
-    ginv = metric_inverse(g)
-    lam = gradient(jet_trace(flds.A), ginv) * 0.25
-    gam = christoffel(g)
-    nl = cov_deriv_vector(lam, gam.truncate(lam.order))  # (n, a, b)
+    lam = flds.lam
+    nl = cov_deriv_vector(lam, flds.gamma.truncate(lam.order))  # (n, a, b)
     return np.swapaxes(nl, -1, -2)
 
 
@@ -134,8 +129,7 @@ def ricci_identity_check(flds, tol=1e-6, samples=None) -> ResidualReport:
     """[R(X), A] = 4 [X, nabla La] over the spanning wedge set."""
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
-    gam = christoffel(g)
-    Rc = riemann(gam)
+    Rc = flds.riemann
     NL = nabla_lambda_endo(flds)
     Av = A.c[0]
     gv, Jv = g.c[0], J.c[0]
@@ -274,7 +268,7 @@ def real_nabla_lambda_endo(h, L):
     """(nabla La)^b_a for the projective pair, La = (1/2) grad tr L."""
     ginv = metric_inverse(h.truncate(max(h.order - 1, 0)))
     lam = gradient(jet_trace(L), ginv) * 0.5
-    gam = christoffel(h)
+    gam = christoffel(h, ginv)
     return np.swapaxes(cov_deriv_vector(lam, gam.truncate(lam.order)),
                        -1, -2)
 

@@ -73,7 +73,7 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     def rhs(t, y):
         x, v = y[:d], y[d:]
         fl = chart.eval(x[None], order=1)
-        gam = christoffel(fl.g).c[0][0]
+        gam = fl.gamma.c[0][0]
         acc = -np.einsum("cab,a,b->c", gam, v, v)
         if alpha is not None:
             acc = acc + alpha(t) * v
@@ -103,7 +103,7 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     xs, vs = ys[:d].T, ys[d:].T
     # exact accelerations from the equation of motion, batch evaluated
     fl = chart.eval(xs, order=1)
-    gam = christoffel(fl.g).c[0]
+    gam = fl.gamma.c[0]
     acc = -np.einsum("ncab,na,nb->nc", gam, vs, vs)
     if alpha is not None:
         acc = acc + np.array([alpha(t) for t in ts])[:, None] * vs
@@ -133,8 +133,11 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
     if traj.acc is None:
         raise FlowError("trajectory carries no acceleration data")
     fl = chart.eval(traj.x, order=1)
-    g = fl.g if metric == "g" else partner_metric(fl.g, fl.A)
-    gam = christoffel(g).c[0]
+    if metric == "g":
+        g, gam = fl.g, fl.gamma.c[0]
+    else:
+        g = partner_metric(fl.g, fl.A)
+        gam = christoffel(g).c[0]
     gv = g.c[0]
     Jv = fl.J.c[0]
     v = traj.v

@@ -360,11 +360,13 @@ def jstack(cells) -> Jet:
     n = j0.c[0].shape[0]
     coeffs = []
     for k in range(j0.order + 1):
-        arrs = [np.broadcast_to(j.c[k], (n,) + (j0.dim,) * k) for j in flat]
-        s = np.stack(arrs)  # (prod(shape), N, *deriv)
-        s = s.reshape(tuple(shape) + (n,) + (j0.dim,) * k)
-        s = np.moveaxis(s, len(shape), 0)  # batch first
-        coeffs.append(s)
+        deriv = (j0.dim,) * k
+        dtype = np.result_type(*{j.c[k].dtype for j in flat})
+        out = np.empty((n,) + tuple(shape) + deriv, dtype=dtype)
+        cells_k = out.reshape((n, len(flat)) + deriv)  # a view of out
+        for i, j in enumerate(flat):
+            cells_k[:, i] = j.c[k]
+        coeffs.append(out)
     return Jet(j0.dim, j0.order, coeffs)
 
 

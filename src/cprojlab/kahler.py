@@ -70,28 +70,18 @@ def check_kahler(flds, tol=1e-6, anchor_prefix="") -> ResidualReport:
                        max_abs(ext_deriv_two_form(w)) / scale, tol,
                        samples=n))
 
-    gam = christoffel(g)
     rep.add(CheckEntry("parallel_J", "nabla(J)",
-                       max_abs(cov_deriv_endo(J, gam)) / scale, tol,
+                       max_abs(cov_deriv_endo(J, flds.gamma)) / scale, tol,
                        samples=n))
     return rep
-
-
-def _lambda_vec(flds, weight):
-    """La = weight * grad tr(endo) as a vector jet (order reduced)."""
-    trA = jet_trace(flds.A if hasattr(flds, "A") else flds)
-    ginv = metric_inverse(flds.g.truncate(max(flds.g.order - 1, 0)))
-    return gradient(trA.truncate(ginv.order + 1), ginv)  * weight
 
 
 def cproj_residual(flds, tol=1e-6) -> ResidualReport:
     """Defect of the c-compatibility equation over all basis directions."""
     g, J, A = flds.g, flds.J, flds.A
     n, d = g.c[0].shape[0], g.c[0].shape[-1]
-    gam = christoffel(g)
-    nA = cov_deriv_endo(A, gam)            # (n, a, b, c)
-    lam = _lambda_vec(flds, 0.25)
-    lv = lam.c[0]
+    nA = cov_deriv_endo(A, flds.gamma)     # (n, a, b, c)
+    lv = flds.lam.c[0]
     gv, Jv, Av = g.c[0], J.c[0], A.c[0]
     lflat = np.einsum("ncb,nb->nc", gv, lv)
     Jlam = np.einsum("nab,nb->na", Jv, lv)
@@ -120,10 +110,9 @@ def proj_residual(h: Jet, L: Jet, tol=1e-6, selfadj_tol=1e-8
         raise KahlerError(
             f"L is not h-selfadjoint: residual {sa:.3e} worst at sample "
             f"{worst}")
-    gam = christoffel(h)
-    nL = cov_deriv_endo(L, gam)
-    trL = jet_trace(L)
-    lam = gradient(trL, metric_inverse(h)) * 0.5
+    hinv = metric_inverse(h.truncate(max(h.order - 1, 0)))
+    nL = cov_deriv_endo(L, christoffel(h, hinv))
+    lam = gradient(jet_trace(L), hinv) * 0.5
     lv = lam.c[0]
     lflat = np.einsum("ncb,nb->nc", h.c[0], lv)
     rhs = (np.einsum("nac,nb->nabc", h.c[0], lv)
@@ -269,8 +258,7 @@ def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
     if cres > comm_tol:
         raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
     f = complex_det(A, J)
-    gam = christoffel(flds.g)
-    hess = hessian_cov(f, gam).c[0]
+    hess = hessian_cov(f, flds.gamma).c[0]
     Jv = J.c[0]
     herm = np.einsum("nca,ncd,ndb->nab", Jv, hess, Jv) - hess
     scale = 1.0 + max_abs(hess)
@@ -278,7 +266,7 @@ def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
     rep.add(CheckEntry("det_hessian_hermitian", "herm(nabla^2 detC A)",
                        max_abs(herm) / scale, tol, samples=n))
     K = jet_einsum("nab,nb->na", J.truncate(f.order - 1),
-                   gradient(f, metric_inverse(g)))
+                   gradient(f, flds.ginv))
     lg = lie_metric(g.truncate(K.order), K)
     rep.add(CheckEntry("killing_detC", "L_K g, K=J grad detC A",
                        max_abs(lg) / (1.0 + max_abs(g.c[0], K.c[0])), tol,
@@ -286,10 +274,12 @@ def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
     return rep
 
 
-def connection_difference_check(g: Jet, ghat: Jet, J: Jet, tol=1e-6
+def connection_difference_check(flds, ghat: Jet, tol=1e-6
                                 ) -> ResidualReport:
-    """Gamma-hat minus Gamma against the rank-one hermitian expression
-    built from Phi = d phi, phi = ln(det ghat / det g) / (4(n+1))."""
+    """Gamma-hat of the partner metric ghat minus Gamma of the chart metric
+    against the rank-one hermitian expression built from Phi = d phi,
+    phi = ln(det ghat / det g) / (4(n+1))."""
+    g, J = flds.g, flds.J
     d = g.c[0].shape[-1]
     ncx = d // 2
     n = g.c[0].shape[0]
@@ -298,7 +288,7 @@ def connection_difference_check(g: Jet, ghat: Jet, J: Jet, tol=1e-6
         raise KahlerError("determinant ratio not positive; phi undefined")
     phi = ratio.log() * (1.0 / (4.0 * (ncx + 1)))
     Phi = tensor_partial(phi).c[0]                      # (n, a)
-    gam = christoffel(g).c[0]
+    gam = flds.gamma.c[0]
     gamhat = christoffel(ghat).c[0]
     Jv = J.c[0]
     eye = np.eye(d)
@@ -323,7 +313,6 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     """(A - rho) grad rho = 0 and (A - rho) J grad rho = 0 at regular
     samples, for each simple non-constant eigenvalue field rho."""
     g, J, A = flds.g, flds.J, flds.A
-    ginv = metric_inverse(g)
     n = g.c[0].shape[0]
     consts = []
     rep = ResidualReport(title="eigenvector-gradient")
@@ -335,7 +324,7 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
         if np.iscomplexobj(r.c[0]):
             continue          # complex pairs are exercised via mu fields
         rr = r
-        grad = gradient(rr, ginv).c[0]
+        grad = gradient(rr, flds.ginv).c[0]
         Av = A.c[0]
         res = np.einsum("nab,nb->na", Av, grad) - rr.c[0][:, None] * grad
         Jgrad = np.einsum("nab,nb->na", J.c[0], grad)
@@ -351,7 +340,7 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
 
 def lambda_field(flds) -> Jet:
     """La = (1/4) grad tr A as a vector jet."""
-    return _lambda_vec(flds, 0.25)
+    return flds.lam
 
 
 # ---------------------------------------------------------------------------

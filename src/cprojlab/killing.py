@@ -17,7 +17,6 @@ import numpy as np
 from .jets import Jet, jet_einsum
 from .geometry import (
     christoffel, gradient, lie_bracket, lie_endo, lie_metric, max_abs,
-    metric_inverse,
 )
 from .report import CheckEntry, ResidualReport
 from .builders import EIGEN_GAP, _gap_mask
@@ -53,10 +52,9 @@ def build_canonical_killing(flds, constant_eigs=(), gap=EIGEN_GAP
     g, J, A = flds.g, flds.J, flds.A
     mus, _rem = nonconstant_factor(A, J, constant_eigs)
     mus = mus[1:]  # drop mu_0 = 1
-    ginv = metric_inverse(g)
     K = []
     for mu in mus:
-        grad = gradient(mu, ginv)
+        grad = gradient(mu, flds.ginv)
         K.append(jet_einsum("nab,nb->na", J.truncate(grad.order), grad))
     vals = [r.c[0] for r in flds.rhos]
     mask = _gap_mask(vals, [c for c, _ in constant_eigs], gap,
@@ -121,7 +119,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
         / (1.0 + max_abs(gram)) ** ell if mask.any() else 0.0
 
     # statement: J nabla_{K_i} K_j stays in span{K}
-    gam = christoffel(g)
+    gam = flds.gamma
     graminv = np.linalg.inv(gram)
     for i, Ki in enumerate(ks.K):
         for j, Kj in enumerate(ks.K):

@@ -35,7 +35,7 @@ def fd_hessian(f, x, h=1e-3):
             v = (f(x + ei + ej) - f(x + ei - ej)
                  - f(x - ei + ej) + f(x - ei - ej)) / (4 * h * h)
             if out is None:
-                out = np.zeros(v.shape + (d, d))
+                out = np.zeros(v.shape + (d, d), np.result_type(v, float))
             out[..., i, j] = v
     return out
 
@@ -49,7 +49,7 @@ def fd_third(f, x, h=2e-3):
         e[k] = h
         g = (fd_hessian(f, x + e, h) - fd_hessian(f, x - e, h)) / (2 * h)
         if out is None:
-            out = np.zeros(g.shape + (d,))
+            out = np.zeros(g.shape + (d,), np.result_type(g, float))
         out[..., k] = g
     return out
 

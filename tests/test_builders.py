@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from cprojlab.builders import (
     build_mobility2_projective, build_quotient_pair, esp_jets,
     jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
 )
-from cprojlab.geometry import lie_endo, lie_metric, max_abs
-from cprojlab.jets import Jet
-from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
+from cprojlab.geometry import christoffel, lie_endo, lie_metric, max_abs
+from cprojlab.jets import Jet, jet_einsum
+from cprojlab.kahler import (
+    check_kahler, cproj_residual, proj_residual, shift_endo,
+)
 
 from conftest import pair_complex, pair_dini, pair_ell1, sample
 from fd_oracle import fd_gradient
@@ -284,3 +288,26 @@ def test_jacobian_route_rejects_order3(qp_ell1):
     ch = lift_pair(qp_ell1, route="jacobian")
     with pytest.raises(BuilderError, match="order"):
         ch.eval(sample(ch, 4), order=3)
+
+
+def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
+    chart = lift_pair(qp_ell1, (ConstantBlock(0.0, 2),), route="explicit")
+    pts = sample(chart, 12)
+    fl = chart.eval(pts, order=2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fl.g = fl.g
+    gam, ginv, lam = fl.gamma, fl.ginv, fl.lam
+    assert fl.gamma is gam                      # computed once, then kept
+    # a conformal change of g moves Gamma; both replace spellings recompute
+    phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
+    g2 = jet_einsum("nab,n->nab", fl.g, phi)
+    for fl2 in (dataclasses.replace(fl, g=g2), fl.replace(g=g2)):
+        assert fl2.gamma is not gam
+        for got, want in zip(fl2.gamma.c, christoffel(g2).c, strict=True):
+            np.testing.assert_array_equal(got, want)
+        assert max_abs(fl2.gamma.c[0] - gam.c[0]) > 1e-3
+    # a new A keeps the g-only quantities and recomputes La
+    fl3 = fl.replace(A=shift_endo(fl.A, 1.0))
+    assert fl3.gamma is gam and fl3.ginv is ginv
+    assert fl3.lam is not lam
+    np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])

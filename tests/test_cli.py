@@ -1,13 +1,19 @@
+import argparse
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from cprojlab import geometry
+from cprojlab.builders import (
+    CompatiblePairSpec, ConstantBlock, Real1D, build_quotient_pair,
+    lift_pair,
+)
 from cprojlab.config import (
     ConfigError, parse_config_text, serialize_config,
 )
-from cprojlab.cli import main
+from cprojlab.cli import _kahler_chart_checks, main
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -162,3 +168,57 @@ def test_remaining_scenarios_pass(name):
     code, out, err = run_cli("run", str(CONFIGS / f"{name}.cfg"))
     assert code == 0, out + err
     assert "overall=pass" in out
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("dini-lift", "grid", "four"),
+    ("dini-lift", "grid", "4.5"),
+    ("dini-pair", "random", "many"),
+    ("dini-pair", "seed", "x"),
+    ("phase-portraits", "seed", "x"),
+    ("mobility2", "ell", "one"),
+    ("mobility2", "C", "minus"),
+    ("jordan2", "n2", "two"),
+    ("phase-portraits", "T", "long"),
+    ("appendix", "C", "1 2"),
+    ("seeded-defect", "defect.omega_eps", "tiny"),
+    ("dini-pair", "tol.proj", "small"),
+])
+def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
+    lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
+    kept = [l for l in lines if l.split("=")[0].strip() != key]
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join([f"{key} = {value}"] + kept) + "\n")
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    err_lines = err.splitlines()
+    assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err
+    assert repr(key) in err_lines[0]
+
+
+def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
+    # a constant block at c = 0 puts a zero eigenvalue in A, so the
+    # sequence also runs its spectrum-shifted copy of the fields
+    qp = build_quotient_pair(CompatiblePairSpec(
+        (Real1D(1, (0.1, 0.5, 0.2), (0.2, 0.8)),), name="ell1"))
+    chart = lift_pair(qp, (ConstantBlock(0.0, 2),), route="explicit")
+    cfg = parse_config_text("scenario = lift\ngrid = 2\nrandom = 8\n")
+    args = argparse.Namespace(grid=None, seed=0)
+    seen = {"christoffel": [], "metric_inverse": []}
+    for fname, calls in seen.items():
+        orig = getattr(geometry, fname)
+
+        def counted(g, *a, _orig=orig, _calls=calls, **kw):
+            _calls.append(g.c[0])      # the metric's value array
+            return _orig(g, *a, **kw)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("cprojlab")
+                    and getattr(mod, fname, None) is orig):
+                monkeypatch.setattr(mod, fname, counted)
+    rep, fl = _kahler_chart_checks(chart, cfg, args, 1.0, [(0.0, 1)])
+    assert rep.overall_pass
+    assert any(e.note.startswith("shift=") for e in rep.entries)
+    for fname, calls in seen.items():
+        assert sum(a is fl.g.c[0] for a in calls) == 1, fname

@@ -407,11 +407,6 @@ def test_jet_det_property_against_fd(cplx, dim, size, order, n, seed):
              np.zeros((x.shape[0], size, size) + (dim,) * 3)]
         return jet_det(Jet(dim, k, c[:k + 1]))
 
-    def fd(oracle, f, h):
-        # the oracle fills real arrays: difference each part on its own
-        return (oracle(lambda x: f(x).real, pts, h)
-                + 1j * oracle(lambda x: f(x).imag, pts, h))
-
     def det_fn(x):
         return np.linalg.det(mat(x))
 
@@ -419,13 +414,13 @@ def test_jet_det_property_against_fd(cplx, dim, size, order, n, seed):
     scale = np.max(np.abs(det.c[0]))
     np.testing.assert_allclose(det.c[0], det_fn(pts), rtol=1e-12)
     if order >= 1:
-        np.testing.assert_allclose(det.c[1], fd(fd_gradient, det_fn, 1e-4),
+        np.testing.assert_allclose(det.c[1], fd_gradient(det_fn, pts, 1e-4),
                                    rtol=0, atol=1e-6 * scale)
     if order >= 2:
-        np.testing.assert_allclose(det.c[2], fd(fd_hessian, det_fn, 1e-3),
+        np.testing.assert_allclose(det.c[2], fd_hessian(det_fn, pts, 1e-3),
                                    rtol=0, atol=1e-5 * scale)
     if order >= 3:
-        third = fd(fd_gradient, lambda x: det_jet(x, 2).c[2], 1e-4)
+        third = fd_gradient(lambda x: det_jet(x, 2).c[2], pts, 1e-4)
         np.testing.assert_allclose(det.c[3], third, rtol=0, atol=1e-6 * scale)
 
 
@@ -435,3 +430,106 @@ def test_repeated_letter_spec_raises(spec):
     a = Jet.const(np.ones((2, 3, 3)), dim=2, order=1)
     with pytest.raises(JetError, match="repeated"):
         jet_einsum(spec, a, a)
+
+
+def _jstack_reference(flat, shape):
+    """Stack row-major cells by broadcast, np.stack and moveaxis."""
+    j0 = flat[0]
+    n = j0.c[0].shape[0]
+    out = []
+    for k in range(j0.order + 1):
+        s = np.stack([np.broadcast_to(j.c[k], (n,) + (j0.dim,) * k)
+                      for j in flat])
+        s = s.reshape(tuple(shape) + (n,) + (j0.dim,) * k)
+        out.append(np.moveaxis(s, len(shape), 0))
+    return out
+
+
+@given(nest=st.lists(st.integers(1, 3), min_size=1, max_size=3),
+       dim=st.integers(1, 3), order=st.integers(0, 3),
+       n=st.sampled_from([1, 3]),
+       cplx=st.sampled_from(["real", "complex", "mixed"]),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_jstack_matches_stack_reference(nest, dim, order, n, cplx, seed):
+    rng = np.random.default_rng(seed)
+    flat = []
+
+    def build(level):
+        if level == len(nest):
+            c = cplx == "complex" or (cplx == "mixed" and rng.random() < 0.5)
+            flat.append(Jet(dim, order, _sym_coeffs(rng, (n,), dim, order,
+                                                    c)))
+            return flat[-1]
+        return [build(level + 1) for _ in range(nest[level])]
+
+    got = jstack(build(0))
+    for g, r in zip(got.c, _jstack_reference(flat, nest), strict=True):
+        assert g.shape == r.shape and g.dtype == r.dtype
+        np.testing.assert_array_equal(g, r)
+
+
+def _cubic_field(rng, dim, cplx):
+    """u(x) = a0 + a1.x + x.a2.x + a3(x, x, x) with symmetric a2, a3: its
+    value function and its exact jet at any order up to 3."""
+    a = _sym_coeffs(rng, (), dim, 3, cplx)
+    a0, a1, a2, a3 = a[0], a[1], 0.5 * a[2], a[3] / 6.0
+
+    def fn(x):
+        return (a0 + np.einsum("i,ni->n", a1, x)
+                + np.einsum("ij,ni,nj->n", a2, x, x)
+                + np.einsum("ijk,ni,nj,nk->n", a3, x, x, x))
+
+    def jet(x, order):
+        c = [fn(x),
+             a1 + 2 * np.einsum("ij,nj->ni", a2, x)
+             + 3 * np.einsum("ijk,nj,nk->ni", a3, x, x),
+             2 * a2 + 6 * np.einsum("ijk,nk->nij", a3, x),
+             np.broadcast_to(6 * a3, (x.shape[0],) + a3.shape)]
+        return Jet(dim, order, c[:order + 1])
+
+    return fn, jet
+
+
+def _assert_jet_matches_fd(jet, fn, pts):
+    """Jet coefficients of order 1-3 against the finite-difference oracle;
+    the bounds sit well above each stencil's truncation error."""
+    scale = 1.0 + max(np.max(np.abs(c)) for c in jet.c)
+    np.testing.assert_allclose(jet.c[0], fn(pts), rtol=0,
+                               atol=1e-13 * scale)
+    oracles = ((fd_gradient, 1e-4, 1e-7), (fd_hessian, 5e-4, 1e-5),
+               (fd_third, 5e-4, 1e-4))
+    for k, (oracle, h, tol) in enumerate(oracles[:jet.order], start=1):
+        np.testing.assert_allclose(jet.c[k], oracle(fn, pts, h), rtol=0,
+                                   atol=tol * scale)
+
+
+_field_shapes = dict(dim=st.integers(1, 4), order=st.integers(0, 3),
+                     n=st.integers(1, 3), seed=st.integers(0, 2 ** 32 - 1))
+
+
+@given(cplx=st.tuples(st.booleans(), st.booleans()), **_field_shapes)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_jet_mul_property_against_fd(cplx, dim, order, n, seed):
+    rng = np.random.default_rng(seed)
+    (ufn, ujet), (vfn, vjet) = (_cubic_field(rng, dim, c) for c in cplx)
+    pts = rng.uniform(-0.5, 0.5, size=(n, dim))
+    prod = ujet(pts, order) * vjet(pts, order)
+    _assert_jet_matches_fd(prod, lambda x: ufn(x) * vfn(x), pts)
+
+
+_OUTER = {"exp": lambda z: [np.exp(z)] * 4,
+          "sin": lambda z: [np.sin(z), np.cos(z), -np.sin(z), -np.cos(z)]}
+
+
+@given(outer=st.sampled_from(sorted(_OUTER)), cplx=st.booleans(),
+       **_field_shapes)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_jet_compose1_property_against_fd(outer, cplx, dim, order, n,
+                                          seed):
+    rng = np.random.default_rng(seed)
+    ufn, ujet = _cubic_field(rng, dim, cplx)
+    pts = rng.uniform(-0.5, 0.5, size=(n, dim))
+    u = ujet(pts, order)
+    comp = u.compose1(_OUTER[outer](u.c[0]))
+    _assert_jet_matches_fd(comp, lambda x: _OUTER[outer](ufn(x))[0], pts)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -75,7 +77,7 @@ def test_seeded_omega_defect_is_flagged(qp_dini):
     coeffs[0][:, 2, 1] -= eps * pts[:, 0]
     coeffs[1][:, 1, 2, 0] += eps
     coeffs[1][:, 2, 1, 0] -= eps
-    fl.omega = Jet(fl.omega.dim, fl.omega.order, coeffs)
+    fl = replace(fl, omega=Jet(fl.omega.dim, fl.omega.order, coeffs))
     rep = check_kahler(fl)
     dw = rep.entry("domega")
     assert not dw.passed
@@ -187,16 +189,16 @@ def test_hamiltonian_killing_negative_control():
 def test_connection_difference(corpus):
     # ghat = g and ghat = c g give zero difference; instance pairs match
     pts, fl = flat_complex_chart()
-    rep = connection_difference_check(fl.g, fl.g, fl.J)
+    rep = connection_difference_check(fl, fl.g)
     assert rep.entries[0].value <= 1e-14
     g3 = Jet(fl.g.dim, fl.g.order, [3.0 * c for c in fl.g.c])
-    rep = connection_difference_check(fl.g, g3, fl.J)
+    rep = connection_difference_check(fl, g3)
     assert rep.entries[0].value <= 1e-14
     for name, chart, _ in corpus[:4]:
         fl = chart.eval(sample(chart, 20), order=2)
         c0 = spectrum_safe_shift(fl)
         gh = partner_metric(fl.g, shift_endo(fl.A, c0))
-        rep = connection_difference_check(fl.g, gh, fl.J)
+        rep = connection_difference_check(fl, gh)
         assert rep.entries[0].value <= 1e-7, name
 
 
