@@ -697,12 +697,12 @@ class KahlerChart:
         return jstack(rows)
 
     def _chi_weights(self, rhos, mults, order):
-        """chi_L(c_gamma) per constant factor, as real jets."""
+        """chi_L(c_gamma) per constant factor, as real jets of ``order``."""
         out = []
         for c, _m in self.const_eigs:
             acc = None
             for r, m in zip(rhos, mults):
-                f = (c - r) ** m
+                f = (c - r.truncate(order)) ** m
                 acc = f if acc is None else acc * f
             out.append(acc.real)
         return out
@@ -730,46 +730,66 @@ class KahlerChart:
             return self._eval_jacobian(pts, order)
         return self._eval_explicit(pts, order)
 
-    def _eval_jacobian(self, pts, order):
+    def metric(self, pts, order=2) -> Jet:
+        """The metric alone, equal to ``eval(pts, order).g``: the same
+        route parts and block placement, without omega, J or A."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        if self.route == "jacobian":
+            qpf, h, _, H = self._jacobian_parts(pts, order)
+        else:
+            qpf, _, H = self._explicit_parts(pts, order)
+            h = qpf.h
+        return self._place_metric(
+            order, H, h, self._alpha(pts, order),
+            self._chi_weights(qpf.rhos, qpf.mults, order))
+
+    def _jacobian_parts(self, pts, order):
+        """What g is built from on the Jacobian route: the quotient fields
+        one order up, h, the Jacobi matrix P of mu_1..mu_ell in the
+        quotient coordinates and the Gram matrix H = P h^-1 P^T."""
         if order > 2:
             raise BuilderError("the Jacobian route supports order <= 2 "
                                "(one order is spent on P)")
-        n = pts.shape[0]
-        d, ell = self.dim, self.ell
+        ell = self.ell
         qpf = self.qp.eval(pts[:, self.u_sl], order=order + 1,
-                           ambient_dim=d, offset=ell)
+                           ambient_dim=self.dim, offset=ell)
         h = qpf.h.truncate(order)
-        L = qpf.L.truncate(order)
         P = jstack([[qpf.mus[a + 1].partial(ell + i) for i in range(ell)]
                     for a in range(ell)])
-        Pinv = jet_inv(P)
-        hinv = jet_inv(h)
-        H = jet_matmul(P, jet_matmul(hinv, jet_transpose(P)))
-        T = jet_transpose(jet_matmul(P, jet_matmul(L, Pinv)))
+        H = jet_matmul(P, jet_matmul(jet_inv(h), jet_transpose(P)))
+        return qpf, h, P, H
+
+    def _eval_jacobian(self, pts, order):
+        d, ell = self.dim, self.ell
+        qpf, h, P, H = self._jacobian_parts(pts, order)
+        L = qpf.L.truncate(order)
+        T = jet_transpose(jet_matmul(P, jet_matmul(L, jet_inv(P))))
         mus = [m.truncate(order) for m in qpf.mus]
         # omega(x_u, t_i) = d_u mu_i, exact at this order from the higher mu
         dmu_u = [[qpf.mus[i + 1].partial(ell + u) for u in range(self.udim)]
                  for i in range(ell)]
-        rhos = [Jet(d, order, r.c[:order + 1]) for r in qpf.rhos]
-        return self._assemble(pts, n, order, h, L, rhos, qpf.mults,
-                              mus, H, T, dmu_u, qpf=qpf, jexplicit=None)
+        rhos = [r.truncate(order) for r in qpf.rhos]
+        return self._assemble(pts, order, h, L, rhos, qpf.mults, mus, H, T,
+                              dmu_u, qpf=qpf, contrib=None)
 
-    def _eval_explicit(self, pts, order):
+    def _explicit_parts(self, pts, order):
+        """What g is built from on the explicit route: the quotient fields,
+        one contribution row per root and the Gram matrix H of the Killing
+        fields."""
         n = pts.shape[0]
         d, ell = self.dim, self.ell
         qpf = self.qp.eval(pts[:, self.u_sl], order=order,
                            ambient_dim=d, offset=ell)
-        rhos, mults, mus = qpf.rhos, qpf.mults, qpf.mus
         rows = self.qp.block_data(pts[:, self.u_sl], order, dim=d,
                                   offset=ell)
 
         all_roots = []
-        for r, m in zip(rhos, mults):
+        for r, m in zip(qpf.rhos, qpf.mults):
             all_roots.extend([r] * m)
 
         # contributions per root: kind, rho jet, weight jet, offset, extras
         contrib = []
-        for (kind, r0, extra, b, off), r in zip(rows, rhos):
+        for (kind, r0, extra, b, off), r in zip(rows, qpf.rhos):
             muh = _esp_excluding(r, all_roots, d, order, ell)
             dt = _delta(r, all_roots, d, order, (n,))
             if kind == "real":
@@ -782,7 +802,6 @@ class KahlerChart:
             else:
                 raise BuilderError("unsupported block for a Kahler chart")
 
-        # Gram matrix H_ij of the Killing fields
         Hc = [[_zero(d, order, (n,)) for _ in range(ell)]
               for _ in range(ell)]
         for kind, r, dr, off, eps, Del, muh in contrib:
@@ -801,8 +820,13 @@ class KahlerChart:
                     Hc[i][j] = Hc[i][j] + add
                     if i != j:
                         Hc[j][i] = Hc[j][i] + add
-        H = jstack(Hc)
-        T = self._tblock(mus, n, order)
+        return qpf, contrib, jstack(Hc)
+
+    def _eval_explicit(self, pts, order):
+        n = pts.shape[0]
+        d, ell = self.dim, self.ell
+        qpf, contrib, H = self._explicit_parts(pts, order)
+        T = self._tblock(qpf.mus, n, order)
 
         # d_u mu_i without losing jet order
         dmu_u = [[_zero(d, order, (n,)) for _ in range(self.udim)]
@@ -819,19 +843,50 @@ class KahlerChart:
                     ic = 1j * c
                     dmu_u[i][off + 1] = dmu_u[i][off + 1] + \
                         (ic + ic.conj()).real
-        return self._assemble(pts, n, order, qpf.h, qpf.L, rhos, mults,
-                              mus, H, T, dmu_u, qpf=qpf,
-                              jexplicit=contrib)
+        return self._assemble(pts, order, qpf.h, qpf.L, qpf.rhos,
+                              qpf.mults, qpf.mus, H, T, dmu_u, qpf=qpf,
+                              contrib=contrib)
 
-    def _assemble(self, pts, n, order, h, L, rhos, mults, mus, H, T, dmu_u,
-                  qpf=None, jexplicit=None):
+    def _place_metric(self, order, H, h, alpha, chiw) -> Jet:
+        """g = sum H_ij theta_i theta_j + h + g_c(chi_L(A_c) . , .) with
+        theta_i = dt_i + alpha_i, written block by block into preallocated
+        coefficient arrays: H on (t, t), h on (u, u), H alpha on (t, y)
+        and its transpose on (y, t), alpha^T H alpha + chi g_c on (y, y).
+        """
+        d, n = self.dim, H.c[0].shape[0]
+        t, u, y = self.t_sl, self.u_sl, self.y_sl
+        if self.ydim:
+            Halpha = jet_einsum("nij,njq->niq", H, alpha)
+            aHa = jet_einsum("niq,nip->nqp", Halpha, alpha)
+            ci = _const_coord_index(self.cb)
+            chig = [(p, q, chiw[ci[p]] * self._gc[p, q])
+                    for p, q in np.argwhere(self._gc != 0.0)]
+        coeffs = []
+        for k in range(order + 1):
+            c = np.zeros((n, d, d) + (d,) * k)
+            c[:, t, t] = H.c[k]
+            c[:, u, u] = h.c[k]
+            if self.ydim:
+                c[:, t, y] = Halpha.c[k]
+                c[:, y, t] = np.swapaxes(Halpha.c[k], 1, 2)
+                c[:, y, y] = aHa.c[k]
+                for p, q, cell in chig:
+                    c[:, y.start + p, y.start + q] += cell.c[k]
+            coeffs.append(c)
+        return Jet(d, order, coeffs)
+
+    def _assemble(self, pts, order, h, L, rhos, mults, mus, H, T, dmu_u,
+                  qpf=None, contrib=None):
+        """Chart fields from the route's parts.  ``contrib`` (explicit
+        route) gives J from the coframe action; without it J = g^-1 omega,
+        and that inverse also fills the fields' g^-1."""
+        n = pts.shape[0]
         d, ell, udim, ydim = self.dim, self.ell, self.udim, self.ydim
         alpha = self._alpha(pts, order)
-        chiw = self._chi_weights(rhos, mults, order) if ydim else []
+        chiw = self._chi_weights(rhos, mults, order)
         ci = _const_coord_index(self.cb)
+        g = self._place_metric(order, H, h, alpha, chiw)
 
-        gcells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
         wcells = [[_zero(d, order, (n,)) for _ in range(d)]
                   for _ in range(d)]
         acells = [[_zero(d, order, (n,)) for _ in range(d)]
@@ -841,26 +896,6 @@ class KahlerChart:
             return Jet(d, order, [c[:, i, j] for c in jet.c])
 
         yoff = ell + udim
-        for i in range(ell):
-            for j in range(ell):
-                gcells[i][j] = gx(H, i, j)
-        for i in range(udim):
-            for j in range(udim):
-                gcells[ell + i][ell + j] = gx(h, i, j)
-        if ydim:
-            Halpha = jet_einsum("nij,njq->niq", H, alpha)
-            for i in range(ell):
-                for q in range(ydim):
-                    gcells[i][yoff + q] = gx(Halpha, i, q)
-                    gcells[yoff + q][i] = gx(Halpha, i, q)
-            aHa = jet_einsum("niq,nip->nqp", Halpha, alpha)
-            for p in range(ydim):
-                for q in range(ydim):
-                    cell = gx(aHa, p, q)
-                    if self._gc[p, q] != 0.0:
-                        cell = cell + chiw[ci[p]] * self._gc[p, q]
-                    gcells[yoff + p][yoff + q] = cell
-
         for i in range(ell):
             for u in range(udim):
                 wcells[ell + u][i] = dmu_u[i][u]
@@ -898,20 +933,24 @@ class KahlerChart:
                                            - gx(alpha, i, q)
                                            * self._ceigs[q])
 
-        g = jstack(gcells)
         w = jstack(wcells)
         A = jstack(acells)
 
-        if jexplicit is not None:
-            J = self._assemble_J(n, order, jexplicit, alpha)
+        if contrib is not None:
+            J = self._assemble_J(n, order, contrib, alpha)
         else:
-            ginv = jet_inv(g)
+            ginv = metric_inverse(g)
             J = jet_einsum("nac,nbc->nab", ginv, w)
 
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
-        return ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
-                           v=v, qp=qpf)
+        fields = ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
+                             v=v, qp=qpf)
+        if contrib is None:
+            # the Leibniz recurrence of the inverse gives its lower orders
+            # bitwise, so the full-order inverse serves as g^-1
+            fields.__dict__["ginv"] = ginv.truncate(max(order - 1, 0))
+        return fields
 
     def _assemble_J(self, n, order, contrib, alpha):
         """J from the coframe action: rows over the dual frame
@@ -1175,24 +1214,35 @@ class ProjectiveMobilityChart:
         n = pts.shape[0]
         d = self.dim
         r = Jet.seed(0, pts[:, 0], d, order)
-        gcells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
         acells = [[_zero(d, order, (n,)) for _ in range(d)]
                   for _ in range(d)]
-        gcells[0][0] = 1.0 / self.F.jet(r)
         acells[0][0] = r
         for p in range(self.ydim):
-            for q in range(self.ydim):
-                if self.gc[p, q] != 0.0:
-                    gcells[1 + p][1 + q] = (self.ceigs[p] - r) \
-                        * self.gc[p, q]
             acells[1 + p][1 + p] = _const(self.ceigs[p], d, order, (n,))
-        g = jstack(gcells)
+        g = self._metric(r)
         A = jstack(acells)
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
         return ChartFields(g=g, omega=None, J=None, A=A,
                            rhos=[r], mus=esp_jets([r], d, order), v=v)
+
+    def metric(self, pts, order=2) -> Jet:
+        """The metric alone, equal to ``eval(pts, order).g``."""
+        pts = np.atleast_2d(np.asarray(pts, dtype=float))
+        return self._metric(Jet.seed(0, pts[:, 0], self.dim, order))
+
+    def _metric(self, r):
+        """g from the jet of the rho coordinate."""
+        n, d, order = r.c[0].shape[0], self.dim, r.order
+        gcells = [[_zero(d, order, (n,)) for _ in range(d)]
+                  for _ in range(d)]
+        gcells[0][0] = 1.0 / self.F.jet(r)
+        for p in range(self.ydim):
+            for q in range(self.ydim):
+                if self.gc[p, q] != 0.0:
+                    gcells[1 + p][1 + q] = (self.ceigs[p] - r) \
+                        * self.gc[p, q]
+        return jstack(gcells)
 
     v_field = KahlerChart.v_field
 

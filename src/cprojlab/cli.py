@@ -50,18 +50,24 @@ DEFAULT_TOLS = {
 }
 
 
-def _num(cfg, key, default, kind=float):
-    """Option ``key`` as ``kind`` (int or float), or a ConfigError naming
-    the key.  An int option rejects fractional values."""
-    val = cfg.opt(key, default)
+def _as_num(val, what, kind=float, lo=None):
+    """``val`` as ``kind`` (int or float), at least ``lo`` when given, or a
+    ConfigError naming ``what``.  An int rejects fractional values."""
     try:
         out = kind(val)
     except (TypeError, ValueError):
         out = None
     if out is None or isinstance(val, bool) or (kind is int and out != val):
-        what = "an integer" if kind is int else "a number"
-        raise ConfigError(f"option {key!r} needs {what}, got {val!r}")
+        need = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{what} needs {need}, got {val!r}")
+    if lo is not None and out < lo:
+        raise ConfigError(f"{what} needs a value >= {lo}, got {val!r}")
     return out
+
+
+def _num(cfg, key, default, kind=float, lo=None):
+    """Option ``key`` through ``_as_num``."""
+    return _as_num(cfg.opt(key, default), f"option {key!r}", kind, lo)
 
 
 def _tol(cfg, scale, cls):
@@ -73,8 +79,9 @@ def _seed(cfg, args):
 
 
 def _grid(cfg, args):
-    per = args.grid if args.grid else _num(cfg, "grid", 5, int)
-    rnd = _num(cfg, "random", 64, int)
+    per = (_as_num(args.grid, "--grid", int, lo=1) if args.grid is not None
+           else _num(cfg, "grid", 5, int, lo=1))
+    rnd = _num(cfg, "random", 64, int, lo=0)
     return GridSpec(per_axis=per, n_random=rnd, seed=_seed(cfg, args))
 
 
@@ -85,6 +92,11 @@ def _req(d, key, section):
     return d[key]
 
 
+def _key_num(val, key, section, kind=float):
+    """A numeric key of a config section through ``_as_num``."""
+    return _as_num(val, f"[{section}] key {key!r}", kind)
+
+
 def _pair_spec(cfg) -> CompatiblePairSpec:
     blocks = []
     for d in cfg.blocks("block"):
@@ -92,8 +104,8 @@ def _pair_spec(cfg) -> CompatiblePairSpec:
         if kind == "real1d":
             w = _req(d, "window", "block")
             rho = np.atleast_1d(_req(d, "rho", "block"))
-            blocks.append(Real1D(int(d.get("eps", 1)), tuple(rho),
-                                 (w[0], w[1])))
+            eps = _key_num(d.get("eps", 1), "eps", "block", int)
+            blocks.append(Real1D(eps, tuple(rho), (w[0], w[1])))
         elif kind == "complex2d":
             re = np.atleast_1d(_req(d, "rho_re", "block")).astype(float)
             im = np.atleast_1d(d.get("rho_im", np.zeros_like(re)))
@@ -110,11 +122,14 @@ def _pair_spec(cfg) -> CompatiblePairSpec:
 
 def _const_blocks(cfg):
     out = []
-    for d in cfg.blocks("constant_block"):
+    sec = "constant_block"
+    for d in cfg.blocks(sec):
         sig = d.get("signature", [])
-        sig = tuple(int(s) for s in np.atleast_1d(sig)) if sig != [] else ()
-        out.append(ConstantBlock(float(_req(d, "c", "constant_block")),
-                                 int(_req(d, "dim", "constant_block")), sig))
+        sig = sig if isinstance(sig, list) else [sig]
+        out.append(ConstantBlock(
+            _key_num(_req(d, "c", sec), "c", sec),
+            _key_num(_req(d, "dim", sec), "dim", sec, int),
+            tuple(_key_num(s, "signature", sec, int) for s in sig)))
     return tuple(out)
 
 

@@ -264,11 +264,25 @@ def real_wedge(u, v, hv):
     return np.einsum("na,nb->nab", v, ub) - np.einsum("na,nb->nab", u, vb)
 
 
-def real_nabla_lambda_endo(h, L):
-    """(nabla La)^b_a for the projective pair, La = (1/2) grad tr L."""
+def _sample(jet: Jet, sample) -> Jet:
+    """The jet at one sample, as a batch of one."""
+    return Jet(jet.dim, jet.order, [c[sample:sample + 1] for c in jet.c])
+
+
+def _inverse_and_gamma(h):
+    """h^-1 one order below h, and the Levi-Civita symbols of h."""
     ginv = metric_inverse(h.truncate(max(h.order - 1, 0)))
+    return ginv, christoffel(h, ginv)
+
+
+def real_nabla_lambda_endo(h, L, ginv=None, gam=None):
+    """(nabla La)^b_a for the projective pair, La = (1/2) grad tr L.
+
+    ``ginv`` and ``gam`` are h^-1 and Gamma of h where the caller has
+    them; both are derived from h otherwise."""
+    if ginv is None or gam is None:
+        ginv, gam = _inverse_and_gamma(h)
     lam = gradient(jet_trace(L), ginv) * 0.5
-    gam = christoffel(h, ginv)
     return np.swapaxes(cov_deriv_vector(lam, gam.truncate(lam.order)),
                        -1, -2)
 
@@ -276,9 +290,9 @@ def real_nabla_lambda_endo(h, L):
 def real_ricci_identity_check(h, L, tol=1e-6) -> ResidualReport:
     """[R(u, v), L] = [u ^ v, nabla La] over coordinate pairs."""
     n, d = h.c[0].shape[0], h.c[0].shape[-1]
-    gam = christoffel(h)
+    ginv, gam = _inverse_and_gamma(h)
     Rc = riemann(gam)
-    NL = real_nabla_lambda_endo(h, L)
+    NL = real_nabla_lambda_endo(h, L, ginv, gam)
     hv, Lv = h.c[0], L.c[0]
     worst = 0.0
     for a in range(d):
@@ -305,8 +319,7 @@ def real_curvature_operator_matrix(h, sample=0):
     sample, normalized by [R(X), L] = [X, nabla La]."""
     hv = h.c[0][sample]
     d = hv.shape[-1]
-    gam = christoffel(h)
-    Rc = riemann(gam)[sample]
+    Rc = riemann(christoffel(_sample(h, sample)))[0]
     wedges, rws = [], []
     for a in range(d):
         for b in range(a + 1, d):
@@ -328,7 +341,7 @@ def real_curvature_operator_matrix(h, sample=0):
 def fit_real_poly(h, L, sample=0, tol=1e-8, max_degree=None):
     """Minimal-degree polynomial with nabla La = p(L) at one sample."""
     Lv = L.c[0][sample]
-    NL = real_nabla_lambda_endo(h, L)[sample]
+    NL = real_nabla_lambda_endo(_sample(h, sample), _sample(L, sample))[0]
     d = Lv.shape[-1]
     cap = min(max_degree if max_degree is not None else d, d)
     powers = [np.eye(d)]

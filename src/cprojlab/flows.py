@@ -2,8 +2,11 @@
 
 Geodesics and their complex-line generalization gamma'' = alpha gamma' +
 beta J gamma' integrate with an adaptive Runge-Kutta solver and terminate
-on window exit; planarity of a trajectory with respect to a second metric
-is measured by projecting the acceleration off span{velocity, J velocity}.
+on window exit.  Without the J term the right-hand side reads only the
+metric: each step takes Gamma from ``chart.metric`` instead of a full
+chart evaluation, which would also build omega, J and A.  Planarity of
+a trajectory with respect to a second metric is measured by projecting
+the acceleration off span{velocity, J velocity}.
 Eigenvalue transport along the canonical mobility field follows the
 logistic law; the scalar flows rho' = rho^2 + 1, rho(1-rho), rho^2 trace
 circles in the complex plane whose fit closes the phase-portrait checks.
@@ -55,13 +58,25 @@ def _solver_tols(tol):
     return it, it
 
 
+def _connection(chart, pts, need_J):
+    """Values of Gamma at the points, and of J when ``need_J``.  A
+    geodesic reads only the metric, so it skips the full chart evaluation.
+    """
+    if not need_J:
+        return christoffel(chart.metric(pts, order=1)).c[0], None
+    fl = chart.eval(pts, order=1)
+    return fl.gamma.c[0], fl.J.c[0]
+
+
 def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
                       tol=1e-8, n_out=200) -> Trajectory:
     """Integrate gamma'' + Gamma(gamma', gamma') = alpha gamma' +
     beta J gamma', clipped to the chart window.
 
     ``alpha``/``beta`` are scalar functions of the curve parameter (or
-    None for a plain geodesic)."""
+    None for a plain geodesic).  With ``beta`` None only the metric is
+    evaluated, both on the solver steps and for the output accelerations.
+    """
     from scipy.integrate import solve_ivp
 
     d = chart.dim
@@ -72,14 +87,12 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
 
     def rhs(t, y):
         x, v = y[:d], y[d:]
-        fl = chart.eval(x[None], order=1)
-        gam = fl.gamma.c[0][0]
-        acc = -np.einsum("cab,a,b->c", gam, v, v)
+        gam, J = _connection(chart, x[None], beta is not None)
+        acc = -np.einsum("cab,a,b->c", gam[0], v, v)
         if alpha is not None:
             acc = acc + alpha(t) * v
         if beta is not None:
-            Jv = fl.J.c[0][0]
-            acc = acc + beta(t) * (Jv @ v)
+            acc = acc + beta(t) * (J[0] @ v)
         return np.concatenate([v, acc])
 
     def exit_event(t, y):
@@ -102,13 +115,12 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     ys = sol.sol(ts)
     xs, vs = ys[:d].T, ys[d:].T
     # exact accelerations from the equation of motion, batch evaluated
-    fl = chart.eval(xs, order=1)
-    gam = fl.gamma.c[0]
+    gam, J = _connection(chart, xs, beta is not None)
     acc = -np.einsum("ncab,na,nb->nc", gam, vs, vs)
     if alpha is not None:
         acc = acc + np.array([alpha(t) for t in ts])[:, None] * vs
     if beta is not None:
-        Jv = np.einsum("nab,nb->na", fl.J.c[0], vs)
+        Jv = np.einsum("nab,nb->na", J, vs)
         acc = acc + np.array([beta(t) for t in ts])[:, None] * Jv
     exited = len(sol.t_events[0]) > 0
     return Trajectory(t=ts, x=xs, v=vs, acc=acc, exited=exited,

@@ -9,7 +9,9 @@ from cprojlab.builders import (
     build_mobility2_projective, build_quotient_pair, esp_jets,
     jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
 )
-from cprojlab.geometry import christoffel, lie_endo, lie_metric, max_abs
+from cprojlab.geometry import (
+    christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
+)
 from cprojlab.jets import Jet, jet_einsum
 from cprojlab.kahler import (
     check_kahler, cproj_residual, proj_residual, shift_endo,
@@ -311,3 +313,44 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     assert fl3.gamma is gam and fl3.ginv is ginv
     assert fl3.lam is not lam
     np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])
+
+
+_METRIC_CBS = {"plain": (), "cb": (ConstantBlock(0.0, 2),
+                                   ConstantBlock(1.0, 2, (-1,)))}
+
+
+@pytest.mark.parametrize("cb", _METRIC_CBS.values(), ids=_METRIC_CBS.keys())
+@pytest.mark.parametrize("route,orders", [("explicit", range(4)),
+                                          ("jacobian", range(3))],
+                         ids=["explicit", "jacobian"])
+@pytest.mark.parametrize("pair", [pair_ell1, pair_dini, pair_complex],
+                         ids=["ell1", "dini", "complex"])
+def test_metric_equals_eval_g_bitwise(pair, route, orders, cb):
+    chart = lift_pair(build_quotient_pair(pair()), cb, route=route)
+    pts = sample(chart, 5)
+    for order in orders:
+        g, want = chart.metric(pts, order), chart.eval(pts, order).g
+        assert g.order == want.order == order
+        for got, w in zip(g.c, want.c, strict=True):
+            assert got.dtype == w.dtype
+            np.testing.assert_array_equal(got, w)
+
+
+def test_projective_metric_equals_eval_g_bitwise():
+    chart = build_mobility2_projective(-0.5, m0=1, m1=2)
+    pts = sample(chart, 5)
+    for order in range(4):
+        g, want = chart.metric(pts, order), chart.eval(pts, order).g
+        for got, w in zip(g.c, want.c, strict=True):
+            np.testing.assert_array_equal(got, w)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_jacobian_ginv_is_the_inverse_behind_j(qp_dini, order):
+    chart = lift_pair(qp_dini, (ConstantBlock(0.0, 2),), route="jacobian")
+    fl = chart.eval(sample(chart, 6), order=order)
+    assert "ginv" in fl.__dict__       # filled by eval, not derived on read
+    want = metric_inverse(fl.g.truncate(max(order - 1, 0)))
+    assert fl.ginv.order == want.order
+    for got, w in zip(fl.ginv.c, want.c, strict=True):
+        np.testing.assert_array_equal(got, w)

@@ -173,7 +173,9 @@ def test_remaining_scenarios_pass(name):
 @pytest.mark.parametrize("name,key,value", [
     ("dini-lift", "grid", "four"),
     ("dini-lift", "grid", "4.5"),
+    ("dini-lift", "grid", "0"),
     ("dini-pair", "random", "many"),
+    ("dini-pair", "random", "-1"),
     ("dini-pair", "seed", "x"),
     ("phase-portraits", "seed", "x"),
     ("mobility2", "ell", "one"),
@@ -195,6 +197,35 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     err_lines = err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err
     assert repr(key) in err_lines[0]
+
+
+@pytest.mark.parametrize("name,old,new", [
+    ("dini-lift", "eps = 1", "eps = one"),
+    ("dini-lift", "eps = 1", "eps = 0.5"),
+    ("mobility2", "c = 0.0", "c = zero"),
+    ("mobility2", "dim = 2", "dim = two"),
+    ("mobility2", "dim = 2", "dim = 2.5"),
+    ("mobility2", "dim = 2", "dim = 2\nsignature = minus"),
+], ids=["eps-word", "eps-fraction", "c-word", "dim-word", "dim-fraction",
+        "signature-word"])
+def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert old + "\n" in text
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text.replace(old + "\n", new + "\n", 1))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    key = new.split("\n")[-1].split("=")[0].strip()
+    assert repr(key) in lines[0] and "block]" in lines[0]
+
+
+def test_grid_flag_below_one_exits_2(capsys):
+    assert main(["run", str(CONFIGS / "dini-pair.cfg"), "--grid", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and "--grid" in err
 
 
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):

@@ -352,3 +352,28 @@ def test_jordan_alpha_invariant(jordan2_sol, jordan3_sol):
     L3 = np.array([[rho, 1.0, x1], [0.0, rho, f2x], [0.0, 0.0, rho]])
     base3 = jordan_alpha_invariant(h3, L3, rho)
     assert base3 != 0.0
+
+
+def test_real_curvature_derives_gamma_once_per_batch(qp_jordan2,
+                                                      monkeypatch):
+    from cprojlab import curvspec
+    f = qp_jordan2.eval(sample(qp_jordan2, 12), order=2)
+    full_nl = curvspec.real_nabla_lambda_endo(f.h, f.L)
+    batches = []
+    orig = curvspec.christoffel
+
+    def counted(h, *a, **kw):
+        batches.append(h.c[0].shape[0])
+        return orig(h, *a, **kw)
+
+    monkeypatch.setattr(curvspec, "christoffel", counted)
+    curvspec.real_ricci_identity_check(f.h, f.L)
+    assert batches == [12]
+    # the one-sample readers work on that sample alone
+    batches.clear()
+    curvspec.fit_real_poly(f.h, f.L, sample=3)
+    curvspec.real_curvature_operator_matrix(f.h, 3)
+    assert batches == [1, 1]
+    one = curvspec.real_nabla_lambda_endo(curvspec._sample(f.h, 3),
+                                          curvspec._sample(f.L, 3))
+    assert max_abs(one[0] - full_nl[3]) <= 1e-13 * (1.0 + max_abs(full_nl))

@@ -187,3 +187,54 @@ def test_flow_requires_vector_field(qp_dini):
     chart = lift_pair(qp_dini, route="jacobian")
     with pytest.raises(Exception):
         flow_point(chart, chart.window.center(), 1.0)
+
+
+def _count_calls(monkeypatch, chart, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*a, _orig=getattr(chart, name), _name=name, **kw):
+            calls[_name] += 1
+            return _orig(*a, **kw)
+        monkeypatch.setattr(chart, name, counted)
+    return calls
+
+
+def test_geodesic_reads_only_the_metric(qp_dini, monkeypatch):
+    chart = lift_pair(qp_dini, route="jacobian")
+    calls = _count_calls(monkeypatch, chart, ("eval", "metric"))
+    integrate_geodesic(chart, chart.window.center(), [0.2, 0.1, 0.15, -0.1],
+                       T=0.5, tol=1e-8)
+    assert calls["eval"] == 0 and calls["metric"] > 10
+    # a complex-line acceleration needs J, so it evaluates the chart
+    calls.update(eval=0, metric=0)
+    integrate_jplanar(chart, chart.window.center(), [0.2, 0.1, 0.15, -0.1],
+                      beta=lambda t: 0.5, T=0.5, tol=1e-8)
+    assert calls["metric"] == 0 and calls["eval"] > 10
+
+
+def test_planarity_transfer_residuals_match_eval_path(qp_dini, monkeypatch):
+    # criterion 11 run twice: through the metric-only connection and
+    # through Gamma of the full chart evaluation; the residuals agree bitwise
+    from cprojlab import flows
+    chart = lift_pair(qp_dini, route="jacobian")
+
+    def residuals():
+        rng = np.random.default_rng(3)
+        out = []
+        for _ in range(3):
+            v0 = rng.normal(size=4)
+            v0 = 0.6 * v0 / np.linalg.norm(v0)
+            traj = integrate_geodesic(chart, chart.window.center(), v0,
+                                      T=1.0, tol=1e-9)
+            out.append(jplanarity_residual(traj, chart, metric="partner"))
+        return out
+
+    via_metric = residuals()
+
+    def eval_connection(chart, pts, need_J):
+        fl = chart.eval(pts, order=1)
+        return fl.gamma.c[0], fl.J.c[0]
+
+    monkeypatch.setattr(flows, "_connection", eval_connection)
+    assert residuals() == via_metric
+    assert max(via_metric) <= 1e-5
