@@ -9,6 +9,11 @@ Two layers:
   ``-(1/4)(Delta_i dz_i^2 + c.c.)``; eigenvalue-coordinate blocks carry
   ``Delta_i / F_i drho_i^2`` for a profile ``F_i``; Jordan blocks of size
   2 and 3 carry the nilpotent normal forms driven by a function F(rho).
+  One pass over the blocks seeds them once and builds the roots, mu, h
+  and each block's Delta_i, Delta_i' and Delta_i''/2: the elementary
+  symmetric functions of the differences rho_i - rho_j, from the
+  ``esp_jets`` that gives mu.  L is added after that pass, so the metric
+  of a Kahler chart is built without it.
 
 * Kahler charts on ``V x U x S`` built from a quotient pair plus flat
   constant-eigenvalue factors: the fibered metric
@@ -34,6 +39,7 @@ import dataclasses
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -252,7 +258,7 @@ def _const(val, dim, order, shape):
 @dataclass
 class QPFields:
     h: Jet
-    L: Jet
+    L: Jet | None         # None in the fields of QuotientPair._parts
     rhos: list            # one jet per distinct block root
     mults: list           # algebraic multiplicity of each entry of rhos
     mus: list             # mu_0..mu_ell jets of the full root system
@@ -327,104 +333,73 @@ class QuotientPair:
                     raise BuilderError(
                         "F + 2 x2 vanishes inside the window")
 
-    def block_data(self, pts, order, dim=None, offset=0):
-        """Seed every block and return (kind, rho, extra, block, off) rows."""
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        dim = dim if dim is not None else self.dim
-        seed = lambda i: Jet.seed(offset + i, pts[:, i], dim, order)
-        rows = []
-        for b, off in zip(self.blocks, self.offsets):
-            if isinstance(b, Real1D):
-                x = seed(off)
-                rows.append(("real", b.rho_jet(x), b.drho_jet(x), b, off))
-            elif isinstance(b, RealRho):
-                rows.append(("rho", seed(off), None, b, off))
-            elif isinstance(b, Complex2D):
-                z = seed(off) + 1j * seed(off + 1)
-                rows.append(("complex", b.rho_jet(z), b.drho_jet(z), b, off))
-            elif isinstance(b, Jordan2):
-                rows.append(("jordan2", seed(off + 1), seed(off), b, off))
-            elif isinstance(b, Jordan3):
-                rows.append(("jordan3", seed(off + 2),
-                             (seed(off), seed(off + 1)), b, off))
-            else:
-                raise BuilderError(f"unknown block {b!r}")
-        return rows
+    def _parts(self, pts, order, ambient_dim=None, offset=0):
+        """One pass over the blocks: seed each block once, then build the
+        roots with their multiplicities, mu, each block's Delta jets and h.
 
-    def eval(self, pts, order=2, ambient_dim=None, offset=0) -> QPFields:
-        """Jet-valued (h, L) at sample points.
-
-        ``ambient_dim``/``offset`` embed the quotient coordinates into a
-        larger chart (the Kahler lifts put the Killing coordinates first).
+        Returns the fields without L (``_complete`` adds it) and one
+        ``_Block`` per block, which the Kahler lifts read for the block's
+        own root and Delta.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         dim = ambient_dim if ambient_dim is not None else self.dim
-        rows = self.block_data(pts, order, dim=dim, offset=offset)
-
-        rhos, mults = [], []
-        for kind, r, *_ in rows:
-            if kind == "complex":
-                rhos.extend([r, r.conj()]); mults.extend([1, 1])
-            elif kind == "jordan2":
-                rhos.append(r); mults.append(2)
-            elif kind == "jordan3":
-                rhos.append(r); mults.append(3)
+        seed = lambda i: Jet.seed(offset + i, pts[:, i], dim, order)
+        seeded, rhos, mults = [], [], []
+        for b, off in zip(self.blocks, self.offsets):
+            if isinstance(b, Real1D):
+                x = seed(off)
+                row = ("real", b.rho_jet(x), b.drho_jet(x))
+            elif isinstance(b, RealRho):
+                r = seed(off)
+                row = ("rho", r, b.F.jet(r))
+            elif isinstance(b, Complex2D):
+                z = seed(off) + 1j * seed(off + 1)
+                row = ("complex", b.rho_jet(z), b.drho_jet(z))
+            elif isinstance(b, Jordan2):
+                r, x = seed(off + 1), seed(off)
+                row = ("jordan2", r, (x, b.F.f_jet(r) + x))
+            elif isinstance(b, Jordan3):
+                r, x1, x2 = seed(off + 2), seed(off), seed(off + 1)
+                row = ("jordan3", r, (x1, x2, b.F.f_jet(r) + 2.0 * x2))
             else:
-                rhos.append(r); mults.append(1)
+                raise BuilderError(f"unknown block {b!r}")
+            seeded.append(row + (b, off))
+            r = row[1]
+            if isinstance(b, Complex2D):
+                rhos += [r, r.conj()]; mults += [1, 1]
+            else:
+                rhos.append(r); mults.append(b.nroots)
 
-        all_roots = []
-        for r, m in zip(rhos, mults):
-            all_roots.extend([r] * m)
-        mus = esp_jets(all_roots, dim, order)
-        mus = [m.real for m in mus]
-
-        def delta(r):
-            acc = _const(1.0 + 0.0j, dim, order, (n,))
-            for rr in all_roots:
-                if rr is not r:
-                    acc = acc * (r - rr)
-            return acc
+        all_roots = [r for r, m in zip(rhos, mults) for _ in range(m)]
+        mus = [m.real for m in esp_jets(all_roots, dim, order)]
+        rows = []
+        for kind, r, extra, b, off in seeded:
+            # ``is``: every copy of a Jordan root drops out with it
+            others = [rr for rr in all_roots if rr is not r]
+            rows.append(_Block(kind, r, extra, b, off, others,
+                               _delta_jets(r, others, dim, order)))
 
         hc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
               for _ in range(self.dim)]
-        Lc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
-              for _ in range(self.dim)]
-
-        for kind, r, extra, b, off in rows:
+        for kind, r, extra, b, off, _, (d0, d1, d2) in rows:
+            if kind != "complex":
+                d0, d1, d2 = d0.real, d1.real, d2.real
             if kind == "real":
-                hc[off][off] = b.eps * delta(r).real
-                Lc[off][off] = r
+                hc[off][off] = b.eps * d0
             elif kind == "rho":
-                hc[off][off] = delta(r).real / b.F.jet(r)
-                Lc[off][off] = r
+                hc[off][off] = d0 / extra
             elif kind == "complex":
-                dt = delta(r)
-                hc[off][off] = (-0.5) * dt.real
-                hc[off + 1][off + 1] = 0.5 * dt.real
-                hc[off][off + 1] = hc[off + 1][off] = 0.5 * dt.imag
-                a, bb = r.real, r.imag
-                Lc[off][off] = a
-                Lc[off][off + 1] = -bb
-                Lc[off + 1][off] = bb
-                Lc[off + 1][off + 1] = a
+                hc[off][off] = (-0.5) * d0.real
+                hc[off + 1][off + 1] = 0.5 * d0.real
+                hc[off][off + 1] = hc[off + 1][off] = 0.5 * d0.imag
             elif kind == "jordan2":
-                x = extra
-                fpx = b.F.f_jet(r) + x
-                d0 = delta(r).real
-                d1 = _prod_deriv(r, all_roots, 1, dim, order, (n,))
+                fpx = extra[1]
                 # h = h1(Delta_1(L_1) . , .) in coordinates (x, rho)
                 hc[off][off + 1] = hc[off + 1][off] = fpx * d0
                 hc[off + 1][off + 1] = d1 * fpx * fpx
-                Lc[off][off] = r
-                Lc[off][off + 1] = fpx
-                Lc[off + 1][off + 1] = r
             elif kind == "jordan3":
-                x1, x2 = extra
-                f2x = b.F.f_jet(r) + 2.0 * x2
-                d0 = delta(r).real
-                d1 = _prod_deriv(r, all_roots, 1, dim, order, (n,))
-                d2 = _prod_deriv(r, all_roots, 2, dim, order, (n,))
+                x1, _, f2x = extra
                 one = _const(1.0, dim, order, (n,))
                 h1 = [[_zero(dim, order, (n,)) for _ in range(3)]
                       for _ in range(3)]
@@ -432,13 +407,13 @@ class QuotientPair:
                 h1[1][1] = one
                 h1[1][2] = h1[2][1] = x1
                 h1[2][2] = x1 * x1
-                # Delta_1(L_1) = d0 + d1 N + (d2/2) N^2 with N nilpotent
+                # Delta_1(L_1) = d0 + d1 N + d2 N^2 with N nilpotent
                 D = [[_zero(dim, order, (n,)) for _ in range(3)]
                      for _ in range(3)]
                 for i in range(3):
                     D[i][i] = d0
                 D[0][1] = d1 * one
-                D[0][2] = d1 * x1 + 0.5 * d2 * f2x
+                D[0][2] = d1 * x1 + d2 * f2x
                 D[1][2] = d1 * f2x
                 for i in range(3):
                     for j in range(3):
@@ -446,31 +421,61 @@ class QuotientPair:
                         for k in range(3):
                             acc = acc + h1[k][j] * D[k][i]
                         hc[off + i][off + j] = acc
+        return QPFields(h=jstack(hc), L=None, rhos=rhos, mults=mults,
+                        mus=mus), rows
+
+    def _complete(self, qpf, rows) -> QPFields:
+        """The fields of ``_parts`` with L added and, on Jordan specs, the
+        projective field of the split equations."""
+        dim, order, n = qpf.h.dim, qpf.h.order, qpf.h.c[0].shape[0]
+        Lc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
+              for _ in range(self.dim)]
+        for kind, r, extra, _b, off, *_ in rows:
+            if kind in ("real", "rho"):
+                Lc[off][off] = r
+            elif kind == "complex":
+                a, bb = r.real, r.imag
+                Lc[off][off] = a
+                Lc[off][off + 1] = -bb
+                Lc[off + 1][off] = bb
+                Lc[off + 1][off + 1] = a
+            elif kind == "jordan2":
+                Lc[off][off] = r
+                Lc[off][off + 1] = extra[1]
+                Lc[off + 1][off + 1] = r
+            elif kind == "jordan3":
+                x1, _, f2x = extra
                 for i in range(3):
                     Lc[off + i][off + i] = r
-                Lc[off][off + 1] = one
+                Lc[off][off + 1] = _const(1.0, dim, order, (n,))
                 Lc[off][off + 2] = x1
                 Lc[off + 1][off + 2] = f2x
-
         v = self._jordan_field(rows, dim, order, n) \
             if any(isinstance(b, (Jordan2, Jordan3)) for b in self.blocks) \
             else None
-        return QPFields(h=jstack(hc), L=jstack(Lc), rhos=rhos, mults=mults,
-                        mus=mus, v=v)
+        return dataclasses.replace(qpf, L=jstack(Lc), v=v)
+
+    def eval(self, pts, order=2, ambient_dim=None, offset=0) -> QPFields:
+        """Jet-valued (h, L) at sample points.
+
+        ``ambient_dim``/``offset`` embed the quotient coordinates into a
+        larger chart (the Kahler lifts put the Killing coordinates first).
+        """
+        return self._complete(*self._parts(pts, order, ambient_dim, offset))
 
     def _jordan_field(self, rows, dim, order, n):
         """The projective field of the split equations on Jordan specs."""
         comps = [_zero(dim, order, (n,)) for _ in range(self.dim)]
-        for kind, r, extra, b, off in rows:
+        for kind, r, extra, b, off, *_ in rows:
             if kind == "jordan2":
                 sol = b.F
                 G1 = sol.g1_jet(r)
                 G = (0.5 * ((sol.n2 - 1.0) * r - 1.0 - sol.C - sol.n2)
-                     * extra + G1)
+                     * extra[0] + G1)
                 comps[off] = G
                 comps[off + 1] = r * (1.0 - r)
             elif kind == "jordan3":
-                x1, x2 = extra
+                x1, x2, _ = extra
                 sol = b.F
                 G = (-0.5 * (sol.C + sol.n2 + 2.0 - sol.n2 * r) * x1
                      + 0.5 * sol.n2 * x2 + sol.g1_jet(r))
@@ -484,30 +489,30 @@ class QuotientPair:
         return jstack(comps)
 
 
-def _prod_deriv(r, all_roots, k, dim, order, shape):
-    """k-th derivative at t = rho of prod over the other roots (t - rho_j)."""
-    others = [rr for rr in all_roots if rr is not r]
-    total = _zero(dim, order, shape)
-    if k == 1:
-        for skip in range(len(others)):
-            acc = _const(1.0 + 0.0j, dim, order, shape)
-            for j, rr in enumerate(others):
-                if j != skip:
-                    acc = acc * (r - rr)
-            total = total + acc.real
-    elif k == 2:
-        for s1 in range(len(others)):
-            for s2 in range(len(others)):
-                if s1 == s2:
-                    continue
-                acc = _const(1.0 + 0.0j, dim, order, shape)
-                for j, rr in enumerate(others):
-                    if j not in (s1, s2):
-                        acc = acc * (r - rr)
-                total = total + acc.real
-    else:
-        raise BuilderError("only first and second product derivatives")
-    return total
+class _Block(NamedTuple):
+    """One seeded block of a quotient pass."""
+
+    kind: str       # real, rho, complex, jordan2 or jordan3
+    rho: Jet        # the block's own root (z's root for a complex block)
+    extra: object   # drho (real, complex); F(rho) (rho); (x, F + x)
+                    # (jordan2); (x1, x2, F + 2 x2) (jordan3)
+    block: object
+    off: int        # first quotient coordinate of the block
+    others: list    # every other root, with multiplicity
+    delta: list     # Delta, Delta' and Delta''/2 at rho
+
+
+def _delta_jets(r, others, dim, order):
+    """Delta = prod_j (r - r_j) over ``others`` and its first two
+    derivatives at r, as [Delta, Delta', Delta''/2]: with t = r + s,
+    prod_j (t - r_j) = sum_k e_(m-k)(r - r_j) s^k, so these are the
+    elementary symmetric functions e_m, e_(m-1), e_(m-2) of the m
+    differences."""
+    m, shape = len(others), r.c[0].shape
+    e = esp_jets([r - rr for rr in others], dim, order) \
+        if others else [_const(1.0, dim, order, shape)]
+    return [e[m - k] if k <= m else _zero(dim, order, shape)
+            for k in range(3)]
 
 
 def _gap_mask(roots, consts, gap, n=None):
@@ -547,7 +552,6 @@ class ChartFields:
     rhos: list
     mus: list
     v: Jet | None = None
-    qp: QPFields | None = None
 
     @cached_property
     def ginv(self) -> Jet:
@@ -735,33 +739,35 @@ class KahlerChart:
         route parts and block placement, without omega, J or A."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if self.route == "jacobian":
-            qpf, h, _, H = self._jacobian_parts(pts, order)
+            qpf, _, h, _, H = self._jacobian_parts(pts, order)
         else:
-            qpf, _, H = self._explicit_parts(pts, order)
+            qpf, _, _, H = self._explicit_parts(pts, order)
             h = qpf.h
         return self._place_metric(
             order, H, h, self._alpha(pts, order),
             self._chi_weights(qpf.rhos, qpf.mults, order))
 
     def _jacobian_parts(self, pts, order):
-        """What g is built from on the Jacobian route: the quotient fields
-        one order up, h, the Jacobi matrix P of mu_1..mu_ell in the
-        quotient coordinates and the Gram matrix H = P h^-1 P^T."""
+        """What g is built from on the Jacobian route: the quotient pass
+        one order up (fields without L, and blocks), h, the Jacobi matrix P
+        of mu_1..mu_ell in the quotient coordinates and the Gram matrix
+        H = P h^-1 P^T."""
         if order > 2:
             raise BuilderError("the Jacobian route supports order <= 2 "
                                "(one order is spent on P)")
         ell = self.ell
-        qpf = self.qp.eval(pts[:, self.u_sl], order=order + 1,
-                           ambient_dim=self.dim, offset=ell)
+        qpf, rows = self.qp._parts(pts[:, self.u_sl], order + 1,
+                                   ambient_dim=self.dim, offset=ell)
         h = qpf.h.truncate(order)
         P = jstack([[qpf.mus[a + 1].partial(ell + i) for i in range(ell)]
                     for a in range(ell)])
         H = jet_matmul(P, jet_matmul(jet_inv(h), jet_transpose(P)))
-        return qpf, h, P, H
+        return qpf, rows, h, P, H
 
     def _eval_jacobian(self, pts, order):
-        d, ell = self.dim, self.ell
-        qpf, h, P, H = self._jacobian_parts(pts, order)
+        ell = self.ell
+        qpf, rows, h, P, H = self._jacobian_parts(pts, order)
+        qpf = self.qp._complete(qpf, rows)
         L = qpf.L.truncate(order)
         T = jet_transpose(jet_matmul(P, jet_matmul(L, jet_inv(P))))
         mus = [m.truncate(order) for m in qpf.mus]
@@ -770,37 +776,29 @@ class KahlerChart:
                  for i in range(ell)]
         rhos = [r.truncate(order) for r in qpf.rhos]
         return self._assemble(pts, order, h, L, rhos, qpf.mults, mus, H, T,
-                              dmu_u, qpf=qpf, contrib=None)
+                              dmu_u)
 
     def _explicit_parts(self, pts, order):
         """What g is built from on the explicit route: the quotient fields,
-        one contribution row per root and the Gram matrix H of the Killing
+        one contribution row per block and the Gram matrix H of the Killing
         fields."""
         n = pts.shape[0]
         d, ell = self.dim, self.ell
-        qpf = self.qp.eval(pts[:, self.u_sl], order=order,
-                           ambient_dim=d, offset=ell)
-        rows = self.qp.block_data(pts[:, self.u_sl], order, dim=d,
-                                  offset=ell)
+        qpf, rows = self.qp._parts(pts[:, self.u_sl], order,
+                                   ambient_dim=d, offset=ell)
 
-        all_roots = []
-        for r, m in zip(qpf.rhos, qpf.mults):
-            all_roots.extend([r] * m)
-
-        # contributions per root: kind, rho jet, weight jet, offset, extras
+        # contributions per block: kind, own root, weight jet, offset, eps,
+        # Delta and the symmetric functions mu-hat of the other roots
         contrib = []
-        for (kind, r0, extra, b, off), r in zip(rows, qpf.rhos):
-            muh = _esp_excluding(r, all_roots, d, order, ell)
-            dt = _delta(r, all_roots, d, order, (n,))
-            if kind == "real":
-                contrib.append(("real", r, extra, off, b.eps, dt.real, muh))
-            elif kind == "rho":
-                contrib.append(("rho", r, b.F.jet(r), off, None, dt.real,
-                                muh))
-            elif kind == "complex":
-                contrib.append(("complex", r, extra, off, None, dt, muh))
-            else:
+        for kind, r, extra, b, off, others, (Del, _, _) in rows:
+            if kind not in ("real", "rho", "complex"):
                 raise BuilderError("unsupported block for a Kahler chart")
+            muh = esp_jets(others, d, order, upto=max(ell - 1, 0))
+            if kind != "complex":
+                # real-valued, but complex-typed next to a complex pair
+                muh, Del = [m.real for m in muh], Del.real
+            contrib.append((kind, r, extra, off,
+                            b.eps if kind == "real" else None, Del, muh))
 
         Hc = [[_zero(d, order, (n,)) for _ in range(ell)]
               for _ in range(ell)]
@@ -820,12 +818,12 @@ class KahlerChart:
                     Hc[i][j] = Hc[i][j] + add
                     if i != j:
                         Hc[j][i] = Hc[j][i] + add
-        return qpf, contrib, jstack(Hc)
+        return qpf, rows, contrib, jstack(Hc)
 
     def _eval_explicit(self, pts, order):
         n = pts.shape[0]
         d, ell = self.dim, self.ell
-        qpf, contrib, H = self._explicit_parts(pts, order)
+        qpf, rows, contrib, H = self._explicit_parts(pts, order)
         T = self._tblock(qpf.mus, n, order)
 
         # d_u mu_i without losing jet order
@@ -843,8 +841,9 @@ class KahlerChart:
                     ic = 1j * c
                     dmu_u[i][off + 1] = dmu_u[i][off + 1] + \
                         (ic + ic.conj()).real
+        qpf = self.qp._complete(qpf, rows)
         return self._assemble(pts, order, qpf.h, qpf.L, qpf.rhos,
-                              qpf.mults, qpf.mus, H, T, dmu_u, qpf=qpf,
+                              qpf.mults, qpf.mus, H, T, dmu_u,
                               contrib=contrib)
 
     def _place_metric(self, order, H, h, alpha, chiw) -> Jet:
@@ -876,7 +875,7 @@ class KahlerChart:
         return Jet(d, order, coeffs)
 
     def _assemble(self, pts, order, h, L, rhos, mults, mus, H, T, dmu_u,
-                  qpf=None, contrib=None):
+                  contrib=None):
         """Chart fields from the route's parts.  ``contrib`` (explicit
         route) gives J from the coframe action; without it J = g^-1 omega,
         and that inverse also fills the fields' g^-1."""
@@ -945,7 +944,7 @@ class KahlerChart:
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
         fields = ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
-                             v=v, qp=qpf)
+                             v=v)
         if contrib is None:
             # the Leibniz recurrence of the inverse gives its lower orders
             # bitwise, so the full-order inverse serves as g^-1
@@ -1037,19 +1036,6 @@ class KahlerChart:
         if self.v_matrix is None:
             raise BuilderError("chart carries no fitted vector field")
         return mobility_field(pts, order, self.v_matrix, self.rho_idx)
-
-
-def _delta(r, all_roots, dim, order, shape):
-    acc = _const(1.0 + 0.0j, dim, order, shape)
-    for rr in all_roots:
-        if rr is not r:
-            acc = acc * (r - rr)
-    return acc
-
-
-def _esp_excluding(r, all_roots, dim, order, upto):
-    others = [rr for rr in all_roots if rr is not r]
-    return esp_jets(others, dim, order, upto=max(upto - 1, 0))
 
 
 def _const_coord_index(cb):

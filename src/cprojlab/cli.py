@@ -8,6 +8,7 @@ Exit codes: 0 when every selected check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from pathlib import Path
@@ -51,14 +52,16 @@ DEFAULT_TOLS = {
 
 
 def _as_num(val, what, kind=float, lo=None):
-    """``val`` as ``kind`` (int or float), at least ``lo`` when given, or a
-    ConfigError naming ``what``.  An int rejects fractional values."""
+    """``val`` as a finite ``kind`` (int or float), at least ``lo`` when
+    given, or a ConfigError naming ``what``.  An int rejects fractional
+    values."""
     try:
         out = kind(val)
-    except (TypeError, ValueError):
-        out = None
-    if out is None or isinstance(val, bool) or (kind is int and out != val):
-        need = "an integer" if kind is int else "a number"
+        bad = not math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad or isinstance(val, bool) or (kind is int and out != val):
+        need = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{what} needs {need}, got {val!r}")
     if lo is not None and out < lo:
         raise ConfigError(f"{what} needs a value >= {lo}, got {val!r}")
@@ -397,19 +400,27 @@ RUNNERS = {
     "appendix": run_appendix,
 }
 
+_LIFT_CHECKS = ["J_squared", "hermitian_metric", "omega_def", "domega",
+                "parallel_J", "cproj_compat", "eigenvector_gradients",
+                "killing_*", "a_on_k", "ricci_identity",
+                "det_hessian_hermitian", "killing_detC",
+                "partner_roundtrip", "connection_difference"]
+
+# one line per check: its name (``*`` a wildcard), then the condition
+# under which it runs, if any
 CHECK_NAMES = {
     "quotient-pair": ["proj_compat", "commuting_gradients",
                       "mu_hat_duality"],
-    "lift": ["J_squared", "hermitian_metric", "omega_def", "domega",
-             "parallel_J", "cproj_compat", "eigenvector_gradients",
-             "killing_*", "a_on_k", "ricci_identity",
-             "det_hessian_hermitian", "killing_detC",
-             "partner_roundtrip", "connection_difference"],
-    "main-example": ["(as lift)", "route_agreement"],
-    "mobility2": ["(as lift)", "v_fit", "lie_v_metric", "lie_v_endo",
-                  "eigenvalue_transport", "volume_coefficient"],
-    "jordan": ["ode_defect", "g1_constancy", "proj_compat",
-               "split_lie_endo", "split_lie_metric", "blowup_exponent"],
+    "lift": _LIFT_CHECKS,
+    "main-example": _LIFT_CHECKS + ["route_agreement"],
+    "mobility2": _LIFT_CHECKS + [
+        "v_fit", "lie_v_metric", "lie_v_endo",
+        "eigenvalue_transport (ell = 1 only)",
+        "volume_coefficient (ell = 1 only)"],
+    "jordan": ["ode_defect", "g1_constancy (kind = 3x3 only)",
+               "proj_compat", "split_lie_endo", "split_lie_metric",
+               "real_ricci_identity", "blowup_formula_vs_spectrum",
+               "blowup_exponent"],
     "flows": ["circle_*", "fixed_points_*", "logistic_endpoint"],
     "appendix": ["ricci_identity", "spectrum_*", "fppp_limit",
                  "vandermonde_sum_vs_det", "collision_limit"],

@@ -42,7 +42,6 @@ __all__ = [
     "jet_map",
     "tensor_partial",
     "jet_matmul",
-    "jet_matvec",
     "jet_trace",
     "jet_transpose",
     "jet_inv",
@@ -504,10 +503,6 @@ def tensor_partial(t: Jet) -> Jet:
 
 def jet_matmul(a: Jet, b: Jet) -> Jet:
     return jet_einsum("nij,njk->nik", a, b)
-
-
-def jet_matvec(a: Jet, v: Jet) -> Jet:
-    return jet_einsum("nij,nj->ni", a, v)
 
 
 def jet_trace(a: Jet) -> Jet:

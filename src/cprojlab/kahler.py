@@ -34,7 +34,7 @@ __all__ = [
     "KahlerError", "check_kahler", "cproj_residual", "proj_residual",
     "partner_metric", "recover_endo", "hamiltonian_killing_check",
     "connection_difference_check", "complex_char_poly", "complex_det",
-    "nonconstant_factor", "lambda_field",
+    "nonconstant_factor",
 ]
 
 
@@ -336,11 +336,6 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     rep.add(CheckEntry("eigenvector_gradients", "(A-rho)grad rho",
                        worst, tol, samples=n, excluded=excluded))
     return rep
-
-
-def lambda_field(flds) -> Jet:
-    """La = (1/4) grad tr A as a vector jet."""
-    return flds.lam
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cprojlab.builders import (
-    BuilderError, CompatiblePairSpec, ConstantBlock, PowerProfile,
-    Real1D, build_main_example, build_mobility2,
+    BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock,
+    PowerProfile, QuotientPair, Real1D, build_main_example, build_mobility2,
     build_mobility2_projective, build_quotient_pair, esp_jets,
     jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
 )
@@ -72,7 +72,15 @@ def test_lift_eigenvalues_doubled(qp_dini):
 
 def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini):
     cb = (ConstantBlock(0.0, 2),)
-    for qp, blocks in ((qp_ell1, ()), (qp_dini, ()), (qp_ell1, cb)):
+    z = Complex2D((0j, 1.0 + 0j), ((0.2, 0.8), (0.2, 0.8)))
+    x = Real1D(1, (3.0, 1.0), (0.2, 0.8))
+    x2 = Real1D(-1, (-2.0, 0.5), (0.2, 0.8))
+    # a complex block owns two roots, so the blocks after it must still
+    # read their own
+    mixed = [build_quotient_pair(CompatiblePairSpec(b))
+             for b in ((z, x), (x, z), (x, z, x2))]
+    cases = [(qp_ell1, ()), (qp_dini, ()), (qp_ell1, cb)]
+    for qp, blocks in cases + [(qp, ()) for qp in mixed]:
         cha = lift_pair(qp, blocks, route="jacobian")
         chb = lift_pair(qp, blocks, route="explicit")
         pts = sample(cha, 15)
@@ -80,6 +88,7 @@ def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini):
         for nm in ("g", "omega", "J", "A"):
             a, b = getattr(fa, nm), getattr(fb, nm)
             for k in range(3):
+                assert a.c[k].dtype == b.c[k].dtype == np.float64, (nm, k)
                 assert max_abs(a.c[k] - b.c[k]) <= 1e-10, (nm, k)
 
 
@@ -334,6 +343,20 @@ def test_metric_equals_eval_g_bitwise(pair, route, orders, cb):
         for got, w in zip(g.c, want.c, strict=True):
             assert got.dtype == w.dtype
             np.testing.assert_array_equal(got, w)
+
+
+@pytest.mark.parametrize("route", ["explicit", "jacobian"])
+def test_metric_builds_no_L(monkeypatch, qp_dini, route):
+    calls = []
+    complete = QuotientPair._complete
+    monkeypatch.setattr(QuotientPair, "_complete",
+                        lambda self, *a: calls.append(1) or complete(self, *a))
+    chart = lift_pair(qp_dini, route=route)
+    pts = sample(chart, 4)
+    chart.metric(pts, 1)
+    assert calls == []
+    chart.eval(pts, 1)
+    assert calls == [1]
 
 
 def test_projective_metric_equals_eval_g_bitwise():

@@ -1,4 +1,5 @@
 import argparse
+import fnmatch
 import subprocess
 import sys
 from pathlib import Path
@@ -164,10 +165,18 @@ def test_missing_config_is_reported():
 
 @pytest.mark.parametrize("name", ["complex-pair", "mobility2", "jordan2",
                                   "appendix"])
-def test_remaining_scenarios_pass(name):
+def test_remaining_scenarios_pass(capsys, name):
     code, out, err = run_cli("run", str(CONFIGS / f"{name}.cfg"))
     assert code == 0, out + err
     assert "overall=pass" in out
+    # every reported check is listed; a line's first word is the name
+    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--list-checks"]) == 0
+    listed = [l.split()[0] for l in capsys.readouterr().out.splitlines()]
+    reported = [l.split()[0].removeprefix("check=")
+                for l in out.splitlines() if l.startswith("check=")]
+    assert reported
+    for nm in reported:
+        assert any(fnmatch.fnmatchcase(nm, p) for p in listed), nm
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -182,6 +191,10 @@ def test_remaining_scenarios_pass(name):
     ("mobility2", "C", "minus"),
     ("jordan2", "n2", "two"),
     ("phase-portraits", "T", "long"),
+    ("phase-portraits", "T", "inf"),
+    ("phase-portraits", "T", "nan"),
+    ("mobility2", "C", "nan"),
+    ("dini-lift", "grid", "inf"),
     ("appendix", "C", "1 2"),
     ("seeded-defect", "defect.omega_eps", "tiny"),
     ("dini-pair", "tol.proj", "small"),
