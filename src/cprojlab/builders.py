@@ -101,6 +101,10 @@ class Real1D:
     ncoord = 1
     nroots = 1
 
+    def __post_init__(self):
+        if self.eps == 0:
+            raise BuilderError("a real1d block needs eps != 0")
+
     def rho_jet(self, x: Jet) -> Jet:
         return polyval(self.rho, x)
 
@@ -229,16 +233,16 @@ def _const_matrices(cb):
 # symmetric-function helpers
 # ---------------------------------------------------------------------------
 
-def esp_jets(vals, dim, order, upto=None):
-    """Elementary symmetric polynomials e_0..e_upto of a list of jets."""
-    n = len(vals)
+def esp_jets(vals, dim, order, shape, upto=None):
+    """Elementary symmetric polynomials e_0..e_upto of a list of jets with
+    batch shape ``shape``."""
     if upto is None:
-        upto = n
-    shape = vals[0].c[0].shape if vals else ()
+        upto = len(vals)
     e = [Jet.const(np.ones(shape), dim, order)]
     e += [Jet.const(np.zeros(shape), dim, order) for _ in range(upto)]
-    for v in vals:
-        for k in range(min(upto, n), 0, -1):
+    for i, v in enumerate(vals):
+        # e_k is still zero for k > i, so value i changes e_1..e_(i+1) only
+        for k in range(min(upto, i + 1), 0, -1):
             e[k] = e[k] + v * e[k - 1]
     return e
 
@@ -372,7 +376,7 @@ class QuotientPair:
                 rhos.append(r); mults.append(b.nroots)
 
         all_roots = [r for r, m in zip(rhos, mults) for _ in range(m)]
-        mus = [m.real for m in esp_jets(all_roots, dim, order)]
+        mus = [m.real for m in esp_jets(all_roots, dim, order, (n,))]
         rows = []
         for kind, r, extra, b, off in seeded:
             # ``is``: every copy of a Jordan root drops out with it
@@ -509,8 +513,7 @@ def _delta_jets(r, others, dim, order):
     elementary symmetric functions e_m, e_(m-1), e_(m-2) of the m
     differences."""
     m, shape = len(others), r.c[0].shape
-    e = esp_jets([r - rr for rr in others], dim, order) \
-        if others else [_const(1.0, dim, order, shape)]
+    e = esp_jets([r - rr for rr in others], dim, order, shape)
     return [e[m - k] if k <= m else _zero(dim, order, shape)
             for k in range(3)]
 
@@ -793,7 +796,7 @@ class KahlerChart:
         for kind, r, extra, b, off, others, (Del, _, _) in rows:
             if kind not in ("real", "rho", "complex"):
                 raise BuilderError("unsupported block for a Kahler chart")
-            muh = esp_jets(others, d, order, upto=max(ell - 1, 0))
+            muh = esp_jets(others, d, order, (n,), upto=max(ell - 1, 0))
             if kind != "complex":
                 # real-valued, but complex-typed next to a complex pair
                 muh, Del = [m.real for m in muh], Del.real
@@ -1210,7 +1213,7 @@ class ProjectiveMobilityChart:
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
         return ChartFields(g=g, omega=None, J=None, A=A,
-                           rhos=[r], mus=esp_jets([r], d, order), v=v)
+                           rhos=[r], mus=esp_jets([r], d, order, (n,)), v=v)
 
     def metric(self, pts, order=2) -> Jet:
         """The metric alone, equal to ``eval(pts, order).g``."""

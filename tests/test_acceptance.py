@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from cprojlab.builders import (
-    ConstantBlock, PowerProfile, build_main_example, build_mobility2,
+    ConstantBlock, PowerProfile, build_mobility2,
     build_mobility2_projective, build_quotient_pair, jordan_pair_spec,
     lift_pair, mobility_spec, solve_jordan_odes,
 )
@@ -46,29 +46,11 @@ def report(num, ok, detail):
 
 
 @pytest.fixture(scope="module")
-def corpus6():
-    cb0 = (ConstantBlock(0.0, 2),)
-    cb1 = (ConstantBlock(1.0, 2),)
-    cb01 = (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2))
-    qpe = build_quotient_pair(pair_ell1())
-    qpd = build_quotient_pair(pair_dini())
-    return [
-        ("ell1-plain", lift_pair(qpe, route="explicit"), []),
-        ("ell1-cb0", lift_pair(qpe, cb0, route="explicit"), [(0.0, 1)]),
-        ("ell1-cb1", lift_pair(qpe, cb1, route="explicit"), [(1.0, 1)]),
-        ("dini-lift", lift_pair(qpd, route="jacobian"), []),
-        ("complex-pair", build_main_example(pair_complex()), []),
-        ("mobility2", build_mobility2(1, 1.0, -0.5, cb=cb01),
-         [(0.0, 1), (1.0, 1)]),
-    ]
-
-
-@pytest.fixture(scope="module")
-def corpus_fields(corpus6):
+def corpus_fields(corpus):
     """Full acceptance grids (5 per axis + 64 random), evaluated once."""
     t0 = time.monotonic()
     out = []
-    for name, chart, consts in corpus6:
+    for name, chart, consts in corpus:
         pts = GridSpec(per_axis=5, n_random=64, seed=0).points(
             chart.window)
         out.append((name, chart, consts, chart.eval(pts, order=2)))

@@ -284,8 +284,32 @@ def test_esp_jets_values():
     vals = [Jet.const(np.array([2.0]), 1, 0),
             Jet.const(np.array([3.0]), 1, 0),
             Jet.const(np.array([5.0]), 1, 0)]
-    e = esp_jets(vals, 1, 0)
+    e = esp_jets(vals, 1, 0, (1,))
     assert [float(x.c[0][0]) for x in e] == [1.0, 10.0, 31.0, 30.0]
+    # no values: e_0 = 1 over the whole batch
+    (e0,) = esp_jets([], 6, 2, (4,))
+    assert [c.shape for c in e0.c] == [(4,), (4, 6), (4, 6, 6)]
+    assert np.all(e0.c[0] == 1.0)
+
+
+@pytest.mark.parametrize("n,products", [(2, 3), (3, 6), (4, 10)])
+def test_esp_jets_multiplies_only_nonzero_levels(monkeypatch, n, products):
+    # folding in value i touches e_1..e_(i+1) only: n(n+1)/2 products
+    count = []
+    orig = Jet.__mul__
+
+    def counted(self, other):
+        count.append(1)
+        return orig(self, other)
+
+    vals = [Jet.seed(0, np.linspace(1.0, 2.0, 5) + k, 2, 2)
+            for k in range(n)]
+    monkeypatch.setattr(Jet, "__mul__", counted)
+    e = esp_jets(vals, 2, 2, (5,))
+    monkeypatch.undo()
+    assert len(count) == products
+    x = np.linspace(1.0, 2.0, 5)
+    assert np.allclose(e[n].c[0], np.prod([x + k for k in range(n)], axis=0))
 
 
 def test_mu_jets_are_symmetric_functions(qp_dini):

@@ -1,20 +1,17 @@
 import argparse
 import fnmatch
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from cprojlab import geometry
-from cprojlab.builders import (
-    CompatiblePairSpec, ConstantBlock, Real1D, build_quotient_pair,
-    lift_pair,
-)
+from cprojlab import builders, cli, geometry
 from cprojlab.config import (
-    ConfigError, parse_config_text, serialize_config,
+    ConfigError, parse_config, parse_config_text, serialize_config,
 )
-from cprojlab.cli import _kahler_chart_checks, main
+from cprojlab.cli import main, run_scenario
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -118,7 +115,8 @@ def test_grid_and_seed_flags():
 @pytest.mark.parametrize("old,new", [
     ("window = 0.2 0.8", "window = 0.8 0.2"),   # invalid box bounds
     ("rho = 2.0 1.0", "rho = 0.0 1.0"),         # coinciding rho blocks
-], ids=["reversed-window", "coinciding-rho"])
+    ("eps = 1", "eps = 0"),                     # degenerate block metric
+], ids=["reversed-window", "coinciding-rho", "zero-eps"])
 def test_unbuildable_instance_exits_2(tmp_path, old, new):
     text = (CONFIGS / "dini-pair.cfg").read_text()
     cfg = tmp_path / "bad.cfg"
@@ -164,19 +162,28 @@ def test_missing_config_is_reported():
 
 
 @pytest.mark.parametrize("name", ["complex-pair", "mobility2", "jordan2",
-                                  "appendix"])
+                                  "appendix", "dini-pair", "dini-lift",
+                                  "phase-portraits", "seeded-defect"])
 def test_remaining_scenarios_pass(capsys, name):
-    code, out, err = run_cli("run", str(CONFIGS / f"{name}.cfg"))
-    assert code == 0, out + err
-    assert "overall=pass" in out
-    # every reported check is listed; a line's first word is the name
-    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--list-checks"]) == 0
-    listed = [l.split()[0] for l in capsys.readouterr().out.splitlines()]
+    path = CONFIGS / f"{name}.cfg"
+    failing = name == "seeded-defect"
+    assert main(["run", str(path)]) == (1 if failing else 0)
+    out = capsys.readouterr().out
+    assert ("overall=FAIL" if failing else "overall=pass") in out
+    assert main(["run", str(path), "--list-checks"]) == 0
+    listed = [re.fullmatch(r"(\S+)(?: \((\S+) = (\S+) only\))?", l).groups()
+              for l in capsys.readouterr().out.splitlines()]
     reported = [l.split()[0].removeprefix("check=")
                 for l in out.splitlines() if l.startswith("check=")]
     assert reported
+    # every reported check is listed; a line's first word is the name
     for nm in reported:
-        assert any(fnmatch.fnmatchcase(nm, p) for p in listed), nm
+        assert any(fnmatch.fnmatchcase(nm, p) for p, _, _ in listed), nm
+    # and every listed check whose condition holds is reported
+    cfg = parse_config(path)
+    for pat, key, val in listed:
+        if key is None or str(cfg.opt(key)) == val:
+            assert any(fnmatch.fnmatchcase(nm, pat) for nm in reported), pat
 
 
 @pytest.mark.parametrize("name,key,value", [
@@ -188,6 +195,7 @@ def test_remaining_scenarios_pass(capsys, name):
     ("dini-pair", "seed", "x"),
     ("phase-portraits", "seed", "x"),
     ("mobility2", "ell", "one"),
+    ("mobility2", "ell", "0"),
     ("mobility2", "C", "minus"),
     ("jordan2", "n2", "two"),
     ("phase-portraits", "T", "long"),
@@ -198,6 +206,12 @@ def test_remaining_scenarios_pass(capsys, name):
     ("appendix", "C", "1 2"),
     ("seeded-defect", "defect.omega_eps", "tiny"),
     ("dini-pair", "tol.proj", "small"),
+    ("mobility2", "a", "one"),
+    ("mobility2", "a", "1 2"),
+    ("jordan2", "init", "half 0.1"),
+    ("jordan2", "interval", "0.2"),
+    ("jordan2", "interval", "0.2 nan"),
+    ("jordan2", "x_window", "1.2 1.5 1.8"),
 ])
 def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
@@ -219,8 +233,15 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     ("mobility2", "dim = 2", "dim = two"),
     ("mobility2", "dim = 2", "dim = 2.5"),
     ("mobility2", "dim = 2", "dim = 2\nsignature = minus"),
+    ("dini-pair", "window = 0.2 0.8", "window = low high"),
+    ("dini-pair", "window = 0.2 0.8", "window = 0.2 0.5 0.8"),
+    ("dini-lift", "rho = 0.0 1.0", "rho = zero one"),
+    ("complex-pair", "rho_re = 0.0 1.0", "rho_re = 0.0 inf"),
+    ("complex-pair", "rho_im = 0.0 0.0", "rho_im = 0.0 0.0 0.0"),
+    ("complex-pair", "window = 0.2 0.8 0.2 0.8", "window = 0.2 0.8"),
 ], ids=["eps-word", "eps-fraction", "c-word", "dim-word", "dim-fraction",
-        "signature-word"])
+        "signature-word", "window-words", "window-length", "rho-words",
+        "rho_re-inf", "rho_im-length", "complex-window-length"])
 def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old + "\n" in text
@@ -244,10 +265,10 @@ def test_grid_flag_below_one_exits_2(capsys):
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     # a constant block at c = 0 puts a zero eigenvalue in A, so the
     # sequence also runs its spectrum-shifted copy of the fields
-    qp = build_quotient_pair(CompatiblePairSpec(
-        (Real1D(1, (0.1, 0.5, 0.2), (0.2, 0.8)),), name="ell1"))
-    chart = lift_pair(qp, (ConstantBlock(0.0, 2),), route="explicit")
-    cfg = parse_config_text("scenario = lift\ngrid = 2\nrandom = 8\n")
+    cfg = parse_config_text(
+        "scenario = lift\nroute = explicit\ngrid = 2\nrandom = 8\n"
+        "[block]\nkind = real1d\neps = 1\nrho = 0.1 0.5 0.2\n"
+        "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")
     args = argparse.Namespace(grid=None, seed=0)
     seen = {"christoffel": [], "metric_inverse": []}
     for fname, calls in seen.items():
@@ -261,8 +282,58 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
             if (getattr(mod, "__name__", "").startswith("cprojlab")
                     and getattr(mod, fname, None) is orig):
                 monkeypatch.setattr(mod, fname, counted)
-    rep, fl = _kahler_chart_checks(chart, cfg, args, 1.0, [(0.0, 1)])
-    assert rep.overall_pass
+    rep, run = run_scenario(cfg, args, 1.0)
+    assert rep.overall_pass and len(rep.entries) > 9
     assert any(e.note.startswith("shift=") for e in rep.entries)
     for fname, calls in seen.items():
-        assert sum(a is fl.g.c[0] for a in calls) == 1, fname
+        assert sum(a is run.fl.g.c[0] for a in calls) == 1, fname
+
+
+def test_only_skips_unselected_work(monkeypatch, capsys):
+    # every check suite the runner calls raises, so a step that runs fails
+    # the test; only the build (with the order-1 evals of the v fit) runs
+    def boom(*a, **kw):
+        raise AssertionError("an unselected check ran")
+
+    suites = ("cprojlab.kahler", "cprojlab.killing", "cprojlab.curvspec",
+              "cprojlab.flows")
+    for name, obj in list(vars(cli).items()):
+        if callable(obj) and getattr(obj, "__module__", "") in suites:
+            monkeypatch.setattr(cli, name, boom)
+    orders = []
+    orig = builders.KahlerChart.eval
+
+    def counted(self, pts, order=2):
+        orders.append(order)
+        return orig(self, pts, order)
+
+    monkeypatch.setattr(builders.KahlerChart, "eval", counted)
+    assert main(["run", str(CONFIGS / "mobility2.cfg"), "--only",
+                 "v_fit"]) == 0
+    checks = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("check=")]
+    assert len(checks) == 1 and checks[0].startswith("check=v_fit ")
+    assert 1 in orders and 2 not in orders
+
+
+@pytest.mark.parametrize("name,only", [
+    ("dini-lift", "J_squared,domega,killing_lie"),
+    ("seeded-defect", "domega,partner_roundtrip"),
+    ("mobility2", "v_fit,eigenvalue,killing_detC"),
+    ("jordan2", "blowup,proj"),
+    ("phase-portraits", "circle_rho^2+,logistic"),
+])
+def test_only_output_equals_filtered_full_report(capsys, name, only):
+    path = str(CONFIGS / f"{name}.cfg")
+    prefixes = tuple(only.split(","))
+    main(["run", path])
+    full = capsys.readouterr().out.splitlines()[:-1]
+    code = main(["run", path, "--only", only])
+    out = capsys.readouterr().out.splitlines()[:-1]
+    kept = [l for l in full if not l.startswith(("check=", "overall="))
+            or l.startswith(tuple("check=" + p for p in prefixes))]
+    ok = all(re.search(r" excluded=\d+ pass", l) for l in kept
+             if l.startswith("check="))
+    assert sum(l.startswith("check=") for l in kept) >= len(prefixes)
+    assert out == kept + ["overall=" + ("pass" if ok else "FAIL")]
+    assert code == (0 if ok else 1)
