@@ -1,5 +1,6 @@
-"""Scenario runner: parse a config, build the instance, run check suites,
-emit a deterministic report and optional CSV data.
+"""Scenario runner: parse a config, check it against the scenario's option
+table, build the instance, run check suites, emit a deterministic report
+and optional CSV data.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails,
 2 on a bad config or an instance that cannot be built.
@@ -8,7 +9,6 @@ Exit codes: 0 when every selected check passes, 1 when a check fails,
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import time
 from functools import cached_property, partial
@@ -18,7 +18,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, parse_config, serialize_config
+from .config import (
+    FLOATS, INTS, WINDOW, ConfigError, Opt, parse_config, serialize_config)
 from .report import CheckEntry, ResidualReport, config_hash, fmt
 from .geometry import GeometryError, GridSpec, lie_endo, lie_metric, max_abs
 from .jets import Jet, JetError
@@ -31,7 +32,9 @@ from .kahler import (
     cproj_residual, eigenvector_gradient_residual, hamiltonian_killing_check,
     mu_hat_duality_residual, partner_metric, proj_residual, recover_endo,
     shift_endo, spectrum_safe_shift)
-from .killing import a_on_k_recurrence, build_canonical_killing, killing_property_suite
+from .killing import (
+    KILLING_KEYS, a_on_k_recurrence, build_canonical_killing,
+    killing_property_suite)
 from .curvspec import (
     compare_with_numeric, fppp_limit_check, real_curvature_operator_matrix,
     real_ricci_identity_check, ricci_identity_check)
@@ -50,106 +53,20 @@ DEFAULT_TOLS = {
 }
 
 
-def _as_num(val, what, kind=float, lo=None):
-    """``val`` as a finite ``kind`` (int or float), at least ``lo`` when
-    given, or a ConfigError naming ``what``.  An int rejects fractional
-    values."""
-    try:
-        out = kind(val)
-        bad = not math.isfinite(out)
-    except (TypeError, ValueError, OverflowError):
-        bad = True
-    if bad or isinstance(val, bool) or (kind is int and out != val):
-        need = "an integer" if kind is int else "a finite number"
-        raise ConfigError(f"{what} needs {need}, got {val!r}")
-    if lo is not None and out < lo:
-        raise ConfigError(f"{what} needs a value >= {lo}, got {val!r}")
-    return out
+# the most sample points a run may draw, grid**dim + random
+MAX_SAMPLES = 5000
 
 
-def _as_nums(val, what, sizes=None, kind=float):
-    """``val``, one number or a list, as a list through ``_as_num``, its
-    length one of ``sizes`` when given."""
-    vals = val if isinstance(val, list) else [val]
-    if sizes and len(vals) not in sizes:
-        raise ConfigError(f"{what} needs {' or '.join(map(str, sizes))} "
-                          f"values, got {len(vals)}")
-    return [_as_num(v, what, kind) for v in vals]
-
-
-def _num(cfg, key, default, kind=float, lo=None):
-    """Option ``key`` through ``_as_num``."""
-    return _as_num(cfg.opt(key, default), f"option {key!r}", kind, lo)
-
-
-def _nums(cfg, key, default, sizes=None):
-    """List option ``key`` through ``_as_nums``."""
-    return _as_nums(cfg.opt(key, default), f"option {key!r}", sizes)
-
-
-def _seed(cfg, args):
-    return args.seed if args.seed is not None else _num(cfg, "seed", 0, int)
-
-
-def _grid(cfg, args):
-    per = (_as_num(args.grid, "--grid", int, lo=1) if args.grid is not None
-           else _num(cfg, "grid", 5, int, lo=1))
-    rnd = _num(cfg, "random", 64, int, lo=0)
-    return GridSpec(per_axis=per, n_random=rnd, seed=_seed(cfg, args))
-
-
-def _req(d, key, section):
-    """``d[key]`` of a config section, or a ConfigError naming both."""
-    if key not in d:
-        raise ConfigError(f"[{section}] section lacks required key {key!r}")
-    return d[key]
-
-
-def _key_num(val, key, section, kind=float):
-    """A numeric key of a config section through ``_as_num``."""
-    return _as_num(val, f"[{section}] key {key!r}", kind)
-
-
-def _block_nums(d, key, sizes=None, default=None):
-    """A list key of a ``[block]`` section through ``_as_nums``; required
-    unless it has a default."""
-    val = _req(d, key, "block") if default is None else d.get(key, default)
-    return _as_nums(val, f"[block] key {key!r}", sizes)
-
-
-def _pair_spec(cfg) -> CompatiblePairSpec:
+def _pair_spec(v) -> CompatiblePairSpec:
     blocks = []
-    for d in cfg.blocks("block"):
-        kind = d.get("kind", "real1d")
-        if kind == "real1d":
-            w = _block_nums(d, "window", (2,))
-            rho = _block_nums(d, "rho")
-            eps = _key_num(d.get("eps", 1), "eps", "block", int)
-            blocks.append(Real1D(eps, tuple(rho), tuple(w)))
-        elif kind == "complex2d":
-            re = np.array(_block_nums(d, "rho_re"))
-            im = np.array(_block_nums(d, "rho_im", {1, len(re)}, 0.0))
-            w = _block_nums(d, "window", (4,))
-            blocks.append(Complex2D(tuple(re + 1j * im),
-                                    ((w[0], w[1]), (w[2], w[3]))))
+    for b in v["block"]:
+        w = b["window"]
+        if b["kind"] == "real1d":
+            blocks.append(Real1D(b["eps"], tuple(b["rho"]), tuple(w)))
         else:
-            raise ConfigError(f"unknown block kind {kind!r}")
-    if not blocks:
-        raise ConfigError("scenario needs at least one [block] section")
-    return CompatiblePairSpec(tuple(blocks),
-                              name=str(cfg.opt("name", "pair")))
-
-
-def _const_blocks(cfg):
-    out = []
-    sec = "constant_block"
-    for d in cfg.blocks(sec):
-        out.append(ConstantBlock(
-            _key_num(_req(d, "c", sec), "c", sec),
-            _key_num(_req(d, "dim", sec), "dim", sec, int),
-            tuple(_as_nums(d.get("signature", []),
-                           f"[{sec}] key 'signature'", kind=int))))
-    return tuple(out)
+            z = np.array(b["rho_re"]) + 1j * np.array(b["rho_im"])
+            blocks.append(Complex2D(tuple(z), ((w[0], w[1]), (w[2], w[3]))))
+    return CompatiblePairSpec(tuple(blocks), name=v["name"])
 
 
 # ---------------------------------------------------------------------------
@@ -157,24 +74,27 @@ def _const_blocks(cfg):
 # ---------------------------------------------------------------------------
 
 class Run:
-    """One scenario run: its options, the built instance and the state the
-    check steps share, each piece built on first use and at most once."""
-    cb = ()     # the constant blocks of a Kahler chart
+    """One scenario run: its typed values, the built instance and the state
+    the check steps share, each piece built on first use and at most once."""
 
-    def __init__(self, cfg, args, scale):
-        self.cfg, self.args, self.scale, self.csv = cfg, args, scale, {}
+    def __init__(self, v, scale):
+        self.v, self.scale, self.csv = v, scale, {}
 
     def tol(self, cls):
-        return _num(self.cfg, f"tol.{cls}", DEFAULT_TOLS[cls]) * self.scale
+        return self.v[f"tol.{cls}"] * self.scale
 
     def sample(self, inst, title=None):
-        # the grid is read now, so a bad one exits 2 whichever steps run
-        self.inst, self.grid = inst, _grid(self.cfg, self.args)
+        grid, rnd, dim = self.v["grid"], self.v["random"], inst.window.dim
+        if grid ** dim + rnd > MAX_SAMPLES:
+            raise ConfigError(f"'grid' = {grid} draws {grid}**{dim} + {rnd} "
+                              f"samples, more than {MAX_SAMPLES}")
+        self.inst = inst
         return title or inst.name
 
     @cached_property
     def pts(self):
-        return self.grid.points(self.inst.window)
+        grid = GridSpec(self.v["grid"], self.v["random"], self.v["seed"])
+        return grid.points(self.inst.window)
 
     @cached_property
     def f(self):
@@ -183,7 +103,7 @@ class Run:
     @cached_property
     def fl(self):
         # f with omega perturbed by defect.omega_eps * x0 dx1^dx2
-        eps = _num(self.cfg, "defect.omega_eps", 0.0)
+        eps = self.v["defect.omega_eps"]
         if not eps:
             return self.f
         w = self.f.omega
@@ -192,6 +112,12 @@ class Run:
             coeffs[0][:, i, j] += s * self.pts[:, 0]
             coeffs[1][:, i, j, 0] += s
         return self.f.replace(omega=Jet(w.dim, w.order, coeffs))
+
+    @cached_property
+    def cb(self):
+        # the constant blocks of a Kahler chart
+        return tuple(ConstantBlock(b["c"], b["dim"], tuple(b["signature"]))
+                     for b in self.v["constant_block"])
 
     @cached_property
     def ks(self):
@@ -218,48 +144,34 @@ class Run:
 # ---------------------------------------------------------------------------
 
 def _build_quotient_pair(r):
-    return r.sample(build_quotient_pair(_pair_spec(r.cfg)), "quotient-pair")
+    return r.sample(build_quotient_pair(_pair_spec(r.v)), "quotient-pair")
 
 
-def _build_lift(r, route=None, name="lift"):
-    qp = build_quotient_pair(_pair_spec(r.cfg))
-    r.cb = _const_blocks(r.cfg)
-    chart = lift_pair(qp, cb=r.cb,
-                      route=route or str(r.cfg.opt("route", "jacobian")),
-                      name=str(r.cfg.opt("name", name)))
+def _build_lift(r, route=None):
+    chart = lift_pair(build_quotient_pair(_pair_spec(r.v)), cb=r.cb,
+                      route=route or r.v["route"], name=r.v["name"])
     return r.sample(chart)
 
 
 def _build_mobility2(r):
-    r.ell = _num(r.cfg, "ell", 1, int, lo=1)
-    a = _nums(r.cfg, "a", 1.0, sorted({1, r.ell}))
-    C = _num(r.cfg, "C", -1.0)
-    r.cb = _const_blocks(r.cfg)
-    chart = build_mobility2(r.ell, a[0] if len(a) == 1 else a, C, cb=r.cb,
-                            name=str(r.cfg.opt("name", "mobility2")))
+    a = r.v["a"]
+    chart = build_mobility2(r.v["ell"], a[0] if len(a) == 1 else a, r.v["C"],
+                            cb=r.cb, name=r.v["name"])
     return r.sample(chart)
 
 
 def _build_jordan(r):
-    r.kind = str(r.cfg.opt("kind", "2x2"))
-    r.n2 = _num(r.cfg, "n2", 2)
-    r.C = _num(r.cfg, "C", -1.5)
-    init = _nums(r.cfg, "init", [0.5, 0.1])
-    r.interval = _nums(r.cfg, "interval", [0.2, 0.8], (2,))
-    r.sol = solve_jordan_odes(r.kind, r.n2, r.C, init, r.interval)
-    qp = build_quotient_pair(jordan_pair_spec(r.kind, r.sol, x_window=tuple(
-        _nums(r.cfg, "x_window", [1.2, 1.8], (2,)))))
-    return r.sample(qp, f"jordan-{r.kind}")
-
-
-def _build_flows(r):
-    r.T = _num(r.cfg, "T", 6.0)
-    return "flows"
+    v = r.v
+    r.sol = solve_jordan_odes(v["kind"], v["n2"], v["C"], v["init"],
+                              v["interval"])
+    qp = build_quotient_pair(jordan_pair_spec(
+        v["kind"], r.sol, x_window=tuple(v["x_window"])))
+    return r.sample(qp, f"jordan-{v['kind']}")
 
 
 def _build_appendix(r):
-    r.inst = build_mobility2(2, 1.0, _num(r.cfg, "C", -1.5), fit_v=False)
-    rng = np.random.default_rng(_num(r.cfg, "seed", 0, int))
+    r.inst = build_mobility2(2, 1.0, r.v["C"], fit_v=False)
+    rng = np.random.default_rng(r.v["seed"])
     r.pts = r.inst.window.random(8, rng)
     return "appendix"
 
@@ -299,7 +211,8 @@ def _split_lie(r):
     trL = np.trace(L, axis1=-2, axis2=-1)
     rhs_L = L - np.einsum("nab,nbc->nac", L, L)
     hL = np.einsum("nac,ncb->nab", h, L)
-    rhs_h = (r.n2 - 1.0) * hL - (trL + r.C + r.n2)[:, None, None] * h
+    n2 = r.v["n2"]
+    rhs_h = (n2 - 1.0) * hL - (trL + r.v["C"] + n2)[:, None, None] * h
     rL = max_abs(lie_endo(f.L, f.v) - rhs_L) / (1.0 + max_abs(rhs_L))
     rh = max_abs(lie_metric(f.h, f.v) - rhs_h) / (1.0 + max_abs(rhs_h))
     return [CheckEntry("split_lie_endo", "L_v L = L - L^2", rL, tol,
@@ -314,7 +227,7 @@ def _blowup_spectrum(r):
     # at a few samples
     dev = []
     for s, p in enumerate(r.pts[:3]):
-        val = (jordan2_fprime(r.sol, p[0], p[1]) if r.kind == "2x2"
+        val = (jordan2_fprime(r.sol, p[0], p[1]) if r.v["kind"] == "2x2"
                else jordan3_fprime(r.sol, p[1], p[2]))
         eigs = np.linalg.eigvals(real_curvature_operator_matrix(r.f.h, s))
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
@@ -326,10 +239,11 @@ def _blowup_spectrum(r):
 def _blowup_exponent(r):
     # divergence scan toward F + x = 0
     s = np.geomspace(1e-1, 1e-4, 16)
-    vals = blowup_scan("jordan2" if r.kind == "2x2" else "jordan3", s,
-                       sol=r.sol, rho1=0.5 * (r.interval[0] + r.interval[1]))
+    two, (lo, hi) = r.v["kind"] == "2x2", r.v["interval"]
+    vals = blowup_scan("jordan2" if two else "jordan3", s, sol=r.sol,
+                       rho1=0.5 * (lo + hi))
     expo = -tail_exponent(s, vals)
-    target = 3.0 if r.kind == "2x2" else 2.0
+    target = 3.0 if two else 2.0
     r.csv["jordan_scan"] = (["s", "value"], list(zip(s, vals)))
     return [CheckEntry("blowup_exponent", f"divergence exponent {target:g}",
                        abs(expo - target), 0.1 * r.scale,
@@ -345,8 +259,8 @@ _FLOWS = {"rho^2+1": (0.3 + 0.4j, lambda q: q * q + 1),
 def _orbits(r):
     out = []
     for ode, (r0, rhs) in _FLOWS.items():
-        traj = eigenvalue_flow(ode, r0, r.T)
-        back = eigenvalue_flow(ode, r0, -r.T)
+        traj = eigenvalue_flow(ode, r0, r.v["T"])
+        back = eigenvalue_flow(ode, r0, -r.v["T"])
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         _, rad, resid = circle_fit(z)
         fp_err = max([0.0] + [abs(rhs(p)) for p in fixed_points(ode)])
@@ -386,7 +300,8 @@ def _symmetric_functions(r):
 
 class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
-    suffix), its function of the ``Run`` and its run condition, if any."""
+    suffix), its function of the ``Run`` and its run condition, if any:
+    a key and the typed value it must have."""
     names: str
     emit: Callable
     when: tuple = ()
@@ -398,7 +313,7 @@ KAHLER_STEPS = (
     Step("cproj_compat", lambda r: cproj_residual(r.fl, tol=r.tol("cproj"))),
     Step("eigenvector_gradients",
          lambda r: eigenvector_gradient_residual(r.fl, tol=r.tol("aonk"))),
-    Step("killing_*",
+    Step(" ".join("killing_" + k for k in KILLING_KEYS),
          lambda r: killing_property_suite(r.ks, r.fl, tol=r.tol("killing"))),
     Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl, tol=r.tol("aonk"))),
     Step("ricci_identity",
@@ -413,18 +328,64 @@ KAHLER_STEPS = (
 PROJ_STEP = Step("proj_compat",
                  lambda r: proj_residual(r.f.h, r.f.L, tol=r.tol("proj")))
 
-# scenario kind -> (build step, check steps in report order)
+# the rows every scenario takes, then those of the ones that sample a
+# chart, then those of the Kahler charts
+COMMON = {
+    "scenario": Opt(str, ""),
+    "seed": Opt(int, 0, "[0, inf)"),
+    **{f"tol.{c}": Opt(float, t, "(0, inf)") for c, t in DEFAULT_TOLS.items()},
+}
+SAMPLED = {
+    **COMMON,
+    "grid": Opt(int, 5, "[1, inf)"),
+    "random": Opt(int, 64, "[0, inf)"),
+}
+KAHLER = {**SAMPLED, "defect.omega_eps": Opt(float, 0.0)}
+# the eigenvalue blocks of a pair, by kind, and the flat factors
+BLOCK_KIND = Opt(("real1d", "complex2d"), "real1d")
+BLOCKS = {
+    "real1d": {
+        "kind": BLOCK_KIND,
+        "eps": Opt(int, 1),
+        "rho": Opt(FLOATS),
+        "window": Opt(WINDOW, sizes=(2,)),
+    },
+    "complex2d": {
+        "kind": BLOCK_KIND,
+        "rho_re": Opt(FLOATS),
+        "rho_im": Opt(FLOATS, [0.0], sizes=(1, "rho_re")),
+        "window": Opt(WINDOW, sizes=(4,)),
+    },
+}
+CONSTANT_BLOCK = {
+    "c": Opt(float),
+    "dim": Opt(int, bounds="[1, 8]"),
+    "signature": Opt(INTS, []),
+}
+# C outside [-5, 5] leaves the mobility-two profiles too ill-conditioned
+# on the fixed windows: the charts turn singular or a check suite raises
+MOBILITY_C = "[-5, 5]"
+
+# scenario kind -> (build step, check steps in report order, the rows of
+# its top-level keys, the sections it takes with the least count of each)
 SCENARIOS = {
     "quotient-pair": (_build_quotient_pair, (
         PROJ_STEP,
         Step("commuting_gradients", lambda r: commuting_gradients_residual(
             r.f, tol=r.tol("dual"))),
         Step("mu_hat_duality",
-             lambda r: mu_hat_duality_residual(r.f, tol=r.tol("dual"))))),
-    "lift": (_build_lift, KAHLER_STEPS),
+             lambda r: mu_hat_duality_residual(r.f, tol=r.tol("dual")))),
+        {**SAMPLED, "name": Opt(str, "pair")}, {"block": 1}),
+    "lift": (_build_lift, KAHLER_STEPS, {
+        **KAHLER,
+        "name": Opt(str, "lift"),
+        "route": Opt(("jacobian", "explicit"), "jacobian"),
+    }, {"block": 1, "constant_block": 0}),
     "main-example": (
-        partial(_build_lift, route="explicit", name="main-example"),
-        KAHLER_STEPS + (Step("route_agreement", _route_agreement),)),
+        partial(_build_lift, route="explicit"),
+        KAHLER_STEPS + (Step("route_agreement", _route_agreement),),
+        {**KAHLER, "name": Opt(str, "main-example")},
+        {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
         Step("v_fit", lambda r: [CheckEntry(
             "v_fit", "off-leaf reconstruction residual",
@@ -435,7 +396,13 @@ SCENARIOS = {
         Step("eigenvalue_transport", lambda r: transport_check(
             r.inst, tol=r.tol("transport")), ("ell", 1)),
         Step("volume_coefficient", lambda r: volume_coefficient(
-            r.inst, tol=r.tol("volume")), ("ell", 1)))),
+            r.inst, tol=r.tol("volume")), ("ell", 1))), {
+        **KAHLER,
+        "name": Opt(str, "mobility2"),
+        "ell": Opt(int, 1, "[1, 6]"),
+        "a": Opt(FLOATS, [1.0], sizes=(1, "ell")),
+        "C": Opt(float, -1.0, MOBILITY_C),
+    }, {"constant_block": 0}),
     "jordan": (_build_jordan, (
         Step("ode_defect", lambda r: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
@@ -448,10 +415,21 @@ SCENARIOS = {
         Step("real_ricci_identity", lambda r: real_ricci_identity_check(
             r.f.h, r.f.L, tol=r.tol("ricci"))),
         Step("blowup_formula_vs_spectrum", _blowup_spectrum),
-        Step("blowup_exponent", _blowup_exponent))),
-    "flows": (_build_flows, (
-        Step("circle_* fixed_points_*", _orbits),
-        Step("logistic_endpoint", _logistic_endpoint))),
+        Step("blowup_exponent", _blowup_exponent)), {
+        **SAMPLED,
+        "kind": Opt(("2x2", "3x3"), "2x2"),
+        "n2": Opt(float, 2.0),
+        "C": Opt(float, -1.5),
+        "init": Opt(FLOATS, [0.5, 0.1], sizes=(2, 3)),
+        "interval": Opt(WINDOW, [0.2, 0.8], sizes=(2,)),
+        "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
+    }, {}),
+    "flows": (lambda r: "flows", (
+        Step(" ".join(f"circle_{o} fixed_points_{o}" for o in _FLOWS),
+             _orbits),
+        Step("logistic_endpoint", _logistic_endpoint)),
+        # run time grows linearly in T
+        {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
         Step("ricci_identity",
              lambda r: ricci_identity_check(r.f, tol=r.tol("ricci"))),
@@ -460,8 +438,39 @@ SCENARIOS = {
         Step("fppp_limit", lambda r: fppp_limit_check(
             r.inst.qp.blocks[0].F, 0.5, tol=1e-3 * r.scale)),
         Step("vandermonde_sum_vs_det collision_limit",
-             _symmetric_functions))),
+             _symmetric_functions)),
+        {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
+
+
+def validate(cfg, args):
+    """Check ``cfg`` and the ``--grid``, ``--seed`` and ``--tol-scale``
+    flags against the scenario's rows before any work; return the typed
+    values by key (a list of typed sections under each section name), or
+    raise one ConfigError naming the first bad key and its line."""
+    kind = Opt(tuple(SCENARIOS)).check(cfg.options.get("scenario"),
+                                       cfg.at(None, "scenario"), {})
+    opts, takes = SCENARIOS[kind][2:]
+    for i, (name, _) in enumerate(cfg.sections):
+        if name not in takes:
+            known = " ".join(f"[{n}]" for n in takes) or "no sections"
+            raise ConfigError(f"line {cfg.lines[i, None]}: unknown section "
+                              f"'[{name}]'; scenario {kind!r} takes {known}")
+    v = cfg.typed(opts)
+    for key in ("grid", "seed"):
+        if getattr(args, key) is not None:
+            if key not in opts:
+                raise ConfigError(f"--{key}: scenario {kind!r} takes no {key}")
+            v[key] = opts[key].check(getattr(args, key), f"--{key}", v)
+    Opt(float, bounds="(0, inf)").check(args.tol_scale, "--tol-scale", {})
+    for name, least in takes.items():
+        v[name] = [cfg.typed(CONSTANT_BLOCK if n == "constant_block" else
+                             BLOCKS[BLOCK_KIND.check(d.get("kind", "real1d"),
+                                                     cfg.at(i, "kind"), {})], i)
+                   for i, (n, d) in enumerate(cfg.sections) if n == name]
+        if len(v[name]) < least:
+            raise ConfigError(f"scenario {kind!r} needs a [{name}] section")
+    return v
 
 
 def _may_start(pattern, prefix):
@@ -470,14 +479,15 @@ def _may_start(pattern, prefix):
     return lit.startswith(prefix) or bool(star) and prefix.startswith(lit)
 
 
-def run_scenario(cfg, args, scale, only=None):
-    """Build the instance, then run the steps whose condition holds and that
-    can emit a name starting with a prefix in ``only``, if that is given."""
-    build, steps = SCENARIOS[cfg.kind]
-    r = Run(cfg, args, scale)
+def run_scenario(v, scale, only=None):
+    """Build the instance of the typed values ``v``, then run the steps
+    whose condition holds and that can emit a name starting with a prefix
+    in ``only``, if that is given."""
+    build, steps = SCENARIOS[v["scenario"]][:2]
+    r = Run(v, scale)
     rep = ResidualReport(title=build(r))
     for st in steps:
-        if st.when and getattr(r, st.when[0]) != st.when[1]:
+        if st.when and v[st.when[0]] != st.when[1]:
             continue
         if only is None or any(_may_start(n, p)
                                for n in st.names.split() for p in only):
@@ -510,14 +520,14 @@ def main(argv=None) -> int:
             if args.only else None)
     try:
         cfg = parse_config(args.config)
+        v = validate(cfg, args)
         if args.list_checks:
-            for st in SCENARIOS[cfg.kind][1]:
+            for st in SCENARIOS[v["scenario"]][1]:
                 cond = " ({} = {} only)".format(*st.when) if st.when else ""
                 print("\n".join(name + cond for name in st.names.split()))
             return 0
         t0 = time.monotonic()
-        seed = _seed(cfg, args)
-        rep, run = run_scenario(cfg, args, args.tol_scale, only)
+        rep, run = run_scenario(v, args.tol_scale, only)
     except (ConfigError, OSError, BuilderError, GeometryError,
             JetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -525,8 +535,8 @@ def main(argv=None) -> int:
     elapsed = time.monotonic() - t0
 
     rep.provenance = {"config_hash": config_hash(serialize_config(cfg)),
-                      "seed": seed, "version": __version__,
-                      "scenario": cfg.kind}
+                      "seed": v["seed"], "version": __version__,
+                      "scenario": v["scenario"]}
     out = (rep.format() + f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}"
            f" elapsed={elapsed:.2f}s\n")
     sys.stdout.write(out)

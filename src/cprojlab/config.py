@@ -1,27 +1,85 @@
-"""Scenario configuration: a flat key/section text format.
+"""Scenario configuration: a flat key/section text format, and the typed
+rows a config is checked against.
 
 Top-level lines are ``key = value``; repeated ``[section]`` headers open
 list entries (blocks, constant blocks).  Values are typed scalars
 (int/float/bool/string) or whitespace-separated numeric lists; polynomial
 coefficient lists are written lowest degree first.  Parsing errors carry
-line numbers; serialization round-trips to an equal config.
+line numbers, and the parser records the line of each key and section
+header; serialization round-trips to an equal config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config",
-           "parse_config_text", "serialize_config", "SCENARIO_KINDS"]
+__all__ = ["ConfigError", "Opt", "REQUIRED", "FLOATS", "INTS", "WINDOW",
+           "ScenarioConfig", "parse_config", "parse_config_text",
+           "serialize_config"]
 
-SCENARIO_KINDS = ("quotient-pair", "lift", "main-example", "mobility2",
-                  "jordan", "flows", "appendix")
+REQUIRED = object()                 # the default of a key that must be set
+FLOATS, INTS, WINDOW = "floats", "ints", "window"   # list kinds of an Opt
 
 
 class ConfigError(ValueError):
     pass
+
+
+def _as_num(val, kind, what, bounds="[-inf, inf]"):
+    """``val`` as a finite ``kind`` (int or float) inside ``bounds``, an
+    interval such as ``"(0, 100]"``, or a ConfigError naming ``what``.  An
+    int rejects fractional values."""
+    try:
+        out = kind(val)
+        bad = not math.isfinite(out)
+    except (TypeError, ValueError, OverflowError):
+        bad = True
+    if bad or isinstance(val, bool) or (kind is int and out != val):
+        need = "an integer" if kind is int else "a finite number"
+        raise ConfigError(f"{what} needs {need}, got {val!r}")
+    lo, hi = (float(t) for t in bounds[1:-1].split(","))
+    if not ((lo < out if bounds[0] == "(" else lo <= out)
+            and (out < hi if bounds[-1] == ")" else out <= hi)):
+        raise ConfigError(f"{what} needs a value in {bounds}, got {val!r}")
+    return out
+
+
+class Opt(NamedTuple):
+    """One config key: its kind (int, float, str, a tuple of allowed words,
+    or a number list: FLOATS, INTS, or WINDOW of lo hi pairs, lo < hi), its
+    default (REQUIRED if it has none), the interval its numbers lie in and
+    a list's allowed lengths (any if none; a key named there stands for
+    that key's value, or its length)."""
+    kind: object
+    default: object = REQUIRED
+    bounds: str = "[-inf, inf]"
+    sizes: tuple = ()
+
+    def check(self, val, what, done):
+        """``val`` typed, or a ConfigError naming ``what``; ``done`` holds
+        the values typed before it."""
+        kind = self.kind
+        if isinstance(kind, tuple) and val not in kind:
+            raise ConfigError(
+                f"{what} needs one of {', '.join(kind)}, got {val!r}")
+        if kind is str or isinstance(kind, tuple):
+            return str(val)
+        if kind in (int, float):
+            return _as_num(val, kind, what, self.bounds)
+        vals = val if isinstance(val, list) else [val]
+        sizes = sorted({len(n) if isinstance(n, list) else n
+                        for n in (done.get(k, k) for k in self.sizes)})
+        if sizes and len(vals) not in sizes:
+            raise ConfigError(f"{what} needs {' or '.join(map(str, sizes))}"
+                              f" values, got {len(vals)}")
+        out = [_as_num(x, int if kind == INTS else float, what) for x in vals]
+        if kind == WINDOW and any(a >= b for a, b in zip(out[::2], out[1::2])):
+            raise ConfigError(f"{what} needs lo < hi in each pair, got {val!r}")
+        return out
 
 
 def _parse_scalar(tok: str):
@@ -55,6 +113,9 @@ class ScenarioConfig:
     kind: str = ""
     options: dict = field(default_factory=dict)
     sections: list = field(default_factory=list)   # (name, dict) pairs
+    # (section index or None for the top level, key) -> line; the key None
+    # gives a section's header line
+    lines: dict = field(default_factory=dict, compare=False)
 
     def opt(self, key, default=None):
         return self.options.get(key, default)
@@ -62,9 +123,30 @@ class ScenarioConfig:
     def blocks(self, name="block"):
         return [d for n, d in self.sections if n == name]
 
-    def __eq__(self, other):
-        return (self.kind == other.kind and self.options == other.options
-                and self.sections == other.sections)
+    def at(self, i, key):
+        """Key ``key`` of section ``i`` (None: the top level) and the line
+        that sets it, for error messages."""
+        what = f"[{self.sections[i][0]}] key" if i is not None else "option"
+        line = self.lines.get((i, key))
+        return f"line {line}: {what} {key!r}" if line else f"{what} {key!r}"
+
+    def typed(self, rows, i=None):
+        """The top-level options, or section ``i``, checked against
+        ``rows`` (key -> Opt) and typed, defaults filled in; the first
+        unknown, missing or bad key raises a ConfigError with its line."""
+        d = self.options if i is None else self.sections[i][1]
+        for key in d:
+            if key not in rows:
+                raise ConfigError(f"{self.at(i, key)} is unknown here")
+        out = {}
+        for key, opt in rows.items():
+            if key not in d and opt.default is REQUIRED:
+                raise ConfigError(
+                    f"line {self.lines[i, None]}: [{self.sections[i][0]}] "
+                    f"section lacks required key {key!r}")
+            out[key] = (opt.check(d[key], self.at(i, key), out) if key in d
+                        else opt.default)
+        return out
 
 
 def parse_config_text(text: str) -> ScenarioConfig:
@@ -82,6 +164,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
             if not name:
                 raise ConfigError(f"line {lineno}: empty section name")
             current = {}
+            cfg.lines[len(cfg.sections), None] = lineno
             cfg.sections.append((name, current))
             continue
         if "=" not in line:
@@ -92,10 +175,9 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
         current[key] = _parse_value(val.strip())
+        cfg.lines[len(cfg.sections) - 1 if cfg.sections else None,
+                  key] = lineno
     cfg.kind = cfg.options.get("scenario", "")
-    if cfg.kind not in SCENARIO_KINDS:
-        raise ConfigError(
-            f"scenario kind {cfg.kind!r} not one of {SCENARIO_KINDS}")
     return cfg
 
 

@@ -1,11 +1,14 @@
 import argparse
+import contextlib
 import fnmatch
+import io
 import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from cprojlab import builders, cli, geometry
 from cprojlab.config import (
@@ -37,8 +40,9 @@ def test_config_roundtrip():
 def test_config_errors_carry_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config_text("scenario = lift\nbad line without equals\n")
-    with pytest.raises(ConfigError, match="scenario kind"):
-        parse_config_text("scenario = nonsense\n")
+    with pytest.raises(ConfigError, match="line 1: option 'scenario' needs one of"):
+        cli.validate(parse_config_text("scenario = nonsense\n"),
+                     argparse.Namespace(grid=None, seed=None, tol_scale=1.0))
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("[unterminated\n")
 
@@ -212,6 +216,17 @@ def test_remaining_scenarios_pass(capsys, name):
     ("jordan2", "interval", "0.2"),
     ("jordan2", "interval", "0.2 nan"),
     ("jordan2", "x_window", "1.2 1.5 1.8"),
+    ("dini-pair", "gird", "2"),
+    ("dini-lift", "route", "bogus"),
+    ("dini-pair", "seed", "-1"),
+    ("appendix", "C", "1e300"),
+    ("phase-portraits", "T", "1e300"),
+    ("phase-portraits", "T", "0"),
+    ("phase-portraits", "grid", "4"),
+    ("dini-pair", "grid", "100"),
+    ("dini-pair", "tol.kahlr", "1e-6"),
+    ("seeded-defect", "tol.kahler", "-1"),
+    ("jordan2", "interval", "0.8 0.2"),
 ])
 def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     lines = (CONFIGS / f"{name}.cfg").read_text().splitlines()
@@ -239,9 +254,13 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     ("complex-pair", "rho_re = 0.0 1.0", "rho_re = 0.0 inf"),
     ("complex-pair", "rho_im = 0.0 0.0", "rho_im = 0.0 0.0 0.0"),
     ("complex-pair", "window = 0.2 0.8 0.2 0.8", "window = 0.2 0.8"),
+    ("dini-pair", "window = 0.2 0.8", "window = 0.2 0.8\n[bogus]"),
+    ("complex-pair", "kind = complex2d", "kind = cplx"),
+    ("complex-pair", "window = 0.2 0.8 0.2 0.8", "window = 0.2 0.8 0.8 0.2"),
 ], ids=["eps-word", "eps-fraction", "c-word", "dim-word", "dim-fraction",
         "signature-word", "window-words", "window-length", "rho-words",
-        "rho_re-inf", "rho_im-length", "complex-window-length"])
+        "rho_re-inf", "rho_im-length", "complex-window-length",
+        "bogus-section", "kind-typo", "complex-window-reversed"])
 def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old + "\n" in text
@@ -262,6 +281,49 @@ def test_grid_flag_below_one_exits_2(capsys):
     assert out == "" and err.startswith("error: ") and "--grid" in err
 
 
+@pytest.mark.parametrize("name,flag,value", [
+    ("dini-pair", "--seed", "-1"),
+    ("dini-pair", "--grid", "100"),
+    ("phase-portraits", "--grid", "3"),
+    ("seeded-defect", "--tol-scale", "inf"),
+    ("seeded-defect", "--tol-scale", "nan"),
+    ("seeded-defect", "--tol-scale", "0"),
+])
+def test_bad_flag_exits_2_before_sampling(monkeypatch, capsys, name, flag,
+                                          value):
+    def boom(*a, **kw):
+        raise AssertionError("sample points were drawn")
+
+    monkeypatch.setattr(geometry.GridSpec, "points", boom)
+    monkeypatch.setattr(geometry.Box, "random", boom)
+    assert main(["run", str(CONFIGS / f"{name}.cfg"), flag, value]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert flag.removeprefix("--") in lines[0]
+
+
+def test_only_killing_detC_skips_the_killing_suite(monkeypatch, capsys):
+    def boom(*a, **kw):
+        raise AssertionError("the Killing suite ran")
+
+    monkeypatch.setattr(cli, "killing_property_suite", boom)
+    assert main(["run", str(CONFIGS / "mobility2.cfg"), "--only",
+                 "killing_detC"]) == 0
+    checks = [l.split()[0] for l in capsys.readouterr().out.splitlines()
+              if l.startswith("check=")]
+    assert checks == ["check=killing_detC"]
+
+
+def test_appendix_samples_with_the_seed_flag(capsys):
+    values = []
+    for seed in ("0", "3"):
+        assert main(["run", str(CONFIGS / "appendix.cfg"), "--seed", seed]) == 0
+        values.append([l for l in capsys.readouterr().out.splitlines()
+                       if l.startswith("check=ricci_identity ")])
+    assert values[0] != values[1]
+
+
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     # a constant block at c = 0 puts a zero eigenvalue in A, so the
     # sequence also runs its spectrum-shifted copy of the fields
@@ -269,7 +331,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
         "scenario = lift\nroute = explicit\ngrid = 2\nrandom = 8\n"
         "[block]\nkind = real1d\neps = 1\nrho = 0.1 0.5 0.2\n"
         "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")
-    args = argparse.Namespace(grid=None, seed=0)
+    args = argparse.Namespace(grid=None, seed=0, tol_scale=1.0)
     seen = {"christoffel": [], "metric_inverse": []}
     for fname, calls in seen.items():
         orig = getattr(geometry, fname)
@@ -282,7 +344,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
             if (getattr(mod, "__name__", "").startswith("cprojlab")
                     and getattr(mod, fname, None) is orig):
                 monkeypatch.setattr(mod, fname, counted)
-    rep, run = run_scenario(cfg, args, 1.0)
+    rep, run = run_scenario(cli.validate(cfg, args), 1.0)
     assert rep.overall_pass and len(rep.entries) > 9
     assert any(e.note.startswith("shift=") for e in rep.entries)
     for fname, calls in seen.items():
@@ -337,3 +399,57 @@ def test_only_output_equals_filtered_full_report(capsys, name, only):
     assert sum(l.startswith("check=") for l in kept) >= len(prefixes)
     assert out == kept + ["overall=" + ("pass" if ok else "FAIL")]
     assert code == (0 if ok else 1)
+
+
+def _mutants(text):
+    """Every one-line mutation of a config: a key deleted; a value set to a
+    word, nan, inf, -inf, its negation, zero or nothing; a list one value
+    short or long; a list or window reversed; a key or section misspelled."""
+    lines = text.splitlines()
+    out = []
+    for i, line in enumerate(lines):
+        key, eq, val = (t.strip() for t in line.partition("="))
+        if line.startswith("["):
+            news = [line.replace("[", "[x", 1)]
+        elif eq and not key.startswith("#"):
+            toks = val.split()
+            neg = " ".join(t[1:] if t.startswith("-") else "-" + t
+                           for t in toks)
+            news = [None, f"{key}x = {val}", f"{key[:-1]} = {val}"] + [
+                f"{key} = {w}" for w in ("word", "nan", "inf", "-inf", neg,
+                                         "0", "")]
+            if len(toks) > 1:
+                news += [f"{key} = {' '.join(t)}"
+                         for t in (toks[:-1], toks + toks[-1:], toks[::-1])]
+        else:
+            continue
+        for new in news:
+            out.append("\n".join(lines[:i] + [new] * (new is not None)
+                                 + lines[i + 1:]) + "\n")
+    return out
+
+
+# configs cheap enough to run in full; the others run --list-checks, which
+# stops after validation
+FUZZ_FULL = ("dini-pair", "appendix", "phase-portraits")
+MUTANTS = [(p.stem, m) for p in sorted(CONFIGS.glob("*.cfg"))
+           for m in _mutants(p.read_text())]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.sampled_from(MUTANTS))
+def test_config_fuzzer(tmp_path, mutant):
+    name, text = mutant
+    path = tmp_path / "mutant.cfg"
+    path.write_text(text)
+    argv = ["run", str(path)] + ([] if name in FUZZ_FULL
+                                 else ["--list-checks"])
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), text
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert out.getvalue() == "" and len(lines) == 1, text
+        assert lines[0].startswith("error: "), text
