@@ -56,7 +56,7 @@ __all__ = [
     "Real1D", "Complex2D", "RealRho", "Jordan2", "Jordan3",
     "PowerProfile", "CompatiblePairSpec", "ConstantBlock",
     "BuilderError", "QuotientPair", "KahlerChart", "ChartFields",
-    "QPFields", "ProjectiveMobilityChart",
+    "ProjectiveMobilityChart",
     "build_quotient_pair", "lift_pair", "build_main_example",
     "build_mobility2", "build_mobility2_projective", "mobility_spec",
     "mobility_rhs", "mobility_field", "solve_jordan_odes",
@@ -256,21 +256,75 @@ def _const(val, dim, order, shape):
 
 
 # ---------------------------------------------------------------------------
+# chart fields and the quantities derived from them
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ChartFields:
+    """The fields of one chart evaluation and the quantities derived from g.
+
+    A Kahler chart sets all of g, omega, J and A; a quotient pair (h, L)
+    and the projective mobility chart set g and A and leave omega and J
+    None.  ``ginv``, ``gamma``, ``lam`` and ``riemann`` are computed on
+    first use and kept as long as the object.  The class is frozen, so a
+    cached quantity cannot outlive the field it came from: build an edited
+    copy with ``dataclasses.replace`` or the ``replace`` method.
+    """
+
+    g: Jet
+    omega: Jet | None
+    J: Jet | None
+    A: Jet
+    rhos: list
+    mus: list
+    v: Jet | None = None
+
+    @cached_property
+    def ginv(self) -> Jet:
+        """g^-1 one order below g, the order Gamma and gradients read."""
+        return metric_inverse(self.g.truncate(max(self.g.order - 1, 0)))
+
+    @cached_property
+    def gamma(self) -> Jet:
+        """Levi-Civita symbols Gamma^c_ab, one order below g."""
+        return christoffel(self.g, self.ginv)
+
+    @cached_property
+    def lam(self) -> Jet:
+        """La as a vector jet, one order below A: (1/4) grad tr A when J is
+        set, (1/2) grad tr A when J is None (the projective weight)."""
+        weight = 0.5 if self.J is None else 0.25
+        return gradient(jet_trace(self.A), self.ginv) * weight
+
+    @cached_property
+    def riemann(self) -> np.ndarray:
+        """Curvature values R^d_cab."""
+        return riemann(self.gamma)
+
+    def replace(self, **changes) -> "ChartFields":
+        """``dataclasses.replace`` that keeps the derived quantities whose
+        inputs are unchanged (the g-only ones when g is kept)."""
+        new = dataclasses.replace(self, **changes)
+        for name, inputs in _DERIVED_INPUTS.items():
+            if name in self.__dict__ and not changes.keys() & inputs:
+                new.__dict__[name] = self.__dict__[name]
+        return new
+
+
+_DERIVED_INPUTS = {"ginv": {"g"}, "gamma": {"g"}, "riemann": {"g"},
+                   "lam": {"g", "A", "J"}}
+
+
+# ---------------------------------------------------------------------------
 # quotient pairs
 # ---------------------------------------------------------------------------
 
-@dataclass
-class QPFields:
-    h: Jet
-    L: Jet | None         # None in the fields of QuotientPair._parts
-    rhos: list            # one jet per distinct block root
-    mults: list           # algebraic multiplicity of each entry of rhos
-    mus: list             # mu_0..mu_ell jets of the full root system
-    v: Jet | None = None  # projective field, where the blocks define one
-
-
 class QuotientPair:
-    """Compatible pair (h, L) on a product of eigenvalue blocks."""
+    """Compatible pair (h, L) on a product of eigenvalue blocks.
+
+    ``eval`` returns ``ChartFields`` with g = h, A = L and no omega or J;
+    ``rhos`` holds one jet per distinct block root and ``mults`` the
+    algebraic multiplicity of each."""
 
     def __init__(self, spec: CompatiblePairSpec):
         self.spec = spec
@@ -278,6 +332,8 @@ class QuotientPair:
         self.window = spec.window()
         self.dim = sum(b.ncoord for b in self.blocks)
         self.ell = sum(b.nroots for b in self.blocks)
+        self.mults = [m for b in self.blocks for m in
+                      ((1, 1) if isinstance(b, Complex2D) else (b.nroots,))]
         offs = np.cumsum([0] + [b.ncoord for b in self.blocks])
         self.offsets = [int(o) for o in offs[:-1]]
         self.validate()
@@ -341,15 +397,17 @@ class QuotientPair:
         """One pass over the blocks: seed each block once, then build the
         roots with their multiplicities, mu, each block's Delta jets and h.
 
-        Returns the fields without L (``_complete`` adds it) and one
+        Returns the fields without A = L (``_complete`` adds it) and one
         ``_Block`` per block, which the Kahler lifts read for the block's
-        own root and Delta.
+        own root and Delta.  ``ambient_dim``/``offset`` embed the quotient
+        coordinates in a lift's chart, which puts the Killing coordinates
+        first.
         """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         n = pts.shape[0]
         dim = ambient_dim if ambient_dim is not None else self.dim
         seed = lambda i: Jet.seed(offset + i, pts[:, i], dim, order)
-        seeded, rhos, mults = [], [], []
+        seeded, rhos = [], []
         for b, off in zip(self.blocks, self.offsets):
             if isinstance(b, Real1D):
                 x = seed(off)
@@ -370,12 +428,9 @@ class QuotientPair:
                 raise BuilderError(f"unknown block {b!r}")
             seeded.append(row + (b, off))
             r = row[1]
-            if isinstance(b, Complex2D):
-                rhos += [r, r.conj()]; mults += [1, 1]
-            else:
-                rhos.append(r); mults.append(b.nroots)
+            rhos += [r, r.conj()] if isinstance(b, Complex2D) else [r]
 
-        all_roots = [r for r, m in zip(rhos, mults) for _ in range(m)]
+        all_roots = [r for r, m in zip(rhos, self.mults) for _ in range(m)]
         mus = [m.real for m in esp_jets(all_roots, dim, order, (n,))]
         rows = []
         for kind, r, extra, b, off in seeded:
@@ -425,13 +480,13 @@ class QuotientPair:
                         for k in range(3):
                             acc = acc + h1[k][j] * D[k][i]
                         hc[off + i][off + j] = acc
-        return QPFields(h=jstack(hc), L=None, rhos=rhos, mults=mults,
-                        mus=mus), rows
+        return ChartFields(g=jstack(hc), omega=None, J=None, A=None,
+                           rhos=rhos, mus=mus), rows
 
-    def _complete(self, qpf, rows) -> QPFields:
-        """The fields of ``_parts`` with L added and, on Jordan specs, the
-        projective field of the split equations."""
-        dim, order, n = qpf.h.dim, qpf.h.order, qpf.h.c[0].shape[0]
+    def _complete(self, qpf, rows) -> ChartFields:
+        """The fields of ``_parts`` with A = L added and, on Jordan specs,
+        the projective field of the split equations."""
+        dim, order, n = qpf.g.dim, qpf.g.order, qpf.g.c[0].shape[0]
         Lc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
               for _ in range(self.dim)]
         for kind, r, extra, _b, off, *_ in rows:
@@ -457,15 +512,11 @@ class QuotientPair:
         v = self._jordan_field(rows, dim, order, n) \
             if any(isinstance(b, (Jordan2, Jordan3)) for b in self.blocks) \
             else None
-        return dataclasses.replace(qpf, L=jstack(Lc), v=v)
+        return qpf.replace(A=jstack(Lc), v=v)
 
-    def eval(self, pts, order=2, ambient_dim=None, offset=0) -> QPFields:
-        """Jet-valued (h, L) at sample points.
-
-        ``ambient_dim``/``offset`` embed the quotient coordinates into a
-        larger chart (the Kahler lifts put the Killing coordinates first).
-        """
-        return self._complete(*self._parts(pts, order, ambient_dim, offset))
+    def eval(self, pts, order=2) -> ChartFields:
+        """Jet-valued (h, L) at sample points, as g and A."""
+        return self._complete(*self._parts(pts, order))
 
     def _jordan_field(self, rows, dim, order, n):
         """The projective field of the split equations on Jordan specs."""
@@ -538,58 +589,6 @@ def build_quotient_pair(spec: CompatiblePairSpec) -> QuotientPair:
 # Kahler charts
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ChartFields:
-    """The fields of one chart evaluation and the quantities derived from g.
-
-    ``ginv``, ``gamma``, ``lam`` and ``riemann`` are computed on first use
-    and kept as long as the object.  The class is frozen, so a cached
-    quantity cannot outlive the field it came from: build an edited copy
-    with ``dataclasses.replace`` or the ``replace`` method.
-    """
-
-    g: Jet
-    omega: Jet | None
-    J: Jet | None
-    A: Jet
-    rhos: list
-    mus: list
-    v: Jet | None = None
-
-    @cached_property
-    def ginv(self) -> Jet:
-        """g^-1 one order below g, the order Gamma and gradients read."""
-        return metric_inverse(self.g.truncate(max(self.g.order - 1, 0)))
-
-    @cached_property
-    def gamma(self) -> Jet:
-        """Levi-Civita symbols Gamma^c_ab, one order below g."""
-        return christoffel(self.g, self.ginv)
-
-    @cached_property
-    def lam(self) -> Jet:
-        """La = (1/4) grad tr A as a vector jet, one order below A."""
-        return gradient(jet_trace(self.A), self.ginv) * 0.25
-
-    @cached_property
-    def riemann(self) -> np.ndarray:
-        """Curvature values R^d_cab."""
-        return riemann(self.gamma)
-
-    def replace(self, **changes) -> "ChartFields":
-        """``dataclasses.replace`` that keeps the derived quantities whose
-        inputs are unchanged (the g-only ones when g is kept)."""
-        new = dataclasses.replace(self, **changes)
-        for name, inputs in _DERIVED_INPUTS.items():
-            if name in self.__dict__ and not changes.keys() & inputs:
-                new.__dict__[name] = self.__dict__[name]
-        return new
-
-
-_DERIVED_INPUTS = {"ginv": {"g"}, "gamma": {"g"}, "riemann": {"g"},
-                   "lam": {"g", "A"}}
-
-
 def mobility_field(pts, order, M, rho_idx) -> Jet:
     """Jet of v(x) = sum_i x_i (1 - x_i) d/dx_i + M [1, x] at the points.
 
@@ -638,6 +637,10 @@ class KahlerChart:
             if isinstance(b, (Jordan2, Jordan3)):
                 raise BuilderError(
                     "Jordan blocks do not lift to a Kahler chart")
+            if isinstance(b, (Real1D, Complex2D)) and _drho_vanishes(b):
+                raise BuilderError(
+                    f"rho' of a {type(b).__name__} block vanishes on its "
+                    f"window {b.window}, so its lift is degenerate")
         self.qp = qp
         self.cb = tuple(cb)
         self.route = route
@@ -667,6 +670,12 @@ class KahlerChart:
     def _check_const_separation(self, margin=0.01):
         if not self.cb:
             return
+        for i, (c, _) in enumerate(self.const_eigs):
+            for c2, _ in self.const_eigs[i + 1:]:
+                if abs(c - c2) < EIGEN_GAP:
+                    raise BuilderError(
+                        f"constant eigenvalues {c} and {c2} are closer than "
+                        f"{EIGEN_GAP:g}; give them one constant block")
         for vals in self.qp.root_value_sets():
             for c, _ in self.const_eigs:
                 dist = float(np.min(np.abs(vals - c)))
@@ -703,12 +712,12 @@ class KahlerChart:
             rows.append(row)
         return jstack(rows)
 
-    def _chi_weights(self, rhos, mults, order):
+    def _chi_weights(self, rhos, order):
         """chi_L(c_gamma) per constant factor, as real jets of ``order``."""
         out = []
         for c, _m in self.const_eigs:
             acc = None
-            for r, m in zip(rhos, mults):
+            for r, m in zip(rhos, self.qp.mults):
                 f = (c - r.truncate(order)) ** m
                 acc = f if acc is None else acc * f
             out.append(acc.real)
@@ -745,10 +754,10 @@ class KahlerChart:
             qpf, _, h, _, H = self._jacobian_parts(pts, order)
         else:
             qpf, _, _, H = self._explicit_parts(pts, order)
-            h = qpf.h
+            h = qpf.g
         return self._place_metric(
             order, H, h, self._alpha(pts, order),
-            self._chi_weights(qpf.rhos, qpf.mults, order))
+            self._chi_weights(qpf.rhos, order))
 
     def _jacobian_parts(self, pts, order):
         """What g is built from on the Jacobian route: the quotient pass
@@ -761,7 +770,7 @@ class KahlerChart:
         ell = self.ell
         qpf, rows = self.qp._parts(pts[:, self.u_sl], order + 1,
                                    ambient_dim=self.dim, offset=ell)
-        h = qpf.h.truncate(order)
+        h = qpf.g.truncate(order)
         P = jstack([[qpf.mus[a + 1].partial(ell + i) for i in range(ell)]
                     for a in range(ell)])
         H = jet_matmul(P, jet_matmul(jet_inv(h), jet_transpose(P)))
@@ -771,15 +780,14 @@ class KahlerChart:
         ell = self.ell
         qpf, rows, h, P, H = self._jacobian_parts(pts, order)
         qpf = self.qp._complete(qpf, rows)
-        L = qpf.L.truncate(order)
+        L = qpf.A.truncate(order)
         T = jet_transpose(jet_matmul(P, jet_matmul(L, jet_inv(P))))
         mus = [m.truncate(order) for m in qpf.mus]
         # omega(x_u, t_i) = d_u mu_i, exact at this order from the higher mu
         dmu_u = [[qpf.mus[i + 1].partial(ell + u) for u in range(self.udim)]
                  for i in range(ell)]
         rhos = [r.truncate(order) for r in qpf.rhos]
-        return self._assemble(pts, order, h, L, rhos, qpf.mults, mus, H, T,
-                              dmu_u)
+        return self._assemble(pts, order, h, L, rhos, mus, H, T, dmu_u)
 
     def _explicit_parts(self, pts, order):
         """What g is built from on the explicit route: the quotient fields,
@@ -845,9 +853,8 @@ class KahlerChart:
                     dmu_u[i][off + 1] = dmu_u[i][off + 1] + \
                         (ic + ic.conj()).real
         qpf = self.qp._complete(qpf, rows)
-        return self._assemble(pts, order, qpf.h, qpf.L, qpf.rhos,
-                              qpf.mults, qpf.mus, H, T, dmu_u,
-                              contrib=contrib)
+        return self._assemble(pts, order, qpf.g, qpf.A, qpf.rhos, qpf.mus,
+                              H, T, dmu_u, contrib=contrib)
 
     def _place_metric(self, order, H, h, alpha, chiw) -> Jet:
         """g = sum H_ij theta_i theta_j + h + g_c(chi_L(A_c) . , .) with
@@ -877,7 +884,7 @@ class KahlerChart:
             coeffs.append(c)
         return Jet(d, order, coeffs)
 
-    def _assemble(self, pts, order, h, L, rhos, mults, mus, H, T, dmu_u,
+    def _assemble(self, pts, order, h, L, rhos, mus, H, T, dmu_u,
                   contrib=None):
         """Chart fields from the route's parts.  ``contrib`` (explicit
         route) gives J from the coframe action; without it J = g^-1 omega,
@@ -885,7 +892,7 @@ class KahlerChart:
         n = pts.shape[0]
         d, ell, udim, ydim = self.dim, self.ell, self.udim, self.ydim
         alpha = self._alpha(pts, order)
-        chiw = self._chi_weights(rhos, mults, order)
+        chiw = self._chi_weights(rhos, order)
         ci = _const_coord_index(self.cb)
         g = self._place_metric(order, H, h, alpha, chiw)
 
@@ -1039,6 +1046,23 @@ class KahlerChart:
         if self.v_matrix is None:
             raise BuilderError("chart carries no fitted vector field")
         return mobility_field(pts, order, self.v_matrix, self.rho_idx)
+
+
+def _drho_vanishes(b) -> bool:
+    """Whether rho' of a Real1D or Complex2D block has a zero on its closed
+    window (a constant rho has one everywhere)."""
+    drho = [k * c for k, c in enumerate(b.rho)][1:]
+    if not np.any(drho):
+        return True
+    z = np.polynomial.polynomial.polyroots(drho)
+    if isinstance(b, Real1D):
+        lo, hi = b.window
+        # a double root of rho' may come back split off the axis
+        return bool(np.any((np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z)))
+                           & (z.real >= lo) & (z.real <= hi)))
+    (xl, xh), (yl, yh) = b.window
+    return bool(np.any((z.real >= xl) & (z.real <= xh)
+                       & (z.imag >= yl) & (z.imag <= yh)))
 
 
 def _const_coord_index(cb):

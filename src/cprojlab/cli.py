@@ -207,14 +207,14 @@ def _route_agreement(r):
 def _split_lie(r):
     # the split Lie equations on the block
     f, tol = r.f, r.tol("pde_split")
-    h, L = f.h.c[0], f.L.c[0]
+    h, L = f.g.c[0], f.A.c[0]
     trL = np.trace(L, axis1=-2, axis2=-1)
     rhs_L = L - np.einsum("nab,nbc->nac", L, L)
     hL = np.einsum("nac,ncb->nab", h, L)
     n2 = r.v["n2"]
     rhs_h = (n2 - 1.0) * hL - (trL + r.v["C"] + n2)[:, None, None] * h
-    rL = max_abs(lie_endo(f.L, f.v) - rhs_L) / (1.0 + max_abs(rhs_L))
-    rh = max_abs(lie_metric(f.h, f.v) - rhs_h) / (1.0 + max_abs(rhs_h))
+    rL = max_abs(lie_endo(f.A, f.v) - rhs_L) / (1.0 + max_abs(rhs_L))
+    rh = max_abs(lie_metric(f.g, f.v) - rhs_h) / (1.0 + max_abs(rhs_h))
     return [CheckEntry("split_lie_endo", "L_v L = L - L^2", rL, tol,
                        samples=len(r.pts)),
             CheckEntry("split_lie_metric",
@@ -229,7 +229,7 @@ def _blowup_spectrum(r):
     for s, p in enumerate(r.pts[:3]):
         val = (jordan2_fprime(r.sol, p[0], p[1]) if r.v["kind"] == "2x2"
                else jordan3_fprime(r.sol, p[1], p[2]))
-        eigs = np.linalg.eigvals(real_curvature_operator_matrix(r.f.h, s))
+        eigs = np.linalg.eigvals(real_curvature_operator_matrix(r.f, s))
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
                        "closed-form eigenvalue in spec(R)", max(dev),
@@ -326,7 +326,7 @@ KAHLER_STEPS = (
 )
 
 PROJ_STEP = Step("proj_compat",
-                 lambda r: proj_residual(r.f.h, r.f.L, tol=r.tol("proj")))
+                 lambda r: proj_residual(r.f, tol=r.tol("proj")))
 
 # the rows every scenario takes, then those of the ones that sample a
 # chart, then those of the Kahler charts
@@ -413,7 +413,7 @@ SCENARIOS = {
         PROJ_STEP,
         Step("split_lie_endo split_lie_metric", _split_lie),
         Step("real_ricci_identity", lambda r: real_ricci_identity_check(
-            r.f.h, r.f.L, tol=r.tol("ricci"))),
+            r.f, tol=r.tol("ricci"))),
         Step("blowup_formula_vs_spectrum", _blowup_spectrum),
         Step("blowup_exponent", _blowup_exponent)), {
         **SAMPLED,

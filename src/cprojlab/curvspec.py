@@ -14,6 +14,10 @@ spectra; it also carries the two-eigenvalue curvature scalar
 
 with its collision limit F'''(x) / 24, and the third-order equation
 ``nabla^3 alpha = B (2 (dalpha (x) g)(X,Y,Z) + sym)`` for alpha = tr L.
+
+A projective pair (h, L) comes as fields without J: the same code then
+uses the real wedge ``u ^ v = u^b (x) v - v^b (x) u``, La = (1/2) grad tr L
+and the identity ``[R(u, v), L] = [u ^ v, nabla La]``.
 """
 
 from __future__ import annotations
@@ -21,10 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import Jet, jet_trace
-from .geometry import (
-    christoffel, cov_deriv_vector, gradient, max_abs, metric_inverse,
-    riemann, third_cov_scalar,
-)
+from .geometry import cov_deriv_vector, max_abs, third_cov_scalar
 from .report import CheckEntry, ResidualReport
 
 __all__ = [
@@ -33,8 +34,8 @@ __all__ = [
     "ricci_identity_check", "fit_nabla_lambda_poly", "r0_operator",
     "predicted_eigenvalues", "compare_with_numeric", "lambda_two_eigen",
     "fppp_limit_check", "third_order_residual", "jordan_alpha_invariant",
-    "real_wedge", "real_nabla_lambda_endo", "real_ricci_identity_check",
-    "real_curvature_operator_matrix", "fit_real_poly",
+    "real_ricci_identity_check", "real_curvature_operator_matrix",
+    "fit_real_poly",
 ]
 
 
@@ -42,18 +43,34 @@ __all__ = [
 # wedges and the unitary algebra
 # ---------------------------------------------------------------------------
 
-def wedge_J(u, v, gv, Jv):
-    """u ^_J v at samples; u, v: (n, d), gv: (n, d, d), Jv: (n, d, d)."""
+def wedge_J(u, v, gv, Jv=None):
+    """u ^_J v at samples; u, v: (n, d), gv: (n, d, d), Jv: (n, d, d).
+
+    Without ``Jv`` this is the real wedge u ^ v = u^b (x) v - v^b (x) u.
+    """
     ub = np.einsum("nab,na->nb", gv, u)
     vb = np.einsum("nab,na->nb", gv, v)
+    # matrix M^a_b of u^b (x) v - v^b (x) u + (Ju)^b (x) Jv - (Jv)^b (x) Ju
+    out = np.einsum("na,nb->nab", v, ub) - np.einsum("na,nb->nab", u, vb)
+    if Jv is None:
+        return out
     Ju = np.einsum("nab,nb->na", Jv, u)
     Jv_ = np.einsum("nab,nb->na", Jv, v)
     Jub = np.einsum("nab,na->nb", gv, Ju)
     Jvb = np.einsum("nab,na->nb", gv, Jv_)
-    # matrix M^a_b of u^b (x) v - v^b (x) u + (Ju)^b (x) Jv - (Jv)^b (x) Ju
-    return (np.einsum("na,nb->nab", v, ub) - np.einsum("na,nb->nab", u, vb)
-            + np.einsum("na,nb->nab", Jv_, Jub)
+    return (out + np.einsum("na,nb->nab", Jv_, Jub)
             - np.einsum("na,nb->nab", Ju, Jvb))
+
+
+def _coordinate_wedges(gv, Jv=None):
+    """The wedges e_a ^_J e_b, a < b, of the coordinate vectors at the
+    samples of gv (n, d, d), each with its index pair."""
+    n, d = gv.shape[0], gv.shape[-1]
+    e = np.eye(d)
+    for a in range(d):
+        for b in range(a + 1, d):
+            yield (a, b), wedge_J(np.broadcast_to(e[a], (n, d)),
+                                  np.broadcast_to(e[b], (n, d)), gv, Jv)
 
 
 def skew_hermitian_residuals(X, gv, Jv):
@@ -73,13 +90,7 @@ def unitary_basis(gv, Jv, tol=1e-8):
     matrices and the wedge list used.
     """
     d = gv.shape[-1]
-    g1, J1 = gv[None], Jv[None]
-    wedges = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            u = np.zeros((1, d)); u[0, a] = 1.0
-            v = np.zeros((1, d)); v[0, b] = 1.0
-            wedges.append(((a, b), wedge_J(u, v, g1, J1)[0]))
+    wedges = [(ab, w[0]) for ab, w in _coordinate_wedges(gv[None], Jv[None])]
     mats = np.stack([w for _, w in wedges])
     flat = mats.reshape(len(wedges), -1)
     q, r = np.linalg.qr(flat.T)
@@ -119,38 +130,37 @@ def curvature_operator_matrix(flds, sample=0):
 # ---------------------------------------------------------------------------
 
 def nabla_lambda_endo(flds):
-    """(nabla La)^b_a values, La = (1/4) grad tr A; shape (n, b, a)."""
+    """(nabla La)^b_a values, shape (n, b, a), with La = ``flds.lam``:
+    (1/4) grad tr A with J, (1/2) grad tr L for a pair (h, L)."""
     lam = flds.lam
     nl = cov_deriv_vector(lam, flds.gamma.truncate(lam.order))  # (n, a, b)
     return np.swapaxes(nl, -1, -2)
 
 
-def ricci_identity_check(flds, tol=1e-6, samples=None) -> ResidualReport:
-    """[R(X), A] = 4 [X, nabla La] over the spanning wedge set."""
-    g, J, A = flds.g, flds.J, flds.A
-    n = g.c[0].shape[0]
-    Rc = flds.riemann
-    NL = nabla_lambda_endo(flds)
-    Av = A.c[0]
-    gv, Jv = g.c[0], J.c[0]
-    d = gv.shape[-1]
-    idx = range(n) if samples is None else samples
+def _ricci_defect(flds, k):
+    """Worst relative defect of k [R(u, v), A] = k [u ^_J v, nabla La] over
+    the coordinate wedges, which are real wedges when ``flds.J`` is None."""
+    Rc, NL = flds.riemann, nabla_lambda_endo(flds)
+    Av, gv = flds.A.c[0], flds.g.c[0]
+    Jv = None if flds.J is None else flds.J.c[0]
     worst = 0.0
-    for a in range(d):
-        for b in range(a + 1, d):
-            u = np.zeros((n, d)); u[:, a] = 1.0
-            v = np.zeros((n, d)); v[:, b] = 1.0
-            X = wedge_J(u, v, gv, Jv)
-            RX = 4.0 * Rc[:, :, :, a, b]
-            lhs = np.einsum("nab,nbc->nac", RX, Av) \
-                - np.einsum("nab,nbc->nac", Av, RX)
-            rhs = 4.0 * (np.einsum("nab,nbc->nac", X, NL)
-                         - np.einsum("nab,nbc->nac", NL, X))
-            worst = max(worst, max_abs(lhs - rhs)
-                        / (1.0 + max_abs(RX, Av, NL, X)))
+    for (a, b), X in _coordinate_wedges(gv, Jv):
+        RX = k * Rc[:, :, :, a, b]
+        lhs = np.einsum("nab,nbc->nac", RX, Av) \
+            - np.einsum("nab,nbc->nac", Av, RX)
+        rhs = k * (np.einsum("nab,nbc->nac", X, NL)
+                   - np.einsum("nab,nbc->nac", NL, X))
+        worst = max(worst, max_abs(lhs - rhs)
+                    / (1.0 + max_abs(RX, Av, NL, X)))
+    return worst
+
+
+def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
+    """[R(X), A] = 4 [X, nabla La] over the spanning wedge set."""
     rep = ResidualReport(title="ricci-identity")
     rep.add(CheckEntry("ricci_identity", "[R(X),A]=4[X,nablaLambda]",
-                       worst, tol, samples=n))
+                       _ricci_defect(flds, 4.0), tol,
+                       samples=flds.g.c[0].shape[0]))
     return rep
 
 
@@ -172,8 +182,13 @@ def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
     distinct = _cluster(eigs)
     cap = max_degree if max_degree is not None else \
         len(distinct) + (d - len(set(np.round(eigs, 8)))) // 1
-    cap = min(max(cap, 1), d)
-    powers = [np.eye(d)]
+    return _fit_powers(Av, NL, min(max(cap, 1), d), tol)
+
+
+def _fit_powers(Av, NL, cap, tol):
+    """Least-squares fit of NL by Id, Av, .., Av^deg, raising deg up to
+    ``cap`` until the relative residual is within ``tol``."""
+    powers = [np.eye(Av.shape[-1])]
     for _ in range(cap):
         powers.append(powers[-1] @ Av)
     target = NL.ravel()
@@ -182,7 +197,7 @@ def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
         coef, *_ = np.linalg.lstsq(M, target, rcond=None)
         resid = max_abs(M @ coef - target) / (1.0 + max_abs(NL))
         if resid <= tol:
-            return np.asarray(coef), resid
+            break
     return np.asarray(coef), resid
 
 
@@ -254,107 +269,37 @@ def compare_with_numeric(flds, sample=0, tol=1e-5, eig_pairs=None,
 
 
 # ---------------------------------------------------------------------------
-# real (projective) counterparts: wedges without J
+# real (projective) counterparts: fields without J, La = (1/2) grad tr L
 # ---------------------------------------------------------------------------
 
-def real_wedge(u, v, hv):
-    """u ^ v = u^b (x) v - v^b (x) u at samples, matrices M^a_b."""
-    ub = np.einsum("nab,na->nb", hv, u)
-    vb = np.einsum("nab,na->nb", hv, v)
-    return np.einsum("na,nb->nab", v, ub) - np.einsum("na,nb->nab", u, vb)
-
-
-def _sample(jet: Jet, sample) -> Jet:
-    """The jet at one sample, as a batch of one."""
-    return Jet(jet.dim, jet.order, [c[sample:sample + 1] for c in jet.c])
-
-
-def _inverse_and_gamma(h):
-    """h^-1 one order below h, and the Levi-Civita symbols of h."""
-    ginv = metric_inverse(h.truncate(max(h.order - 1, 0)))
-    return ginv, christoffel(h, ginv)
-
-
-def real_nabla_lambda_endo(h, L, ginv=None, gam=None):
-    """(nabla La)^b_a for the projective pair, La = (1/2) grad tr L.
-
-    ``ginv`` and ``gam`` are h^-1 and Gamma of h where the caller has
-    them; both are derived from h otherwise."""
-    if ginv is None or gam is None:
-        ginv, gam = _inverse_and_gamma(h)
-    lam = gradient(jet_trace(L), ginv) * 0.5
-    return np.swapaxes(cov_deriv_vector(lam, gam.truncate(lam.order)),
-                       -1, -2)
-
-
-def real_ricci_identity_check(h, L, tol=1e-6) -> ResidualReport:
+def real_ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
     """[R(u, v), L] = [u ^ v, nabla La] over coordinate pairs."""
-    n, d = h.c[0].shape[0], h.c[0].shape[-1]
-    ginv, gam = _inverse_and_gamma(h)
-    Rc = riemann(gam)
-    NL = real_nabla_lambda_endo(h, L, ginv, gam)
-    hv, Lv = h.c[0], L.c[0]
-    worst = 0.0
-    for a in range(d):
-        for b in range(a + 1, d):
-            u = np.zeros((n, d)); u[:, a] = 1.0
-            v = np.zeros((n, d)); v[:, b] = 1.0
-            X = real_wedge(u, v, hv)
-            RX = Rc[:, :, :, a, b]
-            lhs = np.einsum("nab,nbc->nac", RX, Lv) \
-                - np.einsum("nab,nbc->nac", Lv, RX)
-            rhs = np.einsum("nab,nbc->nac", X, NL) \
-                - np.einsum("nab,nbc->nac", NL, X)
-            worst = max(worst, max_abs(lhs - rhs)
-                        / (1.0 + max_abs(RX, Lv, NL, X)))
     rep = ResidualReport(title="real-ricci-identity")
     rep.add(CheckEntry("real_ricci_identity",
-                       "[R(u,v),L]=[u^v,nablaLambda]", worst, tol,
-                       samples=n))
+                       "[R(u,v),L]=[u^v,nablaLambda]",
+                       _ricci_defect(flds, 1.0), tol,
+                       samples=flds.g.c[0].shape[0]))
     return rep
 
 
-def real_curvature_operator_matrix(h, sample=0):
+def real_curvature_operator_matrix(flds, sample=0):
     """Matrix of the curvature operator on the real wedge span at one
     sample, normalized by [R(X), L] = [X, nabla La]."""
-    hv = h.c[0][sample]
-    d = hv.shape[-1]
-    Rc = riemann(christoffel(_sample(h, sample)))[0]
-    wedges, rws = [], []
-    for a in range(d):
-        for b in range(a + 1, d):
-            u = np.zeros((1, d)); u[0, a] = 1.0
-            v = np.zeros((1, d)); v[0, b] = 1.0
-            wedges.append(real_wedge(u, v, hv[None])[0])
-            rws.append(Rc[:, :, a, b])
-    W = np.stack([w.ravel() for w in wedges], axis=1)
-    rws = np.stack(rws)
-    k = len(wedges)
-    Rmat = np.zeros((k, k))
-    for j in range(k):
-        RX = rws[j]
-        coef, *_ = np.linalg.lstsq(W, RX.ravel(), rcond=None)
-        Rmat[:, j] = coef
+    Rc = flds.riemann[sample]
+    wedges = list(_coordinate_wedges(flds.g.c[0][sample][None]))
+    W = np.stack([w[0].ravel() for _, w in wedges], axis=1)
+    Rmat = np.zeros((len(wedges), len(wedges)))
+    for j, ((a, b), _) in enumerate(wedges):
+        Rmat[:, j] = np.linalg.lstsq(W, Rc[:, :, a, b].ravel(), rcond=None)[0]
     return Rmat
 
 
-def fit_real_poly(h, L, sample=0, tol=1e-8, max_degree=None):
+def fit_real_poly(flds, sample=0, tol=1e-8, max_degree=None):
     """Minimal-degree polynomial with nabla La = p(L) at one sample."""
-    Lv = L.c[0][sample]
-    NL = real_nabla_lambda_endo(_sample(h, sample), _sample(L, sample))[0]
+    Lv = flds.A.c[0][sample]
     d = Lv.shape[-1]
     cap = min(max_degree if max_degree is not None else d, d)
-    powers = [np.eye(d)]
-    for _ in range(cap):
-        powers.append(powers[-1] @ Lv)
-    target = NL.ravel()
-    for deg in range(cap + 1):
-        M = np.stack([p.ravel() for p in powers[: deg + 1]], axis=1)
-        coef, *_ = np.linalg.lstsq(M, target, rcond=None)
-        resid = max_abs(M @ coef - target) / (1.0 + max_abs(NL))
-        if resid <= tol:
-            return np.asarray(coef), resid
-    return np.asarray(coef), resid
+    return _fit_powers(Lv, nabla_lambda_endo(flds)[sample], cap, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -407,15 +352,14 @@ def fppp_limit_check(profile, x, delta=1e-2, tol=1e-3) -> ResidualReport:
 # third-order equation for alpha = tr L
 # ---------------------------------------------------------------------------
 
-def third_order_residual(h: Jet, L: Jet, B, tol=1e-5) -> ResidualReport:
+def third_order_residual(flds, B, tol=1e-5) -> ResidualReport:
     """nabla^3 alpha(X,Y,Z) = B (2 dalpha(X) g(Y,Z) + dalpha(Y) g(X,Z)
-    + dalpha(Z) g(X,Y)), alpha = tr L; needs order-3 jets of h and L."""
-    n = h.c[0].shape[0]
-    alpha = jet_trace(L)
-    gam = christoffel(h)
-    n3 = third_cov_scalar(alpha, gam)          # (n, x, a, b)
+    + dalpha(Z) g(X,Y)), alpha = tr A; needs order-3 jets of g and A."""
+    gv = flds.g.c[0]
+    n = gv.shape[0]
+    alpha = jet_trace(flds.A)
+    n3 = third_cov_scalar(alpha, flds.gamma)   # (n, x, a, b)
     da = alpha.c[1]
-    gv = h.c[0]
     rhs = B * (2.0 * np.einsum("nx,nab->nxab", da, gv)
                + np.einsum("na,nxb->nxab", da, gv)
                + np.einsum("nb,nxa->nxab", da, gv))

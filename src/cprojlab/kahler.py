@@ -8,9 +8,11 @@ measures the defining linear equation of a c-compatible endomorphism,
     La = (1/4) grad tr A,
 
 and ``proj_residual`` its projective counterpart with two terms and
-La = (1/2) grad tr L.  Partner metrics, the hamiltonian Killing check on
-the complex determinant, and the connection-difference identity between a
-metric and its partner complete the module.
+La = (1/2) grad tr L, on fields without J (a quotient pair's h and L as
+g and A).  Both read La and Gamma from the fields.  Partner metrics, the
+hamiltonian Killing check on the complex determinant, and the
+connection-difference identity between a metric and its partner complete
+the module.
 
 All checks sample a grid, normalize max-abs residuals by the input scale,
 and report per-check entries; eigenvalue-based checks exclude samples
@@ -25,7 +27,7 @@ from .jets import Jet, jet_det, jet_einsum, jet_inv, jet_matmul, \
     jet_trace, tensor_partial
 from .geometry import (
     christoffel, cov_deriv_endo, ext_deriv_two_form,
-    gradient, hessian_cov, lie_metric, max_abs, metric_inverse,
+    gradient, hessian_cov, lie_bracket, lie_metric, max_abs,
 )
 from .report import CheckEntry, ResidualReport
 from .builders import EIGEN_GAP, _gap_mask
@@ -76,51 +78,48 @@ def check_kahler(flds, tol=1e-6, anchor_prefix="") -> ResidualReport:
     return rep
 
 
+def _compat_defect(flds):
+    """nabla A minus the right side of the compatibility equation, with the
+    J terms when ``flds.J`` is set, and the residual's scale."""
+    g, A, lv = flds.g.c[0], flds.A.c[0], flds.lam.c[0]
+    lflat = np.einsum("ncb,nb->nc", g, lv)
+    rhs = (np.einsum("nac,nb->nabc", g, lv)
+           + np.einsum("nc,ab->nabc", lflat, np.eye(g.shape[-1])))
+    if flds.J is not None:
+        Jv = flds.J.c[0]
+        Jlam = np.einsum("nab,nb->na", Jv, lv)
+        Jlflat = np.einsum("ncb,nb->nc", g, Jlam)
+        rhs = (rhs + np.einsum("ndc,nda,nb->nabc", g, Jv, Jlam)
+               + np.einsum("nc,nba->nabc", Jlflat, Jv))
+    return (cov_deriv_endo(flds.A, flds.gamma) - rhs,
+            1.0 + max_abs(A, g, lv))
+
+
 def cproj_residual(flds, tol=1e-6) -> ResidualReport:
     """Defect of the c-compatibility equation over all basis directions."""
-    g, J, A = flds.g, flds.J, flds.A
-    n, d = g.c[0].shape[0], g.c[0].shape[-1]
-    nA = cov_deriv_endo(A, flds.gamma)     # (n, a, b, c)
-    lv = flds.lam.c[0]
-    gv, Jv, Av = g.c[0], J.c[0], A.c[0]
-    lflat = np.einsum("ncb,nb->nc", gv, lv)
-    Jlam = np.einsum("nab,nb->na", Jv, lv)
-    Jlflat = np.einsum("ncb,nb->nc", gv, Jlam)
-    rhs = (np.einsum("nac,nb->nabc", gv, lv)
-           + np.einsum("nc,ab->nabc", lflat, np.eye(d))
-           + np.einsum("ndc,nda,nb->nabc", gv, Jv, Jlam)
-           + np.einsum("nc,nba->nabc", Jlflat, Jv))
-    resid = nA - rhs
-    scale = 1.0 + max_abs(Av, gv, lv)
+    resid, scale = _compat_defect(flds)
     rep = ResidualReport(title="cproj")
     rep.add(CheckEntry("cproj_compat", "nabla_A=4-term(Lambda)",
-                       max_abs(resid) / scale, tol, samples=n))
+                       max_abs(resid) / scale, tol,
+                       samples=flds.g.c[0].shape[0]))
     return rep
 
 
-def proj_residual(h: Jet, L: Jet, tol=1e-6, selfadj_tol=1e-8
-                  ) -> ResidualReport:
-    """Defect of the projective compatibility equation for (h, L)."""
-    n, d = h.c[0].shape[0], h.c[0].shape[-1]
-    hL = np.einsum("nac,ncb->nab", h.c[0], L.c[0])
-    sa = max_abs(hL - np.swapaxes(hL, -1, -2)) / (1.0 + max_abs(hL))
+def proj_residual(flds, tol=1e-6, selfadj_tol=1e-8) -> ResidualReport:
+    """Defect of the projective compatibility equation for (h, L), the g
+    and A of fields without J."""
+    hL = np.einsum("nac,ncb->nab", flds.g.c[0], flds.A.c[0])
+    skew = np.abs(hL - np.swapaxes(hL, -1, -2))
+    sa = max_abs(skew) / (1.0 + max_abs(hL))
     if sa > selfadj_tol:
-        worst = int(np.argmax(np.max(
-            np.abs(hL - np.swapaxes(hL, -1, -2)), axis=(-1, -2))))
+        worst = int(np.argmax(np.max(skew, axis=(-1, -2))))
         raise KahlerError(
             f"L is not h-selfadjoint: residual {sa:.3e} worst at sample "
             f"{worst}")
-    hinv = metric_inverse(h.truncate(max(h.order - 1, 0)))
-    nL = cov_deriv_endo(L, christoffel(h, hinv))
-    lam = gradient(jet_trace(L), hinv) * 0.5
-    lv = lam.c[0]
-    lflat = np.einsum("ncb,nb->nc", h.c[0], lv)
-    rhs = (np.einsum("nac,nb->nabc", h.c[0], lv)
-           + np.einsum("nc,ab->nabc", lflat, np.eye(d)))
-    scale = 1.0 + max_abs(L.c[0], h.c[0], lv)
+    resid, scale = _compat_defect(flds)
     rep = ResidualReport(title="proj")
     rep.add(CheckEntry("proj_compat", "nabla_L=2-term(Lambda)",
-                       max_abs(nL - rhs) / scale, tol, samples=n))
+                       max_abs(resid) / scale, tol, samples=hL.shape[0]))
     return rep
 
 
@@ -342,14 +341,11 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
 # quotient-pair duality identities
 # ---------------------------------------------------------------------------
 
-def commuting_gradients_residual(qpf, tol=1e-7) -> ResidualReport:
+def commuting_gradients_residual(flds, tol=1e-7) -> ResidualReport:
     """[grad mu_i, grad mu_j] = 0 for the symmetric functions of the
     eigenvalues of a compatible pair (order >= 2 jets required)."""
-    from .geometry import lie_bracket
-    h = qpf.h
-    ginv = metric_inverse(h)
-    grads = [gradient(mu, ginv) for mu in qpf.mus[1:]]
-    n = h.c[0].shape[0]
+    grads = [gradient(mu, flds.ginv) for mu in flds.mus[1:]]
+    n = flds.g.c[0].shape[0]
     worst = 0.0
     for i, u in enumerate(grads):
         for v in grads[i + 1:]:
@@ -362,13 +358,13 @@ def commuting_gradients_residual(qpf, tol=1e-7) -> ResidualReport:
     return rep
 
 
-def mu_hat_duality_residual(qpf, tol=1e-7) -> ResidualReport:
+def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
     """(1/det L)(d mu_i o L^{-1}) = -d muhat_{ell+1-i}, where muhat_k is
     the k-th symmetric function of the reciprocal eigenvalues,
-    muhat_k = mu_{ell-k} / mu_ell."""
-    h, L = qpf.h, qpf.L
-    n = h.c[0].shape[0]
-    ell = len(qpf.mus) - 1
+    muhat_k = mu_{ell-k} / mu_ell, for L = ``flds.A``."""
+    L = flds.A
+    n = L.c[0].shape[0]
+    ell = len(flds.mus) - 1
     detL = jet_det(L)
     if np.any(np.abs(detL.c[0]) < 1e-12):
         raise KahlerError("det L vanishes at a sample")
@@ -376,10 +372,10 @@ def mu_hat_duality_residual(qpf, tol=1e-7) -> ResidualReport:
     worst = 0.0
     inv_det = 1.0 / detL
     for i in range(1, ell + 1):
-        dmu = tensor_partial(qpf.mus[i])            # (n, a)
+        dmu = tensor_partial(flds.mus[i])           # (n, a)
         lhs = jet_einsum("na,nab->nb", dmu, Linv.truncate(dmu.order))
         lhs = jet_einsum("nb,n->nb", lhs, inv_det.truncate(dmu.order))
-        muhat = qpf.mus[i - 1] / detL               # muhat_{ell+1-i}
+        muhat = flds.mus[i - 1] / detL              # muhat_{ell+1-i}
         rhs = tensor_partial(muhat)
         worst = max(worst, max_abs(lhs.c[0] + rhs.c[0])
                     / (1.0 + max_abs(lhs.c[0], rhs.c[0])))

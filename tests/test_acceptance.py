@@ -228,9 +228,9 @@ def test_criterion_06_curvature_spectra(mob_l2):
     pts = qp.window.random(3, np.random.default_rng(2))
     fj = qp.eval(pts, order=2)
     for s in range(3):
-        coefj, _ = fit_real_poly(fj.h, fj.L, sample=s)
+        coefj, _ = fit_real_poly(fj, sample=s)
         dpj = np.polynomial.Polynomial(coefj).deriv()(pts[s, 1])
-        eigs = np.linalg.eigvals(real_curvature_operator_matrix(fj.h, s))
+        eigs = np.linalg.eigvals(real_curvature_operator_matrix(fj, s))
         worst_iv = max(worst_iv, float(np.min(np.abs(eigs - dpj)))
                        / (1.0 + abs(dpj)))
     ok = (worst_i <= 1e-5 and worst_ii <= 1e-8 and worst_iii <= 1e-3
@@ -328,14 +328,14 @@ def test_criterion_10_block_ode_solutions(jordan2_sol, jordan3_sol):
         pts = GridSpec(per_axis=4, n_random=64, seed=0).points(qp.window)
         f = qp.eval(pts, order=1)
         n2, C = sol.n2, sol.C
-        trL = np.trace(f.L.c[0], axis1=-2, axis2=-1)
-        rhs_L = f.L.c[0] - np.einsum("nab,nbc->nac", f.L.c[0], f.L.c[0])
-        hL = np.einsum("nac,ncb->nab", f.h.c[0], f.L.c[0])
-        rhs_h = (n2 - 1.0) * hL - (trL + C + n2)[:, None, None] * f.h.c[0]
+        trL = np.trace(f.A.c[0], axis1=-2, axis2=-1)
+        rhs_L = f.A.c[0] - np.einsum("nab,nbc->nac", f.A.c[0], f.A.c[0])
+        hL = np.einsum("nac,ncb->nab", f.g.c[0], f.A.c[0])
+        rhs_h = (n2 - 1.0) * hL - (trL + C + n2)[:, None, None] * f.g.c[0]
         worst_split = max(
             worst_split,
-            max_abs(lie_endo(f.L, f.v) - rhs_L) / (1 + max_abs(rhs_L)),
-            max_abs(lie_metric(f.h, f.v) - rhs_h) / (1 + max_abs(rhs_h)))
+            max_abs(lie_endo(f.A, f.v) - rhs_L) / (1 + max_abs(rhs_L)),
+            max_abs(lie_metric(f.g, f.v) - rhs_h) / (1 + max_abs(rhs_h)))
     # the scalar analogue against its closed form
     n2, C = 2, -0.7
     sol1 = solve_jordan_odes("1x1", n2, C, (0.4,), (0.2, 0.8))

@@ -26,16 +26,16 @@ def test_dini_quotient_pair_form(qp_dini):
     f = qp_dini.eval(pts, order=1)
     rho1, rho2 = pts[:, 0], 2.0 + pts[:, 1]
     # h = diag((rho1-rho2), (rho2-rho1)) up to the eps ordering sign
-    assert np.allclose(f.h.c[0][:, 0, 0], rho1 - rho2)
-    assert np.allclose(f.h.c[0][:, 1, 1], rho2 - rho1)
-    assert np.allclose(f.L.c[0][:, 0, 0], rho1)
-    assert np.allclose(f.L.c[0][:, 1, 1], rho2)
-    assert proj_residual(f.h, f.L).entries[0].value <= 1e-8
+    assert np.allclose(f.g.c[0][:, 0, 0], rho1 - rho2)
+    assert np.allclose(f.g.c[0][:, 1, 1], rho2 - rho1)
+    assert np.allclose(f.A.c[0][:, 0, 0], rho1)
+    assert np.allclose(f.A.c[0][:, 1, 1], rho2)
+    assert proj_residual(f).entries[0].value <= 1e-8
 
 
 def test_one_variable_pair(qp_ell1):
     f = qp_ell1.eval(sample(qp_ell1, 10), order=2)
-    assert proj_residual(f.h, f.L).entries[0].value <= 1e-12
+    assert proj_residual(f).entries[0].value <= 1e-12
 
 
 def test_eigenvalue_collision_rejected():
@@ -222,7 +222,7 @@ def test_mobility_v_closed_form_jet(build):
 def test_mobility_projective_variant():
     ch = build_mobility2_projective(-0.5, m0=1, m1=0)
     fl = ch.eval(sample(ch, 20), order=2)
-    assert proj_residual(fl.g, fl.A).entries[0].value <= 1e-10
+    assert proj_residual(fl).entries[0].value <= 1e-10
 
 
 def test_jordan_ode_residuals(jordan2_sol, jordan3_sol):
@@ -249,7 +249,7 @@ def test_jordan_interval_validation():
 def test_jordan_pairs_compatible(qp_jordan2, qp_jordan3):
     for qp in (qp_jordan2, qp_jordan3):
         f = qp.eval(sample(qp, 25), order=2)
-        assert proj_residual(f.h, f.L).entries[0].value <= 1e-7
+        assert proj_residual(f).entries[0].value <= 1e-7
 
 
 def test_jordan_split_lie_equations(qp_jordan2, qp_jordan3, jordan2_sol,
@@ -260,14 +260,14 @@ def test_jordan_split_lie_equations(qp_jordan2, qp_jordan3, jordan2_sol,
         pure = build_quotient_pair(spec)
         f = pure.eval(sample(pure, 25), order=1)
         n2, C = sol.n2, sol.C
-        trL = np.trace(f.L.c[0], axis1=-2, axis2=-1)
-        rhs_L = f.L.c[0] - np.einsum("nab,nbc->nac", f.L.c[0], f.L.c[0])
-        hL = np.einsum("nac,ncb->nab", f.h.c[0], f.L.c[0])
+        trL = np.trace(f.A.c[0], axis1=-2, axis2=-1)
+        rhs_L = f.A.c[0] - np.einsum("nab,nbc->nac", f.A.c[0], f.A.c[0])
+        hL = np.einsum("nac,ncb->nab", f.g.c[0], f.A.c[0])
         rhs_h = (n2 - 1.0) * hL \
-            - (trL + C + n2)[:, None, None] * f.h.c[0]
-        assert max_abs(lie_endo(f.L, f.v) - rhs_L) \
+            - (trL + C + n2)[:, None, None] * f.g.c[0]
+        assert max_abs(lie_endo(f.A, f.v) - rhs_L) \
             / (1 + max_abs(rhs_L)) <= 1e-7
-        assert max_abs(lie_metric(f.h, f.v) - rhs_h) \
+        assert max_abs(lie_metric(f.g, f.v) - rhs_h) \
             / (1 + max_abs(rhs_h)) <= 1e-7
 
 
@@ -346,6 +346,10 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     assert fl3.gamma is gam and fl3.ginv is ginv
     assert fl3.lam is not lam
     np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])
+    # without J, La takes the projective weight 1/2
+    fl4 = fl.replace(J=None)
+    assert fl4.gamma is gam and fl4.lam is not lam
+    np.testing.assert_array_equal(fl4.lam.c[0], 2.0 * lam.c[0])
 
 
 _METRIC_CBS = {"plain": (), "cb": (ConstantBlock(0.0, 2),

@@ -116,13 +116,25 @@ def test_grid_and_seed_flags():
     assert "provenance.seed=5" in out
 
 
-@pytest.mark.parametrize("old,new", [
-    ("window = 0.2 0.8", "window = 0.8 0.2"),   # invalid box bounds
-    ("rho = 2.0 1.0", "rho = 0.0 1.0"),         # coinciding rho blocks
-    ("eps = 1", "eps = 0"),                     # degenerate block metric
-], ids=["reversed-window", "coinciding-rho", "zero-eps"])
-def test_unbuildable_instance_exits_2(tmp_path, old, new):
-    text = (CONFIGS / "dini-pair.cfg").read_text()
+@pytest.mark.parametrize("name,old,new", [
+    ("dini-pair", "window = 0.2 0.8", "window = 0.8 0.2"),  # invalid box
+    ("dini-pair", "rho = 2.0 1.0", "rho = 0.0 1.0"),  # coinciding rho blocks
+    ("dini-pair", "eps = 1", "eps = 0"),        # degenerate block metric
+    # a lift needs rho' != 0 on each block's window
+    ("dini-lift", "rho = 0.0 1.0", "rho = 0"),
+    ("dini-lift", "rho = 2.0 1.0", "rho = 2.0"),
+    ("seeded-defect", "rho = 0.0 1.0", "rho = 1.0 0.0"),
+    ("dini-lift", "rho = 0.0 1.0", "rho = 0.0 -1.0 1.0"),  # rho'(0.5) = 0
+    ("complex-pair", "rho_re = 0.0 1.0\nrho_im = 0.0 0.0",
+     "rho_re = 1.0 0.0\nrho_im = 1.0 0.0"),
+    # two constant blocks with one eigenvalue
+    ("mobility2", "c = 1.0", "c = 0.0"),
+], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
+        "constant-rho", "constant-rho-defect", "critical-rho",
+        "constant-complex-rho", "equal-constant-blocks"])
+def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert old in text
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(text.replace(old, new, 1))
     code, out, err = run_cli("run", str(cfg))
@@ -325,12 +337,15 @@ def test_appendix_samples_with_the_seed_flag(capsys):
 
 
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
-    # a constant block at c = 0 puts a zero eigenvalue in A, so the
-    # sequence also runs its spectrum-shifted copy of the fields
-    cfg = parse_config_text(
+    # a constant block at c = 0 puts a zero eigenvalue in A, so the lift
+    # also runs its spectrum-shifted copy of the fields; the projective
+    # steps of the two pair scenarios read the same derived layer on h
+    cfgs = [parse_config_text(
         "scenario = lift\nroute = explicit\ngrid = 2\nrandom = 8\n"
         "[block]\nkind = real1d\neps = 1\nrho = 0.1 0.5 0.2\n"
-        "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")
+        "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")]
+    cfgs += [parse_config(CONFIGS / f"{n}.cfg")
+             for n in ("jordan2", "dini-pair")]
     args = argparse.Namespace(grid=None, seed=0, tol_scale=1.0)
     seen = {"christoffel": [], "metric_inverse": []}
     for fname, calls in seen.items():
@@ -344,11 +359,17 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
             if (getattr(mod, "__name__", "").startswith("cprojlab")
                     and getattr(mod, fname, None) is orig):
                 monkeypatch.setattr(mod, fname, counted)
-    rep, run = run_scenario(cli.validate(cfg, args), 1.0)
-    assert rep.overall_pass and len(rep.entries) > 9
-    assert any(e.note.startswith("shift=") for e in rep.entries)
-    for fname, calls in seen.items():
-        assert sum(a is run.fl.g.c[0] for a in calls) == 1, fname
+    for cfg in cfgs:
+        for calls in seen.values():
+            calls.clear()
+        rep, run = run_scenario(cli.validate(cfg, args), 1.0)
+        assert rep.overall_pass
+        for fname, calls in seen.items():
+            assert sum(a is run.f.g.c[0] for a in calls) == 1, \
+                (cfg.options["scenario"], fname)
+        if cfg is cfgs[0]:
+            assert len(rep.entries) > 9 and run.fl is run.f
+            assert any(e.note.startswith("shift=") for e in rep.entries)
 
 
 def test_only_skips_unselected_work(monkeypatch, capsys):

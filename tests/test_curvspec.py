@@ -1,7 +1,7 @@
 import numpy as np
 
 from cprojlab.builders import (
-    ConstantBlock, PowerProfile, build_mobility2,
+    ChartFields, ConstantBlock, PowerProfile, build_mobility2,
     build_mobility2_projective,
 )
 from cprojlab.curvspec import (
@@ -163,9 +163,9 @@ def test_lambda_is_leaf_scalar_curvature(mob_l2):
     prof = qp.blocks[0].F
     pts = sample(qp, 12)
     f = qp.eval(pts, order=2)
-    gam = christoffel(f.h)
+    gam = christoffel(f.g)
     R = riemann(gam)
-    gv = f.h.c[0]
+    gv = f.g.c[0]
     Rlow = np.einsum("nde,necab->ndcab", gv, R)
     K = Rlow[:, 0, 1, 0, 1] / (gv[:, 0, 0] * gv[:, 1, 1]
                                - gv[:, 0, 1] ** 2)
@@ -266,7 +266,7 @@ def test_third_order_equation():
     B = 0.45
     ch = build_mobility2_projective(-1.0, m0=1, m1=1, B=B)
     fl = ch.eval(sample(ch, 20), order=3)
-    rep = third_order_residual(fl.g, fl.A, B)
+    rep = third_order_residual(fl, B)
     assert rep.entries[0].value <= 1e-9
     # parallel L: alpha constant, both sides vanish for any B
     n, d = 8, 2
@@ -274,21 +274,23 @@ def test_third_order_equation():
     zero = Jet.const(np.zeros(n), d, 3)
     g = jstack([[one, zero], [zero, one]])
     L = jstack([[2 * one, zero], [zero, 3 * one]])
-    assert third_order_residual(g, L, 0.77).entries[0].value == 0.0
+    pair = ChartFields(g=g, omega=None, J=None, A=L, rhos=[], mus=[])
+    assert third_order_residual(pair, 0.77).entries[0].value == 0.0
     # random L fails
     rng = np.random.default_rng(1)
     pts = rng.uniform(0.2, 0.8, (n, d))
     x = Jet.seed(0, pts[:, 0], d, 3)
     y = Jet.seed(1, pts[:, 1], d, 3)
     L2 = jstack([[x * y, zero], [zero, x + y]])
-    assert third_order_residual(g, L2, 0.77).entries[0].value > 1e-2
+    assert third_order_residual(pair.replace(A=L2), 0.77).entries[0].value \
+        > 1e-2
 
 
 def test_real_ricci_identity_on_pairs(qp_dini, qp_jordan2, qp_jordan3):
     from cprojlab.curvspec import real_ricci_identity_check
     for qp in (qp_dini, qp_jordan2, qp_jordan3):
         f = qp.eval(sample(qp, 15), order=2)
-        rep = real_ricci_identity_check(f.h, f.L)
+        rep = real_ricci_identity_check(f)
         assert rep.entries[0].value <= 1e-8
 
 
@@ -306,7 +308,7 @@ def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,
     prof = qp_jordan2.blocks[1].F
     for s in range(3):
         x, rho1, rho2 = pts2[s]
-        coef, res = fit_real_poly(f2.h, f2.L, sample=s)
+        coef, res = fit_real_poly(f2, sample=s)
         assert res <= 1e-9
         dp = np.polynomial.Polynomial(coef).deriv()(rho1)
         formula = jordan2_fprime(jordan2_sol, x, rho1,
@@ -314,19 +316,19 @@ def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,
                                  extra_profiles=(prof,))
         assert abs(dp - formula) <= 1e-9 * (1 + abs(formula))
         # numerical eigenvalues at a defective point split like eps^(1/k)
-        spec = np.linalg.eigvals(real_curvature_operator_matrix(f2.h, s))
+        spec = np.linalg.eigvals(real_curvature_operator_matrix(f2, s))
         assert np.min(np.abs(spec - formula)) <= 1e-5 * (1 + abs(formula))
 
     pts3 = sample(qp_jordan3, 4)
     f3 = qp_jordan3.eval(pts3, order=2)
     for s in range(3):
         x1, x2, rho1 = pts3[s]
-        coef, res = fit_real_poly(f3.h, f3.L, sample=s)
+        coef, res = fit_real_poly(f3, sample=s)
         assert res <= 1e-9
         dp = np.polynomial.Polynomial(coef).deriv()(rho1)
         formula = jordan3_fprime(jordan3_sol, x2, rho1)
         assert abs(dp - formula) <= 1e-9 * (1 + abs(formula))
-        spec = np.linalg.eigvals(real_curvature_operator_matrix(f3.h, s))
+        spec = np.linalg.eigvals(real_curvature_operator_matrix(f3, s))
         assert np.min(np.abs(spec - formula)) <= 1e-5 * (1 + abs(formula))
 
 
@@ -356,24 +358,25 @@ def test_jordan_alpha_invariant(jordan2_sol, jordan3_sol):
 
 def test_real_curvature_derives_gamma_once_per_batch(qp_jordan2,
                                                       monkeypatch):
-    from cprojlab import curvspec
-    f = qp_jordan2.eval(sample(qp_jordan2, 12), order=2)
-    full_nl = curvspec.real_nabla_lambda_endo(f.h, f.L)
+    # the projective checks read one Gamma of the whole batch, and a
+    # one-sample reader equals the same reader on that sample alone
+    from cprojlab import builders, curvspec
+    pts = sample(qp_jordan2, 12)
+    f = qp_jordan2.eval(pts, order=2)
+    one = qp_jordan2.eval(pts[3:4], order=2)
     batches = []
-    orig = curvspec.christoffel
+    orig = builders.christoffel
 
     def counted(h, *a, **kw):
         batches.append(h.c[0].shape[0])
         return orig(h, *a, **kw)
 
-    monkeypatch.setattr(curvspec, "christoffel", counted)
-    curvspec.real_ricci_identity_check(f.h, f.L)
+    monkeypatch.setattr(builders, "christoffel", counted)
+    curvspec.real_ricci_identity_check(f)
+    coef, _ = curvspec.fit_real_poly(f, sample=3)
+    R = curvspec.real_curvature_operator_matrix(f, 3)
     assert batches == [12]
-    # the one-sample readers work on that sample alone
-    batches.clear()
-    curvspec.fit_real_poly(f.h, f.L, sample=3)
-    curvspec.real_curvature_operator_matrix(f.h, 3)
-    assert batches == [1, 1]
-    one = curvspec.real_nabla_lambda_endo(curvspec._sample(f.h, 3),
-                                          curvspec._sample(f.L, 3))
-    assert max_abs(one[0] - full_nl[3]) <= 1e-13 * (1.0 + max_abs(full_nl))
+    coef1, _ = curvspec.fit_real_poly(one)
+    R1 = curvspec.real_curvature_operator_matrix(one)
+    assert max_abs(coef - coef1) <= 1e-13 * (1.0 + max_abs(coef))
+    assert max_abs(R - R1) <= 1e-13 * (1.0 + max_abs(R))

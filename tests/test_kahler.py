@@ -17,6 +17,11 @@ from cprojlab.builders import ChartFields, lift_pair
 from conftest import sample
 
 
+def pair_fields(h, L):
+    """A projective pair (h, L) as fields without J."""
+    return ChartFields(g=h, omega=None, J=None, A=L, rhos=[], mus=[])
+
+
 def flat_complex_chart(n=12, dim=4, order=2, seed=3):
     """Flat chart with the standard complex structure."""
     rng = np.random.default_rng(seed)
@@ -86,14 +91,14 @@ def test_seeded_omega_defect_is_flagged(qp_dini):
 
 def test_proj_residual_dini_and_identity(qp_dini):
     f = qp_dini.eval(sample(qp_dini, 40), order=2)
-    assert proj_residual(f.h, f.L).entries[0].value <= 1e-8
+    assert proj_residual(f).entries[0].value <= 1e-8
     # L = Id on a flat pair
     n = 10
     o = Jet.const(np.ones(n), 2, 2)
     z = Jet.const(np.zeros(n), 2, 2)
     h = jstack([[o, z], [z, o]])
     L = jstack([[o, z], [z, o]])
-    assert proj_residual(h, L).entries[0].value == 0.0
+    assert proj_residual(pair_fields(h, L)).entries[0].value == 0.0
 
 
 def test_proj_residual_rejects_nonselfadjoint():
@@ -103,7 +108,7 @@ def test_proj_residual_rejects_nonselfadjoint():
     h = jstack([[o, z], [z, o]])
     L = jstack([[o, o], [z, o * 2.0]])   # not symmetric
     with pytest.raises(KahlerError, match="selfadjoint"):
-        proj_residual(h, L)
+        proj_residual(pair_fields(h, L))
 
 
 def test_partner_metric_scalar_cases():
