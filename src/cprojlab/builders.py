@@ -51,6 +51,7 @@ from .geometry import (
     Box, christoffel, gradient, lie_endo, lie_metric, metric_inverse,
     riemann,
 )
+from .ode import OdeError, integrate
 
 __all__ = [
     "Real1D", "Complex2D", "RealRho", "Jordan2", "Jordan3",
@@ -1304,32 +1305,31 @@ class JordanOdeSolution:
         y0 = np.atleast_1d(np.asarray(init, dtype=float))
         if y0.size != self.NSTATE[kind]:
             raise BuilderError("initial state size does not match the kind")
-        from scipy.integrate import solve_ivp
-
         mid = 0.5 * (lo + hi)
-        sols = []
-        for b in (lo, hi):
-            s = solve_ivp(self._rhs, (mid, b), y0, method="DOP853",
-                          rtol=rtol, atol=atol, dense_output=True)
-            if not s.success:
-                raise BuilderError(f"ODE solve failed: {s.message}")
-            sols.append(s.sol)
-        self._left, self._right = sols
+        try:
+            self._left, self._right = [
+                integrate(self._rhs, (mid, b), y0, rtol, atol)[0]
+                for b in (lo, hi)]
+        except OdeError as exc:
+            raise BuilderError(f"ODE solve failed: {exc}") from None
         self._mid = mid
 
     def _matrix_values(self, t):
+        """The system matrix at ``t``: shape (n, n) + shape(t)."""
+        t = np.asarray(t, dtype=float)
         w = t * (1.0 - t)
         n2, C = self.n2, self.C
+        z = np.zeros_like(t)
         if self.kind == "1x1":
             return np.array([[((n2 + C + 2.0) - (n2 + 2.0) * t) / w]])
         if self.kind == "2x2":
             return np.array([
                 [0.5 * ((n2 - 1.0) * t - 1.0 - C - n2) / w, -1.0 / w],
-                [0.5 * (n2 - 1.0), 0.0]])
+                [z + 0.5 * (n2 - 1.0), z]])
         return np.array([
-            [-0.5 * (C + n2 + (4.0 - n2) * t) / w, -2.0 / w, 0.0],
-            [0.5 * (n2 - 2.0), 0.0, -1.0],
-            [0.0, 0.0, 0.0]])
+            [-0.5 * (C + n2 + (4.0 - n2) * t) / w, -2.0 / w, z],
+            [z + 0.5 * (n2 - 2.0), z, z - 1.0],
+            [z, z, z]])
 
     def _matrix_jets(self, rho: Jet):
         w = rho * (1.0 - rho)
@@ -1411,20 +1411,16 @@ class JordanOdeSolution:
         x, wq = np.polynomial.legendre.leggauss(n_gauss)
         scale = 1.0 + float(np.max(np.abs(self.values(
             np.linspace(lo, hi, 64)))))
-        worst = 0.0
-        for a, b in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            nodes = mid + half * x
-            vals = self.values(nodes)
-            rhs = np.stack([self._rhs(t, vals[:, i])
-                            for i, t in enumerate(nodes)], axis=1)
-            integral = half * (rhs * wq).sum(axis=1)
-            jump = (self.values(np.array([b]))[:, 0]
-                    - self.values(np.array([a]))[:, 0])
-            worst = max(worst,
-                        float(np.max(np.abs(jump - integral))) / (b - a)
-                        / scale)
-        return worst
+        a, b = edges[:-1], edges[1:]
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nodes = mid[:, None] + half[:, None] * x                # (I, G)
+        vals = self.values(nodes.ravel()).reshape((-1,) + nodes.shape)
+        rhs = np.einsum("abig,big->aig", self._matrix_values(nodes), vals)
+        integral = half * (rhs * wq).sum(axis=-1)               # (n, I)
+        at = self.values(edges)
+        jump = at[:, 1:] - at[:, :-1]
+        return float(np.max(np.max(np.abs(jump - integral), axis=0)
+                            / (b - a))) / scale
 
     def g1_constancy(self, n_check=400) -> float:
         if self.kind != "3x3":

@@ -39,9 +39,9 @@ from .curvspec import (
     compare_with_numeric, fppp_limit_check, real_curvature_operator_matrix,
     real_ricci_identity_check, ricci_identity_check)
 from .flows import (
-    blowup_scan, circle_fit, eigenvalue_flow, fixed_points, jordan2_fprime,
-    jordan3_fprime, lie_residual_suite, logistic, tail_exponent,
-    transport_check, volume_coefficient)
+    FlowError, blowup_scan, circle_fit, eigenvalue_flow, fixed_points,
+    jordan2_fprime, jordan3_fprime, lie_residual_suite, logistic,
+    tail_exponent, transport_check, volume_coefficient)
 from .vandermonde import collision_limit, det_quotient, sum_over_delta
 
 DEFAULT_TOLS = {
@@ -528,7 +528,7 @@ def main(argv=None) -> int:
             return 0
         t0 = time.monotonic()
         rep, run = run_scenario(v, args.tol_scale, only)
-    except (ConfigError, OSError, BuilderError, GeometryError,
+    except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
             JetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

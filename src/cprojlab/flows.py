@@ -26,6 +26,7 @@ import numpy as np
 
 from .builders import ProjectiveMobilityChart
 from .geometry import christoffel, lie_endo, lie_metric, max_abs
+from .ode import OdeError, integrate
 from .report import CheckEntry, ResidualReport
 from .curvspec import lambda_two_eigen
 
@@ -53,9 +54,14 @@ class Trajectory:
     exit_time: float | None = None
 
 
-def _solver_tols(tol):
+def _solve(rhs, T, y0, tol, event=None):
+    """Dense solution over (0, T) at internal tolerance tol^2, and the
+    time the terminal ``event`` fired (None if it did not)."""
     it = max(tol * tol, _INTERNAL_FLOOR)
-    return it, it
+    try:
+        return integrate(rhs, (0.0, T), y0, it, it, event)
+    except OdeError as exc:
+        raise FlowError(f"integration failed: {exc}") from None
 
 
 def _connection(chart, pts, need_J):
@@ -77,8 +83,6 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     None for a plain geodesic).  With ``beta`` None only the metric is
     evaluated, both on the solver steps and for the output accelerations.
     """
-    from scipy.integrate import solve_ivp
-
     d = chart.dim
     x0 = np.asarray(x0, dtype=float)
     v0 = np.asarray(v0, dtype=float)
@@ -101,18 +105,9 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
                                chart.window.hi - x))
         return lo
 
-    exit_event.terminal = True
-    exit_event.direction = -1.0
-
-    rtol, atol = _solver_tols(tol)
-    sol = solve_ivp(rhs, (0.0, T), np.concatenate([x0, v0]),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True, events=exit_event)
-    if not sol.success:
-        raise FlowError(f"integration failed: {sol.message}")
-    t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, n_out)
-    ys = sol.sol(ts)
+    sol, t_exit = _solve(rhs, T, np.concatenate([x0, v0]), tol, exit_event)
+    ts = np.linspace(0.0, T if t_exit is None else t_exit, n_out)
+    ys = sol(ts)
     xs, vs = ys[:d].T, ys[d:].T
     # exact accelerations from the equation of motion, batch evaluated
     gam, J = _connection(chart, xs, beta is not None)
@@ -122,10 +117,8 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     if beta is not None:
         Jv = np.einsum("nab,nb->na", J, vs)
         acc = acc + np.array([beta(t) for t in ts])[:, None] * Jv
-    exited = len(sol.t_events[0]) > 0
-    return Trajectory(t=ts, x=xs, v=vs, acc=acc, exited=exited,
-                      exit_time=float(sol.t_events[0][0]) if exited
-                      else None)
+    return Trajectory(t=ts, x=xs, v=vs, acc=acc, exited=t_exit is not None,
+                      exit_time=None if t_exit is None else float(t_exit))
 
 
 def integrate_geodesic(chart, x0, v0, T=1.0, tol=1e-8, n_out=200):
@@ -191,8 +184,6 @@ def fixed_points(ode: str):
 def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
                     blowup=1e6) -> Trajectory:
     """Complex trajectory of the scalar flow; reports finite-time escape."""
-    from scipy.integrate import solve_ivp
-
     f = _ODES[ode]
 
     def rhs(t, y):
@@ -203,20 +194,13 @@ def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
     def escape(t, y):
         return blowup - np.hypot(y[0], y[1])
 
-    escape.terminal = True
-    escape.direction = -1.0
-    rtol, atol = _solver_tols(tol)
     r0 = complex(rho0)
-    sol = solve_ivp(rhs, (0.0, T), [r0.real, r0.imag], method="DOP853",
-                    rtol=rtol, atol=atol, dense_output=True, events=escape)
-    t_end = sol.t[-1]
-    ts = np.linspace(0.0, t_end, n_out)
-    ys = sol.sol(ts)
-    exited = len(sol.t_events[0]) > 0
+    sol, t_esc = _solve(rhs, T, [r0.real, r0.imag], tol, escape)
+    ts = np.linspace(0.0, T if t_esc is None else t_esc, n_out)
+    ys = sol(ts)
     return Trajectory(t=ts, x=(ys[0] + 1j * ys[1])[:, None],
-                      v=np.empty((n_out, 0)), exited=exited,
-                      exit_time=float(sol.t_events[0][0]) if exited
-                      else None)
+                      v=np.empty((n_out, 0)), exited=t_esc is not None,
+                      exit_time=None if t_esc is None else float(t_esc))
 
 
 def circle_fit(z):
@@ -288,22 +272,15 @@ def lie_residual_suite(chart, grid_pts=None, coeffs=None, tol=1e-6,
 
 def flow_point(chart, x0, T, tol=1e-10, n_out=120) -> Trajectory:
     """Integral curve of the chart's vector field v."""
-    from scipy.integrate import solve_ivp
-
     if chart.v_matrix is None:
         raise FlowError("chart carries no vector field")
 
     def rhs(t, y):
         return chart.v_field(y[None], order=0).c[0][0]
 
-    rtol, atol = _solver_tols(tol)
-    sol = solve_ivp(rhs, (0.0, T), np.asarray(x0, dtype=float),
-                    method="DOP853", rtol=rtol, atol=atol,
-                    dense_output=True)
-    if not sol.success:
-        raise FlowError(sol.message)
+    sol, _ = _solve(rhs, T, np.asarray(x0, dtype=float), tol)
     ts = np.linspace(0.0, T, n_out)
-    ys = sol.sol(ts).T
+    ys = sol(ts).T
     return Trajectory(t=ts, x=ys, v=np.empty((n_out, 0)))
 
 

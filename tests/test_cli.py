@@ -15,6 +15,7 @@ from cprojlab.config import (
     ConfigError, parse_config, parse_config_text, serialize_config,
 )
 from cprojlab.cli import main, run_scenario
+from cprojlab.flows import FlowError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -164,11 +165,30 @@ def test_missing_required_key_exits_2(tmp_path, capsys, name, line):
 
 
 def test_cli_import_skips_scipy_integrate():
-    code = ("import sys, cprojlab.cli; "
-            "sys.exit('scipy.integrate' in sys.modules)")
+    # no scipy at all: with every scipy import made to fail, the three
+    # ODE scenarios still run and pass
+    paths = [str(CONFIGS / f"{n}.cfg")
+             for n in ("jordan2", "mobility2", "phase-portraits")]
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from cprojlab.cli import main; "
+            f"codes = [main(['run', p]) for p in {paths!r}]; "
+            "print('codes', codes, file=sys.stderr); "
+            "sys.exit(any(codes))")
     proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+    assert "codes [0, 0, 0]" in proc.stderr
+
+
+def test_flow_error_exits_2(monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise FlowError("integration failed: step size underflow")
+    monkeypatch.setattr(cli, "eigenvalue_flow", fail)
+    assert main(["run", str(CONFIGS / "phase-portraits.cfg")]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 def test_missing_config_is_reported():
