@@ -26,6 +26,14 @@ Two layers:
   (Gram matrix H_ij, coframe action of J).  The two must agree and the
   tests hold them to that.
 
+Every field is assembled by block slices: ``_place`` preallocates one
+coefficient array per order and writes each block of the normal form into
+its slice, with the dtype of the blocks placed.  The blocks are the
+Killing (t) block, one block per eigenvalue block of U and the flat
+constant (y) block, coupled only through the coframe; a field's y columns
+are its t columns carried by alpha, one ``jet_einsum`` each, and the
+constant factors are order-0 slices.
+
 Mobility-two charts additionally carry a vector field ``v`` with
 ``L_v A = A(Id - A)`` and ``L_v g = -gA - (sum rho_i + C) g``: the leaf
 term ``sum rho_i (1 - rho_i) d/drho_i`` plus an affine map of the
@@ -248,12 +256,23 @@ def esp_jets(vals, dim, order, shape, upto=None):
     return e
 
 
-def _zero(dim, order, shape):
-    return Jet.const(np.zeros(shape), dim, order)
-
-
-def _const(val, dim, order, shape):
-    return Jet.const(np.full(shape, val), dim, order)
+def _place(n, dim, order, shape, parts) -> Jet:
+    """The tensor jet of batch shape ``(n,) + shape`` that is zero outside
+    ``parts``, (index, block) pairs written in order with ``index`` into
+    the component axes.  A Jet block fills its index at every order, an
+    array block (a constant) at order 0 only.  Each order's dtype is the
+    result type of the blocks, as in ``jstack``, so no complex block is
+    cast down."""
+    coeffs = []
+    for k in range(order + 1):
+        blocks = [b.c[k] if isinstance(b, Jet) else b for _, b in parts]
+        c = np.zeros((n,) + shape + (dim,) * k,
+                     dtype=np.result_type(np.float64, *blocks))
+        for (idx, b), arr in zip(parts, blocks):
+            if k == 0 or isinstance(b, Jet):
+                c[(slice(None),) + idx] = arr
+        coeffs.append(c)
+    return Jet(dim, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -440,80 +459,61 @@ class QuotientPair:
             rows.append(_Block(kind, r, extra, b, off, others,
                                _delta_jets(r, others, dim, order)))
 
-        hc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
-              for _ in range(self.dim)]
+        parts = []
         for kind, r, extra, b, off, _, (d0, d1, d2) in rows:
             if kind != "complex":
                 d0, d1, d2 = d0.real, d1.real, d2.real
+            blk = (slice(off, off + b.ncoord),) * 2
             if kind == "real":
-                hc[off][off] = b.eps * d0
+                parts.append(((off, off), b.eps * d0))
             elif kind == "rho":
-                hc[off][off] = d0 / extra
+                parts.append(((off, off), d0 / extra))
             elif kind == "complex":
-                hc[off][off] = (-0.5) * d0.real
-                hc[off + 1][off + 1] = 0.5 * d0.real
-                hc[off][off + 1] = hc[off + 1][off] = 0.5 * d0.imag
+                parts.append((blk, jstack([[(-0.5) * d0.real, 0.5 * d0.imag],
+                                           [0.5 * d0.imag, 0.5 * d0.real]])))
             elif kind == "jordan2":
                 fpx = extra[1]
                 # h = h1(Delta_1(L_1) . , .) in coordinates (x, rho)
-                hc[off][off + 1] = hc[off + 1][off] = fpx * d0
-                hc[off + 1][off + 1] = d1 * fpx * fpx
+                parts += [((off, off + 1), fpx * d0),
+                          ((off + 1, off), fpx * d0),
+                          ((off + 1, off + 1), d1 * fpx * fpx)]
             elif kind == "jordan3":
                 x1, _, f2x = extra
-                one = _const(1.0, dim, order, (n,))
-                h1 = [[_zero(dim, order, (n,)) for _ in range(3)]
-                      for _ in range(3)]
-                h1[0][2] = h1[2][0] = f2x
-                h1[1][1] = one
-                h1[1][2] = h1[2][1] = x1
-                h1[2][2] = x1 * x1
+                h1 = _place(n, dim, order, (3, 3), [
+                    ((0, 2), f2x), ((2, 0), f2x), ((1, 1), 1.0),
+                    ((1, 2), x1), ((2, 1), x1), ((2, 2), x1 * x1)])
                 # Delta_1(L_1) = d0 + d1 N + d2 N^2 with N nilpotent
-                D = [[_zero(dim, order, (n,)) for _ in range(3)]
-                     for _ in range(3)]
-                for i in range(3):
-                    D[i][i] = d0
-                D[0][1] = d1 * one
-                D[0][2] = d1 * x1 + d2 * f2x
-                D[1][2] = d1 * f2x
-                for i in range(3):
-                    for j in range(3):
-                        acc = _zero(dim, order, (n,))
-                        for k in range(3):
-                            acc = acc + h1[k][j] * D[k][i]
-                        hc[off + i][off + j] = acc
-        return ChartFields(g=jstack(hc), omega=None, J=None, A=None,
+                D = _place(n, dim, order, (3, 3), [
+                    ((0, 0), d0), ((1, 1), d0), ((2, 2), d0), ((0, 1), d1),
+                    ((0, 2), d1 * x1 + d2 * f2x), ((1, 2), d1 * f2x)])
+                parts.append((blk, jet_einsum("nki,nkj->nij", D, h1)))
+        h = _place(n, dim, order, (self.dim, self.dim), parts)
+        return ChartFields(g=h, omega=None, J=None, A=None,
                            rhos=rhos, mus=mus), rows
 
     def _complete(self, qpf, rows) -> ChartFields:
         """The fields of ``_parts`` with A = L added and, on Jordan specs,
         the projective field of the split equations."""
         dim, order, n = qpf.g.dim, qpf.g.order, qpf.g.c[0].shape[0]
-        Lc = [[_zero(dim, order, (n,)) for _ in range(self.dim)]
-              for _ in range(self.dim)]
-        for kind, r, extra, _b, off, *_ in rows:
-            if kind in ("real", "rho"):
-                Lc[off][off] = r
-            elif kind == "complex":
+        parts = []
+        for kind, r, extra, b, off, *_ in rows:
+            if kind == "complex":
                 a, bb = r.real, r.imag
-                Lc[off][off] = a
-                Lc[off][off + 1] = -bb
-                Lc[off + 1][off] = bb
-                Lc[off + 1][off + 1] = a
-            elif kind == "jordan2":
-                Lc[off][off] = r
-                Lc[off][off + 1] = extra[1]
-                Lc[off + 1][off + 1] = r
+                parts.append(((slice(off, off + 2),) * 2,
+                              jstack([[a, -bb], [bb, a]])))
+                continue
+            parts += [((off + i, off + i), r) for i in range(b.ncoord)]
+            if kind == "jordan2":
+                parts.append(((off, off + 1), extra[1]))
             elif kind == "jordan3":
                 x1, _, f2x = extra
-                for i in range(3):
-                    Lc[off + i][off + i] = r
-                Lc[off][off + 1] = _const(1.0, dim, order, (n,))
-                Lc[off][off + 2] = x1
-                Lc[off + 1][off + 2] = f2x
+                parts += [((off, off + 1), 1.0), ((off, off + 2), x1),
+                          ((off + 1, off + 2), f2x)]
         v = self._jordan_field(rows, dim, order, n) \
             if any(isinstance(b, (Jordan2, Jordan3)) for b in self.blocks) \
             else None
-        return qpf.replace(A=jstack(Lc), v=v)
+        L = _place(n, dim, order, (self.dim, self.dim), parts)
+        return qpf.replace(A=L, v=v)
 
     def eval(self, pts, order=2) -> ChartFields:
         """Jet-valued (h, L) at sample points, as g and A."""
@@ -521,15 +521,14 @@ class QuotientPair:
 
     def _jordan_field(self, rows, dim, order, n):
         """The projective field of the split equations on Jordan specs."""
-        comps = [_zero(dim, order, (n,)) for _ in range(self.dim)]
+        parts = []
         for kind, r, extra, b, off, *_ in rows:
             if kind == "jordan2":
                 sol = b.F
                 G1 = sol.g1_jet(r)
                 G = (0.5 * ((sol.n2 - 1.0) * r - 1.0 - sol.C - sol.n2)
                      * extra[0] + G1)
-                comps[off] = G
-                comps[off + 1] = r * (1.0 - r)
+                parts.append(((off,), G))
             elif kind == "jordan3":
                 x1, x2, _ = extra
                 sol = b.F
@@ -537,12 +536,11 @@ class QuotientPair:
                      + 0.5 * sol.n2 * x2 + sol.g1_jet(r))
                 H = (-0.5 * (sol.C + sol.n2 + (4.0 - sol.n2) * r) * x2
                      + sol.h1_jet(r))
-                comps[off] = G
-                comps[off + 1] = H
-                comps[off + 2] = r * (1.0 - r)
-            elif kind == "rho":
-                comps[off] = r * (1.0 - r)
-        return jstack(comps)
+                parts += [((off,), G), ((off + 1,), H)]
+            if kind in ("jordan2", "jordan3", "rho"):
+                # the leaf term on the block's eigenvalue coordinate
+                parts.append(((off + b.ncoord - 1,), r * (1.0 - r)))
+        return _place(n, dim, order, (self.dim,), parts)
 
 
 class _Block(NamedTuple):
@@ -566,7 +564,7 @@ def _delta_jets(r, others, dim, order):
     differences."""
     m, shape = len(others), r.c[0].shape
     e = esp_jets([r - rr for rr in others], dim, order, shape)
-    return [e[m - k] if k <= m else _zero(dim, order, shape)
+    return [e[m - k] if k <= m else Jet.const(np.zeros(shape), dim, order)
             for k in range(3)]
 
 
@@ -696,47 +694,29 @@ class KahlerChart:
         """
         if self.ydim == 0:
             return None
-        n = pts.shape[0]
-        y = [Jet.seed(self.y_sl.start + q, pts[:, self.y_sl.start + q],
-                      self.dim, order) for q in range(self.ydim)]
-        rows = []
-        for i in range(1, self.ell + 1):
-            B = 0.5 * (-1.0) ** i * (
-                np.linalg.matrix_power(self._Ac, self.ell - i).T @ self._wc)
-            row = []
-            for q in range(self.ydim):
-                acc = _zero(self.dim, order, (n,))
-                for p in range(self.ydim):
-                    if B[p, q] != 0.0:
-                        acc = acc + B[p, q] * y[p]
-                row.append(acc)
-            rows.append(row)
-        return jstack(rows)
+        n, ell, ydim = pts.shape[0], self.ell, self.ydim
+        B = np.stack([0.5 * (-1.0) ** i * (
+            np.linalg.matrix_power(self._Ac, ell - i).T @ self._wc)
+            for i in range(1, ell + 1)])
+        coeffs = [np.einsum("np,ipq->niq", pts[:, self.y_sl], B)] + [
+            np.zeros((n, ell, ydim) + (self.dim,) * k)
+            for k in range(1, order + 1)]
+        if order:
+            coeffs[1][..., self.y_sl] = B.transpose(0, 2, 1)
+        return Jet(self.dim, order, coeffs)
 
-    def _chi_weights(self, rhos, order):
-        """chi_L(c_gamma) per constant factor, as real jets of ``order``."""
-        out = []
-        for c, _m in self.const_eigs:
+    def _chi(self, rhos, order):
+        """chi_L(c) of each y coordinate's constant factor c, as the
+        (ydim, 1) column jet that weights the rows of g_c and omega_c."""
+        if self.ydim == 0:
+            return None
+        rows = []
+        for b in self.cb:
             acc = None
             for r, m in zip(rhos, self.qp.mults):
-                f = (c - r.truncate(order)) ** m
+                f = (b.c - r.truncate(order)) ** m
                 acc = f if acc is None else acc * f
-            out.append(acc.real)
-        return out
-
-    def _tblock(self, mus, n, order):
-        """A on the Killing directions: A K_i = mu_i K_1 - K_{i+1}."""
-        rows = []
-        for j in range(self.ell):
-            row = []
-            for a in range(self.ell):
-                if j == 0:
-                    row.append(mus[a + 1])
-                elif j == a + 1:
-                    row.append(_const(-1.0, self.dim, order, (n,)))
-                else:
-                    row.append(_zero(self.dim, order, (n,)))
-            rows.append(row)
+            rows += [[acc.real]] * b.dim
         return jstack(rows)
 
     # -- evaluation ------------------------------------------------------
@@ -756,9 +736,8 @@ class KahlerChart:
         else:
             qpf, _, _, H = self._explicit_parts(pts, order)
             h = qpf.g
-        return self._place_metric(
-            order, H, h, self._alpha(pts, order),
-            self._chi_weights(qpf.rhos, order))
+        return self._place_metric(H, h, self._alpha(pts, order),
+                                  self._chi(qpf.rhos, order))
 
     def _jacobian_parts(self, pts, order):
         """What g is built from on the Jacobian route: the quotient pass
@@ -778,17 +757,15 @@ class KahlerChart:
         return qpf, rows, h, P, H
 
     def _eval_jacobian(self, pts, order):
-        ell = self.ell
         qpf, rows, h, P, H = self._jacobian_parts(pts, order)
         qpf = self.qp._complete(qpf, rows)
         L = qpf.A.truncate(order)
         T = jet_transpose(jet_matmul(P, jet_matmul(L, jet_inv(P))))
         mus = [m.truncate(order) for m in qpf.mus]
-        # omega(x_u, t_i) = d_u mu_i, exact at this order from the higher mu
-        dmu_u = [[qpf.mus[i + 1].partial(ell + u) for u in range(self.udim)]
-                 for i in range(ell)]
         rhos = [r.truncate(order) for r in qpf.rhos]
-        return self._assemble(pts, order, h, L, rhos, mus, H, T, dmu_u)
+        # omega(x_u, t_i) = d_u mu_i = P, exact at this order from the
+        # higher mu
+        return self._assemble(pts, order, h, L, rhos, mus, H, T, P)
 
     def _explicit_parts(self, pts, order):
         """What g is built from on the explicit route: the quotient fields,
@@ -799,8 +776,9 @@ class KahlerChart:
         qpf, rows = self.qp._parts(pts[:, self.u_sl], order,
                                    ambient_dim=d, offset=ell)
 
-        # contributions per block: kind, own root, weight jet, offset, eps,
-        # Delta and the symmetric functions mu-hat of the other roots
+        # contributions per block: kind, own root, weight jet, offset, eps
+        # (1 on rho and complex blocks), Delta and the symmetric functions
+        # mu-hat of the other roots
         contrib = []
         for kind, r, extra, b, off, others, (Del, _, _) in rows:
             if kind not in ("real", "rho", "complex"):
@@ -810,10 +788,12 @@ class KahlerChart:
                 # real-valued, but complex-typed next to a complex pair
                 muh, Del = [m.real for m in muh], Del.real
             contrib.append((kind, r, extra, off,
-                            b.eps if kind == "real" else None, Del, muh))
+                            b.eps if kind == "real" else 1, Del, muh))
 
-        Hc = [[_zero(d, order, (n,)) for _ in range(ell)]
-              for _ in range(ell)]
+        # H_ij sums muh_i muh_j q over the blocks: one upper triangle per
+        # block, mirrored
+        iu = np.triu_indices(ell)
+        Hu = None
         for kind, r, dr, off, eps, Del, muh in contrib:
             if kind == "real":
                 q = eps * dr * dr / Del
@@ -821,130 +801,75 @@ class KahlerChart:
                 q = dr / Del              # dr slot carries F(rho)
             else:
                 q = dr * dr / Del
-            for i in range(ell):
-                for j in range(i, ell):
-                    t = muh[i] * muh[j] * q
-                    if kind == "complex":
-                        t = ((-4.0) * (t + t.conj())).real
-                    add = t
-                    Hc[i][j] = Hc[i][j] + add
-                    if i != j:
-                        Hc[j][i] = Hc[j][i] + add
-        return qpf, rows, contrib, jstack(Hc)
+            t = jstack([muh[i] * muh[j] * q for i, j in zip(*iu)])
+            if kind == "complex":
+                t = ((-4.0) * (t + t.conj())).real
+            Hu = t if Hu is None else Hu + t
+        H = _place(n, d, order, (ell, ell), [(iu, Hu), (iu[::-1], Hu)])
+        return qpf, rows, contrib, H
 
     def _eval_explicit(self, pts, order):
         n = pts.shape[0]
         d, ell = self.dim, self.ell
         qpf, rows, contrib, H = self._explicit_parts(pts, order)
-        T = self._tblock(qpf.mus, n, order)
+        # A on the Killing directions: A K_i = mu_i K_1 - K_{i+1}
+        T = _place(n, d, order, (ell, ell), [
+            ((slice(None), slice(None)), -np.eye(ell, k=-1)),
+            ((0, slice(None)), jstack(qpf.mus[1:ell + 1]))])
 
-        # d_u mu_i without losing jet order
-        dmu_u = [[_zero(d, order, (n,)) for _ in range(self.udim)]
-                 for _ in range(ell)]
+        # d_u mu_i without losing jet order: one column per real
+        # coordinate of each block
+        parts = []
         for kind, r, dr, off, eps, Del, muh in contrib:
-            for i in range(ell):
-                if kind == "real":
-                    dmu_u[i][off] = dmu_u[i][off] + muh[i] * dr
-                elif kind == "rho":
-                    dmu_u[i][off] = dmu_u[i][off] + muh[i]
-                else:
-                    c = muh[i] * dr
-                    dmu_u[i][off] = dmu_u[i][off] + (c + c.conj()).real
-                    ic = 1j * c
-                    dmu_u[i][off + 1] = dmu_u[i][off + 1] + \
-                        (ic + ic.conj()).real
+            if kind == "complex":
+                col = jstack([[2.0 * c.real, -2.0 * c.imag]
+                              for c in (m * dr for m in muh)])
+                parts.append(((slice(None), slice(off, off + 2)), col))
+            else:
+                col = jstack([m * dr if kind == "real" else m for m in muh])
+                parts.append(((slice(None), off), col))
+        D = _place(n, d, order, (ell, self.udim), parts)
         qpf = self.qp._complete(qpf, rows)
         return self._assemble(pts, order, qpf.g, qpf.A, qpf.rhos, qpf.mus,
-                              H, T, dmu_u, contrib=contrib)
+                              H, T, D, contrib=contrib)
 
-    def _place_metric(self, order, H, h, alpha, chiw) -> Jet:
+    def _place_metric(self, H, h, alpha, chi) -> Jet:
         """g = sum H_ij theta_i theta_j + h + g_c(chi_L(A_c) . , .) with
-        theta_i = dt_i + alpha_i, written block by block into preallocated
-        coefficient arrays: H on (t, t), h on (u, u), H alpha on (t, y)
-        and its transpose on (y, t), alpha^T H alpha + chi g_c on (y, y).
-        """
-        d, n = self.dim, H.c[0].shape[0]
-        t, u, y = self.t_sl, self.u_sl, self.y_sl
+        theta_i = dt_i + alpha_i, block by block: H on (t, t), h on (u, u),
+        H alpha on (t, y) and its transpose on (y, t), alpha^T H alpha +
+        chi g_c on (y, y)."""
+        d, t, u, y = self.dim, self.t_sl, self.u_sl, self.y_sl
+        parts = [((t, t), H), ((u, u), h)]
         if self.ydim:
             Halpha = jet_einsum("nij,njq->niq", H, alpha)
             aHa = jet_einsum("niq,nip->nqp", Halpha, alpha)
-            ci = _const_coord_index(self.cb)
-            chig = [(p, q, chiw[ci[p]] * self._gc[p, q])
-                    for p, q in np.argwhere(self._gc != 0.0)]
-        coeffs = []
-        for k in range(order + 1):
-            c = np.zeros((n, d, d) + (d,) * k)
-            c[:, t, t] = H.c[k]
-            c[:, u, u] = h.c[k]
-            if self.ydim:
-                c[:, t, y] = Halpha.c[k]
-                c[:, y, t] = np.swapaxes(Halpha.c[k], 1, 2)
-                c[:, y, y] = aHa.c[k]
-                for p, q, cell in chig:
-                    c[:, y.start + p, y.start + q] += cell.c[k]
-            coeffs.append(c)
-        return Jet(d, order, coeffs)
+            parts += [((t, y), Halpha), ((y, t), jet_transpose(Halpha)),
+                      ((y, y), aHa + chi * self._gc)]
+        return _place(H.c[0].shape[0], d, H.order, (d, d), parts)
 
-    def _assemble(self, pts, order, h, L, rhos, mus, H, T, dmu_u,
+    def _assemble(self, pts, order, h, L, rhos, mus, H, T, D,
                   contrib=None):
-        """Chart fields from the route's parts.  ``contrib`` (explicit
-        route) gives J from the coframe action; without it J = g^-1 omega,
-        and that inverse also fills the fields' g^-1."""
+        """Chart fields from the route's parts, D = (d_u mu_i) the
+        (ell, udim) matrix of omega(d/du, d/dt_i).  Each field is written
+        block by block; its y columns are its t columns carried by alpha.
+        ``contrib`` (explicit route) gives J from the coframe action;
+        without it J = g^-1 omega, and that inverse also fills the fields'
+        g^-1."""
         n = pts.shape[0]
-        d, ell, udim, ydim = self.dim, self.ell, self.udim, self.ydim
+        d, t, u, y = self.dim, self.t_sl, self.u_sl, self.y_sl
         alpha = self._alpha(pts, order)
-        chiw = self._chi_weights(rhos, order)
-        ci = _const_coord_index(self.cb)
-        g = self._place_metric(order, H, h, alpha, chiw)
-
-        wcells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
-        acells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
-
-        def gx(jet, i, j):
-            return Jet(d, order, [c[:, i, j] for c in jet.c])
-
-        yoff = ell + udim
-        for i in range(ell):
-            for u in range(udim):
-                wcells[ell + u][i] = dmu_u[i][u]
-                wcells[i][ell + u] = -dmu_u[i][u]
-        if ydim:
-            for u in range(udim):
-                for q in range(ydim):
-                    acc = _zero(d, order, (n,))
-                    for i in range(ell):
-                        acc = acc + dmu_u[i][u] * gx(alpha, i, q)
-                    wcells[ell + u][yoff + q] = acc
-                    wcells[yoff + q][ell + u] = -acc
-            for p in range(ydim):
-                for q in range(ydim):
-                    if self._wc[p, q] != 0.0:
-                        wcells[yoff + p][yoff + q] = \
-                            chiw[ci[p]] * self._wc[p, q]
-
-        for i in range(ell):
-            for j in range(ell):
-                acells[i][j] = gx(T, i, j)
-        for i in range(udim):
-            for j in range(udim):
-                acells[ell + i][ell + j] = gx(L, i, j)
-        if ydim:
-            for p in range(ydim):
-                for q in range(ydim):
-                    if self._Ac[p, q] != 0.0:
-                        acells[yoff + p][yoff + q] = _const(
-                            self._Ac[p, q], d, order, (n,))
-            Talpha = jet_einsum("nib,nbq->niq", T, alpha)
-            for i in range(ell):
-                for q in range(ydim):
-                    acells[i][yoff + q] = (gx(Talpha, i, q)
-                                           - gx(alpha, i, q)
-                                           * self._ceigs[q])
-
-        w = jstack(wcells)
-        A = jstack(acells)
+        chi = self._chi(rhos, order)
+        g = self._place_metric(H, h, alpha, chi)
+        wparts = [((u, t), jet_transpose(D)), ((t, u), -D)]
+        aparts = [((t, t), T), ((u, u), L)]
+        if self.ydim:
+            Dalpha = jet_einsum("niu,niq->nuq", D, alpha)
+            wparts += [((u, y), Dalpha), ((y, u), -jet_transpose(Dalpha)),
+                       ((y, y), chi * self._wc)]
+            aparts += [((y, y), self._Ac), ((t, y), jet_einsum(
+                "nib,nbq->niq", T, alpha) - alpha * self._ceigs)]
+        w = _place(n, d, order, (d, d), wparts)
+        A = _place(n, d, order, (d, d), aparts)
 
         if contrib is not None:
             J = self._assemble_J(n, order, contrib, alpha)
@@ -964,81 +889,35 @@ class KahlerChart:
 
     def _assemble_J(self, n, order, contrib, alpha):
         """J from the coframe action: rows over the dual frame
-        {d/dt_i, d/du, d/dy_q - sum alpha_iq d/dt_i}."""
-        d, ell, udim, ydim = self.dim, self.ell, self.udim, self.ydim
-        yoff = ell + udim
-
-        def ax(i, q):
-            return Jet(d, order, [c[:, i, q] for c in alpha.c])
-
-        theta_J = [[_zero(d, order, (n,)) for _ in range(d)]
-                   for _ in range(ell)]
-        du_J = [[_zero(d, order, (n,)) for _ in range(d)]
-                for _ in range(udim)]
-
+        {d/dt_i, d/du, d/dy_q - sum alpha_iq d/dt_i}.  A block's u rows
+        and its columns of the t rows read only its own root."""
+        d, ell, t, u, y = self.dim, self.ell, self.t_sl, self.u_sl, self.y_sl
+        urows, parts = [], []
         for kind, r, dr, off, eps, Del, muh in contrib:
+            s = 0.25 if kind == "complex" else eps
+            col = [(-1.0) ** i * s * (r ** (ell - i)) / dr
+                   for i in range(1, ell + 1)]
             if kind == "complex":
                 base = 4.0 * dr / Del
-                for j in range(ell):
-                    coef = base * muh[j]
-                    du_J[off][j] = du_J[off][j] + coef.real
-                    du_J[off + 1][j] = du_J[off + 1][j] + coef.imag
-                    for q in range(ydim):
-                        t = coef * ax(j, q)
-                        du_J[off][yoff + q] = du_J[off][yoff + q] + t.real
-                        du_J[off + 1][yoff + q] = \
-                            du_J[off + 1][yoff + q] + t.imag
+                coef = [base * m for m in muh]
+                urows.append((slice(off, off + 2), jstack(
+                    [[c.real for c in coef], [c.imag for c in coef]])))
+                parts.append(((t, slice(ell + off, ell + off + 2)), jstack(
+                    [[2.0 * c.real, -2.0 * c.imag] for c in col])))
             else:
-                if kind == "real":
-                    base = -(eps * dr) / Del
-                else:                      # rho coordinate; dr carries F
-                    base = -(dr / Del)
-                for j in range(ell):
-                    coef = base * muh[j]
-                    du_J[off][j] = du_J[off][j] + coef
-                    for q in range(ydim):
-                        du_J[off][yoff + q] = (du_J[off][yoff + q]
-                                               + coef * ax(j, q))
-
-        for i in range(1, ell + 1):
-            sgn = (-1.0) ** i
-            for kind, r, dr, off, eps, Del, muh in contrib:
-                if kind == "complex":
-                    c = (sgn / 4.0) * (r ** (ell - i)) / dr
-                    theta_J[i - 1][ell + off] = \
-                        theta_J[i - 1][ell + off] + 2.0 * c.real
-                    theta_J[i - 1][ell + off + 1] = \
-                        theta_J[i - 1][ell + off + 1] - 2.0 * c.imag
-                elif kind == "real":
-                    theta_J[i - 1][ell + off] = (theta_J[i - 1][ell + off]
-                                                 - sgn * eps
-                                                 * (r ** (ell - i)) / dr)
-                else:
-                    theta_J[i - 1][ell + off] = (theta_J[i - 1][ell + off]
-                                                 - sgn * (r ** (ell - i))
-                                                 / dr)
-
-        Jc = [[_zero(d, order, (n,)) for _ in range(d)] for _ in range(d)]
-        for i in range(ell):
-            for b in range(d):
-                Jc[i][b] = theta_J[i][b]
-        for u in range(udim):
-            for b in range(d):
-                Jc[ell + u][b] = du_J[u][b]
-        if ydim:
-            for q in range(ydim):
-                for p in range(ydim):
-                    if self._Jc[q, p] != 0.0:
-                        Jc[yoff + q][yoff + p] = _const(
-                            self._Jc[q, p], d, order, (n,))
-            for i in range(ell):
-                for p in range(ydim):
-                    acc = Jc[i][yoff + p]
-                    for q in range(ydim):
-                        if self._Jc[q, p] != 0.0:
-                            acc = acc - ax(i, q) * self._Jc[q, p]
-                    Jc[i][yoff + p] = acc
-        return jstack(Jc)
+                base = -(eps * dr) / Del
+                urows.append((off, jstack([base * m for m in muh])))
+                parts.append(((t, ell + off), jstack([-c for c in col])))
+        Jut = _place(n, d, order, (self.udim, ell),
+                     [((rows, slice(None)), blk) for rows, blk in urows])
+        parts.append(((u, t), Jut))
+        if self.ydim:
+            Jc = Jet.const(np.broadcast_to(self._Jc, (n,) + self._Jc.shape),
+                           d, order)
+            parts += [((u, y), jet_einsum("nuj,njq->nuq", Jut, alpha)),
+                      ((t, y), -jet_einsum("niq,nqp->nip", alpha, Jc)),
+                      ((y, y), self._Jc)]
+        return _place(n, d, order, (d, d), parts)
 
     # -- mobility vector field -------------------------------------------
 
@@ -1064,13 +943,6 @@ def _drho_vanishes(b) -> bool:
     (xl, xh), (yl, yh) = b.window
     return bool(np.any((z.real >= xl) & (z.real <= xh)
                        & (z.imag >= yl) & (z.imag <= yh)))
-
-
-def _const_coord_index(cb):
-    out = []
-    for k, b in enumerate(cb):
-        out.extend([k] * b.dim)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -1225,19 +1097,13 @@ class ProjectiveMobilityChart:
 
     def eval(self, pts, order=2) -> ChartFields:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        n = pts.shape[0]
-        d = self.dim
+        n, d, y = pts.shape[0], self.dim, slice(1, self.dim)
         r = Jet.seed(0, pts[:, 0], d, order)
-        acells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
-        acells[0][0] = r
-        for p in range(self.ydim):
-            acells[1 + p][1 + p] = _const(self.ceigs[p], d, order, (n,))
-        g = self._metric(r)
-        A = jstack(acells)
+        A = _place(n, d, order, (d, d),
+                   [((0, 0), r), ((y, y), np.diag(self.ceigs))])
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
-        return ChartFields(g=g, omega=None, J=None, A=A,
+        return ChartFields(g=self._metric(r), omega=None, J=None, A=A,
                            rhos=[r], mus=esp_jets([r], d, order, (n,)), v=v)
 
     def metric(self, pts, order=2) -> Jet:
@@ -1247,16 +1113,12 @@ class ProjectiveMobilityChart:
 
     def _metric(self, r):
         """g from the jet of the rho coordinate."""
-        n, d, order = r.c[0].shape[0], self.dim, r.order
-        gcells = [[_zero(d, order, (n,)) for _ in range(d)]
-                  for _ in range(d)]
-        gcells[0][0] = 1.0 / self.F.jet(r)
-        for p in range(self.ydim):
-            for q in range(self.ydim):
-                if self.gc[p, q] != 0.0:
-                    gcells[1 + p][1 + q] = (self.ceigs[p] - r) \
-                        * self.gc[p, q]
-        return jstack(gcells)
+        n, d, y = r.c[0].shape[0], self.dim, slice(1, self.dim)
+        parts = [((0, 0), 1.0 / self.F.jet(r))]
+        if self.ydim:
+            shift = jstack([[c - r] for c in self.ceigs])
+            parts.append(((y, y), shift * self.gc))
+        return _place(n, d, r.order, (d, d), parts)
 
     v_field = KahlerChart.v_field
 
@@ -1331,21 +1193,21 @@ class JordanOdeSolution:
             [z + 0.5 * (n2 - 2.0), z, z - 1.0],
             [z, z, z]])
 
-    def _matrix_jets(self, rho: Jet):
+    def _matrix_jet(self, rho: Jet) -> Jet:
+        """The system matrix as a matrix jet in ``rho`` (batch (n,))."""
         w = rho * (1.0 - rho)
         n2, C = self.n2, self.C
-        zero = Jet.const(np.zeros_like(rho.c[0]), rho.dim, rho.order)
-        cj = lambda v: Jet.const(np.full_like(rho.c[0], v), rho.dim,
-                                 rho.order)
         if self.kind == "1x1":
-            return [[((n2 + C + 2.0) - (n2 + 2.0) * rho) / w]]
-        if self.kind == "2x2":
-            return [[(0.5 * ((n2 - 1.0) * rho - 1.0 - C - n2)) / w,
-                     -1.0 / w],
-                    [cj(0.5 * (n2 - 1.0)), zero]]
-        return [[(-0.5 * (C + n2 + (4.0 - n2) * rho)) / w, -2.0 / w, zero],
-                [cj(0.5 * (n2 - 2.0)), zero, cj(-1.0)],
-                [zero, zero, zero]]
+            parts = [((0, 0), ((n2 + C + 2.0) - (n2 + 2.0) * rho) / w)]
+        elif self.kind == "2x2":
+            parts = [((0, 0), (0.5 * ((n2 - 1.0) * rho - 1.0 - C - n2)) / w),
+                     ((0, 1), -1.0 / w), ((1, 0), 0.5 * (n2 - 1.0))]
+        else:
+            parts = [((0, 0), (-0.5 * (C + n2 + (4.0 - n2) * rho)) / w),
+                     ((0, 1), -2.0 / w), ((1, 0), 0.5 * (n2 - 2.0)),
+                     ((1, 2), -1.0)]
+        s = self.NSTATE[self.kind]
+        return _place(rho.c[0].shape[0], rho.dim, rho.order, (s, s), parts)
 
     def _rhs(self, t, y):
         return self._matrix_values(t) @ y
@@ -1368,10 +1230,10 @@ class JordanOdeSolution:
         rho0 = np.atleast_1d(np.asarray(rho0, dtype=float)).ravel()
         u = self.values(rho0)
         rj = Jet.seed(0, rho0, 1, max(order - 1, 0))
-        M = self._matrix_jets(rj)
-        Mk = [np.array([[np.asarray(c.c[k]).reshape(rho0.size)
-                         for c in row] for row in M])
-              for k in range(order)]
+        M = self._matrix_jet(rj)
+        # the k-th rho-derivative of the matrix, shape (s, s, n)
+        Mk = [np.ascontiguousarray(c.reshape(c.shape[:3]).transpose(1, 2, 0))
+              for c in M.c]
         ders = [u]
         for k in range(1, order + 1):
             acc = np.zeros_like(u)

@@ -3,7 +3,8 @@ table, build the instance, run check suites, emit a deterministic report
 and optional CSV data.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails,
-2 on a bad config or an instance that cannot be built.
+2 on a bad config, an ``--only`` that selects no check or an instance
+that cannot be built.
 """
 
 from __future__ import annotations
@@ -482,18 +483,26 @@ def _may_start(pattern, prefix):
 def run_scenario(v, scale, only=None):
     """Build the instance of the typed values ``v``, then run the steps
     whose condition holds and that can emit a name starting with a prefix
-    in ``only``, if that is given."""
+    in ``only``, if that is given.  An ``only`` that selects no step, or
+    whose steps emit no check it names, raises a ConfigError."""
     build, steps = SCENARIOS[v["scenario"]][:2]
+    steps = [st for st in steps
+             if not (st.when and v[st.when[0]] != st.when[1])
+             and (only is None or any(_may_start(n, p) for n in
+                                      st.names.split() for p in only))]
+    sel = f"--only {','.join(only)}" if only else "the config"
+    if not steps:
+        raise ConfigError(f"{sel} selects no check of scenario "
+                          f"{v['scenario']!r}")
     r = Run(v, scale)
     rep = ResidualReport(title=build(r))
     for st in steps:
-        if st.when and v[st.when[0]] != st.when[1]:
-            continue
-        if only is None or any(_may_start(n, p)
-                               for n in st.names.split() for p in only):
-            out = st.emit(r)
-            rep.entries += [e for e in getattr(out, "entries", out)
-                            if only is None or e.name.startswith(only)]
+        out = st.emit(r)
+        rep.entries += [e for e in getattr(out, "entries", out)
+                        if only is None or e.name.startswith(only)]
+    if not rep.entries:
+        # a report without checks must not read as a pass
+        raise ConfigError(f"{sel} selects no check this run emits")
     return rep, r
 
 

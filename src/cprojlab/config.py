@@ -182,8 +182,14 @@ def parse_config_text(text: str) -> ScenarioConfig:
 
 
 def parse_config(path) -> ScenarioConfig:
-    with open(path) as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte {exc.start}: "
+                          f"{exc.reason})") from None
+    return parse_config_text(text)
 
 
 def _fmt_value(v) -> str:

@@ -28,11 +28,11 @@ from .jets import Jet, JetError, jet_einsum, jet_inv, jet_map, \
 
 __all__ = [
     "Box", "GridSpec", "GeometryError",
-    "metric_inverse", "christoffel", "riemann", "curvature_endo",
+    "metric_inverse", "christoffel", "riemann",
     "cov_deriv_endo", "cov_deriv_vector", "lie_metric", "lie_endo",
     "lie_scalar", "lie_two_form", "lie_vector", "lie_christoffel",
     "ext_deriv_two_form", "gradient", "hessian_cov", "third_cov_scalar",
-    "max_abs", "rel_residual",
+    "max_abs",
 ]
 
 
@@ -111,11 +111,6 @@ def max_abs(*arrays) -> float:
     return out
 
 
-def rel_residual(resid, *inputs) -> float:
-    """Max-abs residual, normalized by 1 + max input magnitude."""
-    return max_abs(resid) / (1.0 + max_abs(*inputs))
-
-
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------
@@ -151,11 +146,6 @@ def riemann(gamma: Jet) -> np.ndarray:
     quad1 = np.einsum("ndae,nebc->ndcab", G, G)
     quad2 = np.einsum("ndbe,neac->ndcab", G, G)
     return term1 - term2 + quad1 - quad2
-
-
-def curvature_endo(R: np.ndarray, a: int, b: int) -> np.ndarray:
-    """The endomorphism R(e_a, e_b) as matrices (N, d, c)."""
-    return R[..., a, b]
 
 
 def cov_deriv_endo(A: Jet, gamma: Jet) -> np.ndarray:

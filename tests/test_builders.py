@@ -70,7 +70,7 @@ def test_lift_eigenvalues_doubled(qp_dini):
     assert max_abs(eigs - expect) <= 1e-9
 
 
-def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini):
+def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini, qp_complex):
     cb = (ConstantBlock(0.0, 2),)
     z = Complex2D((0j, 1.0 + 0j), ((0.2, 0.8), (0.2, 0.8)))
     x = Real1D(1, (3.0, 1.0), (0.2, 0.8))
@@ -79,7 +79,12 @@ def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini):
     # read their own
     mixed = [build_quotient_pair(CompatiblePairSpec(b))
              for b in ((z, x), (x, z), (x, z, x2))]
-    cases = [(qp_ell1, ()), (qp_dini, ()), (qp_ell1, cb)]
+    # constant factors: two chi weights, a negative signature, and the y
+    # block next to a complex pair
+    cases = [(qp_ell1, ()), (qp_dini, ()), (qp_ell1, cb),
+             (qp_ell1, (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2, (-1,)))),
+             (qp_ell1, (ConstantBlock(0.0, 4, (1, -1)),)),
+             (qp_complex, (ConstantBlock(2.0, 2),))]
     for qp, blocks in cases + [(qp, ()) for qp in mixed]:
         cha = lift_pair(qp, blocks, route="jacobian")
         chb = lift_pair(qp, blocks, route="explicit")

@@ -347,6 +347,34 @@ def test_only_killing_detC_skips_the_killing_suite(monkeypatch, capsys):
     assert checks == ["check=killing_detC"]
 
 
+@pytest.mark.parametrize("name,only,built", [
+    ("dini-pair", "zzz", False),
+    # g1_constancy runs only for kind = 3x3
+    ("jordan2", "g1", False),
+    # spectrum_* may start with the prefix, but emits no such name
+    ("appendix", "spectrum_zzz", True),
+])
+def test_only_selecting_nothing_exits_2(monkeypatch, capsys, name, only,
+                                        built):
+    builds = []
+
+    def counted(orig):
+        def wrapper(*a, **kw):
+            builds.append(orig.__name__)
+            return orig(*a, **kw)
+        return wrapper
+
+    for fname in ("build_quotient_pair", "solve_jordan_odes",
+                  "build_mobility2"):
+        monkeypatch.setattr(cli, fname, counted(getattr(cli, fname)))
+    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--only", only]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: --only "), err
+    assert bool(builds) == built
+
+
 def test_appendix_samples_with_the_seed_flag(capsys):
     values = []
     for seed in ("0", "3"):
@@ -470,27 +498,37 @@ def _mutants(text):
     return out
 
 
+def _byte_mutants(data):
+    """The config with one invalid UTF-8 byte at the start of each line."""
+    starts = [0] + [i + 1 for i, b in enumerate(data[:-1]) if b == 0x0A]
+    return [data[:i] + b"\xff" + data[i:] for i in starts]
+
+
 # configs cheap enough to run in full; the others run --list-checks, which
 # stops after validation
 FUZZ_FULL = ("dini-pair", "appendix", "phase-portraits")
-MUTANTS = [(p.stem, m) for p in sorted(CONFIGS.glob("*.cfg"))
+MUTANTS = [(p.stem, m.encode()) for p in sorted(CONFIGS.glob("*.cfg"))
            for m in _mutants(p.read_text())]
+MUTANTS += [(p.stem, m) for p in sorted(CONFIGS.glob("*.cfg"))
+            for m in _byte_mutants(p.read_bytes())]
 
 
 @settings(max_examples=500, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.sampled_from(MUTANTS))
 def test_config_fuzzer(tmp_path, mutant):
-    name, text = mutant
+    name, data = mutant
     path = tmp_path / "mutant.cfg"
-    path.write_text(text)
+    path.write_bytes(data)
     argv = ["run", str(path)] + ([] if name in FUZZ_FULL
                                  else ["--list-checks"])
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
-    assert code in (0, 1, 2), text
+    assert code in (0, 1, 2), data
+    if b"\xff" in data:
+        assert code == 2 and f"{path}: not UTF-8" in err.getvalue(), data
     if code == 2:
         lines = err.getvalue().splitlines()
-        assert out.getvalue() == "" and len(lines) == 1, text
-        assert lines[0].startswith("error: "), text
+        assert out.getvalue() == "" and len(lines) == 1, data
+        assert lines[0].startswith("error: "), data
