@@ -52,8 +52,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import (
-    Jet, jstack, jet_einsum, jet_inv, jet_matmul, jet_trace, jet_transpose,
-    polyval,
+    Jet, jstack, jet_det, jet_einsum, jet_inv, jet_matmul, jet_trace,
+    jet_transpose, polyval,
 )
 from .geometry import (
     Box, christoffel, gradient, lie_endo, lie_metric, metric_inverse,
@@ -281,14 +281,25 @@ def _place(n, dim, order, shape, parts) -> Jet:
 
 @dataclass(frozen=True)
 class ChartFields:
-    """The fields of one chart evaluation and the quantities derived from g.
+    """The fields of one chart evaluation and the quantities derived from
+    them.
 
     A Kahler chart sets all of g, omega, J and A; a quotient pair (h, L)
     and the projective mobility chart set g and A and leave omega and J
-    None.  ``ginv``, ``gamma``, ``lam`` and ``riemann`` are computed on
-    first use and kept as long as the object.  The class is frozen, so a
-    cached quantity cannot outlive the field it came from: build an edited
-    copy with ``dataclasses.replace`` or the ``replace`` method.
+    None.  Each derived quantity is computed on first use and kept as long
+    as the object:
+
+    * ``ginv``, ``gamma``, ``riemann`` and ``det`` (det g, from ``ginv``)
+      read g alone;
+    * ``lam`` reads g, A and J;
+    * ``char_poly``, the coefficients of det_C(t Id - A), reads A and J.
+
+    ``shifted(c)`` is the copy with A + c Id: it shares the g-only
+    quantities computed so far, and its ``char_poly``, on first use, is
+    this one's by the exact shift.
+    The class is frozen, so a cached quantity cannot outlive the field it
+    came from: build an edited copy with ``dataclasses.replace`` or the
+    ``replace`` method.
     """
 
     g: Jet
@@ -321,6 +332,27 @@ class ChartFields:
         """Curvature values R^d_cab."""
         return riemann(self.gamma)
 
+    @cached_property
+    def det(self) -> Jet:
+        """det g at the order of g."""
+        return jet_det(self.g, self.ginv)
+
+    @cached_property
+    def char_poly(self) -> list:
+        """Complex jets e_0..e_n with det_C(t Id - A) = sum (-1)^k e_k
+        t^(n-k); needs J.  A ``shifted`` copy takes its base's shifted
+        exactly, det_C(t Id - A - c) = p(t - c): the new e_k is
+        sum_j C(n-j, k-j) c^(k-j) e_j, with no matrix products."""
+        if "_shift_of" in self.__dict__:
+            base, c = self.__dict__["_shift_of"]
+            e = base.char_poly
+            n = len(e) - 1
+            return [sum(e[j] * (math.comb(n - j, k - j) * c ** (k - j))
+                        for j in range(k + 1))
+                    for k in range(n + 1)]
+        from . import kahler          # kahler imports this module
+        return kahler.complex_char_poly(self.A, self.J)
+
     def replace(self, **changes) -> "ChartFields":
         """``dataclasses.replace`` that keeps the derived quantities whose
         inputs are unchanged (the g-only ones when g is kept)."""
@@ -330,9 +362,20 @@ class ChartFields:
                 new.__dict__[name] = self.__dict__[name]
         return new
 
+    def shifted(self, c: float) -> "ChartFields":
+        """The fields with A + c Id, which solves the same compatibility
+        equation.  Its ``char_poly``, when read, is this one's shifted."""
+        if c == 0.0:
+            return self
+        from . import kahler          # kahler imports this module
+        new = self.replace(A=kahler.shift_endo(self.A, c))
+        new.__dict__["_shift_of"] = (self, c)
+        return new
+
 
 _DERIVED_INPUTS = {"ginv": {"g"}, "gamma": {"g"}, "riemann": {"g"},
-                   "lam": {"g", "A", "J"}}
+                   "det": {"g"}, "lam": {"g", "A", "J"},
+                   "char_poly": {"A", "J"}}
 
 
 # ---------------------------------------------------------------------------
@@ -617,12 +660,14 @@ def mobility_field(pts, order, M, rho_idx) -> Jet:
 
 
 def _v_support(d, t_sl, y_sl):
-    """Entries of the v matrix a fit may use: a t row takes the constant,
-    t and y; a y row takes the constant and y."""
+    """Entries of the v matrix a fit may use: a t row takes t and y; a y
+    row takes the constant and y.  A t row's constant is left out: the
+    t translations are Killing fields of g that preserve A, so their
+    column of the fit is zero."""
     t_cols = slice(1 + t_sl.start, 1 + t_sl.stop)
     y_cols = slice(1 + y_sl.start, 1 + y_sl.stop)
     mask = np.zeros((d, 1 + d), dtype=bool)
-    mask[t_sl, 0] = mask[t_sl, t_cols] = mask[t_sl, y_cols] = True
+    mask[t_sl, t_cols] = mask[t_sl, y_cols] = True
     mask[y_sl, 0] = mask[y_sl, y_cols] = True
     return mask
 

@@ -31,8 +31,8 @@ from .builders import (
 from .kahler import (
     check_kahler, commuting_gradients_residual, connection_difference_check,
     cproj_residual, eigenvector_gradient_residual, hamiltonian_killing_check,
-    mu_hat_duality_residual, partner_metric, proj_residual, recover_endo,
-    shift_endo, spectrum_safe_shift)
+    mu_hat_duality_residual, partner_fields, proj_residual, recover_endo,
+    spectrum_safe_shift)
 from .killing import (
     KILLING_KEYS, a_on_k_recurrence, build_canonical_killing,
     killing_property_suite)
@@ -131,13 +131,12 @@ class Run:
         # constant shift of A solves the same equation and clears the
         # spectrum
         c0 = spectrum_safe_shift(self.fl)
-        fl = self.fl if c0 == 0.0 else self.fl.replace(
-            A=shift_endo(self.fl.A, c0))
-        return fl, f"shift={c0:g}" if c0 else ""
+        return self.fl.shifted(c0), f"shift={c0:g}" if c0 else ""
 
     @cached_property
     def ghat(self):
-        return partner_metric(self.shifted[0].g, self.shifted[0].A)
+        # the partner metric's chart fields, its det and inverse kept
+        return partner_fields(self.shifted[0])
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +188,7 @@ def _noted(rep, r):
 
 def _partner_roundtrip(r):
     fl, note = r.shifted
-    Arec = recover_endo(fl.g, r.ghat)
+    Arec = recover_endo(fl, r.ghat)
     rt = max_abs(Arec.c[0] - fl.A.c[0]) / (1.0 + max_abs(fl.A.c[0]))
     return [CheckEntry("partner_roundtrip", "recover(partner(g,A))=A", rt,
                        r.tol("roundtrip"), samples=len(r.pts), note=note)]

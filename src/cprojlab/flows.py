@@ -133,17 +133,14 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
     ``metric`` selects whose connection measures the acceleration: the
     chart metric 'g' or its 'partner'.  The trajectory must carry its
     coordinate accelerations gamma''."""
-    from .kahler import partner_metric
+    from .kahler import partner_fields
 
     if traj.acc is None:
         raise FlowError("trajectory carries no acceleration data")
     fl = chart.eval(traj.x, order=1)
-    if metric == "g":
-        g, gam = fl.g, fl.gamma.c[0]
-    else:
-        g = partner_metric(fl.g, fl.A)
-        gam = christoffel(g).c[0]
-    gv = g.c[0]
+    if metric != "g":
+        fl = partner_fields(fl)
+    gv, gam = fl.g.c[0], fl.gamma.c[0]
     Jv = fl.J.c[0]
     v = traj.v
     acc = traj.acc + np.einsum("ncab,na,nb->nc", gam, v, v)

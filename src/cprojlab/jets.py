@@ -9,12 +9,26 @@ computation needs (metric derivatives up to third order, derivatives of
 eigenvalue functions, of ``F(t) = a (1-t)^{-C} t^{p}`` profiles, ...) comes
 out exact to truncation order rather than from finite differencing.
 
+Constant operands: a Python number, a 0-d array or an array that
+broadcasts with the jet's batch shape (such as a (ydim,) vector of
+eigenvalues against a batch (N, ell, ydim)) is a constant, and arithmetic
+with it skips the product rule.  ``jet * c`` scales every coefficient by c
+(padded with unit axes for the derivative slots), ``jet / c`` scales by
+1/c, ``jet +- c`` changes only the value and ``c / jet`` scales the
+reciprocal; the higher coefficients of a sum are reused.  Each order gets
+the dtype (and batch) the product rule with ``Jet.const(c)`` would give.
+An array that does not broadcast with the batch raises numpy's
+ValueError, as the product rule with ``Jet.const(c)`` did.
+
 Layout and contraction kernel: each coefficient array has shape
 ``batch + (dim,)*k`` with the derivative axes trailing (``jstack`` makes
 the batch ``(N, i, j, ...)``, so a tensor field on a grid is one Jet;
 complex dtype is supported).  Every contraction goes through
 ``_contract``, one batched ``np.matmul`` over the operands transposed to
-(batch, free, contracted) and (batch, contracted, free).  ``jet_einsum``
+(batch, free, contracted) and (batch, contracted, free).  A contraction
+whose contracted axes have size 1 in total, or that has none (an outer or
+elementwise product such as ``"nab,n->nab"``), is a broadcast product
+instead, because a K = 1 matmul is slow and sums nothing.  ``jet_einsum``
 computes one contraction per Leibniz split i+j=k and spreads it over the
 C(k, i) placements of the derivative axes by transposes, which are views.
 The plan of a spec (letter classes, permutations, term specs) is worked
@@ -72,6 +86,9 @@ def _as_array(v):
 
 class Jet:
     __slots__ = ("dim", "order", "c")
+    # an ndarray operand defers to the jet's reflected methods, so
+    # ``array * jet`` is a jet, not an object array of jets
+    __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs):
         if not (0 <= order <= MAX_ORDER):
@@ -83,6 +100,14 @@ class Jet:
         self.dim = dim
         self.order = order
         self.c = tuple(_as_array(a) for a in coeffs)
+
+    @classmethod
+    def _of(cls, dim: int, order: int, coeffs) -> "Jet":
+        """A jet of arrays that arithmetic just computed: no checks and no
+        ``_as_array`` pass."""
+        j = object.__new__(cls)
+        j.dim, j.order, j.c = dim, order, tuple(coeffs)
+        return j
 
     # -- constructors -------------------------------------------------
 
@@ -151,39 +176,79 @@ class Jet:
 
     # -- arithmetic ----------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.dim != self.dim or other.order != self.order:
-                raise JetError(
-                    f"jet mismatch: dim/order ({self.dim},{self.order}) vs "
-                    f"({other.dim},{other.order})"
-                )
-            return other
-        return Jet.const(other, self.dim, self.order)
+    def _constant(self, other):
+        """``other`` as an array when it is a constant operand, anything
+        but a jet; None for a jet of the same dim and order."""
+        if not isinstance(other, Jet):
+            return _as_array(other)
+        if other.dim != self.dim or other.order != self.order:
+            raise JetError(
+                f"jet mismatch: dim/order ({self.dim},{self.order}) vs "
+                f"({other.dim},{other.order})"
+            )
+        return None
+
+    def _scale(self, c, left=False) -> "Jet":
+        """Every coefficient times the constant array c, the factor on the
+        left when ``left`` (complex products round by operand order);
+        order k has the dtype of c and coefficients 0..k, as under the
+        product rule."""
+        out = [c * self.c[0] if left else self.c[0] * c]
+        dt = out[0].dtype
+        for k in range(1, self.order + 1):
+            ck = c if c.ndim == 0 else c[(...,) + (None,) * k]
+            a = ck * self.c[k] if left else self.c[k] * ck
+            dt = np.promote_types(dt, a.dtype)
+            out.append(a if a.dtype == dt else a.astype(dt))
+        return Jet._of(self.dim, self.order, out)
+
+    def _shift(self, value, c, higher) -> "Jet":
+        """The jet of ``value`` and the ``higher`` coefficients, a sum with
+        the constant c: each is cast to its dtype in a sum with c, and
+        broadcast when c widens the batch."""
+        out = [value]
+        nb = self.c[0].ndim
+        grow = value.shape != self.c[0].shape
+        for a in higher:
+            dt = np.promote_types(a.dtype, c.dtype)
+            if grow:
+                a = np.broadcast_to(a, value.shape + a.shape[nb:]).astype(dt)
+            elif a.dtype != dt:
+                a = a.astype(dt)
+            out.append(a)
+        return Jet._of(self.dim, self.order, out)
 
     def __add__(self, other):
-        o = self._coerce(other)
-        return Jet(self.dim, self.order,
-                   [a + b for a, b in zip(self.c, o.c)])
+        c = self._constant(other)
+        if c is not None:
+            return self._shift(self.c[0] + c, c, self.c[1:])
+        return Jet._of(self.dim, self.order,
+                       [a + b for a, b in zip(self.c, other.c)])
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.dim, self.order,
-                   [a - b for a, b in zip(self.c, o.c)])
+        c = self._constant(other)
+        if c is not None:
+            return self._shift(self.c[0] - c, c, self.c[1:])
+        return Jet._of(self.dim, self.order,
+                       [a - b for a, b in zip(self.c, other.c)])
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        return Jet(self.dim, self.order,
-                   [b - a for a, b in zip(self.c, o.c)])
+        c = self._constant(other)
+        if c is not None:
+            return self._shift(c - self.c[0], c, [-a for a in self.c[1:]])
+        return Jet._of(self.dim, self.order,
+                       [b - a for a, b in zip(self.c, other.c)])
 
     def __neg__(self):
-        return Jet(self.dim, self.order, [-a for a in self.c])
+        return Jet._of(self.dim, self.order, [-a for a in self.c])
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        u, v = self.c, o.c
+        c = self._constant(other)
+        if c is not None:
+            return self._scale(c)
+        u, v = self.c, other.c
         out = [u[0] * v[0]]
         if self.order >= 1:
             out.append(u[1] * v[0][..., None] + u[0][..., None] * v[1])
@@ -203,17 +268,23 @@ class Jet:
                 + t21 + np.swapaxes(t21, -1, -2) + np.swapaxes(t21, -1, -3)
                 + t12 + np.swapaxes(t12, -3, -2) + np.swapaxes(t12, -3, -1)
             )
-        return Jet(self.dim, self.order, out)
+        return Jet._of(self.dim, self.order, out)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        return self * o._reciprocal()
+        c = self._constant(other)
+        if c is not None:
+            if np.any(c == 0.0):
+                raise JetDomainError("division by a jet with zero value")
+            return self._scale(_as_array(1.0 / c))
+        return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        return o * self._reciprocal()
+        c = self._constant(other)
+        if c is not None:
+            return self._reciprocal()._scale(c, left=True)
+        return other * self._reciprocal()
 
     def compose1(self, table) -> "Jet":
         """Compose with a univariate function given by its derivative values.
@@ -380,7 +451,7 @@ def jet_map(sub: str, a: Jet) -> Jet:
     for k in range(a.order + 1):
         d = _DAX[:k]
         coeffs.append(np.einsum(f"{ins}{d}->{out}{d}", a.c[k]))
-    return Jet(a.dim, a.order, coeffs)
+    return Jet._of(a.dim, a.order, coeffs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -417,7 +488,8 @@ def _contract(spec: str, x, y):
     """``np.einsum(spec, x, y)`` as one batched matmul.
 
     The batch axes broadcast; free and contracted axes are folded into the
-    two matrix axes of each operand.
+    two matrix axes of each operand.  When the contracted axes have size 1
+    in total, or there are none, it is a broadcast product instead.
     """
     nb, nfa, nc, pa, pb, pout = _contract_plan(spec)
     if pa is not None:
@@ -427,9 +499,14 @@ def _contract(spec: str, x, y):
     fa = x.shape[nb:nb + nfa]
     k = math.prod(x.shape[nb + nfa:])
     fb = y.shape[nb + nc:]
-    z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
-                  y.reshape(y.shape[:nb] + (k, math.prod(fb))))
-    z = z.reshape(z.shape[:nb] + fa + fb)
+    if k == 1:
+        # nothing to sum: a broadcast product, with no copy to fold axes
+        z = (x.reshape(x.shape[:nb] + fa + (1,) * len(fb))
+             * y.reshape(y.shape[:nb] + (1,) * nfa + fb))
+    else:
+        z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
+                      y.reshape(y.shape[:nb] + (k, math.prod(fb))))
+        z = z.reshape(z.shape[:nb] + fa + fb)
     return z if pout is None else z.transpose(pout)
 
 
@@ -485,9 +562,9 @@ def jet_einsum(sub: str, a: Jet, b: Jet) -> Jet:
     """
     if a.dim != b.dim or a.order != b.order:
         raise JetError("jet_einsum operands must share dim and order")
-    return Jet(a.dim, a.order,
-               [_leibniz_term(terms, a.c, b.c, k)
-                for k, terms in enumerate(_leibniz_plan(sub, a.order))])
+    return Jet._of(a.dim, a.order,
+                   [_leibniz_term(terms, a.c, b.c, k)
+                    for k, terms in enumerate(_leibniz_plan(sub, a.order))])
 
 
 def tensor_partial(t: Jet) -> Jet:
@@ -498,7 +575,7 @@ def tensor_partial(t: Jet) -> Jet:
     """
     if t.order < 1:
         raise JetError("cannot differentiate an order-0 tensor jet")
-    return Jet(t.dim, t.order - 1, list(t.c[1:]))
+    return Jet._of(t.dim, t.order - 1, t.c[1:])
 
 
 def jet_matmul(a: Jet, b: Jet) -> Jet:
@@ -528,25 +605,29 @@ def jet_inv(m: Jet) -> Jet:
         # plan[k][0] is the term M_0 G_k: its spec multiplies by G_0
         rest = _leibniz_term(plan[k][1:], m.c, g, k)
         g.append(_contract(plan[k][0][0], neg_g0, rest))
-    return Jet(m.dim, m.order, g)
+    return Jet._of(m.dim, m.order, g)
 
 
-def jet_det(m: Jet) -> Jet:
+def jet_det(m: Jet, inv: Jet | None = None) -> Jet:
     """Determinant of a batched square-matrix jet, any metric signature.
 
     Uses d log|det| = tr(M^{-1} dM); the value itself keeps its sign from
-    the pointwise LAPACK determinant.
+    the pointwise LAPACK determinant.  ``inv``, the jet of M^{-1} to at
+    least one order below M, spares inverting M again when the caller has
+    it.
     """
     det0 = np.linalg.det(m.c[0])
     if np.any(np.abs(det0) == 0.0):
         raise JetDomainError("determinant vanished at a sample")
     if m.order == 0:
-        return Jet(m.dim, 0, [det0])
+        return Jet._of(m.dim, 0, [det0])
     # d_a log|det| = tr(G M_a), G = M^{-1} one order lower; its jet
     # comes from the Leibniz rule over G and the gradient coefficients
-    g = jet_inv(m.truncate(m.order - 1)).c
+    if inv is None:
+        inv = jet_inv(m.truncate(m.order - 1))
+    g = inv.c
     plan = _leibniz_plan("nij,njia->na", m.order - 1)
     coeffs = [np.zeros_like(det0)] + [
         _leibniz_term(terms, g, m.c[1:], k) for k, terms in enumerate(plan)]
-    s = Jet(m.dim, m.order, coeffs)
+    s = Jet._of(m.dim, m.order, coeffs)
     return s.exp() * det0

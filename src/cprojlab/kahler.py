@@ -30,11 +30,12 @@ from .geometry import (
     gradient, hessian_cov, lie_bracket, lie_metric, max_abs,
 )
 from .report import CheckEntry, ResidualReport
-from .builders import EIGEN_GAP, _gap_mask
+from .builders import EIGEN_GAP, ChartFields, _gap_mask
 
 __all__ = [
     "KahlerError", "check_kahler", "cproj_residual", "proj_residual",
-    "partner_metric", "recover_endo", "hamiltonian_killing_check",
+    "partner_fields", "recover_endo",
+    "hamiltonian_killing_check",
     "connection_difference_check", "complex_char_poly", "complex_det",
     "nonconstant_factor",
 ]
@@ -128,13 +129,11 @@ def proj_residual(flds, tol=1e-6, selfadj_tol=1e-8) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 def shift_endo(A: Jet, c0: float) -> Jet:
-    """A + c0 * Id, which solves the same compatibility equation."""
+    """A + c0 * Id, which solves the same compatibility equation; only the
+    value changes, the derivative coefficients are A's own."""
     if c0 == 0.0:
         return A
-    coeffs = [c.copy() for c in A.c]
-    d = A.c[0].shape[-1]
-    coeffs[0] = coeffs[0] + c0 * np.eye(d)[None]
-    return Jet(A.dim, A.order, coeffs)
+    return A + c0 * np.eye(A.c[0].shape[-1])
 
 
 def spectrum_safe_shift(flds, margin=0.05) -> float:
@@ -146,26 +145,32 @@ def spectrum_safe_shift(flds, margin=0.05) -> float:
     return 1.0 + float(np.max(np.abs(eigs)))
 
 
-def partner_metric(g: Jet, A: Jet) -> Jet:
-    """ghat = (det A)^(-1/2) g(A^{-1} . , .)."""
-    detA = jet_det(A)
+def partner_fields(flds) -> ChartFields:
+    """The partner ghat = (det A)^(-1/2) g(A^{-1} . , .) of chart fields
+    (g, A) as chart fields: g = ghat, the same J, and A = A^{-1}, the
+    endomorphism of ghat relative to g.  A is inverted once, and the det
+    and inverse of ghat are derived once and kept."""
+    Ainv = jet_inv(flds.A)
+    detA = jet_det(flds.A, Ainv)
     if np.any(detA.c[0] <= 0.0):
         bad = np.nonzero(detA.c[0] <= 0.0)[0][:4]
         raise KahlerError(f"det A not positive at samples {bad.tolist()}")
-    Ainv = jet_inv(A)
-    gAinv = jet_einsum("ncb,nca->nab", g, Ainv)
-    return jet_einsum("nab,n->nab", gAinv, detA ** (-0.5))
+    gAinv = jet_einsum("ncb,nca->nab", flds.g, Ainv)
+    ghat = jet_einsum("nab,n->nab", gAinv, detA ** (-0.5))
+    return ChartFields(g=ghat, omega=None, J=flds.J, A=Ainv, rhos=[],
+                       mus=[])
 
 
-def recover_endo(g: Jet, ghat: Jet) -> Jet:
-    """A = (det ghat / det g)^(1/(2(n+1))) ghat^{-1} g, n = complex dim."""
-    d = g.c[0].shape[-1]
-    ncx = d // 2
-    ratio = jet_det(ghat) / jet_det(g)
+def recover_endo(flds, partner) -> Jet:
+    """A = (det ghat / det g)^(1/(2(n+1))) ghat^{-1} g, n = complex dim,
+    one order below g, from the chart fields of g and of ghat."""
+    ncx = flds.g.c[0].shape[-1] // 2
+    ratio = partner.det / flds.det
     if np.any(ratio.c[0] <= 0.0):
         raise KahlerError("determinant ratio not positive")
-    factor = ratio ** (1.0 / (2.0 * (ncx + 1)))
-    Ainv_g = jet_einsum("nab,nbc->nac", jet_inv(ghat), g)
+    order = partner.ginv.order
+    factor = ratio.truncate(order) ** (1.0 / (2.0 * (ncx + 1)))
+    Ainv_g = jet_einsum("nab,nbc->nac", partner.ginv, flds.g.truncate(order))
     return jet_einsum("nac,n->nac", Ainv_g, factor)
 
 
@@ -194,27 +199,27 @@ def complex_char_poly(A: Jet, J: Jet):
     for k in range(1, ncx + 1):
         acc = None
         for i in range(1, k + 1):
-            term = e[k - i] * ps[i - 1] * ((-1.0) ** (i - 1))
+            # e_0 = 1, so its term is the power sum itself
+            term = ps[i - 1] if i == k else e[k - i] * ps[i - 1]
+            term = term * ((-1.0) ** (i - 1))
             acc = term if acc is None else acc + term
         e.append(acc * (1.0 / k))
     return e
 
 
-def complex_det(A: Jet, J: Jet) -> Jet:
+def complex_det(flds) -> Jet:
     """det_C A as a real jet (smooth, sign included)."""
-    e = complex_char_poly(A, J)
-    det = e[-1]
-    return det.real
+    return flds.char_poly[-1].real
 
 
-def nonconstant_factor(A: Jet, J: Jet, constant_eigs, root_tol=1e-6):
-    """Divide det_C(t Id - A) by the declared constant-eigenvalue factor.
+def nonconstant_factor(e, constant_eigs, root_tol=1e-6):
+    """Divide det_C(t Id - A), given by its coefficients e_0..e_n (a
+    ``char_poly``), by the declared constant-eigenvalue factor.
 
     ``constant_eigs`` is a list of (c, multiplicity) with complex
     multiplicities.  Returns the mu_i jets (elementary symmetric functions
     of the non-constant eigenvalues) and the worst division remainder.
     """
-    e = complex_char_poly(A, J)
     ncx = len(e) - 1
     # coefficients of t^(n-k) are (-1)^k e_k; synthetic division by (t - c)
     coeffs = [e[k] * ((-1.0) ** k) for k in range(ncx + 1)]
@@ -256,7 +261,7 @@ def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
     cres = max_abs(comm) / (1.0 + max_abs(A.c[0]))
     if cres > comm_tol:
         raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
-    f = complex_det(A, J)
+    f = complex_det(flds)
     hess = hessian_cov(f, flds.gamma).c[0]
     Jv = J.c[0]
     herm = np.einsum("nca,ncd,ndb->nab", Jv, hess, Jv) - hess
@@ -273,22 +278,25 @@ def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
     return rep
 
 
-def connection_difference_check(flds, ghat: Jet, tol=1e-6
+def connection_difference_check(flds, partner, tol=1e-6
                                 ) -> ResidualReport:
-    """Gamma-hat of the partner metric ghat minus Gamma of the chart metric
+    """Gamma-hat of a partner metric ghat minus Gamma of the chart metric
     against the rank-one hermitian expression built from Phi = d phi,
-    phi = ln(det ghat / det g) / (4(n+1))."""
+    phi = ln(det ghat / det g) / (4(n+1)).  ``partner`` is the chart
+    fields of ghat (from ``partner_fields``); its det and inverse are read
+    from there."""
     g, J = flds.g, flds.J
     d = g.c[0].shape[-1]
     ncx = d // 2
     n = g.c[0].shape[0]
-    ratio = jet_det(ghat) / jet_det(g)
+    ratio = partner.det / flds.det
     if np.any(ratio.c[0] <= 0.0):
         raise KahlerError("determinant ratio not positive; phi undefined")
     phi = ratio.log() * (1.0 / (4.0 * (ncx + 1)))
     Phi = tensor_partial(phi).c[0]                      # (n, a)
     gam = flds.gamma.c[0]
-    gamhat = christoffel(ghat).c[0]
+    # Gamma-hat values need ghat to first order only
+    gamhat = christoffel(partner.g.truncate(1), partner.ginv.truncate(0)).c[0]
     Jv = J.c[0]
     eye = np.eye(d)
     PhiJ = np.einsum("nd,nda->na", Phi, Jv)

@@ -54,8 +54,8 @@ def build_canonical_killing(flds, constant_eigs=(), gap=EIGEN_GAP
     factor of the complex characteristic polynomial can be split off by
     synthetic division.
     """
-    g, J, A = flds.g, flds.J, flds.A
-    mus, _rem = nonconstant_factor(A, J, constant_eigs)
+    g, J = flds.g, flds.J
+    mus, _rem = nonconstant_factor(flds.char_poly, constant_eigs)
     mus = mus[1:]  # drop mu_0 = 1
     K = []
     for mu in mus:

@@ -346,11 +346,19 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
         for got, want in zip(fl2.gamma.c, christoffel(g2).c, strict=True):
             np.testing.assert_array_equal(got, want)
         assert max_abs(fl2.gamma.c[0] - gam.c[0]) > 1e-3
-    # a new A keeps the g-only quantities and recomputes La
+    # a new omega (the seeded-defect path) keeps det and char_poly
+    det, cp = fl.det, fl.char_poly
+    fl5 = fl.replace(omega=fl.omega * 2.0)
+    assert fl5.det is det and fl5.char_poly is cp
+    # a new A keeps the g-only quantities and recomputes La and char_poly
     fl3 = fl.replace(A=shift_endo(fl.A, 1.0))
-    assert fl3.gamma is gam and fl3.ginv is ginv
+    assert fl3.gamma is gam and fl3.ginv is ginv and fl3.det is det
     assert fl3.lam is not lam
     np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])
+    assert fl3.char_poly is not cp
+    ncx = chart.dim // 2       # e_1 = tr_C A moves by ncx under A + Id
+    np.testing.assert_allclose(fl3.char_poly[1].c[0], cp[1].c[0] + ncx,
+                               rtol=1e-14, atol=1e-14)
     # without J, La takes the projective weight 1/2
     fl4 = fl.replace(J=None)
     assert fl4.gamma is gam and fl4.lam is not lam

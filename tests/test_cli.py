@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -16,6 +17,8 @@ from cprojlab.config import (
 )
 from cprojlab.cli import main, run_scenario
 from cprojlab.flows import FlowError
+
+from conftest import sample
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -418,6 +421,54 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
         if cfg is cfgs[0]:
             assert len(rep.entries) > 9 and run.fl is run.f
             assert any(e.note.startswith("shift=") for e in rep.entries)
+
+
+def _count_derivations(monkeypatch):
+    """Counts of the characteristic-polynomial and inverse calls that
+    the cprojlab modules make from here on."""
+    from cprojlab import jets, kahler
+    calls = {"complex_char_poly": 0, "jet_inv": 0}
+    for owner, fname in ((kahler, "complex_char_poly"), (jets, "jet_inv")):
+        orig = getattr(owner, fname)
+
+        def counted(*a, _orig=orig, _name=fname, **kw):
+            calls[_name] += 1
+            return _orig(*a, **kw)
+
+        for mod in list(sys.modules.values()):
+            if (getattr(mod, "__name__", "").startswith("cprojlab")
+                    and getattr(mod, fname, None) is orig):
+                monkeypatch.setattr(mod, fname, counted)
+    return calls
+
+
+@pytest.mark.parametrize("only,char_polys", [(None, 1),
+                                              ("partner,connection", 0)])
+def test_mobility2_derives_char_poly_and_inverses_once(monkeypatch, capsys,
+                                                       only, char_polys):
+    # the shifted copy takes its characteristic polynomial from the
+    # fields' one, and only when a step reads it; the partner metric is
+    # built once: one inverse each of g, A and the partner metric
+    calls = _count_derivations(monkeypatch)
+    argv = ["run", str(CONFIGS / "mobility2.cfg")]
+    assert main(argv + (["--only", only] if only else [])) == 0
+    assert "note=shift=2" in capsys.readouterr().out
+    assert calls == {"complex_char_poly": char_polys, "jet_inv": 3}
+
+
+def test_shifted_char_poly_is_the_exact_shift(corpus):
+    from cprojlab.kahler import complex_char_poly
+    for name, chart, _ in corpus:
+        fl = chart.eval(sample(chart, 20), order=2)
+        d = fl.A.c[0].shape[-1]
+        for c in (2.0, -0.75):
+            got = fl.shifted(c).char_poly
+            want = complex_char_poly(fl.A + c * np.eye(d), fl.J)
+            for k, (g, w) in enumerate(zip(got, want, strict=True)):
+                scale = max(geometry.max_abs(wc) for wc in w.c)
+                for gc, wc in zip(g.c, w.c, strict=True):
+                    assert geometry.max_abs(gc - wc) <= 1e-13 * scale, \
+                        (name, c, k)
 
 
 def test_only_skips_unselected_work(monkeypatch, capsys):

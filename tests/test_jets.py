@@ -1,4 +1,5 @@
 import itertools
+import operator
 
 import numpy as np
 import pytest
@@ -533,3 +534,89 @@ def test_jet_compose1_property_against_fd(outer, cplx, dim, order, n,
     u = ujet(pts, order)
     comp = u.compose1(_OUTER[outer](u.c[0]))
     _assert_jet_matches_fd(comp, lambda x: _OUTER[outer](ufn(x))[0], pts)
+
+
+# constant operands: each kind of constant against the batch (3, 2)
+_BATCH = (3, 2)
+_CONSTANTS = {
+    "python-real": lambda rng: float(rng.normal()),
+    "python-complex": lambda rng: complex(rng.normal(), rng.normal()),
+    "0-d": lambda rng: np.asarray(rng.normal()),
+    "batch": lambda rng: rng.normal(size=_BATCH),
+    "trailing": lambda rng: rng.normal(size=_BATCH[1:]) + 0j,
+    "unit-axis": lambda rng: rng.normal(size=(_BATCH[0], 1)),
+    "widening": lambda rng: rng.normal(size=(2, 1, _BATCH[1])),
+}
+
+
+def _random_jet(rng, dim, order, kinds):
+    """A jet on the batch whose coefficient k is complex when kinds[k]."""
+    coeffs = []
+    for k in range(order + 1):
+        a = rng.normal(size=_BATCH + (dim,) * k)
+        if kinds[k]:
+            a = a + 1j * rng.normal(size=a.shape)
+        coeffs.append(a)
+    return Jet(dim, order, coeffs)
+
+
+@given(const=st.sampled_from(sorted(_CONSTANTS)), dim=st.integers(1, 4),
+       order=st.integers(0, 3),
+       kinds=st.lists(st.booleans(), min_size=4, max_size=4),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_constant_operands_match_const_jets(const, dim, order, kinds, seed):
+    # the constant path against the product rule with Jet.const: equal
+    # values (a zero may change sign) and the same dtype at every order;
+    # c * a is a * c, as it always was
+    rng = np.random.default_rng(seed)
+    a = _random_jet(rng, dim, order, kinds)
+    c = _CONSTANTS[const](rng)
+    cj = Jet.const(c, dim, order)
+    cases = {"a*c": (a * c, a * cj), "c*a": (c * a, a * cj),
+             "a+c": (a + c, a + cj), "c-a": (c - a, cj - a),
+             "a/c": (a / c, a / cj), "c/a": (c / a, cj / a)}
+    for op, (got, want) in cases.items():
+        assert (got.dim, got.order) == (want.dim, want.order), op
+        for k, (g, w) in enumerate(zip(got.c, want.c, strict=True)):
+            assert g.dtype == w.dtype, (op, k)
+            np.testing.assert_array_equal(g, w, err_msg=f"{op} order {k}")
+
+
+def test_non_broadcastable_constant_raises_as_before():
+    a = _random_jet(np.random.default_rng(5), 2, 2, [False] * 3)
+    c = np.ones(4)
+    for op in (operator.mul, operator.add, operator.sub, operator.truediv):
+        for x, y in ((a, c), (c, a)):
+            with pytest.raises(ValueError):
+                op(x, y)
+
+
+def test_division_by_a_zero_constant_raises():
+    a = _random_jet(np.random.default_rng(6), 2, 1, [False] * 2)
+    for c in (0.0, np.zeros(_BATCH)):
+        with pytest.raises(JetDomainError):
+            _ = a / c
+
+
+@pytest.mark.parametrize("spec,xs,ys", [
+    ("nab,n->nab", (5, 3, 4), (5,)),
+    ("niq,nip->nqp", (5, 1, 4), (5, 1, 3)),
+    ("nij,njk->nik", (5, 3, 1), (5, 1, 2)),
+    ("nijx,njky->nikxy", (5, 3, 1, 2), (5, 1, 4, 2)),
+    ("niab,nic->nabc", (5, 1, 1, 2), (5, 1, 3)),
+    ("na,nb->nab", (5, 3), (5, 4)),
+    ("nab,nb->na", (5, 3, 1), (1, 1)),
+    ("ni,nj->nji", (1, 3), (4, 2)),
+])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_unit_and_empty_contractions_match_einsum(spec, xs, ys, cplx):
+    from cprojlab.jets import _contract
+    rng = np.random.default_rng(11)
+    x, y = rng.normal(size=xs), rng.normal(size=ys)
+    if cplx:
+        x = x + 1j * rng.normal(size=xs)
+    want = np.einsum(spec, x, y)
+    got = _contract(spec, x, y)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))

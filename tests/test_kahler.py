@@ -9,8 +9,9 @@ from cprojlab.kahler import (
     KahlerError, check_kahler, commuting_gradients_residual,
     complex_det, connection_difference_check, cproj_residual,
     eigenvector_gradient_residual, hamiltonian_killing_check,
-    mu_hat_duality_residual, nonconstant_factor, partner_metric,
-    proj_residual, recover_endo, shift_endo, spectrum_safe_shift,
+    mu_hat_duality_residual, nonconstant_factor, partner_fields,
+    proj_residual, recover_endo, shift_endo,
+    spectrum_safe_shift,
 )
 from cprojlab.builders import ChartFields, lift_pair
 
@@ -113,10 +114,10 @@ def test_proj_residual_rejects_nonselfadjoint():
 
 def test_partner_metric_scalar_cases():
     pts, fl = flat_complex_chart()
-    gh = partner_metric(fl.g, fl.A)
+    gh = partner_fields(fl).g
     assert max_abs(gh.c[0] - fl.g.c[0]) <= 1e-14     # A = Id -> ghat = g
     A4 = Jet(fl.A.dim, fl.A.order, [4.0 * fl.A.c[0]] + list(fl.A.c[1:]))
-    gh4 = partner_metric(fl.g, A4)
+    gh4 = partner_fields(fl.replace(A=A4)).g
     ncx = 2
     # A = 4 Id on complex dim n: ghat = 4^(-n-1) g
     assert max_abs(gh4.c[0] - 4.0 ** (-(ncx + 1)) * fl.g.c[0]) <= 1e-14
@@ -127,8 +128,7 @@ def test_partner_roundtrip_on_instances(corpus):
         fl = chart.eval(sample(chart, 25), order=2)
         c0 = spectrum_safe_shift(fl)
         A = shift_endo(fl.A, c0)
-        gh = partner_metric(fl.g, A)
-        Arec = recover_endo(fl.g, gh)
+        Arec = recover_endo(fl, partner_fields(fl.replace(A=A)))
         dev = max_abs(Arec.c[0] - A.c[0]) / (1.0 + max_abs(A.c[0]))
         assert dev <= 1e-9, name
 
@@ -137,13 +137,13 @@ def test_partner_metric_rejects_singular_endo():
     pts, fl = flat_complex_chart()
     A0 = Jet(fl.A.dim, fl.A.order, [0.0 * fl.A.c[0]] + list(fl.A.c[1:]))
     with pytest.raises(Exception):
-        partner_metric(fl.g, A0)
+        partner_fields(fl.replace(A=A0)).g
 
 
 def test_complex_det_matches_mu_product(corpus):
     for name, chart, consts in corpus:
         fl = chart.eval(sample(chart, 20), order=2)
-        dc = complex_det(fl.A, fl.J)
+        dc = complex_det(fl)
         expect = np.ones(len(dc.c[0]))
         for r in fl.rhos:
             expect = expect * r.c[0]
@@ -157,7 +157,7 @@ def test_nonconstant_factor_wrong_constant_raises(corpus):
     name, chart, consts = corpus[1]      # the c=0 block instance
     fl = chart.eval(sample(chart, 10), order=2)
     with pytest.raises(KahlerError):
-        nonconstant_factor(fl.A, fl.J, [(0.37, 1)])
+        nonconstant_factor(fl.char_poly, [(0.37, 1)])
 
 
 def test_hamiltonian_killing_on_instances(corpus):
@@ -194,15 +194,15 @@ def test_hamiltonian_killing_negative_control():
 def test_connection_difference(corpus):
     # ghat = g and ghat = c g give zero difference; instance pairs match
     pts, fl = flat_complex_chart()
-    rep = connection_difference_check(fl, fl.g)
+    rep = connection_difference_check(fl, fl)
     assert rep.entries[0].value <= 1e-14
     g3 = Jet(fl.g.dim, fl.g.order, [3.0 * c for c in fl.g.c])
-    rep = connection_difference_check(fl, g3)
+    rep = connection_difference_check(fl, fl.replace(g=g3))
     assert rep.entries[0].value <= 1e-14
     for name, chart, _ in corpus[:4]:
         fl = chart.eval(sample(chart, 20), order=2)
         c0 = spectrum_safe_shift(fl)
-        gh = partner_metric(fl.g, shift_endo(fl.A, c0))
+        gh = partner_fields(fl.replace(A=shift_endo(fl.A, c0)))
         rep = connection_difference_check(fl, gh)
         assert rep.entries[0].value <= 1e-7, name
 
