@@ -483,10 +483,10 @@ class QuotientPair:
                 row = ("complex", b.rho_jet(z), b.drho_jet(z))
             elif isinstance(b, Jordan2):
                 r, x = seed(off + 1), seed(off)
-                row = ("jordan2", r, (x, b.F.f_jet(r) + x))
+                row = ("jordan2", r, (x, b.F.jet(r) + x))
             elif isinstance(b, Jordan3):
                 r, x1, x2 = seed(off + 2), seed(off), seed(off + 1)
-                row = ("jordan3", r, (x1, x2, b.F.f_jet(r) + 2.0 * x2))
+                row = ("jordan3", r, (x1, x2, b.F.jet(r) + 2.0 * x2))
             else:
                 raise BuilderError(f"unknown block {b!r}")
             seeded.append(row + (b, off))
@@ -1221,38 +1221,34 @@ class JordanOdeSolution:
             raise BuilderError(f"ODE solve failed: {exc}") from None
         self._mid = mid
 
+    def _entries(self, t):
+        """The nonzero entries ((row, col), value) of the system matrix at
+        ``t``, an array or a jet; a constant entry is a float."""
+        w = t * (1.0 - t)
+        n2, C = self.n2, self.C
+        if self.kind == "1x1":
+            return [((0, 0), ((n2 + C + 2.0) - (n2 + 2.0) * t) / w)]
+        if self.kind == "2x2":
+            return [((0, 0), 0.5 * ((n2 - 1.0) * t - 1.0 - C - n2) / w),
+                    ((0, 1), -1.0 / w), ((1, 0), 0.5 * (n2 - 1.0))]
+        return [((0, 0), -0.5 * (C + n2 + (4.0 - n2) * t) / w),
+                ((0, 1), -2.0 / w), ((1, 0), 0.5 * (n2 - 2.0)),
+                ((1, 2), -1.0)]
+
     def _matrix_values(self, t):
         """The system matrix at ``t``: shape (n, n) + shape(t)."""
         t = np.asarray(t, dtype=float)
-        w = t * (1.0 - t)
-        n2, C = self.n2, self.C
-        z = np.zeros_like(t)
-        if self.kind == "1x1":
-            return np.array([[((n2 + C + 2.0) - (n2 + 2.0) * t) / w]])
-        if self.kind == "2x2":
-            return np.array([
-                [0.5 * ((n2 - 1.0) * t - 1.0 - C - n2) / w, -1.0 / w],
-                [z + 0.5 * (n2 - 1.0), z]])
-        return np.array([
-            [-0.5 * (C + n2 + (4.0 - n2) * t) / w, -2.0 / w, z],
-            [z + 0.5 * (n2 - 2.0), z, z - 1.0],
-            [z, z, z]])
+        s = self.NSTATE[self.kind]
+        M = np.zeros((s, s) + t.shape)
+        for idx, val in self._entries(t):
+            M[idx] = val
+        return M
 
     def _matrix_jet(self, rho: Jet) -> Jet:
         """The system matrix as a matrix jet in ``rho`` (batch (n,))."""
-        w = rho * (1.0 - rho)
-        n2, C = self.n2, self.C
-        if self.kind == "1x1":
-            parts = [((0, 0), ((n2 + C + 2.0) - (n2 + 2.0) * rho) / w)]
-        elif self.kind == "2x2":
-            parts = [((0, 0), (0.5 * ((n2 - 1.0) * rho - 1.0 - C - n2)) / w),
-                     ((0, 1), -1.0 / w), ((1, 0), 0.5 * (n2 - 1.0))]
-        else:
-            parts = [((0, 0), (-0.5 * (C + n2 + (4.0 - n2) * rho)) / w),
-                     ((0, 1), -2.0 / w), ((1, 0), 0.5 * (n2 - 2.0)),
-                     ((1, 2), -1.0)]
         s = self.NSTATE[self.kind]
-        return _place(rho.c[0].shape[0], rho.dim, rho.order, (s, s), parts)
+        return _place(rho.c[0].shape[0], rho.dim, rho.order, (s, s),
+                      self._entries(rho))
 
     def _rhs(self, t, y):
         return self._matrix_values(t) @ y
@@ -1293,7 +1289,7 @@ class JordanOdeSolution:
         table = [d[row].reshape(rho.c[0].shape) for d in ders]
         return rho.compose1(table)
 
-    def f_jet(self, rho: Jet) -> Jet:
+    def jet(self, rho: Jet) -> Jet:
         return self._state_jet(rho, 0)
 
     def g1_jet(self, rho: Jet) -> Jet:

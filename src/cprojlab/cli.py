@@ -4,7 +4,7 @@ and optional CSV data.
 
 Exit codes: 0 when every selected check passes, 1 when a check fails,
 2 on a bad config, an ``--only`` that selects no check or an instance
-that cannot be built.
+that cannot be built or checked (a singular metric, a vanishing det L).
 """
 
 from __future__ import annotations
@@ -29,15 +29,15 @@ from .builders import (
     build_mobility2, build_quotient_pair,
     jordan_pair_spec, lift_pair, solve_jordan_odes)
 from .kahler import (
-    check_kahler, commuting_gradients_residual, connection_difference_check,
-    cproj_residual, eigenvector_gradient_residual, hamiltonian_killing_check,
-    mu_hat_duality_residual, partner_fields, proj_residual, recover_endo,
-    spectrum_safe_shift)
+    KahlerError, check_kahler, commuting_gradients_residual,
+    connection_difference_check, cproj_residual, eigenvector_gradient_residual,
+    hamiltonian_killing_check, mu_hat_duality_residual, partner_fields,
+    proj_residual, recover_endo, spectrum_safe_shift)
 from .killing import (
     KILLING_KEYS, a_on_k_recurrence, build_canonical_killing,
     killing_property_suite)
 from .curvspec import (
-    compare_with_numeric, fppp_limit_check, real_curvature_operator_matrix,
+    compare_with_numeric, curvature_operator_matrix, fppp_limit_check,
     real_ricci_identity_check, ricci_identity_check)
 from .flows import (
     FlowError, blowup_scan, circle_fit, eigenvalue_flow, fixed_points,
@@ -229,7 +229,7 @@ def _blowup_spectrum(r):
     for s, p in enumerate(r.pts[:3]):
         val = (jordan2_fprime(r.sol, p[0], p[1]) if r.v["kind"] == "2x2"
                else jordan3_fprime(r.sol, p[1], p[2]))
-        eigs = np.linalg.eigvals(real_curvature_operator_matrix(r.f, s))
+        eigs = np.linalg.eigvals(curvature_operator_matrix(r.f, s)[0])
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
                        "closed-form eigenvalue in spec(R)", max(dev),
@@ -537,7 +537,7 @@ def main(argv=None) -> int:
         t0 = time.monotonic()
         rep, run = run_scenario(v, args.tol_scale, only)
     except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
-            JetError) as exc:
+            JetError, KahlerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     elapsed = time.monotonic() - t0

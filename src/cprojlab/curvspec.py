@@ -17,7 +17,10 @@ with its collision limit F'''(x) / 24, and the third-order equation
 
 A projective pair (h, L) comes as fields without J: the same code then
 uses the real wedge ``u ^ v = u^b (x) v - v^b (x) u``, La = (1/2) grad tr L
-and the identity ``[R(u, v), L] = [u ^ v, nabla La]``.
+and the identity ``[R(u, v), L] = [u ^ v, nabla La]``.  The basis, the
+operator matrix and the fit of p serve both kinds of fields; only the
+Ricci-identity report has a real counterpart, for its factor 1 and its
+check name.
 """
 
 from __future__ import annotations
@@ -34,8 +37,7 @@ __all__ = [
     "ricci_identity_check", "fit_nabla_lambda_poly", "r0_operator",
     "predicted_eigenvalues", "compare_with_numeric", "lambda_two_eigen",
     "fppp_limit_check", "third_order_residual", "jordan_alpha_invariant",
-    "real_ricci_identity_check", "real_curvature_operator_matrix",
-    "fit_real_poly",
+    "real_ricci_identity_check",
 ]
 
 
@@ -83,14 +85,16 @@ def skew_hermitian_residuals(X, gv, Jv):
     return max_abs(comm) / s, max_abs(skew) / s
 
 
-def unitary_basis(gv, Jv, tol=1e-8):
-    """An orthonormalized basis of u(g, J) from coordinate wedges.
+def unitary_basis(gv, Jv=None, tol=1e-8):
+    """An orthonormalized basis of u(g, J) from coordinate wedges, or of
+    the real wedge span so(g) without ``Jv``.
 
     Works at a single sample: gv, Jv are (d, d).  Returns (k, d, d) basis
     matrices and the wedge list used.
     """
     d = gv.shape[-1]
-    wedges = [(ab, w[0]) for ab, w in _coordinate_wedges(gv[None], Jv[None])]
+    wedges = [(ab, w[0]) for ab, w in _coordinate_wedges(
+        gv[None], None if Jv is None else Jv[None])]
     mats = np.stack([w for _, w in wedges])
     flat = mats.reshape(len(wedges), -1)
     q, r = np.linalg.qr(flat.T)
@@ -100,16 +104,17 @@ def unitary_basis(gv, Jv, tol=1e-8):
 
 
 def curvature_operator_matrix(flds, sample=0):
-    """Matrix of the curvature operator on u(g, J) at one sample.
+    """Matrix of the curvature operator on u(g, J) at one sample, or on
+    the real wedge span for fields without J.
 
-    Normalized so that the wedge u ^_J v maps to the plain curvature
-    endomorphism R(u, v); equivalently, the returned operator R satisfies
-    [R(X), A] = [X, nabla La], which is the normalization the closed-form
-    eigenvalue predictions refer to.  Arbitrary X are expanded over the
-    coordinate-wedge span by least squares (exact on u(g, J)).
+    Normalized so that the wedge u ^_J v (u ^ v) maps to the plain
+    curvature endomorphism R(u, v); equivalently, the returned operator R
+    satisfies [R(X), A] = [X, nabla La], which is the normalization the
+    closed-form eigenvalue predictions refer to.  Arbitrary X are expanded
+    over the coordinate-wedge span by least squares (exact on the span).
     """
     gv = flds.g.c[0][sample]
-    Jv = flds.J.c[0][sample]
+    Jv = None if flds.J is None else flds.J.c[0][sample]
     Rc = flds.riemann[sample]            # R^d_cab
     basis, wedges = unitary_basis(gv, Jv)
     k = basis.shape[0]
@@ -174,7 +179,9 @@ def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
 
 def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
                           max_degree=None):
-    """Minimal-degree real polynomial with nabla La = p(A) at one sample.
+    """Minimal-degree real polynomial with nabla La = p(A) at one sample,
+    raising the degree up to ``max_degree`` (at most the dimension) until
+    the relative residual of the least-squares fit is within ``tol``.
 
     Raises when the two endomorphisms fail to commute; flags an
     ill-conditioned fit through the returned residual.
@@ -186,17 +193,8 @@ def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
         raise ValueError("nabla Lambda does not commute with A at the "
                          "sample; no polynomial expression exists")
     d = Av.shape[-1]
-    eigs = np.linalg.eigvals(Av)
-    distinct = _cluster(eigs)
-    cap = max_degree if max_degree is not None else \
-        len(distinct) + (d - len(set(np.round(eigs, 8)))) // 1
-    return _fit_powers(Av, NL, min(max(cap, 1), d), tol)
-
-
-def _fit_powers(Av, NL, cap, tol):
-    """Least-squares fit of NL by Id, Av, .., Av^deg, raising deg up to
-    ``cap`` until the relative residual is within ``tol``."""
-    powers = [np.eye(Av.shape[-1])]
+    cap = d if max_degree is None else min(max_degree, d)
+    powers = [np.eye(d)]
     for _ in range(cap):
         powers.append(powers[-1] @ Av)
     target = NL.ravel()
@@ -277,7 +275,7 @@ def compare_with_numeric(flds, sample=0, tol=1e-5, eig_pairs=None,
 
 
 # ---------------------------------------------------------------------------
-# real (projective) counterparts: fields without J, La = (1/2) grad tr L
+# the real (projective) identity: fields without J, La = (1/2) grad tr L
 # ---------------------------------------------------------------------------
 
 def real_ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
@@ -288,26 +286,6 @@ def real_ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
                        _ricci_defect(flds, 1.0), tol,
                        samples=flds.g.c[0].shape[0]))
     return rep
-
-
-def real_curvature_operator_matrix(flds, sample=0):
-    """Matrix of the curvature operator on the real wedge span at one
-    sample, normalized by [R(X), L] = [X, nabla La]."""
-    Rc = flds.riemann[sample]
-    wedges = list(_coordinate_wedges(flds.g.c[0][sample][None]))
-    W = np.stack([w[0].ravel() for _, w in wedges], axis=1)
-    Rmat = np.zeros((len(wedges), len(wedges)))
-    for j, ((a, b), _) in enumerate(wedges):
-        Rmat[:, j] = np.linalg.lstsq(W, Rc[:, :, a, b].ravel(), rcond=None)[0]
-    return Rmat
-
-
-def fit_real_poly(flds, sample=0, tol=1e-8, max_degree=None):
-    """Minimal-degree polynomial with nabla La = p(L) at one sample."""
-    Lv = flds.A.c[0][sample]
-    d = Lv.shape[-1]
-    cap = min(max_degree if max_degree is not None else d, d)
-    return _fit_powers(Lv, nabla_lambda_endo(flds)[sample], cap, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -328,13 +306,8 @@ def lambda_two_eigen(profile, r1, r2):
 
 def _f_and_fp(profile, t):
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    if hasattr(profile, "jet"):
-        j = profile.jet(Jet.seed(0, t, 1, 1))
-        return j.c[0], j.c[1][..., 0]
-    if hasattr(profile, "f_jet"):
-        j = profile.f_jet(Jet.seed(0, t, 1, 1))
-        return j.c[0], j.c[1][..., 0]
-    raise TypeError("profile must expose jet() or f_jet()")
+    j = profile.jet(Jet.seed(0, t, 1, 1))
+    return j.c[0], j.c[1][..., 0]
 
 
 def fppp_limit_check(profile, x, delta=1e-2, tol=1e-3) -> ResidualReport:
@@ -343,10 +316,7 @@ def fppp_limit_check(profile, x, delta=1e-2, tol=1e-3) -> ResidualReport:
     lam = lambda dd: float(lambda_two_eigen(profile, x + dd, x - dd))
     l1, l2 = lam(delta), lam(delta / 2.0)
     richardson = (4.0 * l2 - l1) / 3.0
-    if hasattr(profile, "jet"):
-        j = profile.jet(Jet.seed(0, np.array([x]), 1, 3))
-    else:
-        j = profile.f_jet(Jet.seed(0, np.array([x]), 1, 3))
+    j = profile.jet(Jet.seed(0, np.array([x]), 1, 3))
     target = float(j.c[3][0, 0, 0, 0]) / 24.0
     rep = ResidualReport(title="collision-limit")
     rep.add(CheckEntry("fppp_limit", "lim lambda = F'''/24",

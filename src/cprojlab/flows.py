@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .builders import ProjectiveMobilityChart
-from .geometry import christoffel, lie_endo, lie_metric, max_abs
+from .geometry import (
+    christoffel, lie_endo, lie_metric, max_abs, normal_part, span_gram)
 from .ode import OdeError, integrate
 from .report import CheckEntry, ResidualReport
 from .curvspec import lambda_two_eigen
@@ -146,15 +147,13 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
     acc = traj.acc + np.einsum("ncab,na,nb->nc", gam, v, v)
     Jv_v = np.einsum("nab,nb->na", Jv, v)
     span = np.stack([v, Jv_v], axis=1)                  # (n, 2, d)
-    gram = np.einsum("nia,nab,njb->nij", span, gv, span)
-    det = np.abs(np.linalg.det(gram))
-    ok = det / (1.0 + max_abs(gram)) ** 2 >= span_margin
+    gram, rel_det = span_gram(span, gv)
+    ok = rel_det >= span_margin
     if not ok.any():
         raise FlowError("velocity span degenerate along the trajectory")
-    ginv = np.linalg.inv(gram[ok])
-    coef = np.einsum("nij,nab,njb,na->ni", ginv, gv[ok], span[ok], acc[ok])
-    proj = np.einsum("ni,nia->na", coef, span[ok])
-    return max_abs(acc[ok] - proj) / (1.0 + max_abs(acc[ok]))
+    acc = acc[ok]
+    off = normal_part(acc, span[ok], gv[ok], gram[ok])
+    return max_abs(off) / (1.0 + max_abs(acc))
 
 
 # ---------------------------------------------------------------------------

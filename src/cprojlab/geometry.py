@@ -32,7 +32,7 @@ __all__ = [
     "cov_deriv_endo", "cov_deriv_vector", "lie_metric", "lie_endo",
     "lie_scalar", "lie_two_form", "lie_vector", "lie_christoffel",
     "ext_deriv_two_form", "gradient", "hessian_cov", "third_cov_scalar",
-    "max_abs",
+    "max_abs", "span_gram", "normal_part",
 ]
 
 
@@ -162,6 +162,27 @@ def cov_deriv_vector(v: Jet, gamma: Jet) -> np.ndarray:
     """nabla_a v^b values, shape (N, a, b)."""
     return (np.einsum("nba->nab", v.c[1])
             + np.einsum("nbad,nd->nab", gamma.c[0], v.c[0]))
+
+
+# ---------------------------------------------------------------------------
+# projection onto a span of vectors
+# ---------------------------------------------------------------------------
+
+def span_gram(span: np.ndarray, gv: np.ndarray):
+    """Gram matrix g(u_i, u_j) of the vectors ``span`` (N, k, a) in the
+    metric values ``gv`` (N, a, b), and its |det| per sample relative to
+    (1 + max |g(u_i, u_j)|)^k over all samples."""
+    gram = np.einsum("nia,nab,njb->nij", span, gv, span)
+    return gram, (np.abs(np.linalg.det(gram))
+                  / (1.0 + max_abs(gram)) ** span.shape[1])
+
+
+def normal_part(w: np.ndarray, span: np.ndarray, gv: np.ndarray,
+                gram: np.ndarray) -> np.ndarray:
+    """The g-orthogonal part of w (N, a) off the span (N, k, a), whose
+    Gram matrix ``gram`` must be invertible at every sample."""
+    coef = np.einsum("nij,nab,njb,na->ni", np.linalg.inv(gram), gv, span, w)
+    return w - np.einsum("ni,nia->na", coef, span)
 
 
 # ---------------------------------------------------------------------------

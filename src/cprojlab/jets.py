@@ -392,11 +392,14 @@ class Jet:
 
 def polyval(coeffs, x: Jet) -> Jet:
     """Evaluate a polynomial with coefficients listed lowest degree first."""
-    if len(coeffs) == 0:
-        return Jet.const(np.zeros_like(x.c[0]), x.dim, x.order)
-    acc = Jet.const(np.broadcast_to(np.asarray(coeffs[-1]), x.c[0].shape),
-                    x.dim, x.order)
-    for a in reversed(coeffs[:-1]):
+    if len(coeffs) < 2:
+        top = coeffs[0] if len(coeffs) else np.zeros_like(x.c[0])
+        return Jet.const(np.broadcast_to(np.asarray(top), x.c[0].shape),
+                         x.dim, x.order)
+    # start from x * c_n + c_(n-1): a constant factor skips the product
+    # rule a constant jet would run on all-zero derivative coefficients
+    acc = x * coeffs[-1] + coeffs[-2]
+    for a in reversed(coeffs[:-2]):
         acc = acc * x + a
     return acc
 

@@ -373,10 +373,10 @@ def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
     L = flds.A
     n = L.c[0].shape[0]
     ell = len(flds.mus) - 1
-    detL = jet_det(L)
-    if np.any(np.abs(detL.c[0]) < 1e-12):
+    if np.any(np.abs(np.linalg.det(L.c[0])) < 1e-12):
         raise KahlerError("det L vanishes at a sample")
     Linv = jet_inv(L)
+    detL = jet_det(L, Linv)
     worst = 0.0
     inv_det = 1.0 / detL
     for i in range(1, ell + 1):

@@ -16,7 +16,8 @@ import numpy as np
 
 from .jets import Jet, jet_einsum
 from .geometry import (
-    christoffel, gradient, lie_bracket, lie_endo, lie_metric, max_abs,
+    christoffel, cov_deriv_vector, gradient, lie_bracket, lie_endo,
+    lie_metric, max_abs, normal_part, span_gram,
 )
 from .report import CheckEntry, ResidualReport
 from .builders import EIGEN_GAP, _gap_mask
@@ -67,13 +68,6 @@ def build_canonical_killing(flds, constant_eigs=(), gap=EIGEN_GAP
     return CanonicalKillingSet(mus, K, mask)
 
 
-def _masked_max(arr, mask):
-    a = np.asarray(arr)
-    if a.shape[0] != mask.shape[0]:
-        return max_abs(a)
-    return max_abs(a[mask])
-
-
 def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
                 gram_margin=GRAM_MARGIN) -> ResidualReport:
     """The full canonical-Killing property suite at regular samples."""
@@ -82,7 +76,6 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
     n = g.c[0].shape[0]
     excl = int((~mask).sum())
     rep = ResidualReport(title="killing-suite")
-    ell = ks.ell
     scale_g = 1.0 + max_abs(g.c[0])
 
     worst = {k: 0.0 for k in KILLING_KEYS[:-1]}
@@ -93,47 +86,42 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
     for i, K in enumerate(ks.K):
         ord1 = K.order
         sK = 1.0 + max_abs(K.c[0])
-        worst["lie_g"] = max(worst["lie_g"], _masked_max(
-            lie_metric(g.truncate(ord1), K), mask) / (scale_g * sK))
-        worst["lie_J"] = max(worst["lie_J"], _masked_max(
-            lie_endo(J.truncate(ord1), K), mask) / sK)
-        worst["lie_A"] = max(worst["lie_A"], _masked_max(
-            lie_endo(A.truncate(ord1), K), mask) /
+        worst["lie_g"] = max(worst["lie_g"], max_abs(
+            lie_metric(g.truncate(ord1), K)[mask]) / (scale_g * sK))
+        worst["lie_J"] = max(worst["lie_J"], max_abs(
+            lie_endo(J.truncate(ord1), K)[mask]) / sK)
+        worst["lie_A"] = max(worst["lie_A"], max_abs(
+            lie_endo(A.truncate(ord1), K)[mask]) /
             (sK * (1.0 + max_abs(A.c[0]))))
         # hamiltonian property: omega(K_i, .) + d mu_i = 0
         ham = np.einsum("nab,na->nb", w.c[0], K.c[0]) + ks.mus[i].c[1]
-        worst["ham"] = max(worst["ham"], _masked_max(ham, mask) / sK)
+        worst["ham"] = max(worst["ham"], max_abs(ham[mask]) / sK)
         for j, K2 in enumerate(ks.K):
-            worst["omega_KK"] = max(worst["omega_KK"], _masked_max(
-                np.einsum("nab,na,nb->n", w.c[0], K.c[0], K2.c[0]), mask)
+            worst["omega_KK"] = max(worst["omega_KK"], max_abs(
+                np.einsum("nab,na,nb->n", w.c[0], K.c[0], K2.c[0])[mask])
                 / (sK * (1.0 + max_abs(K2.c[0]))))
-            worst["moment"] = max(worst["moment"], _masked_max(
-                np.einsum("na,na->n", ks.mus[i].c[1], K2.c[0]), mask)
+            worst["moment"] = max(worst["moment"], max_abs(
+                np.einsum("na,na->n", ks.mus[i].c[1], K2.c[0])[mask])
                 / (1.0 + max_abs(K2.c[0])))
             for u, v_ in ((K, K2), (K, JK[j]), (JK[i], JK[j])):
-                worst["brackets"] = max(worst["brackets"], _masked_max(
-                    lie_bracket(u, v_), mask)
+                worst["brackets"] = max(worst["brackets"], max_abs(
+                    lie_bracket(u, v_)[mask])
                     / ((1.0 + max_abs(u.c[0])) * (1.0 + max_abs(v_.c[0]))))
 
     # Gram nondegeneracy margin of span{K_i}
     Kv = np.stack([K.c[0] for K in ks.K], axis=1)      # (n, ell, d)
-    gram = np.einsum("nia,nab,njb->nij", Kv, g.c[0], Kv)
-    margin = np.min(np.abs(np.linalg.det(gram))[mask]) \
-        / (1.0 + max_abs(gram)) ** ell if mask.any() else 0.0
+    gram, rel_det = span_gram(Kv, g.c[0])
+    margin = np.min(rel_det[mask]) if mask.any() else 0.0
 
     # statement: J nabla_{K_i} K_j stays in span{K}
-    gam = flds.gamma
-    graminv = np.linalg.inv(gram)
-    for i, Ki in enumerate(ks.K):
-        for j, Kj in enumerate(ks.K):
-            nab = (np.einsum("na,nba->nb", Ki.c[0], Kj.c[1])
-                   + np.einsum("nbac,na,nc->nb", gam.c[0], Ki.c[0],
-                               Kj.c[0]))
-            w_ = np.einsum("nab,nb->na", J.c[0], nab)
-            coef = np.einsum("nij,nab,njb,na->ni", graminv, g.c[0], Kv, w_)
-            proj = np.einsum("ni,nia->na", coef, Kv)
-            worst["span"] = max(worst["span"], _masked_max(w_ - proj, mask)
-                                / (1.0 + max_abs(w_)))
+    nablaK = [cov_deriv_vector(Kj, flds.gamma) for Kj in ks.K]
+    for Ki in ks.K:
+        for nKj in nablaK:
+            w_ = np.einsum("nab,nb->na", J.c[0],
+                           np.einsum("na,nab->nb", Ki.c[0], nKj))
+            worst["span"] = max(worst["span"], max_abs(
+                normal_part(w_, Kv, g.c[0], gram)[mask])
+                / (1.0 + max_abs(w_)))
 
     anchors = {
         "lie_g": "L_K g", "lie_J": "L_K J", "lie_A": "L_K A",
@@ -166,7 +154,7 @@ def a_on_k_recurrence(ks: CanonicalKillingSet, flds, tol=1e-7
         rhs = ks.mus[i].c[0][:, None] * ks.K[0].c[0]
         if i + 1 < ks.ell:
             rhs = rhs - ks.K[i + 1].c[0]
-        worst = max(worst, _masked_max(AK - rhs, ks.mask)
+        worst = max(worst, max_abs((AK - rhs)[ks.mask])
                     / (1.0 + max_abs(AK, rhs)))
     rep.add(CheckEntry("a_on_k", "A K_i = mu_i K_1 - K_{i+1}", worst, tol,
                        samples=n, excluded=int((~ks.mask).sum())))
@@ -180,21 +168,16 @@ def totally_geodesic_residual(span, g: Jet, tol=1e-7, gram_margin=GRAM_MARGIN
     n = g.c[0].shape[0]
     gam = christoffel(g)
     Uv = np.stack([u.c[0] for u in span], axis=1)      # (n, k, d)
-    gram = np.einsum("nia,nab,njb->nij", Uv, g.c[0], Uv)
-    det = np.abs(np.linalg.det(gram))
-    ok = det / (1.0 + max_abs(gram)) ** len(span) >= gram_margin
+    gram, rel_det = span_gram(Uv, g.c[0])
+    ok = rel_det >= gram_margin
     rep = ResidualReport(title="totally-geodesic")
-    graminv = np.linalg.inv(gram[ok])
     worst = 0.0
-    for u in span:
-        for v in span:
-            nab = (np.einsum("na,nba->nb", u.c[0], v.c[1])
-                   + np.einsum("nbac,na,nc->nb", gam.c[0], u.c[0], v.c[0]))
-            nab = nab[ok]
-            coef = np.einsum("nij,nab,njb,na->ni", graminv,
-                             g.c[0][ok], Uv[ok], nab)
-            proj = np.einsum("ni,nia->na", coef, Uv[ok])
-            worst = max(worst, max_abs(nab - proj) / (1.0 + max_abs(nab)))
+    for v in span:
+        nv = cov_deriv_vector(v, gam)[ok]
+        for u in span:
+            nab = np.einsum("na,nab->nb", u.c[0][ok], nv)
+            worst = max(worst, max_abs(normal_part(
+                nab, Uv[ok], g.c[0][ok], gram[ok])) / (1.0 + max_abs(nab)))
     rep.add(CheckEntry("totally_geodesic", "pr_perp(nabla_u v) = 0",
                        worst, tol, samples=n, excluded=int((~ok).sum())))
     return rep

@@ -220,17 +220,15 @@ def test_criterion_06_curvature_spectra(mob_l2):
     worst_iv = max(worst_iv,
                    float(np.min(np.abs(np.linalg.eigvals(Rm) - dp))))
     # and geometrically: the derivative rule on a nilpotent-block pair
-    from cprojlab.curvspec import (fit_real_poly,
-                                   real_curvature_operator_matrix)
     sol = solve_jordan_odes("2x2", 2, -1.5, (0.5, 0.1), (0.2, 0.8))
     qp = build_quotient_pair(jordan_pair_spec("2x2", sol,
                                               x_window=(1.2, 1.8)))
     pts = qp.window.random(3, np.random.default_rng(2))
     fj = qp.eval(pts, order=2)
     for s in range(3):
-        coefj, _ = fit_real_poly(fj, sample=s)
+        coefj, _ = fit_nabla_lambda_poly(fj, sample=s)
         dpj = np.polynomial.Polynomial(coefj).deriv()(pts[s, 1])
-        eigs = np.linalg.eigvals(real_curvature_operator_matrix(fj, s))
+        eigs = np.linalg.eigvals(curvature_operator_matrix(fj, s)[0])
         worst_iv = max(worst_iv, float(np.min(np.abs(eigs - dpj)))
                        / (1.0 + abs(dpj)))
     ok = (worst_i <= 1e-5 and worst_ii <= 1e-8 and worst_iii <= 1e-3

@@ -133,9 +133,11 @@ def test_grid_and_seed_flags():
      "rho_re = 1.0 0.0\nrho_im = 1.0 0.0"),
     # two constant blocks with one eigenvalue
     ("mobility2", "c = 1.0", "c = 0.0"),
+    # rho = x near 0 at the central grid sample: |det L| < 1e-12
+    ("dini-pair", "window = 0.2 0.8", "window = -0.3 0.3000000000001"),
 ], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
         "constant-rho", "constant-rho-defect", "critical-rho",
-        "constant-complex-rho", "equal-constant-blocks"])
+        "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L"])
 def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old in text
@@ -442,18 +444,22 @@ def _count_derivations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("only,char_polys", [(None, 1),
-                                              ("partner,connection", 0)])
-def test_mobility2_derives_char_poly_and_inverses_once(monkeypatch, capsys,
-                                                       only, char_polys):
+@pytest.mark.parametrize("name,only,char_polys,inverses", [
+    ("mobility2", None, 1, 3), ("mobility2", "partner,connection", 0, 3),
+    # one inverse each of h and L
+    ("dini-pair", None, 0, 2)],
+    ids=["None-1", "partner,connection-0", "dini-pair"])
+def test_mobility2_derives_char_poly_and_inverses_once(
+        monkeypatch, capsys, name, only, char_polys, inverses):
     # the shifted copy takes its characteristic polynomial from the
     # fields' one, and only when a step reads it; the partner metric is
     # built once: one inverse each of g, A and the partner metric
     calls = _count_derivations(monkeypatch)
-    argv = ["run", str(CONFIGS / "mobility2.cfg")]
+    argv = ["run", str(CONFIGS / f"{name}.cfg")]
     assert main(argv + (["--only", only] if only else [])) == 0
-    assert "note=shift=2" in capsys.readouterr().out
-    assert calls == {"complex_char_poly": char_polys, "jet_inv": 3}
+    if name == "mobility2":
+        assert "note=shift=2" in capsys.readouterr().out
+    assert calls == {"complex_char_poly": char_polys, "jet_inv": inverses}
 
 
 def test_shifted_char_poly_is_the_exact_shift(corpus):

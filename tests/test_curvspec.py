@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from cprojlab.builders import (
     ChartFields, ConstantBlock, PowerProfile, build_mobility2,
@@ -294,13 +295,24 @@ def test_real_ricci_identity_on_pairs(qp_dini, qp_jordan2, qp_jordan3):
         assert rep.entries[0].value <= 1e-8
 
 
+def test_real_fit_rejects_noncommuting_nabla_lambda(qp_jordan2):
+    # without J the fit keeps the commutator check: a trace-free constant
+    # added to L leaves La, and so nabla La, as it is and breaks
+    # [L, nabla La] = 0 (nabla La has the two distinct eigenvalues of L's
+    # blocks, and N maps the second eigenspace into the first)
+    f = qp_jordan2.eval(sample(qp_jordan2, 4), order=2)
+    fit_nabla_lambda_poly(f)
+    N = np.zeros((3, 3))
+    N[0, 2] = 1.0
+    with pytest.raises(ValueError, match="does not commute"):
+        fit_nabla_lambda_poly(f.replace(A=f.A + N))
+
+
 def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,
                                               jordan2_sol, jordan3_sol):
     # the closed-form curvature eigenvalue of the nilpotent blocks equals
     # the derivative rule of the fitted polynomial AND sits in the
     # spectrum of the assembled real curvature operator
-    from cprojlab.curvspec import (fit_real_poly,
-                                   real_curvature_operator_matrix)
     from cprojlab.flows import jordan2_fprime, jordan3_fprime
 
     pts2 = sample(qp_jordan2, 4)
@@ -308,7 +320,7 @@ def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,
     prof = qp_jordan2.blocks[1].F
     for s in range(3):
         x, rho1, rho2 = pts2[s]
-        coef, res = fit_real_poly(f2, sample=s)
+        coef, res = fit_nabla_lambda_poly(f2, sample=s)
         assert res <= 1e-9
         dp = np.polynomial.Polynomial(coef).deriv()(rho1)
         formula = jordan2_fprime(jordan2_sol, x, rho1,
@@ -316,19 +328,19 @@ def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,
                                  extra_profiles=(prof,))
         assert abs(dp - formula) <= 1e-9 * (1 + abs(formula))
         # numerical eigenvalues at a defective point split like eps^(1/k)
-        spec = np.linalg.eigvals(real_curvature_operator_matrix(f2, s))
+        spec = np.linalg.eigvals(curvature_operator_matrix(f2, s)[0])
         assert np.min(np.abs(spec - formula)) <= 1e-5 * (1 + abs(formula))
 
     pts3 = sample(qp_jordan3, 4)
     f3 = qp_jordan3.eval(pts3, order=2)
     for s in range(3):
         x1, x2, rho1 = pts3[s]
-        coef, res = fit_real_poly(f3, sample=s)
+        coef, res = fit_nabla_lambda_poly(f3, sample=s)
         assert res <= 1e-9
         dp = np.polynomial.Polynomial(coef).deriv()(rho1)
         formula = jordan3_fprime(jordan3_sol, x2, rho1)
         assert abs(dp - formula) <= 1e-9 * (1 + abs(formula))
-        spec = np.linalg.eigvals(real_curvature_operator_matrix(f3, s))
+        spec = np.linalg.eigvals(curvature_operator_matrix(f3, s)[0])
         assert np.min(np.abs(spec - formula)) <= 1e-5 * (1 + abs(formula))
 
 
@@ -373,10 +385,10 @@ def test_real_curvature_derives_gamma_once_per_batch(qp_jordan2,
 
     monkeypatch.setattr(builders, "christoffel", counted)
     curvspec.real_ricci_identity_check(f)
-    coef, _ = curvspec.fit_real_poly(f, sample=3)
-    R = curvspec.real_curvature_operator_matrix(f, 3)
+    coef, _ = curvspec.fit_nabla_lambda_poly(f, sample=3)
+    R, _ = curvspec.curvature_operator_matrix(f, 3)
     assert batches == [12]
-    coef1, _ = curvspec.fit_real_poly(one)
-    R1 = curvspec.real_curvature_operator_matrix(one)
+    coef1, _ = curvspec.fit_nabla_lambda_poly(one)
+    R1, _ = curvspec.curvature_operator_matrix(one)
     assert max_abs(coef - coef1) <= 1e-13 * (1.0 + max_abs(coef))
     assert max_abs(R - R1) <= 1e-13 * (1.0 + max_abs(R))

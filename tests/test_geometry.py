@@ -6,7 +6,7 @@ from cprojlab.geometry import (
     Box, GridSpec, GeometryError,
     christoffel, cov_deriv_endo, ext_deriv_two_form, gradient,
     hessian_cov, lie_bracket, lie_christoffel, lie_metric,
-    metric_inverse, max_abs, riemann,
+    metric_inverse, max_abs, normal_part, riemann, span_gram,
 )
 
 
@@ -290,3 +290,22 @@ def test_lie_scalar_two_form_and_curvature_accessor():
     w = jstack([[zero, x], [-x, zero]])               # x0 dx0 ^ dx1
     lw = lie_two_form(w, v)
     assert np.allclose(lw[:, 0, 1], 1.0)
+
+
+def test_span_gram_and_normal_part_by_hand():
+    # sample 0: g = diag(1, 2, 3), span{e1, e1 + e2}, not orthogonal;
+    # sample 1: g = diag(1, 1, 4), span{e1, e3}
+    gv = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 1.0, 4.0])])
+    span = np.array([[[1.0, 0.0, 0.0], [1.0, 1.0, 0.0]],
+                     [[1.0, 0.0, 0.0], [0.0, 0.0, 1.0]]])
+    gram, rel_det = span_gram(span, gv)
+    assert np.allclose(gram, [[[1.0, 1.0], [1.0, 3.0]],
+                              [[1.0, 0.0], [0.0, 4.0]]], rtol=0, atol=1e-15)
+    # det 2 and 4 over (1 + max |gram| over all samples)^2 = 25
+    assert np.allclose(rel_det, [2.0 / 25.0, 4.0 / 25.0], rtol=1e-15)
+    # the g-orthogonal complement of each span is spanned by the
+    # remaining coordinate vector, since both metrics are diagonal
+    w = np.array([[1.0, 2.0, 5.0], [1.0, 2.0, 5.0]])
+    assert np.allclose(normal_part(w, span, gv, gram),
+                       [[0.0, 0.0, 5.0], [0.0, 2.0, 0.0]],
+                       rtol=0, atol=1e-14)
