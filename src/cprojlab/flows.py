@@ -152,7 +152,7 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
     if not ok.any():
         raise FlowError("velocity span degenerate along the trajectory")
     acc = acc[ok]
-    off = normal_part(acc, span[ok], gv[ok], gram[ok])
+    off = normal_part(acc, span[ok], gv[ok], np.linalg.inv(gram[ok]))
     return max_abs(off) / (1.0 + max_abs(acc))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .jets import Jet, JetError, jet_einsum, jet_inv, jet_map, \
+from .jets import Jet, JetError, contract, jet_einsum, jet_inv, jet_map, \
     tensor_partial
 
 __all__ = [
@@ -143,8 +143,8 @@ def riemann(gamma: Jet) -> np.ndarray:
     dG = gamma.c[1]                    # (N,c,a,b,p)
     term1 = np.einsum("ndbca->ndcab", dG)
     term2 = np.einsum("ndacb->ndcab", dG)
-    quad1 = np.einsum("ndae,nebc->ndcab", G, G)
-    quad2 = np.einsum("ndbe,neac->ndcab", G, G)
+    quad1 = contract("ndae,nebc->ndcab", G, G)
+    quad2 = contract("ndbe,neac->ndcab", G, G)
     return term1 - term2 + quad1 - quad2
 
 
@@ -154,8 +154,8 @@ def cov_deriv_endo(A: Jet, gamma: Jet) -> np.ndarray:
     G = gamma.c[0]
     # NB: the bare transpose einsum returns a view; never += into it
     return (np.einsum("nbca->nabc", dA)
-            + np.einsum("nbad,ndc->nabc", G, A.c[0])
-            - np.einsum("ndac,nbd->nabc", G, A.c[0]))
+            + contract("nbad,ndc->nabc", G, A.c[0])
+            - contract("ndac,nbd->nabc", G, A.c[0]))
 
 
 def cov_deriv_vector(v: Jet, gamma: Jet) -> np.ndarray:
@@ -178,11 +178,13 @@ def span_gram(span: np.ndarray, gv: np.ndarray):
 
 
 def normal_part(w: np.ndarray, span: np.ndarray, gv: np.ndarray,
-                gram: np.ndarray) -> np.ndarray:
-    """The g-orthogonal part of w (N, a) off the span (N, k, a), whose
-    Gram matrix ``gram`` must be invertible at every sample."""
-    coef = np.einsum("nij,nab,njb,na->ni", np.linalg.inv(gram), gv, span, w)
-    return w - np.einsum("ni,nia->na", coef, span)
+                gram_inv: np.ndarray) -> np.ndarray:
+    """The g-orthogonal part of w (N, a) off the span (N, k, a), given the
+    inverse of its Gram matrix, which a caller inverts once for all the
+    vectors it projects."""
+    low = contract("nab,njb->nja", gv, span)            # g(u_j, .)
+    coef = contract("nij,nj->ni", gram_inv, contract("nja,na->nj", low, w))
+    return w - contract("ni,nia->na", coef, span)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +193,8 @@ def normal_part(w: np.ndarray, span: np.ndarray, gv: np.ndarray,
 
 def lie_metric(g: Jet, v: Jet) -> np.ndarray:
     return (np.einsum("nabc,nc->nab", g.c[1], v.c[0])
-            + np.einsum("ncb,nca->nab", g.c[0], v.c[1])
-            + np.einsum("nac,ncb->nab", g.c[0], v.c[1]))
+            + contract("ncb,nca->nab", g.c[0], v.c[1])
+            + contract("nac,ncb->nab", g.c[0], v.c[1]))
 
 
 def lie_two_form(w: Jet, v: Jet) -> np.ndarray:
@@ -201,8 +203,8 @@ def lie_two_form(w: Jet, v: Jet) -> np.ndarray:
 
 def lie_endo(A: Jet, v: Jet) -> np.ndarray:
     return (np.einsum("nabc,nc->nab", A.c[1], v.c[0])
-            - np.einsum("ncb,nac->nab", A.c[0], v.c[1])
-            + np.einsum("nac,ncb->nab", A.c[0], v.c[1]))
+            - contract("ncb,nac->nab", A.c[0], v.c[1])
+            + contract("nac,ncb->nab", A.c[0], v.c[1]))
 
 
 def lie_scalar(f: Jet, v: Jet) -> np.ndarray:

@@ -24,15 +24,25 @@ Layout and contraction kernel: each coefficient array has shape
 ``batch + (dim,)*k`` with the derivative axes trailing (``jstack`` makes
 the batch ``(N, i, j, ...)``, so a tensor field on a grid is one Jet;
 complex dtype is supported).  Every contraction goes through
-``_contract``, one batched ``np.matmul`` over the operands transposed to
-(batch, free, contracted) and (batch, contracted, free).  A contraction
-whose contracted axes have size 1 in total, or that has none (an outer or
-elementwise product such as ``"nab,n->nab"``), is a broadcast product
-instead, because a K = 1 matmul is slow and sums nothing.  ``jet_einsum``
-computes one contraction per Leibniz split i+j=k and spreads it over the
-C(k, i) placements of the derivative axes by transposes, which are views.
-The plan of a spec (letter classes, permutations, term specs) is worked
-out once per ``(spec, order)`` and cached.
+``contract``, one batched ``np.matmul`` over the operands folded to
+(batch, free, contracted) and (batch, contracted, free).  Where that fold
+would transpose the larger operand into a copy (``"nijxy,njk->nikxy"``,
+whose x must move j last), the matmul is oriented the other way: the
+larger operand, stored as P + C + R (leading letters, the run of
+contracted letters, its own free letters), is the right factor as the
+view (P..., |C|, |R|), its P axes batch axes, and only the smaller
+operand is arranged as (P or 1, F, C).  So ``"nijxy,njk->nikxy"`` is
+``y^T @ x.reshape(n, i, j, xy)``.  A contraction whose contracted axes
+have size 1 in total, or that has none (an outer or elementwise product
+such as ``"nab,n->nab"``), is a broadcast product instead, because a
+K = 1 matmul is slow and sums nothing.  ``jet_einsum`` computes one
+contraction per Leibniz split i+j=k and spreads it over the C(k, i)
+placements of the derivative axes by transposes, which are views; the
+placements are summed in place into the first term's fresh output, so an
+order costs one output array and one term at a time.  The plan of a spec
+(letter classes, permutations, orientation, term specs) is worked out
+once per ``(spec, which operand is larger)`` or ``(spec, order)`` and
+cached.  The check suites call ``contract`` for their matrix products too.
 
 Jets are immutable values and every operation is pure.
 """
@@ -52,6 +62,7 @@ __all__ = [
     "MAX_ORDER",
     "polyval",
     "jstack",
+    "contract",
     "jet_einsum",
     "jet_map",
     "tensor_partial",
@@ -458,11 +469,23 @@ def jet_map(sub: str, a: Jet) -> Jet:
 
 
 @functools.lru_cache(maxsize=None)
-def _contract_plan(spec: str):
+def _contract_plan(spec: str, y_larger: bool):
     """Letter classes and axis permutations of a two-operand spec.
 
     Batch letters sit in both operands and the output, contracted letters
     in both operands only, free letters in one operand and the output.
+    The plain plan folds the operands into (batch, free, contracted) and
+    (batch, contracted, free).  ``swap`` is the plan that reads the larger
+    operand in place instead, or None.  It exists when the plain fold of
+    that operand, stored in C order, is a copy (a group of its free or
+    contracted letters is not one run in storage order), and its letters
+    read P + C + R, with every contracted letter in the run C and only its
+    own free letters in R.  Then it is the right matmul operand as the
+    view (P..., |C|, |R|), and the smaller operand is arranged as
+    (P, F, C) with unit axes at the letters of P it lacks.  ``swap`` is
+    (len(P), the number of the smaller operand's batch letters and of its
+    free letters F, its axis for each letter of P or -1, its permutation,
+    the output permutation).
     """
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
@@ -479,7 +502,22 @@ def _contract_plan(spec: str):
     pb = tuple(sb.index(c) for c in batch + con + fb)
     res = batch + fa + fb
     pout = tuple(res.index(c) for c in out)
-    return (len(batch), len(fa), len(con), _perm(pa), _perm(pb), _perm(pout))
+    sl, ss, groups = (sb, sa, (con, fb)) if y_larger else (sa, sb, (fa, con))
+    swap = None
+    at = sorted(sl.index(c) for c in con)
+    if not all("".join(g) in sl for g in groups) \
+            and at and at[-1] + 1 - at[0] == len(con) \
+            and not set(sl[at[-1] + 1:]) & set(ss):
+        lead, cl, rest = sl[:at[0]], sl[at[0]:at[-1] + 1], sl[at[-1] + 1:]
+        sbatch = [c for c in lead if c in ss]
+        fs = [c for c in ss if c not in sl]
+        ps = tuple(ss.index(c) for c in sbatch + fs + list(cl))
+        src = tuple(sbatch.index(c) if c in ss else -1 for c in lead)
+        res = list(lead) + fs + list(rest)
+        swap = (len(lead), len(sbatch), len(fs), src, _perm(ps),
+                _perm(tuple(res.index(c) for c in out)))
+    return (len(batch), len(fa), len(con), _perm(pa), _perm(pb), _perm(pout),
+            swap)
 
 
 def _perm(p):
@@ -487,14 +525,32 @@ def _perm(p):
     return None if p == tuple(range(len(p))) else p
 
 
-def _contract(spec: str, x, y):
+def contract(spec: str, x, y):
     """``np.einsum(spec, x, y)`` as one batched matmul.
 
     The batch axes broadcast; free and contracted axes are folded into the
-    two matrix axes of each operand.  When the contracted axes have size 1
+    two matrix axes of each operand.  When that fold would copy the
+    larger operand, and its axes allow, the larger operand is read in
+    place as the right factor instead (see ``_contract_plan``) and only
+    the smaller one is rearranged.  When the contracted axes have size 1
     in total, or there are none, it is a broadcast product instead.
     """
-    nb, nfa, nc, pa, pb, pout = _contract_plan(spec)
+    y_larger = y.size > x.size
+    nb, nfa, nc, pa, pb, pout, swap = _contract_plan(spec, y_larger)
+    if swap is not None:
+        big, small = (y, x) if y_larger else (x, y)
+        nlead, nsb, nf, src, ps, pz = swap
+        k = math.prod(big.shape[nlead:nlead + nc])
+        if k > 1:
+            if ps is not None:
+                small = small.transpose(ps)
+            f = small.shape[nsb:nsb + nf]
+            r = big.shape[nlead + nc:]
+            lead = tuple(1 if i < 0 else small.shape[i] for i in src)
+            z = np.matmul(small.reshape(lead + (math.prod(f), k)),
+                          big.reshape(big.shape[:nlead] + (k, math.prod(r))))
+            z = z.reshape(z.shape[:nlead] + f + r)
+            return z if pz is None else z.transpose(pz)
     if pa is not None:
         x = x.transpose(pa)
     if pb is not None:
@@ -547,10 +603,18 @@ def _leibniz_term(terms, ac, bc, k):
     summed over the plan's ``terms`` (a slice of ``_leibniz_plan()[k]``)."""
     total = None
     for spec, i, perms in terms:
-        t = _contract(spec, ac[i], bc[k - i])
+        t = contract(spec, ac[i], bc[k - i])
         for p in perms:
             tp = t if p is None else t.transpose(p)
-            total = tp if total is None else total + tp
+            if total is None:
+                total = tp
+            elif total is t or (tp.dtype.kind == "c"
+                                and total.dtype.kind != "c"):
+                # two placements of the first term, or a complex term on a
+                # real total: one fresh sum, the array summed into after
+                total = total + tp
+            else:
+                total += tp
         del t, tp  # free the term before the next contraction
     return total
 
@@ -607,7 +671,7 @@ def jet_inv(m: Jet) -> Jet:
     for k in range(1, m.order + 1):
         # plan[k][0] is the term M_0 G_k: its spec multiplies by G_0
         rest = _leibniz_term(plan[k][1:], m.c, g, k)
-        g.append(_contract(plan[k][0][0], neg_g0, rest))
+        g.append(contract(plan[k][0][0], neg_g0, rest))
     return Jet._of(m.dim, m.order, g)
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, jet_det, jet_einsum, jet_inv, jet_matmul, \
+from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, jet_matmul, \
     jet_trace, tensor_partial
 from .geometry import (
     christoffel, cov_deriv_endo, ext_deriv_two_form,
@@ -56,16 +56,17 @@ def check_kahler(flds, tol=1e-6, anchor_prefix="") -> ResidualReport:
     rep = ResidualReport(title="kahler")
     scale = 1.0 + max_abs(g.c[0], J.c[0], w.c[0])
 
-    J2 = np.einsum("nab,nbc->nac", J.c[0], J.c[0])
+    J2 = contract("nab,nbc->nac", J.c[0], J.c[0])
     eye = np.eye(J.c[0].shape[-1])[None]
     rep.add(CheckEntry("J_squared", "J^2+Id", max_abs(J2 + eye) / scale,
                        tol, samples=n))
 
-    gJJ = np.einsum("ncd,nca,ndb->nab", g.c[0], J.c[0], J.c[0])
+    gJ = contract("ncd,nca->nad", g.c[0], J.c[0])
+    gJJ = contract("nad,ndb->nab", gJ, J.c[0])
     rep.add(CheckEntry("hermitian_metric", "g(J.,J.)-g",
                        max_abs(gJJ - g.c[0]) / scale, tol, samples=n))
 
-    omJ = np.einsum("ncb,nca->nab", g.c[0], J.c[0])
+    omJ = contract("ncb,nca->nab", g.c[0], J.c[0])
     rep.add(CheckEntry("omega_def", "omega-g(J.,.)",
                        max_abs(w.c[0] - omJ) / scale, tol, samples=n))
 
@@ -90,7 +91,8 @@ def _compat_defect(flds):
         Jv = flds.J.c[0]
         Jlam = np.einsum("nab,nb->na", Jv, lv)
         Jlflat = np.einsum("ncb,nb->nc", g, Jlam)
-        rhs = (rhs + np.einsum("ndc,nda,nb->nabc", g, Jv, Jlam)
+        gJ = contract("ndc,nda->nac", g, Jv)
+        rhs = (rhs + contract("nac,nb->nabc", gJ, Jlam)
                + np.einsum("nc,nba->nabc", Jlflat, Jv))
     return (cov_deriv_endo(flds.A, flds.gamma) - rhs,
             1.0 + max_abs(A, g, lv))

@@ -111,6 +111,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
     # Gram nondegeneracy margin of span{K_i}
     Kv = np.stack([K.c[0] for K in ks.K], axis=1)      # (n, ell, d)
     gram, rel_det = span_gram(Kv, g.c[0])
+    gram_inv = np.linalg.inv(gram)
     margin = np.min(rel_det[mask]) if mask.any() else 0.0
 
     # statement: J nabla_{K_i} K_j stays in span{K}
@@ -120,7 +121,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
             w_ = np.einsum("nab,nb->na", J.c[0],
                            np.einsum("na,nab->nb", Ki.c[0], nKj))
             worst["span"] = max(worst["span"], max_abs(
-                normal_part(w_, Kv, g.c[0], gram)[mask])
+                normal_part(w_, Kv, g.c[0], gram_inv)[mask])
                 / (1.0 + max_abs(w_)))
 
     anchors = {
@@ -170,14 +171,15 @@ def totally_geodesic_residual(span, g: Jet, tol=1e-7, gram_margin=GRAM_MARGIN
     Uv = np.stack([u.c[0] for u in span], axis=1)      # (n, k, d)
     gram, rel_det = span_gram(Uv, g.c[0])
     ok = rel_det >= gram_margin
+    Uok, gok, gram_inv = Uv[ok], g.c[0][ok], np.linalg.inv(gram[ok])
     rep = ResidualReport(title="totally-geodesic")
     worst = 0.0
     for v in span:
         nv = cov_deriv_vector(v, gam)[ok]
         for u in span:
             nab = np.einsum("na,nab->nb", u.c[0][ok], nv)
-            worst = max(worst, max_abs(normal_part(
-                nab, Uv[ok], g.c[0][ok], gram[ok])) / (1.0 + max_abs(nab)))
+            worst = max(worst, max_abs(normal_part(nab, Uok, gok, gram_inv))
+                        / (1.0 + max_abs(nab)))
     rep.add(CheckEntry("totally_geodesic", "pr_perp(nabla_u v) = 0",
                        worst, tol, samples=n, excluded=int((~ok).sum())))
     return rep

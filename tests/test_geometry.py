@@ -306,6 +306,6 @@ def test_span_gram_and_normal_part_by_hand():
     # the g-orthogonal complement of each span is spanned by the
     # remaining coordinate vector, since both metrics are diagonal
     w = np.array([[1.0, 2.0, 5.0], [1.0, 2.0, 5.0]])
-    assert np.allclose(normal_part(w, span, gv, gram),
+    assert np.allclose(normal_part(w, span, gv, np.linalg.inv(gram)),
                        [[0.0, 0.0, 5.0], [0.0, 2.0, 0.0]],
                        rtol=0, atol=1e-14)

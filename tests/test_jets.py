@@ -1,12 +1,13 @@
 import itertools
 import operator
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cprojlab.jets import (
-    Jet, JetDomainError, JetError, polyval,
+    Jet, JetDomainError, JetError, polyval, contract,
     jstack, jet_einsum, jet_det, jet_inv, jet_matmul, jet_trace,
     tensor_partial,
 )
@@ -611,12 +612,105 @@ def test_division_by_a_zero_constant_raises():
 ])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_unit_and_empty_contractions_match_einsum(spec, xs, ys, cplx):
-    from cprojlab.jets import _contract
     rng = np.random.default_rng(11)
     x, y = rng.normal(size=xs), rng.normal(size=ys)
     if cplx:
         x = x + 1j * rng.normal(size=xs)
     want = np.einsum(spec, x, y)
-    got = _contract(spec, x, y)
+    got = contract(spec, x, y)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# the larger operand of each spec may hold its contracted letters first,
+# in the middle or last, and in another order than the smaller one
+_CONTRACT_SPECS = ["nijxy,njk->nikxy", "nij,njixy->nxy", "jic,ija->ca",
+                   "nijx,njky->nikxy", "nba,nxab->nx", "naib,nic->nabc",
+                   "nabc,nc->nab", "nxcd,nydc->nxy", "jab,jc->abc"]
+_LAYOUTS = {
+    "C": lambda a: a,
+    "transposed": lambda a: np.ascontiguousarray(a.T).T,
+    "strided": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
+
+
+@given(spec=st.sampled_from(_CONTRACT_SPECS),
+       sizes=st.lists(st.integers(1, 4), min_size=6, max_size=6),
+       unit=st.tuples(st.booleans(), st.booleans()),
+       layouts=st.tuples(*[st.sampled_from(sorted(_LAYOUTS))] * 2),
+       cplx=st.tuples(st.booleans(), st.booleans()),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=400, deadline=None, derandomize=True)
+def test_contract_matches_einsum_in_both_orientations(spec, sizes, unit,
+                                                      layouts, cplx, seed):
+    # the sizes decide which operand is larger, so both orientations run;
+    # ``unit`` gives an operand a size-1 batch axis n that broadcasts
+    ins = spec.split("->")[0]
+    size = dict(zip(sorted(set(ins) - {","}), sizes))
+    rng = np.random.default_rng(seed)
+    ops = []
+    for s, u, lay, c in zip(ins.split(","), unit, layouts, cplx):
+        shape = tuple(1 if ch == "n" and u else size[ch] for ch in s)
+        a = rng.normal(size=shape)
+        if c:
+            a = a + 1j * rng.normal(size=shape)
+        ops.append(_LAYOUTS[lay](a))
+    want = np.einsum(spec, *ops)
+    got = contract(spec, *ops)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=1e-13 * max(1.0, np.max(np.abs(want))))
+
+
+@given(kinds=st.lists(st.booleans(), min_size=4, max_size=4),
+       cplx=st.booleans(), **_jet_shapes)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_kernels_leave_their_operands_unchanged(kinds, cplx, dim, size,
+                                                order, n, seed):
+    # the Leibniz sum accumulates in place: into a fresh array only, never
+    # into an operand; a vector whose coefficient k is complex when
+    # kinds[k] lands complex terms on a real total
+    rng = np.random.default_rng(seed)
+    m = _matrix_jet(rng, dim, size, order, n, cplx)
+    v = Jet(dim, order, [
+        a + 1j * rng.normal(size=a.shape) if kind else a
+        for a, kind in zip(_sym_coeffs(rng, (n, size), dim, order, False),
+                           kinds)])
+    ops = m.c + v.c
+    before = [a.copy() for a in ops]
+    for spec, a, b in (("nij,njk->nik", m, m), ("nij,nj->ni", m, v),
+                       ("ni,nij->nj", v, m), ("ni,nj->nij", v, v)):
+        got = jet_einsum(spec, a, b)
+        for g, r in zip(got.c, _einsum_reference(spec, a, b)):
+            np.testing.assert_allclose(g, r, rtol=0,
+                                       atol=1e-12 * max(1.0, np.max(np.abs(r))))
+    inv = jet_inv(m)
+    inv_before = [a.copy() for a in inv.c]
+    jet_det(m)
+    jet_det(m, inv)
+    for a, b in zip(ops + inv.c, before + inv_before, strict=True):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def test_contractions_do_not_copy_the_large_operand():
+    # traced peaks at N = 200, dim 6: a contraction reads its large operand
+    # in place, and each Leibniz placement is summed into one output array
+    rng = np.random.default_rng(0)
+    n, d = 200, 6
+    big = rng.normal(size=(n, 6, 6, d, d))
+    small = rng.normal(size=(n, 6, 6))
+    m = Jet(d, 2, [rng.normal(size=(n, 6, 6) + (d,) * k) for k in range(3)])
+
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            return fn(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    out, peak = traced_peak(lambda: contract("nijxy,njk->nikxy", big, small))
+    assert peak <= 1.1 * out.nbytes
+    _, peak = traced_peak(lambda: contract("nij,njixy->nxy", small, big))
+    assert peak <= 0.25 * big.nbytes
+    out, peak = traced_peak(lambda: jet_matmul(m, m))
+    assert peak <= 2.5 * out.c[2].nbytes
