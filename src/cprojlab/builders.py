@@ -73,6 +73,11 @@ __all__ = [
 ]
 
 EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
+# the least distance of two eigenvalue ranges, and of F + x from zero, on
+# a spec's window
+RANGE_MARGIN = 0.01
+ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
+FIT_TOL = 1e-7      # the largest residual a mobility-field fit may leave
 
 
 class BuilderError(ValueError):
@@ -401,7 +406,7 @@ class QuotientPair:
         self.offsets = [int(o) for o in offs[:-1]]
         self.validate()
 
-    def root_value_sets(self, density=400):
+    def root_value_sets(self):
         """Dense value set of each root over its own block window.
 
         The blocks separate variables, so pairwise range distances decide
@@ -410,49 +415,49 @@ class QuotientPair:
         sets = []
         for b in self.blocks:
             if isinstance(b, Real1D):
-                x = np.linspace(*b.window, density)
+                x = np.linspace(*b.window, ROOT_SAMPLES)
                 sets.append([np.polynomial.polynomial.polyval(x, b.rho)])
             elif isinstance(b, RealRho):
-                sets.append([np.linspace(*b.window, density)])
+                sets.append([np.linspace(*b.window, ROOT_SAMPLES)])
             elif isinstance(b, Complex2D):
                 (xl, xh), (yl, yh) = b.window
-                k = int(np.sqrt(density)) + 1
+                k = int(np.sqrt(ROOT_SAMPLES)) + 1
                 X, Y = np.meshgrid(np.linspace(xl, xh, k),
                                    np.linspace(yl, yh, k))
                 z = (X + 1j * Y).ravel()
                 vals = np.polynomial.polynomial.polyval(z, b.rho)
                 sets.append([vals, np.conj(vals)])
             elif isinstance(b, Jordan2):
-                sets.append([np.linspace(*b.window[1], density)])
+                sets.append([np.linspace(*b.window[1], ROOT_SAMPLES)])
             elif isinstance(b, Jordan3):
-                sets.append([np.linspace(*b.window[2], density)])
+                sets.append([np.linspace(*b.window[2], ROOT_SAMPLES)])
         out = []
         for s in sets:
             out.extend(s)
         return out
 
-    def validate(self, margin: float = 0.01):
+    def validate(self):
         sets = self.root_value_sets()
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
                 dist = np.min(np.abs(sets[i][:, None] - sets[j][None, :]))
-                if dist < margin:
+                if dist < RANGE_MARGIN:
                     raise BuilderError(
                         f"eigenvalue collision (range distance {dist:.2e} "
-                        f"< {margin:g}) between roots {i} and {j} of spec "
-                        f"'{self.spec.name}'")
+                        f"< {RANGE_MARGIN:g}) between roots {i} and {j} of "
+                        f"spec '{self.spec.name}'")
         for b, off in zip(self.blocks, self.offsets):
             if isinstance(b, Jordan2):
                 x = np.linspace(*b.window[0], 64)
                 r = np.linspace(*b.window[1], 64)
                 fx = b.F(r)[None, :] + x[:, None]
-                if fx.min() <= margin and fx.max() >= -margin:
+                if fx.min() <= RANGE_MARGIN and fx.max() >= -RANGE_MARGIN:
                     raise BuilderError("F + x vanishes inside the window")
             if isinstance(b, Jordan3):
                 x2 = np.linspace(*b.window[1], 64)
                 r = np.linspace(*b.window[2], 64)
                 fx = b.F(r)[None, :] + 2 * x2[:, None]
-                if fx.min() <= margin and fx.max() >= -margin:
+                if fx.min() <= RANGE_MARGIN and fx.max() >= -RANGE_MARGIN:
                     raise BuilderError(
                         "F + 2 x2 vanishes inside the window")
 
@@ -711,7 +716,7 @@ class KahlerChart:
         self.v_matrix = None
         self.meta = {}
 
-    def _check_const_separation(self, margin=0.01):
+    def _check_const_separation(self):
         if not self.cb:
             return
         for i, (c, _) in enumerate(self.const_eigs):
@@ -723,7 +728,7 @@ class KahlerChart:
         for vals in self.qp.root_value_sets():
             for c, _ in self.const_eigs:
                 dist = float(np.min(np.abs(vals - c)))
-                if dist < margin:
+                if dist < RANGE_MARGIN:
                     raise BuilderError(
                         f"constant eigenvalue {c} meets a non-constant "
                         f"eigenvalue range (distance {dist:.2e}) inside "
@@ -1003,7 +1008,7 @@ def build_main_example(spec: CompatiblePairSpec, cb=(), **kw) -> KahlerChart:
     return KahlerChart(qp, cb=cb, route="explicit", **kw)
 
 
-def mobility_spec(ell, a, C, windows=None, name="mobility2"):
+def mobility_spec(ell, a, C, windows=None):
     if np.isscalar(a):
         a = [a] * ell
     if windows is None:
@@ -1017,11 +1022,10 @@ def mobility_spec(ell, a, C, windows=None, name="mobility2"):
                        for k in range(ell)]
     blocks = tuple(RealRho(PowerProfile(a[k], C, 1.0 + ell + C), windows[k])
                    for k in range(ell))
-    return CompatiblePairSpec(blocks=blocks, name=name)
+    return CompatiblePairSpec(blocks=blocks, name="mobility2")
 
 
 def build_mobility2(ell, a, C, cb=(), fit_v=True, windows=None,
-                    fit_samples=200, fit_seed=7, fit_tol=1e-7,
                     **kw) -> KahlerChart:
     """Mobility-two Kahler chart with its canonical vector field.
 
@@ -1038,13 +1042,12 @@ def build_mobility2(ell, a, C, cb=(), fit_v=True, windows=None,
         "m0": sum(b.dim // 2 for b in cb if b.c == 0.0),
         "m1": sum(b.dim // 2 for b in cb if b.c == 1.0)})
     if fit_v:
-        resid = fit_mobility_field(chart, n_samples=fit_samples,
-                                   seed=fit_seed)
+        resid = fit_mobility_field(chart)
         chart.meta["v_fit_residual"] = resid
-        if resid > fit_tol:
+        if resid > FIT_TOL:
             raise BuilderError(
                 f"mobility field reconstruction failed: residual "
-                f"{resid:.3e} > {fit_tol:.1e}")
+                f"{resid:.3e} > {FIT_TOL:.1e}")
     return chart
 
 
@@ -1061,7 +1064,7 @@ def mobility_rhs(flds: ChartFields, C):
     return rhs_g, rhs_A
 
 
-def _fit_field(chart, C, n_samples, seed):
+def _fit_field(chart, C, seed):
     """Least-squares fit of the v matrix over the chart's allowed entries.
 
     L_v g and L_v A are linear in v, so the column of entry (i, j) is the
@@ -1069,7 +1072,7 @@ def _fit_field(chart, C, n_samples, seed):
     if len(chart.rho_idx) != chart.ell:
         raise BuilderError("mobility charts use eigenvalue coordinates")
     rng = np.random.default_rng(seed)
-    pts = chart.window.random(n_samples, rng)
+    pts = chart.window.random(200, rng)
     n, d = pts.shape
     flds = chart.eval(pts, order=1)
 
@@ -1097,8 +1100,8 @@ def _fit_field(chart, C, n_samples, seed):
     return float(resid)
 
 
-def fit_mobility_field(chart: KahlerChart, n_samples=200, seed=7):
-    return _fit_field(chart, chart.meta["C"], n_samples, seed)
+def fit_mobility_field(chart: KahlerChart):
+    return _fit_field(chart, chart.meta["C"], 7)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,18 +1116,16 @@ class ProjectiveMobilityChart:
     the volume statement.
     """
 
-    def __init__(self, C, B=None, a=None, m0=1, m1=1, signature=None,
+    def __init__(self, C, B=1.0, m0=1, m1=1, signature=None,
                  rho_window=(0.2, 0.8), y_window=(-0.8, 0.8)):
         self.C = C
         self.m0, self.m1 = m0, m1
         self.ydim = m0 + m1
         self.dim = 1 + self.ydim
-        if a is None:
-            a = -4.0 * (B if B is not None else 1.0)
-        self.B = -a / 4.0
+        self.B = B
         # the full-chart profile for one non-constant eigenvalue; at C = -1
-        # this is the a (1-rho) rho of the final normal form
-        self.F = PowerProfile(a, C, 2.0 + C)
+        # this is the -4B (1-rho) rho of the final normal form
+        self.F = PowerProfile(-4.0 * B, C, 2.0 + C)
         self.ceigs = np.concatenate([np.zeros(m0), np.ones(m1)])
         self.gc = np.diag(signature if signature is not None
                           else np.ones(self.ydim))
@@ -1169,12 +1170,11 @@ class ProjectiveMobilityChart:
 
 
 def build_mobility2_projective(C, m0=1, m1=1, B=1.0, signature=None,
-                               fit_samples=200, fit_seed=3, fit_tol=1e-7,
                                **kw) -> ProjectiveMobilityChart:
     chart = ProjectiveMobilityChart(C, B=B, m0=m0, m1=m1,
                                     signature=signature, **kw)
-    resid = _fit_field(chart, C, fit_samples, fit_seed)
-    if resid > fit_tol:
+    resid = _fit_field(chart, C, 3)
+    if resid > FIT_TOL:
         raise BuilderError(
             f"projective mobility field fit failed: {resid:.2e}")
     chart.meta["v_fit_residual"] = resid
@@ -1200,7 +1200,7 @@ class JordanOdeSolution:
 
     NSTATE = {"1x1": 1, "2x2": 2, "3x3": 3}
 
-    def __init__(self, kind, n2, C, init, interval, rtol=1e-12, atol=1e-14):
+    def __init__(self, kind, n2, C, init, interval):
         if kind not in self.NSTATE:
             raise BuilderError(f"unknown Jordan ODE kind {kind!r}")
         lo, hi = interval
@@ -1215,7 +1215,7 @@ class JordanOdeSolution:
         mid = 0.5 * (lo + hi)
         try:
             self._left, self._right = [
-                integrate(self._rhs, (mid, b), y0, rtol, atol)[0]
+                integrate(self._rhs, (mid, b), y0, 1e-12, 1e-14)[0]
                 for b in (lo, hi)]
         except OdeError as exc:
             raise BuilderError(f"ODE solve failed: {exc}") from None
@@ -1307,11 +1307,11 @@ class JordanOdeSolution:
         t = self.taylor(np.ravel(np.asarray(rho, dtype=float)), order=1)
         return t[1][0].reshape(shape)
 
-    def defect(self, n_intervals=240, n_gauss=12) -> float:
+    def defect(self) -> float:
         """Integral-form residual per unit length on the dense output."""
         lo, hi = self.interval
-        edges = np.linspace(lo, hi, n_intervals + 1)
-        x, wq = np.polynomial.legendre.leggauss(n_gauss)
+        edges = np.linspace(lo, hi, 241)
+        x, wq = np.polynomial.legendre.leggauss(12)
         scale = 1.0 + float(np.max(np.abs(self.values(
             np.linspace(lo, hi, 64)))))
         a, b = edges[:-1], edges[1:]
@@ -1325,10 +1325,10 @@ class JordanOdeSolution:
         return float(np.max(np.max(np.abs(jump - integral), axis=0)
                             / (b - a))) / scale
 
-    def g1_constancy(self, n_check=400) -> float:
+    def g1_constancy(self) -> float:
         if self.kind != "3x3":
             return 0.0
-        g1 = self.values(np.linspace(*self.interval, n_check))[2]
+        g1 = self.values(np.linspace(*self.interval, 400))[2]
         return float(np.max(np.abs(g1 - g1[0])))
 
 
@@ -1337,7 +1337,7 @@ def solve_jordan_odes(kind, n2, C, init, interval, **kw) -> JordanOdeSolution:
 
 
 def jordan_pair_spec(kind, sol, extra_windows=(), extra_a=(),
-                     x_window=(-0.4, 0.4), rho1_window=None, name="jordan"):
+                     x_window=(-0.4, 0.4), rho1_window=None):
     """Quotient spec with a leading Jordan block glued to eigenvalue
     coordinates; the separation factors (rho_i - rho_1)^2 resp. ^3 come
     out of the multiplicity bookkeeping.  ``rho1_window`` restricts the
@@ -1358,4 +1358,4 @@ def jordan_pair_spec(kind, sol, extra_windows=(), extra_a=(),
     nd = 1 + len(extra_windows)       # number of distinct eigenvalues
     for w, a in zip(extra_windows, extra_a):
         blocks.append(RealRho(PowerProfile(a, sol.C, nd + size + sol.C), w))
-    return CompatiblePairSpec(blocks=tuple(blocks), name=name)
+    return CompatiblePairSpec(blocks=tuple(blocks), name="jordan")

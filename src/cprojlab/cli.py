@@ -40,7 +40,7 @@ from .curvspec import (
     compare_with_numeric, curvature_operator_matrix, fppp_limit_check,
     real_ricci_identity_check, ricci_identity_check)
 from .flows import (
-    FlowError, blowup_scan, circle_fit, eigenvalue_flow, fixed_points,
+    ODES, FlowError, blowup_scan, circle_fit, eigenvalue_flow, fixed_points,
     jordan2_fprime, jordan3_fprime, lie_residual_suite, logistic,
     tail_exponent, transport_check, volume_coefficient)
 from .vandermonde import collision_limit, det_quotient, sum_over_delta
@@ -250,20 +250,18 @@ def _blowup_exponent(r):
                        note=f"measured={expo:.4f}")]
 
 
-# the scalar flows: initial value and right-hand side
-_FLOWS = {"rho^2+1": (0.3 + 0.4j, lambda q: q * q + 1),
-          "rho(1-rho)": (0.5 + 0.3j, lambda q: q * (1 - q)),
-          "rho^2": (0.4 + 0.3j, lambda q: q * q)}
+# the initial value of each scalar flow
+_FLOWS = {"rho^2+1": 0.3 + 0.4j, "rho(1-rho)": 0.5 + 0.3j, "rho^2": 0.4 + 0.3j}
 
 
 def _orbits(r):
     out = []
-    for ode, (r0, rhs) in _FLOWS.items():
+    for ode, r0 in _FLOWS.items():
         traj = eigenvalue_flow(ode, r0, r.v["T"])
         back = eigenvalue_flow(ode, r0, -r.v["T"])
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         _, rad, resid = circle_fit(z)
-        fp_err = max([0.0] + [abs(rhs(p)) for p in fixed_points(ode)])
+        fp_err = max([0.0] + [abs(ODES[ode](p)) for p in fixed_points(ode)])
         out += [CheckEntry(f"circle_{ode}", "complex orbit is a circle",
                            resid / (1.0 + rad), 1e-6 * r.scale,
                            samples=z.size),

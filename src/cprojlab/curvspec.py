@@ -85,7 +85,7 @@ def skew_hermitian_residuals(X, gv, Jv):
     return max_abs(comm) / s, max_abs(skew) / s
 
 
-def unitary_basis(gv, Jv=None, tol=1e-8):
+def unitary_basis(gv, Jv=None):
     """An orthonormalized basis of u(g, J) from coordinate wedges, or of
     the real wedge span so(g) without ``Jv``.
 
@@ -98,7 +98,7 @@ def unitary_basis(gv, Jv=None, tol=1e-8):
     mats = np.stack([w for _, w in wedges])
     flat = mats.reshape(len(wedges), -1)
     q, r = np.linalg.qr(flat.T)
-    keep = np.abs(np.diag(r)) > tol * max(1.0, np.abs(r).max())
+    keep = np.abs(np.diag(r)) > 1e-8 * max(1.0, np.abs(r).max())
     basis = q.T[keep].reshape(-1, d, d)
     return basis, wedges
 
@@ -177,11 +177,10 @@ def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
     return rep
 
 
-def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
-                          max_degree=None):
+def fit_nabla_lambda_poly(flds, sample=0):
     """Minimal-degree real polynomial with nabla La = p(A) at one sample,
-    raising the degree up to ``max_degree`` (at most the dimension) until
-    the relative residual of the least-squares fit is within ``tol``.
+    raising the degree up to the dimension until the relative residual of
+    the least-squares fit is within 1e-8.
 
     Raises when the two endomorphisms fail to commute; flags an
     ill-conditioned fit through the returned residual.
@@ -189,28 +188,27 @@ def fit_nabla_lambda_poly(flds, sample=0, tol=1e-8, comm_tol=1e-8,
     Av = flds.A.c[0][sample]
     NL = nabla_lambda_endo(flds)[sample]
     comm = Av @ NL - NL @ Av
-    if max_abs(comm) / (1.0 + max_abs(Av, NL)) > comm_tol:
+    if max_abs(comm) / (1.0 + max_abs(Av, NL)) > 1e-8:
         raise ValueError("nabla Lambda does not commute with A at the "
                          "sample; no polynomial expression exists")
     d = Av.shape[-1]
-    cap = d if max_degree is None else min(max_degree, d)
     powers = [np.eye(d)]
-    for _ in range(cap):
+    for _ in range(d):
         powers.append(powers[-1] @ Av)
     target = NL.ravel()
-    for deg in range(cap + 1):
+    for deg in range(d + 1):
         M = np.stack([p.ravel() for p in powers[: deg + 1]], axis=1)
         coef, *_ = np.linalg.lstsq(M, target, rcond=None)
         resid = max_abs(M @ coef - target) / (1.0 + max_abs(NL))
-        if resid <= tol:
+        if resid <= 1e-8:
             break
     return np.asarray(coef), resid
 
 
-def _cluster(vals, gap=1e-6):
+def _cluster(vals):
     out = []
     for v in np.atleast_1d(vals):
-        if not any(abs(v - w) < gap for w in out):
+        if not any(abs(v - w) < 1e-6 for w in out):
             out.append(v)
     return out
 

@@ -33,12 +33,15 @@ from .curvspec import lambda_two_eigen
 
 __all__ = [
     "FlowError", "Trajectory", "integrate_jplanar", "integrate_geodesic",
-    "jplanarity_residual", "eigenvalue_flow", "circle_fit", "fixed_points",
+    "jplanarity_residual", "ODES", "eigenvalue_flow", "circle_fit",
+    "fixed_points",
     "logistic", "lie_residual_suite", "transport_check",
     "volume_coefficient", "blowup_scan", "tail_exponent", "flow_point",
 ]
 
 _INTERNAL_FLOOR = 1e-13
+TRANSPORT_POINTS = 60  # output points per direction of the transport check
+TAIL = 8               # points in the tail fit of a divergence exponent
 
 
 class FlowError(ValueError):
@@ -122,12 +125,11 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
                       exit_time=None if t_exit is None else float(t_exit))
 
 
-def integrate_geodesic(chart, x0, v0, T=1.0, tol=1e-8, n_out=200):
-    return integrate_jplanar(chart, x0, v0, None, None, T, tol, n_out)
+def integrate_geodesic(chart, x0, v0, T=1.0, tol=1e-8):
+    return integrate_jplanar(chart, x0, v0, None, None, T, tol)
 
 
-def jplanarity_residual(traj: Trajectory, chart, metric="g",
-                        span_margin=1e-8) -> float:
+def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
     """Max over trajectory samples of the covariant acceleration
     component orthogonal to span{velocity, J velocity}.
 
@@ -148,7 +150,7 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
     Jv_v = np.einsum("nab,nb->na", Jv, v)
     span = np.stack([v, Jv_v], axis=1)                  # (n, 2, d)
     gram, rel_det = span_gram(span, gv)
-    ok = rel_det >= span_margin
+    ok = rel_det >= 1e-8
     if not ok.any():
         raise FlowError("velocity span degenerate along the trajectory")
     acc = acc[ok]
@@ -160,7 +162,8 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g",
 # scalar eigenvalue flows
 # ---------------------------------------------------------------------------
 
-_ODES = {
+# the right-hand sides of the scalar flows, by name
+ODES = {
     "rho^2+1": lambda r: r * r + 1.0,
     "rho(1-rho)": lambda r: r * (1.0 - r),
     "rho^2": lambda r: r * r,
@@ -180,7 +183,7 @@ def fixed_points(ode: str):
 def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
                     blowup=1e6) -> Trajectory:
     """Complex trajectory of the scalar flow; reports finite-time escape."""
-    f = _ODES[ode]
+    f = ODES[ode]
 
     def rhs(t, y):
         r = y[0] + 1j * y[1]
@@ -223,8 +226,7 @@ def logistic(rho0, t):
 # Lie-derivative residual suite along (c-)projective fields
 # ---------------------------------------------------------------------------
 
-def lie_residual_suite(chart, grid_pts=None, coeffs=None, tol=1e-6,
-                       n_random=80, seed=11) -> ResidualReport:
+def lie_residual_suite(chart, coeffs=None, tol=1e-6) -> ResidualReport:
     """Residuals of L_v A and L_v g against their canonical right sides.
 
     Default is the canonical mobility form L_v A = A(Id - A),
@@ -234,9 +236,7 @@ def lie_residual_suite(chart, grid_pts=None, coeffs=None, tol=1e-6,
     trace-weighted metric equation.
     """
     from .builders import mobility_rhs
-    if grid_pts is None:
-        rng = np.random.default_rng(seed)
-        grid_pts = chart.window.random(n_random, rng)
+    grid_pts = chart.window.random(80, np.random.default_rng(11))
     fl = chart.eval(grid_pts, order=1)
     if fl.v is None:
         raise FlowError("chart carries no vector field")
@@ -266,7 +266,7 @@ def lie_residual_suite(chart, grid_pts=None, coeffs=None, tol=1e-6,
     return rep
 
 
-def flow_point(chart, x0, T, tol=1e-10, n_out=120) -> Trajectory:
+def flow_point(chart, x0, T, n_out=120) -> Trajectory:
     """Integral curve of the chart's vector field v."""
     if chart.v_matrix is None:
         raise FlowError("chart carries no vector field")
@@ -274,14 +274,14 @@ def flow_point(chart, x0, T, tol=1e-10, n_out=120) -> Trajectory:
     def rhs(t, y):
         return chart.v_field(y[None], order=0).c[0][0]
 
-    sol, _ = _solve(rhs, T, np.asarray(x0, dtype=float), tol)
+    sol, _ = _solve(rhs, T, np.asarray(x0, dtype=float), 1e-10)
     ts = np.linspace(0.0, T, n_out)
     ys = sol(ts).T
     return Trajectory(t=ts, x=ys, v=np.empty((n_out, 0)))
 
 
-def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6,
-                    n_check=60) -> ResidualReport:
+def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6
+                    ) -> ResidualReport:
     """Eigenvalue transport along v against the logistic closed form."""
     if x0 is None:
         x0 = chart.window.center()
@@ -289,13 +289,13 @@ def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6,
     rho0 = float(x0[rho_idx])
     worst = 0.0
     for T in (t_span[1], t_span[0]):
-        traj = flow_point(chart, x0, T, n_out=n_check)
+        traj = flow_point(chart, x0, T, n_out=TRANSPORT_POINTS)
         rho_t = traj.x[:, rho_idx]
         expect = logistic(rho0, traj.t)
         worst = max(worst, float(np.max(np.abs(rho_t - expect))))
     rep = ResidualReport(title="transport")
     rep.add(CheckEntry("eigenvalue_transport", "rho(t) logistic",
-                       worst, tol, samples=2 * n_check))
+                       worst, tol, samples=2 * TRANSPORT_POINTS))
     return rep
 
 
@@ -303,8 +303,7 @@ def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6,
 # volume response of the leaf metric
 # ---------------------------------------------------------------------------
 
-def volume_coefficient(chart, grid_pts=None, n_random=40, seed=5,
-                       tol=1e-5, decomp_tol=1e-8) -> ResidualReport:
+def volume_coefficient(chart, tol=1e-5) -> ResidualReport:
     """Measured f = (1/2) tr(g2^{-1} L_{v2} g2) on the leaves orthogonal
     to the eigenvalue direction, against the predicted constant.
 
@@ -315,9 +314,7 @@ def volume_coefficient(chart, grid_pts=None, n_random=40, seed=5,
     if getattr(chart, "ell", None) != 1:
         raise FlowError("volume coefficient needs one non-constant "
                         "eigenvalue")
-    if grid_pts is None:
-        rng = np.random.default_rng(seed)
-        grid_pts = chart.window.random(n_random, rng)
+    grid_pts = chart.window.random(40, np.random.default_rng(5))
     fl = chart.eval(grid_pts, order=1)
     if fl.v is None:
         raise FlowError("chart carries no vector field")
@@ -333,7 +330,7 @@ def volume_coefficient(chart, grid_pts=None, n_random=40, seed=5,
 
     # v must preserve the leaf distribution: v^rho depends on rho only
     vrho_leafgrad = fl.v.c[1][:, rho_idx, :][:, leaf]
-    if max_abs(vrho_leafgrad) > decomp_tol:
+    if max_abs(vrho_leafgrad) > 1e-8:
         raise FlowError("v does not preserve the leaf foliation")
 
     g2 = fl.g.c[0][np.ix_(range(len(grid_pts)), leaf, leaf)]
@@ -357,10 +354,10 @@ def volume_coefficient(chart, grid_pts=None, n_random=40, seed=5,
 # divergence scans
 # ---------------------------------------------------------------------------
 
-def tail_exponent(s, y, tail=8):
+def tail_exponent(s, y):
     """Least-squares slope of log|y| against log s on the last points."""
-    s = np.asarray(s, dtype=float)[-tail:]
-    y = np.abs(np.asarray(y, dtype=float))[-tail:]
+    s = np.asarray(s, dtype=float)[-TAIL:]
+    y = np.abs(np.asarray(y, dtype=float))[-TAIL:]
     if np.any(y == 0.0):
         raise FlowError("zero values in the divergence tail")
     return float(np.polyfit(np.log(s), np.log(y), 1)[0])
@@ -394,9 +391,9 @@ def jordan3_fprime(sol, x2, rho1, extra_rhos=(), extra_profiles=()):
     return out
 
 
-def blowup_scan(kind, path, tol_exponent=0.1, **kw):
+def blowup_scan(kind, path, **kw):
     """Evaluate a curvature quantity along a parameter path approaching
-    a singular locus; certify divergence by a tail-ratio exponent.
+    a singular locus; ``tail_exponent`` measures their divergence.
 
     kind 'jordan2': kw needs sol, rho1, (extra_rhos, extra_profiles);
         path is the sequence of offsets s with x = -F(rho1) + s.
@@ -404,7 +401,7 @@ def blowup_scan(kind, path, tol_exponent=0.1, **kw):
     kind 'ell2': kw needs profile; path is the sequence of scales s with
         (r1, r2) = (s, 2 s) (corner 0) or 1 - (2 s, s) (corner 1,
         kw corner=1).
-    Returns (values, exponent estimate or None for bounded scans).
+    Returns the values, one per point of the path, as a float array.
     """
     path = np.asarray(path, dtype=float)
     if kind == "jordan2":

@@ -36,6 +36,9 @@ __all__ = [
 ]
 
 
+SHRINK = 0.02  # sampled points keep this fraction of each side off a face
+
+
 class GeometryError(ValueError):
     pass
 
@@ -57,21 +60,19 @@ class Box:
     def dim(self) -> int:
         return self.lo.size
 
-    def contains(self, pts: np.ndarray, shrink: float = 0.0) -> np.ndarray:
+    def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        pad = shrink * (self.hi - self.lo)
-        return np.all((pts > self.lo + pad) & (pts < self.hi - pad), axis=-1)
+        return np.all((pts > self.lo) & (pts < self.hi), axis=-1)
 
-    def grid(self, per_axis: int, shrink: float = 0.02) -> np.ndarray:
-        axes = [np.linspace(l + shrink * (h - l), h - shrink * (h - l),
+    def grid(self, per_axis: int) -> np.ndarray:
+        axes = [np.linspace(l + SHRINK * (h - l), h - SHRINK * (h - l),
                             per_axis)
                 for l, h in zip(self.lo, self.hi)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def random(self, n: int, rng: np.random.Generator,
-               shrink: float = 0.02) -> np.ndarray:
-        pad = shrink * (self.hi - self.lo)
+    def random(self, n: int, rng: np.random.Generator) -> np.ndarray:
+        pad = SHRINK * (self.hi - self.lo)
         return rng.uniform(self.lo + pad, self.hi - pad,
                            size=(n, self.dim))
 
@@ -86,13 +87,12 @@ class GridSpec:
     per_axis: int = 5
     n_random: int = 64
     seed: int = 0
-    shrink: float = 0.02
 
     def points(self, box: Box) -> np.ndarray:
         rng = np.random.default_rng(self.seed)
-        pts = [box.grid(self.per_axis, self.shrink)]
+        pts = [box.grid(self.per_axis)]
         if self.n_random:
-            pts.append(box.random(self.n_random, rng, self.shrink))
+            pts.append(box.random(self.n_random, rng))
         return np.concatenate(pts, axis=0)
 
 

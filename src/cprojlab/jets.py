@@ -34,15 +34,16 @@ view (P..., |C|, |R|), its P axes batch axes, and only the smaller
 operand is arranged as (P or 1, F, C).  So ``"nijxy,njk->nikxy"`` is
 ``y^T @ x.reshape(n, i, j, xy)``.  A contraction whose contracted axes
 have size 1 in total, or that has none (an outer or elementwise product
-such as ``"nab,n->nab"``), is a broadcast product instead, because a
-K = 1 matmul is slow and sums nothing.  ``jet_einsum`` computes one
-contraction per Leibniz split i+j=k and spreads it over the C(k, i)
-placements of the derivative axes by transposes, which are views; the
-placements are summed in place into the first term's fresh output, so an
-order costs one output array and one term at a time.  The plan of a spec
-(letter classes, permutations, orientation, term specs) is worked out
-once per ``(spec, which operand is larger)`` or ``(spec, order)`` and
-cached.  The check suites call ``contract`` for their matrix products too.
+such as ``"nab,n->nab"``), is a broadcast product of views in output
+order instead, because a K = 1 matmul is slow and sums nothing.
+``jet_einsum`` computes one contraction per Leibniz split i+j=k and
+spreads it over the C(k, i) placements of the derivative axes by
+transposes, which are views; the placements are summed in place into the
+first term's fresh output, so an order costs one output array and one
+term at a time.  The plan of a spec (letter classes, permutations,
+orientation, term specs) is worked out once per ``(spec, which operand is
+larger)`` or ``(spec, order)`` and cached.  The check suites call
+``contract`` for their matrix products too.
 
 Jets are immutable values and every operation is pure.
 """
@@ -485,7 +486,9 @@ def _contract_plan(spec: str, y_larger: bool):
     (P, F, C) with unit axes at the letters of P it lacks.  ``swap`` is
     (len(P), the number of the smaller operand's batch letters and of its
     free letters F, its axis for each letter of P or -1, its permutation,
-    the output permutation).
+    the output permutation).  ``views`` holds, per folded operand, the
+    permutation to its output letters in output order and its contracted
+    letters last, and each output letter's axis then, or -1 if it lacks it.
     """
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
@@ -516,8 +519,13 @@ def _contract_plan(spec: str, y_larger: bool):
         res = list(lead) + fs + list(rest)
         swap = (len(lead), len(sbatch), len(fs), src, _perm(ps),
                 _perm(tuple(res.index(c) for c in out)))
+    views = []
+    for s in (batch + fa + con, batch + con + fb):
+        kept = [c for c in out if c in s]
+        views.append((_perm(tuple(s.index(c) for c in kept + con)),
+                      tuple(kept.index(c) if c in s else -1 for c in out)))
     return (len(batch), len(fa), len(con), _perm(pa), _perm(pb), _perm(pout),
-            swap)
+            swap, views)
 
 
 def _perm(p):
@@ -536,7 +544,7 @@ def contract(spec: str, x, y):
     in total, or there are none, it is a broadcast product instead.
     """
     y_larger = y.size > x.size
-    nb, nfa, nc, pa, pb, pout, swap = _contract_plan(spec, y_larger)
+    nb, nfa, nc, pa, pb, pout, swap, views = _contract_plan(spec, y_larger)
     if swap is not None:
         big, small = (y, x) if y_larger else (x, y)
         nlead, nsb, nf, src, ps, pz = swap
@@ -559,14 +567,18 @@ def contract(spec: str, x, y):
     k = math.prod(x.shape[nb + nfa:])
     fb = y.shape[nb + nc:]
     if k == 1:
-        # nothing to sum: a broadcast product, with no copy to fold axes
-        z = (x.reshape(x.shape[:nb] + fa + (1,) * len(fb))
-             * y.reshape(y.shape[:nb] + (1,) * nfa + fb))
-    else:
-        z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
-                      y.reshape(y.shape[:nb] + (k, math.prod(fb))))
-        z = z.reshape(z.shape[:nb] + fa + fb)
+        # nothing to sum: a broadcast product, formed in output order
+        return _out_view(x, *views[0]) * _out_view(y, *views[1])
+    z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
+                  y.reshape(y.shape[:nb] + (k, math.prod(fb))))
+    z = z.reshape(z.shape[:nb] + fa + fb)
     return z if pout is None else z.transpose(pout)
+
+
+def _out_view(a, perm, where):
+    """The view of ``a`` for a ``views`` entry (perm, where) of the plan."""
+    a = a if perm is None else a.transpose(perm)
+    return a.reshape(tuple(1 if i < 0 else a.shape[i] for i in where))
 
 
 @functools.lru_cache(maxsize=None)

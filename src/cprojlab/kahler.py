@@ -41,6 +41,11 @@ __all__ = [
 ]
 
 
+# the largest remainder, or imaginary part of a mu_k, that the division by
+# the constant-eigenvalue factor may leave
+ROOT_TOL = 1e-6
+
+
 class KahlerError(ValueError):
     pass
 
@@ -49,7 +54,7 @@ class KahlerError(ValueError):
 # structure checks
 # ---------------------------------------------------------------------------
 
-def check_kahler(flds, tol=1e-6, anchor_prefix="") -> ResidualReport:
+def check_kahler(flds, tol=1e-6) -> ResidualReport:
     """Residuals of the Kahler axioms for jet fields (g order>=1, J, w)."""
     g, J, w = flds.g, flds.J, flds.omega
     n = g.c[0].shape[0]
@@ -108,13 +113,13 @@ def cproj_residual(flds, tol=1e-6) -> ResidualReport:
     return rep
 
 
-def proj_residual(flds, tol=1e-6, selfadj_tol=1e-8) -> ResidualReport:
+def proj_residual(flds, tol=1e-6) -> ResidualReport:
     """Defect of the projective compatibility equation for (h, L), the g
     and A of fields without J."""
     hL = np.einsum("nac,ncb->nab", flds.g.c[0], flds.A.c[0])
     skew = np.abs(hL - np.swapaxes(hL, -1, -2))
     sa = max_abs(skew) / (1.0 + max_abs(hL))
-    if sa > selfadj_tol:
+    if sa > 1e-8:
         worst = int(np.argmax(np.max(skew, axis=(-1, -2))))
         raise KahlerError(
             f"L is not h-selfadjoint: residual {sa:.3e} worst at sample "
@@ -138,11 +143,11 @@ def shift_endo(A: Jet, c0: float) -> Jet:
     return A + c0 * np.eye(A.c[0].shape[-1])
 
 
-def spectrum_safe_shift(flds, margin=0.05) -> float:
+def spectrum_safe_shift(flds) -> float:
     """A shift c0 with the spectrum of A + c0 Id away from zero."""
     eigs = np.linalg.eigvals(flds.A.c[0])
     low = float(np.min(np.abs(eigs)))
-    if low > margin:
+    if low > 0.05:
         return 0.0
     return 1.0 + float(np.max(np.abs(eigs)))
 
@@ -214,7 +219,7 @@ def complex_det(flds) -> Jet:
     return flds.char_poly[-1].real
 
 
-def nonconstant_factor(e, constant_eigs, root_tol=1e-6):
+def nonconstant_factor(e, constant_eigs):
     """Divide det_C(t Id - A), given by its coefficients e_0..e_n (a
     ``char_poly``), by the declared constant-eigenvalue factor.
 
@@ -235,7 +240,7 @@ def nonconstant_factor(e, constant_eigs, root_tol=1e-6):
             rem = out.pop()
             worst = max(worst, max_abs(rem.c[0]) / scale)
             coeffs = out
-    if worst > root_tol:
+    if worst > ROOT_TOL:
         raise KahlerError(
             f"a declared constant eigenvalue is not a root of the complex "
             f"characteristic polynomial (remainder {worst:.3e})")
@@ -243,7 +248,7 @@ def nonconstant_factor(e, constant_eigs, root_tol=1e-6):
     for k, cf in enumerate(coeffs):
         mu = cf * ((-1.0) ** k)
         imag = max_abs(mu.c[0].imag)
-        if imag > root_tol:
+        if imag > ROOT_TOL:
             raise KahlerError(f"mu_{k} has imaginary part {imag:.3e}")
         mus.append(mu.real)
     return mus, worst
@@ -253,15 +258,14 @@ def nonconstant_factor(e, constant_eigs, root_tol=1e-6):
 # hamiltonian Killing check and connection difference
 # ---------------------------------------------------------------------------
 
-def hamiltonian_killing_check(flds, tol=1e-6, comm_tol=1e-8
-                              ) -> ResidualReport:
+def hamiltonian_killing_check(flds, tol=1e-6) -> ResidualReport:
     """det_C A generates a Killing field: hermitian Hessian + L_K g."""
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
     comm = np.einsum("nab,nbc->nac", A.c[0], J.c[0]) \
         - np.einsum("nab,nbc->nac", J.c[0], A.c[0])
     cres = max_abs(comm) / (1.0 + max_abs(A.c[0]))
-    if cres > comm_tol:
+    if cres > 1e-8:
         raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
     f = complex_det(flds)
     hess = hessian_cov(f, flds.gamma).c[0]
@@ -323,25 +327,22 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     samples, for each simple non-constant eigenvalue field rho."""
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
-    consts = []
     rep = ResidualReport(title="eigenvector-gradient")
     vals = [r.c[0] for r in flds.rhos]
-    mask = _gap_mask(vals, consts, EIGEN_GAP)
+    mask = _gap_mask(vals, [], EIGEN_GAP)
     excluded = int((~mask).sum())
     worst = 0.0
     for r in flds.rhos:
         if np.iscomplexobj(r.c[0]):
             continue          # complex pairs are exercised via mu fields
-        rr = r
-        grad = gradient(rr, flds.ginv).c[0]
+        grad = gradient(r, flds.ginv).c[0]
         Av = A.c[0]
-        res = np.einsum("nab,nb->na", Av, grad) - rr.c[0][:, None] * grad
+        res = np.einsum("nab,nb->na", Av, grad) - r.c[0][:, None] * grad
         Jgrad = np.einsum("nab,nb->na", J.c[0], grad)
         res2 = np.einsum("nab,nb->na", Av, Jgrad) \
-            - rr.c[0][:, None] * Jgrad
-        m = mask
-        s = 1.0 + max_abs(grad[m], Av[m])
-        worst = max(worst, max_abs(res[m]) / s, max_abs(res2[m]) / s)
+            - r.c[0][:, None] * Jgrad
+        s = 1.0 + max_abs(grad[mask], Av[mask])
+        worst = max(worst, max_abs(res[mask]) / s, max_abs(res2[mask]) / s)
     rep.add(CheckEntry("eigenvector_gradients", "(A-rho)grad rho",
                        worst, tol, samples=n, excluded=excluded))
     return rep

@@ -47,8 +47,7 @@ class CanonicalKillingSet:
         self.ell = len(K)
 
 
-def build_canonical_killing(flds, constant_eigs=(), gap=EIGEN_GAP
-                            ) -> CanonicalKillingSet:
+def build_canonical_killing(flds, constant_eigs=()) -> CanonicalKillingSet:
     """Assemble the canonical fields from chart fields (order >= 2).
 
     ``constant_eigs`` lists (c, complex multiplicity) so the non-constant
@@ -63,13 +62,13 @@ def build_canonical_killing(flds, constant_eigs=(), gap=EIGEN_GAP
         grad = gradient(mu, flds.ginv)
         K.append(jet_einsum("nab,nb->na", J.truncate(grad.order), grad))
     vals = [r.c[0] for r in flds.rhos]
-    mask = _gap_mask(vals, [c for c, _ in constant_eigs], gap,
+    mask = _gap_mask(vals, [c for c, _ in constant_eigs], EIGEN_GAP,
                      n=g.c[0].shape[0])
     return CanonicalKillingSet(mus, K, mask)
 
 
-def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
-                gram_margin=GRAM_MARGIN) -> ResidualReport:
+def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
+                           ) -> ResidualReport:
     """The full canonical-Killing property suite at regular samples."""
     g, J, A, w = flds.g, flds.J, flds.A, flds.omega
     mask = ks.mask
@@ -134,7 +133,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6,
         rep.add(CheckEntry(f"killing_{key}", anchors[key], worst[key], tol,
                            samples=n, excluded=excl))
     rep.add(CheckEntry("killing_gram_margin", "det g(K_i,K_j) != 0",
-                       float(margin), gram_margin, mode="min>=tol",
+                       float(margin), GRAM_MARGIN, mode="min>=tol",
                        samples=n, excluded=excl))
     return rep
 
@@ -162,15 +161,14 @@ def a_on_k_recurrence(ks: CanonicalKillingSet, flds, tol=1e-7
     return rep
 
 
-def totally_geodesic_residual(span, g: Jet, tol=1e-7, gram_margin=GRAM_MARGIN
-                              ) -> ResidualReport:
+def totally_geodesic_residual(span, g: Jet, tol=1e-7) -> ResidualReport:
     """Second fundamental form test: component of nabla_u v orthogonal to
     span{u_1..u_k} for each pair of span fields, at every sample."""
     n = g.c[0].shape[0]
     gam = christoffel(g)
     Uv = np.stack([u.c[0] for u in span], axis=1)      # (n, k, d)
     gram, rel_det = span_gram(Uv, g.c[0])
-    ok = rel_det >= gram_margin
+    ok = rel_det >= GRAM_MARGIN
     Uok, gok, gram_inv = Uv[ok], g.c[0][ok], np.linalg.inv(gram[ok])
     rep = ResidualReport(title="totally-geodesic")
     worst = 0.0

@@ -21,6 +21,7 @@ __all__ = [
 ]
 
 GAP_THRESHOLD = 1e-8  # relative smallest admissible eigenvalue gap
+CORNER_SCALES = (1e-3, 1e-5)  # tuple sizes of the corner decay estimate
 
 
 class VandermondeError(ValueError):
@@ -90,26 +91,25 @@ def _factorial(n):
     return out
 
 
-def collision_limit_numeric(k, x, ell, spreads=(1e-2, 5e-3, 2.5e-3)):
+def collision_limit_numeric(k, x, ell):
     """Cross-check: sum_over_delta on shrinking symmetric tuples."""
     vals = []
-    for s in spreads:
+    for s in (1e-2, 5e-3, 2.5e-3):
         offsets = np.linspace(-1.0, 1.0, ell)
         vals.append(sum_over_delta(k, x + s * offsets))
     return np.asarray(vals)
 
 
-def corner_vanishes(profile, corner, ell, scales=(1e-3, 1e-5),
-                    exponent_cut=0.02):
+def corner_vanishes(profile, corner, ell):
     """Does f(rho) -> 0 as the tuple collapses into the corner 0 or 1?
 
     Evaluates |f| on tuples corner +/- s * pattern for shrinking s and
     estimates the decay exponent p in |f| ~ s^p; vanishing means p above
-    the (small, positive) cut.  The pattern stays inside (0, 1).
+    the (small, positive) cut 0.02.  The pattern stays inside (0, 1).
     """
     pattern = np.arange(1, ell + 1, dtype=float)
     vals = []
-    for s in scales:
+    for s in CORNER_SCALES:
         if corner == 0.0:
             rho = s * pattern
         else:
@@ -121,8 +121,9 @@ def corner_vanishes(profile, corner, ell, scales=(1e-3, 1e-5),
     vals = np.asarray(vals)
     if vals[-1] < 1e-300:
         return True
-    p = np.log(vals[0] / vals[-1]) / np.log(scales[-1] / scales[0])
-    return bool(-p > exponent_cut)
+    p = (np.log(vals[0] / vals[-1])
+         / np.log(CORNER_SCALES[-1] / CORNER_SCALES[0]))
+    return bool(-p > 0.02)
 
 
 def locate_window_endpoint(make_profile, corner, ell, lo, hi, steps=8):

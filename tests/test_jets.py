@@ -609,17 +609,22 @@ def test_division_by_a_zero_constant_raises():
     ("na,nb->nab", (5, 3), (5, 4)),
     ("nab,nb->na", (5, 3, 1), (1, 1)),
     ("ni,nj->nji", (1, 3), (4, 2)),
+    ("nijxy,njq->niqxy", (5, 3, 1, 2, 2), (5, 1, 4)),
+    ("nibxy,nbq->niqxy", (5, 3, 1, 2, 2), (5, 1, 4)),
 ])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_unit_and_empty_contractions_match_einsum(spec, xs, ys, cplx):
+    # nothing is summed, so the product is einsum's bit for bit, and it
+    # is built in output order
     rng = np.random.default_rng(11)
     x, y = rng.normal(size=xs), rng.normal(size=ys)
     if cplx:
         x = x + 1j * rng.normal(size=xs)
     want = np.einsum(spec, x, y)
     got = contract(spec, x, y)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
 
 
 # the larger operand of each spec may hold its contracted letters first,
