@@ -1122,7 +1122,6 @@ class ProjectiveMobilityChart:
         self.m0, self.m1 = m0, m1
         self.ydim = m0 + m1
         self.dim = 1 + self.ydim
-        self.B = B
         # the full-chart profile for one non-constant eigenvalue; at C = -1
         # this is the -4B (1-rho) rho of the final normal form
         self.F = PowerProfile(-4.0 * B, C, 2.0 + C)
@@ -1336,25 +1335,26 @@ def solve_jordan_odes(kind, n2, C, init, interval, **kw) -> JordanOdeSolution:
     return JordanOdeSolution(kind, n2, C, init, interval, **kw)
 
 
-def jordan_pair_spec(kind, sol, extra_windows=(), extra_a=(),
+def jordan_pair_spec(sol, extra_windows=(), extra_a=(),
                      x_window=(-0.4, 0.4), rho1_window=None):
-    """Quotient spec with a leading Jordan block glued to eigenvalue
-    coordinates; the separation factors (rho_i - rho_1)^2 resp. ^3 come
-    out of the multiplicity bookkeeping.  ``rho1_window`` restricts the
-    block eigenvalue inside the solved interval so it stays disjoint
-    from the extra eigenvalue windows."""
+    """Quotient spec with a leading Jordan block, 2x2 or 3x3 as the kind
+    of ``sol``, glued to eigenvalue coordinates; the separation factors
+    (rho_i - rho_1)^2 resp. ^3 come out of the multiplicity bookkeeping.
+    ``rho1_window`` restricts the block eigenvalue inside the solved
+    interval so it stays disjoint from the extra eigenvalue windows."""
     rw = rho1_window if rho1_window is not None else sol.interval
     if not (sol.interval[0] <= rw[0] < rw[1] <= sol.interval[1]):
         raise BuilderError("rho1 window must sit inside the solved "
                            "interval")
-    if kind == "2x2":
+    if sol.kind == "2x2":
         blocks = [Jordan2(sol, (x_window, rw))]
         size = 2
-    elif kind == "3x3":
+    elif sol.kind == "3x3":
         blocks = [Jordan3(sol, (x_window, x_window, rw))]
         size = 3
     else:
-        raise BuilderError("kind must be '2x2' or '3x3'")
+        raise BuilderError(f"a Jordan block needs a 2x2 or 3x3 solution, "
+                           f"got {sol.kind}")
     nd = 1 + len(extra_windows)       # number of distinct eigenvalues
     for w, a in zip(extra_windows, extra_a):
         blocks.append(RealRho(PowerProfile(a, sol.C, nd + size + sol.C), w))

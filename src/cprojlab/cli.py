@@ -49,8 +49,7 @@ DEFAULT_TOLS = {
     "kahler": 1e-6, "cproj": 1e-6, "proj": 1e-6, "killing": 1e-6,
     "aonk": 1e-7, "dual": 1e-7, "ricci": 1e-6, "lie": 1e-6,
     "volume": 1e-5, "transport": 1e-6, "ode": 1e-9, "pde_split": 1e-6,
-    "spectrum": 1e-5, "roundtrip": 1e-9, "planarity": 1e-5,
-    "vandermonde": 1e-11,
+    "spectrum": 1e-5, "roundtrip": 1e-9, "vandermonde": 1e-11,
 }
 
 
@@ -80,9 +79,6 @@ class Run:
 
     def __init__(self, v, scale):
         self.v, self.scale, self.csv = v, scale, {}
-
-    def tol(self, cls):
-        return self.v[f"tol.{cls}"] * self.scale
 
     def sample(self, inst, title=None):
         grid, rnd, dim = self.v["grid"], self.v["random"], inst.window.dim
@@ -165,7 +161,7 @@ def _build_jordan(r):
     r.sol = solve_jordan_odes(v["kind"], v["n2"], v["C"], v["init"],
                               v["interval"])
     qp = build_quotient_pair(jordan_pair_spec(
-        v["kind"], r.sol, x_window=tuple(v["x_window"])))
+        r.sol, x_window=tuple(v["x_window"])))
     return r.sample(qp, f"jordan-{v['kind']}")
 
 
@@ -186,27 +182,27 @@ def _noted(rep, r):
     return rep
 
 
-def _partner_roundtrip(r):
+def _partner_roundtrip(r, tol):
     fl, note = r.shifted
     Arec = recover_endo(fl, r.ghat)
     rt = max_abs(Arec.c[0] - fl.A.c[0]) / (1.0 + max_abs(fl.A.c[0]))
     return [CheckEntry("partner_roundtrip", "recover(partner(g,A))=A", rt,
-                       r.tol("roundtrip"), samples=len(r.pts), note=note)]
+                       tol, samples=len(r.pts), note=note)]
 
 
-def _route_agreement(r):
+def _route_agreement(r, tol):
     # the explicit chart against the Jacobian construction
     fa = lift_pair(r.inst.qp, cb=r.cb, route="jacobian").eval(r.pts, order=1)
     fb = r.inst.eval(r.pts, order=1)
     dev = max(max_abs(getattr(fa, k).c[0] - getattr(fb, k).c[0])
               for k in ("g", "omega", "J", "A")) / (1.0 + max_abs(fb.g.c[0]))
     return [CheckEntry("route_agreement", "explicit == jacobian route", dev,
-                       r.tol("roundtrip"), samples=len(r.pts))]
+                       tol, samples=len(r.pts))]
 
 
-def _split_lie(r):
+def _split_lie(r, tol):
     # the split Lie equations on the block
-    f, tol = r.f, r.tol("pde_split")
+    f = r.f
     h, L = f.g.c[0], f.A.c[0]
     trL = np.trace(L, axis1=-2, axis2=-1)
     rhs_L = L - np.einsum("nab,nbc->nac", L, L)
@@ -222,7 +218,7 @@ def _split_lie(r):
                        samples=len(r.pts))]
 
 
-def _blowup_spectrum(r):
+def _blowup_spectrum(r, tol):
     # the closed-form curvature eigenvalue against the assembled operator
     # at a few samples
     dev = []
@@ -232,11 +228,11 @@ def _blowup_spectrum(r):
         eigs = np.linalg.eigvals(curvature_operator_matrix(r.f, s)[0])
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
-                       "closed-form eigenvalue in spec(R)", max(dev),
-                       r.tol("spectrum"), samples=3)]
+                       "closed-form eigenvalue in spec(R)", max(dev), tol,
+                       samples=3)]
 
 
-def _blowup_exponent(r):
+def _blowup_exponent(r, _):
     # divergence scan toward F + x = 0
     s = np.geomspace(1e-1, 1e-4, 16)
     two, (lo, hi) = r.v["kind"] == "2x2", r.v["interval"]
@@ -254,7 +250,7 @@ def _blowup_exponent(r):
 _FLOWS = {"rho^2+1": 0.3 + 0.4j, "rho(1-rho)": 0.5 + 0.3j, "rho^2": 0.4 + 0.3j}
 
 
-def _orbits(r):
+def _orbits(r, _):
     out = []
     for ode, r0 in _FLOWS.items():
         traj = eigenvalue_flow(ode, r0, r.v["T"])
@@ -266,7 +262,7 @@ def _orbits(r):
                            resid / (1.0 + rad), 1e-6 * r.scale,
                            samples=z.size),
                 CheckEntry(f"fixed_points_{ode}", "flow fixed points",
-                           fp_err, 1e-12)]
+                           fp_err, 1e-12 * r.scale)]
         tag = ode.replace("^", "").replace("(", "_").replace(")", "")
         r.csv[f"portrait_{tag}"] = (
             ["t", "re", "im"],
@@ -274,22 +270,25 @@ def _orbits(r):
     return out
 
 
-def _logistic_endpoint(r):
+def _logistic_endpoint(r, _):
     traj = eigenvalue_flow("rho(1-rho)", 0.5, 5.0)
     err = abs(traj.x[-1, 0].real - logistic(0.5, 5.0))
     return [CheckEntry("logistic_endpoint", "closed-form endpoint", err,
                        1e-8 * r.scale)]
 
 
-def _symmetric_functions(r):
+def _vandermonde(r, tol):
     rho = np.array([0.21, 0.47, 0.83])
     dev = abs(sum_over_delta(np.exp, rho) - det_quotient(np.exp, rho))
+    return [CheckEntry("vandermonde_sum_vs_det", "sum equals det quotient",
+                       dev, tol)]
+
+
+def _collision_limit(r, _):
     lim = collision_limit(lambda t: t.exp() if isinstance(t, Jet)
                           else np.exp(t), 0.0, 3)
-    return [CheckEntry("vandermonde_sum_vs_det", "sum equals det quotient",
-                       dev, r.tol("vandermonde")),
-            CheckEntry("collision_limit", "k''(0)/2!", abs(lim - 0.5),
-                       1e-12)]
+    return [CheckEntry("collision_limit", "k''(0)/2!", abs(lim - 0.5),
+                       1e-12 * r.scale)]
 
 
 # ---------------------------------------------------------------------------
@@ -298,40 +297,47 @@ def _symmetric_functions(r):
 
 class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
-    suffix), its function of the ``Run`` and its run condition, if any:
-    a key and the typed value it must have."""
+    suffix); the tolerance class its checks read, whose value is config
+    key ``tol.<class>``, or "" for a fixed tolerance; its function of the
+    ``Run`` and that value times ``--tol-scale`` (None for a fixed
+    tolerance, which the function scales by ``Run.scale``); and its run
+    condition, if any: a key and the typed value it must have."""
     names: str
+    tol: str
     emit: Callable
     when: tuple = ()
 
 
 KAHLER_STEPS = (
-    Step("J_squared hermitian_metric omega_def domega parallel_J",
-         lambda r: check_kahler(r.fl, tol=r.tol("kahler"))),
-    Step("cproj_compat", lambda r: cproj_residual(r.fl, tol=r.tol("cproj"))),
-    Step("eigenvector_gradients",
-         lambda r: eigenvector_gradient_residual(r.fl, tol=r.tol("aonk"))),
-    Step(" ".join("killing_" + k for k in KILLING_KEYS),
-         lambda r: killing_property_suite(r.ks, r.fl, tol=r.tol("killing"))),
-    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl, tol=r.tol("aonk"))),
-    Step("ricci_identity",
-         lambda r: ricci_identity_check(r.fl, tol=r.tol("ricci"))),
-    Step("det_hessian_hermitian killing_detC", lambda r: _noted(
-        hamiltonian_killing_check(r.shifted[0], tol=r.tol("killing")), r)),
-    Step("partner_roundtrip", _partner_roundtrip),
-    Step("connection_difference", lambda r: _noted(connection_difference_check(
-        r.shifted[0], r.ghat, tol=r.tol("cproj")), r)),
+    Step("J_squared hermitian_metric omega_def domega parallel_J", "kahler",
+         lambda r, tol: check_kahler(r.fl, tol=tol)),
+    Step("cproj_compat", "cproj",
+         lambda r, tol: cproj_residual(r.fl, tol=tol)),
+    Step("eigenvector_gradients", "aonk",
+         lambda r, tol: eigenvector_gradient_residual(r.fl, tol=tol)),
+    Step(" ".join("killing_" + k for k in KILLING_KEYS), "killing",
+         lambda r, tol: killing_property_suite(r.ks, r.fl, tol=tol)),
+    Step("a_on_k", "aonk",
+         lambda r, tol: a_on_k_recurrence(r.ks, r.fl, tol=tol)),
+    Step("ricci_identity", "ricci",
+         lambda r, tol: ricci_identity_check(r.fl, tol=tol)),
+    Step("det_hessian_hermitian killing_detC", "killing",
+         lambda r, tol: _noted(
+             hamiltonian_killing_check(r.shifted[0], tol=tol), r)),
+    Step("partner_roundtrip", "roundtrip", _partner_roundtrip),
+    Step("connection_difference", "cproj", lambda r, tol: _noted(
+        connection_difference_check(r.shifted[0], r.ghat, tol=tol), r)),
 )
 
-PROJ_STEP = Step("proj_compat",
-                 lambda r: proj_residual(r.f, tol=r.tol("proj")))
+PROJ_STEP = Step("proj_compat", "proj",
+                 lambda r, tol: proj_residual(r.f, tol=tol))
 
 # the rows every scenario takes, then those of the ones that sample a
-# chart, then those of the Kahler charts
+# chart, then those of the Kahler charts; each scenario also takes the
+# tol.<class> rows of its steps' classes
 COMMON = {
     "scenario": Opt(str, ""),
     "seed": Opt(int, 0, "[0, inf)"),
-    **{f"tol.{c}": Opt(float, t, "(0, inf)") for c, t in DEFAULT_TOLS.items()},
 }
 SAMPLED = {
     **COMMON,
@@ -369,10 +375,10 @@ MOBILITY_C = "[-5, 5]"
 SCENARIOS = {
     "quotient-pair": (_build_quotient_pair, (
         PROJ_STEP,
-        Step("commuting_gradients", lambda r: commuting_gradients_residual(
-            r.f, tol=r.tol("dual"))),
-        Step("mu_hat_duality",
-             lambda r: mu_hat_duality_residual(r.f, tol=r.tol("dual")))),
+        Step("commuting_gradients", "dual",
+             lambda r, tol: commuting_gradients_residual(r.f, tol=tol)),
+        Step("mu_hat_duality", "dual",
+             lambda r, tol: mu_hat_duality_residual(r.f, tol=tol))),
         {**SAMPLED, "name": Opt(str, "pair")}, {"block": 1}),
     "lift": (_build_lift, KAHLER_STEPS, {
         **KAHLER,
@@ -381,20 +387,22 @@ SCENARIOS = {
     }, {"block": 1, "constant_block": 0}),
     "main-example": (
         partial(_build_lift, route="explicit"),
-        KAHLER_STEPS + (Step("route_agreement", _route_agreement),),
+        KAHLER_STEPS + (Step("route_agreement", "roundtrip",
+                              _route_agreement),),
         {**KAHLER, "name": Opt(str, "main-example")},
         {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
-        Step("v_fit", lambda r: [CheckEntry(
+        Step("v_fit", "lie", lambda r, tol: [CheckEntry(
             "v_fit", "off-leaf reconstruction residual",
-            r.inst.meta["v_fit_residual"], r.tol("lie"),
+            r.inst.meta["v_fit_residual"], tol,
             note="reconstructed, residual-certified")]),
-        Step("lie_v_metric lie_v_endo",
-             lambda r: lie_residual_suite(r.inst, tol=r.tol("lie"))),
-        Step("eigenvalue_transport", lambda r: transport_check(
-            r.inst, tol=r.tol("transport")), ("ell", 1)),
-        Step("volume_coefficient", lambda r: volume_coefficient(
-            r.inst, tol=r.tol("volume")), ("ell", 1))), {
+        Step("lie_v_metric lie_v_endo", "lie",
+             lambda r, tol: lie_residual_suite(r.inst, tol=tol)),
+        Step("eigenvalue_transport", "transport",
+             lambda r, tol: transport_check(r.inst, tol=tol), ("ell", 1)),
+        Step("volume_coefficient", "volume",
+             lambda r, tol: volume_coefficient(r.inst, tol=tol),
+             ("ell", 1))), {
         **KAHLER,
         "name": Opt(str, "mobility2"),
         "ell": Opt(int, 1, "[1, 6]"),
@@ -402,18 +410,18 @@ SCENARIOS = {
         "C": Opt(float, -1.0, MOBILITY_C),
     }, {"constant_block": 0}),
     "jordan": (_build_jordan, (
-        Step("ode_defect", lambda r: [CheckEntry(
+        Step("ode_defect", "ode", lambda r, tol: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
-            r.tol("ode"))]),
-        Step("g1_constancy", lambda r: [CheckEntry(
+            tol)]),
+        Step("g1_constancy", "", lambda r, _: [CheckEntry(
             "g1_constancy", "G1' = 0", r.sol.g1_constancy(),
             1e-12 * r.scale)], ("kind", "3x3")),
         PROJ_STEP,
-        Step("split_lie_endo split_lie_metric", _split_lie),
-        Step("real_ricci_identity", lambda r: real_ricci_identity_check(
-            r.f, tol=r.tol("ricci"))),
-        Step("blowup_formula_vs_spectrum", _blowup_spectrum),
-        Step("blowup_exponent", _blowup_exponent)), {
+        Step("split_lie_endo split_lie_metric", "pde_split", _split_lie),
+        Step("real_ricci_identity", "ricci",
+             lambda r, tol: real_ricci_identity_check(r.f, tol=tol)),
+        Step("blowup_formula_vs_spectrum", "spectrum", _blowup_spectrum),
+        Step("blowup_exponent", "", _blowup_exponent)), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -423,20 +431,20 @@ SCENARIOS = {
         "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
     }, {}),
     "flows": (lambda r: "flows", (
-        Step(" ".join(f"circle_{o} fixed_points_{o}" for o in _FLOWS),
+        Step(" ".join(f"circle_{o} fixed_points_{o}" for o in _FLOWS), "",
              _orbits),
-        Step("logistic_endpoint", _logistic_endpoint)),
+        Step("logistic_endpoint", "", _logistic_endpoint)),
         # run time grows linearly in T
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
-        Step("ricci_identity",
-             lambda r: ricci_identity_check(r.f, tol=r.tol("ricci"))),
-        Step("spectrum_*", lambda r: compare_with_numeric(
-            r.f, sample=0, tol=r.tol("spectrum"))),
-        Step("fppp_limit", lambda r: fppp_limit_check(
+        Step("ricci_identity", "ricci",
+             lambda r, tol: ricci_identity_check(r.f, tol=tol)),
+        Step("spectrum_*", "spectrum", lambda r, tol: compare_with_numeric(
+            r.f, sample=0, tol=tol)),
+        Step("fppp_limit", "", lambda r, _: fppp_limit_check(
             r.inst.qp.blocks[0].F, 0.5, tol=1e-3 * r.scale)),
-        Step("vandermonde_sum_vs_det collision_limit",
-             _symmetric_functions)),
+        Step("vandermonde_sum_vs_det", "vandermonde", _vandermonde),
+        Step("collision_limit", "", _collision_limit)),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
@@ -448,7 +456,10 @@ def validate(cfg, args):
     raise one ConfigError naming the first bad key and its line."""
     kind = Opt(tuple(SCENARIOS)).check(cfg.options.get("scenario"),
                                        cfg.at(None, "scenario"), {})
-    opts, takes = SCENARIOS[kind][2:]
+    steps, opts, takes = SCENARIOS[kind][1:]
+    opts = {**opts, **{f"tol.{st.tol}": Opt(float, DEFAULT_TOLS[st.tol],
+                                            "(0, inf)")
+                       for st in steps if st.tol}}
     for i, (name, _) in enumerate(cfg.sections):
         if name not in takes:
             known = " ".join(f"[{n}]" for n in takes) or "no sections"
@@ -494,7 +505,7 @@ def run_scenario(v, scale, only=None):
     r = Run(v, scale)
     rep = ResidualReport(title=build(r))
     for st in steps:
-        out = st.emit(r)
+        out = st.emit(r, v[f"tol.{st.tol}"] * scale if st.tol else None)
         rep.entries += [e for e in getattr(out, "entries", out)
                         if only is None or e.name.startswith(only)]
     if not rep.entries:
@@ -529,8 +540,10 @@ def main(argv=None) -> int:
         v = validate(cfg, args)
         if args.list_checks:
             for st in SCENARIOS[v["scenario"]][1]:
+                key = f" tol.{st.tol}" if st.tol else " fixed"
                 cond = " ({} = {} only)".format(*st.when) if st.when else ""
-                print("\n".join(name + cond for name in st.names.split()))
+                print("\n".join(name + key + cond
+                                 for name in st.names.split()))
             return 0
         t0 = time.monotonic()
         rep, run = run_scenario(v, args.tol_scale, only)

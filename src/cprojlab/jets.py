@@ -34,8 +34,8 @@ view (P..., |C|, |R|), its P axes batch axes, and only the smaller
 operand is arranged as (P or 1, F, C).  So ``"nijxy,njk->nikxy"`` is
 ``y^T @ x.reshape(n, i, j, xy)``.  A contraction whose contracted axes
 have size 1 in total, or that has none (an outer or elementwise product
-such as ``"nab,n->nab"``), is a broadcast product of views in output
-order instead, because a K = 1 matmul is slow and sums nothing.
+such as ``"nab,n->nab"``), goes to ``np.einsum`` instead, because a K = 1
+matmul is slow and sums nothing.
 ``jet_einsum`` computes one contraction per Leibniz split i+j=k and
 spreads it over the C(k, i) placements of the derivative axes by
 transposes, which are views; the placements are summed in place into the
@@ -397,10 +397,6 @@ class Jet:
     def imag(self):
         return Jet(self.dim, self.order, [np.imag(a) for a in self.c])
 
-    def __repr__(self):
-        return (f"Jet(dim={self.dim}, order={self.order}, "
-                f"batch={self.c[0].shape}, value~{np.ravel(self.c[0])[:1]})")
-
 
 def polyval(coeffs, x: Jet) -> Jet:
     """Evaluate a polynomial with coefficients listed lowest degree first."""
@@ -486,9 +482,7 @@ def _contract_plan(spec: str, y_larger: bool):
     (P, F, C) with unit axes at the letters of P it lacks.  ``swap`` is
     (len(P), the number of the smaller operand's batch letters and of its
     free letters F, its axis for each letter of P or -1, its permutation,
-    the output permutation).  ``views`` holds, per folded operand, the
-    permutation to its output letters in output order and its contracted
-    letters last, and each output letter's axis then, or -1 if it lacks it.
+    the output permutation).
     """
     ins, out = spec.split("->")
     sa, sb = ins.split(",")
@@ -519,13 +513,8 @@ def _contract_plan(spec: str, y_larger: bool):
         res = list(lead) + fs + list(rest)
         swap = (len(lead), len(sbatch), len(fs), src, _perm(ps),
                 _perm(tuple(res.index(c) for c in out)))
-    views = []
-    for s in (batch + fa + con, batch + con + fb):
-        kept = [c for c in out if c in s]
-        views.append((_perm(tuple(s.index(c) for c in kept + con)),
-                      tuple(kept.index(c) if c in s else -1 for c in out)))
     return (len(batch), len(fa), len(con), _perm(pa), _perm(pb), _perm(pout),
-            swap, views)
+            swap)
 
 
 def _perm(p):
@@ -541,44 +530,36 @@ def contract(spec: str, x, y):
     larger operand, and its axes allow, the larger operand is read in
     place as the right factor instead (see ``_contract_plan``) and only
     the smaller one is rearranged.  When the contracted axes have size 1
-    in total, or there are none, it is a broadcast product instead.
+    in total, or there are none, it is ``np.einsum`` instead.
     """
     y_larger = y.size > x.size
-    nb, nfa, nc, pa, pb, pout, swap, views = _contract_plan(spec, y_larger)
+    nb, nfa, nc, pa, pb, pout, swap = _contract_plan(spec, y_larger)
+    xt = x if pa is None else x.transpose(pa)
+    k = math.prod(xt.shape[nb + nfa:])
+    if k == 1:
+        # nothing to sum: einsum forms the broadcast product in output order
+        return np.einsum(spec, x, y, order="C")
     if swap is not None:
         big, small = (y, x) if y_larger else (x, y)
         nlead, nsb, nf, src, ps, pz = swap
-        k = math.prod(big.shape[nlead:nlead + nc])
-        if k > 1:
-            if ps is not None:
-                small = small.transpose(ps)
-            f = small.shape[nsb:nsb + nf]
-            r = big.shape[nlead + nc:]
-            lead = tuple(1 if i < 0 else small.shape[i] for i in src)
-            z = np.matmul(small.reshape(lead + (math.prod(f), k)),
-                          big.reshape(big.shape[:nlead] + (k, math.prod(r))))
-            z = z.reshape(z.shape[:nlead] + f + r)
-            return z if pz is None else z.transpose(pz)
-    if pa is not None:
-        x = x.transpose(pa)
+        if ps is not None:
+            small = small.transpose(ps)
+        f = small.shape[nsb:nsb + nf]
+        r = big.shape[nlead + nc:]
+        lead = tuple(1 if i < 0 else small.shape[i] for i in src)
+        z = np.matmul(small.reshape(lead + (math.prod(f), k)),
+                      big.reshape(big.shape[:nlead] + (k, math.prod(r))))
+        z = z.reshape(z.shape[:nlead] + f + r)
+        return z if pz is None else z.transpose(pz)
+    x = xt
     if pb is not None:
         y = y.transpose(pb)
     fa = x.shape[nb:nb + nfa]
-    k = math.prod(x.shape[nb + nfa:])
     fb = y.shape[nb + nc:]
-    if k == 1:
-        # nothing to sum: a broadcast product, formed in output order
-        return _out_view(x, *views[0]) * _out_view(y, *views[1])
     z = np.matmul(x.reshape(x.shape[:nb] + (math.prod(fa), k)),
                   y.reshape(y.shape[:nb] + (k, math.prod(fb))))
     z = z.reshape(z.shape[:nb] + fa + fb)
     return z if pout is None else z.transpose(pout)
-
-
-def _out_view(a, perm, where):
-    """The view of ``a`` for a ``views`` entry (perm, where) of the plan."""
-    a = a if perm is None else a.transpose(perm)
-    return a.reshape(tuple(1 if i < 0 else a.shape[i] for i in where))
 
 
 @functools.lru_cache(maxsize=None)

@@ -48,10 +48,6 @@ class ResidualReport:
         self.entries.extend(entries)
         return self
 
-    def extend(self, other: "ResidualReport"):
-        self.entries.extend(other.entries)
-        return self
-
     @property
     def overall_pass(self) -> bool:
         return all(e.passed for e in self.entries)
@@ -74,9 +70,6 @@ class ResidualReport:
         lines.extend(e.line() for e in self.entries)
         lines.append(f"overall={'pass' if self.overall_pass else 'FAIL'}")
         return "\n".join(lines) + "\n"
-
-    def __str__(self):
-        return self.format()
 
 
 def config_hash(text: str) -> str:

@@ -86,14 +86,14 @@ def jordan3_sol():
 @pytest.fixture(scope="session")
 def qp_jordan2(jordan2_sol):
     return build_quotient_pair(jordan_pair_spec(
-        "2x2", jordan2_sol, extra_windows=((0.55, 0.75),), extra_a=(1.0,),
+        jordan2_sol, extra_windows=((0.55, 0.75),), extra_a=(1.0,),
         x_window=(1.2, 1.8), rho1_window=(0.22, 0.42)))
 
 
 @pytest.fixture(scope="session")
 def qp_jordan3(jordan3_sol):
     return build_quotient_pair(jordan_pair_spec(
-        "3x3", jordan3_sol, x_window=(1.2, 1.8)))
+        jordan3_sol, x_window=(1.2, 1.8)))
 
 
 @pytest.fixture(scope="session")

@@ -100,10 +100,10 @@ def test_criterion_03_duality_identities(jordan2_sol, jordan3_sol):
         build_quotient_pair(pair_complex()),
         build_quotient_pair(mobility_spec(2, 1.0, -1.5)),
         build_quotient_pair(jordan_pair_spec(
-            "2x2", jordan2_sol, extra_windows=((0.55, 0.75),),
+            jordan2_sol, extra_windows=((0.55, 0.75),),
             extra_a=(1.0,), x_window=(1.2, 1.8),
             rho1_window=(0.22, 0.42))),
-        build_quotient_pair(jordan_pair_spec("3x3", jordan3_sol,
+        build_quotient_pair(jordan_pair_spec(jordan3_sol,
                                              x_window=(1.2, 1.8))),
     ]
     worst = 0.0
@@ -221,7 +221,7 @@ def test_criterion_06_curvature_spectra(mob_l2):
                    float(np.min(np.abs(np.linalg.eigvals(Rm) - dp))))
     # and geometrically: the derivative rule on a nilpotent-block pair
     sol = solve_jordan_odes("2x2", 2, -1.5, (0.5, 0.1), (0.2, 0.8))
-    qp = build_quotient_pair(jordan_pair_spec("2x2", sol,
+    qp = build_quotient_pair(jordan_pair_spec(sol,
                                               x_window=(1.2, 1.8)))
     pts = qp.window.random(3, np.random.default_rng(2))
     fj = qp.eval(pts, order=2)
@@ -321,7 +321,7 @@ def test_criterion_10_block_ode_solutions(jordan2_sol, jordan3_sol):
     # split Lie equations on the pure blocks
     worst_split = 0.0
     for sol, kind in ((jordan2_sol, "2x2"), (jordan3_sol, "3x3")):
-        spec = jordan_pair_spec(kind, sol, x_window=(1.2, 1.8))
+        spec = jordan_pair_spec(sol, x_window=(1.2, 1.8))
         qp = build_quotient_pair(spec)
         pts = GridSpec(per_axis=4, n_random=64, seed=0).points(qp.window)
         f = qp.eval(pts, order=1)

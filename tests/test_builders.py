@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from cprojlab.builders import (
-    BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock,
-    PowerProfile, QuotientPair, Real1D, build_main_example, build_mobility2,
-    build_mobility2_projective, build_quotient_pair, esp_jets,
-    jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
+    BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Jordan2,
+    Jordan3, PowerProfile, QuotientPair, Real1D, build_main_example,
+    build_mobility2, build_mobility2_projective, build_quotient_pair,
+    esp_jets, jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
 )
 from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
@@ -281,8 +281,18 @@ def test_jordan_fx_vanishing_rejected(jordan2_sol):
     # (0.14, 1.23) on (0.2, 0.8), so x around -0.6 crosses zero
     with pytest.raises(BuilderError, match="F \\+ x"):
         build_quotient_pair(CompatiblePairSpec(
-            (jordan_pair_spec("2x2", jordan2_sol,
+            (jordan_pair_spec(jordan2_sol,
                               x_window=(-0.8, -0.4)).blocks), name="bad"))
+
+
+def test_jordan_pair_spec_takes_the_block_kind_from_the_solution(
+        jordan2_sol, jordan3_sol):
+    for sol, block in ((jordan2_sol, Jordan2), (jordan3_sol, Jordan3)):
+        (b,) = jordan_pair_spec(sol, x_window=(1.2, 1.8)).blocks
+        assert type(b) is block and b.F is sol
+    sol1 = solve_jordan_odes("1x1", 2, -1.5, (0.5,), (0.2, 0.8))
+    with pytest.raises(BuilderError, match="2x2 or 3x3"):
+        jordan_pair_spec(sol1)
 
 
 def test_esp_jets_values():

@@ -212,7 +212,8 @@ def test_remaining_scenarios_pass(capsys, name):
     out = capsys.readouterr().out
     assert ("overall=FAIL" if failing else "overall=pass") in out
     assert main(["run", str(path), "--list-checks"]) == 0
-    listed = [re.fullmatch(r"(\S+)(?: \((\S+) = (\S+) only\))?", l).groups()
+    listed = [re.fullmatch(r"(\S+) (?:fixed|tol\.\S+)"
+                           r"(?: \((\S+) = (\S+) only\))?", l).groups()
               for l in capsys.readouterr().out.splitlines()]
     reported = [l.split()[0].removeprefix("check=")
                 for l in out.splitlines() if l.startswith("check=")]
@@ -276,6 +277,72 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     err_lines = err.splitlines()
     assert len(err_lines) == 1 and err_lines[0].startswith("error: "), err
     assert repr(key) in err_lines[0]
+
+
+@pytest.mark.parametrize("name,key", [
+    ("jordan2", "tol.kahler"),
+    ("phase-portraits", "tol.ricci"),
+    ("dini-pair", "tol.planarity"),
+    ("appendix", "tol.proj"),
+    ("dini-lift", "tol.lie"),
+])
+def test_tolerance_key_of_an_unread_class_exits_2(tmp_path, capsys, name,
+                                                  key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{key} = 1e-3\n" + (CONFIGS / f"{name}.cfg").read_text())
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: line 1: option {key!r} is unknown here\n"
+
+
+# the tolerance classes whose checks each scenario runs
+TOL_KEYS = {
+    "dini-pair": "proj dual",
+    "dini-lift": "kahler cproj aonk killing ricci roundtrip",
+    "complex-pair": "kahler cproj aonk killing ricci roundtrip",
+    "mobility2": "kahler cproj aonk killing ricci roundtrip lie transport "
+                 "volume",
+    "jordan2": "ode proj pde_split ricci spectrum",
+    "phase-portraits": "",
+    "appendix": "ricci spectrum vandermonde",
+}
+
+
+@pytest.mark.parametrize("name", sorted(TOL_KEYS))
+def test_scenario_takes_the_tolerance_keys_of_its_checks(capsys, name):
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
+    taken = set()
+    for cls in cli.DEFAULT_TOLS:
+        cfg = parse_config_text(f"tol.{cls} = 0.5\n" + text)
+        try:
+            v = cli.validate(cfg, args)
+        except ConfigError as exc:
+            assert str(exc) == f"line 1: option 'tol.{cls}' is unknown here"
+            continue
+        assert v[f"tol.{cls}"] == 0.5
+        taken.add(cls)
+    assert taken == set(TOL_KEYS[name].split())
+    # --list-checks names the key of each check, or that it is fixed
+    assert main(["run", str(CONFIGS / f"{name}.cfg"), "--list-checks"]) == 0
+    keys = {l.split()[1] for l in capsys.readouterr().out.splitlines()}
+    assert keys - {"fixed"} == {f"tol.{c}" for c in taken}
+
+
+@pytest.mark.parametrize("name", ["phase-portraits", "appendix"])
+def test_tol_scale_reaches_every_fixed_tolerance(capsys, name):
+    tols = []
+    for scale in ("1", "2"):
+        assert main(["run", str(CONFIGS / f"{name}.cfg"),
+                     "--tol-scale", scale]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("check=")]
+        assert all(" mode=max<=tol " in l for l in lines)
+        tols.append([float(re.search(r" tol=(\S+)", l).group(1))
+                     for l in lines])
+    assert len(tols[0]) == len(tols[1]) > 0
+    assert [2 * t for t in tols[0]] == tols[1]
 
 
 @pytest.mark.parametrize("name,old,new", [
