@@ -9,11 +9,13 @@ Two layers:
   ``-(1/4)(Delta_i dz_i^2 + c.c.)``; eigenvalue-coordinate blocks carry
   ``Delta_i / F_i drho_i^2`` for a profile ``F_i``; Jordan blocks of size
   2 and 3 carry the nilpotent normal forms driven by a function F(rho).
-  One pass over the blocks seeds them once and builds the roots, mu, h
-  and each block's Delta_i, Delta_i' and Delta_i''/2: the elementary
-  symmetric functions of the differences rho_i - rho_j, from the
-  ``esp_jets`` that gives mu.  L is added after that pass, so the metric
-  of a Kahler chart is built without it.
+  Each block class writes its own slices of h, L and the projective
+  field v; the passes only loop over the blocks.  One pass seeds each
+  block once and builds the roots, mu, h and each block's Delta_i,
+  Delta_i' and Delta_i''/2: the elementary symmetric functions of the
+  differences rho_i - rho_j, from the ``esp_jets`` that gives mu.  L is
+  added after that pass, so the metric of a Kahler chart is built
+  without it.
 
 * Kahler charts on ``V x U x S`` built from a quotient pair plus flat
   constant-eigenvalue factors: the fibered metric
@@ -23,8 +25,9 @@ Two layers:
   independent construction routes are provided: the 'jacobian' route
   assembles the Killing block from the Jacobi matrix P of the symmetric
   functions mu, the 'explicit' route uses the closed component formulas
-  (Gram matrix H_ij, coframe action of J).  The two must agree and the
-  tests hold them to that.
+  (Gram matrix H_ij, coframe action of J), of which each liftable block
+  writes its Gram term, its d mu column and its coframe rows of J.  The
+  two must agree and the tests hold them to that.
 
 Every field is assembled by block slices: ``_place`` preallocates one
 coefficient array per order and writes each block of the normal form into
@@ -104,76 +107,298 @@ class PowerProfile:
         return ((1.0 - t) ** (-self.C)) * (t ** self.expo) * self.a
 
 
+class _Block:
+    """What one eigenvalue block writes into the normal form: ``seed``
+    returns its distinct roots (its own first) and the extra jets its
+    slices read; each slice method reads the seeded ``_Row``.  The
+    defaults are those of one real root of multiplicity one on one
+    coordinate."""
+
+    ncoord = 1
+    mults = (1,)          # algebraic multiplicity of each distinct root
+
+    def check_window(self):
+        """Raise ``BuilderError`` if the block degenerates on its window."""
+
+    def check_lift(self):
+        """Raise ``BuilderError`` if the block has no Kahler lift."""
+
+    def own(self, jets):
+        """Real jets for a real root, complex-typed next to a complex pair."""
+        return [j.real for j in jets]
+
+    def L_slices(self, row):
+        return [((row.off + i, row.off + i), row.rho)
+                for i in range(self.ncoord)]
+
+    def v_slices(self, row):
+        return []
+
+    def leaf(self, row):
+        """The leaf term r (1 - r) d/dr on the last (eigenvalue) coordinate."""
+        return ((row.off + self.ncoord - 1,), row.rho * (1.0 - row.rho))
+
+    def gram(self, row, muh, iu):
+        """The block's terms muh_i muh_j q of H on the upper triangle iu."""
+        q = self.gram_weight(row)
+        return jstack([muh[i] * muh[j] * q for i, j in zip(*iu)])
+
+
+def _derivative(coeffs):
+    return [k * c for k, c in enumerate(coeffs)][1:]
+
+
+def _check_drho(b, on_window):
+    """Refuse the lift of a polynomial block whose rho' has a zero on its
+    closed window (a constant rho has one everywhere)."""
+    drho = _derivative(b.rho)
+    if not np.any(drho) or np.any(
+            on_window(np.polynomial.polynomial.polyroots(drho))):
+        raise BuilderError(
+            f"rho' of a {type(b).__name__} block vanishes on its window "
+            f"{b.window}, so its lift is degenerate")
+
+
+def _re_im_columns(cs):
+    """The real columns (2 Re c, -2 Im c) of complex entries c."""
+    return jstack([[2.0 * c.real, -2.0 * c.imag] for c in cs])
+
+
 @dataclass(frozen=True)
-class Real1D:
-    """One real non-constant eigenvalue rho(x) on its own coordinate."""
+class Real1D(_Block):
+    """One real non-constant eigenvalue rho(x) on its own coordinate:
+    h = eps Delta dx^2."""
 
     eps: int
     rho: tuple            # polynomial coefficients, lowest degree first
     window: tuple         # (lo, hi) for the coordinate
 
-    ncoord = 1
-    nroots = 1
-
     def __post_init__(self):
         if self.eps == 0:
             raise BuilderError("a real1d block needs eps != 0")
 
-    def rho_jet(self, x: Jet) -> Jet:
-        return polyval(self.rho, x)
+    def root_values(self):
+        x = np.linspace(*self.window, ROOT_SAMPLES)
+        return [np.polynomial.polynomial.polyval(x, self.rho)]
 
-    def drho_jet(self, x: Jet) -> Jet:
-        return polyval([k * c for k, c in enumerate(self.rho)][1:], x)
+    def seed(self, seed, off):
+        x = seed(off)
+        return [polyval(self.rho, x)], polyval(_derivative(self.rho), x)
+
+    def check_lift(self):
+        lo, hi = self.window
+        # a double root of rho' may come back split off the axis
+        _check_drho(self, lambda z: (
+            (np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z)))
+            & (z.real >= lo) & (z.real <= hi)))
+
+    def h_slices(self, row):
+        return [((row.off, row.off), self.eps * row.delta[0])]
+
+    def gram_weight(self, row):
+        return self.eps * row.extra * row.extra / row.delta[0]
+
+    def dmu_column(self, row, muh):
+        return ((slice(None), row.off), jstack([m * row.extra for m in muh]))
+
+    def J_rows(self, row, muh, ell):
+        """The block's u row of J and its column of the t rows."""
+        r, dr, off = row.rho, row.extra, row.off
+        col = [(-1.0) ** i * self.eps * (r ** (ell - i)) / dr
+               for i in range(1, ell + 1)]
+        base = -(self.eps * dr) / row.delta[0]
+        return (((off, slice(None)), jstack([base * m for m in muh])),
+                ((slice(0, ell), ell + off), jstack([-c for c in col])))
 
 
 @dataclass(frozen=True)
-class Complex2D:
-    """A complex-conjugate eigenvalue pair rho(z), z = x + i y."""
+class Complex2D(_Block):
+    """A complex-conjugate eigenvalue pair rho(z), z = x + i y:
+    h = -(1/4)(Delta dz^2 + c.c.)."""
 
     rho: tuple            # polynomial coefficients of z, lowest first
     window: tuple         # ((xlo, xhi), (ylo, yhi)); keep y away from 0
 
     ncoord = 2
-    nroots = 2
+    mults = (1, 1)
 
-    def rho_jet(self, z: Jet) -> Jet:
-        return polyval(self.rho, z)
+    def root_values(self):
+        (xl, xh), (yl, yh) = self.window
+        k = int(np.sqrt(ROOT_SAMPLES)) + 1
+        X, Y = np.meshgrid(np.linspace(xl, xh, k), np.linspace(yl, yh, k))
+        vals = np.polynomial.polynomial.polyval((X + 1j * Y).ravel(),
+                                                self.rho)
+        return [vals, np.conj(vals)]
 
-    def drho_jet(self, z: Jet) -> Jet:
-        return polyval([k * c for k, c in enumerate(self.rho)][1:], z)
+    def seed(self, seed, off):
+        z = seed(off) + 1j * seed(off + 1)
+        r = polyval(self.rho, z)
+        return [r, r.conj()], polyval(_derivative(self.rho), z)
+
+    def check_lift(self):
+        (xl, xh), (yl, yh) = self.window
+        _check_drho(self, lambda z: (z.real >= xl) & (z.real <= xh)
+                    & (z.imag >= yl) & (z.imag <= yh))
+
+    def own(self, jets):
+        return jets
+
+    def h_slices(self, row):
+        d0, blk = row.delta[0], (slice(row.off, row.off + 2),) * 2
+        return [(blk, jstack([[(-0.5) * d0.real, 0.5 * d0.imag],
+                              [0.5 * d0.imag, 0.5 * d0.real]]))]
+
+    def L_slices(self, row):
+        a, b = row.rho.real, row.rho.imag
+        return [((slice(row.off, row.off + 2),) * 2,
+                 jstack([[a, -b], [b, a]]))]
+
+    def gram_weight(self, row):
+        return row.extra * row.extra / row.delta[0]
+
+    def gram(self, row, muh, iu):
+        t = super().gram(row, muh, iu)
+        return ((-4.0) * (t + t.conj())).real
+
+    def dmu_column(self, row, muh):
+        return ((slice(None), slice(row.off, row.off + 2)),
+                _re_im_columns([m * row.extra for m in muh]))
+
+    def J_rows(self, row, muh, ell):
+        r, dr, off = row.rho, row.extra, row.off
+        col = [(-1.0) ** i * 0.25 * (r ** (ell - i)) / dr
+               for i in range(1, ell + 1)]
+        base = 4.0 * dr / row.delta[0]
+        coef = [base * m for m in muh]
+        return (((slice(off, off + 2), slice(None)),
+                 jstack([[c.real for c in coef], [c.imag for c in coef]])),
+                ((slice(0, ell), slice(ell + off, ell + off + 2)),
+                 _re_im_columns(col)))
 
 
 @dataclass(frozen=True)
-class RealRho:
-    """A real eigenvalue used directly as the coordinate, with profile F."""
+class RealRho(_Block):
+    """A real eigenvalue used directly as the coordinate, with profile F:
+    h = Delta / F drho^2."""
 
     F: PowerProfile
     window: tuple         # (lo, hi) for rho itself
 
-    ncoord = 1
-    nroots = 1
+    eps = 1               # the sign that the shared ``J_rows`` reads
+
+    def root_values(self):
+        return [np.linspace(*self.window, ROOT_SAMPLES)]
+
+    def seed(self, seed, off):
+        r = seed(off)
+        return [r], self.F.jet(r)
+
+    def h_slices(self, row):
+        return [((row.off, row.off), row.delta[0] / row.extra)]
+
+    def v_slices(self, row):
+        return [self.leaf(row)]
+
+    def gram_weight(self, row):
+        return row.extra / row.delta[0]
+
+    def dmu_column(self, row, muh):
+        return ((slice(None), row.off), jstack(muh))
+
+    J_rows = Real1D.J_rows
+
+
+class _Nilpotent(_Block):
+    """A k x k nilpotent block in coordinates (x_1, .., x_(k-1), rho), one
+    root of multiplicity k; needs F + (k-1) x_(k-1) != 0 and has no lift."""
+
+    def root_values(self):
+        return [np.linspace(*self.window[-1], ROOT_SAMPLES)]
+
+    def check_window(self):
+        x = np.linspace(*self.window[-2], 64)
+        r = np.linspace(*self.window[-1], 64)
+        fx = self.F(r)[None, :] + (self.ncoord - 1) * x[:, None]
+        if fx.min() <= RANGE_MARGIN and fx.max() >= -RANGE_MARGIN:
+            raise BuilderError(f"{self.fx_name} vanishes inside the window")
+
+    def check_lift(self):
+        raise BuilderError("Jordan blocks do not lift to a Kahler chart")
 
 
 @dataclass(frozen=True)
-class Jordan2:
+class Jordan2(_Nilpotent):
     """2x2 nilpotent block in coordinates (x, rho); needs F + x != 0."""
 
     F: "JordanOdeSolution"
     window: tuple         # ((xlo, xhi), (rlo, rhi))
 
     ncoord = 2
-    nroots = 2
+    mults = (2,)
+    fx_name = "F + x"
+
+    def seed(self, seed, off):
+        r, x = seed(off + 1), seed(off)
+        return [r], (x, self.F.jet(r) + x)
+
+    def h_slices(self, row):
+        (_, fpx), (d0, d1, _), off = row.extra, row.delta, row.off
+        # h = h1(Delta_1(L_1) . , .) in coordinates (x, rho)
+        return [((off, off + 1), fpx * d0), ((off + 1, off), fpx * d0),
+                ((off + 1, off + 1), d1 * fpx * fpx)]
+
+    def L_slices(self, row):
+        return super().L_slices(row) + [((row.off, row.off + 1),
+                                         row.extra[1])]
+
+    def v_slices(self, row):
+        sol, r, x = self.F, row.rho, row.extra[0]
+        G = 0.5 * ((sol.n2 - 1.0) * r - 1.0 - sol.C - sol.n2) * x \
+            + sol.g1_jet(r)
+        return [((row.off,), G), self.leaf(row)]
 
 
 @dataclass(frozen=True)
-class Jordan3:
+class Jordan3(_Nilpotent):
     """3x3 nilpotent block in coordinates (x1, x2, rho); F + 2 x2 != 0."""
 
     F: "JordanOdeSolution"
     window: tuple
 
     ncoord = 3
-    nroots = 3
+    mults = (3,)
+    fx_name = "F + 2 x2"
+
+    def seed(self, seed, off):
+        r, x1, x2 = seed(off + 2), seed(off), seed(off + 1)
+        return [r], (x1, x2, self.F.jet(r) + 2.0 * x2)
+
+    def h_slices(self, row):
+        (x1, _, f2x), (d0, d1, d2), off = row.extra, row.delta, row.off
+        n, dim, order = x1.c[0].shape[0], x1.dim, x1.order
+        h1 = _place(n, dim, order, (3, 3), [
+            ((0, 2), f2x), ((2, 0), f2x), ((1, 1), 1.0),
+            ((1, 2), x1), ((2, 1), x1), ((2, 2), x1 * x1)])
+        # Delta_1(L_1) = d0 + d1 N + d2 N^2 with N nilpotent
+        D = _place(n, dim, order, (3, 3), [
+            ((0, 0), d0), ((1, 1), d0), ((2, 2), d0), ((0, 1), d1),
+            ((0, 2), d1 * x1 + d2 * f2x), ((1, 2), d1 * f2x)])
+        return [((slice(off, off + 3),) * 2,
+                 jet_einsum("nki,nkj->nij", D, h1))]
+
+    def L_slices(self, row):
+        (x1, _, f2x), off = row.extra, row.off
+        return super().L_slices(row) + [
+            ((off, off + 1), 1.0), ((off, off + 2), x1),
+            ((off + 1, off + 2), f2x)]
+
+    def v_slices(self, row):
+        sol, r, (x1, x2, _) = self.F, row.rho, row.extra
+        G = (-0.5 * (sol.C + sol.n2 + 2.0 - sol.n2 * r) * x1
+             + 0.5 * sol.n2 * x2 + sol.g1_jet(r))
+        H = (-0.5 * (sol.C + sol.n2 + (4.0 - sol.n2) * r) * x2
+             + sol.h1_jet(r))
+        return [((row.off,), G), ((row.off + 1,), H), self.leaf(row)]
 
 
 @dataclass(frozen=True)
@@ -182,15 +407,9 @@ class CompatiblePairSpec:
     name: str = "pair"
 
     def window(self) -> Box:
-        lo, hi = [], []
-        for b in self.blocks:
-            w = b.window
-            if isinstance(w[0], (tuple, list)):
-                for wi in w:
-                    lo.append(wi[0]); hi.append(wi[1])
-            else:
-                lo.append(w[0]); hi.append(w[1])
-        return Box(np.array(lo), np.array(hi))
+        """The box of the block windows, one (lo, hi) per coordinate."""
+        return Box(*np.concatenate([np.reshape(b.window, (b.ncoord, 2))
+                                    for b in self.blocks]).T.copy())
 
 
 @dataclass(frozen=True)
@@ -399,11 +618,12 @@ class QuotientPair:
         self.blocks = spec.blocks
         self.window = spec.window()
         self.dim = sum(b.ncoord for b in self.blocks)
-        self.ell = sum(b.nroots for b in self.blocks)
-        self.mults = [m for b in self.blocks for m in
-                      ((1, 1) if isinstance(b, Complex2D) else (b.nroots,))]
+        self.mults = [m for b in self.blocks for m in b.mults]
+        self.ell = sum(self.mults)
         offs = np.cumsum([0] + [b.ncoord for b in self.blocks])
         self.offsets = [int(o) for o in offs[:-1]]
+        # Jordan specs carry the projective field of the split equations
+        self.split = any(isinstance(b, _Nilpotent) for b in self.blocks)
         self.validate()
 
     def root_value_sets(self):
@@ -412,29 +632,7 @@ class QuotientPair:
         The blocks separate variables, so pairwise range distances decide
         eigenvalue separation on the whole window exactly (up to sampling
         resolution of the smooth 1-d / 2-d value maps)."""
-        sets = []
-        for b in self.blocks:
-            if isinstance(b, Real1D):
-                x = np.linspace(*b.window, ROOT_SAMPLES)
-                sets.append([np.polynomial.polynomial.polyval(x, b.rho)])
-            elif isinstance(b, RealRho):
-                sets.append([np.linspace(*b.window, ROOT_SAMPLES)])
-            elif isinstance(b, Complex2D):
-                (xl, xh), (yl, yh) = b.window
-                k = int(np.sqrt(ROOT_SAMPLES)) + 1
-                X, Y = np.meshgrid(np.linspace(xl, xh, k),
-                                   np.linspace(yl, yh, k))
-                z = (X + 1j * Y).ravel()
-                vals = np.polynomial.polynomial.polyval(z, b.rho)
-                sets.append([vals, np.conj(vals)])
-            elif isinstance(b, Jordan2):
-                sets.append([np.linspace(*b.window[1], ROOT_SAMPLES)])
-            elif isinstance(b, Jordan3):
-                sets.append([np.linspace(*b.window[2], ROOT_SAMPLES)])
-        out = []
-        for s in sets:
-            out.extend(s)
-        return out
+        return [vals for b in self.blocks for vals in b.root_values()]
 
     def validate(self):
         sets = self.root_value_sets()
@@ -446,27 +644,15 @@ class QuotientPair:
                         f"eigenvalue collision (range distance {dist:.2e} "
                         f"< {RANGE_MARGIN:g}) between roots {i} and {j} of "
                         f"spec '{self.spec.name}'")
-        for b, off in zip(self.blocks, self.offsets):
-            if isinstance(b, Jordan2):
-                x = np.linspace(*b.window[0], 64)
-                r = np.linspace(*b.window[1], 64)
-                fx = b.F(r)[None, :] + x[:, None]
-                if fx.min() <= RANGE_MARGIN and fx.max() >= -RANGE_MARGIN:
-                    raise BuilderError("F + x vanishes inside the window")
-            if isinstance(b, Jordan3):
-                x2 = np.linspace(*b.window[1], 64)
-                r = np.linspace(*b.window[2], 64)
-                fx = b.F(r)[None, :] + 2 * x2[:, None]
-                if fx.min() <= RANGE_MARGIN and fx.max() >= -RANGE_MARGIN:
-                    raise BuilderError(
-                        "F + 2 x2 vanishes inside the window")
+        for b in self.blocks:
+            b.check_window()
 
     def _parts(self, pts, order, ambient_dim=None, offset=0):
         """One pass over the blocks: seed each block once, then build the
         roots with their multiplicities, mu, each block's Delta jets and h.
 
         Returns the fields without A = L (``_complete`` adds it) and one
-        ``_Block`` per block, which the Kahler lifts read for the block's
+        ``_Row`` per block, which the Kahler lifts read for the block's
         own root and Delta.  ``ambient_dim``/``offset`` embed the quotient
         coordinates in a lift's chart, which puts the Killing coordinates
         first.
@@ -475,67 +661,20 @@ class QuotientPair:
         n = pts.shape[0]
         dim = ambient_dim if ambient_dim is not None else self.dim
         seed = lambda i: Jet.seed(offset + i, pts[:, i], dim, order)
-        seeded, rhos = [], []
-        for b, off in zip(self.blocks, self.offsets):
-            if isinstance(b, Real1D):
-                x = seed(off)
-                row = ("real", b.rho_jet(x), b.drho_jet(x))
-            elif isinstance(b, RealRho):
-                r = seed(off)
-                row = ("rho", r, b.F.jet(r))
-            elif isinstance(b, Complex2D):
-                z = seed(off) + 1j * seed(off + 1)
-                row = ("complex", b.rho_jet(z), b.drho_jet(z))
-            elif isinstance(b, Jordan2):
-                r, x = seed(off + 1), seed(off)
-                row = ("jordan2", r, (x, b.F.jet(r) + x))
-            elif isinstance(b, Jordan3):
-                r, x1, x2 = seed(off + 2), seed(off), seed(off + 1)
-                row = ("jordan3", r, (x1, x2, b.F.jet(r) + 2.0 * x2))
-            else:
-                raise BuilderError(f"unknown block {b!r}")
-            seeded.append(row + (b, off))
-            r = row[1]
-            rhos += [r, r.conj()] if isinstance(b, Complex2D) else [r]
-
+        seeded = [b.seed(seed, off) for b, off in zip(self.blocks,
+                                                       self.offsets)]
+        rhos = [r for roots, _ in seeded for r in roots]
         all_roots = [r for r, m in zip(rhos, self.mults) for _ in range(m)]
         mus = [m.real for m in esp_jets(all_roots, dim, order, (n,))]
         rows = []
-        for kind, r, extra, b, off in seeded:
+        for b, off, ([r, *_], extra) in zip(self.blocks, self.offsets,
+                                            seeded):
             # ``is``: every copy of a Jordan root drops out with it
             others = [rr for rr in all_roots if rr is not r]
-            rows.append(_Block(kind, r, extra, b, off, others,
-                               _delta_jets(r, others, dim, order)))
-
-        parts = []
-        for kind, r, extra, b, off, _, (d0, d1, d2) in rows:
-            if kind != "complex":
-                d0, d1, d2 = d0.real, d1.real, d2.real
-            blk = (slice(off, off + b.ncoord),) * 2
-            if kind == "real":
-                parts.append(((off, off), b.eps * d0))
-            elif kind == "rho":
-                parts.append(((off, off), d0 / extra))
-            elif kind == "complex":
-                parts.append((blk, jstack([[(-0.5) * d0.real, 0.5 * d0.imag],
-                                           [0.5 * d0.imag, 0.5 * d0.real]])))
-            elif kind == "jordan2":
-                fpx = extra[1]
-                # h = h1(Delta_1(L_1) . , .) in coordinates (x, rho)
-                parts += [((off, off + 1), fpx * d0),
-                          ((off + 1, off), fpx * d0),
-                          ((off + 1, off + 1), d1 * fpx * fpx)]
-            elif kind == "jordan3":
-                x1, _, f2x = extra
-                h1 = _place(n, dim, order, (3, 3), [
-                    ((0, 2), f2x), ((2, 0), f2x), ((1, 1), 1.0),
-                    ((1, 2), x1), ((2, 1), x1), ((2, 2), x1 * x1)])
-                # Delta_1(L_1) = d0 + d1 N + d2 N^2 with N nilpotent
-                D = _place(n, dim, order, (3, 3), [
-                    ((0, 0), d0), ((1, 1), d0), ((2, 2), d0), ((0, 1), d1),
-                    ((0, 2), d1 * x1 + d2 * f2x), ((1, 2), d1 * f2x)])
-                parts.append((blk, jet_einsum("nki,nkj->nij", D, h1)))
-        h = _place(n, dim, order, (self.dim, self.dim), parts)
+            rows.append(_Row(b, off, r, extra, others,
+                             b.own(_delta_jets(r, others, dim, order))))
+        h = _place(n, dim, order, (self.dim, self.dim),
+                   [p for row in rows for p in row.block.h_slices(row)])
         return ChartFields(g=h, omega=None, J=None, A=None,
                            rhos=rhos, mus=mus), rows
 
@@ -543,65 +682,28 @@ class QuotientPair:
         """The fields of ``_parts`` with A = L added and, on Jordan specs,
         the projective field of the split equations."""
         dim, order, n = qpf.g.dim, qpf.g.order, qpf.g.c[0].shape[0]
-        parts = []
-        for kind, r, extra, b, off, *_ in rows:
-            if kind == "complex":
-                a, bb = r.real, r.imag
-                parts.append(((slice(off, off + 2),) * 2,
-                              jstack([[a, -bb], [bb, a]])))
-                continue
-            parts += [((off + i, off + i), r) for i in range(b.ncoord)]
-            if kind == "jordan2":
-                parts.append(((off, off + 1), extra[1]))
-            elif kind == "jordan3":
-                x1, _, f2x = extra
-                parts += [((off, off + 1), 1.0), ((off, off + 2), x1),
-                          ((off + 1, off + 2), f2x)]
-        v = self._jordan_field(rows, dim, order, n) \
-            if any(isinstance(b, (Jordan2, Jordan3)) for b in self.blocks) \
-            else None
-        L = _place(n, dim, order, (self.dim, self.dim), parts)
+        L = _place(n, dim, order, (self.dim, self.dim),
+                   [p for row in rows for p in row.block.L_slices(row)])
+        v = None
+        if self.split:
+            v = _place(n, dim, order, (self.dim,),
+                       [p for row in rows for p in row.block.v_slices(row)])
         return qpf.replace(A=L, v=v)
 
     def eval(self, pts, order=2) -> ChartFields:
         """Jet-valued (h, L) at sample points, as g and A."""
         return self._complete(*self._parts(pts, order))
 
-    def _jordan_field(self, rows, dim, order, n):
-        """The projective field of the split equations on Jordan specs."""
-        parts = []
-        for kind, r, extra, b, off, *_ in rows:
-            if kind == "jordan2":
-                sol = b.F
-                G1 = sol.g1_jet(r)
-                G = (0.5 * ((sol.n2 - 1.0) * r - 1.0 - sol.C - sol.n2)
-                     * extra[0] + G1)
-                parts.append(((off,), G))
-            elif kind == "jordan3":
-                x1, x2, _ = extra
-                sol = b.F
-                G = (-0.5 * (sol.C + sol.n2 + 2.0 - sol.n2 * r) * x1
-                     + 0.5 * sol.n2 * x2 + sol.g1_jet(r))
-                H = (-0.5 * (sol.C + sol.n2 + (4.0 - sol.n2) * r) * x2
-                     + sol.h1_jet(r))
-                parts += [((off,), G), ((off + 1,), H)]
-            if kind in ("jordan2", "jordan3", "rho"):
-                # the leaf term on the block's eigenvalue coordinate
-                parts.append(((off + b.ncoord - 1,), r * (1.0 - r)))
-        return _place(n, dim, order, (self.dim,), parts)
 
-
-class _Block(NamedTuple):
+class _Row(NamedTuple):
     """One seeded block of a quotient pass."""
 
-    kind: str       # real, rho, complex, jordan2 or jordan3
-    rho: Jet        # the block's own root (z's root for a complex block)
-    extra: object   # drho (real, complex); F(rho) (rho); (x, F + x)
-                    # (jordan2); (x1, x2, F + 2 x2) (jordan3)
-    block: object
+    block: _Block
     off: int        # first quotient coordinate of the block
+    rho: Jet        # the block's own root (z's root for a complex block)
+    extra: object   # the jets ``block.seed`` returned besides the roots
     others: list    # every other root, with multiplicity
-    delta: list     # Delta, Delta' and Delta''/2 at rho
+    delta: list     # Delta, Delta' and Delta''/2 at rho, in the block's type
 
 
 def _delta_jets(r, others, dim, order):
@@ -683,13 +785,7 @@ class KahlerChart:
     def __init__(self, qp: QuotientPair, cb=(), route="explicit",
                  t_window=(-1.0, 1.0), y_window=(-0.8, 0.8), name=""):
         for b in qp.blocks:
-            if isinstance(b, (Jordan2, Jordan3)):
-                raise BuilderError(
-                    "Jordan blocks do not lift to a Kahler chart")
-            if isinstance(b, (Real1D, Complex2D)) and _drho_vanishes(b):
-                raise BuilderError(
-                    f"rho' of a {type(b).__name__} block vanishes on its "
-                    f"window {b.window}, so its lift is degenerate")
+            b.check_lift()
         self.qp = qp
         self.cb = tuple(cb)
         self.route = route
@@ -819,69 +915,40 @@ class KahlerChart:
 
     def _explicit_parts(self, pts, order):
         """What g is built from on the explicit route: the quotient fields,
-        one contribution row per block and the Gram matrix H of the Killing
-        fields."""
+        the blocks, the symmetric functions mu-hat of each block's other
+        roots and the Gram matrix H of the Killing fields."""
         n = pts.shape[0]
         d, ell = self.dim, self.ell
         qpf, rows = self.qp._parts(pts[:, self.u_sl], order,
                                    ambient_dim=d, offset=ell)
-
-        # contributions per block: kind, own root, weight jet, offset, eps
-        # (1 on rho and complex blocks), Delta and the symmetric functions
-        # mu-hat of the other roots
-        contrib = []
-        for kind, r, extra, b, off, others, (Del, _, _) in rows:
-            if kind not in ("real", "rho", "complex"):
-                raise BuilderError("unsupported block for a Kahler chart")
-            muh = esp_jets(others, d, order, (n,), upto=max(ell - 1, 0))
-            if kind != "complex":
-                # real-valued, but complex-typed next to a complex pair
-                muh, Del = [m.real for m in muh], Del.real
-            contrib.append((kind, r, extra, off,
-                            b.eps if kind == "real" else 1, Del, muh))
-
+        muhs = [row.block.own(esp_jets(row.others, d, order, (n,),
+                                       upto=max(ell - 1, 0)))
+                for row in rows]
         # H_ij sums muh_i muh_j q over the blocks: one upper triangle per
         # block, mirrored
         iu = np.triu_indices(ell)
-        Hu = None
-        for kind, r, dr, off, eps, Del, muh in contrib:
-            if kind == "real":
-                q = eps * dr * dr / Del
-            elif kind == "rho":
-                q = dr / Del              # dr slot carries F(rho)
-            else:
-                q = dr * dr / Del
-            t = jstack([muh[i] * muh[j] * q for i, j in zip(*iu)])
-            if kind == "complex":
-                t = ((-4.0) * (t + t.conj())).real
-            Hu = t if Hu is None else Hu + t
+        terms = [row.block.gram(row, muh, iu)
+                 for row, muh in zip(rows, muhs)]
+        Hu = sum(terms[1:], terms[0])
         H = _place(n, d, order, (ell, ell), [(iu, Hu), (iu[::-1], Hu)])
-        return qpf, rows, contrib, H
+        return qpf, rows, muhs, H
 
     def _eval_explicit(self, pts, order):
         n = pts.shape[0]
         d, ell = self.dim, self.ell
-        qpf, rows, contrib, H = self._explicit_parts(pts, order)
+        qpf, rows, muhs, H = self._explicit_parts(pts, order)
         # A on the Killing directions: A K_i = mu_i K_1 - K_{i+1}
         T = _place(n, d, order, (ell, ell), [
             ((slice(None), slice(None)), -np.eye(ell, k=-1)),
             ((0, slice(None)), jstack(qpf.mus[1:ell + 1]))])
-
         # d_u mu_i without losing jet order: one column per real
         # coordinate of each block
-        parts = []
-        for kind, r, dr, off, eps, Del, muh in contrib:
-            if kind == "complex":
-                col = jstack([[2.0 * c.real, -2.0 * c.imag]
-                              for c in (m * dr for m in muh)])
-                parts.append(((slice(None), slice(off, off + 2)), col))
-            else:
-                col = jstack([m * dr if kind == "real" else m for m in muh])
-                parts.append(((slice(None), off), col))
-        D = _place(n, d, order, (ell, self.udim), parts)
+        coframe = list(zip(rows, muhs))
+        D = _place(n, d, order, (ell, self.udim),
+                   [row.block.dmu_column(row, muh) for row, muh in coframe])
         qpf = self.qp._complete(qpf, rows)
         return self._assemble(pts, order, qpf.g, qpf.A, qpf.rhos, qpf.mus,
-                              H, T, D, contrib=contrib)
+                              H, T, D, coframe=coframe)
 
     def _place_metric(self, H, h, alpha, chi) -> Jet:
         """g = sum H_ij theta_i theta_j + h + g_c(chi_L(A_c) . , .) with
@@ -898,11 +965,12 @@ class KahlerChart:
         return _place(H.c[0].shape[0], d, H.order, (d, d), parts)
 
     def _assemble(self, pts, order, h, L, rhos, mus, H, T, D,
-                  contrib=None):
+                  coframe=None):
         """Chart fields from the route's parts, D = (d_u mu_i) the
         (ell, udim) matrix of omega(d/du, d/dt_i).  Each field is written
         block by block; its y columns are its t columns carried by alpha.
-        ``contrib`` (explicit route) gives J from the coframe action;
+        ``coframe`` (explicit route: each block's row and mu-hat) gives J
+        from the coframe action;
         without it J = g^-1 omega, and that inverse also fills the fields'
         g^-1."""
         n = pts.shape[0]
@@ -921,8 +989,8 @@ class KahlerChart:
         w = _place(n, d, order, (d, d), wparts)
         A = _place(n, d, order, (d, d), aparts)
 
-        if contrib is not None:
-            J = self._assemble_J(n, order, contrib, alpha)
+        if coframe is not None:
+            J = self._assemble_J(n, order, coframe, alpha)
         else:
             ginv = metric_inverse(g)
             J = jet_einsum("nac,nbc->nab", ginv, w)
@@ -931,36 +999,21 @@ class KahlerChart:
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
         fields = ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
                              v=v)
-        if contrib is None:
+        if coframe is None:
             # the Leibniz recurrence of the inverse gives its lower orders
             # bitwise, so the full-order inverse serves as g^-1
             fields.__dict__["ginv"] = ginv.truncate(max(order - 1, 0))
         return fields
 
-    def _assemble_J(self, n, order, contrib, alpha):
+    def _assemble_J(self, n, order, coframe, alpha):
         """J from the coframe action: rows over the dual frame
         {d/dt_i, d/du, d/dy_q - sum alpha_iq d/dt_i}.  A block's u rows
         and its columns of the t rows read only its own root."""
         d, ell, t, u, y = self.dim, self.ell, self.t_sl, self.u_sl, self.y_sl
-        urows, parts = [], []
-        for kind, r, dr, off, eps, Del, muh in contrib:
-            s = 0.25 if kind == "complex" else eps
-            col = [(-1.0) ** i * s * (r ** (ell - i)) / dr
-                   for i in range(1, ell + 1)]
-            if kind == "complex":
-                base = 4.0 * dr / Del
-                coef = [base * m for m in muh]
-                urows.append((slice(off, off + 2), jstack(
-                    [[c.real for c in coef], [c.imag for c in coef]])))
-                parts.append(((t, slice(ell + off, ell + off + 2)), jstack(
-                    [[2.0 * c.real, -2.0 * c.imag] for c in col])))
-            else:
-                base = -(eps * dr) / Del
-                urows.append((off, jstack([base * m for m in muh])))
-                parts.append(((t, ell + off), jstack([-c for c in col])))
-        Jut = _place(n, d, order, (self.udim, ell),
-                     [((rows, slice(None)), blk) for rows, blk in urows])
-        parts.append(((u, t), Jut))
+        urows, parts = zip(*(row.block.J_rows(row, muh, ell)
+                             for row, muh in coframe))
+        Jut = _place(n, d, order, (self.udim, ell), urows)
+        parts = [*parts, ((u, t), Jut)]
         if self.ydim:
             Jc = Jet.const(np.broadcast_to(self._Jc, (n,) + self._Jc.shape),
                            d, order)
@@ -976,23 +1029,6 @@ class KahlerChart:
         if self.v_matrix is None:
             raise BuilderError("chart carries no fitted vector field")
         return mobility_field(pts, order, self.v_matrix, self.rho_idx)
-
-
-def _drho_vanishes(b) -> bool:
-    """Whether rho' of a Real1D or Complex2D block has a zero on its closed
-    window (a constant rho has one everywhere)."""
-    drho = [k * c for k, c in enumerate(b.rho)][1:]
-    if not np.any(drho):
-        return True
-    z = np.polynomial.polynomial.polyroots(drho)
-    if isinstance(b, Real1D):
-        lo, hi = b.window
-        # a double root of rho' may come back split off the axis
-        return bool(np.any((np.abs(z.imag) <= 1e-6 * (1.0 + np.abs(z)))
-                           & (z.real >= lo) & (z.real <= hi)))
-    (xl, xh), (yl, yh) = b.window
-    return bool(np.any((z.real >= xl) & (z.real <= xh)
-                       & (z.imag >= yl) & (z.imag <= yh)))
 
 
 # ---------------------------------------------------------------------------
@@ -1346,15 +1382,12 @@ def jordan_pair_spec(sol, extra_windows=(), extra_a=(),
     if not (sol.interval[0] <= rw[0] < rw[1] <= sol.interval[1]):
         raise BuilderError("rho1 window must sit inside the solved "
                            "interval")
-    if sol.kind == "2x2":
-        blocks = [Jordan2(sol, (x_window, rw))]
-        size = 2
-    elif sol.kind == "3x3":
-        blocks = [Jordan3(sol, (x_window, x_window, rw))]
-        size = 3
-    else:
+    block = {"2x2": Jordan2, "3x3": Jordan3}.get(sol.kind)
+    if block is None:
         raise BuilderError(f"a Jordan block needs a 2x2 or 3x3 solution, "
                            f"got {sol.kind}")
+    size = block.ncoord
+    blocks = [block(sol, (x_window,) * (size - 1) + (rw,))]
     nd = 1 + len(extra_windows)       # number of distinct eigenvalues
     for w, a in zip(extra_windows, extra_a):
         blocks.append(RealRho(PowerProfile(a, sol.C, nd + size + sol.C), w))

@@ -232,40 +232,28 @@ def r0_operator(coeffs, A):
     return op
 
 
-def predicted_eigenvalues(coeffs, eig_pairs=(), jordan_eigs=()):
-    """Spectral predictions from the polynomial p.
-
-    ``eig_pairs``: (l_i, l_j) distinct pairs -> (p(l_i)-p(l_j))/(l_i-l_j);
-    ``jordan_eigs``: eigenvalues with a nontrivial block -> p'(l).
-    """
+def predicted_eigenvalues(coeffs, eig_pairs):
+    """Spectral predictions from the polynomial p: each distinct pair
+    (l_i, l_j) of ``eig_pairs`` gives (p(l_i)-p(l_j))/(l_i-l_j)."""
     p = np.polynomial.Polynomial(coeffs)
-    dp = p.deriv()
-    out = [("pair", li, lj, (p(li) - p(lj)) / (li - lj))
-           for li, lj in eig_pairs]
-    out += [("jordan", l, None, dp(l)) for l in jordan_eigs]
-    return out
+    return [("pair", li, lj, (p(li) - p(lj)) / (li - lj))
+            for li, lj in eig_pairs]
 
 
-def compare_with_numeric(flds, sample=0, tol=1e-5, eig_pairs=None,
-                         jordan_eigs=()) -> ResidualReport:
-    """Predicted curvature-operator eigenvalues against the assembled
-    spectrum at one sample."""
+def compare_with_numeric(flds, sample=0, tol=1e-5) -> ResidualReport:
+    """Predicted curvature-operator eigenvalues, one per pair of distinct
+    real eigenvalues of A, against the assembled spectrum at one sample."""
     coeffs, fit_res = fit_nabla_lambda_poly(flds, sample)
-    Av = flds.A.c[0][sample]
-    if eig_pairs is None:
-        eigs = _cluster(np.linalg.eigvals(Av))
-        eigs = sorted([e.real for e in eigs if abs(e.imag) < 1e-9])
-        eig_pairs = [(a, b) for i, a in enumerate(eigs)
-                     for b in eigs[i + 1:]]
-    preds = predicted_eigenvalues(coeffs, eig_pairs, jordan_eigs)
+    eigs = _cluster(np.linalg.eigvals(flds.A.c[0][sample]))
+    eigs = sorted([e.real for e in eigs if abs(e.imag) < 1e-9])
+    pairs = [(a, b) for i, a in enumerate(eigs) for b in eigs[i + 1:]]
+    preds = predicted_eigenvalues(coeffs, pairs)
     Rmat, _ = curvature_operator_matrix(flds, sample)
     spec = np.linalg.eigvals(Rmat)
     rep = ResidualReport(title="curvature-spectrum")
     for kind, li, lj, val in preds:
         dist = float(np.min(np.abs(spec - val)))
-        label = f"{kind}({li:.4g},{lj:.4g})" if lj is not None \
-            else f"{kind}({li:.4g})"
-        rep.add(CheckEntry(f"spectrum_{label}",
+        rep.add(CheckEntry(f"spectrum_{kind}({li:.4g},{lj:.4g})",
                            "predicted eig in spec(R)",
                            dist / (1.0 + abs(val)), tol, samples=1,
                            note=f"fit_residual={fit_res:.2e}"))

@@ -1,12 +1,12 @@
 """ODE-level dynamics on constructed charts.
 
-Geodesics and their complex-line generalization gamma'' = alpha gamma' +
-beta J gamma' integrate with an adaptive Runge-Kutta solver and terminate
-on window exit.  Without the J term the right-hand side reads only the
-metric: each step takes Gamma from ``chart.metric`` instead of a full
-chart evaluation, which would also build omega, J and A.  Planarity of
-a trajectory with respect to a second metric is measured by projecting
-the acceleration off span{velocity, J velocity}.
+Geodesics and their complex-line generalization gamma'' = beta J gamma'
+integrate with an adaptive Runge-Kutta solver and terminate on window
+exit.  Without the J term the right-hand side reads only the metric: each
+step takes Gamma from ``chart.metric`` instead of a full chart
+evaluation, which would also build omega, J and A.  Planarity of a
+trajectory with respect to a second metric is measured by projecting the
+acceleration off span{velocity, J velocity}.
 Eigenvalue transport along the canonical mobility field follows the
 logistic law; the scalar flows rho' = rho^2 + 1, rho(1-rho), rho^2 trace
 circles in the complex plane whose fit closes the phase-portrait checks.
@@ -78,14 +78,14 @@ def _connection(chart, pts, need_J):
     return fl.gamma.c[0], fl.J.c[0]
 
 
-def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
-                      tol=1e-8, n_out=200) -> Trajectory:
-    """Integrate gamma'' + Gamma(gamma', gamma') = alpha gamma' +
-    beta J gamma', clipped to the chart window.
+def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
+                      n_out=200) -> Trajectory:
+    """Integrate gamma'' + Gamma(gamma', gamma') = beta J gamma', clipped
+    to the chart window.
 
-    ``alpha``/``beta`` are scalar functions of the curve parameter (or
-    None for a plain geodesic).  With ``beta`` None only the metric is
-    evaluated, both on the solver steps and for the output accelerations.
+    ``beta`` is a scalar function of the curve parameter (or None for a
+    plain geodesic).  With ``beta`` None only the metric is evaluated, both
+    on the solver steps and for the output accelerations.
     """
     d = chart.dim
     x0 = np.asarray(x0, dtype=float)
@@ -97,8 +97,6 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
         x, v = y[:d], y[d:]
         gam, J = _connection(chart, x[None], beta is not None)
         acc = -np.einsum("cab,a,b->c", gam[0], v, v)
-        if alpha is not None:
-            acc = acc + alpha(t) * v
         if beta is not None:
             acc = acc + beta(t) * (J[0] @ v)
         return np.concatenate([v, acc])
@@ -116,8 +114,6 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
     # exact accelerations from the equation of motion, batch evaluated
     gam, J = _connection(chart, xs, beta is not None)
     acc = -np.einsum("ncab,na,nb->nc", gam, vs, vs)
-    if alpha is not None:
-        acc = acc + np.array([alpha(t) for t in ts])[:, None] * vs
     if beta is not None:
         Jv = np.einsum("nab,nb->na", J, vs)
         acc = acc + np.array([beta(t) for t in ts])[:, None] * Jv
@@ -126,7 +122,7 @@ def integrate_jplanar(chart, x0, v0, alpha=None, beta=None, T=1.0,
 
 
 def integrate_geodesic(chart, x0, v0, T=1.0, tol=1e-8):
-    return integrate_jplanar(chart, x0, v0, None, None, T, tol)
+    return integrate_jplanar(chart, x0, v0, None, T, tol)
 
 
 def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
@@ -380,22 +376,17 @@ def jordan2_fprime(sol, x, rho1, extra_rhos=(), extra_profiles=()):
     return out
 
 
-def jordan3_fprime(sol, x2, rho1, extra_rhos=(), extra_profiles=()):
-    F = sol(rho1)
-    denom = np.prod([rho1 - r for r in extra_rhos]) if extra_rhos else 1.0
-    out = -3.0 / (4.0 * (F + 2.0 * x2) ** 2 * denom)
-    for i, (ri, prof) in enumerate(zip(extra_rhos, extra_profiles)):
-        rest = np.prod([ri - rj for j, rj in enumerate(extra_rhos)
-                        if j != i]) if len(extra_rhos) > 1 else 1.0
-        out = out + prof(ri) / (4.0 * (ri - rho1) ** 5 * rest)
-    return out
+def jordan3_fprime(sol, x2, rho1):
+    """The curvature eigenvalue of a lone 3x3 nilpotent block:
+    f'(r1) = -3 / (4 (F(r1) + 2 x2)^2)."""
+    return -3.0 / (4.0 * (sol(rho1) + 2.0 * x2) ** 2)
 
 
 def blowup_scan(kind, path, **kw):
     """Evaluate a curvature quantity along a parameter path approaching
     a singular locus; ``tail_exponent`` measures their divergence.
 
-    kind 'jordan2': kw needs sol, rho1, (extra_rhos, extra_profiles);
+    kind 'jordan2': kw needs sol and rho1;
         path is the sequence of offsets s with x = -F(rho1) + s.
     kind 'jordan3': same, with x2 = (-F(rho1) + s) / 2.
     kind 'ell2': kw needs profile; path is the sequence of scales s with
@@ -407,13 +398,11 @@ def blowup_scan(kind, path, **kw):
     if kind == "jordan2":
         sol, rho1 = kw["sol"], kw["rho1"]
         x = -sol(rho1) + path
-        vals = jordan2_fprime(sol, x, rho1, kw.get("extra_rhos", ()),
-                              kw.get("extra_profiles", ()))
+        vals = jordan2_fprime(sol, x, rho1)
     elif kind == "jordan3":
         sol, rho1 = kw["sol"], kw["rho1"]
         x2 = (-sol(rho1) + path) / 2.0
-        vals = jordan3_fprime(sol, x2, rho1, kw.get("extra_rhos", ()),
-                              kw.get("extra_profiles", ()))
+        vals = jordan3_fprime(sol, x2, rho1)
     elif kind == "ell2":
         prof = kw["profile"]
         if kw.get("corner", 0) == 1:

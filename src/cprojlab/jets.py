@@ -247,11 +247,9 @@ class Jet:
                        [a - b for a, b in zip(self.c, other.c)])
 
     def __rsub__(self, other):
-        c = self._constant(other)
-        if c is not None:
-            return self._shift(c - self.c[0], c, [-a for a in self.c[1:]])
-        return Jet._of(self.dim, self.order,
-                       [b - a for a, b in zip(self.c, other.c)])
+        # reflected: ``other`` is never a jet
+        c = _as_array(other)
+        return self._shift(c - self.c[0], c, [-a for a in self.c[1:]])
 
     def __neg__(self):
         return Jet._of(self.dim, self.order, [-a for a in self.c])
@@ -293,10 +291,7 @@ class Jet:
         return self * other._reciprocal()
 
     def __rtruediv__(self, other):
-        c = self._constant(other)
-        if c is not None:
-            return self._reciprocal()._scale(c, left=True)
-        return other * self._reciprocal()
+        return self._reciprocal()._scale(_as_array(other), left=True)
 
     def compose1(self, table) -> "Jet":
         """Compose with a univariate function given by its derivative values.

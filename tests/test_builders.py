@@ -295,6 +295,23 @@ def test_jordan_pair_spec_takes_the_block_kind_from_the_solution(
         jordan_pair_spec(sol1)
 
 
+@pytest.mark.parametrize("build,match", [
+    (lambda f: lift_pair(f("qp_jordan2")), "do not lift"),
+    (lambda f: build_quotient_pair(jordan_pair_spec(
+        f("jordan3_sol"), x_window=(-0.8, -0.2))), "F \\+ 2 x2 vanishes"),
+    (lambda f: lift_pair(build_quotient_pair(CompatiblePairSpec((Complex2D(
+        (1j, 0.0, 1.0), ((-0.2, 0.2), (-0.2, 0.2))),)))),
+     "rho' of a Complex2D block vanishes"),
+    (lambda f: lift_pair(f("qp_ell1"), (ConstantBlock(0.0, 2),
+                                        ConstantBlock(1e-8, 2))),
+     "closer than"),
+], ids=["jordan-lift", "jordan3-window", "complex-flat-rho",
+        "close-constants"])
+def test_unbuildable_instances_are_refused(request, build, match):
+    with pytest.raises(BuilderError, match=match):
+        build(request.getfixturevalue)
+
+
 def test_esp_jets_values():
     vals = [Jet.const(np.array([2.0]), 1, 0),
             Jet.const(np.array([3.0]), 1, 0),
