@@ -344,7 +344,8 @@ class Jordan2(_Nilpotent):
     def h_slices(self, row):
         (_, fpx), (d0, d1, _), off = row.extra, row.delta, row.off
         # h = h1(Delta_1(L_1) . , .) in coordinates (x, rho)
-        return [((off, off + 1), fpx * d0), ((off + 1, off), fpx * d0),
+        fd = fpx * d0
+        return [((off, off + 1), fd), ((off + 1, off), fd),
                 ((off + 1, off + 1), d1 * fpx * fpx)]
 
     def L_slices(self, row):
