@@ -22,7 +22,7 @@ from . import __version__
 from .config import (
     FLOATS, INTS, WINDOW, ConfigError, Opt, parse_config, serialize_config)
 from .report import CheckEntry, ResidualReport, config_hash, fmt
-from .geometry import GeometryError, GridSpec, lie_endo, lie_metric, max_abs
+from .geometry import GeometryError, GridSpec, max_abs
 from .jets import Jet, JetError
 from .builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
@@ -34,14 +34,14 @@ from .kahler import (
     hamiltonian_killing_check, mu_hat_duality_residual, partner_fields,
     proj_residual, recover_endo, spectrum_safe_shift)
 from .killing import (
-    KILLING_KEYS, a_on_k_recurrence, build_canonical_killing,
+    KILLING_CHECKS, a_on_k_recurrence, build_canonical_killing,
     killing_property_suite)
 from .curvspec import (
     compare_with_numeric, curvature_operator_matrix, fppp_limit_check,
     real_ricci_identity_check, ricci_identity_check)
 from .flows import (
-    ODES, FlowError, blowup_scan, circle_fit, eigenvalue_flow, fixed_points,
-    jordan2_fprime, jordan3_fprime, lie_residual_suite, logistic,
+    ODES, FlowError, circle_fit, eigenvalue_flow, jordan2_fprime,
+    jordan3_fprime, lie_residual_suite, logistic, split_lie_suite,
     tail_exponent, transport_check, volume_coefficient)
 from .vandermonde import collision_limit, det_quotient, sum_over_delta
 
@@ -200,24 +200,6 @@ def _route_agreement(r, tol):
                        tol, samples=len(r.pts))]
 
 
-def _split_lie(r, tol):
-    # the split Lie equations on the block
-    f = r.f
-    h, L = f.g.c[0], f.A.c[0]
-    trL = np.trace(L, axis1=-2, axis2=-1)
-    rhs_L = L - np.einsum("nab,nbc->nac", L, L)
-    hL = np.einsum("nac,ncb->nab", h, L)
-    n2 = r.v["n2"]
-    rhs_h = (n2 - 1.0) * hL - (trL + r.v["C"] + n2)[:, None, None] * h
-    rL = max_abs(lie_endo(f.A, f.v) - rhs_L) / (1.0 + max_abs(rhs_L))
-    rh = max_abs(lie_metric(f.g, f.v) - rhs_h) / (1.0 + max_abs(rhs_h))
-    return [CheckEntry("split_lie_endo", "L_v L = L - L^2", rL, tol,
-                       samples=len(r.pts)),
-            CheckEntry("split_lie_metric",
-                       "L_v h = (n2-1) hL - (tr L + C + n2) h", rh, tol,
-                       samples=len(r.pts))]
-
-
 def _blowup_spectrum(r, tol):
     # the closed-form curvature eigenvalue against the assembled operator
     # at a few samples
@@ -233,11 +215,14 @@ def _blowup_spectrum(r, tol):
 
 
 def _blowup_exponent(r, _):
-    # divergence scan toward F + x = 0
+    # divergence scan toward F + x = 0 at x = -F(rho1) + s; the 3x3 block
+    # reads x2 = x / 2
     s = np.geomspace(1e-1, 1e-4, 16)
     two, (lo, hi) = r.v["kind"] == "2x2", r.v["interval"]
-    vals = blowup_scan("jordan2" if two else "jordan3", s, sol=r.sol,
-                       rho1=0.5 * (lo + hi))
+    rho1 = 0.5 * (lo + hi)
+    x = -r.sol(rho1) + s
+    vals = (jordan2_fprime(r.sol, x, rho1) if two
+            else jordan3_fprime(r.sol, x / 2.0, rho1))
     expo = -tail_exponent(s, vals)
     target = 3.0 if two else 2.0
     r.csv["jordan_scan"] = (["s", "value"], list(zip(s, vals)))
@@ -257,7 +242,8 @@ def _orbits(r, _):
         back = eigenvalue_flow(ode, r0, -r.v["T"])
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         _, rad, resid = circle_fit(z)
-        fp_err = max([0.0] + [abs(ODES[ode](p)) for p in fixed_points(ode)])
+        rhs, fixed = ODES[ode]
+        fp_err = max([0.0] + [abs(rhs(p)) for p in fixed])
         out += [CheckEntry(f"circle_{ode}", "complex orbit is a circle",
                            resid / (1.0 + rad), 1e-6 * r.scale,
                            samples=z.size),
@@ -315,7 +301,7 @@ KAHLER_STEPS = (
          lambda r, tol: cproj_residual(r.fl, tol=tol)),
     Step("eigenvector_gradients", "aonk",
          lambda r, tol: eigenvector_gradient_residual(r.fl, tol=tol)),
-    Step(" ".join("killing_" + k for k in KILLING_KEYS), "killing",
+    Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS), "killing",
          lambda r, tol: killing_property_suite(r.ks, r.fl, tol=tol)),
     Step("a_on_k", "aonk",
          lambda r, tol: a_on_k_recurrence(r.ks, r.fl, tol=tol)),
@@ -417,7 +403,8 @@ SCENARIOS = {
             "g1_constancy", "G1' = 0", r.sol.g1_constancy(),
             1e-12 * r.scale)], ("kind", "3x3")),
         PROJ_STEP,
-        Step("split_lie_endo split_lie_metric", "pde_split", _split_lie),
+        Step("split_lie_endo split_lie_metric", "pde_split",
+             lambda r, tol: split_lie_suite(r.f, r.v["n2"], r.v["C"], tol)),
         Step("real_ricci_identity", "ricci",
              lambda r, tol: real_ricci_identity_check(r.f, tol=tol)),
         Step("blowup_formula_vs_spectrum", "spectrum", _blowup_spectrum),

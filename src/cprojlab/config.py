@@ -2,11 +2,12 @@
 rows a config is checked against.
 
 Top-level lines are ``key = value``; repeated ``[section]`` headers open
-list entries (blocks, constant blocks).  Values are typed scalars
-(int/float/bool/string) or whitespace-separated numeric lists; polynomial
-coefficient lists are written lowest degree first.  Parsing errors carry
-line numbers, and the parser records the line of each key and section
-header; serialization round-trips to an equal config.
+list entries (blocks, constant blocks), and a key set twice in one scope
+is an error.  Values are typed scalars (int/float/bool/string) or
+whitespace-separated numeric lists; polynomial coefficient lists are
+written lowest degree first.  Parsing errors carry line numbers, and the
+parser records the line of each key and section header; serialization
+round-trips to an equal config.
 """
 
 from __future__ import annotations
@@ -174,9 +175,12 @@ def parse_config_text(text: str) -> ScenarioConfig:
         key = key.strip()
         if not key:
             raise ConfigError(f"line {lineno}: empty key")
+        i = len(cfg.sections) - 1 if cfg.sections else None
+        if key in current:
+            raise ConfigError(f"{cfg.at(i, key)} is set again on line "
+                              f"{lineno}")
         current[key] = _parse_value(val.strip())
-        cfg.lines[len(cfg.sections) - 1 if cfg.sections else None,
-                  key] = lineno
+        cfg.lines[i, key] = lineno
     cfg.kind = cfg.options.get("scenario", "")
     return cfg
 

@@ -234,10 +234,10 @@ def r0_operator(coeffs, A):
 
 def predicted_eigenvalues(coeffs, eig_pairs):
     """Spectral predictions from the polynomial p: each distinct pair
-    (l_i, l_j) of ``eig_pairs`` gives (p(l_i)-p(l_j))/(l_i-l_j)."""
+    (l_i, l_j) of ``eig_pairs`` gives (l_i, l_j, (p(l_i)-p(l_j))/(l_i-l_j)).
+    """
     p = np.polynomial.Polynomial(coeffs)
-    return [("pair", li, lj, (p(li) - p(lj)) / (li - lj))
-            for li, lj in eig_pairs]
+    return [(li, lj, (p(li) - p(lj)) / (li - lj)) for li, lj in eig_pairs]
 
 
 def compare_with_numeric(flds, sample=0, tol=1e-5) -> ResidualReport:
@@ -251,9 +251,9 @@ def compare_with_numeric(flds, sample=0, tol=1e-5) -> ResidualReport:
     Rmat, _ = curvature_operator_matrix(flds, sample)
     spec = np.linalg.eigvals(Rmat)
     rep = ResidualReport(title="curvature-spectrum")
-    for kind, li, lj, val in preds:
+    for li, lj, val in preds:
         dist = float(np.min(np.abs(spec - val)))
-        rep.add(CheckEntry(f"spectrum_{kind}({li:.4g},{lj:.4g})",
+        rep.add(CheckEntry(f"spectrum_pair({li:.4g},{lj:.4g})",
                            "predicted eig in spec(R)",
                            dist / (1.0 + abs(val)), tol, samples=1,
                            note=f"fit_residual={fit_res:.2e}"))

@@ -10,8 +10,10 @@ acceleration off span{velocity, J velocity}.
 Eigenvalue transport along the canonical mobility field follows the
 logistic law; the scalar flows rho' = rho^2 + 1, rho(1-rho), rho^2 trace
 circles in the complex plane whose fit closes the phase-portrait checks.
-Volume response of the leaf metric under the off-leaf part of v and the
-divergence scans of the curvature formulas complete the module.
+The split Lie equations of a nilpotent block, the volume response of the
+leaf metric under the off-leaf part of v and the closed-form curvature
+eigenvalues of the nilpotent blocks, with the exponent fit of their
+divergence, complete the module.
 
 Integrator contract: the ``tol`` argument bounds the local error and the
 solver is driven quadratically harder than requested (internal tolerance
@@ -24,19 +26,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .builders import ProjectiveMobilityChart
+from .builders import ProjectiveMobilityChart, mobility_rhs
 from .geometry import (
     christoffel, lie_endo, lie_metric, max_abs, normal_part, span_gram)
+from .kahler import partner_fields
 from .ode import OdeError, integrate
 from .report import CheckEntry, ResidualReport
-from .curvspec import lambda_two_eigen
 
 __all__ = [
     "FlowError", "Trajectory", "integrate_jplanar", "integrate_geodesic",
     "jplanarity_residual", "ODES", "eigenvalue_flow", "circle_fit",
-    "fixed_points",
-    "logistic", "lie_residual_suite", "transport_check",
-    "volume_coefficient", "blowup_scan", "tail_exponent", "flow_point",
+    "logistic", "lie_residual_suite", "split_lie_suite", "transport_check",
+    "volume_coefficient", "tail_exponent", "jordan2_fprime",
+    "jordan3_fprime", "flow_point",
 ]
 
 _INTERNAL_FLOOR = 1e-13
@@ -132,8 +134,6 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
     ``metric`` selects whose connection measures the acceleration: the
     chart metric 'g' or its 'partner'.  The trajectory must carry its
     coordinate accelerations gamma''."""
-    from .kahler import partner_fields
-
     if traj.acc is None:
         raise FlowError("trajectory carries no acceleration data")
     fl = chart.eval(traj.x, order=1)
@@ -158,28 +158,18 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
 # scalar eigenvalue flows
 # ---------------------------------------------------------------------------
 
-# the right-hand sides of the scalar flows, by name
+# the scalar flows by name: the right-hand side and its fixed points
 ODES = {
-    "rho^2+1": lambda r: r * r + 1.0,
-    "rho(1-rho)": lambda r: r * (1.0 - r),
-    "rho^2": lambda r: r * r,
+    "rho^2+1": (lambda r: r * r + 1.0, (1j, -1j)),
+    "rho(1-rho)": (lambda r: r * (1.0 - r), (0.0, 1.0)),
+    "rho^2": (lambda r: r * r, (0.0,)),
 }
-
-_FIXED_POINTS = {
-    "rho^2+1": (1j, -1j),
-    "rho(1-rho)": (0.0, 1.0),
-    "rho^2": (0.0,),
-}
-
-
-def fixed_points(ode: str):
-    return _FIXED_POINTS[ode]
 
 
 def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
                     blowup=1e6) -> Trajectory:
     """Complex trajectory of the scalar flow; reports finite-time escape."""
-    f = ODES[ode]
+    f, _ = ODES[ode]
 
     def rhs(t, y):
         r = y[0] + 1j * y[1]
@@ -222,34 +212,15 @@ def logistic(rho0, t):
 # Lie-derivative residual suite along (c-)projective fields
 # ---------------------------------------------------------------------------
 
-def lie_residual_suite(chart, coeffs=None, tol=1e-6) -> ResidualReport:
-    """Residuals of L_v A and L_v g against their canonical right sides.
-
-    Default is the canonical mobility form L_v A = A(Id - A),
-    L_v g = -gA - (sum rho_i + C) g; passing ``coeffs`` = (alpha, beta,
-    gamma, delta) switches to the general quadratic form
-    L_v A = -beta A^2 + (delta - alpha) A + gamma Id with the matching
-    trace-weighted metric equation.
-    """
-    from .builders import mobility_rhs
+def lie_residual_suite(chart, tol=1e-6) -> ResidualReport:
+    """Residuals of L_v A and L_v g against the canonical mobility form
+    L_v A = A(Id - A), L_v g = -gA - (sum rho_i + C) g."""
     grid_pts = chart.window.random(80, np.random.default_rng(11))
     fl = chart.eval(grid_pts, order=1)
     if fl.v is None:
         raise FlowError("chart carries no vector field")
     n = grid_pts.shape[0]
-    if coeffs is None:
-        rhs_g, rhs_A = mobility_rhs(fl, chart.meta["C"])
-    else:
-        al, be, ga, de = coeffs
-        Av = fl.A.c[0]
-        d = Av.shape[-1]
-        ncx = d // 2
-        A2 = np.einsum("nab,nbc->nac", Av, Av)
-        rhs_A = -be * A2 + (de - al) * Av + ga * np.eye(d)[None]
-        trA = np.trace(Av, axis1=-2, axis2=-1)
-        rhs_g = ((-0.5 * be * trA - (ncx + 1) * al)[:, None, None]
-                 * fl.g.c[0]
-                 - be * np.einsum("nac,ncb->nab", fl.g.c[0], Av))
+    rhs_g, rhs_A = mobility_rhs(fl, chart.meta["C"])
     lg = lie_metric(fl.g, fl.v)
     lA = lie_endo(fl.A, fl.v)
     rep = ResidualReport(title="lie-residuals")
@@ -259,6 +230,27 @@ def lie_residual_suite(chart, coeffs=None, tol=1e-6) -> ResidualReport:
     rep.add(CheckEntry("lie_v_endo", "L_v A = canonical RHS",
                        max_abs(lA - rhs_A) / (1.0 + max_abs(rhs_A)),
                        tol, samples=n))
+    return rep
+
+
+def split_lie_suite(flds, n2, C, tol=1e-6) -> ResidualReport:
+    """Residuals of the split Lie equations of a nilpotent block,
+    L_v L = L - L^2 and L_v h = (n2-1) hL - (tr L + C + n2) h, on the
+    quotient fields (g = h, A = L) at their samples."""
+    h, L = flds.g.c[0], flds.A.c[0]
+    trL = np.trace(L, axis1=-2, axis2=-1)
+    rhs_L = L - np.einsum("nab,nbc->nac", L, L)
+    hL = np.einsum("nac,ncb->nab", h, L)
+    rhs_h = (n2 - 1.0) * hL - (trL + C + n2)[:, None, None] * h
+    rL = max_abs(lie_endo(flds.A, flds.v) - rhs_L) / (1.0 + max_abs(rhs_L))
+    rh = max_abs(lie_metric(flds.g, flds.v) - rhs_h) / (1.0 + max_abs(rhs_h))
+    n = h.shape[0]
+    rep = ResidualReport(title="split-lie")
+    rep.add(CheckEntry("split_lie_endo", "L_v L = L - L^2", rL, tol,
+                       samples=n),
+            CheckEntry("split_lie_metric",
+                       "L_v h = (n2-1) hL - (tr L + C + n2) h", rh, tol,
+                       samples=n))
     return rep
 
 
@@ -347,7 +339,7 @@ def volume_coefficient(chart, tol=1e-5) -> ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# divergence scans
+# curvature eigenvalues of the nilpotent blocks and their divergence
 # ---------------------------------------------------------------------------
 
 def tail_exponent(s, y):
@@ -380,37 +372,3 @@ def jordan3_fprime(sol, x2, rho1):
     """The curvature eigenvalue of a lone 3x3 nilpotent block:
     f'(r1) = -3 / (4 (F(r1) + 2 x2)^2)."""
     return -3.0 / (4.0 * (sol(rho1) + 2.0 * x2) ** 2)
-
-
-def blowup_scan(kind, path, **kw):
-    """Evaluate a curvature quantity along a parameter path approaching
-    a singular locus; ``tail_exponent`` measures their divergence.
-
-    kind 'jordan2': kw needs sol and rho1;
-        path is the sequence of offsets s with x = -F(rho1) + s.
-    kind 'jordan3': same, with x2 = (-F(rho1) + s) / 2.
-    kind 'ell2': kw needs profile; path is the sequence of scales s with
-        (r1, r2) = (s, 2 s) (corner 0) or 1 - (2 s, s) (corner 1,
-        kw corner=1).
-    Returns the values, one per point of the path, as a float array.
-    """
-    path = np.asarray(path, dtype=float)
-    if kind == "jordan2":
-        sol, rho1 = kw["sol"], kw["rho1"]
-        x = -sol(rho1) + path
-        vals = jordan2_fprime(sol, x, rho1)
-    elif kind == "jordan3":
-        sol, rho1 = kw["sol"], kw["rho1"]
-        x2 = (-sol(rho1) + path) / 2.0
-        vals = jordan3_fprime(sol, x2, rho1)
-    elif kind == "ell2":
-        prof = kw["profile"]
-        if kw.get("corner", 0) == 1:
-            vals = np.array([lambda_two_eigen(prof, 1 - 2 * s, 1 - s)
-                             for s in path]).ravel()
-        else:
-            vals = np.array([lambda_two_eigen(prof, s, 2 * s)
-                             for s in path]).ravel()
-    else:
-        raise FlowError(f"unknown scan kind {kind!r}")
-    return np.asarray(vals, dtype=float)

@@ -24,16 +24,21 @@ from .builders import EIGEN_GAP, _gap_mask
 from .kahler import nonconstant_factor
 
 __all__ = [
-    "KILLING_KEYS", "CanonicalKillingSet", "build_canonical_killing",
+    "KILLING_CHECKS", "CanonicalKillingSet", "build_canonical_killing",
     "killing_property_suite",
     "a_on_k_recurrence", "totally_geodesic_residual",
 ]
 
 GRAM_MARGIN = 1e-6
-# the property suite's checks in report order, each named killing_<key>:
-# a worst residual each, then the Gram margin of the span
-KILLING_KEYS = ("lie_g", "lie_J", "lie_A", "omega_KK", "brackets", "ham",
-                "moment", "span", "gram_margin")
+# the property suite's checks in report order, each named killing_<key>,
+# with its anchor: a worst residual each, then the Gram margin of the span
+KILLING_CHECKS = (
+    ("lie_g", "L_K g"), ("lie_J", "L_K J"), ("lie_A", "L_K A"),
+    ("omega_KK", "omega(K_i,K_j)"), ("brackets", "[K,K],[K,JK],[JK,JK]"),
+    ("ham", "i_K omega + d mu"), ("moment", "K_j(mu_i)"),
+    ("span", "J nabla_K K in span(K)"),
+    ("gram_margin", "det g(K_i,K_j) != 0"),
+)
 
 
 class CanonicalKillingSet:
@@ -77,7 +82,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
     rep = ResidualReport(title="killing-suite")
     scale_g = 1.0 + max_abs(g.c[0])
 
-    worst = {k: 0.0 for k in KILLING_KEYS[:-1]}
+    worst = {k: 0.0 for k, _ in KILLING_CHECKS[:-1]}
     JK = []
     for K in ks.K:
         JK.append(jet_einsum("nab,nb->na", J.truncate(K.order), K))
@@ -123,18 +128,12 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
                 normal_part(w_, Kv, g.c[0], gram_inv)[mask])
                 / (1.0 + max_abs(w_)))
 
-    anchors = {
-        "lie_g": "L_K g", "lie_J": "L_K J", "lie_A": "L_K A",
-        "omega_KK": "omega(K_i,K_j)", "brackets": "[K,K],[K,JK],[JK,JK]",
-        "ham": "i_K omega + d mu", "moment": "K_j(mu_i)",
-        "span": "J nabla_K K in span(K)",
-    }
-    for key in KILLING_KEYS[:-1]:
-        rep.add(CheckEntry(f"killing_{key}", anchors[key], worst[key], tol,
+    for key, anchor in KILLING_CHECKS[:-1]:
+        rep.add(CheckEntry(f"killing_{key}", anchor, worst[key], tol,
                            samples=n, excluded=excl))
-    rep.add(CheckEntry("killing_gram_margin", "det g(K_i,K_j) != 0",
-                       float(margin), GRAM_MARGIN, mode="min>=tol",
-                       samples=n, excluded=excl))
+    key, anchor = KILLING_CHECKS[-1]
+    rep.add(CheckEntry(f"killing_{key}", anchor, float(margin), GRAM_MARGIN,
+                       mode="min>=tol", samples=n, excluded=excl))
     return rep
 
 

@@ -10,6 +10,8 @@ tends to k^(ell-1)(x) / (ell-1)! as the tuple collapses to x.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .jets import Jet
@@ -81,14 +83,7 @@ def collision_limit(k, x, ell):
     t = Jet.seed(0, np.array([float(x)]), 1, ell - 1)
     f = k(t)
     coeff = f.c[ell - 1].reshape(-1)[0]
-    return float(coeff) / _factorial(ell - 1)
-
-
-def _factorial(n):
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
+    return float(coeff) / math.factorial(ell - 1)
 
 
 def collision_limit_numeric(k, x, ell):

@@ -12,6 +12,7 @@ from cprojlab.builders import (
 from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
 )
+from cprojlab.flows import split_lie_suite
 from cprojlab.jets import Jet, jet_einsum
 from cprojlab.kahler import (
     check_kahler, cproj_residual, proj_residual, shift_endo,
@@ -257,23 +258,37 @@ def test_jordan_pairs_compatible(qp_jordan2, qp_jordan3):
         assert proj_residual(f).entries[0].value <= 1e-7
 
 
+def _pure_block_fields(qp):
+    # the first block of the spec alone
+    pure = build_quotient_pair(CompatiblePairSpec((qp.blocks[0],),
+                                                  name="pure"))
+    return pure.eval(sample(pure, 25), order=1)
+
+
 def test_jordan_split_lie_equations(qp_jordan2, qp_jordan3, jordan2_sol,
                                     jordan3_sol):
     for qp, sol in ((qp_jordan2, jordan2_sol), (qp_jordan3, jordan3_sol)):
-        # restrict to the pure block: first block of the spec alone
-        spec = CompatiblePairSpec((qp.blocks[0],), name="pure")
-        pure = build_quotient_pair(spec)
-        f = pure.eval(sample(pure, 25), order=1)
-        n2, C = sol.n2, sol.C
-        trL = np.trace(f.A.c[0], axis1=-2, axis2=-1)
-        rhs_L = f.A.c[0] - np.einsum("nab,nbc->nac", f.A.c[0], f.A.c[0])
-        hL = np.einsum("nac,ncb->nab", f.g.c[0], f.A.c[0])
-        rhs_h = (n2 - 1.0) * hL \
-            - (trL + C + n2)[:, None, None] * f.g.c[0]
-        assert max_abs(lie_endo(f.A, f.v) - rhs_L) \
-            / (1 + max_abs(rhs_L)) <= 1e-7
-        assert max_abs(lie_metric(f.g, f.v) - rhs_h) \
-            / (1 + max_abs(rhs_h)) <= 1e-7
+        rep = split_lie_suite(_pure_block_fields(qp), sol.n2, sol.C,
+                              tol=1e-7)
+        assert rep.overall_pass, rep.entries
+
+
+@pytest.mark.parametrize("field", ["A", "v"])
+@pytest.mark.parametrize("size", [2, 3])
+def test_split_lie_suite_fails_on_a_perturbed_block(request, size, field):
+    # L + 1e-3 Id, or (1 + 1e-3) v, breaks both split equations
+    qp = request.getfixturevalue(f"qp_jordan{size}")
+    sol = request.getfixturevalue(f"jordan{size}_sol")
+    f = _pure_block_fields(qp)
+    old = getattr(f, field)
+    if field == "A":
+        coeffs = [old.c[0] + 1e-3 * np.eye(size), *old.c[1:]]
+    else:
+        coeffs = [(1.0 + 1e-3) * c for c in old.c]
+    bad = f.replace(**{field: Jet(old.dim, old.order, coeffs)})
+    assert split_lie_suite(f, sol.n2, sol.C, tol=1e-7).overall_pass
+    rep = split_lie_suite(bad, sol.n2, sol.C, tol=1e-7)
+    assert [e.passed for e in rep.entries] == [False, False], rep.entries
 
 
 def test_jordan_fx_vanishing_rejected(jordan2_sol):

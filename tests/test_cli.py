@@ -169,6 +169,24 @@ def test_missing_required_key_exits_2(tmp_path, capsys, name, line):
     assert repr(key) in lines[0] and "block]" in lines[0]
 
 
+@pytest.mark.parametrize("line,again", [
+    ("grid = 5", "grid = 2"),
+    ("rho = 0.0 1.0", "rho = 0.0 2.0"),
+], ids=["option", "block-key"])
+def test_repeated_key_exits_2(tmp_path, capsys, line, again):
+    text = (CONFIGS / "dini-pair.cfg").read_text()
+    n = text.splitlines().index(line) + 1
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text.replace(line + "\n", f"{line}\n{again}\n", 1))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, err
+    key = line.split("=")[0].strip()
+    assert lines[0].startswith(f"error: line {n}: ")
+    assert lines[0].endswith(f"{key!r} is set again on line {n + 1}")
+
+
 def test_cli_import_skips_scipy_integrate():
     # no scipy at all: with every scipy import made to fail, the three
     # ODE scenarios still run and pass

@@ -187,7 +187,7 @@ def test_cubic_profile_constant_quarter():
 def test_predicted_pair_eigenvalue_algebra():
     preds = predicted_eigenvalues([0.0, 0.0, 1.0], eig_pairs=[(1.0, 3.0)])
     # p = t^2: (p(1)-p(3))/(1-3) = 4
-    assert abs(preds[0][3] - 4.0) <= 1e-14
+    assert abs(preds[0][2] - 4.0) <= 1e-14
 
 
 def test_compare_with_numeric_on_instance(mob_l2):

@@ -6,9 +6,10 @@ from cprojlab.builders import (
     build_mobility2, build_mobility2_projective, build_quotient_pair,
     lift_pair,
 )
+from cprojlab.curvspec import lambda_two_eigen
 from cprojlab.flows import (
-    Trajectory, blowup_scan, circle_fit, eigenvalue_flow,
-    fixed_points, flow_point, integrate_geodesic, integrate_jplanar,
+    ODES, Trajectory, circle_fit, eigenvalue_flow, flow_point,
+    integrate_geodesic, integrate_jplanar, jordan2_fprime, jordan3_fprime,
     jplanarity_residual, lie_residual_suite, logistic, tail_exponent,
     transport_check, volume_coefficient,
 )
@@ -94,9 +95,11 @@ def test_logistic_flow_and_endpoint():
 
 
 def test_fixed_points_match_flows():
-    assert fixed_points("rho(1-rho)") == (0.0, 1.0)
-    assert fixed_points("rho^2") == (0.0,)
-    assert set(fixed_points("rho^2+1")) == {1j, -1j}
+    assert ODES["rho(1-rho)"][1] == (0.0, 1.0)
+    assert ODES["rho^2"][1] == (0.0,)
+    assert set(ODES["rho^2+1"][1]) == {1j, -1j}
+    for rhs, fixed in ODES.values():
+        assert all(rhs(p) == 0 for p in fixed)
 
 
 def test_complex_orbit_circle_through_fixed_points():
@@ -116,17 +119,10 @@ def test_real_blowup_reported():
     assert traj.exit_time == pytest.approx(np.pi / 4, abs=1e-4)
 
 
-def test_lie_residual_suite_modes():
+def test_lie_residual_suite_canonical_form():
     cb = (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2))
     ch = build_mobility2(1, 1.0, -0.5, cb=cb)
     rep = lie_residual_suite(ch)
-    assert rep.max_value() <= 1e-10
-    # the same field in general-coefficient form: beta=1, delta-alpha=1,
-    # gamma=0, and tr A/2 + (n+1) alpha = rho + C fixes alpha
-    C, m1 = -0.5, 1
-    ncx = ch.dim // 2
-    alpha = (C - m1) / (ncx + 1.0)
-    rep = lie_residual_suite(ch, coeffs=(alpha, 1.0, 0.0, 1.0 + alpha))
     assert rep.max_value() <= 1e-10
 
 
@@ -151,19 +147,21 @@ def test_volume_coefficient_all_cases():
 
 
 def test_blowup_scan_exponents(jordan2_sol, jordan3_sol):
+    # toward F + x = 0 (2x2) and F + 2 x2 = 0 (3x3) at rho1 = 0.5
     s = np.geomspace(1e-1, 1e-4, 16)
-    vals = blowup_scan("jordan2", s, sol=jordan2_sol, rho1=0.5)
+    vals = jordan2_fprime(jordan2_sol, -jordan2_sol(0.5) + s, 0.5)
     assert tail_exponent(s, vals) == pytest.approx(-3.0, abs=0.05)
-    vals = blowup_scan("jordan3", s, sol=jordan3_sol, rho1=0.5)
+    vals = jordan3_fprime(jordan3_sol, (-jordan3_sol(0.5) + s) / 2.0, 0.5)
     assert tail_exponent(s, vals) == pytest.approx(-2.0, abs=0.05)
 
 
 def test_blowup_scan_two_eigen_cases():
+    # toward the corner (r1, r2) = (s, 2 s) -> 0
     s = np.geomspace(1e-1, 1e-5, 20)
-    vals = blowup_scan("ell2", s, profile=PowerProfile(1.0, -1.5, 1.5))
+    vals = lambda_two_eigen(PowerProfile(1.0, -1.5, 1.5), s, 2 * s)
     assert abs(tail_exponent(s, vals) + 1.5) <= 0.05
     assert abs(vals[-1]) > 100 * abs(vals[0])
-    flat = blowup_scan("ell2", s, profile=PowerProfile(1.0, 0.0, 3.0))
+    flat = lambda_two_eigen(PowerProfile(1.0, 0.0, 3.0), s, 2 * s)
     assert np.max(np.abs(flat - 0.25)) <= 1e-8
 
 
