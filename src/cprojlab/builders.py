@@ -56,7 +56,7 @@ import numpy as np
 
 from .jets import (
     Jet, jstack, jet_det, jet_einsum, jet_inv, jet_matmul, jet_trace,
-    jet_transpose, polyval,
+    jet_transpose, polyval, tensor_partial,
 )
 from .geometry import (
     Box, christoffel, gradient, lie_endo, lie_metric, metric_inverse,
@@ -469,15 +469,27 @@ def _const_matrices(cb):
 
 def esp_jets(vals, dim, order, shape, upto=None):
     """Elementary symmetric polynomials e_0..e_upto of a list of jets with
-    batch shape ``shape``."""
+    batch shape ``shape``.
+
+    Folding in value i gives e_k += v_i e_(k-1) for k = i+1 down to 1, but
+    no step multiplies by a constant: e_1 starts as v_0 and gains each
+    later value by a sum, and e_(i+1) starts as the product v_i e_i that
+    first reaches it.  So n values cost n(n-1)/2 jet products, and the
+    values are those of the dense recurrence from e = (1, 0, ..., 0),
+    since 0 + x and x * 1 are x (up to the sign of a zero).  e_0, and
+    each e_k past the last value, is a constant jet."""
     if upto is None:
         upto = len(vals)
     e = [Jet.const(np.ones(shape), dim, order)]
-    e += [Jet.const(np.zeros(shape), dim, order) for _ in range(upto)]
     for i, v in enumerate(vals):
-        # e_k is still zero for k > i, so value i changes e_1..e_(i+1) only
-        for k in range(min(upto, i + 1), 0, -1):
+        if i < upto:
+            e.append(v if i == 0 else v * e[i])
+        for k in range(min(upto, i), 1, -1):
             e[k] = e[k] + v * e[k - 1]
+        if i and upto:
+            e[1] = e[1] + v
+    e += [Jet.const(np.zeros(shape), dim, order)
+          for _ in range(upto + 1 - len(e))]
     return e
 
 
@@ -497,7 +509,7 @@ def _place(n, dim, order, shape, parts) -> Jet:
             if k == 0 or isinstance(b, Jet):
                 c[(slice(None),) + idx] = arr
         coeffs.append(c)
-    return Jet(dim, order, coeffs)
+    return Jet._of(dim, order, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -764,7 +776,7 @@ def mobility_field(pts, order, M, rho_idx) -> Jet:
         coeffs.append(hess)
     if order >= 3:
         coeffs.append(np.zeros((n,) + (d,) * 4))
-    return Jet(d, order, coeffs)
+    return Jet._of(d, order, coeffs)
 
 
 def _v_support(d, t_sl, y_sl):
@@ -850,7 +862,7 @@ class KahlerChart:
             for k in range(1, order + 1)]
         if order:
             coeffs[1][..., self.y_sl] = B.transpose(0, 2, 1)
-        return Jet(self.dim, order, coeffs)
+        return Jet._of(self.dim, order, coeffs)
 
     def _chi(self, rhos, order):
         """chi_L(c) of each y coordinate's constant factor c, as the
@@ -898,8 +910,11 @@ class KahlerChart:
         qpf, rows = self.qp._parts(pts[:, self.u_sl], order + 1,
                                    ambient_dim=self.dim, offset=ell)
         h = qpf.g.truncate(order)
-        P = jstack([[qpf.mus[a + 1].partial(ell + i) for i in range(ell)]
-                    for a in range(ell)])
+        # d mu_a / d u_i: the u columns of the gradient of (mu_1..mu_ell),
+        # copied contiguous so the products below get the layout of a jstack
+        dmu = tensor_partial(jstack(qpf.mus[1:ell + 1]))
+        P = Jet._of(self.dim, order, [np.ascontiguousarray(c[:, :, self.u_sl])
+                                      for c in dmu.c])
         H = jet_matmul(P, jet_matmul(jet_inv(h), jet_transpose(P)))
         return qpf, rows, h, P, H
 

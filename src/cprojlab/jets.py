@@ -45,7 +45,20 @@ orientation, term specs) is worked out once per ``(spec, which operand is
 larger)`` or ``(spec, order)`` and cached.  The check suites call
 ``contract`` for their matrix products too.
 
-Jets are immutable values and every operation is pure.
+Jets are immutable values and every operation is pure.  So an identity
+costs no new jet: ``real`` of a real jet and ``truncate`` to the jet's own
+order return the jet itself, and ``jet_map`` of a spec that only permutes
+axes (``"nij->nji"``) transposes each coefficient by a cached permutation,
+the view ``np.einsum`` gives, without parsing the spec per order.
+
+Construction: the public ``Jet(dim, order, coeffs)`` checks the order
+(0..MAX_ORDER), the dim (at least 1) and the coefficient count, and casts
+integer coefficients to float; ``Jet.seed`` and ``Jet.const`` check the
+dim and order they are given.  ``Jet._of`` checks nothing: it takes
+arrays that were just computed from a jet's own (arithmetic, ``truncate``,
+``compose1``, ``imag``, ``conj``, ``jstack``, the contractions) or built
+with the right shape and a float or complex dtype (the seed and constant
+coefficients, the builders' exact fields).
 """
 
 from __future__ import annotations
@@ -96,6 +109,13 @@ def _as_array(v):
     return a
 
 
+def _check_shape(dim, order):
+    if not (0 <= order <= MAX_ORDER):
+        raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
+    if dim < 1:
+        raise JetError(f"dim must be >= 1, got {dim}")
+
+
 class Jet:
     __slots__ = ("dim", "order", "c")
     # an ndarray operand defers to the jet's reflected methods, so
@@ -103,10 +123,7 @@ class Jet:
     __array_ufunc__ = None
 
     def __init__(self, dim: int, order: int, coeffs):
-        if not (0 <= order <= MAX_ORDER):
-            raise JetError(f"order must be in 0..{MAX_ORDER}, got {order}")
-        if dim < 1:
-            raise JetError(f"dim must be >= 1, got {dim}")
+        _check_shape(dim, order)
         if len(coeffs) != order + 1:
             raise JetError("coefficient count does not match order")
         self.dim = dim
@@ -115,7 +132,7 @@ class Jet:
 
     @classmethod
     def _of(cls, dim: int, order: int, coeffs) -> "Jet":
-        """A jet of arrays that arithmetic just computed: no checks and no
+        """A jet of arrays that were just computed: no checks and no
         ``_as_array`` pass."""
         j = object.__new__(cls)
         j.dim, j.order, j.c = dim, order, tuple(coeffs)
@@ -126,6 +143,7 @@ class Jet:
     @classmethod
     def seed(cls, index: int, value, dim: int, order: int) -> "Jet":
         """Jet of the coordinate function x_index at the given value(s)."""
+        _check_shape(dim, order)
         if not (0 <= index < dim):
             raise JetError(f"seed index {index} out of range for dim {dim}")
         v = _as_array(value)
@@ -136,16 +154,17 @@ class Jet:
             coeffs.append(g)
         for k in range(2, order + 1):
             coeffs.append(np.zeros(v.shape + (dim,) * k, dtype=v.dtype))
-        return cls(dim, order, coeffs)
+        return cls._of(dim, order, coeffs)
 
     @classmethod
     def const(cls, value, dim: int, order: int) -> "Jet":
+        _check_shape(dim, order)
         v = _as_array(value)
         coeffs = [v] + [
             np.zeros(v.shape + (dim,) * k, dtype=v.dtype)
             for k in range(1, order + 1)
         ]
-        return cls(dim, order, coeffs)
+        return cls._of(dim, order, coeffs)
 
     # -- accessors -----------------------------------------------------
 
@@ -171,20 +190,14 @@ class Jet:
             raise JetError("jet carries no third-order data (order < 3)")
         return self.c[3]
 
-    def partial(self, index: int) -> "Jet":
-        """Jet of the partial derivative d/dx_index, one order lower."""
-        if self.order < 1:
-            raise JetError("cannot take a partial of an order-0 jet")
-        if not (0 <= index < self.dim):
-            raise JetError(f"partial index {index} out of range")
-        coeffs = [np.take(self.c[k + 1], index, axis=-1)
-                  for k in range(self.order)]
-        return Jet(self.dim, self.order - 1, coeffs)
-
     def truncate(self, order: int) -> "Jet":
-        if order > self.order:
-            raise JetError("cannot raise the order of a jet")
-        return Jet(self.dim, order, self.c[: order + 1])
+        """The jet to a lower order; the jet itself at its own order."""
+        if order == self.order:
+            return self
+        if not 0 <= order < self.order:
+            raise JetError(f"cannot truncate an order-{self.order} jet to "
+                           f"order {order}")
+        return Jet._of(self.dim, order, self.c[: order + 1])
 
     # -- arithmetic ----------------------------------------------------
 
@@ -302,7 +315,7 @@ class Jet:
         """
         if len(table) < self.order + 1:
             raise JetError("derivative table too short for jet order")
-        T = [np.asarray(t) for t in table]
+        T = [_as_array(t) for t in table]
         u = self.c
         b = np.broadcast_shapes(T[0].shape, u[0].shape)
         out = [np.broadcast_to(T[0], b).copy()]
@@ -324,7 +337,7 @@ class Jet:
                 + T[2][..., None, None, None] * sym21
                 + T[1][..., None, None, None] * u[3]
             )
-        return Jet(self.dim, self.order, out)
+        return Jet._of(self.dim, self.order, out)
 
     def _reciprocal(self) -> "Jet":
         v = self.c[0]
@@ -382,15 +395,18 @@ class Jet:
     # -- complex helpers -----------------------------------------------
 
     def conj(self):
-        return Jet(self.dim, self.order, [np.conj(a) for a in self.c])
+        return Jet._of(self.dim, self.order, [np.conj(a) for a in self.c])
 
     @property
     def real(self):
-        return Jet(self.dim, self.order, [np.real(a) for a in self.c])
+        """The real part; a real jet is its own."""
+        if not any(a.dtype.kind == "c" for a in self.c):
+            return self
+        return Jet._of(self.dim, self.order, [np.real(a) for a in self.c])
 
     @property
     def imag(self):
-        return Jet(self.dim, self.order, [np.imag(a) for a in self.c])
+        return Jet._of(self.dim, self.order, [np.imag(a) for a in self.c])
 
 
 def polyval(coeffs, x: Jet) -> Jet:
@@ -443,15 +459,32 @@ def jstack(cells) -> Jet:
         for i, j in enumerate(flat):
             cells_k[:, i] = j.c[k]
         coeffs.append(out)
-    return Jet(j0.dim, j0.order, coeffs)
+    return Jet._of(j0.dim, j0.order, coeffs)
+
+
+@functools.lru_cache(maxsize=None)
+def _axis_perm(sub: str):
+    """The axis permutation of a spec that only permutes its axes
+    (``"nij->nji"``), or None for any other spec."""
+    ins, out = sub.split("->")
+    if len(set(ins)) != len(ins) or sorted(ins) != sorted(out):
+        return None
+    return tuple(ins.index(c) for c in out)
 
 
 def jet_map(sub: str, a: Jet) -> Jet:
     """Apply a linear einsum reshuffle (transpose, trace, ...) per coefficient.
 
     ``sub`` addresses only the batch and component axes; derivative axes are
-    appended automatically.
+    appended automatically.  A spec that only permutes axes is a transpose,
+    the view ``np.einsum`` would return.
     """
+    perm = _axis_perm(sub)
+    if perm is not None:
+        n = len(perm)
+        return Jet._of(a.dim, a.order,
+                       [c.transpose(perm + tuple(range(n, n + k)))
+                        for k, c in enumerate(a.c)])
     ins, out = sub.split("->")
     coeffs = []
     for k in range(a.order + 1):

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cprojlab.builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Jordan2,
@@ -339,9 +340,10 @@ def test_esp_jets_values():
     assert np.all(e0.c[0] == 1.0)
 
 
-@pytest.mark.parametrize("n,products", [(2, 3), (3, 6), (4, 10)])
+@pytest.mark.parametrize("n,products", [(2, 1), (3, 3), (4, 6)])
 def test_esp_jets_multiplies_only_nonzero_levels(monkeypatch, n, products):
-    # folding in value i touches e_1..e_(i+1) only: n(n+1)/2 products
+    # folding in value i touches e_1..e_(i+1) only, and no product has a
+    # constant factor (e_0 = 1 or a zero level): n(n-1)/2 products
     count = []
     orig = Jet.__mul__
 
@@ -357,6 +359,74 @@ def test_esp_jets_multiplies_only_nonzero_levels(monkeypatch, n, products):
     assert len(count) == products
     x = np.linspace(1.0, 2.0, 5)
     assert np.allclose(e[n].c[0], np.prod([x + k for k in range(n)], axis=0))
+
+
+def _esp_dense(vals, dim, order, shape, upto):
+    """The dense recurrence from e = (1, 0, ..., 0): every value runs
+    through e_k += v e_(k-1) for each level k it can reach, the constant
+    levels included.  The reference ``esp_jets`` must equal."""
+    e = [Jet.const(np.ones(shape), dim, order)]
+    e += [Jet.const(np.zeros(shape), dim, order) for _ in range(upto)]
+    for i, v in enumerate(vals):
+        for k in range(min(upto, i + 1), 0, -1):
+            e[k] = e[k] + v * e[k - 1]
+    return e
+
+
+@given(cplx=st.lists(st.booleans(), max_size=5), data=st.data(),
+       dim=st.integers(1, 3), order=st.integers(0, 3), n=st.integers(1, 3),
+       seed=st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_esp_jets_equals_the_dense_recurrence(cplx, data, dim, order, n,
+                                              seed):
+    # values real or complex, each its own kind, with nonzero coefficients:
+    # equal bit for bit, dtype and shape included (a -0.0 coefficient
+    # would differ only in its sign, which the reference's 0 + x drops)
+    upto = data.draw(st.integers(0, len(cplx)), label="upto")
+    rng = np.random.default_rng(seed)
+
+    def coeff(shape, c):
+        a = rng.normal(size=shape)
+        return a + 1j * rng.normal(size=shape) if c else a
+
+    vals = [Jet(dim, order, [coeff((n,) + (dim,) * k, c)
+                             for k in range(order + 1)]) for c in cplx]
+    got = esp_jets(vals, dim, order, (n,), upto=upto)
+    want = _esp_dense(vals, dim, order, (n,), upto)
+    assert len(got) == len(want) == upto + 1
+    for g, w in zip(got, want):
+        assert (g.dim, g.order) == (w.dim, w.order)
+        for a, b in zip(g.c, w.c, strict=True):
+            assert a.dtype == b.dtype and a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+def test_jacobian_rhs_builds_at_most_40_jets(monkeypatch):
+    # one geodesic right-hand side on the Dini Jacobian lift: an order-1
+    # metric and its Christoffel symbols at N = 1, whose cost is per-call
+    # overhead.  Every jet comes from ``Jet.__init__`` or ``Jet._of``; the
+    # count guards that cost where timing on a noisy host cannot
+    lift = lift_pair(build_quotient_pair(pair_dini()), route="jacobian")
+    x = lift.window.center()
+    want = christoffel(lift.metric(x, order=1))
+    built = []
+    init, of = Jet.__init__, Jet._of.__func__
+
+    def counted_init(self, *a):
+        built.append(1)
+        init(self, *a)
+
+    def counted_of(cls, *a):
+        built.append(1)
+        return of(cls, *a)
+
+    monkeypatch.setattr(Jet, "__init__", counted_init)
+    monkeypatch.setattr(Jet, "_of", classmethod(counted_of))
+    got = christoffel(lift.metric(x, order=1))
+    monkeypatch.undo()
+    assert 0 < len(built) <= 40
+    for a, b in zip(got.c, want.c, strict=True):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_mu_jets_are_symmetric_functions(qp_dini):

@@ -1,6 +1,8 @@
 import itertools
 import operator
+import re
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from cprojlab.jets import (
     Jet, JetDomainError, JetError, polyval, contract,
-    jstack, jet_einsum, jet_det, jet_inv, jet_matmul, jet_trace,
+    jstack, jet_einsum, jet_det, jet_inv, jet_map, jet_matmul, jet_trace,
     tensor_partial,
 )
 from fd_oracle import fd_gradient, fd_hessian, fd_third
@@ -35,6 +37,82 @@ def test_seed_basics():
 def test_seed_index_out_of_range():
     with pytest.raises(JetError):
         Jet.seed(2, 0.0, dim=2, order=1)
+
+
+@pytest.mark.parametrize("make", [
+    lambda dim, order: Jet(dim, order, [np.zeros(())] * (order + 1)),
+    lambda dim, order: Jet.seed(0, 0.5, dim, order),
+    lambda dim, order: Jet.const(0.5, dim, order),
+], ids=["init", "seed", "const"])
+@pytest.mark.parametrize("dim,order", [(2, 4), (2, -1), (0, 1)])
+def test_constructors_check_dim_and_order(make, dim, order):
+    with pytest.raises(JetError):
+        make(dim, order)
+
+
+def test_constructor_checks_coefficient_count():
+    with pytest.raises(JetError, match="coefficient count"):
+        Jet(2, 1, [np.zeros(3)])
+    with pytest.raises(JetError, match="coefficient count"):
+        Jet(2, 1, [np.zeros(3), np.zeros((3, 2)), np.zeros((3, 2, 2))])
+
+
+def test_identity_shortcuts_return_the_jet():
+    x = Jet.seed(0, np.array([0.5, -1.0]), dim=2, order=3)
+    f = x * x + 1.0
+    assert f.real is f
+    assert f.truncate(3) is f
+    t = f.truncate(1)
+    assert t.order == 1 and t.c[0] is f.c[0] and t.c[1] is f.c[1]
+    assert t.truncate(1) is t
+    for bad in (4, -1):
+        with pytest.raises(JetError):
+            f.truncate(bad)
+    im = f.imag
+    assert im.order == 3 and all(not np.any(a) for a in im.c)
+    assert [a.shape for a in im.c] == [a.shape for a in f.c]
+    z = f * (1.0 + 2.0j)
+    zr = z.real
+    assert zr is not z and all(a.dtype == np.float64 for a in zr.c)
+    for a, b in zip(zr.c, f.c):
+        np.testing.assert_array_equal(a, b)
+
+
+def _permutation_specs():
+    """Every jet_map spec in src/cprojlab that only permutes its axes."""
+    src = Path(__file__).resolve().parents[1] / "src" / "cprojlab"
+    found = set()
+    for path in src.glob("*.py"):
+        found |= set(re.findall(r'jet_map\("([^"]+)"', path.read_text()))
+    return sorted(s for s in found
+                  if sorted(s.split("->")[0]) == sorted(s.split("->")[1]))
+
+
+def test_permutation_specs_are_found():
+    assert {"nij->nji", "nbda->ndab", "nadb->ndab",
+            "nabd->ndab"} <= set(_permutation_specs())
+
+
+@pytest.mark.parametrize("spec", _permutation_specs())
+@pytest.mark.parametrize("cplx", [False, True])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_jet_map_permutation_equals_einsum(spec, cplx, order):
+    ins, out = spec.split("->")
+    rng = np.random.default_rng(7)
+    dim = 2
+    shape = (3,) + tuple(2 + i for i in range(len(ins) - 1))
+    coeffs = []
+    for k in range(order + 1):
+        a = rng.normal(size=shape + (dim,) * k)
+        coeffs.append(a + 1j * rng.normal(size=a.shape) if cplx else a)
+    a = Jet(dim, order, coeffs)
+    got = jet_map(spec, a)
+    assert got.order == order and got.dim == dim
+    for k, c in enumerate(got.c):
+        d = "xyz"[:k]
+        want = np.einsum(f"{ins}{d}->{out}{d}", a.c[k])
+        assert c.shape == want.shape and c.dtype == want.dtype
+        assert c.tobytes() == want.tobytes()
 
 
 def test_square_and_reciprocal_closed_form():
@@ -171,9 +249,9 @@ def test_partial_shifts_coefficients():
     x = Jet.seed(0, 0.3, dim=2, order=3)
     y = Jet.seed(1, 0.9, dim=2, order=3)
     f = x * x * y
-    fx = f.partial(0)
-    assert np.allclose(fx.value, 2 * 0.3 * 0.9)
-    assert np.allclose(fx.grad, [2 * 0.9, 2 * 0.3])
+    fx = tensor_partial(f)     # the derivative index is the last axis
+    assert np.allclose(fx.value[0], 2 * 0.3 * 0.9)
+    assert np.allclose(fx.grad[0], [2 * 0.9, 2 * 0.3])
 
 
 def test_polyval_horner():
