@@ -1302,7 +1302,10 @@ class JordanOdeSolution:
                       self._entries(rho))
 
     def _rhs(self, t, y):
-        return self._matrix_values(t) @ y
+        # one matrix-vector product per column, as BLAS forms it for a
+        # single state, so the solution does not depend on the batching
+        M = np.ascontiguousarray(np.moveaxis(self._matrix_values(t), -1, 0))
+        return (M @ y.T[..., None])[..., 0].T
 
     def values(self, rho):
         rho = np.atleast_1d(np.asarray(rho, dtype=float))

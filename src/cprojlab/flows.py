@@ -8,8 +8,11 @@ evaluation, which would also build omega, J and A.  Planarity of a
 trajectory with respect to a second metric is measured by projecting the
 acceleration off span{velocity, J velocity}.
 Eigenvalue transport along the canonical mobility field follows the
-logistic law; the scalar flows rho' = rho^2 + 1, rho(1-rho), rho^2 trace
-circles in the complex plane whose fit closes the phase-portrait checks.
+logistic law; its forward and backward integral curves are rescaled to
+one parameter interval and solved as one system, so each right-hand side
+evaluates v once at both curves' points.  The scalar flows
+rho' = rho^2 + 1, rho(1-rho), rho^2 trace circles in the complex plane
+whose fit closes the phase-portrait checks.
 The split Lie equations of a nilpotent block, the volume response of the
 leaf metric under the off-leaf part of v and the closed-form curvature
 eigenvalues of the nilpotent blocks, with the exponent fit of their
@@ -18,6 +21,9 @@ divergence, complete the module.
 Integrator contract: the ``tol`` argument bounds the local error and the
 solver is driven quadratically harder than requested (internal tolerance
 tol^2), so halving ``tol`` cuts the endpoint error by about four.
+Every right-hand side is vectorized as ``cprojlab.ode`` asks: it takes
+states as the columns of y, one time each, and evaluates the chart once
+at all their points.
 """
 
 from __future__ import annotations
@@ -97,10 +103,11 @@ def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
 
     def rhs(t, y):
         x, v = y[:d], y[d:]
-        gam, J = _connection(chart, x[None], beta is not None)
-        acc = -np.einsum("cab,a,b->c", gam[0], v, v)
+        gam, J = _connection(chart, x.T, beta is not None)
+        acc = -np.einsum("kcab,ak,bk->ck", gam, v, v)
         if beta is not None:
-            acc = acc + beta(t) * (J[0] @ v)
+            acc = acc + np.array([beta(tk) for tk in t]) * np.einsum(
+                "kab,bk->ak", J, v)
         return np.concatenate([v, acc])
 
     def exit_event(t, y):
@@ -172,8 +179,10 @@ def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
     f, _ = ODES[ode]
 
     def rhs(t, y):
-        r = y[0] + 1j * y[1]
-        dr = f(r)
+        # one state at a time in complex scalars: numpy's complex array
+        # product fuses a multiply-add that scalar arithmetic rounds twice,
+        # and the orbit should not depend on how the states are batched
+        dr = np.array([f(a + 1j * b) for a, b in y.T])
         return [dr.real, dr.imag]
 
     def escape(t, y):
@@ -254,30 +263,40 @@ def split_lie_suite(flds, n2, C, tol=1e-6) -> ResidualReport:
     return rep
 
 
-def flow_point(chart, x0, T, n_out=120) -> Trajectory:
-    """Integral curve of the chart's vector field v."""
+def flow_point(chart, x0, spans, n_out=120) -> list[Trajectory]:
+    """Integral curves of the chart's vector field v from ``x0``, one over
+    (0, T) for each T in ``spans``, solved as one system: x_T(s) = x(T s)
+    solves x_T' = T v(x_T) on s in [0, 1], so every right-hand side is one
+    ``v_field`` call at all the curves' points."""
     if chart.v_matrix is None:
         raise FlowError("chart carries no vector field")
+    spans = np.asarray(spans, dtype=float)
+    m, d = spans.size, chart.dim
 
-    def rhs(t, y):
-        return chart.v_field(y[None], order=0).c[0][0]
+    def rhs(s, y):
+        k = y.shape[1]
+        pts = y.reshape(m, d, k).transpose(0, 2, 1).reshape(m * k, d)
+        v = chart.v_field(pts, order=0).c[0].reshape(m, k, d)
+        return (spans[:, None, None] * v).transpose(0, 2, 1).reshape(m * d, k)
 
-    sol, _ = _solve(rhs, T, np.asarray(x0, dtype=float), 1e-10)
-    ts = np.linspace(0.0, T, n_out)
-    ys = sol(ts).T
-    return Trajectory(t=ts, x=ys, v=np.empty((n_out, 0)))
+    sol, _ = _solve(rhs, 1.0, np.tile(np.asarray(x0, dtype=float), m), 1e-10)
+    s = np.linspace(0.0, 1.0, n_out)
+    xs = sol(s).reshape(m, d, n_out)
+    return [Trajectory(t=T * s, x=x.T, v=np.empty((n_out, 0)))
+            for T, x in zip(spans, xs)]
 
 
 def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6
                     ) -> ResidualReport:
-    """Eigenvalue transport along v against the logistic closed form."""
+    """Eigenvalue transport along v against the logistic closed form, both
+    directions in one solve."""
     if x0 is None:
         x0 = chart.window.center()
     rho_idx = chart.rho_idx[0]
     rho0 = float(x0[rho_idx])
     worst = 0.0
-    for T in (t_span[1], t_span[0]):
-        traj = flow_point(chart, x0, T, n_out=TRANSPORT_POINTS)
+    for traj in flow_point(chart, x0, (t_span[1], t_span[0]),
+                           n_out=TRANSPORT_POINTS):
         rho_t = traj.x[:, rho_idx]
         expect = logistic(rho0, traj.t)
         worst = max(worst, float(np.max(np.abs(rho_t - expect))))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cprojlab import ode
 from cprojlab.builders import (
     CompatiblePairSpec, ConstantBlock, PowerProfile, Real1D,
     build_mobility2, build_mobility2_projective, build_quotient_pair,
@@ -8,10 +9,10 @@ from cprojlab.builders import (
 )
 from cprojlab.curvspec import lambda_two_eigen
 from cprojlab.flows import (
-    ODES, Trajectory, circle_fit, eigenvalue_flow, flow_point,
-    integrate_geodesic, integrate_jplanar, jordan2_fprime, jordan3_fprime,
-    jplanarity_residual, lie_residual_suite, logistic, tail_exponent,
-    transport_check, volume_coefficient,
+    ODES, TRANSPORT_POINTS, Trajectory, circle_fit, eigenvalue_flow,
+    flow_point, integrate_geodesic, integrate_jplanar, jordan2_fprime,
+    jordan3_fprime, jplanarity_residual, lie_residual_suite, logistic,
+    tail_exponent, transport_check, volume_coefficient,
 )
 from cprojlab.geometry import max_abs
 
@@ -133,6 +134,47 @@ def test_transport_matches_logistic():
     assert rep.entries[0].value <= 1e-8
 
 
+def _transport_two_solves(chart, x0, t_span):
+    """The transport value from one solve per direction, each at the
+    internal tolerance of ``transport_check`` and with one ``v_field``
+    call per state: the reference for the joint solve."""
+    rho_idx = chart.rho_idx[0]
+
+    def rhs(t, y):
+        return np.stack([chart.v_field(x[None], order=0).c[0][0]
+                         for x in y.T], axis=1)
+
+    worst = 0.0
+    for T in (t_span[1], t_span[0]):
+        sol, _ = ode.integrate(rhs, (0.0, T), x0, 1e-13, 1e-13)
+        ts = np.linspace(0.0, T, TRANSPORT_POINTS)
+        rho = sol(ts)[rho_idx]
+        worst = max(worst, float(np.max(np.abs(
+            rho - logistic(x0[rho_idx], ts)))))
+    return worst
+
+
+def test_transport_solves_both_directions_at_once(monkeypatch):
+    from cprojlab import flows
+    cb = (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2))
+    ch = build_mobility2(1, 1.0, -1.0, cb=cb)
+    x0, t_span = ch.window.center(), (-3.0, 3.0)
+    calls = _count_calls(monkeypatch, ch, ("v_field",))
+    want = _transport_two_solves(ch, x0, t_span)
+    ref_calls, calls["v_field"] = calls["v_field"], 0
+    states = []
+
+    def spy(fun, t_span, y0, *a):
+        states.append(np.size(y0))
+        return ode.integrate(fun, t_span, y0, *a)
+
+    monkeypatch.setattr(flows, "integrate", spy)
+    got = transport_check(ch, x0, t_span).entries[0].value
+    assert states == [2 * ch.dim]
+    assert abs(got - want) <= 1e-11
+    assert calls["v_field"] <= 0.5 * ref_calls
+
+
 def test_volume_coefficient_all_cases():
     cb = (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2))
     for C, expect in ((-0.5, -1.5), (-1.0, 0.0), (-1.5, 1.5)):
@@ -184,7 +226,7 @@ def test_reparameterization_invariance(flat_chart):
 def test_flow_requires_vector_field(qp_dini):
     chart = lift_pair(qp_dini, route="jacobian")
     with pytest.raises(Exception):
-        flow_point(chart, chart.window.center(), 1.0)
+        flow_point(chart, chart.window.center(), (1.0,))
 
 
 def _count_calls(monkeypatch, chart, names):

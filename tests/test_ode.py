@@ -1,8 +1,10 @@
 """``cprojlab.ode`` against scipy's DOP853 as the oracle.
 
 Every call site's problem is captured as it is handed to ``integrate``
-and then solved by both integrators: the dense outputs, the right-hand
-side counts and the terminal event times must agree.
+and then solved by both integrators: the dense outputs, the states the
+right-hand side is evaluated on and the terminal event times must agree.
+Scipy calls the right-hand side once per state; ``integrate`` batches the
+dense-output stages of all accepted steps into three calls.
 """
 
 import numpy as np
@@ -29,16 +31,27 @@ def captured(monkeypatch):
 
 
 def _counted(fun):
+    """``fun`` recording the number of states (columns) of each call."""
+    def f(t, y):
+        f.widths.append(y.shape[1])
+        return fun(t, y)
+    f.widths = []
+    return f
+
+
+def _one_state(fun):
+    """The vectorized ``fun`` as scipy calls it by default: one state of
+    shape (n,) at a scalar t, with a count of the calls."""
     def f(t, y):
         f.n += 1
-        return fun(t, y)
+        return np.asarray(fun(np.array([t]), y[:, None]))[:, 0]
     f.n = 0
     return f
 
 
 def assert_matches_scipy(fun, t_span, y0, rtol, atol, event=None):
     """Solve with both integrators; returns whether the event fired."""
-    ours, ref_fun = _counted(fun), _counted(fun)
+    ours, ref_fun = _counted(fun), _one_state(fun)
     sol, t_event = ode.integrate(ours, t_span, y0, rtol, atol, event)
     events = None
     if event is not None:
@@ -48,7 +61,10 @@ def assert_matches_scipy(fun, t_span, y0, rtol, atol, event=None):
     ref = solve_ivp(ref_fun, t_span, y0, method="DOP853", rtol=rtol,
                     atol=atol, dense_output=True, events=events)
     assert ref.success, ref.message
-    assert ours.n == ref_fun.n
+    # the same states; the dense stages of the s steps take 3 calls, not 3s
+    steps = len(sol.h)
+    assert sum(ours.widths) == ref_fun.n
+    assert len(ours.widths) == ref_fun.n - 3 * (steps - 1)
     # the same steps; the last boundary is the event time if one fired
     assert sol.ts.shape == ref.t.shape
     np.testing.assert_allclose(sol.ts, ref.t, rtol=1e-12, atol=1e-12)
@@ -70,6 +86,14 @@ def test_dini_geodesic_with_window_exit(captured, qp_dini):
     assert traj.exited
     (problem,) = captured
     assert assert_matches_scipy(*problem)
+    # the dense-output stages: three calls of width s, after the steps
+    fun, t_span, y0, rtol, atol, event = problem
+    counted = _counted(fun)
+    sol, _ = ode.integrate(counted, t_span, y0, rtol, atol, event)
+    steps = len(sol.h)
+    assert steps > 1
+    assert counted.widths[-3:] == [steps] * 3
+    assert set(counted.widths[:-3]) == {1}
 
 
 @pytest.mark.parametrize("kind, init", [("2x2", (0.5, 0.1)),
@@ -83,12 +107,12 @@ def test_jordan_systems_both_directions(captured, kind, init):
 
 
 def test_flow_point_transport(captured, mob_l2):
+    # both directions are one joint problem of twice the chart dimension
     x0 = mob_l2.window.center()
-    for T in (1.0, -1.0):
-        flows.flow_point(mob_l2, x0, T)
-    assert len(captured) == 2
-    for problem in captured:
-        assert_matches_scipy(*problem)
+    flows.flow_point(mob_l2, x0, (1.0, -1.0))
+    (problem,) = captured
+    assert np.size(problem[2]) == 2 * mob_l2.dim
+    assert_matches_scipy(*problem)
 
 
 @pytest.mark.parametrize("name, r0", [("rho^2+1", 0.3 + 0.4j),
@@ -131,6 +155,17 @@ def test_zero_span_is_constant():
                                  1e-6, 1e-9)
     assert t_event is None
     assert sol(np.array([1.0, 1.0])).tolist() == [[2.0, 2.0], [3.0, 3.0]]
+
+
+@pytest.mark.parametrize("wrong", [
+    lambda t, y: y[:, 0],              # one state of shape (n,)
+    lambda t, y: y.T,                  # states as rows
+    lambda t, y: [1.0],                # too few components
+])
+def test_wrong_shaped_rhs_names_the_contract(wrong):
+    with pytest.raises(ValueError, match=r"must return shape \(n, k\) = "
+                                         r"\(2, 1\)"):
+        ode.integrate(wrong, (0.0, 1.0), [1.0, 2.0], 1e-8, 1e-8)
 
 
 def test_blowup_raises():
