@@ -73,6 +73,7 @@ __all__ = [
     "build_mobility2", "build_mobility2_projective", "mobility_spec",
     "mobility_rhs", "mobility_field", "solve_jordan_odes",
     "JordanOdeSolution", "jordan_pair_spec", "esp_jets",
+    "complex_char_poly", "shift_endo",
 ]
 
 EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
@@ -81,6 +82,7 @@ EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
 RANGE_MARGIN = 0.01
 ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
 FIT_TOL = 1e-7      # the largest residual a mobility-field fit may leave
+Y_WINDOW = (-0.8, 0.8)  # each flat constant-factor coordinate's range
 
 
 class BuilderError(ValueError):
@@ -493,6 +495,43 @@ def esp_jets(vals, dim, order, shape, upto=None):
     return e
 
 
+def complex_char_poly(A: Jet, J: Jet):
+    """Coefficients e_0..e_n of det_C(t Id - A) = sum (-1)^k e_k t^(n-k).
+
+    The complex trace of a J-commuting endomorphism is
+    tr_C M = (tr M - i tr(J M)) / 2; Newton's identities turn the power
+    sums of A into the (complex jet) coefficients.
+    """
+    d = A.c[0].shape[-1]
+    ncx = d // 2
+    Ak = A
+    ps = []
+    for k in range(1, ncx + 1):
+        tr = jet_trace(Ak)
+        trJ = jet_einsum("nij,nji->n", J, Ak)
+        ps.append((tr - 1j * trJ) * 0.5)
+        if k < ncx:
+            Ak = jet_matmul(Ak, A)
+    e = [Jet.const(np.ones(A.c[0].shape[0], dtype=complex), A.dim, A.order)]
+    for k in range(1, ncx + 1):
+        acc = None
+        for i in range(1, k + 1):
+            # e_0 = 1, so its term is the power sum itself
+            term = ps[i - 1] if i == k else e[k - i] * ps[i - 1]
+            term = term * ((-1.0) ** (i - 1))
+            acc = term if acc is None else acc + term
+        e.append(acc * (1.0 / k))
+    return e
+
+
+def shift_endo(A: Jet, c0: float) -> Jet:
+    """A + c0 * Id, which solves the same compatibility equation; only the
+    value changes, the derivative coefficients are A's own."""
+    if c0 == 0.0:
+        return A
+    return A + c0 * np.eye(A.c[0].shape[-1])
+
+
 def _place(n, dim, order, shape, parts) -> Jet:
     """The tensor jet of batch shape ``(n,) + shape`` that is zero outside
     ``parts``, (index, block) pairs written in order with ``index`` into
@@ -587,8 +626,7 @@ class ChartFields:
             return [sum(e[j] * (math.comb(n - j, k - j) * c ** (k - j))
                         for j in range(k + 1))
                     for k in range(n + 1)]
-        from . import kahler          # kahler imports this module
-        return kahler.complex_char_poly(self.A, self.J)
+        return complex_char_poly(self.A, self.J)
 
     def replace(self, **changes) -> "ChartFields":
         """``dataclasses.replace`` that keeps the derived quantities whose
@@ -604,8 +642,7 @@ class ChartFields:
         equation.  Its ``char_poly``, when read, is this one's shifted."""
         if c == 0.0:
             return self
-        from . import kahler          # kahler imports this module
-        new = self.replace(A=kahler.shift_endo(self.A, c))
+        new = self.replace(A=shift_endo(self.A, c))
         new.__dict__["_shift_of"] = (self, c)
         return new
 
@@ -731,18 +768,6 @@ def _delta_jets(r, others, dim, order):
             for k in range(3)]
 
 
-def _gap_mask(roots, consts, gap, n=None):
-    if not roots:
-        return np.ones(0 if n is None else n, dtype=bool)
-    vals = [np.asarray(r) for r in roots] + \
-           [np.full_like(np.asarray(np.real(roots[0])), c) for c in consts]
-    ok = np.ones(np.asarray(np.real(vals[0])).shape, dtype=bool)
-    for i in range(len(vals)):
-        for j in range(i + 1, len(vals)):
-            ok &= np.abs(vals[i] - vals[j]) >= gap
-    return ok
-
-
 def build_quotient_pair(spec: CompatiblePairSpec) -> QuotientPair:
     return QuotientPair(spec)
 
@@ -795,8 +820,8 @@ def _v_support(d, t_sl, y_sl):
 class KahlerChart:
     """Kahler structure on coordinates (t_1..t_ell, U, y)."""
 
-    def __init__(self, qp: QuotientPair, cb=(), route="explicit",
-                 t_window=(-1.0, 1.0), y_window=(-0.8, 0.8), name=""):
+    def __init__(self, qp: QuotientPair, cb, route, t_window=(-1.0, 1.0),
+                 name=""):
         for b in qp.blocks:
             b.check_lift()
         self.qp = qp
@@ -814,9 +839,9 @@ class KahlerChart:
          self._ceigs) = _const_matrices(self.cb)
         self.const_eigs = [(b.c, b.dim // 2) for b in self.cb]
         lo = np.concatenate([np.full(self.ell, t_window[0]), qp.window.lo,
-                             np.full(self.ydim, y_window[0])])
+                             np.full(self.ydim, Y_WINDOW[0])])
         hi = np.concatenate([np.full(self.ell, t_window[1]), qp.window.hi,
-                             np.full(self.ydim, y_window[1])])
+                             np.full(self.ydim, Y_WINDOW[1])])
         self.window = Box(lo, hi)
         self._check_const_separation()
         self.rho_idx = [self.ell + off for b, off in zip(qp.blocks, qp.offsets)
@@ -1051,34 +1076,31 @@ class KahlerChart:
 # public builder entry points
 # ---------------------------------------------------------------------------
 
-def lift_pair(qp: QuotientPair, cb=(), route="jacobian", **kw) -> KahlerChart:
-    return KahlerChart(qp, cb=cb, route=route, **kw)
+def lift_pair(qp: QuotientPair, cb=(), *, route, **kw) -> KahlerChart:
+    return KahlerChart(qp, cb, route, **kw)
 
 
-def build_main_example(spec: CompatiblePairSpec, cb=(), **kw) -> KahlerChart:
-    qp = build_quotient_pair(spec)
-    return KahlerChart(qp, cb=cb, route="explicit", **kw)
+def build_main_example(spec: CompatiblePairSpec, cb=()) -> KahlerChart:
+    return KahlerChart(build_quotient_pair(spec), cb, "explicit")
 
 
-def mobility_spec(ell, a, C, windows=None):
+def mobility_spec(ell, a, C):
     if np.isscalar(a):
         a = [a] * ell
-    if windows is None:
-        if ell == 1:
-            windows = [(0.2, 0.8)]
-        elif ell == 2:
-            windows = [(0.15, 0.4), (0.55, 0.9)]
-        else:
-            windows = [(0.08 + 0.84 * k / ell + 0.02,
-                        0.08 + 0.84 * (k + 1) / ell - 0.02)
-                       for k in range(ell)]
+    if ell == 1:
+        windows = [(0.2, 0.8)]
+    elif ell == 2:
+        windows = [(0.15, 0.4), (0.55, 0.9)]
+    else:
+        windows = [(0.08 + 0.84 * k / ell + 0.02,
+                    0.08 + 0.84 * (k + 1) / ell - 0.02)
+                   for k in range(ell)]
     blocks = tuple(RealRho(PowerProfile(a[k], C, 1.0 + ell + C), windows[k])
                    for k in range(ell))
     return CompatiblePairSpec(blocks=blocks, name="mobility2")
 
 
-def build_mobility2(ell, a, C, cb=(), fit_v=True, windows=None,
-                    **kw) -> KahlerChart:
+def build_mobility2(ell, a, C, cb=(), fit_v=True, **kw) -> KahlerChart:
     """Mobility-two Kahler chart with its canonical vector field.
 
     Profiles are F_i(t) = a_i (1-t)^(-C) t^(1+ell+C); v restricts to
@@ -1086,11 +1108,10 @@ def build_mobility2(ell, a, C, cb=(), fit_v=True, windows=None,
     (``chart.v_matrix``) is reconstructed by least squares,
     residual-certified.
     """
-    spec = mobility_spec(ell, a, C, windows)
-    qp = build_quotient_pair(spec)
-    chart = KahlerChart(qp, cb=cb, route="explicit", **kw)
+    qp = build_quotient_pair(mobility_spec(ell, a, C))
+    chart = KahlerChart(qp, cb, "explicit", **kw)
     chart.meta.update({
-        "C": C, "ell": ell,
+        "C": C,
         "m0": sum(b.dim // 2 for b in cb if b.c == 0.0),
         "m1": sum(b.dim // 2 for b in cb if b.c == 1.0)})
     if fit_v:
@@ -1163,27 +1184,20 @@ def fit_mobility_field(chart: KahlerChart):
 class ProjectiveMobilityChart:
     """(rho, y) chart with g = F^{-1} drho^2 + g_c((A_c - rho) . , .).
 
-    The constant factor is a plain pseudo-Euclidean metric with one real
+    The constant factor g_c is the Euclidean metric with one real
     dimension per constant eigenvalue, as in the projective variant of
     the volume statement.
     """
 
-    def __init__(self, C, B=1.0, m0=1, m1=1, signature=None,
-                 rho_window=(0.2, 0.8), y_window=(-0.8, 0.8)):
-        self.C = C
-        self.m0, self.m1 = m0, m1
+    def __init__(self, C, B, m0, m1):
         self.ydim = m0 + m1
         self.dim = 1 + self.ydim
         # the full-chart profile for one non-constant eigenvalue; at C = -1
         # this is the -4B (1-rho) rho of the final normal form
         self.F = PowerProfile(-4.0 * B, C, 2.0 + C)
         self.ceigs = np.concatenate([np.zeros(m0), np.ones(m1)])
-        self.gc = np.diag(signature if signature is not None
-                          else np.ones(self.ydim))
-        lo = np.concatenate([[rho_window[0]],
-                             np.full(self.ydim, y_window[0])])
-        hi = np.concatenate([[rho_window[1]],
-                             np.full(self.ydim, y_window[1])])
+        lo = np.concatenate([[0.2], np.full(self.ydim, Y_WINDOW[0])])
+        hi = np.concatenate([[0.8], np.full(self.ydim, Y_WINDOW[1])])
         self.window = Box(lo, hi)
         self.rho_idx = [0]
         self.v_support = _v_support(self.dim, slice(0, 0),
@@ -1214,16 +1228,15 @@ class ProjectiveMobilityChart:
         parts = [((0, 0), 1.0 / self.F.jet(r))]
         if self.ydim:
             shift = jstack([[c - r] for c in self.ceigs])
-            parts.append(((y, y), shift * self.gc))
+            parts.append(((y, y), shift * np.eye(self.ydim)))
         return _place(n, d, r.order, (d, d), parts)
 
     v_field = KahlerChart.v_field
 
 
-def build_mobility2_projective(C, m0=1, m1=1, B=1.0, signature=None,
-                               **kw) -> ProjectiveMobilityChart:
-    chart = ProjectiveMobilityChart(C, B=B, m0=m0, m1=m1,
-                                    signature=signature, **kw)
+def build_mobility2_projective(C, m0=1, m1=1,
+                               B=1.0) -> ProjectiveMobilityChart:
+    chart = ProjectiveMobilityChart(C, B, m0, m1)
     resid = _fit_field(chart, C, 3)
     if resid > FIT_TOL:
         raise BuilderError(
@@ -1386,8 +1399,8 @@ class JordanOdeSolution:
         return float(np.max(np.abs(g1 - g1[0])))
 
 
-def solve_jordan_odes(kind, n2, C, init, interval, **kw) -> JordanOdeSolution:
-    return JordanOdeSolution(kind, n2, C, init, interval, **kw)
+def solve_jordan_odes(kind, n2, C, init, interval) -> JordanOdeSolution:
+    return JordanOdeSolution(kind, n2, C, init, interval)
 
 
 def jordan_pair_spec(sol, extra_windows=(), extra_a=(),

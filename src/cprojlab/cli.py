@@ -118,8 +118,7 @@ class Run:
 
     @cached_property
     def ks(self):
-        return build_canonical_killing(
-            self.fl, [(b.c, b.dim // 2) for b in self.cb])
+        return build_canonical_killing(self.fl, self.inst.const_eigs)
 
     @cached_property
     def shifted(self):

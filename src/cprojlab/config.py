@@ -111,18 +111,11 @@ def _parse_value(text: str):
 
 @dataclass
 class ScenarioConfig:
-    kind: str = ""
     options: dict = field(default_factory=dict)
     sections: list = field(default_factory=list)   # (name, dict) pairs
     # (section index or None for the top level, key) -> line; the key None
     # gives a section's header line
     lines: dict = field(default_factory=dict, compare=False)
-
-    def opt(self, key, default=None):
-        return self.options.get(key, default)
-
-    def blocks(self, name="block"):
-        return [d for n, d in self.sections if n == name]
 
     def at(self, i, key):
         """Key ``key`` of section ``i`` (None: the top level) and the line
@@ -181,7 +174,6 @@ def parse_config_text(text: str) -> ScenarioConfig:
                               f"{lineno}")
         current[key] = _parse_value(val.strip())
         cfg.lines[i, key] = lineno
-    cfg.kind = cfg.options.get("scenario", "")
     return cfg
 
 

@@ -296,11 +296,11 @@ def _f_and_fp(profile, t):
     return j.c[0], j.c[1][..., 0]
 
 
-def fppp_limit_check(profile, x, delta=1e-2, tol=1e-3) -> ResidualReport:
-    """Richardson-extrapolated collision limit of lambda against
-    F'''(x)/24 computed by jets."""
+def fppp_limit_check(profile, x, tol=1e-3) -> ResidualReport:
+    """Richardson-extrapolated collision limit of lambda, from the pairs
+    x +/- 1e-2 and x +/- 5e-3, against F'''(x)/24 computed by jets."""
     lam = lambda dd: float(lambda_two_eigen(profile, x + dd, x - dd))
-    l1, l2 = lam(delta), lam(delta / 2.0)
+    l1, l2 = lam(1e-2), lam(5e-3)
     richardson = (4.0 * l2 - l1) / 3.0
     j = profile.jet(Jet.seed(0, np.array([x]), 1, 3))
     target = float(j.c[3][0, 0, 0, 0]) / 24.0

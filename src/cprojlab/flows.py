@@ -60,10 +60,13 @@ class FlowError(ValueError):
 class Trajectory:
     t: np.ndarray          # (m,)
     x: np.ndarray          # (m, d) positions
-    v: np.ndarray          # (m, d) velocities (empty for scalar flows)
+    v: np.ndarray | None   # (m, d) velocities (None for flows without)
     acc: np.ndarray | None = None   # (m, d) accelerations gamma''
-    exited: bool = False
-    exit_time: float | None = None
+    exit_time: float | None = None  # the window exit or escape, if any
+
+    @property
+    def exited(self) -> bool:
+        return self.exit_time is not None
 
 
 def _solve(rhs, T, y0, tol, event=None):
@@ -126,7 +129,7 @@ def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
     if beta is not None:
         Jv = np.einsum("nab,nb->na", J, vs)
         acc = acc + np.array([beta(t) for t in ts])[:, None] * Jv
-    return Trajectory(t=ts, x=xs, v=vs, acc=acc, exited=t_exit is not None,
+    return Trajectory(t=ts, x=xs, v=vs, acc=acc,
                       exit_time=None if t_exit is None else float(t_exit))
 
 
@@ -192,8 +195,7 @@ def eigenvalue_flow(ode: str, rho0, T, tol=1e-10, n_out=400,
     sol, t_esc = _solve(rhs, T, [r0.real, r0.imag], tol, escape)
     ts = np.linspace(0.0, T if t_esc is None else t_esc, n_out)
     ys = sol(ts)
-    return Trajectory(t=ts, x=(ys[0] + 1j * ys[1])[:, None],
-                      v=np.empty((n_out, 0)), exited=t_esc is not None,
+    return Trajectory(t=ts, x=(ys[0] + 1j * ys[1])[:, None], v=None,
                       exit_time=None if t_esc is None else float(t_esc))
 
 
@@ -282,7 +284,7 @@ def flow_point(chart, x0, spans, n_out=120) -> list[Trajectory]:
     sol, _ = _solve(rhs, 1.0, np.tile(np.asarray(x0, dtype=float), m), 1e-10)
     s = np.linspace(0.0, 1.0, n_out)
     xs = sol(s).reshape(m, d, n_out)
-    return [Trajectory(t=T * s, x=x.T, v=np.empty((n_out, 0)))
+    return [Trajectory(t=T * s, x=x.T, v=None)
             for T, x in zip(spans, xs)]
 
 

@@ -213,8 +213,7 @@ def lie_scalar(f: Jet, v: Jet) -> np.ndarray:
 
 def lie_vector(u: Jet, v: Jet) -> np.ndarray:
     """[v, u]^a values (the Lie derivative of u along v)."""
-    return (np.einsum("nab,nb->na", u.c[1], v.c[0])
-            - np.einsum("nab,nb->na", v.c[1], u.c[0]))
+    return lie_bracket(v, u)
 
 
 def lie_bracket(u: Jet, v: Jet) -> np.ndarray:

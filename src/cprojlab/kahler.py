@@ -23,21 +23,22 @@ from __future__ import annotations
 
 import numpy as np
 
-from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, jet_matmul, \
-    jet_trace, tensor_partial
+from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, tensor_partial
 from .geometry import (
     christoffel, cov_deriv_endo, ext_deriv_two_form,
     gradient, hessian_cov, lie_bracket, lie_metric, max_abs,
 )
 from .report import CheckEntry, ResidualReport
-from .builders import EIGEN_GAP, ChartFields, _gap_mask
+# complex_char_poly lives next to ChartFields.char_poly, its one caller,
+# and stays public here
+from .builders import EIGEN_GAP, ChartFields, complex_char_poly
 
 __all__ = [
     "KahlerError", "check_kahler", "cproj_residual", "proj_residual",
     "partner_fields", "recover_endo",
     "hamiltonian_killing_check",
     "connection_difference_check", "complex_char_poly", "complex_det",
-    "nonconstant_factor",
+    "nonconstant_factor", "gap_mask",
 ]
 
 
@@ -71,9 +72,8 @@ def check_kahler(flds, tol=1e-6) -> ResidualReport:
     rep.add(CheckEntry("hermitian_metric", "g(J.,J.)-g",
                        max_abs(gJJ - g.c[0]) / scale, tol, samples=n))
 
-    omJ = contract("ncb,nca->nab", g.c[0], J.c[0])
     rep.add(CheckEntry("omega_def", "omega-g(J.,.)",
-                       max_abs(w.c[0] - omJ) / scale, tol, samples=n))
+                       max_abs(w.c[0] - gJ) / scale, tol, samples=n))
 
     rep.add(CheckEntry("domega", "d(omega)",
                        max_abs(ext_deriv_two_form(w)) / scale, tol,
@@ -135,14 +135,6 @@ def proj_residual(flds, tol=1e-6) -> ResidualReport:
 # partner metrics
 # ---------------------------------------------------------------------------
 
-def shift_endo(A: Jet, c0: float) -> Jet:
-    """A + c0 * Id, which solves the same compatibility equation; only the
-    value changes, the derivative coefficients are A's own."""
-    if c0 == 0.0:
-        return A
-    return A + c0 * np.eye(A.c[0].shape[-1])
-
-
 def spectrum_safe_shift(flds) -> float:
     """A shift c0 with the spectrum of A + c0 Id away from zero."""
     eigs = np.linalg.eigvals(flds.A.c[0])
@@ -182,37 +174,8 @@ def recover_endo(flds, partner) -> Jet:
 
 
 # ---------------------------------------------------------------------------
-# complex determinant and characteristic polynomial via Newton sums
+# complex determinant and the non-constant factor of char_poly
 # ---------------------------------------------------------------------------
-
-def complex_char_poly(A: Jet, J: Jet):
-    """Coefficients e_0..e_n of det_C(t Id - A) = sum (-1)^k e_k t^(n-k).
-
-    The complex trace of a J-commuting endomorphism is
-    tr_C M = (tr M - i tr(J M)) / 2; Newton's identities turn the power
-    sums of A into the (complex jet) coefficients.
-    """
-    d = A.c[0].shape[-1]
-    ncx = d // 2
-    Ak = A
-    ps = []
-    for k in range(1, ncx + 1):
-        tr = jet_trace(Ak)
-        trJ = jet_einsum("nij,nji->n", J, Ak)
-        ps.append((tr - 1j * trJ) * 0.5)
-        if k < ncx:
-            Ak = jet_matmul(Ak, A)
-    e = [Jet.const(np.ones(A.c[0].shape[0], dtype=complex), A.dim, A.order)]
-    for k in range(1, ncx + 1):
-        acc = None
-        for i in range(1, k + 1):
-            # e_0 = 1, so its term is the power sum itself
-            term = ps[i - 1] if i == k else e[k - i] * ps[i - 1]
-            term = term * ((-1.0) ** (i - 1))
-            acc = term if acc is None else acc + term
-        e.append(acc * (1.0 / k))
-    return e
-
 
 def complex_det(flds) -> Jet:
     """det_C A as a real jet (smooth, sign included)."""
@@ -319,8 +282,23 @@ def connection_difference_check(flds, partner, tol=1e-6
 
 
 # ---------------------------------------------------------------------------
-# eigenvector property and eigenvalue of the gradient
+# regular samples, eigenvector property and eigenvalue of the gradient
 # ---------------------------------------------------------------------------
+
+def gap_mask(roots, consts, n=None):
+    """The samples at which the eigenvalue values ``roots`` (arrays) and
+    the constants ``consts`` lie pairwise at least ``EIGEN_GAP`` apart;
+    without roots, every one of ``n`` samples (none if n is None)."""
+    if not roots:
+        return np.ones(0 if n is None else n, dtype=bool)
+    vals = [np.asarray(r) for r in roots] + \
+           [np.full_like(np.asarray(np.real(roots[0])), c) for c in consts]
+    ok = np.ones(np.asarray(np.real(vals[0])).shape, dtype=bool)
+    for i in range(len(vals)):
+        for j in range(i + 1, len(vals)):
+            ok &= np.abs(vals[i] - vals[j]) >= EIGEN_GAP
+    return ok
+
 
 def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     """(A - rho) grad rho = 0 and (A - rho) J grad rho = 0 at regular
@@ -329,7 +307,7 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     n = g.c[0].shape[0]
     rep = ResidualReport(title="eigenvector-gradient")
     vals = [r.c[0] for r in flds.rhos]
-    mask = _gap_mask(vals, [], EIGEN_GAP)
+    mask = gap_mask(vals, [])
     excluded = int((~mask).sum())
     worst = 0.0
     for r in flds.rhos:

@@ -20,8 +20,7 @@ from .geometry import (
     lie_metric, max_abs, normal_part, span_gram,
 )
 from .report import CheckEntry, ResidualReport
-from .builders import EIGEN_GAP, _gap_mask
-from .kahler import nonconstant_factor
+from .kahler import gap_mask, nonconstant_factor
 
 __all__ = [
     "KILLING_CHECKS", "CanonicalKillingSet", "build_canonical_killing",
@@ -67,8 +66,7 @@ def build_canonical_killing(flds, constant_eigs=()) -> CanonicalKillingSet:
         grad = gradient(mu, flds.ginv)
         K.append(jet_einsum("nab,nb->na", J.truncate(grad.order), grad))
     vals = [r.c[0] for r in flds.rhos]
-    mask = _gap_mask(vals, [c for c, _ in constant_eigs], EIGEN_GAP,
-                     n=g.c[0].shape[0])
+    mask = gap_mask(vals, [c for c, _ in constant_eigs], n=g.c[0].shape[0])
     return CanonicalKillingSet(mus, K, mask)
 
 

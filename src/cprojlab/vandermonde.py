@@ -121,18 +121,18 @@ def corner_vanishes(profile, corner, ell):
     return bool(-p > 0.02)
 
 
-def locate_window_endpoint(make_profile, corner, ell, lo, hi, steps=8):
+def locate_window_endpoint(make_profile, corner, ell, lo, hi):
     """Bisection on the corner-vanishing criterion over the parameter C.
 
     ``make_profile(C)`` returns the eigenvalue profile; the bracket
     [lo, hi] must straddle the behavior flip.  Returns the located
-    endpoint to within (hi - lo) / 2^steps.
+    endpoint to within (hi - lo) / 2^8, after 8 bisection steps.
     """
     f_lo = corner_vanishes(make_profile(lo), corner, ell)
     f_hi = corner_vanishes(make_profile(hi), corner, ell)
     if f_lo == f_hi:
         raise VandermondeError("bracket does not straddle the endpoint")
-    for _ in range(steps):
+    for _ in range(8):
         mid = 0.5 * (lo + hi)
         if corner_vanishes(make_profile(mid), corner, ell) == f_lo:
             lo = mid

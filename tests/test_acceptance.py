@@ -234,10 +234,8 @@ def test_criterion_06_curvature_spectra(mob_l2):
         lambda_two_eigen(cubic, r1, r2) - 0.25)))
     # (iii) Richardson-extrapolated collision limit at delta = 1e-2
     quart = PowerProfile(1.0, 0.0, 4.0)
-    worst_iii = max(fppp_limit_check(prof, 0.5, delta=1e-2,
-                                     tol=1e-3).entries[0].value,
-                    fppp_limit_check(quart, 0.5, delta=1e-2,
-                                     tol=1e-3).entries[0].value)
+    worst_iii = max(fppp_limit_check(prof, 0.5, tol=1e-3).entries[0].value,
+                    fppp_limit_check(quart, 0.5, tol=1e-3).entries[0].value)
     # (iv) spectral predictions: distinct eigenvalues on the geometric
     # instance, the derivative rule on a Jordan algebraic instance
     coef, _ = fit_nabla_lambda_poly(fl, sample=0)

@@ -8,16 +8,15 @@ from cprojlab.builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Jordan2,
     Jordan3, PowerProfile, QuotientPair, Real1D, build_main_example,
     build_mobility2, build_mobility2_projective, build_quotient_pair,
-    esp_jets, jordan_pair_spec, lift_pair, mobility_rhs, solve_jordan_odes,
+    esp_jets, jordan_pair_spec, lift_pair, mobility_rhs, mobility_spec,
+    shift_endo, solve_jordan_odes,
 )
 from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
 )
 from cprojlab.flows import split_lie_suite
 from cprojlab.jets import Jet, jet_einsum
-from cprojlab.kahler import (
-    check_kahler, cproj_residual, proj_residual, shift_endo,
-)
+from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
 from conftest import pair_complex, pair_dini, pair_ell1, sample
 from fd_oracle import fd_gradient
@@ -198,6 +197,19 @@ def test_mobility_v_certified(mob_l2):
     assert mob_l2.meta["v_fit_residual"] <= 1e-10
 
 
+@pytest.mark.parametrize("ell", [3, 4, 5, 6])
+def test_mobility_windows_are_disjoint_inside_the_unit_interval(ell):
+    # the window rule of ell >= 3, up to the largest ell a mobility2
+    # config takes
+    spec = mobility_spec(ell, 1.0, -1.0)
+    windows = [b.window for b in spec.blocks]
+    assert len(windows) == ell
+    assert 0.0 < windows[0][0]
+    assert all(lo < hi < nxt for (lo, hi), (nxt, _) in
+               zip(windows, windows[1:] + [(1.0, None)]))
+    QuotientPair(spec)
+
+
 def test_mobility_v_known_coefficients():
     # ell = 1: v = rho(1-rho) d_rho - (1+C) t d_t - (1+C)/2 y d_y
     C = -0.5
@@ -312,14 +324,15 @@ def test_jordan_pair_spec_takes_the_block_kind_from_the_solution(
 
 
 @pytest.mark.parametrize("build,match", [
-    (lambda f: lift_pair(f("qp_jordan2")), "do not lift"),
+    (lambda f: lift_pair(f("qp_jordan2"), route="jacobian"), "do not lift"),
     (lambda f: build_quotient_pair(jordan_pair_spec(
         f("jordan3_sol"), x_window=(-0.8, -0.2))), "F \\+ 2 x2 vanishes"),
     (lambda f: lift_pair(build_quotient_pair(CompatiblePairSpec((Complex2D(
-        (1j, 0.0, 1.0), ((-0.2, 0.2), (-0.2, 0.2))),)))),
+        (1j, 0.0, 1.0), ((-0.2, 0.2), (-0.2, 0.2))),))), route="jacobian"),
      "rho' of a Complex2D block vanishes"),
     (lambda f: lift_pair(f("qp_ell1"), (ConstantBlock(0.0, 2),
-                                        ConstantBlock(1e-8, 2))),
+                                        ConstantBlock(1e-8, 2)),
+                         route="jacobian"),
      "closer than"),
 ], ids=["jordan-lift", "jordan3-window", "complex-flat-rho",
         "close-constants"])

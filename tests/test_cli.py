@@ -33,9 +33,9 @@ def run_cli(*args):
 def test_config_roundtrip():
     text = (CONFIGS / "dini-lift.cfg").read_text()
     cfg = parse_config_text(text)
-    assert cfg.kind == "lift"
-    assert cfg.opt("grid") == 4
-    assert len(cfg.blocks("block")) == 2
+    assert cfg.options["scenario"] == "lift"
+    assert cfg.options["grid"] == 4
+    assert [n for n, _ in cfg.sections] == ["block", "block"]
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg
     assert parse_config_text(serialize_config(again)) == again
@@ -242,7 +242,7 @@ def test_remaining_scenarios_pass(capsys, name):
     # and every listed check whose condition holds is reported
     cfg = parse_config(path)
     for pat, key, val in listed:
-        if key is None or str(cfg.opt(key)) == val:
+        if key is None or str(cfg.options.get(key)) == val:
             assert any(fnmatch.fnmatchcase(nm, pat) for nm in reported), pat
 
 

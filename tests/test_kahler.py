@@ -10,10 +10,9 @@ from cprojlab.kahler import (
     complex_det, connection_difference_check, cproj_residual,
     eigenvector_gradient_residual, hamiltonian_killing_check,
     mu_hat_duality_residual, nonconstant_factor, partner_fields,
-    proj_residual, recover_endo, shift_endo,
-    spectrum_safe_shift,
+    proj_residual, recover_endo, spectrum_safe_shift,
 )
-from cprojlab.builders import ChartFields, lift_pair
+from cprojlab.builders import ChartFields, lift_pair, shift_endo
 
 from conftest import sample
 

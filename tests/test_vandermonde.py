@@ -101,8 +101,8 @@ def test_corner_criterion():
 @pytest.mark.parametrize("ell", [1, 2, 3])
 def test_window_endpoints_by_bisection(ell):
     make = _profile(ell)
-    lower = locate_window_endpoint(make, 0.0, ell, -2.7, -1.3, steps=8)
+    lower = locate_window_endpoint(make, 0.0, ell, -2.7, -1.3)
     assert abs(lower - (-2.0)) <= 0.05
     upper = locate_window_endpoint(make, 1.0, ell, float(1 - ell) - 0.7,
-                                   float(1 - ell) + 0.7, steps=8)
+                                   float(1 - ell) + 0.7)
     assert abs(upper - (1.0 - ell)) <= 0.05
