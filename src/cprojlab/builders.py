@@ -565,8 +565,10 @@ class ChartFields:
     None.  Each derived quantity is computed on first use and kept as long
     as the object:
 
-    * ``ginv``, ``gamma``, ``riemann`` and ``det`` (det g, from ``ginv``)
-      read g alone;
+    * ``ginv``, ``gamma0``, ``gamma``, ``riemann`` and ``det`` (det g,
+      from ``ginv``) read g alone.  ``gamma0`` is the Christoffel values;
+      ``gamma``, the full jet one order below g, is built only for the
+      readers of its derivatives (``riemann``, the third-order equation);
     * ``lam`` reads g, A and J;
     * ``char_poly``, the coefficients of det_C(t Id - A), reads A and J.
 
@@ -590,6 +592,15 @@ class ChartFields:
     def ginv(self) -> Jet:
         """g^-1 one order below g, the order Gamma and gradients read."""
         return metric_inverse(self.g.truncate(max(self.g.order - 1, 0)))
+
+    @cached_property
+    def gamma0(self) -> Jet:
+        """Values of the Levi-Civita symbols Gamma^c_ab as an order-0 jet:
+        the order-0 part of ``gamma`` when that is built, else Gamma of the
+        first-order jet of g, the same bytes without the derivatives."""
+        if "gamma" in self.__dict__:
+            return self.gamma.truncate(0)
+        return christoffel(self.g.truncate(1), self.ginv.truncate(0))
 
     @cached_property
     def gamma(self) -> Jet:
@@ -647,8 +658,8 @@ class ChartFields:
         return new
 
 
-_DERIVED_INPUTS = {"ginv": {"g"}, "gamma": {"g"}, "riemann": {"g"},
-                   "det": {"g"}, "lam": {"g", "A", "J"},
+_DERIVED_INPUTS = {"ginv": {"g"}, "gamma0": {"g"}, "gamma": {"g"},
+                   "riemann": {"g"}, "det": {"g"}, "lam": {"g", "A", "J"},
                    "char_poly": {"A", "J"}}
 
 
@@ -1137,11 +1148,47 @@ def mobility_rhs(flds: ChartFields, C):
     return rhs_g, rhs_A
 
 
+def _design_matrix(flds, pts, support):
+    """The fit's columns in closed form.  Entry (i, j) of the v matrix is
+    the field x~_j d_i, x~ = (1, x), whose Lie derivatives are
+
+        L g_ab  = d_i g_ab x~_j + [a = j-1] g_ib + [b = j-1] g_ai,
+        L A^a_b = d_i A^a_b x~_j - [a = i] A^(j-1)_b + [b = j-1] A^a_i,
+
+    summed in the order ``lie_metric`` and ``lie_endo`` sum them, so each
+    column equals theirs bitwise.  A row is one sample's entries of L g,
+    then of L A."""
+    n = len(pts)
+    xt = np.concatenate([np.ones((n, 1)), pts], axis=1)
+    ii, jj = np.nonzero(support)
+    # the columns of a linear entry, x~_j = x_k with k = j - 1
+    lin = jj >= 1
+    col, i, k = np.nonzero(lin)[0], ii[lin], jj[lin] - 1
+    g, A = flds.g.c[0], flds.A.c[0]
+
+    def along(t):
+        # d_i t x~_j, shape (n, column, a, b); adding 0.0 turns the -0 of
+        # a zero product into the +0 of the sums in lie_metric/lie_endo
+        return np.moveaxis(t.c[1][..., ii], -1, 1) * xt[:, jj, None, None] \
+            + 0.0
+
+    Lg, LA = along(flds.g), along(flds.A)
+    Lg[:, col, k, :] += g[:, i, :]
+    Lg[:, col, :, k] += np.moveaxis(g[:, :, i], -1, 0)
+    LA[:, col, i, :] -= A[:, k, :]
+    LA[:, col, :, k] += np.moveaxis(A[:, :, i], -1, 0)
+    X = np.concatenate([Lg.reshape(n, len(ii), -1),
+                        LA.reshape(n, len(ii), -1)], axis=2)
+    return X.transpose(0, 2, 1).reshape(-1, len(ii))
+
+
 def _fit_field(chart, C, seed):
     """Least-squares fit of the v matrix over the chart's allowed entries.
 
-    L_v g and L_v A are linear in v, so the column of entry (i, j) is the
-    Lie derivative of the field with M = E_ij and no leaf term."""
+    L_v g and L_v A are linear in v: the columns are those of
+    ``_design_matrix`` and the target is the right-hand side minus the
+    leaf term's Lie derivatives.  A fit whose samples are not finite (g
+    overflows at extreme profile scales) raises BuilderError."""
     if len(chart.rho_idx) != chart.ell:
         raise BuilderError("mobility charts use eigenvalue coordinates")
     rng = np.random.default_rng(seed)
@@ -1153,19 +1200,19 @@ def _fit_field(chart, C, seed):
         return np.concatenate([g_part.reshape(n, -1), A_part.reshape(n, -1)],
                               axis=1).ravel()
 
-    def lie_of(M, rho_idx):
-        v = mobility_field(pts, 1, M, rho_idx)
-        return flat(lie_metric(flds.g, v), lie_endo(flds.A, v))
-
+    leaf = mobility_field(pts, 1, np.zeros((d, 1 + d)), chart.rho_idx)
     target = flat(*mobility_rhs(flds, C)) \
-        - lie_of(np.zeros((d, 1 + d)), chart.rho_idx)
-    cols = []
-    for i, j in np.argwhere(chart.v_support):
-        E = np.zeros((d, 1 + d))
-        E[i, j] = 1.0
-        cols.append(lie_of(E, []))
-    X = np.stack(cols, axis=1)
-    coeffs, *_ = np.linalg.lstsq(X, target, rcond=None)
+        - flat(lie_metric(flds.g, leaf), lie_endo(flds.A, leaf))
+    X = _design_matrix(flds, pts, chart.v_support)
+    finite = np.isfinite(X).all(axis=1) & np.isfinite(target)
+    bad = int(np.count_nonzero(~finite.reshape(n, -1).all(axis=1)))
+    if bad:
+        raise BuilderError(f"mobility field fit: {bad} of {n} samples are "
+                           f"not finite")
+    try:
+        coeffs, *_ = np.linalg.lstsq(X, target, rcond=None)
+    except np.linalg.LinAlgError as exc:
+        raise BuilderError(f"mobility field fit: {exc}") from None
     resid = (np.max(np.abs(X @ coeffs - target))
              / (1.0 + np.max(np.abs(target))))
     chart.v_matrix = np.zeros((d, 1 + d))

@@ -227,7 +227,7 @@ def _blowup_exponent(r, _):
     r.csv["jordan_scan"] = (["s", "value"], list(zip(s, vals)))
     return [CheckEntry("blowup_exponent", f"divergence exponent {target:g}",
                        abs(expo - target), 0.1 * r.scale,
-                       note=f"measured={expo:.4f}")]
+                       note=f"measured={expo:.4f}", measured=expo)]
 
 
 # the initial value of each scalar flow

@@ -138,7 +138,7 @@ def nabla_lambda_endo(flds):
     """(nabla La)^b_a values, shape (n, b, a), with La = ``flds.lam``:
     (1/4) grad tr A with J, (1/2) grad tr L for a pair (h, L)."""
     lam = flds.lam
-    nl = cov_deriv_vector(lam, flds.gamma.truncate(lam.order))  # (n, a, b)
+    nl = cov_deriv_vector(lam, flds.gamma0)  # (n, a, b)
     return np.swapaxes(nl, -1, -2)
 
 

@@ -86,7 +86,7 @@ def _connection(chart, pts, need_J):
     if not need_J:
         return christoffel(chart.metric(pts, order=1)).c[0], None
     fl = chart.eval(pts, order=1)
-    return fl.gamma.c[0], fl.J.c[0]
+    return fl.gamma0.c[0], fl.J.c[0]
 
 
 def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
@@ -149,7 +149,7 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
     fl = chart.eval(traj.x, order=1)
     if metric != "g":
         fl = partner_fields(fl)
-    gv, gam = fl.g.c[0], fl.gamma.c[0]
+    gv, gam = fl.g.c[0], fl.gamma0.c[0]
     Jv = fl.J.c[0]
     v = traj.v
     acc = traj.acc + np.einsum("ncab,na,nb->nc", gam, v, v)

@@ -149,7 +149,8 @@ def riemann(gamma: Jet) -> np.ndarray:
 
 
 def cov_deriv_endo(A: Jet, gamma: Jet) -> np.ndarray:
-    """(nabla_a A)^b_c values; A and gamma of order >= 1."""
+    """(nabla_a A)^b_c values; A of order >= 1, and only the values of
+    gamma are read."""
     dA = A.c[1]  # (N,b,c,a)
     G = gamma.c[0]
     # NB: the bare transpose einsum returns a view; never += into it

@@ -25,8 +25,8 @@ import numpy as np
 
 from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, tensor_partial
 from .geometry import (
-    christoffel, cov_deriv_endo, ext_deriv_two_form,
-    gradient, hessian_cov, lie_bracket, lie_metric, max_abs,
+    cov_deriv_endo, ext_deriv_two_form, gradient, hessian_cov, lie_bracket,
+    lie_metric, max_abs,
 )
 from .report import CheckEntry, ResidualReport
 # complex_char_poly lives next to ChartFields.char_poly, its one caller,
@@ -80,7 +80,7 @@ def check_kahler(flds, tol=1e-6) -> ResidualReport:
                        samples=n))
 
     rep.add(CheckEntry("parallel_J", "nabla(J)",
-                       max_abs(cov_deriv_endo(J, flds.gamma)) / scale, tol,
+                       max_abs(cov_deriv_endo(J, flds.gamma0)) / scale, tol,
                        samples=n))
     return rep
 
@@ -99,7 +99,7 @@ def _compat_defect(flds):
         gJ = contract("ndc,nda->nac", g, Jv)
         rhs = (rhs + contract("nac,nb->nabc", gJ, Jlam)
                + np.einsum("nc,nba->nabc", Jlflat, Jv))
-    return (cov_deriv_endo(flds.A, flds.gamma) - rhs,
+    return (cov_deriv_endo(flds.A, flds.gamma0) - rhs,
             1.0 + max_abs(A, g, lv))
 
 
@@ -231,7 +231,8 @@ def hamiltonian_killing_check(flds, tol=1e-6) -> ResidualReport:
     if cres > 1e-8:
         raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
     f = complex_det(flds)
-    hess = hessian_cov(f, flds.gamma).c[0]
+    # only the Hessian's values are read: Gamma values suffice at any order
+    hess = hessian_cov(f.truncate(2), flds.gamma0).c[0]
     Jv = J.c[0]
     herm = np.einsum("nca,ncd,ndb->nab", Jv, hess, Jv) - hess
     scale = 1.0 + max_abs(hess)
@@ -263,9 +264,7 @@ def connection_difference_check(flds, partner, tol=1e-6
         raise KahlerError("determinant ratio not positive; phi undefined")
     phi = ratio.log() * (1.0 / (4.0 * (ncx + 1)))
     Phi = tensor_partial(phi).c[0]                      # (n, a)
-    gam = flds.gamma.c[0]
-    # Gamma-hat values need ghat to first order only
-    gamhat = christoffel(partner.g.truncate(1), partner.ginv.truncate(0)).c[0]
+    gam, gamhat = flds.gamma0.c[0], partner.gamma0.c[0]
     Jv = J.c[0]
     eye = np.eye(d)
     PhiJ = np.einsum("nd,nda->na", Phi, Jv)

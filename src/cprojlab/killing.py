@@ -117,7 +117,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
     margin = np.min(rel_det[mask]) if mask.any() else 0.0
 
     # statement: J nabla_{K_i} K_j stays in span{K}
-    nablaK = [cov_deriv_vector(Kj, flds.gamma) for Kj in ks.K]
+    nablaK = [cov_deriv_vector(Kj, flds.gamma0) for Kj in ks.K]
     for Ki in ks.K:
         for nKj in nablaK:
             w_ = np.einsum("nab,nb->na", J.c[0],

@@ -21,6 +21,9 @@ class CheckEntry:
     samples: int = 0
     excluded: int = 0
     note: str = ""
+    # the signed quantity behind a value that is a distance to a target,
+    # for readers of the entry; line() does not print it
+    measured: float | None = None
 
     @property
     def passed(self) -> bool:

@@ -344,8 +344,8 @@ def test_criterion_08_symmetric_function_kernels():
 def test_criterion_09_blowup_certificates(jordan_runs):
     # the 2x2 scan toward F + x = 0 at the middle of the interval
     (e,) = entries([jordan_runs["2x2"]], "blowup_exponent", 0.1)
-    expo = float(e.note.removeprefix("measured="))
-    ok_j = e.passed
+    expo = e.measured
+    ok_j = e.passed and e.value == abs(expo - 3.0)
     # two eigenvalues colliding at a corner of the window
     s2 = np.geomspace(1e-1, 1e-5, 20)
     div = lambda_two_eigen(PowerProfile(1.0, -1.5, 1.5), s2, 2 * s2)

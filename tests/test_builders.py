@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cprojlab import builders
 from cprojlab.builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Jordan2,
     Jordan3, PowerProfile, QuotientPair, Real1D, build_main_example,
     build_mobility2, build_mobility2_projective, build_quotient_pair,
-    esp_jets, jordan_pair_spec, lift_pair, mobility_rhs, mobility_spec,
-    shift_endo, solve_jordan_odes,
+    esp_jets, jordan_pair_spec, lift_pair, mobility_field, mobility_rhs,
+    mobility_spec, shift_endo, solve_jordan_odes,
 )
 from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
@@ -195,6 +196,56 @@ def test_mobility_v_certified(mob_l2):
         assert max_abs(lie_endo(fl.A, fl.v) - rhs_A) \
             / (1 + max_abs(rhs_A)) <= 1e-10
     assert mob_l2.meta["v_fit_residual"] <= 1e-10
+
+
+def _design_by_columns(flds, pts, support):
+    """The fit's design matrix one column at a time, the reference: entry
+    (i, j) is L_v g and L_v A of the field with M = E_ij and no leaf
+    term."""
+    n, d = pts.shape
+    cols = []
+    for i, j in np.argwhere(support):
+        E = np.zeros((d, 1 + d))
+        E[i, j] = 1.0
+        v = mobility_field(pts, 1, E, [])
+        cols.append(np.concatenate(
+            [lie_metric(flds.g, v).reshape(n, -1),
+             lie_endo(flds.A, v).reshape(n, -1)], axis=1).ravel())
+    return np.stack(cols, axis=1)
+
+
+_FIT_CHARTS = {
+    **{f"C{C:g}": (1, C, (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2)))
+       for C in (-1.5, -1.0, -0.5)},
+    "ell2": (2, -1.5, ()),
+}
+
+
+@pytest.mark.parametrize("ell,C,cb", _FIT_CHARTS.values(),
+                         ids=_FIT_CHARTS.keys())
+def test_fit_design_matrix_equals_the_columns_bitwise(monkeypatch, ell, C,
+                                                      cb):
+    # the corpus and trajectories mobility charts (C = -0.5 is both) and
+    # the two-eigenvalue chart of the curvature checks
+    chart = build_mobility2(ell, 1.0, C, cb=cb)
+    pts = chart.window.random(200, np.random.default_rng(7))
+    flds = chart.eval(pts, order=1)
+    X = builders._design_matrix(flds, pts, chart.v_support)
+    assert X.tobytes() == _design_by_columns(
+        flds, pts, chart.v_support).tobytes()
+    monkeypatch.setattr(builders, "_design_matrix", _design_by_columns)
+    ref = build_mobility2(ell, 1.0, C, cb=cb)
+    assert chart.v_matrix.tobytes() == ref.v_matrix.tobytes()
+    assert chart.meta["v_fit_residual"] == ref.meta["v_fit_residual"]
+
+
+def test_fit_that_cannot_run_is_refused(monkeypatch):
+    def no_convergence(*args, **kw):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
+    with pytest.raises(BuilderError, match="mobility field fit: SVD"):
+        build_mobility2(2, 1.0, -1.5)
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
@@ -488,6 +539,67 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     fl4 = fl.replace(J=None)
     assert fl4.gamma is gam and fl4.lam is not lam
     np.testing.assert_array_equal(fl4.lam.c[0], 2.0 * lam.c[0])
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_christoffel_values_in_either_read_order(corpus, order):
+    for name, chart, _ in corpus:
+        pts = sample(chart, 10)
+        for values_first in (True, False):
+            fl = chart.eval(pts, order=order)
+            if values_first:
+                gam0, gam = fl.gamma0, fl.gamma
+            else:
+                gam, gam0 = fl.gamma, fl.gamma0
+            want = christoffel(fl.g, fl.ginv)
+            assert gam0.order == 0, name
+            assert gam0.c[0].tobytes() == want.c[0].tobytes(), name
+            assert gam.order == want.order, name
+            for got, w in zip(gam.c, want.c, strict=True):
+                assert got.tobytes() == w.tobytes(), name
+
+
+@pytest.mark.parametrize("read_gamma", [False, True])
+def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_gamma):
+    chart = lift_pair(qp_ell1, (ConstantBlock(0.0, 2),), route="explicit")
+    pts = sample(chart, 12)
+    fl = chart.eval(pts, order=2)
+    gam0 = fl.gamma0
+    gam = fl.gamma if read_gamma else None
+    phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
+    g2 = jet_einsum("nab,n->nab", fl.g, phi)
+    fl2 = fl.replace(g=g2)
+    assert "gamma0" not in fl2.__dict__ and "gamma" not in fl2.__dict__
+    assert fl2.gamma0.c[0].tobytes() == christoffel(g2).c[0].tobytes()
+    for kept in (fl.replace(omega=fl.omega * 2.0), fl.shifted(1.0)):
+        assert kept.gamma0 is gam0
+        assert kept.__dict__.get("gamma") is gam
+
+
+def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
+                                                        corpus):
+    # an order-2 mobility2 evaluation through every suite that reads
+    # Gamma values: each metric's values are built once from its first
+    # order, and only the curvature builds Gamma from the order-2 metric
+    from cprojlab import curvspec, kahler, killing
+    _, chart, consts = corpus[5]
+    orders = []
+    real = builders.christoffel
+    monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
+        orders.append(g.order) or real(g, ginv)))
+    fl = chart.eval(sample(chart, 40), order=2)
+    check_kahler(fl)
+    cproj_residual(fl)
+    ks = killing.build_canonical_killing(fl, consts)
+    killing.killing_property_suite(ks, fl)
+    killing.a_on_k_recurrence(ks, fl)
+    curvspec.nabla_lambda_endo(fl)
+    sh = fl.shifted(kahler.spectrum_safe_shift(fl))
+    kahler.hamiltonian_killing_check(sh)
+    kahler.connection_difference_check(sh, kahler.partner_fields(sh))
+    assert orders == [1, 1]        # fl (shared by sh) and the partner
+    fl.riemann
+    assert orders == [1, 1, 2]
 
 
 _METRIC_CBS = {"plain": (), "cb": (ConstantBlock(0.0, 2),

@@ -150,6 +150,22 @@ def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
+@pytest.mark.parametrize("a", ["1e-300", "1e-200"])
+def test_mobility_fit_that_cannot_run_exits_2(tmp_path, a):
+    # g's first derivatives overflow at the fit's samples; numpy's
+    # overflow warnings may come first, but no traceback
+    text = (CONFIGS / "mobility2.cfg").read_text()
+    assert "\na = 1.0\n" in text
+    cfg = tmp_path / "tiny-a.cfg"
+    cfg.write_text(text.replace("\na = 1.0\n", f"\na = {a}\n", 1))
+    code, out, err = run_cli("run", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error: ")] \
+        == ["error: mobility field fit: 200 of 200 samples are not finite"]
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("name,line", [
     ("dini-lift", "rho = 0.0 1.0"),              # real1d without rho
     ("complex-pair", "window = 0.2 0.8 0.2 0.8"),  # complex2d without window
@@ -490,7 +506,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
         orig = getattr(geometry, fname)
 
         def counted(g, *a, _orig=orig, _calls=calls, **kw):
-            _calls.append(g.c[0])      # the metric's value array
+            _calls.append((g.c[0], g.order))  # value array, order
             return _orig(g, *a, **kw)
 
         for mod in list(sys.modules.values()):
@@ -502,9 +518,12 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
             calls.clear()
         rep, run = run_scenario(cli.validate(cfg, args), 1.0)
         assert rep.overall_pass
-        for fname, calls in seen.items():
-            assert sum(a is run.f.g.c[0] for a in calls) == 1, \
-                (cfg.options["scenario"], fname)
+        kind, g0 = cfg.options["scenario"], run.f.g.c[0]
+        assert sum(a is g0 for a, _ in seen["metric_inverse"]) == 1, kind
+        # Gamma values from the first-order metric once, and the full jet
+        # from the order-2 metric once if the curvature is read
+        orders = [k for a, k in seen["christoffel"] if a is g0]
+        assert orders == [1] + [2] * ("riemann" in run.f.__dict__), kind
         if cfg is cfgs[0]:
             assert len(rep.entries) > 9 and run.fl is run.f
             assert any(e.note.startswith("shift=") for e in rep.entries)

@@ -172,6 +172,16 @@ def test_hamiltonian_killing_on_instances(corpus):
         assert rep.max_value() <= 1e-7, name
 
 
+def test_hamiltonian_killing_reads_only_values(corpus):
+    # order-3 fields give the order-2 entries: the check reads the
+    # Hessian's values and the Gamma values, nothing of higher order
+    _, chart, _ = corpus[0]
+    pts = sample(chart, 10)
+    got, want = (hamiltonian_killing_check(chart.eval(pts, order=k))
+                 for k in (3, 2))
+    assert [e.value for e in got.entries] == [e.value for e in want.entries]
+
+
 def test_hamiltonian_killing_negative_control():
     rng = np.random.default_rng(8)
     pts, fl = flat_complex_chart(n=10)
