@@ -34,7 +34,8 @@ import numpy as np
 
 from .builders import ProjectiveMobilityChart, mobility_rhs
 from .geometry import (
-    christoffel, lie_endo, lie_metric, max_abs, normal_part, span_gram)
+    christoffel, lie_endo, lie_metric, max_abs, nan_max, normal_part,
+    span_gram)
 from .kahler import partner_fields
 from .ode import OdeError, integrate
 from .report import CheckEntry, ResidualReport
@@ -301,7 +302,7 @@ def transport_check(chart, x0=None, t_span=(-3.0, 3.0), tol=1e-6
                            n_out=TRANSPORT_POINTS):
         rho_t = traj.x[:, rho_idx]
         expect = logistic(rho0, traj.t)
-        worst = max(worst, float(np.max(np.abs(rho_t - expect))))
+        worst = nan_max(worst, max_abs(rho_t - expect))
     rep = ResidualReport(title="transport")
     rep.add(CheckEntry("eigenvalue_transport", "rho(t) logistic",
                        worst, tol, samples=2 * TRANSPORT_POINTS))

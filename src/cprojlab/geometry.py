@@ -32,7 +32,7 @@ __all__ = [
     "cov_deriv_endo", "cov_deriv_vector", "lie_metric", "lie_endo",
     "lie_scalar", "lie_two_form", "lie_vector", "lie_christoffel",
     "ext_deriv_two_form", "gradient", "hessian_cov", "third_cov_scalar",
-    "max_abs", "span_gram", "normal_part",
+    "max_abs", "nan_max", "span_gram", "normal_part",
 ]
 
 
@@ -100,15 +100,22 @@ class GridSpec:
 # residual norms
 # ---------------------------------------------------------------------------
 
-def max_abs(*arrays) -> float:
-    out = 0.0
-    for a in arrays:
-        if a is None:
-            continue
-        a = np.asarray(a)
-        if a.size:
-            out = max(out, float(np.max(np.abs(a))))
+def nan_max(*values) -> float:
+    """The largest value, or NaN if any is NaN: Python's ``max`` keeps a
+    NaN only in first place, so a residual that is NaN would read as a
+    pass."""
+    out = values[0]
+    for v in values[1:]:
+        if v > out or v != v:
+            out = v
     return out
+
+
+def max_abs(*arrays) -> float:
+    """The largest |entry| of the arrays (None skipped), 0.0 if there is
+    none and NaN if one is NaN."""
+    return nan_max(0.0, *(float(np.max(np.abs(a))) for a in arrays
+                          if a is not None and np.size(a)))
 
 
 # ---------------------------------------------------------------------------

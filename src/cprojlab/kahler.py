@@ -26,7 +26,7 @@ import numpy as np
 from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, tensor_partial
 from .geometry import (
     cov_deriv_endo, ext_deriv_two_form, gradient, hessian_cov, lie_bracket,
-    lie_metric, max_abs,
+    lie_metric, max_abs, nan_max,
 )
 from .report import CheckEntry, ResidualReport
 # complex_char_poly lives next to ChartFields.char_poly, its one caller,
@@ -193,7 +193,7 @@ def nonconstant_factor(e, constant_eigs):
     ncx = len(e) - 1
     # coefficients of t^(n-k) are (-1)^k e_k; synthetic division by (t - c)
     coeffs = [e[k] * ((-1.0) ** k) for k in range(ncx + 1)]
-    scale = 1.0 + max(max_abs(c.c[0]) for c in coeffs)
+    scale = 1.0 + max_abs(*(c.c[0] for c in coeffs))
     worst = 0.0
     for c, mult in constant_eigs:
         for _ in range(mult):
@@ -201,7 +201,7 @@ def nonconstant_factor(e, constant_eigs):
             for k in range(1, len(coeffs)):
                 out.append(coeffs[k] + out[-1] * c)
             rem = out.pop()
-            worst = max(worst, max_abs(rem.c[0]) / scale)
+            worst = nan_max(worst, max_abs(rem.c[0]) / scale)
             coeffs = out
     if worst > ROOT_TOL:
         raise KahlerError(
@@ -319,7 +319,8 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
         res2 = np.einsum("nab,nb->na", Av, Jgrad) \
             - r.c[0][:, None] * Jgrad
         s = 1.0 + max_abs(grad[mask], Av[mask])
-        worst = max(worst, max_abs(res[mask]) / s, max_abs(res2[mask]) / s)
+        worst = nan_max(worst, max_abs(res[mask]) / s,
+                        max_abs(res2[mask]) / s)
     rep.add(CheckEntry("eigenvector_gradients", "(A-rho)grad rho",
                        worst, tol, samples=n, excluded=excluded))
     return rep
@@ -337,9 +338,9 @@ def commuting_gradients_residual(flds, tol=1e-7) -> ResidualReport:
     worst = 0.0
     for i, u in enumerate(grads):
         for v in grads[i + 1:]:
-            worst = max(worst, max_abs(lie_bracket(u, v))
-                        / ((1.0 + max_abs(u.c[0]))
-                           * (1.0 + max_abs(v.c[0]))))
+            worst = nan_max(worst, max_abs(lie_bracket(u, v))
+                            / ((1.0 + max_abs(u.c[0]))
+                               * (1.0 + max_abs(v.c[0]))))
     rep = ResidualReport(title="commuting-gradients")
     rep.add(CheckEntry("commuting_gradients", "[grad mu_i, grad mu_j]",
                        worst, tol, samples=n))
@@ -365,8 +366,8 @@ def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
         lhs = jet_einsum("nb,n->nb", lhs, inv_det.truncate(dmu.order))
         muhat = flds.mus[i - 1] / detL              # muhat_{ell+1-i}
         rhs = tensor_partial(muhat)
-        worst = max(worst, max_abs(lhs.c[0] + rhs.c[0])
-                    / (1.0 + max_abs(lhs.c[0], rhs.c[0])))
+        worst = nan_max(worst, max_abs(lhs.c[0] + rhs.c[0])
+                        / (1.0 + max_abs(lhs.c[0], rhs.c[0])))
     rep = ResidualReport(title="mu-hat-duality")
     rep.add(CheckEntry("mu_hat_duality",
                        "d mu_i o L^{-1} / det L = -d muhat_{l+1-i}",

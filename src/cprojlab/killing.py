@@ -17,7 +17,7 @@ import numpy as np
 from .jets import Jet, jet_einsum
 from .geometry import (
     christoffel, cov_deriv_vector, gradient, lie_bracket, lie_endo,
-    lie_metric, max_abs, normal_part, span_gram,
+    lie_metric, max_abs, nan_max, normal_part, span_gram,
 )
 from .report import CheckEntry, ResidualReport
 from .kahler import gap_mask, nonconstant_factor
@@ -88,25 +88,25 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
     for i, K in enumerate(ks.K):
         ord1 = K.order
         sK = 1.0 + max_abs(K.c[0])
-        worst["lie_g"] = max(worst["lie_g"], max_abs(
+        worst["lie_g"] = nan_max(worst["lie_g"], max_abs(
             lie_metric(g.truncate(ord1), K)[mask]) / (scale_g * sK))
-        worst["lie_J"] = max(worst["lie_J"], max_abs(
+        worst["lie_J"] = nan_max(worst["lie_J"], max_abs(
             lie_endo(J.truncate(ord1), K)[mask]) / sK)
-        worst["lie_A"] = max(worst["lie_A"], max_abs(
+        worst["lie_A"] = nan_max(worst["lie_A"], max_abs(
             lie_endo(A.truncate(ord1), K)[mask]) /
             (sK * (1.0 + max_abs(A.c[0]))))
         # hamiltonian property: omega(K_i, .) + d mu_i = 0
         ham = np.einsum("nab,na->nb", w.c[0], K.c[0]) + ks.mus[i].c[1]
-        worst["ham"] = max(worst["ham"], max_abs(ham[mask]) / sK)
+        worst["ham"] = nan_max(worst["ham"], max_abs(ham[mask]) / sK)
         for j, K2 in enumerate(ks.K):
-            worst["omega_KK"] = max(worst["omega_KK"], max_abs(
+            worst["omega_KK"] = nan_max(worst["omega_KK"], max_abs(
                 np.einsum("nab,na,nb->n", w.c[0], K.c[0], K2.c[0])[mask])
                 / (sK * (1.0 + max_abs(K2.c[0]))))
-            worst["moment"] = max(worst["moment"], max_abs(
+            worst["moment"] = nan_max(worst["moment"], max_abs(
                 np.einsum("na,na->n", ks.mus[i].c[1], K2.c[0])[mask])
                 / (1.0 + max_abs(K2.c[0])))
             for u, v_ in ((K, K2), (K, JK[j]), (JK[i], JK[j])):
-                worst["brackets"] = max(worst["brackets"], max_abs(
+                worst["brackets"] = nan_max(worst["brackets"], max_abs(
                     lie_bracket(u, v_)[mask])
                     / ((1.0 + max_abs(u.c[0])) * (1.0 + max_abs(v_.c[0]))))
 
@@ -122,7 +122,7 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
         for nKj in nablaK:
             w_ = np.einsum("nab,nb->na", J.c[0],
                            np.einsum("na,nab->nb", Ki.c[0], nKj))
-            worst["span"] = max(worst["span"], max_abs(
+            worst["span"] = nan_max(worst["span"], max_abs(
                 normal_part(w_, Kv, g.c[0], gram_inv)[mask])
                 / (1.0 + max_abs(w_)))
 
@@ -151,8 +151,8 @@ def a_on_k_recurrence(ks: CanonicalKillingSet, flds, tol=1e-7
         rhs = ks.mus[i].c[0][:, None] * ks.K[0].c[0]
         if i + 1 < ks.ell:
             rhs = rhs - ks.K[i + 1].c[0]
-        worst = max(worst, max_abs((AK - rhs)[ks.mask])
-                    / (1.0 + max_abs(AK, rhs)))
+        worst = nan_max(worst, max_abs((AK - rhs)[ks.mask])
+                        / (1.0 + max_abs(AK, rhs)))
     rep.add(CheckEntry("a_on_k", "A K_i = mu_i K_1 - K_{i+1}", worst, tol,
                        samples=n, excluded=int((~ks.mask).sum())))
     return rep
@@ -173,8 +173,8 @@ def totally_geodesic_residual(span, g: Jet, tol=1e-7) -> ResidualReport:
         nv = cov_deriv_vector(v, gam)[ok]
         for u in span:
             nab = np.einsum("na,nab->nb", u.c[0][ok], nv)
-            worst = max(worst, max_abs(normal_part(nab, Uok, gok, gram_inv))
-                        / (1.0 + max_abs(nab)))
+            worst = nan_max(worst, max_abs(
+                normal_part(nab, Uok, gok, gram_inv)) / (1.0 + max_abs(nab)))
     rep.add(CheckEntry("totally_geodesic", "pr_perp(nabla_u v) = 0",
                        worst, tol, samples=n, excluded=int((~ok).sum())))
     return rep

@@ -8,6 +8,7 @@ from cprojlab.builders import (
     build_main_example, build_mobility2, build_quotient_pair, lift_pair,
     mobility_spec, solve_jordan_odes, jordan_pair_spec,
 )
+from cprojlab.jets import Jet
 
 RNG_SEED = 20260809
 
@@ -104,3 +105,11 @@ def qp_mobility_leaf():
 def sample(chart_or_pair, n, seed=RNG_SEED):
     rng = np.random.default_rng(seed)
     return chart_or_pair.window.random(n, rng)
+
+
+def with_nan(jet, k, index):
+    """A copy of ``jet`` with NaN at ``index`` of its order-``k``
+    coefficients."""
+    coeffs = [c.copy() for c in jet.c]
+    coeffs[k][index] = np.nan
+    return Jet(jet.dim, jet.order, coeffs)

@@ -1,13 +1,10 @@
 """Central finite-difference oracle, test-only.
 
 Differentiates black-box evaluations of scalar/tensor component functions
-with central stencils at steps {1e-3, 5e-4} and exposes a Richardson-style
-convergence-order estimate.  Production code never imports this module.
+with central stencils.  Production code never imports this module.
 """
 
 import numpy as np
-
-STEPS = (1e-3, 5e-4)
 
 
 def fd_gradient(f, x, h=1e-3):
@@ -52,16 +49,3 @@ def fd_third(f, x, h=2e-3):
             out = np.zeros(g.shape + (d,), np.result_type(g, float))
         out[..., k] = g
     return out
-
-
-def convergence_order(f, x, exact_grad, steps=(4e-3, 2e-3, 1e-3)):
-    """Slope of log(error) vs log(h) for the central-difference gradient."""
-    errs = []
-    for h in steps:
-        g = fd_gradient(f, x, h)
-        errs.append(np.max(np.abs(g - exact_grad)))
-    errs = np.asarray(errs)
-    if np.any(errs < 1e-13):
-        return np.inf, errs
-    slope = np.polyfit(np.log(np.asarray(steps)), np.log(errs), 1)[0]
-    return slope, errs

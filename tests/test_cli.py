@@ -150,20 +150,32 @@ def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
-@pytest.mark.parametrize("a", ["1e-300", "1e-200"])
-def test_mobility_fit_that_cannot_run_exits_2(tmp_path, a):
-    # g's first derivatives overflow at the fit's samples; numpy's
-    # overflow warnings may come first, but no traceback
+def _run_mobility2_with_a(tmp_path, a):
     text = (CONFIGS / "mobility2.cfg").read_text()
     assert "\na = 1.0\n" in text
-    cfg = tmp_path / "tiny-a.cfg"
+    cfg = tmp_path / "extreme-a.cfg"
     cfg.write_text(text.replace("\na = 1.0\n", f"\na = {a}\n", 1))
-    code, out, err = run_cli("run", str(cfg))
-    assert code == 2
-    assert out == ""
-    assert [line for line in err.splitlines() if line.startswith("error: ")] \
-        == ["error: mobility field fit: 200 of 200 samples are not finite"]
-    assert "Traceback" not in err
+    return run_cli("run", str(cfg))
+
+
+@pytest.mark.parametrize("a", ["1e-300", "1e-200"])
+def test_mobility_fit_that_cannot_run_exits_2(tmp_path, a):
+    # g's first derivatives overflow at the fit's samples; the error line
+    # is all of stderr, with no numpy warning before it
+    code, out, err = _run_mobility2_with_a(tmp_path, a)
+    assert (code, out) == (2, "")
+    assert err == ("error: mobility field fit: 200 of 200 samples are not "
+                   "finite\n")
+
+
+@pytest.mark.parametrize("a", ["1e-100", "1e100", "1e300"])
+def test_extreme_a_exits_2_with_one_error_line(tmp_path, a):
+    # the fit or the metric is refused; numpy's overflow and invalid-value
+    # warnings stay out of stderr
+    code, out, err = _run_mobility2_with_a(tmp_path, a)
+    assert (code, out) == (2, "")
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize("name,line", [
@@ -262,6 +274,81 @@ def test_remaining_scenarios_pass(capsys, name):
             assert any(fnmatch.fnmatchcase(nm, pat) for nm in reported), pat
 
 
+def _canonical_runs():
+    """A run of each scenario kind, from its first shipped config, with
+    every step's condition holding (the Jordan config as its 3x3 block)."""
+    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
+    runs = {}
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        text = path.read_text()
+        if path.stem == "jordan2":
+            text = text.replace("kind = 2x2", "kind = 3x3").replace(
+                "init = 0.5 0.1", "init = 0.5 0.1 0.2")
+        v = cli.validate(parse_config_text(text), args)
+        runs.setdefault(v["scenario"], v)
+    assert set(runs) == set(cli.SCENARIOS)
+    return runs
+
+
+class RecordingRun:
+    """A Run that records the names of the attributes read through it."""
+
+    def __init__(self, run):
+        self.run, self.reads = run, set()
+
+    def __getattr__(self, name):
+        self.reads.add(name)
+        return getattr(self.run, name)
+
+
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
+def test_every_step_reads_the_run(kind):
+    # a step that reads nothing of the run but the tolerance scale and the
+    # CSV table evaluates a constant of the code; such an identity belongs
+    # in a unit test, not in the report
+    v = _canonical_runs()[kind]
+    build, steps = cli.SCENARIOS[kind][:2]
+    run = cli.Run(v, 1.0)
+    build(run)
+    for st in steps:
+        assert not st.when or v[st.when[0]] == st.when[1], st.names
+        rec = RecordingRun(run)
+        st.emit(rec, v[f"tol.{st.tol}"] if st.tol else None)
+        assert rec.reads - {"scale", "csv"}, st.names
+
+
+@pytest.mark.parametrize("name,other", [
+    ("dini-lift", "explicit"), ("complex-pair", "jacobian")])
+def test_route_agreement_builds_the_other_route(monkeypatch, capsys, name,
+                                                other):
+    routes = []
+
+    def recorded(*a, route, **kw):
+        routes.append(route)
+        return builders.lift_pair(*a, route=route, **kw)
+
+    monkeypatch.setattr(cli, "lift_pair", recorded)
+    path = CONFIGS / f"{name}.cfg"
+    assert main(["run", str(path), "--only", "route_agreement"]) == 0
+    assert routes == [parse_config(path).options["route"], other]
+    checks = [l for l in capsys.readouterr().out.splitlines()
+              if l.startswith("check=")]
+    assert len(checks) == 1 and checks[0].startswith("check=route_agreement ")
+
+
+def test_main_example_scenario_exits_2(tmp_path, capsys):
+    # a lift with route = explicit runs the route cross-check
+    text = (CONFIGS / "complex-pair.cfg").read_text()
+    cfg = tmp_path / "main-example.cfg"
+    cfg.write_text(text.replace("scenario = lift\n",
+                                "scenario = main-example\n"))
+    assert main(["run", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: line 2: option 'scenario' needs one of "
+                   f"{', '.join(cli.SCENARIOS)}, got 'main-example'\n")
+
+
 @pytest.mark.parametrize("name,key,value", [
     ("dini-lift", "grid", "four"),
     ("dini-lift", "grid", "4.5"),
@@ -319,6 +406,8 @@ def test_bad_numeric_option_exits_2(tmp_path, capsys, name, key, value):
     ("dini-pair", "tol.planarity"),
     ("appendix", "tol.proj"),
     ("dini-lift", "tol.lie"),
+    # the class of a check on a code constant, gone from the registry
+    ("appendix", "tol.vandermonde"),
 ])
 def test_tolerance_key_of_an_unread_class_exits_2(tmp_path, capsys, name,
                                                   key):
@@ -339,7 +428,7 @@ TOL_KEYS = {
                  "volume",
     "jordan2": "ode proj pde_split ricci spectrum",
     "phase-portraits": "",
-    "appendix": "ricci spectrum vandermonde",
+    "appendix": "ricci spectrum",
 }
 
 
@@ -613,7 +702,7 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
     ("seeded-defect", "domega,partner_roundtrip"),
     ("mobility2", "v_fit,eigenvalue,killing_detC"),
     ("jordan2", "blowup,proj"),
-    ("phase-portraits", "circle_rho^2+,logistic"),
+    ("phase-portraits", "circle_rho^2+,circle_rho("),
 ])
 def test_only_output_equals_filtered_full_report(capsys, name, only):
     path = str(CONFIGS / f"{name}.cfg")

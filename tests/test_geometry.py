@@ -6,7 +6,7 @@ from cprojlab.geometry import (
     Box, GridSpec, GeometryError,
     christoffel, cov_deriv_endo, ext_deriv_two_form, gradient,
     hessian_cov, lie_bracket, lie_christoffel, lie_metric,
-    metric_inverse, max_abs, normal_part, riemann, span_gram,
+    metric_inverse, max_abs, nan_max, normal_part, riemann, span_gram,
 )
 
 
@@ -309,3 +309,12 @@ def test_span_gram_and_normal_part_by_hand():
     assert np.allclose(normal_part(w, span, gv, np.linalg.inv(gram)),
                        [[0.0, 0.0, 5.0], [0.0, 2.0, 0.0]],
                        rtol=0, atol=1e-14)
+
+
+def test_max_abs_and_nan_max_keep_nan():
+    a = np.array([1.0, np.nan])
+    assert np.isnan(max_abs(np.ones(3), a)) and np.isnan(max_abs(a, -2.0))
+    assert np.isnan(nan_max(0.0, np.nan, 1.0))
+    assert np.isnan(nan_max(np.nan, 2.0))
+    assert max_abs(None, np.zeros(0)) == 0.0
+    assert max_abs(np.array([-3.0, 1.0]), 2.0) == nan_max(1.0, 3.0) == 3.0

@@ -14,7 +14,7 @@ from cprojlab.kahler import (
 )
 from cprojlab.builders import ChartFields, lift_pair, shift_endo
 
-from conftest import sample
+from conftest import sample, with_nan
 
 
 def pair_fields(h, L):
@@ -87,6 +87,25 @@ def test_seeded_omega_defect_is_flagged(qp_dini):
     dw = rep.entry("domega")
     assert not dw.passed
     assert 0.05 * eps <= dw.value <= 20 * eps
+
+
+def _dini_fields(qp_dini):
+    chart = lift_pair(qp_dini, route="jacobian")
+    return chart.eval(sample(chart, 10), order=2)
+
+
+def test_nan_in_a_at_one_sample_fails_cproj(qp_dini):
+    # a NaN residual at one sample is the check's value, not dropped
+    fl = _dini_fields(qp_dini)
+    e = cproj_residual(fl.replace(A=with_nan(fl.A, 0, (3, 0, 0)))).entries[0]
+    assert np.isnan(e.value) and not e.passed
+
+
+def test_nan_in_domega_at_one_sample_fails_domega(qp_dini):
+    fl = _dini_fields(qp_dini)
+    rep = check_kahler(fl.replace(omega=with_nan(fl.omega, 1, (3, 0, 1, 2))))
+    e = rep.entry("domega")
+    assert np.isnan(e.value) and not e.passed
 
 
 def test_proj_residual_dini_and_identity(qp_dini):

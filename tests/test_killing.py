@@ -4,11 +4,11 @@ from cprojlab.builders import ChartFields
 from cprojlab.geometry import gradient, max_abs, metric_inverse
 from cprojlab.jets import Jet, jstack
 from cprojlab.killing import (
-    a_on_k_recurrence, build_canonical_killing, killing_property_suite,
-    totally_geodesic_residual,
+    CanonicalKillingSet, a_on_k_recurrence, build_canonical_killing,
+    killing_property_suite, totally_geodesic_residual,
 )
 
-from conftest import sample
+from conftest import sample, with_nan
 
 
 def test_canonical_fields_match_coordinate_fields(corpus):
@@ -129,3 +129,16 @@ def test_totally_geodesic_flat_plane_and_negative():
     v = jstack([zero, one, x])          # nabla_u v = (0,0,1) leaves span
     rep = totally_geodesic_residual([u, v], g)
     assert rep.entries[0].value > 1e-2
+
+
+def test_nan_in_the_second_field_fails_the_suite(corpus):
+    # the first field's residuals come first; a NaN in the second field's
+    # derivatives at one sample must still reach the suite's values
+    name, chart, consts = corpus[3]       # dini-lift, two fields
+    fl = chart.eval(sample(chart, 10), order=2)
+    ks = build_canonical_killing(fl, consts)
+    K = [ks.K[0], with_nan(ks.K[1], 1, (3, 0, 0))]
+    rep = killing_property_suite(CanonicalKillingSet(ks.mus, K, ks.mask), fl)
+    for key in ("lie_g", "lie_J", "lie_A", "brackets"):
+        e = rep.entry(f"killing_{key}")
+        assert np.isnan(e.value) and not e.passed, key

@@ -43,6 +43,12 @@ def test_sum_vs_det_random(seed):
     assert abs(a - b) <= 1e-11 * (1 + abs(a))
 
 
+def test_sum_vs_det_exp_fixed_case():
+    rho = np.array([0.21, 0.47, 0.83])
+    assert abs(sum_over_delta(np.exp, rho)
+               - det_quotient(np.exp, rho)) <= 1e-11
+
+
 def test_distinct_functions_per_slot():
     rho = np.array([0.2, 0.5, 0.9])
     ks = [lambda t: t, lambda t: t * t, lambda t: np.cos(t)]
