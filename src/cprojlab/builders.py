@@ -501,25 +501,53 @@ def complex_char_poly(A: Jet, J: Jet):
     The complex trace of a J-commuting endomorphism is
     tr_C M = (tr M - i tr(J M)) / 2; Newton's identities turn the power
     sums of A into the (complex jet) coefficients.
+
+    No power of A is formed at A's order.  Each trace but tr A is its
+    value plus its gradient, a jet one order below A, by the cyclic
+    property of the trace alone (J and A need not commute):
+    d tr(A^k) = k tr(A^(k-1) dA) and d tr(J A^k) = tr(dJ A^k) +
+    tr(B_k dA), with B_1 = J and B_(k+1) = A B_k + J A^k.  So every
+    matrix product runs one order below A, as in ``jet_det``; the
+    gradients against dA are one contraction, those against dJ another.
     """
-    d = A.c[0].shape[-1]
-    ncx = d // 2
-    Ak = A
+    ncx = A.c[0].shape[-1] // 2
+    low = max(A.order - 1, 0)
+    Al, Jl = A.truncate(low), J.truncate(low)
+    pows, Bs = [Al], [Jl]          # A^k and B_k, k = 1..ncx
+    for _ in range(1, ncx):
+        Bs.append(jet_matmul(Al, Bs[-1]) + jet_matmul(Jl, pows[-1]))
+        pows.append(jet_matmul(pows[-1], Al))
+    gA = gJ = ()
+    if A.order:
+        def traces(mats, dX):
+            """tr(M dX) for each M of ``mats``, on axis 1 of the
+            coefficients."""
+            stack = Jet._of(A.dim, low, [np.stack(cs, axis=1)
+                                         for cs in zip(*(m.c for m in mats))])
+            return jet_einsum("nkij,njia->nka", stack, dX).c
+
+        # axis 1 of gA: tr(A^k dA) for k < ncx, then tr(B_k dA)
+        gA = traces(pows[:-1] + Bs, tensor_partial(A))
+        gJ = traces(pows, tensor_partial(J))
     ps = []
     for k in range(1, ncx + 1):
-        tr = jet_trace(Ak)
-        trJ = jet_einsum("nij,nji->n", J, Ak)
-        ps.append((tr - 1j * trJ) * 0.5)
-        if k < ncx:
-            Ak = jet_matmul(Ak, A)
+        # p_k = (tr A^k - i tr(J A^k)) / 2, coefficient by coefficient
+        Ak = pows[k - 1].c[0]
+        tr = jet_trace(A).c if k == 1 else [
+            np.einsum("nii->n", Ak), *(g[:, k - 2] * float(k) for g in gA)]
+        trJ = [np.einsum("nij,nji->n", J.c[0], Ak),
+               *(gj[:, k - 1] + ga[:, ncx + k - 2] for gj, ga in zip(gJ, gA))]
+        ps.append(Jet._of(A.dim, A.order,
+                          [(t - 1j * u) * 0.5 for t, u in zip(tr, trJ)]))
     e = [Jet.const(np.ones(A.c[0].shape[0], dtype=complex), A.dim, A.order)]
     for k in range(1, ncx + 1):
+        # k e_k = sum_i (-1)^(i-1) e_(k-i) p_i
         acc = None
         for i in range(1, k + 1):
             # e_0 = 1, so its term is the power sum itself
             term = ps[i - 1] if i == k else e[k - i] * ps[i - 1]
-            term = term * ((-1.0) ** (i - 1))
-            acc = term if acc is None else acc + term
+            acc = term if acc is None else (
+                acc + term if i % 2 else acc - term)
         e.append(acc * (1.0 / k))
     return e
 
@@ -627,7 +655,9 @@ class ChartFields:
     @cached_property
     def char_poly(self) -> list:
         """Complex jets e_0..e_n with det_C(t Id - A) = sum (-1)^k e_k
-        t^(n-k); needs J.  A ``shifted`` copy takes its base's shifted
+        t^(n-k); needs J.  ``complex_char_poly`` builds them from the
+        power sums' values and gradients, with every matrix product one
+        order below A.  A ``shifted`` copy takes its base's shifted
         exactly, det_C(t Id - A - c) = p(t - c): the new e_k is
         sum_j C(n-j, k-j) c^(k-j) e_j, with no matrix products."""
         if "_shift_of" in self.__dict__:

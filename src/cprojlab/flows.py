@@ -18,9 +18,12 @@ leaf metric under the off-leaf part of v and the closed-form curvature
 eigenvalues of the nilpotent blocks, with the exponent fit of their
 divergence, complete the module.
 
-Integrator contract: the ``tol`` argument bounds the local error and the
-solver is driven quadratically harder than requested (internal tolerance
-tol^2), so halving ``tol`` cuts the endpoint error by about four.
+Integrator contract: the solver runs at the internal tolerance
+max(tol^2, 1e-13), relative and absolute.  Every caller in this package
+passes tol <= 1e-8, so every ``cprojlab run`` integrates at the 1e-13
+floor and ``tol`` changes nothing there; only a tol above about 3e-7
+reaches the solver, and then halving it cuts the endpoint error by about
+four.
 Every right-hand side is vectorized as ``cprojlab.ode`` asks: it takes
 states as the columns of y, one time each, and evaluates the chart once
 at all their points.
@@ -71,8 +74,10 @@ class Trajectory:
 
 
 def _solve(rhs, T, y0, tol, event=None):
-    """Dense solution over (0, T) at internal tolerance tol^2, and the
-    time the terminal ``event`` fired (None if it did not)."""
+    """Dense solution over (0, T) at internal tolerance
+    max(tol^2, 1e-13), and the time the terminal ``event`` fired (None if
+    it did not).  The callers here pass tol <= 1e-8, so they all run at
+    the 1e-13 floor."""
     it = max(tol * tol, _INTERNAL_FLOOR)
     try:
         return integrate(rhs, (0.0, T), y0, it, it, event)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
 )
 from cprojlab.flows import split_lie_suite
-from cprojlab.jets import Jet, jet_einsum
+from cprojlab.jets import Jet, jet_einsum, jet_matmul, jet_trace
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
 from conftest import pair_complex, pair_dini, pair_ell1, sample
@@ -463,6 +464,116 @@ def test_esp_jets_equals_the_dense_recurrence(cplx, data, dim, order, n,
         for a, b in zip(g.c, w.c, strict=True):
             assert a.dtype == b.dtype and a.shape == b.shape
             assert a.tobytes() == b.tobytes()
+
+
+def _char_poly_by_products(A, J):
+    """The characteristic polynomial from the full-order powers of A,
+    the reference: A^k as a jet at A's order, then tr A^k and
+    tr(J A^k), then Newton's identities, as ``complex_char_poly`` is
+    specified."""
+    ncx = A.c[0].shape[-1] // 2
+    Ak, ps = A, []
+    for k in range(1, ncx + 1):
+        tr = jet_trace(Ak)
+        trJ = jet_einsum("nij,nji->n", J, Ak)
+        ps.append((tr - 1j * trJ) * 0.5)
+        if k < ncx:
+            Ak = jet_matmul(Ak, A)
+    e = [Jet.const(np.ones(A.c[0].shape[0], dtype=complex), A.dim, A.order)]
+    for k in range(1, ncx + 1):
+        acc = None
+        for i in range(1, k + 1):
+            term = ps[i - 1] if i == k else e[k - i] * ps[i - 1]
+            term = term * ((-1.0) ** (i - 1))
+            acc = term if acc is None else acc + term
+        e.append(acc * (1.0 / k))
+    return e
+
+
+def _assert_char_poly_matches_products(A, J, label):
+    """``complex_char_poly`` equals the reference within 1e-13 of each
+    e_k's scale, and each e_k Hessian is symmetric within the same.  The
+    scale of e_k is the larger of its own size and a^k, a the size of A:
+    an e_k that vanishes (a zero eigenvalue) is a sum of products that
+    cancel, and rounds on their scale."""
+    got = builders.complex_char_poly(A, J)
+    want = _char_poly_by_products(A, J)
+    assert len(got) == len(want) == A.c[0].shape[-1] // 2 + 1
+    a = max(max_abs(c) for c in A.c)
+    for k, (g, w) in enumerate(zip(got, want)):
+        assert (g.dim, g.order) == (w.dim, w.order), (label, k)
+        scale = max(max(max_abs(c) for c in w.c), a ** k)
+        for gc, wc in zip(g.c, w.c, strict=True):
+            assert gc.shape == wc.shape, (label, k)
+            assert max_abs(gc - wc) <= 1e-13 * scale, (label, k)
+        if g.order >= 2:
+            assert max_abs(g.c[2] - np.swapaxes(g.c[2], -1, -2)) \
+                <= 1e-13 * scale, (label, k)
+
+
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_char_poly_equals_the_product_construction(corpus, qp_ell1,
+                                                   qp_complex, order):
+    # every corpus chart, the complex pair on the Jacobian route and a
+    # lift with a negative-signature constant block; the Jacobian route
+    # stops at order 2, so its order-3 fields come from the explicit one
+    charts = [(name, chart) for name, chart, _ in corpus] + [
+        ("complex-jacobian", lift_pair(qp_complex, route="jacobian")),
+        ("ell1-cb-signed", lift_pair(
+            qp_ell1, (ConstantBlock(1.0, 4, (1, -1)),), route="explicit"))]
+    for name, chart in charts:
+        if order > 2 and chart.route == "jacobian":
+            chart = lift_pair(chart.qp, chart.cb, route="explicit")
+        fl = chart.eval(sample(chart, 12), order=order)
+        _assert_char_poly_matches_products(fl.A, fl.J, name)
+
+
+def _random_jet(rng, shape, dim, order):
+    """A real jet of batch shape ``shape`` with random coefficients,
+    each symmetric in its derivative axes as a Taylor coefficient is."""
+    coeffs = []
+    for k in range(order + 1):
+        a = rng.normal(size=shape + (dim,) * k)
+        n = len(shape)
+        perms = list(itertools.permutations(range(n, n + k)))
+        coeffs.append(sum(a.transpose(tuple(range(n)) + p) for p in perms)
+                      / len(perms))
+    return Jet(dim, order, coeffs)
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2, 3])
+def test_char_poly_does_not_assume_that_j_and_a_commute(d, order):
+    # random A and J, far from commuting and J^2 far from -Id: the
+    # gradient construction is exact for any pair of matrix jets
+    rng = np.random.default_rng(100 * d + order)
+    A = _random_jet(rng, (7, d, d), 3, order)
+    J = _random_jet(rng, (7, d, d), 3, order)
+    comm = np.einsum("nij,njk->nik", A.c[0], J.c[0]) \
+        - np.einsum("nij,njk->nik", J.c[0], A.c[0])
+    assert max_abs(comm) > 0.5
+    _assert_char_poly_matches_products(A, J, f"random-d{d}")
+
+
+def test_char_poly_multiplies_no_matrix_at_the_order_of_a(monkeypatch,
+                                                          corpus):
+    # at d = 6 and order 2 every matrix-valued operand that
+    # complex_char_poly hands to a jet product is of order 1 or less
+    name, chart, _ = corpus[-1]
+    fl = chart.eval(sample(chart, 8), order=2)
+    assert name == "mobility2" and fl.A.c[0].shape[-1] == 6
+    seen = []
+    for fname in ("jet_matmul", "jet_einsum"):
+        def recorded(*args, _orig=getattr(builders, fname), _name=fname):
+            seen.append((_name, [(a.order, a.c[0].ndim) for a in args
+                                 if isinstance(a, Jet)]))
+            return _orig(*args)
+
+        monkeypatch.setattr(builders, fname, recorded)
+    builders.complex_char_poly(fl.A, fl.J)
+    assert {n for n, _ in seen} == {"jet_matmul", "jet_einsum"}
+    assert all(order < 2 for _, ops in seen for order, ndim in ops
+               if ndim >= 3), seen
 
 
 def test_jacobian_rhs_builds_at_most_40_jets(monkeypatch):

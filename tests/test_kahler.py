@@ -15,6 +15,7 @@ from cprojlab.kahler import (
 from cprojlab.builders import ChartFields, lift_pair, shift_endo
 
 from conftest import sample, with_nan
+from fd_oracle import fd_gradient, fd_hessian
 
 
 def pair_fields(h, L):
@@ -177,6 +178,30 @@ def test_nonconstant_factor_wrong_constant_raises(corpus):
     with pytest.raises(KahlerError):
         nonconstant_factor(fl.char_poly, [(0.37, 1)])
 
+
+
+@pytest.mark.parametrize("name", ["mobility2", "mobility2-ell2", "ell1-cb0"])
+def test_mu_derivatives_match_finite_differences(corpus, mob_l2, name):
+    # the mu_i of nonconstant_factor(char_poly) at order 2 against central
+    # differences of their values at order 0: the corpus mobility chart,
+    # the two-eigenvalue one, and ell1-cb0, whose eigenvalue is quadratic
+    # in its coordinate so that mu_1 has a Hessian
+    charts = {n: (c, k) for n, c, k in corpus}
+    charts["mobility2-ell2"] = (mob_l2, [])
+    chart, consts = charts[name]
+    pts = sample(chart, 8)
+    mus, _ = nonconstant_factor(chart.eval(pts, order=2).char_poly, consts)
+    assert len(mus) > 1
+    for i, mu in enumerate(mus[1:], 1):
+        def value(x, i=i):
+            e = chart.eval(x, order=0).char_poly
+            return nonconstant_factor(e, consts)[0][i].c[0]
+
+        scale = 1.0 + max_abs(mu.c[0])
+        assert max_abs(mu.c[1] - fd_gradient(value, pts)) <= 1e-9 * scale
+        assert max_abs(mu.c[2] - fd_hessian(value, pts)) <= 1e-7 * scale
+    if name == "ell1-cb0":
+        assert max_abs(mus[1].c[2]) > 0.1
 
 def test_hamiltonian_killing_on_instances(corpus):
     for name, chart, _ in corpus:
