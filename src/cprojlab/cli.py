@@ -196,7 +196,7 @@ def _route_agreement(r, tol):
     # the run's chart against the one the other route builds
     fa = lift_pair(r.inst.qp, cb=r.cb,
                    route=OTHER_ROUTE[r.v["route"]]).eval(r.pts, order=1)
-    fb = r.inst.eval(r.pts, order=1)
+    fb = r.f
     diffs = [getattr(fa, k).c[0] - getattr(fb, k).c[0]
              for k in ("g", "omega", "J", "A")]
     dev = max_abs(*diffs) / (1.0 + max_abs(fb.g.c[0]))
@@ -407,10 +407,11 @@ SCENARIOS = {
 
 
 def validate(cfg, args):
-    """Check ``cfg`` and the ``--grid``, ``--seed`` and ``--tol-scale``
-    flags against the scenario's rows before any work; return the typed
-    values by key (a list of typed sections under each section name), or
-    raise one ConfigError naming the first bad key and its line."""
+    """Check ``cfg`` and the text of the ``--grid``, ``--seed`` and
+    ``--tol-scale`` flags against the scenario's rows before any work;
+    return the typed values by key (a list of typed sections under each
+    section name, the scale under ``tol_scale``), or raise one ConfigError
+    naming the first bad key and its line."""
     kind = Opt(tuple(SCENARIOS)).check(cfg.options.get("scenario"),
                                        cfg.at(None, "scenario"), {})
     steps, opts, takes = SCENARIOS[kind][1:]
@@ -428,7 +429,8 @@ def validate(cfg, args):
             if key not in opts:
                 raise ConfigError(f"--{key}: scenario {kind!r} takes no {key}")
             v[key] = opts[key].check(getattr(args, key), f"--{key}", v)
-    Opt(float, bounds="(0, inf)").check(args.tol_scale, "--tol-scale", {})
+    v["tol_scale"] = Opt(float, bounds="(0, inf)").check(
+        args.tol_scale, "--tol-scale", {})
     for name, least in takes.items():
         v[name] = [cfg.typed(CONSTANT_BLOCK if n == "constant_block" else
                              BLOCKS[BLOCK_KIND.check(d.get("kind", "real1d"),
@@ -477,10 +479,10 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario config")
     runp.add_argument("config", type=Path)
-    runp.add_argument("--grid", type=int, help="override grid points per axis")
-    runp.add_argument("--seed", type=int, help="override the sampling seed")
-    runp.add_argument("--tol-scale", type=float, default=1.0,
-                      help="scale all tolerances")
+    # validate types the three numeric flags by their config rows
+    runp.add_argument("--grid", help="override grid points per axis")
+    runp.add_argument("--seed", help="override the sampling seed")
+    runp.add_argument("--tol-scale", default="1", help="scale all tolerances")
     runp.add_argument("--csv", type=Path, help="directory for CSV outputs")
     runp.add_argument("--only", type=str, default=None,
                       help="comma-separated check-name filter (prefixes)")
@@ -500,7 +502,15 @@ def main(argv=None) -> int:
             v = validate(cfg, args)
             t0 = time.monotonic()
             if not args.list_checks:
-                rep, run = run_scenario(v, args.tol_scale, only)
+                # an output path that cannot be written fails before the
+                # run, not after its report is printed
+                if args.report and (args.report.is_dir()
+                                    or not args.report.parent.is_dir()):
+                    raise ConfigError(f"--report: cannot write a file at "
+                                      f"{args.report}")
+                if args.csv:
+                    args.csv.mkdir(parents=True, exist_ok=True)
+                rep, run = run_scenario(v, v["tol_scale"], only)
     except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
             JetError, KahlerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -522,7 +532,6 @@ def main(argv=None) -> int:
     if args.report:
         args.report.write_text(out)
     if args.csv:
-        args.csv.mkdir(parents=True, exist_ok=True)
         for name, (header, rows) in run.csv.items():
             lines = [header] + [[fmt(x) for x in row] for row in rows]
             (args.csv / f"{name}.csv").write_text(

@@ -3,20 +3,20 @@ rows a config is checked against.
 
 Top-level lines are ``key = value``; repeated ``[section]`` headers open
 list entries (blocks, constant blocks), and a key set twice in one scope
-is an error.  Values are typed scalars (int/float/bool/string) or
-whitespace-separated numeric lists; polynomial coefficient lists are
-written lowest degree first.  Parsing errors carry line numbers, and the
-parser records the line of each key and section header; serialization
-round-trips to an equal config.
+is an error.  The parser keeps each value as the text of its line; the
+key's ``Opt`` row alone types it, as a number, a whitespace-separated
+number list, a word or a string as written.  Polynomial coefficient lists
+are written lowest degree first.  Parsing errors carry line numbers, and
+the parser records the line of each key and section header; serialization
+writes the values as written and round-trips to an equal config.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
-
-import numpy as np
 
 __all__ = ["ConfigError", "Opt", "REQUIRED", "FLOATS", "INTS", "WINDOW",
            "ScenarioConfig", "parse_config", "parse_config_text",
@@ -33,15 +33,20 @@ class ConfigError(ValueError):
 def _as_num(val, kind, what, bounds="[-inf, inf]"):
     """``val`` as a finite ``kind`` (int or float) inside ``bounds``, an
     interval such as ``"(0, 100]"``, or a ConfigError naming ``what``.  An
-    int rejects fractional values."""
+    int takes an integral float such as 4.0 or 1e3, rejects fractional
+    values and reads plain digits exactly."""
     try:
-        out = kind(val)
-        bad = not math.isfinite(out)
-    except (TypeError, ValueError, OverflowError):
+        x = float(val)
+        out = x if kind is float else int(x)
+        bad = not math.isfinite(x) or out != x
+    except (ValueError, OverflowError):
         bad = True
-    if bad or isinstance(val, bool) or (kind is int and out != val):
+    if bad:
         need = "an integer" if kind is int else "a finite number"
         raise ConfigError(f"{what} needs {need}, got {val!r}")
+    if kind is int:
+        with contextlib.suppress(ValueError):
+            out = int(val)              # plain digits, exact past 2**53
     lo, hi = (float(t) for t in bounds[1:-1].split(","))
     if not ((lo < out if bounds[0] == "(" else lo <= out)
             and (out < hi if bounds[-1] == ")" else out <= hi)):
@@ -61,17 +66,19 @@ class Opt(NamedTuple):
     sizes: tuple = ()
 
     def check(self, val, what, done):
-        """``val`` typed, or a ConfigError naming ``what``; ``done`` holds
-        the values typed before it."""
+        """``val``, the text of a key's line, typed, or a ConfigError naming
+        ``what``; ``done`` holds the values typed before it."""
         kind = self.kind
         if isinstance(kind, tuple) and val not in kind:
             raise ConfigError(
                 f"{what} needs one of {', '.join(kind)}, got {val!r}")
         if kind is str or isinstance(kind, tuple):
-            return str(val)
+            return val
         if kind in (int, float):
             return _as_num(val, kind, what, self.bounds)
-        vals = val if isinstance(val, list) else [val]
+        vals = val.split()
+        if not vals:
+            raise ConfigError(f"{what} needs at least one number")
         sizes = sorted({len(n) if isinstance(n, list) else n
                         for n in (done.get(k, k) for k in self.sizes)})
         if sizes and len(vals) not in sizes:
@@ -81,32 +88,6 @@ class Opt(NamedTuple):
         if kind == WINDOW and any(a >= b for a, b in zip(out[::2], out[1::2])):
             raise ConfigError(f"{what} needs lo < hi in each pair, got {val!r}")
         return out
-
-
-def _parse_scalar(tok: str):
-    try:
-        return int(tok)
-    except ValueError:
-        pass
-    try:
-        return float(tok)
-    except ValueError:
-        pass
-    if tok in ("true", "false"):
-        return tok == "true"
-    return tok
-
-
-def _parse_value(text: str):
-    toks = text.split()
-    if not toks:
-        return ""
-    if len(toks) == 1:
-        return _parse_scalar(toks[0])
-    vals = [_parse_scalar(t) for t in toks]
-    if all(isinstance(v, (int, float)) for v in vals):
-        return [float(v) for v in vals]
-    return vals
 
 
 @dataclass
@@ -172,7 +153,7 @@ def parse_config_text(text: str) -> ScenarioConfig:
         if key in current:
             raise ConfigError(f"{cfg.at(i, key)} is set again on line "
                               f"{lineno}")
-        current[key] = _parse_value(val.strip())
+        current[key] = val.strip()
         cfg.lines[i, key] = lineno
     return cfg
 
@@ -188,23 +169,13 @@ def parse_config(path) -> ScenarioConfig:
     return parse_config_text(text)
 
 
-def _fmt_value(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    if isinstance(v, (list, tuple, np.ndarray)):
-        return " ".join(_fmt_value(x) for x in v)
-    return str(v)
-
-
 def serialize_config(cfg: ScenarioConfig) -> str:
     lines = []
     for k in sorted(cfg.options):
-        lines.append(f"{k} = {_fmt_value(cfg.options[k])}")
+        lines.append(f"{k} = {cfg.options[k]}")
     for name, d in cfg.sections:
         lines.append("")
         lines.append(f"[{name}]")
         for k in sorted(d):
-            lines.append(f"{k} = {_fmt_value(d[k])}")
+            lines.append(f"{k} = {d[k]}")
     return "\n".join(lines) + "\n"

@@ -34,7 +34,7 @@ def test_config_roundtrip():
     text = (CONFIGS / "dini-lift.cfg").read_text()
     cfg = parse_config_text(text)
     assert cfg.options["scenario"] == "lift"
-    assert cfg.options["grid"] == 4
+    assert cfg.options["grid"] == "4"
     assert [n for n, _ in cfg.sections] == ["block", "block"]
     again = parse_config_text(serialize_config(cfg))
     assert again == cfg
@@ -118,6 +118,49 @@ def test_grid_and_seed_flags():
                            "--grid", "3", "--seed", "5")
     assert code == 0
     assert "provenance.seed=5" in out
+
+
+@pytest.mark.parametrize("name", ["my lift", "true", "007", "1e3"])
+def test_lift_report_title_is_the_name_as_written(tmp_path, capsys, name):
+    text = (CONFIGS / "dini-lift.cfg").read_text()
+    assert "\nname = dini-lift\n" in text
+    cfg = tmp_path / "named.cfg"
+    cfg.write_text(text.replace("\nname = dini-lift\n", f"\nname = {name}\n"))
+    assert main(["run", str(cfg), "--only", "J_squared"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"report={name}"
+
+
+@pytest.mark.parametrize("line,flags,key,want", [
+    ("grid = 2.0", {}, "grid", 2),
+    ("grid = 5", {"grid": "2.0"}, "grid", 2),
+    ("seed = 1e3", {}, "seed", 1000),
+    ("seed = 9007199254740993", {}, "seed", 2 ** 53 + 1),
+    ("seed = 0", {"seed": "9007199254740993"}, "seed", 2 ** 53 + 1),
+], ids=["grid-config", "grid-flag", "seed-exponent", "seed-config-digits",
+        "seed-flag-digits"])
+def test_integer_rows_take_integral_text(line, flags, key, want):
+    # a config value and a flag reach the same row as text
+    text = (CONFIGS / "dini-pair.cfg").read_text()
+    old = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
+    args = argparse.Namespace(**{"grid": None, "seed": None,
+                                 "tol_scale": "1", **flags})
+    v = cli.validate(parse_config_text(text.replace(old, line, 1)), args)
+    assert v[key] == want and type(v[key]) is int
+
+
+@pytest.mark.parametrize("flag,where", [
+    ("--report", "missing/report.txt"), ("--report", "."),
+    ("--csv", "file.txt"), ("--csv", "file.txt/csv")])
+def test_unwritable_output_path_exits_2_before_the_run(
+        monkeypatch, tmp_path, capsys, flag, where):
+    monkeypatch.chdir(tmp_path)
+    Path("file.txt").write_text("kept\n")
+    monkeypatch.setattr(cli, "run_scenario", None)
+    assert main(["run", str(CONFIGS / "dini-pair.cfg"), flag, where]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert Path("file.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("name,old,new", [
@@ -484,10 +527,12 @@ def test_tol_scale_reaches_every_fixed_tolerance(capsys, name):
     ("dini-pair", "window = 0.2 0.8", "window = 0.2 0.8\n[bogus]"),
     ("complex-pair", "kind = complex2d", "kind = cplx"),
     ("complex-pair", "window = 0.2 0.8 0.2 0.8", "window = 0.2 0.8 0.8 0.2"),
+    ("dini-lift", "rho = 0.0 1.0", "rho ="),
 ], ids=["eps-word", "eps-fraction", "c-word", "dim-word", "dim-fraction",
         "signature-word", "window-words", "window-length", "rho-words",
         "rho_re-inf", "rho_im-length", "complex-window-length",
-        "bogus-section", "kind-typo", "complex-window-reversed"])
+        "bogus-section", "kind-typo", "complex-window-reversed",
+        "rho-empty"])
 def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old + "\n" in text
@@ -515,6 +560,9 @@ def test_grid_flag_below_one_exits_2(capsys):
     ("seeded-defect", "--tol-scale", "inf"),
     ("seeded-defect", "--tol-scale", "nan"),
     ("seeded-defect", "--tol-scale", "0"),
+    ("dini-pair", "--grid", "2.5"),
+    ("dini-pair", "--grid", "x"),
+    ("seeded-defect", "--tol-scale", "abc"),
 ])
 def test_bad_flag_exits_2_before_sampling(monkeypatch, capsys, name, flag,
                                           value):
