@@ -6,8 +6,8 @@ pairs, their Kahler lifts with constant-eigenvalue factors, mobility-two
 charts with their canonical vector fields, nilpotent-block normal forms)
 as jet-valued fields, and certifies every identity these structures are
 supposed to satisfy by dense residual sampling: compatibility equations,
-canonical Killing field properties, curvature-operator spectra,
-symmetric-function kernels, and ODE-level dynamics.
+canonical Killing field properties, curvature-operator spectra, and
+ODE-level dynamics.
 """
 
 __version__ = "0.1.0"

@@ -133,9 +133,6 @@ class _Block:
         return [((row.off + i, row.off + i), row.rho)
                 for i in range(self.ncoord)]
 
-    def v_slices(self, row):
-        return []
-
     def leaf(self, row):
         """The leaf term r (1 - r) d/dr on the last (eigenvalue) coordinate."""
         return ((row.off + self.ncoord - 1,), row.rho * (1.0 - row.rho))

@@ -54,6 +54,9 @@ DEFAULT_TOLS = {
 
 # the most sample points a run may draw, grid**dim + random
 MAX_SAMPLES = 5000
+# the most samples times dim**4 a run may draw: its memory grows as that
+# product, by about 100 bytes a unit, so the cap is about 2 GB
+MAX_SAMPLE_WORK = MAX_SAMPLES * 8 ** 4
 
 
 def _pair_spec(v) -> CompatiblePairSpec:
@@ -76,14 +79,19 @@ class Run:
     """One scenario run: its typed values, the built instance and the state
     the check steps share, each piece built on first use and at most once."""
 
-    def __init__(self, v, scale):
-        self.v, self.scale, self.csv = v, scale, {}
+    def __init__(self, v):
+        self.v, self.csv = v, {}
 
     def sample(self, inst, title=None):
         grid, rnd, dim = self.v["grid"], self.v["random"], inst.window.dim
-        if grid ** dim + rnd > MAX_SAMPLES:
+        n = grid ** dim + rnd
+        if n > MAX_SAMPLES:
             raise ConfigError(f"'grid' = {grid} draws {grid}**{dim} + {rnd} "
                               f"samples, more than {MAX_SAMPLES}")
+        if n * dim ** 4 > MAX_SAMPLE_WORK:
+            raise ConfigError(f"{n} samples of a {dim}-dim chart need more "
+                              f"memory than a run may take ({n} * {dim}**4 "
+                              f"> {MAX_SAMPLES} * 8**4)")
         self.inst = inst
         return title or inst.name
 
@@ -218,7 +226,7 @@ def _blowup_spectrum(r, tol):
                        samples=3)]
 
 
-def _blowup_exponent(r, _):
+def _blowup_exponent(r, tol):
     # divergence scan toward F + x = 0 at x = -F(rho1) + s; the 3x3 block
     # reads x2 = x / 2
     s = np.geomspace(1e-1, 1e-4, 16)
@@ -231,7 +239,7 @@ def _blowup_exponent(r, _):
     target = 3.0 if two else 2.0
     r.csv["jordan_scan"] = (["s", "value"], list(zip(s, vals)))
     return [CheckEntry("blowup_exponent", f"divergence exponent {target:g}",
-                       abs(expo - target), 0.1 * r.scale,
+                       abs(expo - target), tol,
                        note=f"measured={expo:.4f}", measured=expo)]
 
 
@@ -239,7 +247,7 @@ def _blowup_exponent(r, _):
 _FLOWS = {"rho^2+1": 0.3 + 0.4j, "rho(1-rho)": 0.5 + 0.3j, "rho^2": 0.4 + 0.3j}
 
 
-def _orbits(r, _):
+def _orbits(r, tol):
     out = []
     for ode, r0 in _FLOWS.items():
         traj = eigenvalue_flow(ode, r0, r.v["T"])
@@ -247,7 +255,7 @@ def _orbits(r, _):
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         _, rad, resid = circle_fit(z)
         out.append(CheckEntry(f"circle_{ode}", "complex orbit is a circle",
-                              resid / (1.0 + rad), 1e-6 * r.scale,
+                              resid / (1.0 + rad), tol,
                               samples=z.size))
         tag = ode.replace("^", "").replace("(", "_").replace(")", "")
         r.csv[f"portrait_{tag}"] = (
@@ -262,15 +270,16 @@ def _orbits(r, _):
 
 class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
-    suffix); the tolerance class its checks read, whose value is config
-    key ``tol.<class>``, or "" for a fixed tolerance; its function of the
-    ``Run`` and that value times ``--tol-scale`` (None for a fixed
-    tolerance, which the function scales by ``Run.scale``); and its run
-    condition, if any: a key and the typed value it must have."""
+    suffix); its bound: a tolerance class, whose value is config key
+    ``tol.<class>``, or a fixed number; its function of the ``Run`` and
+    that bound times ``--tol-scale``; its run condition, if any: a key and
+    the typed value it must have; and those of its names whose bound is a
+    constant of their suite, which no config key or flag moves."""
     names: str
-    tol: str
+    tol: str | float
     emit: Callable
     when: tuple = ()
+    fixed: str = ""
 
 
 KAHLER_STEPS = (
@@ -280,8 +289,10 @@ KAHLER_STEPS = (
          lambda r, tol: cproj_residual(r.fl, tol=tol)),
     Step("eigenvector_gradients", "aonk",
          lambda r, tol: eigenvector_gradient_residual(r.fl, tol=tol)),
-    Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS), "killing",
-         lambda r, tol: killing_property_suite(r.ks, r.fl, tol=tol)),
+    Step(" ".join("killing_" + k for k, _, _ in KILLING_CHECKS), "killing",
+         lambda r, tol: killing_property_suite(r.ks, r.fl, tol=tol),
+         fixed=" ".join("killing_" + k for k, _, b in KILLING_CHECKS
+                        if b is not None)),
     Step("a_on_k", "aonk",
          lambda r, tol: a_on_k_recurrence(r.ks, r.fl, tol=tol)),
     Step("ricci_identity", "ricci",
@@ -373,16 +384,16 @@ SCENARIOS = {
         Step("ode_defect", "ode", lambda r, tol: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
             tol)]),
-        Step("g1_constancy", "", lambda r, _: [CheckEntry(
-            "g1_constancy", "G1' = 0", r.sol.g1_constancy(),
-            1e-12 * r.scale)], ("kind", "3x3")),
+        Step("g1_constancy", 1e-12, lambda r, tol: [CheckEntry(
+            "g1_constancy", "G1' = 0", r.sol.g1_constancy(), tol)],
+             ("kind", "3x3")),
         PROJ_STEP,
         Step("split_lie_endo split_lie_metric", "pde_split",
              lambda r, tol: split_lie_suite(r.f, r.v["n2"], r.v["C"], tol)),
         Step("real_ricci_identity", "ricci",
              lambda r, tol: real_ricci_identity_check(r.f, tol=tol)),
         Step("blowup_formula_vs_spectrum", "spectrum", _blowup_spectrum),
-        Step("blowup_exponent", "", _blowup_exponent)), {
+        Step("blowup_exponent", 0.1, _blowup_exponent)), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -392,7 +403,7 @@ SCENARIOS = {
         "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
     }, {}),
     "flows": (lambda r: "flows", (
-        Step(" ".join(f"circle_{o}" for o in _FLOWS), "", _orbits),),
+        Step(" ".join(f"circle_{o}" for o in _FLOWS), 1e-6, _orbits),),
         # run time grows linearly in T
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
@@ -400,8 +411,8 @@ SCENARIOS = {
              lambda r, tol: ricci_identity_check(r.f, tol=tol)),
         Step("spectrum_*", "spectrum", lambda r, tol: compare_with_numeric(
             r.f, sample=0, tol=tol)),
-        Step("fppp_limit", "", lambda r, _: fppp_limit_check(
-            r.inst.qp.blocks[0].F, 0.5, tol=1e-3 * r.scale))),
+        Step("fppp_limit", 1e-3, lambda r, tol: fppp_limit_check(
+            r.inst.qp.blocks[0].F, 0.5, tol=tol))),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
@@ -417,7 +428,7 @@ def validate(cfg, args):
     steps, opts, takes = SCENARIOS[kind][1:]
     opts = {**opts, **{f"tol.{st.tol}": Opt(float, DEFAULT_TOLS[st.tol],
                                             "(0, inf)")
-                       for st in steps if st.tol}}
+                       for st in steps if isinstance(st.tol, str)}}
     for i, (name, _) in enumerate(cfg.sections):
         if name not in takes:
             known = " ".join(f"[{n}]" for n in takes) or "no sections"
@@ -447,7 +458,7 @@ def _may_start(pattern, prefix):
     return lit.startswith(prefix) or bool(star) and prefix.startswith(lit)
 
 
-def run_scenario(v, scale, only=None):
+def run_scenario(v, only=None):
     """Build the instance of the typed values ``v``, then run the steps
     whose condition holds and that can emit a name starting with a prefix
     in ``only``, if that is given.  An ``only`` that selects no step, or
@@ -461,10 +472,11 @@ def run_scenario(v, scale, only=None):
     if not steps:
         raise ConfigError(f"{sel} selects no check of scenario "
                           f"{v['scenario']!r}")
-    r = Run(v, scale)
+    r = Run(v)
     rep = ResidualReport(title=build(r))
     for st in steps:
-        out = st.emit(r, v[f"tol.{st.tol}"] * scale if st.tol else None)
+        tol = v[f"tol.{st.tol}"] if isinstance(st.tol, str) else st.tol
+        out = st.emit(r, tol * v["tol_scale"])
         rep.entries += [e for e in getattr(out, "entries", out)
                         if only is None or e.name.startswith(only)]
     if not rep.entries:
@@ -509,17 +521,21 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--report: cannot write a file at "
                                       f"{args.report}")
                 if args.csv:
-                    args.csv.mkdir(parents=True, exist_ok=True)
-                rep, run = run_scenario(v, v["tol_scale"], only)
+                    try:
+                        args.csv.mkdir(parents=True, exist_ok=True)
+                    except OSError as exc:
+                        raise ConfigError(f"--csv: {exc}") from None
+                rep, run = run_scenario(v, only)
     except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
             JetError, KahlerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list_checks:
         for st in SCENARIOS[v["scenario"]][1]:
-            key = f" tol.{st.tol}" if st.tol else " fixed"
             cond = " ({} = {} only)".format(*st.when) if st.when else ""
-            print("\n".join(name + key + cond for name in st.names.split()))
+            for name in st.names.split():
+                fixed = not isinstance(st.tol, str) or name in st.fixed.split()
+                print(name + (" fixed" if fixed else f" tol.{st.tol}") + cond)
         return 0
     elapsed = time.monotonic() - t0
 

@@ -32,7 +32,7 @@ from .geometry import cov_deriv_vector, max_abs, third_cov_scalar
 from .report import CheckEntry, ResidualReport
 
 __all__ = [
-    "wedge_J", "skew_hermitian_residuals", "unitary_basis",
+    "wedge_J", "unitary_basis",
     "curvature_operator_matrix", "nabla_lambda_endo",
     "ricci_identity_check", "fit_nabla_lambda_poly", "r0_operator",
     "predicted_eigenvalues", "compare_with_numeric", "lambda_two_eigen",
@@ -73,16 +73,6 @@ def _coordinate_wedges(gv, Jv=None):
         for b in range(a + 1, d):
             yield (a, b), wedge_J(np.broadcast_to(e[a], (n, d)),
                                   np.broadcast_to(e[b], (n, d)), gv, Jv)
-
-
-def skew_hermitian_residuals(X, gv, Jv):
-    """Membership defects of X in u(g, J): [X, J] and g-antisymmetry."""
-    comm = np.einsum("nab,nbc->nac", X, Jv) - np.einsum(
-        "nab,nbc->nac", Jv, X)
-    gX = np.einsum("nca,ncb->nab", gv, X)
-    skew = gX + np.swapaxes(gX, -1, -2)
-    s = 1.0 + max_abs(X)
-    return max_abs(comm) / s, max_abs(skew) / s
 
 
 def unitary_basis(gv, Jv=None):

@@ -68,10 +68,6 @@ class Trajectory:
     acc: np.ndarray | None = None   # (m, d) accelerations gamma''
     exit_time: float | None = None  # the window exit or escape, if any
 
-    @property
-    def exited(self) -> bool:
-        return self.exit_time is not None
-
 
 def _solve(rhs, T, y0, tol, event=None):
     """Dense solution over (0, T) at internal tolerance

@@ -36,12 +36,12 @@ from cprojlab.flows import (
     integrate_geodesic, jplanarity_residual, tail_exponent,
     volume_coefficient,
 )
-from cprojlab.vandermonde import (
-    det_quotient, locate_window_endpoint, sum_over_delta,
-)
 
 from conftest import pair_complex, pair_dini, pair_ell1
 from fd_oracle import fd_gradient
+from vandermonde import (
+    det_quotient, locate_window_endpoint, sum_over_delta,
+)
 
 
 def report(num, ok, detail):
@@ -55,7 +55,7 @@ def run_checks(text, only):
     can emit a name starting with a prefix in ``only``."""
     args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
     rep, _ = cli.run_scenario(cli.validate(parse_config_text(text), args),
-                              1.0, only)
+                              only)
     return rep
 
 

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,7 +160,8 @@ def test_unwritable_output_path_exits_2_before_the_run(
     assert main(["run", str(CONFIGS / "dini-pair.cfg"), flag, where]) == 2
     out, err = capsys.readouterr()
     lines = err.splitlines()
-    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
+    assert out == "" and len(lines) == 1
+    assert lines[0].startswith(f"error: {flag}: ")
     assert Path("file.txt").read_text() == "kept\n"
 
 
@@ -317,20 +319,25 @@ def test_remaining_scenarios_pass(capsys, name):
             assert any(fnmatch.fnmatchcase(nm, pat) for nm in reported), pat
 
 
-def _canonical_runs():
-    """A run of each scenario kind, from its first shipped config, with
-    every step's condition holding (the Jordan config as its 3x3 block)."""
-    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
-    runs = {}
+def _canonical_texts():
+    """A config of each scenario kind, its first shipped one, with every
+    step's condition holding (the Jordan config as its 3x3 block)."""
+    texts = {}
     for path in sorted(CONFIGS.glob("*.cfg")):
         text = path.read_text()
         if path.stem == "jordan2":
             text = text.replace("kind = 2x2", "kind = 3x3").replace(
                 "init = 0.5 0.1", "init = 0.5 0.1 0.2")
-        v = cli.validate(parse_config_text(text), args)
-        runs.setdefault(v["scenario"], v)
-    assert set(runs) == set(cli.SCENARIOS)
-    return runs
+        texts.setdefault(parse_config_text(text).options["scenario"], text)
+    assert set(texts) == set(cli.SCENARIOS)
+    return texts
+
+
+def _canonical_runs():
+    """The typed values of each scenario kind's canonical config."""
+    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
+    return {kind: cli.validate(parse_config_text(text), args)
+            for kind, text in _canonical_texts().items()}
 
 
 class RecordingRun:
@@ -351,13 +358,14 @@ def test_every_step_reads_the_run(kind):
     # in a unit test, not in the report
     v = _canonical_runs()[kind]
     build, steps = cli.SCENARIOS[kind][:2]
-    run = cli.Run(v, 1.0)
+    run = cli.Run(v)
     build(run)
     for st in steps:
         assert not st.when or v[st.when[0]] == st.when[1], st.names
         rec = RecordingRun(run)
-        st.emit(rec, v[f"tol.{st.tol}"] if st.tol else None)
-        assert rec.reads - {"scale", "csv"}, st.names
+        st.emit(rec, v[f"tol.{st.tol}"] if isinstance(st.tol, str)
+                else st.tol)
+        assert rec.reads - {"csv"}, st.names
 
 
 @pytest.mark.parametrize("name,other", [
@@ -511,6 +519,32 @@ def test_tol_scale_reaches_every_fixed_tolerance(capsys, name):
     assert [2 * t for t in tols[0]] == tols[1]
 
 
+@pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
+def test_listed_tolerance_key_is_the_one_that_moves_the_line(
+        tmp_path, capsys, kind):
+    # each class of the scenario set to a value of its own: a line listed
+    # under tol.<class> reads that value, and a line listed as fixed keeps
+    # the bound it has without the keys
+    text = _canonical_texts()[kind]
+    (tmp_path / "c.cfg").write_text(text)
+    assert main(["run", str(tmp_path / "c.cfg"), "--list-checks"]) == 0
+    listed = [l.split()[:2] for l in capsys.readouterr().out.splitlines()]
+    classes = sorted({k for _, k in listed} - {"fixed"})
+    # powers of two, none of them a default or fixed bound
+    keys = {k: 2.0 ** -(i + 2) for i, k in enumerate(classes)}
+    args = argparse.Namespace(grid=None, seed=None, tol_scale="1")
+    tols = []
+    for extra in ("", "".join(f"{k} = {t!r}\n" for k, t in keys.items())):
+        rep, _ = run_scenario(cli.validate(parse_config_text(extra + text),
+                                           args))
+        tols.append({e.name: e.tolerance for e in rep.entries})
+    base, moved = tols
+    assert base and base.keys() == moved.keys()
+    for name, tol in moved.items():
+        (key,) = {k for p, k in listed if fnmatch.fnmatchcase(name, p)}
+        assert tol == keys.get(key, base[name]), (name, key)
+
+
 @pytest.mark.parametrize("name,old,new", [
     ("dini-lift", "eps = 1", "eps = one"),
     ("dini-lift", "eps = 1", "eps = 0.5"),
@@ -545,6 +579,22 @@ def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
     assert len(lines) == 1 and lines[0].startswith("error: "), err
     key = new.split("\n")[-1].split("=")[0].strip()
     assert repr(key) in lines[0] and "block]" in lines[0]
+
+
+@pytest.mark.parametrize("grid,rnd,dim,refused", [
+    (2, 8, 12, True), (2, 8, 10, False), (3, 48, 6, False)])
+def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
+    # memory grows as samples * dim**4: 4104 samples of a 12-dim chart
+    # (mobility2 at ell = 4 beside two constant blocks) are under
+    # MAX_SAMPLES but need about 8 GB; 1032 of a 10-dim chart fit
+    run = cli.Run({"grid": grid, "random": rnd})
+    chart = SimpleNamespace(window=SimpleNamespace(dim=dim), name="chart")
+    if refused:
+        with pytest.raises(ConfigError, match=r"^4104 samples of a 12-dim "
+                           r"chart need more memory than a run may take"):
+            run.sample(chart)
+    else:
+        assert run.sample(chart) == "chart"
 
 
 def test_grid_flag_below_one_exits_2(capsys):
@@ -653,7 +703,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     for cfg in cfgs:
         for calls in seen.values():
             calls.clear()
-        rep, run = run_scenario(cli.validate(cfg, args), 1.0)
+        rep, run = run_scenario(cli.validate(cfg, args))
         assert rep.overall_pass
         kind, g0 = cfg.options["scenario"], run.f.g.c[0]
         assert sum(a is g0 for a, _ in seen["metric_inverse"]) == 1, kind

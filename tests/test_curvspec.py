@@ -9,8 +9,7 @@ from cprojlab.curvspec import (
     compare_with_numeric, curvature_operator_matrix, fit_nabla_lambda_poly,
     fppp_limit_check, jordan_alpha_invariant, lambda_two_eigen,
     nabla_lambda_endo, predicted_eigenvalues, r0_operator,
-    ricci_identity_check, skew_hermitian_residuals, third_order_residual,
-    unitary_basis, wedge_J,
+    ricci_identity_check, third_order_residual, unitary_basis, wedge_J,
 )
 from cprojlab.geometry import max_abs
 from cprojlab.jets import Jet, jstack
@@ -36,6 +35,16 @@ def split_hermitian_space():
     rho = 0.35
     Ac = np.array([[rho, 1.0], [0.0, rho]], dtype=complex)
     return realify(H), realify(1j * np.eye(2)), realify(Ac), rho
+
+
+def skew_hermitian_residuals(X, gv, Jv):
+    """Membership defects of X in u(g, J): [X, J] and g-antisymmetry."""
+    comm = np.einsum("nab,nbc->nac", X, Jv) - np.einsum(
+        "nab,nbc->nac", Jv, X)
+    gX = np.einsum("nca,ncb->nab", gv, X)
+    skew = gX + np.swapaxes(gX, -1, -2)
+    s = 1.0 + max_abs(X)
+    return max_abs(comm) / s, max_abs(skew) / s
 
 
 def test_wedge_membership_and_antisymmetry():

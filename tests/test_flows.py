@@ -30,7 +30,7 @@ def test_flat_geodesic_is_straight(flat_chart):
                               tol=1e-9)
     expect = np.outer(traj.t, [0.3, 0.2])
     assert max_abs(traj.x - expect) <= 1e-10
-    assert not traj.exited
+    assert traj.exit_time is None
 
 
 def test_flat_circle_under_complex_acceleration(flat_chart):
@@ -38,7 +38,7 @@ def test_flat_circle_under_complex_acceleration(flat_chart):
     traj = integrate_jplanar(flat_chart, [0.0, 0.0], [0.0, 1.0],
                              beta=lambda t: 1.0, T=2 * np.pi, tol=1e-9,
                              n_out=200)
-    assert not traj.exited
+    assert traj.exit_time is None
     assert max_abs(traj.x[-1] - traj.x[0]) <= 1e-7
     c, r, resid = circle_fit(traj.x[:, 0] + 1j * traj.x[:, 1])
     assert abs(r - 1.0) <= 1e-8 and resid <= 1e-8
@@ -47,7 +47,7 @@ def test_flat_circle_under_complex_acceleration(flat_chart):
 
 def test_window_exit_reported(flat_chart):
     traj = integrate_geodesic(flat_chart, [0.0, 0.0], [1.0, 0.0], T=50.0)
-    assert traj.exited
+    assert traj.exit_time is not None
     assert traj.exit_time == pytest.approx(4.0, abs=0.2)
 
 
@@ -115,7 +115,7 @@ def test_complex_orbit_circle_through_fixed_points():
 
 def test_real_blowup_reported():
     traj = eigenvalue_flow("rho^2+1", 1.0, 3.0)
-    assert traj.exited
+    assert traj.exit_time is not None
     # rho(t) = tan(t + pi/4) escapes at pi/4
     assert traj.exit_time == pytest.approx(np.pi / 4, abs=1e-4)
 

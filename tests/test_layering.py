@@ -15,11 +15,11 @@ LAYERS = (
     ("geometry",),
     ("builders",),
     ("kahler",),
-    ("killing", "curvspec", "flows", "vandermonde"),
+    ("killing", "curvspec", "flows"),
     ("cli",),
 )
 LAYER = {m: i for i, names in enumerate(LAYERS) for m in names}
-CHECK_MODULES = ("kahler", "killing", "curvspec", "flows", "vandermonde")
+CHECK_MODULES = ("kahler", "killing", "curvspec", "flows")
 
 
 def _trees():

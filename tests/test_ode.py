@@ -83,7 +83,7 @@ def test_dini_geodesic_with_window_exit(captured, qp_dini):
     chart = lift_pair(qp_dini, route="jacobian")
     traj = flows.integrate_geodesic(chart, chart.window.center(),
                                     [0.2, 0.1, 0.15, -0.1], T=10.0)
-    assert traj.exited
+    assert traj.exit_time is not None
     (problem,) = captured
     assert assert_matches_scipy(*problem)
     # the dense-output stages: three calls of width s, after the steps

@@ -4,7 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 from cprojlab.jets import Jet
 from cprojlab.builders import PowerProfile
-from cprojlab.vandermonde import (
+
+from vandermonde import (
     VandermondeError, collision_limit, collision_limit_numeric,
     corner_vanishes, det_quotient, locate_window_endpoint, sum_over_delta,
 )

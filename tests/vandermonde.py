@@ -1,5 +1,7 @@
-"""Symmetric-function kernels: divided-difference sums over eigenvalue
-gaps, the bordered-determinant identity, and the collision limit.
+"""Symmetric-function kernels, test-only: divided-difference sums over
+eigenvalue gaps, the bordered-determinant identity, and the collision
+limit.  Criterion 08 and ``test_vandermonde`` check them; no run reaches
+them.
 
 The basic object is f(rho) = sum_i k_i(rho_i) / prod_{j != i}(rho_i - rho_j)
 on strictly increasing tuples.  It equals a quotient of a Vandermonde
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from .jets import Jet
+from cprojlab.jets import Jet
 
 __all__ = [
     "VandermondeError", "sum_over_delta", "det_quotient",
