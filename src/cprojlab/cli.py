@@ -44,14 +44,6 @@ from .flows import (
     lie_residual_suite, split_lie_suite, tail_exponent, transport_check,
     volume_coefficient)
 
-DEFAULT_TOLS = {
-    "kahler": 1e-6, "cproj": 1e-6, "proj": 1e-6, "killing": 1e-6,
-    "aonk": 1e-7, "dual": 1e-7, "ricci": 1e-6, "lie": 1e-6,
-    "volume": 1e-5, "transport": 1e-6, "ode": 1e-9, "pde_split": 1e-6,
-    "spectrum": 1e-5, "roundtrip": 1e-9,
-}
-
-
 # the most sample points a run may draw, grid**dim + random
 MAX_SAMPLES = 5000
 # the most samples times dim**4 a run may draw: its memory grows as that
@@ -188,19 +180,19 @@ def _noted(rep, r):
     return rep
 
 
-def _partner_roundtrip(r, tol):
+def _partner_roundtrip(r):
     fl, note = r.shifted
     Arec = recover_endo(fl, r.ghat)
     rt = max_abs(Arec.c[0] - fl.A.c[0]) / (1.0 + max_abs(fl.A.c[0]))
     return [CheckEntry("partner_roundtrip", "recover(partner(g,A))=A", rt,
-                       tol, samples=len(r.pts), note=note)]
+                       1e-9, samples=len(r.pts), note=note)]
 
 
 # the lift route a chart was not built by
 OTHER_ROUTE = {"jacobian": "explicit", "explicit": "jacobian"}
 
 
-def _route_agreement(r, tol):
+def _route_agreement(r):
     # the run's chart against the one the other route builds
     fa = lift_pair(r.inst.qp, cb=r.cb,
                    route=OTHER_ROUTE[r.v["route"]]).eval(r.pts, order=1)
@@ -209,10 +201,10 @@ def _route_agreement(r, tol):
              for k in ("g", "omega", "J", "A")]
     dev = max_abs(*diffs) / (1.0 + max_abs(fb.g.c[0]))
     return [CheckEntry("route_agreement", "explicit == jacobian route", dev,
-                       tol, samples=len(r.pts))]
+                       1e-9, samples=len(r.pts))]
 
 
-def _blowup_spectrum(r, tol):
+def _blowup_spectrum(r):
     # the closed-form curvature eigenvalue against the assembled operator
     # at a few samples
     dev = []
@@ -222,11 +214,11 @@ def _blowup_spectrum(r, tol):
         eigs = np.linalg.eigvals(curvature_operator_matrix(r.f, s)[0])
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
-                       "closed-form eigenvalue in spec(R)", nan_max(*dev), tol,
-                       samples=3)]
+                       "closed-form eigenvalue in spec(R)", nan_max(*dev),
+                       1e-5, samples=3)]
 
 
-def _blowup_exponent(r, tol):
+def _blowup_exponent(r):
     # divergence scan toward F + x = 0 at x = -F(rho1) + s; the 3x3 block
     # reads x2 = x / 2
     s = np.geomspace(1e-1, 1e-4, 16)
@@ -239,7 +231,7 @@ def _blowup_exponent(r, tol):
     target = 3.0 if two else 2.0
     r.csv["jordan_scan"] = (["s", "value"], list(zip(s, vals)))
     return [CheckEntry("blowup_exponent", f"divergence exponent {target:g}",
-                       abs(expo - target), tol,
+                       abs(expo - target), 0.1,
                        note=f"measured={expo:.4f}", measured=expo)]
 
 
@@ -247,7 +239,7 @@ def _blowup_exponent(r, tol):
 _FLOWS = {"rho^2+1": 0.3 + 0.4j, "rho(1-rho)": 0.5 + 0.3j, "rho^2": 0.4 + 0.3j}
 
 
-def _orbits(r, tol):
+def _orbits(r):
     out = []
     for ode, r0 in _FLOWS.items():
         traj = eigenvalue_flow(ode, r0, r.v["T"])
@@ -255,8 +247,7 @@ def _orbits(r, tol):
         z = np.concatenate([back.x[::-1, 0], traj.x[:, 0]])
         _, rad, resid = circle_fit(z)
         out.append(CheckEntry(f"circle_{ode}", "complex orbit is a circle",
-                              resid / (1.0 + rad), tol,
-                              samples=z.size))
+                              resid / (1.0 + rad), 1e-6, samples=z.size))
         tag = ode.replace("^", "").replace("(", "_").replace(")", "")
         r.csv[f"portrait_{tag}"] = (
             ["t", "re", "im"],
@@ -270,47 +261,36 @@ def _orbits(r, tol):
 
 class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
-    suffix); its bound: a tolerance class, whose value is config key
-    ``tol.<class>``, or a fixed number; its function of the ``Run`` and
-    that bound times ``--tol-scale``; its run condition, if any: a key and
-    the typed value it must have; and those of its names whose bound is a
-    constant of their suite, which no config key or flag moves."""
+    suffix); its function of the ``Run``, which returns the entries, each
+    bounded by the function that builds it (a suite's ``tol`` default or
+    the number a helper step writes); and its run condition, if any: a
+    key and the typed value it must have."""
     names: str
-    tol: str | float
     emit: Callable
     when: tuple = ()
-    fixed: str = ""
 
 
 KAHLER_STEPS = (
-    Step("J_squared hermitian_metric omega_def domega parallel_J", "kahler",
-         lambda r, tol: check_kahler(r.fl, tol=tol)),
-    Step("cproj_compat", "cproj",
-         lambda r, tol: cproj_residual(r.fl, tol=tol)),
-    Step("eigenvector_gradients", "aonk",
-         lambda r, tol: eigenvector_gradient_residual(r.fl, tol=tol)),
-    Step(" ".join("killing_" + k for k, _, _ in KILLING_CHECKS), "killing",
-         lambda r, tol: killing_property_suite(r.ks, r.fl, tol=tol),
-         fixed=" ".join("killing_" + k for k, _, b in KILLING_CHECKS
-                        if b is not None)),
-    Step("a_on_k", "aonk",
-         lambda r, tol: a_on_k_recurrence(r.ks, r.fl, tol=tol)),
-    Step("ricci_identity", "ricci",
-         lambda r, tol: ricci_identity_check(r.fl, tol=tol)),
-    Step("det_hessian_hermitian killing_detC", "killing",
-         lambda r, tol: _noted(
-             hamiltonian_killing_check(r.shifted[0], tol=tol), r)),
-    Step("partner_roundtrip", "roundtrip", _partner_roundtrip),
-    Step("connection_difference", "cproj", lambda r, tol: _noted(
-        connection_difference_check(r.shifted[0], r.ghat, tol=tol), r)),
+    Step("J_squared hermitian_metric omega_def domega parallel_J",
+         lambda r: check_kahler(r.fl)),
+    Step("cproj_compat", lambda r: cproj_residual(r.fl)),
+    Step("eigenvector_gradients",
+         lambda r: eigenvector_gradient_residual(r.fl)),
+    Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
+         lambda r: killing_property_suite(r.ks, r.fl)),
+    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
+    Step("ricci_identity", lambda r: ricci_identity_check(r.fl)),
+    Step("det_hessian_hermitian killing_detC",
+         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r)),
+    Step("partner_roundtrip", _partner_roundtrip),
+    Step("connection_difference", lambda r: _noted(
+        connection_difference_check(r.shifted[0], r.ghat), r)),
 )
 
-PROJ_STEP = Step("proj_compat", "proj",
-                 lambda r, tol: proj_residual(r.f, tol=tol))
+PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f))
 
 # the rows every scenario takes, then those of the ones that sample a
-# chart, then those of the Kahler charts; each scenario also takes the
-# tol.<class> rows of its steps' classes
+# chart, then those of the Kahler charts
 COMMON = {
     "scenario": Opt(str, ""),
     "seed": Opt(int, 0, "[0, inf)"),
@@ -351,28 +331,25 @@ MOBILITY_C = "[-5, 5]"
 SCENARIOS = {
     "quotient-pair": (_build_quotient_pair, (
         PROJ_STEP,
-        Step("commuting_gradients", "dual",
-             lambda r, tol: commuting_gradients_residual(r.f, tol=tol)),
-        Step("mu_hat_duality", "dual",
-             lambda r, tol: mu_hat_duality_residual(r.f, tol=tol))),
+        Step("commuting_gradients",
+             lambda r: commuting_gradients_residual(r.f)),
+        Step("mu_hat_duality", lambda r: mu_hat_duality_residual(r.f))),
         {**SAMPLED, "name": Opt(str, "pair")}, {"block": 1}),
     "lift": (_build_lift, KAHLER_STEPS + (
-        Step("route_agreement", "roundtrip", _route_agreement),), {
+        Step("route_agreement", _route_agreement),), {
         **KAHLER,
         "name": Opt(str, "lift"),
         "route": Opt(tuple(OTHER_ROUTE), "jacobian"),
     }, {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
-        Step("v_fit", "lie", lambda r, tol: [CheckEntry(
+        Step("v_fit", lambda r: [CheckEntry(
             "v_fit", "off-leaf reconstruction residual",
-            r.inst.meta["v_fit_residual"], tol,
+            r.inst.meta["v_fit_residual"], 1e-6,
             note="reconstructed, residual-certified")]),
-        Step("lie_v_metric lie_v_endo", "lie",
-             lambda r, tol: lie_residual_suite(r.inst, tol=tol)),
-        Step("eigenvalue_transport", "transport",
-             lambda r, tol: transport_check(r.inst, tol=tol), ("ell", 1)),
-        Step("volume_coefficient", "volume",
-             lambda r, tol: volume_coefficient(r.inst, tol=tol),
+        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst)),
+        Step("eigenvalue_transport", lambda r: transport_check(r.inst),
+             ("ell", 1)),
+        Step("volume_coefficient", lambda r: volume_coefficient(r.inst),
              ("ell", 1))), {
         **KAHLER,
         "name": Opt(str, "mobility2"),
@@ -381,19 +358,18 @@ SCENARIOS = {
         "C": Opt(float, -1.0, MOBILITY_C),
     }, {"constant_block": 0}),
     "jordan": (_build_jordan, (
-        Step("ode_defect", "ode", lambda r, tol: [CheckEntry(
+        Step("ode_defect", lambda r: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
-            tol)]),
-        Step("g1_constancy", 1e-12, lambda r, tol: [CheckEntry(
-            "g1_constancy", "G1' = 0", r.sol.g1_constancy(), tol)],
+            1e-9)]),
+        Step("g1_constancy", lambda r: [CheckEntry(
+            "g1_constancy", "G1' = 0", r.sol.g1_constancy(), 1e-12)],
              ("kind", "3x3")),
         PROJ_STEP,
-        Step("split_lie_endo split_lie_metric", "pde_split",
-             lambda r, tol: split_lie_suite(r.f, r.v["n2"], r.v["C"], tol)),
-        Step("real_ricci_identity", "ricci",
-             lambda r, tol: real_ricci_identity_check(r.f, tol=tol)),
-        Step("blowup_formula_vs_spectrum", "spectrum", _blowup_spectrum),
-        Step("blowup_exponent", 0.1, _blowup_exponent)), {
+        Step("split_lie_endo split_lie_metric",
+             lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"])),
+        Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f)),
+        Step("blowup_formula_vs_spectrum", _blowup_spectrum),
+        Step("blowup_exponent", _blowup_exponent)), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -403,45 +379,34 @@ SCENARIOS = {
         "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
     }, {}),
     "flows": (lambda r: "flows", (
-        Step(" ".join(f"circle_{o}" for o in _FLOWS), 1e-6, _orbits),),
+        Step(" ".join(f"circle_{o}" for o in _FLOWS), _orbits),),
         # run time grows linearly in T
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
-        Step("ricci_identity", "ricci",
-             lambda r, tol: ricci_identity_check(r.f, tol=tol)),
-        Step("spectrum_*", "spectrum", lambda r, tol: compare_with_numeric(
-            r.f, sample=0, tol=tol)),
-        Step("fppp_limit", 1e-3, lambda r, tol: fppp_limit_check(
-            r.inst.qp.blocks[0].F, 0.5, tol=tol))),
+        Step("ricci_identity", lambda r: ricci_identity_check(r.f)),
+        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0)),
+        Step("fppp_limit", lambda r: fppp_limit_check(
+            r.inst.qp.blocks[0].F, 0.5))),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
 
 def validate(cfg, args):
-    """Check ``cfg`` and the text of the ``--grid``, ``--seed`` and
-    ``--tol-scale`` flags against the scenario's rows before any work;
-    return the typed values by key (a list of typed sections under each
-    section name, the scale under ``tol_scale``), or raise one ConfigError
-    naming the first bad key and its line."""
+    """Check ``cfg`` and the text of the ``--seed`` flag against the
+    scenario's rows before any work; return the typed values by key (a
+    list of typed sections under each section name), or raise one
+    ConfigError naming the first bad key and its line."""
     kind = Opt(tuple(SCENARIOS)).check(cfg.options.get("scenario"),
                                        cfg.at(None, "scenario"), {})
-    steps, opts, takes = SCENARIOS[kind][1:]
-    opts = {**opts, **{f"tol.{st.tol}": Opt(float, DEFAULT_TOLS[st.tol],
-                                            "(0, inf)")
-                       for st in steps if isinstance(st.tol, str)}}
+    opts, takes = SCENARIOS[kind][2:]
     for i, (name, _) in enumerate(cfg.sections):
         if name not in takes:
             known = " ".join(f"[{n}]" for n in takes) or "no sections"
             raise ConfigError(f"line {cfg.lines[i, None]}: unknown section "
                               f"'[{name}]'; scenario {kind!r} takes {known}")
     v = cfg.typed(opts)
-    for key in ("grid", "seed"):
-        if getattr(args, key) is not None:
-            if key not in opts:
-                raise ConfigError(f"--{key}: scenario {kind!r} takes no {key}")
-            v[key] = opts[key].check(getattr(args, key), f"--{key}", v)
-    v["tol_scale"] = Opt(float, bounds="(0, inf)").check(
-        args.tol_scale, "--tol-scale", {})
+    if args.seed is not None:
+        v["seed"] = opts["seed"].check(args.seed, "--seed", v)
     for name, least in takes.items():
         v[name] = [cfg.typed(CONSTANT_BLOCK if n == "constant_block" else
                              BLOCKS[BLOCK_KIND.check(d.get("kind", "real1d"),
@@ -475,8 +440,7 @@ def run_scenario(v, only=None):
     r = Run(v)
     rep = ResidualReport(title=build(r))
     for st in steps:
-        tol = v[f"tol.{st.tol}"] if isinstance(st.tol, str) else st.tol
-        out = st.emit(r, tol * v["tol_scale"])
+        out = st.emit(r)
         rep.entries += [e for e in getattr(out, "entries", out)
                         if only is None or e.name.startswith(only)]
     if not rep.entries:
@@ -491,10 +455,8 @@ def main(argv=None) -> int:
     sub = ap.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="run a scenario config")
     runp.add_argument("config", type=Path)
-    # validate types the three numeric flags by their config rows
-    runp.add_argument("--grid", help="override grid points per axis")
+    # validate types the seed by its config row
     runp.add_argument("--seed", help="override the sampling seed")
-    runp.add_argument("--tol-scale", default="1", help="scale all tolerances")
     runp.add_argument("--csv", type=Path, help="directory for CSV outputs")
     runp.add_argument("--only", type=str, default=None,
                       help="comma-separated check-name filter (prefixes)")
@@ -506,6 +468,7 @@ def main(argv=None) -> int:
 
     only = (tuple(p.strip() for p in args.only.split(",") if p.strip())
             if args.only else None)
+    made = []
     try:
         # a non-finite value fails its check or is refused with one error
         # line, so numpy's floating-point warnings would only add noise
@@ -521,21 +484,27 @@ def main(argv=None) -> int:
                     raise ConfigError(f"--report: cannot write a file at "
                                       f"{args.report}")
                 if args.csv:
+                    # the directories made here, deepest first, go again
+                    # if the run is refused
+                    missing = [p for p in (args.csv, *args.csv.parents)
+                               if not p.exists()]
                     try:
                         args.csv.mkdir(parents=True, exist_ok=True)
                     except OSError as exc:
                         raise ConfigError(f"--csv: {exc}") from None
+                    made = missing
                 rep, run = run_scenario(v, only)
     except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
             JetError, KahlerError) as exc:
+        for p in made:
+            p.rmdir()  # empty: the CSV files are written after the run
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list_checks:
         for st in SCENARIOS[v["scenario"]][1]:
             cond = " ({} = {} only)".format(*st.when) if st.when else ""
             for name in st.names.split():
-                fixed = not isinstance(st.tol, str) or name in st.fixed.split()
-                print(name + (" fixed" if fixed else f" tol.{st.tol}") + cond)
+                print(name + cond)
         return 0
     elapsed = time.monotonic() - t0
 

@@ -53,7 +53,7 @@ def report(num, ok, detail):
 def run_checks(text, only):
     """The report of the registry steps of scenario config ``text`` that
     can emit a name starting with a prefix in ``only``."""
-    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
+    args = argparse.Namespace(seed=None)
     rep, _ = cli.run_scenario(cli.validate(parse_config_text(text), args),
                               only)
     return rep

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import fnmatch
+import inspect
 import io
 import re
 import subprocess
@@ -12,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from cprojlab import builders, cli, geometry
+from cprojlab import builders, cli, geometry, killing
 from cprojlab.config import (
     ConfigError, parse_config, parse_config_text, serialize_config,
 )
 from cprojlab.cli import main, run_scenario
 from cprojlab.flows import FlowError
+from cprojlab.report import ResidualReport
 
 from conftest import sample
 
@@ -29,6 +31,18 @@ def run_cli(*args):
         [sys.executable, "-m", "cprojlab.cli", *args],
         capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
+
+
+def refused_by_argparse(capsys, argv):
+    """The stderr lines of a ``main(argv)`` that argparse refuses: a usage
+    line, then the error, exit code 2 and nothing on stdout."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert exc.value.code == 2 and out == "" and len(lines) == 2, err
+    assert lines[0].startswith("usage: cprojlab ")
+    return lines
 
 
 def test_config_roundtrip():
@@ -47,7 +61,7 @@ def test_config_errors_carry_line_numbers():
         parse_config_text("scenario = lift\nbad line without equals\n")
     with pytest.raises(ConfigError, match="line 1: option 'scenario' needs one of"):
         cli.validate(parse_config_text("scenario = nonsense\n"),
-                     argparse.Namespace(grid=None, seed=None, tol_scale=1.0))
+                     argparse.Namespace(seed=None))
     with pytest.raises(ConfigError, match="line 1"):
         parse_config_text("[unterminated\n")
 
@@ -107,18 +121,23 @@ def test_only_filter_and_list_checks():
 
 
 def test_tol_scale_flag():
-    # scaling tolerances way down turns machine-precision passes into
-    # failures, proving the knob reaches the checks
-    code, out, _ = run_cli("run", str(CONFIGS / "dini-pair.cfg"),
-                           "--tol-scale", "1e-12")
-    assert code == 1
+    # no flag scales the bounds: --tol-scale is an unknown flag
+    code, out, err = run_cli("run", str(CONFIGS / "dini-pair.cfg"),
+                             "--tol-scale", "1e-12")
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == ("cprojlab: error: unrecognized "
+                                    "arguments: --tol-scale 1e-12")
 
 
-def test_grid_and_seed_flags():
-    code, out, _ = run_cli("run", str(CONFIGS / "dini-pair.cfg"),
-                           "--grid", "3", "--seed", "5")
-    assert code == 0
-    assert "provenance.seed=5" in out
+def test_grid_and_seed_flags(capsys):
+    # the seed flag is recorded in the provenance; the grid is the
+    # config's alone
+    path = str(CONFIGS / "dini-pair.cfg")
+    assert main(["run", path, "--seed", "5"]) == 0
+    assert "provenance.seed=5" in capsys.readouterr().out
+    lines = refused_by_argparse(capsys, ["run", path, "--grid", "3",
+                                         "--seed", "5"])
+    assert lines[1] == "cprojlab: error: unrecognized arguments: --grid 3"
 
 
 @pytest.mark.parametrize("name", ["my lift", "true", "007", "1e3"])
@@ -133,18 +152,17 @@ def test_lift_report_title_is_the_name_as_written(tmp_path, capsys, name):
 
 @pytest.mark.parametrize("line,flags,key,want", [
     ("grid = 2.0", {}, "grid", 2),
-    ("grid = 5", {"grid": "2.0"}, "grid", 2),
     ("seed = 1e3", {}, "seed", 1000),
+    ("seed = 0", {"seed": "2.0"}, "seed", 2),
     ("seed = 9007199254740993", {}, "seed", 2 ** 53 + 1),
     ("seed = 0", {"seed": "9007199254740993"}, "seed", 2 ** 53 + 1),
-], ids=["grid-config", "grid-flag", "seed-exponent", "seed-config-digits",
-        "seed-flag-digits"])
+], ids=["grid-config", "seed-exponent", "seed-flag-decimal",
+        "seed-config-digits", "seed-flag-digits"])
 def test_integer_rows_take_integral_text(line, flags, key, want):
     # a config value and a flag reach the same row as text
     text = (CONFIGS / "dini-pair.cfg").read_text()
     old = next(l for l in text.splitlines() if l.startswith(f"{key} ="))
-    args = argparse.Namespace(**{"grid": None, "seed": None,
-                                 "tol_scale": "1", **flags})
+    args = argparse.Namespace(**{"seed": None, **flags})
     v = cli.validate(parse_config_text(text.replace(old, line, 1)), args)
     assert v[key] == want and type(v[key]) is int
 
@@ -165,6 +183,26 @@ def test_unwritable_output_path_exits_2_before_the_run(
     assert Path("file.txt").read_text() == "kept\n"
 
 
+def test_refused_run_leaves_no_csv_directory(monkeypatch, tmp_path, capsys):
+    # 4104 samples of a 12-dim chart are refused after the CSV directory
+    # is made; the directories the run made go, the one it found stays
+    monkeypatch.chdir(tmp_path)
+    text = (CONFIGS / "mobility2.cfg").read_text()
+    for old, new in (("ell = 1", "ell = 4"), ("C = -0.5", "C = 2"),
+                     ("grid = 3", "grid = 2"), ("random = 48", "random = 8")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+    Path("big.cfg").write_text(text)
+    Path("kept").mkdir()
+    assert main(["run", "big.cfg", "--csv", "kept/csvleft/out"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, err
+    assert " need more memory than a run may take " in lines[0]
+    assert sorted(p.name for p in Path().iterdir()) == ["big.cfg", "kept"]
+    assert list(Path("kept").iterdir()) == []
+
+
 @pytest.mark.parametrize("name,old,new", [
     ("dini-pair", "window = 0.2 0.8", "window = 0.8 0.2"),  # invalid box
     ("dini-pair", "rho = 2.0 1.0", "rho = 0.0 1.0"),  # coinciding rho blocks
@@ -180,9 +218,20 @@ def test_unwritable_output_path_exits_2_before_the_run(
     ("mobility2", "c = 1.0", "c = 0.0"),
     # rho = x near 0 at the central grid sample: |det L| < 1e-12
     ("dini-pair", "window = 0.2 0.8", "window = -0.3 0.3000000000001"),
+    # no instance named: a lift without a block, a section without a name
+    ("complex-pair", "[block]\nkind = complex2d\nrho_re = 0.0 1.0\n"
+     "rho_im = 0.0 0.0\nwindow = 0.2 0.8 0.2 0.8\n", ""),
+    ("dini-pair", "[block]", "[]"),
+    # a constant block of odd dimension, or with a sign per real line
+    ("mobility2", "dim = 2", "dim = 3"),
+    ("mobility2", "dim = 2", "dim = 2\nsignature = 1 1"),
+    # a 2x2 Jordan block with the 3x3 block's initial state
+    ("jordan2", "init = 0.5 0.1", "init = 0.5 0.1 0.2"),
 ], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
         "constant-rho", "constant-rho-defect", "critical-rho",
-        "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L"])
+        "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L",
+        "lift-without-block", "empty-section-name", "odd-constant-block",
+        "signature-length", "jordan2-init-of-3x3"])
 def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old in text
@@ -303,20 +352,26 @@ def test_remaining_scenarios_pass(capsys, name):
     out = capsys.readouterr().out
     assert ("overall=FAIL" if failing else "overall=pass") in out
     assert main(["run", str(path), "--list-checks"]) == 0
-    listed = [re.fullmatch(r"(\S+) (?:fixed|tol\.\S+)"
-                           r"(?: \((\S+) = (\S+) only\))?", l).groups()
+    listed = [re.fullmatch(r"(\S+)(?: \((\S+) = (\S+) only\))?", l).groups()
               for l in capsys.readouterr().out.splitlines()]
     reported = [l.split()[0].removeprefix("check=")
                 for l in out.splitlines() if l.startswith("check=")]
     assert reported
-    # every reported check is listed; a line's first word is the name
-    for nm in reported:
-        assert any(fnmatch.fnmatchcase(nm, p) for p, _, _ in listed), nm
-    # and every listed check whose condition holds is reported
+    # the run emits exactly the listed names whose condition holds, in
+    # their order, a wildcard name standing for a run of one or more
     cfg = parse_config(path)
+    named = []
     for pat, key, val in listed:
         if key is None or str(cfg.options.get(key)) == val:
-            assert any(fnmatch.fnmatchcase(nm, pat) for nm in reported), pat
+            matched = [nm for nm in reported if fnmatch.fnmatchcase(nm, pat)]
+            assert matched, pat
+            named += matched
+    assert named == reported
+
+
+# the modules of the check suites that the runner calls
+SUITES = ("cprojlab.kahler", "cprojlab.killing", "cprojlab.curvspec",
+          "cprojlab.flows")
 
 
 def _canonical_texts():
@@ -335,7 +390,7 @@ def _canonical_texts():
 
 def _canonical_runs():
     """The typed values of each scenario kind's canonical config."""
-    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
+    args = argparse.Namespace(seed=None)
     return {kind: cli.validate(parse_config_text(text), args)
             for kind, text in _canonical_texts().items()}
 
@@ -353,9 +408,10 @@ class RecordingRun:
 
 @pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
 def test_every_step_reads_the_run(kind):
-    # a step that reads nothing of the run but the tolerance scale and the
-    # CSV table evaluates a constant of the code; such an identity belongs
-    # in a unit test, not in the report
+    # a step that reads nothing of the run but the CSV table evaluates a
+    # constant of the code; such an identity belongs in a unit test, not
+    # in the report
+    assert cli.Step._fields == ("names", "emit", "when")
     v = _canonical_runs()[kind]
     build, steps = cli.SCENARIOS[kind][:2]
     run = cli.Run(v)
@@ -363,8 +419,7 @@ def test_every_step_reads_the_run(kind):
     for st in steps:
         assert not st.when or v[st.when[0]] == st.when[1], st.names
         rec = RecordingRun(run)
-        st.emit(rec, v[f"tol.{st.tol}"] if isinstance(st.tol, str)
-                else st.tol)
+        st.emit(rec)
         assert rec.reads - {"csv"}, st.names
 
 
@@ -470,79 +525,98 @@ def test_tolerance_key_of_an_unread_class_exits_2(tmp_path, capsys, name,
     assert err == f"error: line 1: option {key!r} is unknown here\n"
 
 
-# the tolerance classes whose checks each scenario runs
-TOL_KEYS = {
-    "dini-pair": "proj dual",
-    "dini-lift": "kahler cproj aonk killing ricci roundtrip",
-    "complex-pair": "kahler cproj aonk killing ricci roundtrip",
-    "mobility2": "kahler cproj aonk killing ricci roundtrip lie transport "
-                 "volume",
-    "jordan2": "ode proj pde_split ricci spectrum",
-    "phase-portraits": "",
-    "appendix": "ricci spectrum",
-}
+# the tolerance classes a config could once set, each a tol.<class> key;
+# every check's bound is now the default of the function that builds it
+TOL_CLASSES = ("kahler cproj proj killing aonk dual ricci lie volume "
+               "transport ode pde_split spectrum roundtrip").split()
 
 
-@pytest.mark.parametrize("name", sorted(TOL_KEYS))
-def test_scenario_takes_the_tolerance_keys_of_its_checks(capsys, name):
+@pytest.mark.parametrize("name", [
+    "appendix", "complex-pair", "dini-lift", "dini-pair", "jordan2",
+    "mobility2", "phase-portraits"])
+def test_scenario_takes_the_tolerance_keys_of_its_checks(tmp_path, capsys,
+                                                         name):
+    # no scenario takes a tolerance key
+    assert not hasattr(cli, "DEFAULT_TOLS")
     text = (CONFIGS / f"{name}.cfg").read_text()
-    args = argparse.Namespace(grid=None, seed=None, tol_scale=1.0)
-    taken = set()
-    for cls in cli.DEFAULT_TOLS:
-        cfg = parse_config_text(f"tol.{cls} = 0.5\n" + text)
-        try:
-            v = cli.validate(cfg, args)
-        except ConfigError as exc:
-            assert str(exc) == f"line 1: option 'tol.{cls}' is unknown here"
-            continue
-        assert v[f"tol.{cls}"] == 0.5
-        taken.add(cls)
-    assert taken == set(TOL_KEYS[name].split())
-    # --list-checks names the key of each check, or that it is fixed
+    cfg = tmp_path / "tol.cfg"
+    for cls in TOL_CLASSES:
+        cfg.write_text(f"tol.{cls} = 0.5\n" + text)
+        assert main(["run", str(cfg)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: line 1: option 'tol.{cls}' is unknown here\n"
+    # --list-checks prints each name and its run condition, and no bound
     assert main(["run", str(CONFIGS / f"{name}.cfg"), "--list-checks"]) == 0
-    keys = {l.split()[1] for l in capsys.readouterr().out.splitlines()}
-    assert keys - {"fixed"} == {f"tol.{c}" for c in taken}
+    for line in capsys.readouterr().out.splitlines():
+        assert re.fullmatch(r"\S+(?: \(\S+ = \S+ only\))?", line), line
+
+
+# the bound of each check of the two scenarios without a suite of chart
+# fields, by name pattern, as the functions that build their entries write
+OWN_BOUNDS = {
+    "phase-portraits": {"circle_*": 1e-6},
+    "appendix": {"ricci_identity": 1e-6, "spectrum_*": 1e-5,
+                 "fppp_limit": 1e-3},
+}
 
 
 @pytest.mark.parametrize("name", ["phase-portraits", "appendix"])
 def test_tol_scale_reaches_every_fixed_tolerance(capsys, name):
-    tols = []
-    for scale in ("1", "2"):
-        assert main(["run", str(CONFIGS / f"{name}.cfg"),
-                     "--tol-scale", scale]) == 0
-        lines = [l for l in capsys.readouterr().out.splitlines()
-                 if l.startswith("check=")]
-        assert all(" mode=max<=tol " in l for l in lines)
-        tols.append([float(re.search(r" tol=(\S+)", l).group(1))
-                     for l in lines])
-    assert len(tols[0]) == len(tols[1]) > 0
-    assert [2 * t for t in tols[0]] == tols[1]
+    # no flag scales a bound: --tol-scale is an unknown flag, and each
+    # line carries the bound its function writes
+    path = str(CONFIGS / f"{name}.cfg")
+    lines = refused_by_argparse(capsys, ["run", path, "--tol-scale", "2"])
+    assert lines[1] == ("cprojlab: error: unrecognized arguments: "
+                        "--tol-scale 2")
+    assert main(["run", path]) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("check=")]
+    assert lines and all(" mode=max<=tol " in l for l in lines)
+    for line in lines:
+        nm = line.split()[0].removeprefix("check=")
+        (bound,) = [b for p, b in OWN_BOUNDS[name].items()
+                    if fnmatch.fnmatchcase(nm, p)]
+        assert float(re.search(r" tol=(\S+)", line).group(1)) == bound, nm
 
 
 @pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
-def test_listed_tolerance_key_is_the_one_that_moves_the_line(
-        tmp_path, capsys, kind):
-    # each class of the scenario set to a value of its own: a line listed
-    # under tol.<class> reads that value, and a line listed as fixed keeps
-    # the bound it has without the keys
-    text = _canonical_texts()[kind]
-    (tmp_path / "c.cfg").write_text(text)
-    assert main(["run", str(tmp_path / "c.cfg"), "--list-checks"]) == 0
-    listed = [l.split()[:2] for l in capsys.readouterr().out.splitlines()]
-    classes = sorted({k for _, k in listed} - {"fixed"})
-    # powers of two, none of them a default or fixed bound
-    keys = {k: 2.0 ** -(i + 2) for i, k in enumerate(classes)}
-    args = argparse.Namespace(grid=None, seed=None, tol_scale="1")
-    tols = []
-    for extra in ("", "".join(f"{k} = {t!r}\n" for k, t in keys.items())):
-        rep, _ = run_scenario(cli.validate(parse_config_text(extra + text),
-                                           args))
-        tols.append({e.name: e.tolerance for e in rep.entries})
-    base, moved = tols
-    assert base and base.keys() == moved.keys()
-    for name, tol in moved.items():
-        (key,) = {k for p, k in listed if fnmatch.fnmatchcase(name, p)}
-        assert tol == keys.get(key, base[name]), (name, key)
+def test_listed_tolerance_key_is_the_one_that_moves_the_line(monkeypatch,
+                                                             kind):
+    # no key moves a line: run_scenario passes each step the run alone,
+    # and the steps call each suite without a tol, so its entries carry
+    # the suite's default (the Gram margin its module constant)
+    reports = []
+    for fname, fn in list(vars(cli).items()):
+        if (inspect.isfunction(fn) and fn.__module__ in SUITES
+                and "tol" in inspect.signature(fn).parameters):
+            def called(*a, _fn=fn, **kw):
+                bound = inspect.signature(_fn).bind(*a, **kw).arguments
+                assert "tol" not in bound, _fn.__name__
+                out = _fn(*a, **kw)
+                if isinstance(out, ResidualReport):
+                    reports.append((_fn, out))
+                return out
+
+            monkeypatch.setattr(cli, fname, called)
+
+    def run_only(emit):
+        def step(*a, **kw):
+            assert not kw and len(a) == 1 and isinstance(a[0], cli.Run)
+            return emit(*a)
+        return step
+
+    build, steps, *rest = cli.SCENARIOS[kind]
+    monkeypatch.setitem(cli.SCENARIOS, kind, (build, tuple(
+        st._replace(emit=run_only(st.emit)) for st in steps), *rest))
+    rep, _ = run_scenario(_canonical_runs()[kind])
+    assert rep.entries
+    for fn, out in reports:
+        default = inspect.signature(fn).parameters["tol"].default
+        for e in out.entries:
+            want = (killing.GRAM_MARGIN if e.name == "killing_gram_margin"
+                    else default)
+            assert e.tolerance == want, e.name
 
 
 @pytest.mark.parametrize("name,old,new", [
@@ -598,9 +672,10 @@ def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
 
 
 def test_grid_flag_below_one_exits_2(capsys):
-    assert main(["run", str(CONFIGS / "dini-pair.cfg"), "--grid", "0"]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and err.startswith("error: ") and "--grid" in err
+    # the grid is the config's alone: --grid is an unknown flag
+    lines = refused_by_argparse(capsys, ["run", str(CONFIGS / "dini-pair.cfg"),
+                                         "--grid", "0"])
+    assert lines[1] == "cprojlab: error: unrecognized arguments: --grid 0"
 
 
 @pytest.mark.parametrize("name,flag,value", [
@@ -621,7 +696,14 @@ def test_bad_flag_exits_2_before_sampling(monkeypatch, capsys, name, flag,
 
     monkeypatch.setattr(geometry.GridSpec, "points", boom)
     monkeypatch.setattr(geometry.Box, "random", boom)
-    assert main(["run", str(CONFIGS / f"{name}.cfg"), flag, value]) == 2
+    argv = ["run", str(CONFIGS / f"{name}.cfg"), flag, value]
+    if flag != "--seed":
+        # --grid and --tol-scale are gone: argparse's usage error
+        lines = refused_by_argparse(capsys, argv)
+        assert lines[1] == ("cprojlab: error: unrecognized arguments: "
+                            f"{flag} {value}")
+        return
+    assert main(argv) == 2
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
@@ -687,7 +769,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
         "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")]
     cfgs += [parse_config(CONFIGS / f"{n}.cfg")
              for n in ("jordan2", "dini-pair")]
-    args = argparse.Namespace(grid=None, seed=0, tol_scale=1.0)
+    args = argparse.Namespace(seed=0)
     seen = {"christoffel": [], "metric_inverse": []}
     for fname, calls in seen.items():
         orig = getattr(geometry, fname)
@@ -774,10 +856,8 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
     def boom(*a, **kw):
         raise AssertionError("an unselected check ran")
 
-    suites = ("cprojlab.kahler", "cprojlab.killing", "cprojlab.curvspec",
-              "cprojlab.flows")
     for name, obj in list(vars(cli).items()):
-        if callable(obj) and getattr(obj, "__module__", "") in suites:
+        if callable(obj) and getattr(obj, "__module__", "") in SUITES:
             monkeypatch.setattr(cli, name, boom)
     orders = []
     orig = builders.KahlerChart.eval

@@ -280,7 +280,7 @@ def test_box_and_grid():
 
 
 def test_lie_scalar_two_form_and_curvature_accessor():
-    from cprojlab.geometry import lie_scalar, lie_two_form
+    from cprojlab.geometry import lie_scalar, lie_two_form, lie_vector
     pts = np.random.default_rng(3).uniform(0.4, 1.2, (6, 2))
     x, y = seeds(pts, 2)
     v = jstack([x * 0.0 + 1.0, const(0.0, pts, 2)])   # d/dx0
@@ -290,6 +290,11 @@ def test_lie_scalar_two_form_and_curvature_accessor():
     w = jstack([[zero, x], [-x, zero]])               # x0 dx0 ^ dx1
     lw = lie_two_form(w, v)
     assert np.allclose(lw[:, 0, 1], 1.0)
+    # L_v u = [v, u] on random order-1 vector jets
+    rng = np.random.default_rng(4)
+    a, b = (Jet(3, 1, [rng.normal(size=(6, 3)), rng.normal(size=(6, 3, 3))])
+            for _ in range(2))
+    assert np.array_equal(lie_vector(a, b), -lie_bracket(a, b))
 
 
 def test_span_gram_and_normal_part_by_hand():
