@@ -1138,7 +1138,7 @@ def mobility_spec(ell, a, C):
     return CompatiblePairSpec(blocks=blocks, name="mobility2")
 
 
-def build_mobility2(ell, a, C, cb=(), fit_v=True, **kw) -> KahlerChart:
+def build_mobility2(ell, a, C, cb=(), **kw) -> KahlerChart:
     """Mobility-two Kahler chart with its canonical vector field.
 
     Profiles are F_i(t) = a_i (1-t)^(-C) t^(1+ell+C); v restricts to
@@ -1152,13 +1152,12 @@ def build_mobility2(ell, a, C, cb=(), fit_v=True, **kw) -> KahlerChart:
         "C": C,
         "m0": sum(b.dim // 2 for b in cb if b.c == 0.0),
         "m1": sum(b.dim // 2 for b in cb if b.c == 1.0)})
-    if fit_v:
-        resid = fit_mobility_field(chart)
-        chart.meta["v_fit_residual"] = resid
-        if resid > FIT_TOL:
-            raise BuilderError(
-                f"mobility field reconstruction failed: residual "
-                f"{resid:.3e} > {FIT_TOL:.1e}")
+    resid = fit_mobility_field(chart)
+    chart.meta["v_fit_residual"] = resid
+    if resid > FIT_TOL:
+        raise BuilderError(
+            f"mobility field reconstruction failed: residual "
+            f"{resid:.3e} > {FIT_TOL:.1e}")
     return chart
 
 

@@ -27,7 +27,7 @@ from .jets import Jet, JetError
 from .builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
     build_mobility2, build_quotient_pair,
-    jordan_pair_spec, lift_pair, solve_jordan_odes)
+    jordan_pair_spec, lift_pair, mobility_spec, solve_jordan_odes)
 from .kahler import (
     KahlerError, check_kahler, commuting_gradients_residual,
     connection_difference_check, cproj_residual, eigenvector_gradient_residual,
@@ -44,11 +44,11 @@ from .flows import (
     lie_residual_suite, split_lie_suite, tail_exponent, transport_check,
     volume_coefficient)
 
-# the most sample points a run may draw, grid**dim + random
+# the one sample cap: a run's memory grows as its sample count
+# n = grid**dim + random times max(dim, 8)**4, by about 100 bytes a unit,
+# and n * max(dim, 8)**4 <= MAX_SAMPLES * 8**4 keeps it under about 2 GB
+# (n <= MAX_SAMPLES up to dim 8)
 MAX_SAMPLES = 5000
-# the most samples times dim**4 a run may draw: its memory grows as that
-# product, by about 100 bytes a unit, so the cap is about 2 GB
-MAX_SAMPLE_WORK = MAX_SAMPLES * 8 ** 4
 
 
 def _pair_spec(v) -> CompatiblePairSpec:
@@ -76,14 +76,12 @@ class Run:
 
     def sample(self, inst, title=None):
         grid, rnd, dim = self.v["grid"], self.v["random"], inst.window.dim
-        n = grid ** dim + rnd
-        if n > MAX_SAMPLES:
-            raise ConfigError(f"'grid' = {grid} draws {grid}**{dim} + {rnd} "
-                              f"samples, more than {MAX_SAMPLES}")
-        if n * dim ** 4 > MAX_SAMPLE_WORK:
-            raise ConfigError(f"{n} samples of a {dim}-dim chart need more "
-                              f"memory than a run may take ({n} * {dim}**4 "
-                              f"> {MAX_SAMPLES} * 8**4)")
+        n, w = grid ** dim + rnd, max(dim, 8)
+        if n * w ** 4 > MAX_SAMPLES * 8 ** 4:
+            raise ConfigError(
+                f"'grid' = {grid} and 'random' = {rnd} draw {n} samples of a "
+                f"{dim}-dim chart, which need more memory than a run may "
+                f"take ({n} * {w}**4 > {MAX_SAMPLES} * 8**4)")
         self.inst = inst
         return title or inst.name
 
@@ -164,7 +162,8 @@ def _build_jordan(r):
 
 
 def _build_appendix(r):
-    r.inst = build_mobility2(2, 1.0, r.v["C"], fit_v=False)
+    r.inst = lift_pair(build_quotient_pair(mobility_spec(2, 1.0, r.v["C"])),
+                       route="explicit")
     rng = np.random.default_rng(r.v["seed"])
     r.pts = r.inst.window.random(8, rng)
     return "appendix"
@@ -462,8 +461,6 @@ def main(argv=None) -> int:
                       help="comma-separated check-name filter (prefixes)")
     runp.add_argument("--list-checks", action="store_true",
                       help="list the scenario's checks and exit")
-    runp.add_argument("--report", type=Path, default=None,
-                      help="also write the report to this path")
     args = ap.parse_args(argv)
 
     only = (tuple(p.strip() for p in args.only.split(",") if p.strip())
@@ -477,15 +474,10 @@ def main(argv=None) -> int:
             v = validate(cfg, args)
             t0 = time.monotonic()
             if not args.list_checks:
-                # an output path that cannot be written fails before the
-                # run, not after its report is printed
-                if args.report and (args.report.is_dir()
-                                    or not args.report.parent.is_dir()):
-                    raise ConfigError(f"--report: cannot write a file at "
-                                      f"{args.report}")
                 if args.csv:
-                    # the directories made here, deepest first, go again
-                    # if the run is refused
+                    # a CSV path that cannot be written fails before the
+                    # run; the directories made here, deepest first, go
+                    # again if the run is refused
                     missing = [p for p in (args.csv, *args.csv.parents)
                                if not p.exists()]
                     try:
@@ -511,11 +503,9 @@ def main(argv=None) -> int:
     rep.provenance = {"config_hash": config_hash(serialize_config(cfg)),
                       "seed": v["seed"], "version": __version__,
                       "scenario": v["scenario"]}
-    out = (rep.format() + f"# timestamp={time.strftime('%Y-%m-%dT%H:%M:%S')}"
-           f" elapsed={elapsed:.2f}s\n")
-    sys.stdout.write(out)
-    if args.report:
-        args.report.write_text(out)
+    sys.stdout.write(rep.format() + "# timestamp="
+                     f"{time.strftime('%Y-%m-%dT%H:%M:%S')}"
+                     f" elapsed={elapsed:.2f}s\n")
     if args.csv:
         for name, (header, rows) in run.csv.items():
             lines = [header] + [[fmt(x) for x in row] for row in rows]

@@ -301,7 +301,8 @@ def gap_mask(roots, consts, n=None):
 
 def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     """(A - rho) grad rho = 0 and (A - rho) J grad rho = 0 at regular
-    samples, for each simple non-constant eigenvalue field rho."""
+    samples, for each simple non-constant eigenvalue field rho, real or
+    complex."""
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
     rep = ResidualReport(title="eigenvector-gradient")
@@ -310,8 +311,6 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     excluded = int((~mask).sum())
     worst = 0.0
     for r in flds.rhos:
-        if np.iscomplexobj(r.c[0]):
-            continue          # complex pairs are exercised via mu fields
         grad = gradient(r, flds.ginv).c[0]
         Av = A.c[0]
         res = np.einsum("nab,nb->na", Av, grad) - r.c[0][:, None] * grad

@@ -24,6 +24,8 @@ from cprojlab.report import ResidualReport
 from conftest import sample
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+# a 3x3 Jordan block and a real block next to a complex pair
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 
 
 def run_cli(*args):
@@ -66,12 +68,10 @@ def test_config_errors_carry_line_numbers():
         parse_config_text("[unterminated\n")
 
 
-def test_dini_lift_passes(tmp_path):
-    code, out, err = run_cli("run", str(CONFIGS / "dini-lift.cfg"),
-                             "--report", str(tmp_path / "r.txt"))
+def test_dini_lift_passes():
+    code, out, err = run_cli("run", str(CONFIGS / "dini-lift.cfg"))
     assert code == 0, out + err
     assert "overall=pass" in out
-    assert (tmp_path / "r.txt").exists()
     assert out.count("check=") >= 9
 
 
@@ -120,15 +120,6 @@ def test_only_filter_and_list_checks():
     assert code == 0 and "cproj_compat" in out
 
 
-def test_tol_scale_flag():
-    # no flag scales the bounds: --tol-scale is an unknown flag
-    code, out, err = run_cli("run", str(CONFIGS / "dini-pair.cfg"),
-                             "--tol-scale", "1e-12")
-    assert (code, out) == (2, "")
-    assert err.splitlines()[-1] == ("cprojlab: error: unrecognized "
-                                    "arguments: --tol-scale 1e-12")
-
-
 def test_grid_and_seed_flags(capsys):
     # the seed flag is recorded in the provenance; the grid is the
     # config's alone
@@ -168,7 +159,6 @@ def test_integer_rows_take_integral_text(line, flags, key, want):
 
 
 @pytest.mark.parametrize("flag,where", [
-    ("--report", "missing/report.txt"), ("--report", "."),
     ("--csv", "file.txt"), ("--csv", "file.txt/csv")])
 def test_unwritable_output_path_exits_2_before_the_run(
         monkeypatch, tmp_path, capsys, flag, where):
@@ -203,36 +193,53 @@ def test_refused_run_leaves_no_csv_directory(monkeypatch, tmp_path, capsys):
     assert list(Path("kept").iterdir()) == []
 
 
-@pytest.mark.parametrize("name,old,new", [
-    ("dini-pair", "window = 0.2 0.8", "window = 0.8 0.2"),  # invalid box
-    ("dini-pair", "rho = 2.0 1.0", "rho = 0.0 1.0"),  # coinciding rho blocks
-    ("dini-pair", "eps = 1", "eps = 0"),        # degenerate block metric
+# the rho' guard of a real block
+FLAT_RHO = "rho' of a Real1D block vanishes on its window"
+
+
+@pytest.mark.parametrize("name,old,new,guard", [
+    # the option row refuses it before any box exists
+    ("dini-pair", "window = 0.2 0.8", "window = 0.8 0.2",
+     "[block] key 'window' needs lo < hi in each pair"),
+    ("dini-pair", "rho = 2.0 1.0", "rho = 0.0 1.0",  # coinciding rho blocks
+     "eigenvalue collision"),
+    ("dini-pair", "eps = 1", "eps = 0",         # degenerate block metric
+     "a real1d block needs eps != 0"),
     # a lift needs rho' != 0 on each block's window
-    ("dini-lift", "rho = 0.0 1.0", "rho = 0"),
-    ("dini-lift", "rho = 2.0 1.0", "rho = 2.0"),
-    ("seeded-defect", "rho = 0.0 1.0", "rho = 1.0 0.0"),
-    ("dini-lift", "rho = 0.0 1.0", "rho = 0.0 -1.0 1.0"),  # rho'(0.5) = 0
+    ("dini-lift", "rho = 0.0 1.0", "rho = 0", FLAT_RHO),
+    ("dini-lift", "rho = 2.0 1.0", "rho = 2.0", FLAT_RHO),
+    ("seeded-defect", "rho = 0.0 1.0", "rho = 1.0 0.0", FLAT_RHO),
+    ("dini-lift", "rho = 0.0 1.0", "rho = 0.0 -1.0 1.0",  # rho'(0.5) = 0
+     FLAT_RHO),
     ("complex-pair", "rho_re = 0.0 1.0\nrho_im = 0.0 0.0",
-     "rho_re = 1.0 0.0\nrho_im = 1.0 0.0"),
+     "rho_re = 1.0 0.0\nrho_im = 1.0 0.0",
+     "rho' of a Complex2D block vanishes"),
     # two constant blocks with one eigenvalue
-    ("mobility2", "c = 1.0", "c = 0.0"),
+    ("mobility2", "c = 1.0", "c = 0.0",
+     "constant eigenvalues 0.0 and 0.0 are closer than"),
     # rho = x near 0 at the central grid sample: |det L| < 1e-12
-    ("dini-pair", "window = 0.2 0.8", "window = -0.3 0.3000000000001"),
+    ("dini-pair", "window = 0.2 0.8", "window = -0.3 0.3000000000001",
+     "det L vanishes at a sample"),
     # no instance named: a lift without a block, a section without a name
     ("complex-pair", "[block]\nkind = complex2d\nrho_re = 0.0 1.0\n"
-     "rho_im = 0.0 0.0\nwindow = 0.2 0.8 0.2 0.8\n", ""),
-    ("dini-pair", "[block]", "[]"),
+     "rho_im = 0.0 0.0\nwindow = 0.2 0.8 0.2 0.8\n", "",
+     "scenario 'lift' needs a [block] section"),
+    ("dini-pair", "[block]", "[]", "empty section name"),
     # a constant block of odd dimension, or with a sign per real line
-    ("mobility2", "dim = 2", "dim = 3"),
-    ("mobility2", "dim = 2", "dim = 2\nsignature = 1 1"),
+    ("mobility2", "dim = 2", "dim = 3",
+     "constant block dimension must be even"),
+    ("mobility2", "dim = 2", "dim = 2\nsignature = 1 1",
+     "signature length must be dim/2"),
     # a 2x2 Jordan block with the 3x3 block's initial state
-    ("jordan2", "init = 0.5 0.1", "init = 0.5 0.1 0.2"),
+    ("jordan2", "init = 0.5 0.1", "init = 0.5 0.1 0.2",
+     "initial state size does not match the kind"),
 ], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
         "constant-rho", "constant-rho-defect", "critical-rho",
         "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L",
         "lift-without-block", "empty-section-name", "odd-constant-block",
         "signature-length", "jordan2-init-of-3x3"])
-def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
+def test_unbuildable_instance_exits_2(tmp_path, name, old, new, guard):
+    # one error line, from the guard that refuses the edit
     text = (CONFIGS / f"{name}.cfg").read_text()
     assert old in text
     cfg = tmp_path / "bad.cfg"
@@ -242,6 +249,7 @@ def test_unbuildable_instance_exits_2(tmp_path, name, old, new):
     assert out == ""
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert guard in lines[0], err
 
 
 def _run_mobility2_with_a(tmp_path, a):
@@ -376,13 +384,10 @@ SUITES = ("cprojlab.kahler", "cprojlab.killing", "cprojlab.curvspec",
 
 def _canonical_texts():
     """A config of each scenario kind, its first shipped one, with every
-    step's condition holding (the Jordan config as its 3x3 block)."""
+    step's condition holding (the Jordan config is the 3x3 test config)."""
     texts = {}
-    for path in sorted(CONFIGS.glob("*.cfg")):
+    for path in [TEST_CONFIGS / "jordan3.cfg", *sorted(CONFIGS.glob("*.cfg"))]:
         text = path.read_text()
-        if path.stem == "jordan2":
-            text = text.replace("kind = 2x2", "kind = 3x3").replace(
-                "init = 0.5 0.1", "init = 0.5 0.1 0.2")
         texts.setdefault(parse_config_text(text).options["scenario"], text)
     assert set(texts) == set(cli.SCENARIOS)
     return texts
@@ -656,17 +661,26 @@ def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
 
 
 @pytest.mark.parametrize("grid,rnd,dim,refused", [
-    (2, 8, 12, True), (2, 8, 10, False), (3, 48, 6, False)])
+    (2, 8, 12, True), (2, 8, 10, False), (3, 48, 6, False),
+    # each side of the cap: n = 5001 / 5000 at dim 2, 3122 / 3121 at
+    # dim 9, 988 / 987 at dim 12
+    (1, 5000, 2, True), (1, 4999, 2, False),
+    (2, 2610, 9, True), (2, 2609, 9, False),
+    (1, 987, 12, True), (1, 986, 12, False)])
 def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
-    # memory grows as samples * dim**4: 4104 samples of a 12-dim chart
-    # (mobility2 at ell = 4 beside two constant blocks) are under
-    # MAX_SAMPLES but need about 8 GB; 1032 of a 10-dim chart fit
+    # memory grows as samples * max(dim, 8)**4: 4104 samples of a 12-dim
+    # chart (mobility2 at ell = 4 beside two constant blocks) need about
+    # 8 GB; 1032 of a 10-dim chart fit, and up to dim 8 the cap is 5000
     run = cli.Run({"grid": grid, "random": rnd})
     chart = SimpleNamespace(window=SimpleNamespace(dim=dim), name="chart")
+    n, w = grid ** dim + rnd, max(dim, 8)
     if refused:
-        with pytest.raises(ConfigError, match=r"^4104 samples of a 12-dim "
-                           r"chart need more memory than a run may take"):
+        with pytest.raises(ConfigError) as exc:
             run.sample(chart)
+        assert str(exc.value) == (
+            f"'grid' = {grid} and 'random' = {rnd} draw {n} samples of a "
+            f"{dim}-dim chart, which need more memory than a run may take "
+            f"({n} * {w}**4 > 5000 * 8**4)")
     else:
         assert run.sample(chart) == "chart"
 
@@ -678,8 +692,13 @@ def test_grid_flag_below_one_exits_2(capsys):
     assert lines[1] == "cprojlab: error: unrecognized arguments: --grid 0"
 
 
+# the one case of the table that also runs in a fresh process
+IN_PROCESS = ("dini-pair", "--tol-scale", "1e-12")
+
+
 @pytest.mark.parametrize("name,flag,value", [
     ("dini-pair", "--seed", "-1"),
+    # --grid, --tol-scale and --report are gone
     ("dini-pair", "--grid", "100"),
     ("phase-portraits", "--grid", "3"),
     ("seeded-defect", "--tol-scale", "inf"),
@@ -688,26 +707,32 @@ def test_grid_flag_below_one_exits_2(capsys):
     ("dini-pair", "--grid", "2.5"),
     ("dini-pair", "--grid", "x"),
     ("seeded-defect", "--tol-scale", "abc"),
+    IN_PROCESS,
+    ("dini-pair", "--report", "missing/report.txt"),
+    ("dini-pair", "--report", "."),
+    ("dini-lift", "--report", "r.txt"),
 ])
 def test_bad_flag_exits_2_before_sampling(monkeypatch, capsys, name, flag,
                                           value):
+    # a bad seed gets one error line naming the flag, a removed flag
+    # argparse's usage error; no sample point is drawn
     def boom(*a, **kw):
         raise AssertionError("sample points were drawn")
 
     monkeypatch.setattr(geometry.GridSpec, "points", boom)
     monkeypatch.setattr(geometry.Box, "random", boom)
     argv = ["run", str(CONFIGS / f"{name}.cfg"), flag, value]
-    if flag != "--seed":
-        # --grid and --tol-scale are gone: argparse's usage error
-        lines = refused_by_argparse(capsys, argv)
-        assert lines[1] == ("cprojlab: error: unrecognized arguments: "
-                            f"{flag} {value}")
-        return
-    assert main(argv) == 2
-    out, err = capsys.readouterr()
-    lines = err.splitlines()
-    assert out == "" and len(lines) == 1 and lines[0].startswith("error: ")
-    assert flag.removeprefix("--") in lines[0]
+    want = (f"error: --seed needs a value in [0, inf), got {value!r}\n"
+            if flag == "--seed" else
+            "usage: cprojlab [-h] {run} ...\ncprojlab: error: unrecognized "
+            f"arguments: {flag} {value}\n")
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (code, *capsys.readouterr()) == (2, "", want)
+    if (name, flag, value) == IN_PROCESS:
+        assert run_cli(*argv) == (2, "", want)
 
 
 def test_only_killing_detC_skips_the_killing_suite(monkeypatch, capsys):

@@ -267,6 +267,20 @@ def test_eigenvector_gradient_property(corpus):
         assert rep.entries[0].value <= 1e-8, name
 
 
+@pytest.mark.parametrize("name", ["complex-pair", "dini-lift"])
+def test_eigenvector_gradients_fail_on_a_moved_endo(corpus, name):
+    # A + 1e-3 E_01 at every sample: the gradients of complex roots are
+    # checked as those of real ones are, so either chart fails
+    chart = {nm: ch for nm, ch, _ in corpus}[name]
+    fl = chart.eval(sample(chart, 30), order=2)
+    coeffs = [c.copy() for c in fl.A.c]
+    coeffs[0][:, 0, 1] += 1e-3
+    moved = fl.replace(A=Jet(fl.A.dim, fl.A.order, coeffs))
+    assert eigenvector_gradient_residual(fl).overall_pass, name
+    (entry,) = eigenvector_gradient_residual(moved).entries
+    assert not entry.passed and entry.value > 1e-4, name
+
+
 def test_duality_identities_on_pairs(qp_ell1, qp_dini, qp_complex,
                                      qp_mobility_leaf, qp_jordan2,
                                      qp_jordan3):

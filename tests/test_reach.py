@@ -12,26 +12,9 @@ from cprojlab import cli
 
 SRC = Path(cprojlab.__file__).resolve().parent
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-
-# CI's real block next to a complex pair, through every lift check
-MIXED = """\
-scenario = lift
-name = mixed
-route = explicit
-grid = 3
-random = 32
-
-[block]
-kind = real1d
-rho = 3.0 1.0
-window = 0.2 0.8
-
-[block]
-kind = complex2d
-rho_re = 0.0 1.0
-rho_im = 0.0 0.0
-window = 0.2 0.8 0.2 0.8
-"""
+# a 3x3 Jordan block and a real block next to a complex pair, which CI
+# also runs
+TEST_CONFIGS = Path(__file__).resolve().parent / "configs"
 
 TRACED = "wrapped by name in perfbench/tracer.py until ROADMAP item 1"
 VECTOR_FIELD = "certified by a run with ROADMAP item 5"
@@ -108,17 +91,11 @@ def _functions():
     return out
 
 
-def _runs(tmp_path):
-    """The argument lists of the census: every shipped config and CI's two
-    extra ones at seeds 0 and 3, each one's ``--list-checks``, and one
+def _runs():
+    """The argument lists of the census: every shipped config and the two
+    of ``tests/configs`` at seeds 0 and 3, each one's ``--list-checks``, and one
     ``--only`` run; with the exit code each must give."""
-    jordan3 = (CONFIGS / "jordan2.cfg").read_text().replace(
-        "kind = 2x2", "kind = 3x3").replace("init = 0.5 0.1",
-                                            "init = 0.5 0.1 0.2")
-    (tmp_path / "jordan3.cfg").write_text(jordan3)
-    (tmp_path / "mixed.cfg").write_text(MIXED)
-    cfgs = sorted(CONFIGS.glob("*.cfg")) + [tmp_path / "jordan3.cfg",
-                                            tmp_path / "mixed.cfg"]
+    cfgs = sorted(CONFIGS.glob("*.cfg")) + sorted(TEST_CONFIGS.glob("*.cfg"))
     runs = []
     for cfg in cfgs:
         fails = int(cfg.stem == "seeded-defect")
@@ -129,8 +106,7 @@ def _runs(tmp_path):
     return runs
 
 
-def test_every_unreached_function_is_named_with_its_reason(tmp_path,
-                                                          capsys):
+def test_every_unreached_function_is_named_with_its_reason(capsys):
     # a plan cached by an earlier test would hide the function building it
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("cprojlab."):
@@ -144,7 +120,7 @@ def test_every_unreached_function_is_named_with_its_reason(tmp_path,
         if event == "call":
             reached.add((frame.f_code.co_filename, frame.f_code.co_qualname))
 
-    runs = _runs(tmp_path)
+    runs = _runs()
     codes = []
     old = sys.getprofile()
     sys.setprofile(record)
