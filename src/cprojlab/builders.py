@@ -39,9 +39,10 @@ constant factors are order-0 slices.
 
 Mobility-two charts additionally carry a vector field ``v`` with
 ``L_v A = A(Id - A)`` and ``L_v g = -gA - (sum rho_i + C) g``: the leaf
-term ``sum rho_i (1 - rho_i) d/drho_i`` plus an affine map of the
-coordinates, whose coefficient matrix is reconstructed by a least-squares
-solve over samples and certified by the reported fit residual.
+term ``sum rho_i (1 - rho_i) d/drho_i`` plus a linear map of the
+coordinates, written in closed form (``fit_mobility_field``): it takes
+``t_i`` to ``-(i + 1 + C) t_i - i t_(i-1)`` and a flat coordinate ``y`` of
+eigenvalue 0 or 1 to ``-(C + ell) y / 2`` or ``-(C + 1) y / 2``.
 """
 
 from __future__ import annotations
@@ -59,8 +60,7 @@ from .jets import (
     jet_transpose, polyval, tensor_partial,
 )
 from .geometry import (
-    Box, christoffel, gradient, lie_endo, lie_metric, metric_inverse,
-    riemann,
+    Box, christoffel, gradient, metric_inverse, riemann,
 )
 from .ode import OdeError, integrate
 
@@ -81,7 +81,6 @@ EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
 # a spec's window
 RANGE_MARGIN = 0.01
 ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
-FIT_TOL = 1e-7      # the largest residual a mobility-field fit may leave
 Y_WINDOW = (-0.8, 0.8)  # each flat constant-factor coordinate's range
 
 
@@ -842,19 +841,6 @@ def mobility_field(pts, order, M, rho_idx) -> Jet:
     return Jet._of(d, order, coeffs)
 
 
-def _v_support(d, t_sl, y_sl):
-    """Entries of the v matrix a fit may use: a t row takes t and y; a y
-    row takes the constant and y.  A t row's constant is left out: the
-    t translations are Killing fields of g that preserve A, so their
-    column of the fit is zero."""
-    t_cols = slice(1 + t_sl.start, 1 + t_sl.stop)
-    y_cols = slice(1 + y_sl.start, 1 + y_sl.stop)
-    mask = np.zeros((d, 1 + d), dtype=bool)
-    mask[t_sl, t_cols] = mask[t_sl, y_cols] = True
-    mask[y_sl, 0] = mask[y_sl, y_cols] = True
-    return mask
-
-
 class KahlerChart:
     """Kahler structure on coordinates (t_1..t_ell, U, y)."""
 
@@ -874,7 +860,7 @@ class KahlerChart:
         self.u_sl = slice(self.ell, self.ell + self.udim)
         self.y_sl = slice(self.ell + self.udim, self.dim)
         (self._gc, self._wc, self._Jc, self._Ac,
-         self._ceigs) = _const_matrices(self.cb)
+         self.ceigs) = _const_matrices(self.cb)
         self.const_eigs = [(b.c, b.dim // 2) for b in self.cb]
         lo = np.concatenate([np.full(self.ell, t_window[0]), qp.window.lo,
                              np.full(self.ydim, Y_WINDOW[0])])
@@ -884,7 +870,6 @@ class KahlerChart:
         self._check_const_separation()
         self.rho_idx = [self.ell + off for b, off in zip(qp.blocks, qp.offsets)
                         if isinstance(b, RealRho)]
-        self.v_support = _v_support(self.dim, self.t_sl, self.y_sl)
         self.v_matrix = None
         self.meta = {}
 
@@ -1064,7 +1049,7 @@ class KahlerChart:
             wparts += [((u, y), Dalpha), ((y, u), -jet_transpose(Dalpha)),
                        ((y, y), chi * self._wc)]
             aparts += [((y, y), self._Ac), ((t, y), jet_einsum(
-                "nib,nbq->niq", T, alpha) - alpha * self._ceigs)]
+                "nib,nbq->niq", T, alpha) - alpha * self.ceigs)]
         w = _place(n, d, order, (d, d), wparts)
         A = _place(n, d, order, (d, d), aparts)
 
@@ -1106,7 +1091,7 @@ class KahlerChart:
     def v_field(self, pts, order=1) -> Jet:
         """The vector field alone (no tensor assembly)."""
         if self.v_matrix is None:
-            raise BuilderError("chart carries no fitted vector field")
+            raise BuilderError("chart carries no mobility vector field")
         return mobility_field(pts, order, self.v_matrix, self.rho_idx)
 
 
@@ -1142,22 +1127,23 @@ def build_mobility2(ell, a, C, cb=(), **kw) -> KahlerChart:
     """Mobility-two Kahler chart with its canonical vector field.
 
     Profiles are F_i(t) = a_i (1-t)^(-C) t^(1+ell+C); v restricts to
-    sum rho_i (1-rho_i) d/drho_i on the leaf and its affine part
-    (``chart.v_matrix``) is reconstructed by least squares,
-    residual-certified.
+    sum rho_i (1-rho_i) d/drho_i on the leaf, and its linear part
+    (``chart.v_matrix``) is written in closed form by
+    ``fit_mobility_field``.  v moves each eigenvalue by
+    rho' = rho(1 - rho), so a constant block needs c = 0 or c = 1.
     """
+    for b in cb:
+        if b.c not in (0.0, 1.0):
+            raise BuilderError(
+                "a mobility-two constant block needs c = 0 or c = 1, the "
+                f"fixed points of rho' = rho(1 - rho); got c = {b.c:g}")
     qp = build_quotient_pair(mobility_spec(ell, a, C))
     chart = KahlerChart(qp, cb, "explicit", **kw)
     chart.meta.update({
         "C": C,
         "m0": sum(b.dim // 2 for b in cb if b.c == 0.0),
         "m1": sum(b.dim // 2 for b in cb if b.c == 1.0)})
-    resid = fit_mobility_field(chart)
-    chart.meta["v_fit_residual"] = resid
-    if resid > FIT_TOL:
-        raise BuilderError(
-            f"mobility field reconstruction failed: residual "
-            f"{resid:.3e} > {FIT_TOL:.1e}")
+    fit_mobility_field(chart)
     return chart
 
 
@@ -1174,80 +1160,22 @@ def mobility_rhs(flds: ChartFields, C):
     return rhs_g, rhs_A
 
 
-def _design_matrix(flds, pts, support):
-    """The fit's columns in closed form.  Entry (i, j) of the v matrix is
-    the field x~_j d_i, x~ = (1, x), whose Lie derivatives are
-
-        L g_ab  = d_i g_ab x~_j + [a = j-1] g_ib + [b = j-1] g_ai,
-        L A^a_b = d_i A^a_b x~_j - [a = i] A^(j-1)_b + [b = j-1] A^a_i,
-
-    summed in the order ``lie_metric`` and ``lie_endo`` sum them, so each
-    column equals theirs bitwise.  A row is one sample's entries of L g,
-    then of L A."""
-    n = len(pts)
-    xt = np.concatenate([np.ones((n, 1)), pts], axis=1)
-    ii, jj = np.nonzero(support)
-    # the columns of a linear entry, x~_j = x_k with k = j - 1
-    lin = jj >= 1
-    col, i, k = np.nonzero(lin)[0], ii[lin], jj[lin] - 1
-    g, A = flds.g.c[0], flds.A.c[0]
-
-    def along(t):
-        # d_i t x~_j, shape (n, column, a, b); adding 0.0 turns the -0 of
-        # a zero product into the +0 of the sums in lie_metric/lie_endo
-        return np.moveaxis(t.c[1][..., ii], -1, 1) * xt[:, jj, None, None] \
-            + 0.0
-
-    Lg, LA = along(flds.g), along(flds.A)
-    Lg[:, col, k, :] += g[:, i, :]
-    Lg[:, col, :, k] += np.moveaxis(g[:, :, i], -1, 0)
-    LA[:, col, i, :] -= A[:, k, :]
-    LA[:, col, :, k] += np.moveaxis(A[:, :, i], -1, 0)
-    X = np.concatenate([Lg.reshape(n, len(ii), -1),
-                        LA.reshape(n, len(ii), -1)], axis=2)
-    return X.transpose(0, 2, 1).reshape(-1, len(ii))
-
-
-def _fit_field(chart, C, seed):
-    """Least-squares fit of the v matrix over the chart's allowed entries.
-
-    L_v g and L_v A are linear in v: the columns are those of
-    ``_design_matrix`` and the target is the right-hand side minus the
-    leaf term's Lie derivatives.  A fit whose samples are not finite (g
-    overflows at extreme profile scales) raises BuilderError."""
-    if len(chart.rho_idx) != chart.ell:
-        raise BuilderError("mobility charts use eigenvalue coordinates")
-    rng = np.random.default_rng(seed)
-    pts = chart.window.random(200, rng)
-    n, d = pts.shape
-    flds = chart.eval(pts, order=1)
-
-    def flat(g_part, A_part):
-        return np.concatenate([g_part.reshape(n, -1), A_part.reshape(n, -1)],
-                              axis=1).ravel()
-
-    leaf = mobility_field(pts, 1, np.zeros((d, 1 + d)), chart.rho_idx)
-    target = flat(*mobility_rhs(flds, C)) \
-        - flat(lie_metric(flds.g, leaf), lie_endo(flds.A, leaf))
-    X = _design_matrix(flds, pts, chart.v_support)
-    finite = np.isfinite(X).all(axis=1) & np.isfinite(target)
-    bad = int(np.count_nonzero(~finite.reshape(n, -1).all(axis=1)))
-    if bad:
-        raise BuilderError(f"mobility field fit: {bad} of {n} samples are "
-                           f"not finite")
-    try:
-        coeffs, *_ = np.linalg.lstsq(X, target, rcond=None)
-    except np.linalg.LinAlgError as exc:
-        raise BuilderError(f"mobility field fit: {exc}") from None
-    resid = (np.max(np.abs(X @ coeffs - target))
-             / (1.0 + np.max(np.abs(target))))
-    chart.v_matrix = np.zeros((d, 1 + d))
-    chart.v_matrix[chart.v_support] = coeffs
-    return float(resid)
-
-
-def fit_mobility_field(chart: KahlerChart):
-    return _fit_field(chart, chart.meta["C"], 7)
+def fit_mobility_field(chart):
+    """Write the linear part M of the chart's field v (``chart.v_matrix``)
+    in closed form.  Nothing is fit; the name waits for ROADMAP item 1.
+    Column 1 + k is coordinate k, and every other entry is 0: t_i takes
+    -(i + 1 + C) t_i - i t_(i-1), and a flat y of eigenvalue 0 or 1 takes
+    -(C + ell) y / 2 or -(C + 1) y / 2.  There g = chi_L(c) g_c, the leaf
+    term scales chi_L(c) = prod_i (c - rho_i) by ell - sum rho_i or by
+    -sum rho_i, and L_v g = -(c + sum rho_i + C) g."""
+    C, ell, d = chart.meta["C"], chart.ell, chart.dim
+    M = np.zeros((d, 1 + d))
+    t = np.arange(chart.t_sl.stop)
+    M[t, 1 + t] = -(t + 1 + C)
+    M[t[1:], t[1:]] = -t[1:]
+    y = np.arange(chart.y_sl.start, d)
+    M[y, 1 + y] = -(C + np.where(chart.ceigs == 0.0, ell, 1)) / 2
+    chart.v_matrix = M
 
 
 # ---------------------------------------------------------------------------
@@ -1273,8 +1201,7 @@ class ProjectiveMobilityChart:
         hi = np.concatenate([[0.8], np.full(self.ydim, Y_WINDOW[1])])
         self.window = Box(lo, hi)
         self.rho_idx = [0]
-        self.v_support = _v_support(self.dim, slice(0, 0),
-                                    slice(1, self.dim))
+        self.t_sl, self.y_sl = slice(0, 0), slice(1, self.dim)
         self.v_matrix = None
         self.meta = {"C": C, "m0": m0, "m1": m1}
         self.ell = 1
@@ -1310,11 +1237,7 @@ class ProjectiveMobilityChart:
 def build_mobility2_projective(C, m0=1, m1=1,
                                B=1.0) -> ProjectiveMobilityChart:
     chart = ProjectiveMobilityChart(C, B, m0, m1)
-    resid = _fit_field(chart, C, 3)
-    if resid > FIT_TOL:
-        raise BuilderError(
-            f"projective mobility field fit failed: {resid:.2e}")
-    chart.meta["v_fit_residual"] = resid
+    fit_mobility_field(chart)
     return chart
 
 

@@ -16,7 +16,7 @@ from cprojlab.builders import (
 from cprojlab.geometry import (
     christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
 )
-from cprojlab.flows import split_lie_suite
+from cprojlab.flows import lie_residual_suite, split_lie_suite
 from cprojlab.jets import Jet, jet_einsum, jet_matmul, jet_trace
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
@@ -184,25 +184,22 @@ def test_mobility_final_metric_form():
 
 
 def test_mobility_v_certified(mob_l2):
-    for C in (-1.5, -1.0, -0.5):
-        ch = build_mobility2(1, 1.0, C,
-                             cb=(ConstantBlock(0.0, 2),
-                                 ConstantBlock(1.0, 2)))
-        assert ch.meta["v_fit_residual"] <= 1e-10
+    charts = [build_mobility2(1, 1.0, C, cb=(ConstantBlock(0.0, 2),
+                                             ConstantBlock(1.0, 2)))
+              for C in (-1.5, -1.0, -0.5)]
+    for ch in charts + [mob_l2]:
         pts = sample(ch, 25)
         fl = ch.eval(pts, order=1)
-        rhs_g, rhs_A = mobility_rhs(fl, C)
+        rhs_g, rhs_A = mobility_rhs(fl, ch.meta["C"])
         assert max_abs(lie_metric(fl.g, fl.v) - rhs_g) \
             / (1 + max_abs(rhs_g)) <= 1e-10
         assert max_abs(lie_endo(fl.A, fl.v) - rhs_A) \
             / (1 + max_abs(rhs_A)) <= 1e-10
-    assert mob_l2.meta["v_fit_residual"] <= 1e-10
 
 
 def _design_by_columns(flds, pts, support):
-    """The fit's design matrix one column at a time, the reference: entry
-    (i, j) is L_v g and L_v A of the field with M = E_ij and no leaf
-    term."""
+    """The least-squares design matrix one column at a time: entry (i, j)
+    is L_v g and L_v A of the field with M = E_ij and no leaf term."""
     n, d = pts.shape
     cols = []
     for i, j in np.argwhere(support):
@@ -215,38 +212,90 @@ def _design_by_columns(flds, pts, support):
     return np.stack(cols, axis=1)
 
 
-_FIT_CHARTS = {
-    **{f"C{C:g}": (1, C, (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2)))
-       for C in (-1.5, -1.0, -0.5)},
-    "ell2": (2, -1.5, ()),
+def _fit_support(chart):
+    """The entries of M a least-squares fit solves for: a t row's t and y
+    columns, a y row's constant and y columns."""
+    t, y = chart.t_sl, chart.y_sl
+    y_cols = slice(1 + y.start, 1 + y.stop)
+    mask = np.zeros((chart.dim, 1 + chart.dim), dtype=bool)
+    mask[t, 1 + t.start:1 + t.stop] = mask[t, y_cols] = True
+    mask[y, 0] = mask[y, y_cols] = True
+    return mask
+
+
+def _least_squares_field(chart):
+    """M solved from L_v g and L_v A at 200 samples: the design matrix by
+    columns, and the target the right-hand side minus the leaf term's
+    Lie derivatives."""
+    pts = chart.window.random(200, np.random.default_rng(7))
+    n, d = pts.shape
+    flds = chart.eval(pts, order=1)
+
+    def flat(g_part, A_part):
+        return np.concatenate([g_part.reshape(n, -1), A_part.reshape(n, -1)],
+                              axis=1).ravel()
+
+    leaf = mobility_field(pts, 1, np.zeros((d, 1 + d)), chart.rho_idx)
+    target = flat(*mobility_rhs(flds, chart.meta["C"])) \
+        - flat(lie_metric(flds.g, leaf), lie_endo(flds.A, leaf))
+    support = _fit_support(chart)
+    coeffs, *_ = np.linalg.lstsq(_design_by_columns(flds, pts, support),
+                                 target, rcond=None)
+    M = np.zeros((d, 1 + d))
+    M[support] = coeffs
+    return M, support
+
+
+_CB_SETS = {
+    "flat": (),
+    "c0c1": (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2)),
+    "c1neg": (ConstantBlock(1.0, 2, (-1,)),),
+}
+_CS = (-3.0, -1.0, -0.5, 2.5)
+# each ell beside each constant-block set at two values of C, the second
+# of every other pair at a = 0.3; then three projective charts
+_ORACLE_CHARTS = {
+    **{f"ell{ell}-{cbn}-C{C:g}-a{a:g}":
+       (lambda ell=ell, a=a, C=C, cb=cb: build_mobility2(ell, a, C, cb=cb))
+       for k, (ell, (cbn, cb)) in enumerate(
+           itertools.product((1, 2, 3), _CB_SETS.items()))
+       for C, a in ((_CS[k % 4], 1.0),
+                    (_CS[(k + 2) % 4], 0.3 if k % 2 else 1.0))},
+    **{f"proj-C{C:g}-m{m0}{m1}":
+       (lambda C=C, m0=m0, m1=m1: build_mobility2_projective(C, m0, m1))
+       for C, m0, m1 in ((-1.5, 2, 1), (-0.5, 1, 1), (0.7, 0, 2))},
 }
 
 
-@pytest.mark.parametrize("ell,C,cb", _FIT_CHARTS.values(),
-                         ids=_FIT_CHARTS.keys())
-def test_fit_design_matrix_equals_the_columns_bitwise(monkeypatch, ell, C,
-                                                      cb):
-    # the corpus and trajectories mobility charts (C = -0.5 is both) and
-    # the two-eigenvalue chart of the curvature checks
-    chart = build_mobility2(ell, 1.0, C, cb=cb)
-    pts = chart.window.random(200, np.random.default_rng(7))
-    flds = chart.eval(pts, order=1)
-    X = builders._design_matrix(flds, pts, chart.v_support)
-    assert X.tobytes() == _design_by_columns(
-        flds, pts, chart.v_support).tobytes()
-    monkeypatch.setattr(builders, "_design_matrix", _design_by_columns)
-    ref = build_mobility2(ell, 1.0, C, cb=cb)
-    assert chart.v_matrix.tobytes() == ref.v_matrix.tobytes()
-    assert chart.meta["v_fit_residual"] == ref.meta["v_fit_residual"]
+@pytest.mark.parametrize("build", _ORACLE_CHARTS.values(),
+                         ids=_ORACLE_CHARTS.keys())
+def test_closed_form_mobility_field_is_the_least_squares_solution(build):
+    chart = build()
+    M, support = _least_squares_field(chart)
+    assert max_abs(chart.v_matrix - M) <= 1e-10
+    assert not chart.v_matrix[~support].any()
 
 
-def test_fit_that_cannot_run_is_refused(monkeypatch):
-    def no_convergence(*args, **kw):
-        raise np.linalg.LinAlgError("SVD did not converge")
+def test_building_a_mobility_chart_evaluates_nothing(monkeypatch):
+    calls = []
+    for cls in (builders.KahlerChart, builders.ProjectiveMobilityChart):
+        for name in ("eval", "metric"):
+            monkeypatch.setattr(cls, name,
+                                lambda self, *a, _n=name, **kw:
+                                calls.append(_n))
+    build_mobility2(2, 1.0, -1.5, cb=(ConstantBlock(0.0, 2),
+                                      ConstantBlock(1.0, 2)))
+    build_mobility2_projective(-1.5, m0=2, m1=1)
+    assert calls == []
 
-    monkeypatch.setattr(np.linalg, "lstsq", no_convergence)
-    with pytest.raises(BuilderError, match="mobility field fit: SVD"):
-        build_mobility2(2, 1.0, -1.5)
+
+@pytest.mark.parametrize("C", [-1.5, -0.5, 0.7])
+def test_projective_chart_without_a_flat_factor_builds(C):
+    # v is the leaf term alone
+    ch = build_mobility2_projective(C, m0=0, m1=0)
+    assert ch.dim == 1 and not ch.v_matrix.any()
+    for e in lie_residual_suite(ch).entries:
+        assert e.value <= 1e-14, e.name
 
 
 @pytest.mark.parametrize("ell", [3, 4, 5, 6])
@@ -271,6 +320,21 @@ def test_mobility_v_known_coefficients():
     assert abs(M[t0, 1 + t0] + (1 + C)) <= 1e-12
     for yq in range(ch.y_sl.start, ch.y_sl.stop):
         assert abs(M[yq, 1 + yq] + (1 + C) / 2) <= 1e-12
+    # ell = 2, 3: t_i takes -(i+1+C) t_i - i t_(i-1); y of c = 0 takes
+    # -(C+ell)/2 y and y of c = 1 takes -(C+1)/2 y
+    C = 0.7
+    for ell in (2, 3):
+        ch = build_mobility2(ell, 1.0, C, cb=(ConstantBlock(0.0, 2),
+                                              ConstantBlock(1.0, 2)))
+        M = ch.v_matrix
+        assert M[0, 1] == -(1 + C)
+        assert M[1, 1] == -1 and M[1, 2] == -(2 + C)
+        if ell == 3:
+            assert M[2, 2] == -2 and M[2, 3] == -(3 + C)
+        y0, y1 = ch.y_sl.start, ch.y_sl.start + 2
+        assert M[y0, 1 + y0] == M[y0 + 1, 2 + y0] == -(C + ell) / 2
+        assert M[y1, 1 + y1] == M[y1 + 1, 2 + y1] == -(C + 1) / 2
+        assert np.count_nonzero(M) == 2 * ell - 1 + 4
 
 
 @pytest.mark.parametrize("build", [

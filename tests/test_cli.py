@@ -233,11 +233,15 @@ FLAT_RHO = "rho' of a Real1D block vanishes on its window"
     # a 2x2 Jordan block with the 3x3 block's initial state
     ("jordan2", "init = 0.5 0.1", "init = 0.5 0.1 0.2",
      "initial state size does not match the kind"),
+    # a constant eigenvalue v would move: not a fixed point of rho(1-rho)
+    ("mobility2", "c = 1.0", "c = 3.0", "needs c = 0 or c = 1"),
+    ("mobility2", "c = 1.0", "c = -1.0", "needs c = 0 or c = 1"),
 ], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
         "constant-rho", "constant-rho-defect", "critical-rho",
         "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L",
         "lift-without-block", "empty-section-name", "odd-constant-block",
-        "signature-length", "jordan2-init-of-3x3"])
+        "signature-length", "jordan2-init-of-3x3", "constant-c-3",
+        "constant-c-minus-1"])
 def test_unbuildable_instance_exits_2(tmp_path, name, old, new, guard):
     # one error line, from the guard that refuses the edit
     text = (CONFIGS / f"{name}.cfg").read_text()
@@ -261,23 +265,36 @@ def _run_mobility2_with_a(tmp_path, a):
 
 
 @pytest.mark.parametrize("a", ["1e-300", "1e-200"])
-def test_mobility_fit_that_cannot_run_exits_2(tmp_path, a):
-    # g's first derivatives overflow at the fit's samples; the error line
-    # is all of stderr, with no numpy warning before it
+def test_overflowing_metric_exits_2(tmp_path, a):
+    # g or its derivatives overflow at every sample of the run's order-2
+    # evaluation; the error line is all of stderr, with no numpy warning
+    # before it
     code, out, err = _run_mobility2_with_a(tmp_path, a)
     assert (code, out) == (2, "")
-    assert err == ("error: mobility field fit: 200 of 200 samples are not "
-                   "finite\n")
+    assert err == ("error: the metric or its derivatives are not finite at "
+                   "777 of 777 samples\n")
 
 
-@pytest.mark.parametrize("a", ["1e-100", "1e100", "1e300"])
+@pytest.mark.parametrize("a", ["1e100", "1e300"])
 def test_extreme_a_exits_2_with_one_error_line(tmp_path, a):
-    # the fit or the metric is refused; numpy's overflow and invalid-value
-    # warnings stay out of stderr
+    # the metric is refused; numpy's overflow and invalid-value warnings
+    # stay out of stderr
     code, out, err = _run_mobility2_with_a(tmp_path, a)
     assert (code, out) == (2, "")
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("a", ["1e-8", "1e-100"])
+def test_small_a_fails_only_the_gram_margin(tmp_path, a):
+    # the chart builds and every identity holds; the Gram determinant of
+    # the Killing fields scales with a and falls under its bound
+    code, out, err = _run_mobility2_with_a(tmp_path, a)
+    assert (code, err) == (1, "")
+    checks = [l for l in out.splitlines() if l.startswith("check=")]
+    failed = [l.split()[0] for l in checks if l.endswith(" FAIL")]
+    assert failed == ["check=killing_gram_margin"]
+    assert all(" pass" in l for l in checks if " FAIL" not in l)
 
 
 @pytest.mark.parametrize("name,line", [
@@ -876,13 +893,15 @@ def test_shifted_char_poly_is_the_exact_shift(corpus):
 
 
 def test_only_skips_unselected_work(monkeypatch, capsys):
-    # every check suite the runner calls raises, so a step that runs fails
-    # the test; only the build (with the order-1 evals of the v fit) runs
+    # every check suite the runner calls but the selected one raises, so
+    # an unselected step that runs fails the test; the build evaluates
+    # nothing, and the Lie suite evaluates the chart once, at order 1
     def boom(*a, **kw):
         raise AssertionError("an unselected check ran")
 
     for name, obj in list(vars(cli).items()):
-        if callable(obj) and getattr(obj, "__module__", "") in SUITES:
+        if (callable(obj) and getattr(obj, "__module__", "") in SUITES
+                and name != "lie_residual_suite"):
             monkeypatch.setattr(cli, name, boom)
     orders = []
     orig = builders.KahlerChart.eval
@@ -893,17 +912,17 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
 
     monkeypatch.setattr(builders.KahlerChart, "eval", counted)
     assert main(["run", str(CONFIGS / "mobility2.cfg"), "--only",
-                 "v_fit"]) == 0
-    checks = [l for l in capsys.readouterr().out.splitlines()
+                 "lie_v"]) == 0
+    checks = [l.split()[0] for l in capsys.readouterr().out.splitlines()
               if l.startswith("check=")]
-    assert len(checks) == 1 and checks[0].startswith("check=v_fit ")
-    assert 1 in orders and 2 not in orders
+    assert checks == ["check=lie_v_metric", "check=lie_v_endo"]
+    assert orders == [1]
 
 
 @pytest.mark.parametrize("name,only", [
     ("dini-lift", "J_squared,domega,killing_lie"),
     ("seeded-defect", "domega,partner_roundtrip"),
-    ("mobility2", "v_fit,eigenvalue,killing_detC"),
+    ("mobility2", "lie_v,eigenvalue,killing_detC"),
     ("jordan2", "blowup,proj"),
     ("phase-portraits", "circle_rho^2+,circle_rho("),
 ])
