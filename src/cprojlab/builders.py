@@ -56,7 +56,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .jets import (
-    Jet, jstack, jet_det, jet_einsum, jet_inv, jet_matmul, jet_trace,
+    Jet, contract, jstack, jet_det, jet_einsum, jet_inv, jet_matmul, jet_trace,
     jet_transpose, polyval, tensor_partial,
 )
 from .geometry import (
@@ -1079,11 +1079,14 @@ class KahlerChart:
         Jut = _place(n, d, order, (self.udim, ell), urows)
         parts = [*parts, ((u, t), Jut)]
         if self.ydim:
-            Jc = Jet.const(np.broadcast_to(self._Jc, (n,) + self._Jc.shape),
-                           d, order)
+            # alpha times the constant J of the flat factor, coefficient by
+            # coefficient: the product rule would add only zero terms
+            Jc = np.broadcast_to(self._Jc, (n,) + self._Jc.shape)
+            aJ = Jet._of(d, order, [
+                contract(f"niq{'xyz'[:k]},nqp->nip{'xyz'[:k]}", a, Jc)
+                for k, a in enumerate(alpha.c)])
             parts += [((u, y), jet_einsum("nuj,njq->nuq", Jut, alpha)),
-                      ((t, y), -jet_einsum("niq,nqp->nip", alpha, Jc)),
-                      ((y, y), self._Jc)]
+                      ((t, y), -aJ), ((y, y), self._Jc)]
         return _place(n, d, order, (d, d), parts)
 
     # -- mobility vector field -------------------------------------------

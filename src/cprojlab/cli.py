@@ -137,8 +137,12 @@ class Run:
 
     @cached_property
     def ghat(self):
-        # the partner metric's chart fields, its det and inverse kept
-        return partner_fields(self.shifted[0])
+        # the partner metric's chart fields, its det and inverse kept,
+        # built from the shifted fields cut to order 1: its readers take
+        # orders 0 and 1 alone, which are the order-2 partner's bytes
+        fl = self.shifted[0]
+        return partner_fields(fl.replace(
+            g=fl.g.truncate(1), J=fl.J.truncate(1), A=fl.A.truncate(1)))
 
 
 # ---------------------------------------------------------------------------

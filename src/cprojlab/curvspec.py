@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import Jet, jet_trace
-from .geometry import cov_deriv_vector, max_abs, third_cov_scalar
+from .geometry import cov_deriv_vector, max_abs, nan_max, third_cov_scalar
 from .report import CheckEntry, ResidualReport
 
 __all__ = [
@@ -135,27 +135,19 @@ def nabla_lambda_endo(flds):
 def _ricci_defect(flds, k):
     """Worst relative defect of k [R(u, v), A] = k [u ^_J v, nabla La] over
     the coordinate wedges, which are real wedges when ``flds.J`` is None.
-    The wedges are stacked on axis 1, so each product is one batched
-    matmul; the scale is per wedge."""
+    One wedge is measured at a time, each with its own scale, so no
+    array holds more than one wedge; a NaN at any sample reads NaN."""
     Rc, NL = flds.riemann, nabla_lambda_endo(flds)
     Av, gv = flds.A.c[0], flds.g.c[0]
     Jv = None if flds.J is None else flds.J.c[0]
-    wedges = list(_coordinate_wedges(gv, Jv))
-    if not wedges:
-        return 0.0
-    pairs, wedges = zip(*wedges)
-    a, b = np.array(pairs).T
-    X = np.stack(wedges, axis=1)                        # (n, w, d, d)
-    RX = k * np.moveaxis(Rc[:, :, :, a, b], -1, 1)      # (n, w, d, d)
-    A, N = Av[:, None], NL[:, None]
-    defect = (RX @ A - A @ RX) - k * (X @ N - N @ X)
-
-    def per_wedge(t):
-        return np.max(np.abs(t), axis=(0, 2, 3))
-
-    scale = 1.0 + np.maximum(np.maximum(per_wedge(RX), per_wedge(X)),
-                             max_abs(Av, NL))
-    return float(np.max(per_wedge(defect) / scale))
+    base = max_abs(Av, NL)
+    worst = 0.0
+    for (a, b), X in _coordinate_wedges(gv, Jv):
+        RX = k * Rc[:, :, :, a, b]
+        defect = (RX @ Av - Av @ RX) - k * (X @ NL - NL @ X)
+        scale = 1.0 + nan_max(max_abs(RX), max_abs(X), base)
+        worst = nan_max(worst, max_abs(defect) / scale)
+    return worst
 
 
 def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:

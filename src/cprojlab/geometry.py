@@ -131,7 +131,9 @@ def metric_inverse(g: Jet) -> Jet:
 
 
 def christoffel(g: Jet, ginv: Jet | None = None) -> Jet:
-    """Levi-Civita symbols as a tensor jet, one order below the metric."""
+    """Levi-Civita symbols as a tensor jet, one order below the metric.
+    The contraction's output is fresh, so it is halved in place: scaling
+    by 0.5 is exact, and no second full-size jet is made."""
     if g.order < 1:
         raise JetError("christoffel needs metric jets of order >= 1")
     dg = tensor_partial(g)  # (N, a, b, c) = d_c g_ab
@@ -139,20 +141,24 @@ def christoffel(g: Jet, ginv: Jet | None = None) -> Jet:
         ginv = metric_inverse(g.truncate(dg.order))
     t = (jet_map("nbda->ndab", dg) + jet_map("nadb->ndab", dg)
          - jet_map("nabd->ndab", dg))
-    return jet_einsum("ncd,ndab->ncab", ginv.truncate(t.order), t) * 0.5
+    gamma = jet_einsum("ncd,ndab->ncab", ginv.truncate(t.order), t)
+    for c in gamma.c:
+        c *= 0.5
+    return gamma
 
 
 def riemann(gamma: Jet) -> np.ndarray:
-    """Coordinate curvature values R^d_cab from order->=1 Christoffel jets."""
+    """Coordinate curvature values R^d_cab from order->=1 Christoffel jets.
+    The four terms are summed into one output, left to right, so only one
+    quadratic term is held beside it."""
     if gamma.order < 1:
         raise JetError("riemann needs Christoffel jets of order >= 1")
     G = gamma.c[0]                     # (N,c,a,b)
     dG = gamma.c[1]                    # (N,c,a,b,p)
-    term1 = np.einsum("ndbca->ndcab", dG)
-    term2 = np.einsum("ndacb->ndcab", dG)
-    quad1 = contract("ndae,nebc->ndcab", G, G)
-    quad2 = contract("ndbe,neac->ndcab", G, G)
-    return term1 - term2 + quad1 - quad2
+    out = np.einsum("ndbca->ndcab", dG) - np.einsum("ndacb->ndcab", dG)
+    out += contract("ndae,nebc->ndcab", G, G)
+    out -= contract("ndbe,neac->ndcab", G, G)
+    return out
 
 
 def cov_deriv_endo(A: Jet, gamma: Jet) -> np.ndarray:

@@ -148,7 +148,13 @@ def partner_fields(flds) -> ChartFields:
     """The partner ghat = (det A)^(-1/2) g(A^{-1} . , .) of chart fields
     (g, A) as chart fields: g = ghat, the same J, and A = A^{-1}, the
     endomorphism of ghat relative to g.  A is inverted once, and the det
-    and inverse of ghat are derived once and kept."""
+    and inverse of ghat are derived once and kept.
+
+    The partner has the order of the fields it is given.  Its readers,
+    ``recover_endo`` and ``connection_difference_check``, take orders 0
+    and 1 alone, and jet arithmetic forms order k from orders <= k alone,
+    so fields cut to order 1 give the order-2 partner's orders 0 and 1
+    bit for bit."""
     Ainv = jet_inv(flds.A)
     detA = jet_det(flds.A, Ainv)
     if np.any(detA.c[0] <= 0.0):
@@ -162,9 +168,10 @@ def partner_fields(flds) -> ChartFields:
 
 def recover_endo(flds, partner) -> Jet:
     """A = (det ghat / det g)^(1/(2(n+1))) ghat^{-1} g, n = complex dim,
-    one order below g, from the chart fields of g and of ghat."""
+    one order below ghat, from the chart fields of g and of ghat.  det g
+    is read at the partner's order, which may be below that of g."""
     ncx = flds.g.c[0].shape[-1] // 2
-    ratio = partner.det / flds.det
+    ratio = partner.det / flds.det.truncate(partner.det.order)
     if np.any(ratio.c[0] <= 0.0):
         raise KahlerError("determinant ratio not positive")
     order = partner.ginv.order
@@ -253,13 +260,14 @@ def connection_difference_check(flds, partner, tol=1e-6
     """Gamma-hat of a partner metric ghat minus Gamma of the chart metric
     against the rank-one hermitian expression built from Phi = d phi,
     phi = ln(det ghat / det g) / (4(n+1)).  ``partner`` is the chart
-    fields of ghat (from ``partner_fields``); its det and inverse are read
-    from there."""
+    fields of ghat (from ``partner_fields``), of order >= 1 and at most
+    the order of g; its det and Christoffel values are read from there,
+    and det g at the partner's order."""
     g, J = flds.g, flds.J
     d = g.c[0].shape[-1]
     ncx = d // 2
     n = g.c[0].shape[0]
-    ratio = partner.det / flds.det
+    ratio = partner.det / flds.det.truncate(partner.det.order)
     if np.any(ratio.c[0] <= 0.0):
         raise KahlerError("determinant ratio not positive; phi undefined")
     phi = ratio.log() * (1.0 / (4.0 * (ncx + 1)))

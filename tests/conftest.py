@@ -107,6 +107,13 @@ def sample(chart_or_pair, n, seed=RNG_SEED):
     return chart_or_pair.window.random(n, rng)
 
 
+def same_bytes(x, y):
+    """Whether two arrays hold the same bits: shape, dtype and every value,
+    signed zeros included."""
+    return x.shape == y.shape and x.dtype == y.dtype \
+        and x.tobytes() == y.tobytes()
+
+
 def with_nan(jet, k, index):
     """A copy of ``jet`` with NaN at ``index`` of its order-``k``
     coefficients."""

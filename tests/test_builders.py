@@ -20,7 +20,7 @@ from cprojlab.flows import lie_residual_suite, split_lie_suite
 from cprojlab.jets import Jet, jet_einsum, jet_matmul, jet_trace
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
-from conftest import pair_complex, pair_dini, pair_ell1, sample
+from conftest import pair_complex, pair_dini, pair_ell1, same_bytes, sample
 from fd_oracle import fd_gradient
 
 
@@ -71,6 +71,27 @@ def test_lift_eigenvalues_doubled(qp_dini):
     rho = np.sort(np.stack([pts[:, 2], 2.0 + pts[:, 3]], axis=1), axis=1)
     expect = np.sort(np.repeat(rho, 2, axis=1), axis=1)
     assert max_abs(eigs - expect) <= 1e-9
+
+
+def test_flat_factor_block_of_J_is_the_product_rule_bytes(corpus):
+    # J's (t, y) block is -alpha J_c; each coefficient of alpha contracted
+    # with the constant J_c gives the bytes of the Leibniz rule over a
+    # constant jet, signed zeros included
+    charts = [(name, ch) for name, ch, _ in corpus
+              if ch.ydim and ch.route == "explicit"]
+    assert [name for name, _ in charts] == ["ell1-cb0", "ell1-cb1",
+                                            "mobility2"]
+    for name, ch in charts:
+        pts = sample(ch, 12)
+        n, t, y = len(pts), ch.t_sl, ch.y_sl
+        for order in (0, 1, 2, 3):
+            J = ch.eval(pts, order=order).J
+            Jc = Jet.const(np.broadcast_to(ch._Jc, (n,) + ch._Jc.shape),
+                           ch.dim, order)
+            oracle = -jet_einsum("niq,nqp->nip", ch._alpha(pts, order), Jc)
+            for k in range(order + 1):
+                assert same_bytes(J.c[k][:, t, y], oracle.c[k]), \
+                    (name, order, k)
 
 
 def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini, qp_complex):

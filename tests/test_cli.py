@@ -6,6 +6,7 @@ import io
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -917,6 +918,31 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
               if l.startswith("check=")]
     assert checks == ["check=lie_v_metric", "check=lie_v_endo"]
     assert orders == [1]
+
+
+def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
+    # the largest shipped run: its partner is built at order 1 and its
+    # curvature without full-size temporaries; the traced peak read 105 MB
+    # when the partner was built at order 2, and reads about 77 MB now
+    runs = []
+    real = cli.run_scenario
+
+    def recorded(v, only=None):
+        rep, r = real(v, only)
+        runs.append(r)
+        return rep, r
+
+    monkeypatch.setattr(cli, "run_scenario", recorded)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(CONFIGS / "mobility2.cfg"), "--seed", "0"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert "check=partner_roundtrip" in capsys.readouterr().out
+    assert peak <= 85e6
+    assert "ghat" in vars(runs[0]) and runs[0].ghat.g.order == 1
 
 
 @pytest.mark.parametrize("name,only", [

@@ -6,15 +6,16 @@ from cprojlab.builders import (
     build_mobility2_projective,
 )
 from cprojlab.curvspec import (
-    compare_with_numeric, curvature_operator_matrix, fit_nabla_lambda_poly,
-    fppp_limit_check, jordan_alpha_invariant, lambda_two_eigen,
-    nabla_lambda_endo, predicted_eigenvalues, r0_operator,
-    ricci_identity_check, third_order_residual, unitary_basis, wedge_J,
+    _coordinate_wedges, compare_with_numeric, curvature_operator_matrix,
+    fit_nabla_lambda_poly, fppp_limit_check, jordan_alpha_invariant,
+    lambda_two_eigen, nabla_lambda_endo, predicted_eigenvalues, r0_operator,
+    real_ricci_identity_check, ricci_identity_check, third_order_residual,
+    unitary_basis, wedge_J,
 )
 from cprojlab.geometry import max_abs
 from cprojlab.jets import Jet, jstack
 
-from conftest import sample
+from conftest import sample, with_nan
 
 
 def split_hermitian_space():
@@ -83,6 +84,51 @@ def test_ricci_identity_on_corpus(corpus):
         fl = chart.eval(sample(chart, n), order=2)
         rep = ricci_identity_check(fl)
         assert rep.entries[0].value <= 1e-7, name
+
+
+def ricci_defect_stacked(flds, k):
+    """The Ricci-identity defect with all coordinate wedges stacked on
+    axis 1 as (n, w, d, d) arrays, each product one batched matmul."""
+    Rc, NL = flds.riemann, nabla_lambda_endo(flds)
+    Av, gv = flds.A.c[0], flds.g.c[0]
+    Jv = None if flds.J is None else flds.J.c[0]
+    pairs, wedges = zip(*_coordinate_wedges(gv, Jv))
+    a, b = np.array(pairs).T
+    X = np.stack(wedges, axis=1)
+    RX = k * np.moveaxis(Rc[:, :, :, a, b], -1, 1)
+    A, N = Av[:, None], NL[:, None]
+    defect = (RX @ A - A @ RX) - k * (X @ N - N @ X)
+
+    def per_wedge(t):
+        return np.max(np.abs(t), axis=(0, 2, 3))
+
+    scale = 1.0 + np.maximum(np.maximum(per_wedge(RX), per_wedge(X)),
+                             max_abs(Av, NL))
+    return float(np.max(per_wedge(defect) / scale))
+
+
+def test_ricci_identity_keeps_the_bytes_of_the_stacked_wedges(
+        corpus, qp_dini, qp_jordan2, qp_jordan3):
+    # one wedge at a time gives the value of the stacked arrays exactly,
+    # with J and, on the quotient pairs, with real wedges
+    for name, chart, _ in corpus:
+        fl = chart.eval(sample(chart, 15), order=2)
+        assert ricci_identity_check(fl).entries[0].value == \
+            ricci_defect_stacked(fl, 4.0), name
+    for qp in (qp_dini, qp_jordan2, qp_jordan3):
+        f = qp.eval(sample(qp, 15), order=2)
+        assert real_ricci_identity_check(f).entries[0].value == \
+            ricci_defect_stacked(f, 1.0)
+
+
+def test_nan_in_a_at_one_sample_fails_ricci_identity(corpus):
+    # a NaN at one sample of A reaches the value through every wedge it
+    # enters, and the check fails
+    _, chart, _ = corpus[3]
+    fl = chart.eval(sample(chart, 10), order=2)
+    e = ricci_identity_check(
+        fl.replace(A=with_nan(fl.A, 0, (4, 1, 2)))).entries[0]
+    assert np.isnan(e.value) and not e.passed
 
 
 def test_ricci_identity_negative_control():

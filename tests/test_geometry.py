@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from cprojlab.jets import Jet, jstack
+from cprojlab.jets import (
+    Jet, contract, jet_einsum, jet_map, jstack, tensor_partial,
+)
 from cprojlab.geometry import (
     Box, GridSpec, GeometryError,
     christoffel, cov_deriv_endo, ext_deriv_two_form, gradient,
     hessian_cov, lie_bracket, lie_christoffel, lie_metric,
     metric_inverse, max_abs, nan_max, normal_part, riemann, span_gram,
 )
+
+from conftest import same_bytes, sample
 
 
 def seeds(pts, order):
@@ -323,3 +327,35 @@ def test_max_abs_and_nan_max_keep_nan():
     assert np.isnan(nan_max(np.nan, 2.0))
     assert max_abs(None, np.zeros(0)) == 0.0
     assert max_abs(np.array([-3.0, 1.0]), 2.0) == nan_max(1.0, 3.0) == 3.0
+
+
+def christoffel_expression(g, ginv):
+    """Christoffel symbols as one expression, the jet halved into a copy."""
+    dg = tensor_partial(g)
+    t = (jet_map("nbda->ndab", dg) + jet_map("nadb->ndab", dg)
+         - jet_map("nabd->ndab", dg))
+    return jet_einsum("ncd,ndab->ncab", ginv.truncate(t.order), t) * 0.5
+
+
+def riemann_expression(gamma):
+    """Curvature values as one expression of four full-size terms."""
+    G, dG = gamma.c[0], gamma.c[1]
+    return (np.einsum("ndbca->ndcab", dG) - np.einsum("ndacb->ndcab", dG)
+            + contract("ndae,nebc->ndcab", G, G)
+            - contract("ndbe,neac->ndcab", G, G))
+
+
+def test_christoffel_and_riemann_keep_the_bytes_of_the_expressions(corpus):
+    # halving in place and summing into one output round as the
+    # expressions do, signed zeros included
+    for name, chart, _ in corpus:
+        # the Jacobian route stops at order 2
+        for order in (2,) if chart.route == "jacobian" else (2, 3):
+            fl = chart.eval(sample(chart, 12), order=order)
+            gamma = christoffel(fl.g, fl.ginv)
+            oracle = christoffel_expression(fl.g, fl.ginv)
+            assert gamma.order == oracle.order == order - 1
+            for a, b in zip(gamma.c, oracle.c):
+                assert same_bytes(a, b), (name, order)
+            assert same_bytes(riemann(gamma), riemann_expression(oracle)), \
+                (name, order)

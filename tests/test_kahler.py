@@ -14,7 +14,7 @@ from cprojlab.kahler import (
 )
 from cprojlab.builders import ChartFields, lift_pair, shift_endo
 
-from conftest import sample, with_nan
+from conftest import same_bytes, sample, with_nan
 from fd_oracle import fd_gradient, fd_hessian
 
 
@@ -150,6 +150,30 @@ def test_partner_roundtrip_on_instances(corpus):
         Arec = recover_endo(fl, partner_fields(fl.replace(A=A)))
         dev = max_abs(Arec.c[0] - A.c[0]) / (1.0 + max_abs(A.c[0]))
         assert dev <= 1e-9, name
+
+
+def test_partner_of_order_1_fields_is_the_order_2_partner_cut(corpus):
+    # orders 0 and 1 of each partner quantity, and the two checks that
+    # read the partner, are bit for bit those of the order-2 partner
+    for name, chart, _ in corpus:
+        fl = chart.eval(sample(chart, 25), order=2)
+        sh = fl.shifted(spectrum_safe_shift(fl))
+        full = partner_fields(sh)
+        cut = partner_fields(sh.replace(g=sh.g.truncate(1),
+                                        J=sh.J.truncate(1),
+                                        A=sh.A.truncate(1)))
+        assert cut.g.order == 1, name
+        # ginv and gamma0 are one order below g and gamma0 is values only
+        for q, order in (("g", 1), ("A", 1), ("det", 1), ("ginv", 0),
+                         ("gamma0", 0)):
+            a, b = getattr(cut, q), getattr(full, q)
+            assert a.order == order, (name, q)
+            for k in range(order + 1):
+                assert same_bytes(a.c[k], b.c[k]), (name, q, k)
+        assert same_bytes(recover_endo(sh, cut).c[0],
+                          recover_endo(sh, full).c[0]), name
+        assert connection_difference_check(sh, cut).entries[0].value == \
+            connection_difference_check(sh, full).entries[0].value, name
 
 
 def test_partner_metric_rejects_singular_endo():
