@@ -29,6 +29,7 @@ import numpy as np
 
 from .jets import Jet, jet_trace
 from .geometry import cov_deriv_vector, max_abs, nan_max, third_cov_scalar
+from .kahler import KahlerError
 from .report import CheckEntry, ResidualReport
 
 __all__ = [
@@ -164,15 +165,16 @@ def fit_nabla_lambda_poly(flds, sample=0):
     raising the degree up to the dimension until the relative residual of
     the least-squares fit is within 1e-8.
 
-    Raises when the two endomorphisms fail to commute; flags an
-    ill-conditioned fit through the returned residual.
+    Raises a KahlerError when the two endomorphisms fail to commute;
+    flags an ill-conditioned fit through the returned residual.
     """
     Av = flds.A.c[0][sample]
     NL = nabla_lambda_endo(flds)[sample]
-    comm = Av @ NL - NL @ Av
-    if max_abs(comm) / (1.0 + max_abs(Av, NL)) > 1e-8:
-        raise ValueError("nabla Lambda does not commute with A at the "
-                         "sample; no polynomial expression exists")
+    comm = max_abs(Av @ NL - NL @ Av) / (1.0 + max_abs(Av, NL))
+    if comm > 1e-8:
+        raise KahlerError(
+            f"nabla Lambda does not commute with A at sample {sample} "
+            f"(residual {comm:.3e}); no polynomial expression exists")
     d = Av.shape[-1]
     powers = [np.eye(d)]
     for _ in range(d):

@@ -3,10 +3,10 @@
 Geodesics and their complex-line generalization gamma'' = beta J gamma'
 integrate with an adaptive Runge-Kutta solver and terminate on window
 exit.  Without the J term the right-hand side reads only the metric: each
-step takes Gamma from ``chart.metric`` instead of a full chart
-evaluation, which would also build omega, J and A.  Planarity of a
-trajectory with respect to a second metric is measured by projecting the
-acceleration off span{velocity, J velocity}.
+step, and the output accelerations, take Gamma from ``chart.metric``
+instead of a full chart evaluation, which would also build omega, J and
+A.  Planarity of a trajectory with respect to a second metric is
+measured by projecting the acceleration off span{velocity, J velocity}.
 Eigenvalue transport along the canonical mobility field follows the
 logistic law; its forward and backward integral curves are rescaled to
 one parameter interval and solved as one system, so each right-hand side
@@ -97,8 +97,9 @@ def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
     to the chart window.
 
     ``beta`` is a scalar function of the curve parameter (or None for a
-    plain geodesic).  With ``beta`` None only the metric is evaluated, both
-    on the solver steps and for the output accelerations.
+    plain geodesic).  With ``beta`` None only the metric is evaluated.  The
+    output accelerations are the right-hand side the solver steps with,
+    evaluated once at all the output states.
     """
     d = chart.dim
     x0 = np.asarray(x0, dtype=float)
@@ -124,14 +125,7 @@ def integrate_jplanar(chart, x0, v0, beta=None, T=1.0, tol=1e-8,
     sol, t_exit = _solve(rhs, T, np.concatenate([x0, v0]), tol, exit_event)
     ts = np.linspace(0.0, T if t_exit is None else t_exit, n_out)
     ys = sol(ts)
-    xs, vs = ys[:d].T, ys[d:].T
-    # exact accelerations from the equation of motion, batch evaluated
-    gam, J = _connection(chart, xs, beta is not None)
-    acc = -np.einsum("ncab,na,nb->nc", gam, vs, vs)
-    if beta is not None:
-        Jv = np.einsum("nab,nb->na", J, vs)
-        acc = acc + np.array([beta(t) for t in ts])[:, None] * Jv
-    return Trajectory(t=ts, x=xs, v=vs, acc=acc,
+    return Trajectory(t=ts, x=ys[:d].T, v=ys[d:].T, acc=rhs(ts, ys)[d:].T,
                       exit_time=None if t_exit is None else float(t_exit))
 
 
@@ -225,13 +219,20 @@ def logistic(rho0, t):
 # Lie-derivative residual suite along (c-)projective fields
 # ---------------------------------------------------------------------------
 
+def _v_fields(chart, n, seed):
+    """``n`` window points drawn with ``seed`` and the chart fields at
+    them to order 1, which must carry the vector field v."""
+    pts = chart.window.random(n, np.random.default_rng(seed))
+    fl = chart.eval(pts, order=1)
+    if fl.v is None:
+        raise FlowError("chart carries no vector field")
+    return pts, fl
+
+
 def lie_residual_suite(chart, tol=1e-6) -> ResidualReport:
     """Residuals of L_v A and L_v g against the canonical mobility form
     L_v A = A(Id - A), L_v g = -gA - (sum rho_i + C) g."""
-    grid_pts = chart.window.random(80, np.random.default_rng(11))
-    fl = chart.eval(grid_pts, order=1)
-    if fl.v is None:
-        raise FlowError("chart carries no vector field")
+    grid_pts, fl = _v_fields(chart, 80, 11)
     n = grid_pts.shape[0]
     rhs_g, rhs_A = mobility_rhs(fl, chart.meta["C"])
     lg = lie_metric(fl.g, fl.v)
@@ -325,10 +326,7 @@ def volume_coefficient(chart, tol=1e-5) -> ResidualReport:
     if getattr(chart, "ell", None) != 1:
         raise FlowError("volume coefficient needs one non-constant "
                         "eigenvalue")
-    grid_pts = chart.window.random(40, np.random.default_rng(5))
-    fl = chart.eval(grid_pts, order=1)
-    if fl.v is None:
-        raise FlowError("chart carries no vector field")
+    grid_pts, fl = _v_fields(chart, 40, 5)
     d = chart.dim
     rho_idx = chart.rho_idx[0]
     leaf = [i for i in range(d) if i != rho_idx]

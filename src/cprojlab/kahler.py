@@ -166,14 +166,20 @@ def partner_fields(flds) -> ChartFields:
                        mus=[])
 
 
-def recover_endo(flds, partner) -> Jet:
-    """A = (det ghat / det g)^(1/(2(n+1))) ghat^{-1} g, n = complex dim,
-    one order below ghat, from the chart fields of g and of ghat.  det g
-    is read at the partner's order, which may be below that of g."""
-    ncx = flds.g.c[0].shape[-1] // 2
+def _det_ratio(flds, partner) -> Jet:
+    """det ghat / det g at the partner's order, which may be below that of
+    g; it must be positive at every sample."""
     ratio = partner.det / flds.det.truncate(partner.det.order)
     if np.any(ratio.c[0] <= 0.0):
         raise KahlerError("determinant ratio not positive")
+    return ratio
+
+
+def recover_endo(flds, partner) -> Jet:
+    """A = (det ghat / det g)^(1/(2(n+1))) ghat^{-1} g, n = complex dim,
+    one order below ghat, from the chart fields of g and of ghat."""
+    ncx = flds.g.c[0].shape[-1] // 2
+    ratio = _det_ratio(flds, partner)
     order = partner.ginv.order
     factor = ratio.truncate(order) ** (1.0 / (2.0 * (ncx + 1)))
     Ainv_g = jet_einsum("nab,nbc->nac", partner.ginv, flds.g.truncate(order))
@@ -261,16 +267,12 @@ def connection_difference_check(flds, partner, tol=1e-6
     against the rank-one hermitian expression built from Phi = d phi,
     phi = ln(det ghat / det g) / (4(n+1)).  ``partner`` is the chart
     fields of ghat (from ``partner_fields``), of order >= 1 and at most
-    the order of g; its det and Christoffel values are read from there,
-    and det g at the partner's order."""
+    the order of g; its det and Christoffel values are read from there."""
     g, J = flds.g, flds.J
     d = g.c[0].shape[-1]
     ncx = d // 2
     n = g.c[0].shape[0]
-    ratio = partner.det / flds.det.truncate(partner.det.order)
-    if np.any(ratio.c[0] <= 0.0):
-        raise KahlerError("determinant ratio not positive; phi undefined")
-    phi = ratio.log() * (1.0 / (4.0 * (ncx + 1)))
+    phi = _det_ratio(flds, partner).log() * (1.0 / (4.0 * (ncx + 1)))
     Phi = tensor_partial(phi).c[0]                      # (n, a)
     gam, gamhat = flds.gamma0.c[0], partner.gamma0.c[0]
     Jv = J.c[0]
@@ -371,7 +373,7 @@ def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
         dmu = tensor_partial(flds.mus[i])           # (n, a)
         lhs = jet_einsum("na,nab->nb", dmu, Linv.truncate(dmu.order))
         lhs = jet_einsum("nb,n->nb", lhs, inv_det.truncate(dmu.order))
-        muhat = flds.mus[i - 1] / detL              # muhat_{ell+1-i}
+        muhat = flds.mus[i - 1] * inv_det           # muhat_{ell+1-i}
         rhs = tensor_partial(muhat)
         worst = nan_max(worst, max_abs(lhs.c[0] + rhs.c[0])
                         / (1.0 + max_abs(lhs.c[0], rhs.c[0])))

@@ -7,7 +7,9 @@ all the pointwise-testable properties: each K_i is Killing, holomorphic,
 preserves A, the fields pairwise commute together with their J-rotations,
 omega vanishes on pairs, the span is nondegenerate, J nabla_{K_i} K_j
 stays inside the span, plus the hamiltonian property i_K omega = -d mu
-and the recurrence A K_i = mu_i K_1 - K_{i+1}.
+and the recurrence A K_i = mu_i K_1 - K_{i+1}.  By the hamiltonian
+property omega(K_i, K_j) = -K_j(mu_i), so the omega line also measures
+the moments.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ GRAM_MARGIN = 1e-6
 KILLING_CHECKS = (
     ("lie_g", "L_K g"), ("lie_J", "L_K J"), ("lie_A", "L_K A"),
     ("omega_KK", "omega(K_i,K_j)"), ("brackets", "[K,K],[K,JK],[JK,JK]"),
-    ("ham", "i_K omega + d mu"), ("moment", "K_j(mu_i)"),
+    ("ham", "i_K omega + d mu"),
     ("span", "J nabla_K K in span(K)"),
     ("gram_margin", "det g(K_i,K_j) != 0"),
 )
@@ -103,9 +105,6 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
             worst["omega_KK"] = nan_max(worst["omega_KK"], max_abs(
                 np.einsum("nab,na,nb->n", w.c[0], K.c[0], K2.c[0])[mask])
                 / (sK * (1.0 + max_abs(K2.c[0]))))
-            worst["moment"] = nan_max(worst["moment"], max_abs(
-                np.einsum("na,na->n", ks.mus[i].c[1], K2.c[0])[mask])
-                / (1.0 + max_abs(K2.c[0])))
             for u, v_ in ((K, K2), (K, JK[j]), (JK[i], JK[j])):
                 worst["brackets"] = nan_max(worst["brackets"], max_abs(
                     lie_bracket(u, v_)[mask])

