@@ -82,6 +82,10 @@ EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
 RANGE_MARGIN = 0.01
 ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
 Y_WINDOW = (-0.8, 0.8)  # each flat constant-factor coordinate's range
+# the bytes of order-1 Christoffel jet that one block of the curvature
+# holds: 124 samples at dim 6 and 585 at dim 4, so a large batch's jet,
+# which outweighs R itself, is never held whole
+CURVATURE_BLOCK_BYTES = 1_500_000
 
 
 class BuilderError(ValueError):
@@ -586,13 +590,14 @@ class ChartFields:
 
     A Kahler chart sets all of g, omega, J and A; a quotient pair (h, L)
     and the projective mobility chart set g and A and leave omega and J
-    None.  Each derived quantity is computed on first use and kept as long
-    as the object:
+    None.  Each derived quantity is computed on first use and kept until
+    ``forget`` drops it:
 
-    * ``ginv``, ``gamma0``, ``gamma``, ``riemann`` and ``det`` (det g,
-      from ``ginv``) read g alone.  ``gamma0`` is the Christoffel values;
-      ``gamma``, the full jet one order below g, is built only for the
-      readers of its derivatives (``riemann``, the third-order equation);
+    * ``ginv``, ``gamma0``, ``riemann`` and ``det`` (det g, from
+      ``ginv``) read g alone.  ``gamma0`` is the Christoffel values.
+      ``riemann`` is formed in blocks of samples, each from its own
+      order-1 Christoffel jet, so no jet of the whole batch is held; the
+      blocks' values become ``gamma0`` if that is not cached yet;
     * ``lam`` reads g, A and J;
     * ``char_poly``, the coefficients of det_C(t Id - A), reads A and J.
 
@@ -620,16 +625,9 @@ class ChartFields:
     @cached_property
     def gamma0(self) -> Jet:
         """Values of the Levi-Civita symbols Gamma^c_ab as an order-0 jet:
-        the order-0 part of ``gamma`` when that is built, else Gamma of the
-        first-order jet of g, the same bytes without the derivatives."""
-        if "gamma" in self.__dict__:
-            return self.gamma.truncate(0)
+        Gamma of the first-order jet of g, the bytes of the full jet's
+        values without its derivatives."""
         return christoffel(self.g.truncate(1), self.ginv.truncate(0))
-
-    @cached_property
-    def gamma(self) -> Jet:
-        """Levi-Civita symbols Gamma^c_ab, one order below g."""
-        return christoffel(self.g, self.ginv)
 
     @cached_property
     def lam(self) -> Jet:
@@ -640,8 +638,27 @@ class ChartFields:
 
     @cached_property
     def riemann(self) -> np.ndarray:
-        """Curvature values R^d_cab."""
-        return riemann(self.gamma)
+        """Curvature values R^d_cab, formed a block of samples at a time:
+        each block builds its order-1 Gamma jet from its rows of g and
+        g^-1, writes its rows of R and drops the jet.  The blocks' Gamma
+        values are ``gamma0``'s bytes and become it if it is not cached."""
+        g = self.g.truncate(min(self.g.order, 2))
+        ginv = self.ginv.truncate(max(g.order - 1, 0))
+        n, d = g.c[0].shape[:2]
+        rows = max(1, CURVATURE_BLOCK_BYTES
+                   // (g.c[0].itemsize * d ** 3 * (1 + d)))
+        out = np.empty((n,) + (d,) * 4, np.result_type(g.c[0], ginv.c[0]))
+        gam0 = (None if "gamma0" in self.__dict__
+                else np.empty(out.shape[:4], out.dtype))
+        for lo in range(0, n, rows):
+            block = slice(lo, lo + rows)
+            gamma = christoffel(_rows(g, block), _rows(ginv, block))
+            riemann(gamma, out[block])
+            if gam0 is not None:
+                gam0[block] = gamma.c[0]
+        if gam0 is not None:
+            self.__dict__["gamma0"] = Jet._of(g.dim, 0, [gam0])
+        return out
 
     @cached_property
     def det(self) -> Jet:
@@ -674,6 +691,12 @@ class ChartFields:
                 new.__dict__[name] = self.__dict__[name]
         return new
 
+    def forget(self, keep=()) -> None:
+        """Drop the cached derived quantities not named in ``keep``; one
+        read again is derived again."""
+        for name in _DERIVED_INPUTS.keys() - set(keep):
+            self.__dict__.pop(name, None)
+
     def shifted(self, c: float) -> "ChartFields":
         """The fields with A + c Id, which solves the same compatibility
         equation.  Its ``char_poly``, when read, is this one's shifted."""
@@ -684,9 +707,14 @@ class ChartFields:
         return new
 
 
-_DERIVED_INPUTS = {"ginv": {"g"}, "gamma0": {"g"}, "gamma": {"g"},
-                   "riemann": {"g"}, "det": {"g"}, "lam": {"g", "A", "J"},
+_DERIVED_INPUTS = {"ginv": {"g"}, "gamma0": {"g"}, "riemann": {"g"},
+                   "det": {"g"}, "lam": {"g", "A", "J"},
                    "char_poly": {"A", "J"}}
+
+
+def _rows(j: Jet, rows: slice) -> Jet:
+    """The jet at a slice of its samples, as views."""
+    return Jet._of(j.dim, j.order, [c[rows] for c in j.c])
 
 
 # ---------------------------------------------------------------------------

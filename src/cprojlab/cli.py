@@ -70,7 +70,9 @@ def _pair_spec(v) -> CompatiblePairSpec:
 
 class Run:
     """One scenario run: its typed values, the built instance and the state
-    the check steps share, each piece built on first use and at most once."""
+    the check steps share, each piece built on first use and at most once.
+    The attributes stay for the whole run; the cached quantities of the
+    chart fields it holds go after their last reader (``run_scenario``)."""
 
     def __init__(self, v):
         self.v, self.csv = v, {}
@@ -102,7 +104,8 @@ class Run:
             raise BuilderError(
                 f"the metric or its derivatives are not finite at "
                 f"{np.count_nonzero(~finite)} of {finite.size} samples")
-        return f
+        # d omega is the one derivative of omega that a step reads
+        return f if f.omega is None else f.replace(omega=f.omega.truncate(1))
 
     @cached_property
     def fl(self):
@@ -143,6 +146,15 @@ class Run:
         fl = self.shifted[0]
         return partner_fields(fl.replace(
             g=fl.g.truncate(1), J=fl.J.truncate(1), A=fl.A.truncate(1)))
+
+    def fields(self):
+        """The chart fields the run holds, those built so far: f, fl, the
+        shifted copy and the partner, which may share cached quantities."""
+        held = [self.__dict__[k] for k in ("f", "fl", "ghat")
+                if k in self.__dict__]
+        if "shifted" in self.__dict__:
+            held.append(self.shifted[0])
+        return held
 
 
 # ---------------------------------------------------------------------------
@@ -276,31 +288,42 @@ class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
     suffix); its function of the ``Run``, which returns the entries, each
     bounded by the function that builds it (a suite's ``tol`` default or
-    the number a helper step writes); and its run condition, if any: a
-    key and the typed value it must have."""
+    the number a helper step writes); what it reads when it runs alone,
+    space-separated: the ``Run`` attributes and the cached ``ChartFields``
+    quantities of the fields the run holds, those read through another
+    included (building ``ks`` reads ``char_poly``); and its run condition,
+    if any: a key and the typed value it must have."""
     names: str
     emit: Callable
+    reads: str
     when: tuple = ()
 
 
 KAHLER_STEPS = (
     Step("J_squared hermitian_metric omega_def domega parallel_J",
-         lambda r: check_kahler(r.fl)),
-    Step("cproj_compat", lambda r: cproj_residual(r.fl)),
+         lambda r: check_kahler(r.fl), "fl gamma0 ginv"),
+    Step("cproj_compat", lambda r: cproj_residual(r.fl),
+         "fl lam gamma0 ginv"),
     Step("eigenvector_gradients",
-         lambda r: eigenvector_gradient_residual(r.fl)),
+         lambda r: eigenvector_gradient_residual(r.fl), "fl ginv"),
     Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
-         lambda r: killing_property_suite(r.ks, r.fl)),
-    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
-    Step("ricci_identity", lambda r: ricci_identity_check(r.fl)),
+         lambda r: killing_property_suite(r.ks, r.fl),
+         "ks fl char_poly ginv gamma0"),
+    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl),
+         "ks fl char_poly ginv"),
+    Step("ricci_identity", lambda r: ricci_identity_check(r.fl),
+         "fl riemann lam gamma0 ginv"),
     Step("det_hessian_hermitian killing_detC",
-         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r)),
-    Step("partner_roundtrip", _partner_roundtrip),
+         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r),
+         "shifted char_poly gamma0 ginv"),
+    Step("partner_roundtrip", _partner_roundtrip, "shifted ghat pts det ginv"),
     Step("connection_difference", lambda r: _noted(
-        connection_difference_check(r.shifted[0], r.ghat), r)),
+        connection_difference_check(r.shifted[0], r.ghat), r),
+         "shifted ghat det ginv gamma0"),
 )
 
-PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f))
+PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f),
+                 "f lam gamma0 ginv")
 
 # the rows every scenario takes, then those of the ones that sample a
 # chart, then those of the Kahler charts
@@ -345,21 +368,22 @@ SCENARIOS = {
     "quotient-pair": (_build_quotient_pair, (
         PROJ_STEP,
         Step("commuting_gradients",
-             lambda r: commuting_gradients_residual(r.f)),
-        Step("mu_hat_duality", lambda r: mu_hat_duality_residual(r.f))),
+             lambda r: commuting_gradients_residual(r.f), "f ginv"),
+        Step("mu_hat_duality", lambda r: mu_hat_duality_residual(r.f), "f")),
         {**SAMPLED, "name": Opt(str, "pair")}, {"block": 1}),
     "lift": (_build_lift, KAHLER_STEPS + (
-        Step("route_agreement", _route_agreement),), {
+        Step("route_agreement", _route_agreement, "inst cb pts f"),), {
         **KAHLER,
         "name": Opt(str, "lift"),
         "route": Opt(tuple(OTHER_ROUTE), "jacobian"),
     }, {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
-        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst)),
+        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst),
+             "inst"),
         Step("eigenvalue_transport", lambda r: transport_check(r.inst),
-             ("ell", 1)),
+             "inst", ("ell", 1)),
         Step("volume_coefficient", lambda r: volume_coefficient(r.inst),
-             ("ell", 1))), {
+             "inst", ("ell", 1))), {
         **KAHLER,
         "name": Opt(str, "mobility2"),
         "ell": Opt(int, 1, "[1, 6]"),
@@ -369,16 +393,18 @@ SCENARIOS = {
     "jordan": (_build_jordan, (
         Step("ode_defect", lambda r: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
-            1e-9)]),
+            1e-9)], "sol"),
         Step("g1_constancy", lambda r: [CheckEntry(
             "g1_constancy", "G1' = 0", r.sol.g1_constancy(), 1e-12)],
-             ("kind", "3x3")),
+             "sol", ("kind", "3x3")),
         PROJ_STEP,
         Step("split_lie_endo split_lie_metric",
-             lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"])),
-        Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f)),
-        Step("blowup_formula_vs_spectrum", _blowup_spectrum),
-        Step("blowup_exponent", _blowup_exponent)), {
+             lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"]), "f"),
+        Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f),
+             "f riemann lam gamma0 ginv"),
+        Step("blowup_formula_vs_spectrum", _blowup_spectrum,
+             "sol pts f riemann ginv"),
+        Step("blowup_exponent", _blowup_exponent, "sol")), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -388,14 +414,16 @@ SCENARIOS = {
         "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
     }, {}),
     "flows": (lambda r: "flows", (
-        Step(" ".join(f"circle_{o}" for o in _FLOWS), _orbits),),
+        Step(" ".join(f"circle_{o}" for o in _FLOWS), _orbits, ""),),
         # run time grows linearly in T
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
-        Step("ricci_identity", lambda r: ricci_identity_check(r.f)),
-        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0)),
+        Step("ricci_identity", lambda r: ricci_identity_check(r.f),
+             "f riemann lam gamma0 ginv"),
+        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0),
+             "f riemann lam gamma0 ginv"),
         Step("fppp_limit", lambda r: fppp_limit_check(
-            r.inst.qp.blocks[0].F, 0.5))),
+            r.inst.qp.blocks[0].F, 0.5), "inst")),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
@@ -435,8 +463,10 @@ def _may_start(pattern, prefix):
 def run_scenario(v, only=None):
     """Build the instance of the typed values ``v``, then run the steps
     whose condition holds and that can emit a name starting with a prefix
-    in ``only``, if that is given.  An ``only`` that selects no step, or
-    whose steps emit no check it names, raises a ConfigError."""
+    in ``only``, if that is given.  After each step, the chart fields the
+    run holds drop every cached quantity that no later selected step
+    reads.  An ``only`` that selects no step, or whose steps emit no check
+    it names, raises a ConfigError."""
     build, steps = SCENARIOS[v["scenario"]][:2]
     steps = [st for st in steps
              if not (st.when and v[st.when[0]] != st.when[1])
@@ -448,10 +478,14 @@ def run_scenario(v, only=None):
                           f"{v['scenario']!r}")
     r = Run(v)
     rep = ResidualReport(title=build(r))
-    for st in steps:
+    for i, st in enumerate(steps):
         out = st.emit(r)
         rep.entries += [e for e in getattr(out, "entries", out)
                         if only is None or e.name.startswith(only)]
+        # a cached quantity that no later step reads goes now
+        later = {n for s in steps[i + 1:] for n in s.reads.split()}
+        for flds in r.fields():
+            flds.forget(later)
     if not rep.entries:
         # a report without checks must not read as a pass
         raise ConfigError(f"{sel} selects no check this run emits")

@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 
 from .jets import Jet, jet_trace
-from .geometry import cov_deriv_vector, max_abs, nan_max, third_cov_scalar
+from .geometry import (
+    christoffel, cov_deriv_vector, max_abs, nan_max, third_cov_scalar)
 from .kahler import KahlerError
 from .report import CheckEntry, ResidualReport
 
@@ -306,7 +307,7 @@ def third_order_residual(flds, B, tol=1e-5) -> ResidualReport:
     gv = flds.g.c[0]
     n = gv.shape[0]
     alpha = jet_trace(flds.A)
-    n3 = third_cov_scalar(alpha, flds.gamma)   # (n, x, a, b)
+    n3 = third_cov_scalar(alpha, christoffel(flds.g, flds.ginv))  # (n,x,a,b)
     da = alpha.c[1]
     rhs = B * (2.0 * np.einsum("nx,nab->nxab", da, gv)
                + np.einsum("na,nxb->nxab", da, gv)

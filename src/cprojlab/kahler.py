@@ -312,7 +312,11 @@ def gap_mask(roots, consts, n=None):
 def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     """(A - rho) grad rho = 0 and (A - rho) J grad rho = 0 at regular
     samples, for each simple non-constant eigenvalue field rho, real or
-    complex."""
+    complex.  Fields without eigenvalue jets are refused: there the check
+    would read 0 and pass with nothing measured."""
+    if not flds.rhos:
+        raise KahlerError("eigenvector_gradients needs the eigenvalue jets "
+                          "of A, and the fields carry none")
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
     rep = ResidualReport(title="eigenvector-gradient")

@@ -107,6 +107,20 @@ def sample(chart_or_pair, n, seed=RNG_SEED):
     return chart_or_pair.window.random(n, rng)
 
 
+def christoffel_rows(calls, g0, order=None):
+    """How many times each sample of the metric values ``g0`` had its
+    Christoffel symbols formed, by the ``christoffel`` calls ``calls``,
+    each recorded as (the metric's value array, its order): the whole
+    batch or a block of its rows, from a metric of ``order`` (any if
+    None)."""
+    count = np.zeros(len(g0), dtype=int)
+    for a, k in calls:
+        if order in (None, k) and np.shares_memory(a, g0):
+            lo = (a.ctypes.data - g0.ctypes.data) // g0.strides[0]
+            count[lo:lo + len(a)] += 1
+    return count
+
+
 def same_bytes(x, y):
     """Whether two arrays hold the same bits: shape, dtype and every value,
     signed zeros included."""

@@ -14,13 +14,15 @@ from cprojlab.builders import (
     mobility_spec, shift_endo, solve_jordan_odes,
 )
 from cprojlab.geometry import (
-    christoffel, lie_endo, lie_metric, max_abs, metric_inverse,
+    christoffel, lie_endo, lie_metric, max_abs, metric_inverse, riemann,
 )
 from cprojlab.flows import lie_residual_suite, split_lie_suite
-from cprojlab.jets import Jet, jet_einsum, jet_matmul, jet_trace
+from cprojlab.jets import Jet, JetError, jet_einsum, jet_matmul, jet_trace
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
-from conftest import pair_complex, pair_dini, pair_ell1, same_bytes, sample
+from conftest import (
+    christoffel_rows, pair_complex, pair_dini, pair_ell1, same_bytes, sample,
+)
 from fd_oracle import fd_gradient
 
 
@@ -708,23 +710,24 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     fl = chart.eval(pts, order=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fl.g = fl.g
-    gam, ginv, lam = fl.gamma, fl.ginv, fl.lam
-    assert fl.gamma is gam                      # computed once, then kept
+    gam, ginv, lam, R = fl.gamma0, fl.ginv, fl.lam, fl.riemann
+    assert fl.gamma0 is gam and fl.riemann is R  # computed once, then kept
     # a conformal change of g moves Gamma; both replace spellings recompute
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
     for fl2 in (dataclasses.replace(fl, g=g2), fl.replace(g=g2)):
-        assert fl2.gamma is not gam
-        for got, want in zip(fl2.gamma.c, christoffel(g2).c, strict=True):
-            np.testing.assert_array_equal(got, want)
-        assert max_abs(fl2.gamma.c[0] - gam.c[0]) > 1e-3
+        assert fl2.gamma0 is not gam and fl2.riemann is not R
+        np.testing.assert_array_equal(fl2.gamma0.c[0], christoffel(g2).c[0])
+        np.testing.assert_array_equal(fl2.riemann, riemann(christoffel(g2)))
+        assert max_abs(fl2.gamma0.c[0] - gam.c[0]) > 1e-3
     # a new omega (the seeded-defect path) keeps det and char_poly
     det, cp = fl.det, fl.char_poly
     fl5 = fl.replace(omega=fl.omega * 2.0)
     assert fl5.det is det and fl5.char_poly is cp
     # a new A keeps the g-only quantities and recomputes La and char_poly
     fl3 = fl.replace(A=shift_endo(fl.A, 1.0))
-    assert fl3.gamma is gam and fl3.ginv is ginv and fl3.det is det
+    assert fl3.gamma0 is gam and fl3.ginv is ginv and fl3.det is det
+    assert fl3.riemann is R
     assert fl3.lam is not lam
     np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])
     assert fl3.char_poly is not cp
@@ -733,57 +736,77 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
                                rtol=1e-14, atol=1e-14)
     # without J, La takes the projective weight 1/2
     fl4 = fl.replace(J=None)
-    assert fl4.gamma is gam and fl4.lam is not lam
+    assert fl4.gamma0 is gam and fl4.lam is not lam
     np.testing.assert_array_equal(fl4.lam.c[0], 2.0 * lam.c[0])
+    # forget drops every cached quantity but those it keeps, and one read
+    # again is derived again, to the same bytes
+    fl.forget({"ginv"})
+    assert set(vars(fl)) & set(builders._DERIVED_INPUTS) == {"ginv"}
+    assert fl.ginv is ginv and fl.lam is not lam and fl.det is not det
+    assert same_bytes(fl.lam.c[1], lam.c[1])
+    assert same_bytes(fl.riemann, R) and same_bytes(fl.det.c[2], det.c[2])
 
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_christoffel_values_in_either_read_order(corpus, order):
+    # the Gamma values read before the curvature, or left by it, are the
+    # values of the full Christoffel jet; an order-1 evaluation has no
+    # curvature, and asking for it leaves the values as they were
     for name, chart, _ in corpus:
         pts = sample(chart, 10)
         for values_first in (True, False):
             fl = chart.eval(pts, order=order)
-            if values_first:
-                gam0, gam = fl.gamma0, fl.gamma
-            else:
-                gam, gam0 = fl.gamma, fl.gamma0
             want = christoffel(fl.g, fl.ginv)
+            if order == 1:
+                gam0 = fl.gamma0 if values_first else None
+                with pytest.raises(JetError, match="order >= 1"):
+                    fl.riemann
+                assert "riemann" not in vars(fl), name
+                assert vars(fl).get("gamma0") is gam0, name
+                gam0 = fl.gamma0
+            elif values_first:
+                gam0, R = fl.gamma0, fl.riemann
+            else:
+                R = fl.riemann
+                assert "gamma0" in vars(fl), name  # left by the curvature
+                gam0 = fl.gamma0
             assert gam0.order == 0, name
-            assert gam0.c[0].tobytes() == want.c[0].tobytes(), name
-            assert gam.order == want.order, name
-            for got, w in zip(gam.c, want.c, strict=True):
-                assert got.tobytes() == w.tobytes(), name
+            assert same_bytes(gam0.c[0], want.c[0]), name
+            if order == 2:
+                assert same_bytes(R, riemann(want)), name
 
 
-@pytest.mark.parametrize("read_gamma", [False, True])
-def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_gamma):
+@pytest.mark.parametrize("read_riemann", [False, True])
+def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_riemann):
     chart = lift_pair(qp_ell1, (ConstantBlock(0.0, 2),), route="explicit")
     pts = sample(chart, 12)
     fl = chart.eval(pts, order=2)
     gam0 = fl.gamma0
-    gam = fl.gamma if read_gamma else None
+    R = fl.riemann if read_riemann else None
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
     fl2 = fl.replace(g=g2)
-    assert "gamma0" not in fl2.__dict__ and "gamma" not in fl2.__dict__
+    assert "gamma0" not in fl2.__dict__ and "riemann" not in fl2.__dict__
     assert fl2.gamma0.c[0].tobytes() == christoffel(g2).c[0].tobytes()
     for kept in (fl.replace(omega=fl.omega * 2.0), fl.shifted(1.0)):
         assert kept.gamma0 is gam0
-        assert kept.__dict__.get("gamma") is gam
+        assert kept.__dict__.get("riemann") is R
 
 
 def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
                                                         corpus):
-    # an order-2 mobility2 evaluation through every suite that reads
-    # Gamma values: each metric's values are built once from its first
-    # order, and only the curvature builds Gamma from the order-2 metric
+    # an order-2 mobility2 evaluation, of more samples than one curvature
+    # block takes, through every suite that reads Gamma values: each
+    # sample's values are built once from the first-order metric, of fl
+    # (shared by sh) and of the partner, and only the curvature builds
+    # Gamma from the order-2 metric, once per sample in its block
     from cprojlab import curvspec, kahler, killing
     _, chart, consts = corpus[5]
-    orders = []
+    calls = []
     real = builders.christoffel
     monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
-        orders.append(g.order) or real(g, ginv)))
-    fl = chart.eval(sample(chart, 40), order=2)
+        calls.append((g.c[0], g.order)) or real(g, ginv)))
+    fl = chart.eval(sample(chart, 300), order=2)
     check_kahler(fl)
     cproj_residual(fl)
     ks = killing.build_canonical_killing(fl, consts)
@@ -792,10 +815,38 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     curvspec.nabla_lambda_endo(fl)
     sh = fl.shifted(kahler.spectrum_safe_shift(fl))
     kahler.hamiltonian_killing_check(sh)
-    kahler.connection_difference_check(sh, kahler.partner_fields(sh))
-    assert orders == [1, 1]        # fl (shared by sh) and the partner
+    partner = kahler.partner_fields(sh)
+    kahler.connection_difference_check(sh, partner)
+    g0, ghat0 = fl.g.c[0], partner.g.c[0]
+    assert len(calls) == 2
+    for a in (g0, ghat0):
+        assert (christoffel_rows(calls, a, 1) == 1).all()
+        assert (christoffel_rows(calls, a) == 1).all()
     fl.riemann
-    assert orders == [1, 1, 2]
+    assert len(calls) > 3          # the curvature took several blocks
+    assert (christoffel_rows(calls, g0, 2) == 1).all()
+    assert (christoffel_rows(calls, g0) == 2).all()
+    assert (christoffel_rows(calls, ghat0) == 1).all()
+
+
+def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
+    # the mobility2 chart at two whole curvature blocks and half of a
+    # third: R and the Gamma values its blocks leave are the bytes of the
+    # whole batch's Christoffel jet and values
+    _, chart, _ = corpus[5]
+    d = chart.dim
+    rows = builders.CURVATURE_BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+    fl = chart.eval(sample(chart, 2 * rows + rows // 2), order=2)
+    blocks = []
+    real = builders.christoffel
+    monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
+        blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
+    R = fl.riemann
+    assert blocks == [(rows, 2), (rows, 2), (rows // 2, 2)]
+    assert same_bytes(R, riemann(christoffel(fl.g, fl.ginv)))
+    assert same_bytes(fl.gamma0.c[0], christoffel(
+        fl.g.truncate(1), fl.ginv.truncate(0)).c[0])
+    assert len(blocks) == 3        # the values were left by the blocks
 
 
 _METRIC_CBS = {"plain": (), "cb": (ConstantBlock(0.0, 2),

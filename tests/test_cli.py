@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import dataclasses
 import fnmatch
 import inspect
 import io
@@ -22,7 +23,7 @@ from cprojlab.cli import main, run_scenario
 from cprojlab.flows import FlowError
 from cprojlab.report import ResidualReport
 
-from conftest import sample
+from conftest import christoffel_rows, sample
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # a 3x3 Jordan block and a real block next to a complex pair
@@ -423,31 +424,58 @@ def _canonical_runs():
 
 
 class RecordingRun:
-    """A Run that records the names of the attributes read through it."""
+    """A Run that records the names of the attributes read through it, and
+    the cached quantities read on the chart fields it holds, also those
+    read while one of its attributes or another quantity is built."""
 
-    def __init__(self, run):
-        self.run, self.reads = run, set()
+    def __init__(self, run, monkeypatch):
+        self.run, self.reads, self.field_reads = run, set(), []
+        real = builders.ChartFields.__getattribute__
+
+        def recorded(flds, name):
+            if name in builders._DERIVED_INPUTS:
+                self.field_reads.append((flds, name))
+            return real(flds, name)
+
+        monkeypatch.setattr(builders.ChartFields, "__getattribute__",
+                            recorded)
 
     def __getattr__(self, name):
         self.reads.add(name)
         return getattr(self.run, name)
 
+    def quantities(self):
+        held = self.run.fields()
+        return {name for flds, name in self.field_reads
+                if any(flds is h for h in held)}
+
 
 @pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
-def test_every_step_reads_the_run(kind):
+def test_every_step_reads_the_run(monkeypatch, kind):
     # a step that reads nothing of the run but the CSV table evaluates a
     # constant of the code; such an identity belongs in a unit test, not
-    # in the report
-    assert cli.Step._fields == ("names", "emit", "when")
+    # in the report.  Each step runs alone, on a run that holds the built
+    # instance and fields with nothing cached, as under --only, and its
+    # reads name exactly the run attributes and the cached field
+    # quantities it read: the run frees a quantity after the last step
+    # that names it
+    assert cli.Step._fields == ("names", "emit", "reads", "when")
     v = _canonical_runs()[kind]
     build, steps = cli.SCENARIOS[kind][:2]
-    run = cli.Run(v)
-    build(run)
+    base = cli.Run(v)
+    build(base)
     for st in steps:
         assert not st.when or v[st.when[0]] == st.when[1], st.names
-        rec = RecordingRun(run)
-        st.emit(rec)
+        run = cli.Run(v)
+        build(run)
+        if hasattr(base, "inst"):
+            run.f = dataclasses.replace(base.f)
+        with monkeypatch.context() as m:
+            rec = RecordingRun(run, m)
+            st.emit(rec)
         assert rec.reads - {"csv"}, st.names
+        read = (rec.reads - {"v", "csv"}) | rec.quantities()
+        assert read == set(st.reads.split()), st.names
 
 
 @pytest.mark.parametrize("name,other", [
@@ -809,13 +837,15 @@ def test_appendix_samples_with_the_seed_flag(capsys):
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     # a constant block at c = 0 puts a zero eigenvalue in A, so the lift
     # also runs its spectrum-shifted copy of the fields; the projective
-    # steps of the two pair scenarios read the same derived layer on h
+    # steps of the two pair scenarios read the same derived layer on h;
+    # the lift and jordan2 read the curvature, dini-pair does not
     cfgs = [parse_config_text(
         "scenario = lift\nroute = explicit\ngrid = 2\nrandom = 8\n"
         "[block]\nkind = real1d\neps = 1\nrho = 0.1 0.5 0.2\n"
         "window = 0.2 0.8\n[constant_block]\nc = 0.0\ndim = 2\n")]
     cfgs += [parse_config(CONFIGS / f"{n}.cfg")
              for n in ("jordan2", "dini-pair")]
+    curvature = (1, 1, 0)
     args = argparse.Namespace(seed=0)
     seen = {"christoffel": [], "metric_inverse": []}
     for fname, calls in seen.items():
@@ -829,17 +859,20 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
             if (getattr(mod, "__name__", "").startswith("cprojlab")
                     and getattr(mod, fname, None) is orig):
                 monkeypatch.setattr(mod, fname, counted)
-    for cfg in cfgs:
+    for cfg, reads_r in zip(cfgs, curvature, strict=True):
         for calls in seen.values():
             calls.clear()
         rep, run = run_scenario(cli.validate(cfg, args))
         assert rep.overall_pass
         kind, g0 = cfg.options["scenario"], run.f.g.c[0]
         assert sum(a is g0 for a, _ in seen["metric_inverse"]) == 1, kind
-        # Gamma values from the first-order metric once, and the full jet
-        # from the order-2 metric once if the curvature is read
-        orders = [k for a, k in seen["christoffel"] if a is g0]
-        assert orders == [1] + [2] * ("riemann" in run.f.__dict__), kind
+        # each sample's Gamma values from the first-order metric once, and
+        # its full jet, in its block, from the order-2 metric once if the
+        # curvature is read
+        calls = seen["christoffel"]
+        assert (christoffel_rows(calls, g0, 1) == 1).all(), kind
+        assert (christoffel_rows(calls, g0, 2) == reads_r).all(), kind
+        assert (christoffel_rows(calls, g0) == 1 + reads_r).all(), kind
         if cfg is cfgs[0]:
             assert len(rep.entries) > 9 and run.fl is run.f
             assert any(e.note.startswith("shift=") for e in rep.entries)
@@ -925,9 +958,11 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
 
 
 def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
-    # the largest shipped run: its partner is built at order 1 and its
-    # curvature without full-size temporaries; the traced peak read 105 MB
-    # when the partner was built at order 2, and reads about 77 MB now
+    # the largest shipped run: its partner is built at order 1, omega is
+    # cut to order 1, the curvature is formed in blocks of samples, and
+    # each cached field quantity goes after its last reader; the traced
+    # peak read 105 MB with the partner at order 2, 77 MB with the whole
+    # batch's Christoffel jet and R held to the end, and reads 57.7 MB now
     runs = []
     real = cli.run_scenario
 
@@ -945,8 +980,12 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert "check=partner_roundtrip" in capsys.readouterr().out
-    assert peak <= 85e6
+    assert peak <= 62e6
     assert "ghat" in vars(runs[0]) and runs[0].ghat.g.order == 1
+    held = runs[0].fields()
+    assert len({id(flds) for flds in held}) == 3  # f = fl, shifted, ghat
+    assert not any("riemann" in vars(flds) for flds in held)
+    assert runs[0].f.omega.order == 1
 
 
 @pytest.mark.parametrize("name,only", [

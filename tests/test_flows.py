@@ -304,7 +304,7 @@ def test_planarity_transfer_residuals_match_eval_path(qp_dini, monkeypatch):
 
     def eval_connection(chart, pts, need_J):
         fl = chart.eval(pts, order=1)
-        return fl.gamma.c[0], fl.J.c[0]
+        return fl.gamma0.c[0], fl.J.c[0]
 
     monkeypatch.setattr(flows, "_connection", eval_connection)
     assert residuals() == via_metric

@@ -291,6 +291,14 @@ def test_eigenvector_gradient_property(corpus):
         assert rep.entries[0].value <= 1e-8, name
 
 
+def test_eigenvector_gradients_refuse_fields_without_eigenvalues(corpus):
+    # with no eigenvalue jets the check would measure nothing and read 0
+    for name, chart, _ in corpus:
+        fl = chart.eval(sample(chart, 10), order=2)
+        with pytest.raises(KahlerError, match="eigenvalue jets"):
+            eigenvector_gradient_residual(fl.replace(rhos=[]))
+
+
 @pytest.mark.parametrize("name", ["complex-pair", "dini-lift"])
 def test_eigenvector_gradients_fail_on_a_moved_endo(corpus, name):
     # A + 1e-3 E_01 at every sample: the gradients of complex roots are
