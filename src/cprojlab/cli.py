@@ -292,7 +292,10 @@ class Step(NamedTuple):
     space-separated: the ``Run`` attributes and the cached ``ChartFields``
     quantities of the fields the run holds, those read through another
     included (building ``ks`` reads ``char_poly``); and its run condition,
-    if any: a key and the typed value it must have."""
+    if any: a key and the typed value it must have.  Only the quantity
+    names decide what the run frees; ``Run`` attributes are never freed,
+    and their names are there for the tests that record each step's
+    reads."""
     names: str
     emit: Callable
     reads: str
