@@ -590,8 +590,8 @@ class ChartFields:
 
     A Kahler chart sets all of g, omega, J and A; a quotient pair (h, L)
     and the projective mobility chart set g and A and leave omega and J
-    None.  Each derived quantity is computed on first use and kept until
-    ``forget`` drops it:
+    None.  Each derived quantity is computed on first use and lives as long
+    as the object; one read on a ``replace()`` copy goes with the copy:
 
     * ``ginv``, ``gamma0``, ``riemann`` and ``det`` (det g, from
       ``ginv``) read g alone.  ``gamma0`` is the Christoffel values.
@@ -690,12 +690,6 @@ class ChartFields:
             if name in self.__dict__ and not changes.keys() & inputs:
                 new.__dict__[name] = self.__dict__[name]
         return new
-
-    def forget(self, keep=()) -> None:
-        """Drop the cached derived quantities not named in ``keep``; one
-        read again is derived again."""
-        for name in _DERIVED_INPUTS.keys() - set(keep):
-            self.__dict__.pop(name, None)
 
     def shifted(self, c: float) -> "ChartFields":
         """The fields with A + c Id, which solves the same compatibility

@@ -70,9 +70,7 @@ def _pair_spec(v) -> CompatiblePairSpec:
 
 class Run:
     """One scenario run: its typed values, the built instance and the state
-    the check steps share, each piece built on first use and at most once.
-    The attributes stay for the whole run; the cached quantities of the
-    chart fields it holds go after their last reader (``run_scenario``)."""
+    the check steps share, each piece built on first use and at most once."""
 
     def __init__(self, v):
         self.v, self.csv = v, {}
@@ -146,15 +144,6 @@ class Run:
         fl = self.shifted[0]
         return partner_fields(fl.replace(
             g=fl.g.truncate(1), J=fl.J.truncate(1), A=fl.A.truncate(1)))
-
-    def fields(self):
-        """The chart fields the run holds, those built so far: f, fl, the
-        shifted copy and the partner, which may share cached quantities."""
-        held = [self.__dict__[k] for k in ("f", "fl", "ghat")
-                if k in self.__dict__]
-        if "shifted" in self.__dict__:
-            held.append(self.shifted[0])
-        return held
 
 
 # ---------------------------------------------------------------------------
@@ -232,15 +221,15 @@ def _route_agreement(r):
 def _blowup_spectrum(r):
     # the closed-form curvature eigenvalue against the assembled operator
     # at a few samples
-    dev = []
-    for s, p in enumerate(r.pts[:3]):
+    dev, pts = [], r.pts[:3]
+    for s, p in enumerate(pts):
         val = (jordan2_fprime(r.sol, p[0], p[1]) if r.v["kind"] == "2x2"
                else jordan3_fprime(r.sol, p[1], p[2]))
         eigs = np.linalg.eigvals(curvature_operator_matrix(r.f, s)[0])
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
                        "closed-form eigenvalue in spec(R)", nan_max(*dev),
-                       1e-5, samples=3)]
+                       1e-5, samples=len(pts))]
 
 
 def _blowup_exponent(r):
@@ -288,45 +277,32 @@ class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
     suffix); its function of the ``Run``, which returns the entries, each
     bounded by the function that builds it (a suite's ``tol`` default or
-    the number a helper step writes); what it reads when it runs alone,
-    space-separated: the ``Run`` attributes and the cached ``ChartFields``
-    quantities of the fields the run holds, those read through another
-    included (building ``ks`` reads ``char_poly``); and its run condition,
-    if any: a key and the typed value it must have.  Only the quantity
-    names decide what the run frees; ``Run`` attributes are never freed,
-    and their names are there for the tests that record each step's
-    reads."""
+    the number a helper step writes); and its run condition, if any: a
+    key and the typed value it must have."""
     names: str
     emit: Callable
-    reads: str
     when: tuple = ()
 
 
 KAHLER_STEPS = (
     Step("J_squared hermitian_metric omega_def domega parallel_J",
-         lambda r: check_kahler(r.fl), "fl gamma0 ginv"),
-    Step("cproj_compat", lambda r: cproj_residual(r.fl),
-         "fl lam gamma0 ginv"),
+         lambda r: check_kahler(r.fl)),
+    Step("cproj_compat", lambda r: cproj_residual(r.fl)),
     Step("eigenvector_gradients",
-         lambda r: eigenvector_gradient_residual(r.fl), "fl ginv"),
+         lambda r: eigenvector_gradient_residual(r.fl)),
     Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
-         lambda r: killing_property_suite(r.ks, r.fl),
-         "ks fl char_poly ginv gamma0"),
-    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl),
-         "ks fl char_poly ginv"),
-    Step("ricci_identity", lambda r: ricci_identity_check(r.fl),
-         "fl riemann lam gamma0 ginv"),
+         lambda r: killing_property_suite(r.ks, r.fl)),
+    Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
+    # R is formed on a copy of the fields and goes with it: no later reader
+    Step("ricci_identity", lambda r: ricci_identity_check(r.fl.replace())),
     Step("det_hessian_hermitian killing_detC",
-         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r),
-         "shifted char_poly gamma0 ginv"),
-    Step("partner_roundtrip", _partner_roundtrip, "shifted ghat pts det ginv"),
+         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r)),
+    Step("partner_roundtrip", _partner_roundtrip),
     Step("connection_difference", lambda r: _noted(
-        connection_difference_check(r.shifted[0], r.ghat), r),
-         "shifted ghat det ginv gamma0"),
+        connection_difference_check(r.shifted[0], r.ghat), r)),
 )
 
-PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f),
-                 "f lam gamma0 ginv")
+PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f))
 
 # the rows every scenario takes, then those of the ones that sample a
 # chart, then those of the Kahler charts
@@ -371,22 +347,21 @@ SCENARIOS = {
     "quotient-pair": (_build_quotient_pair, (
         PROJ_STEP,
         Step("commuting_gradients",
-             lambda r: commuting_gradients_residual(r.f), "f ginv"),
-        Step("mu_hat_duality", lambda r: mu_hat_duality_residual(r.f), "f")),
+             lambda r: commuting_gradients_residual(r.f)),
+        Step("mu_hat_duality", lambda r: mu_hat_duality_residual(r.f))),
         {**SAMPLED, "name": Opt(str, "pair")}, {"block": 1}),
     "lift": (_build_lift, KAHLER_STEPS + (
-        Step("route_agreement", _route_agreement, "inst cb pts f"),), {
+        Step("route_agreement", _route_agreement),), {
         **KAHLER,
         "name": Opt(str, "lift"),
         "route": Opt(tuple(OTHER_ROUTE), "jacobian"),
     }, {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
-        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst),
-             "inst"),
+        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst)),
         Step("eigenvalue_transport", lambda r: transport_check(r.inst),
-             "inst", ("ell", 1)),
+             ("ell", 1)),
         Step("volume_coefficient", lambda r: volume_coefficient(r.inst),
-             "inst", ("ell", 1))), {
+             ("ell", 1))), {
         **KAHLER,
         "name": Opt(str, "mobility2"),
         "ell": Opt(int, 1, "[1, 6]"),
@@ -396,18 +371,16 @@ SCENARIOS = {
     "jordan": (_build_jordan, (
         Step("ode_defect", lambda r: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
-            1e-9)], "sol"),
+            1e-9)]),
         Step("g1_constancy", lambda r: [CheckEntry(
             "g1_constancy", "G1' = 0", r.sol.g1_constancy(), 1e-12)],
-             "sol", ("kind", "3x3")),
+             ("kind", "3x3")),
         PROJ_STEP,
         Step("split_lie_endo split_lie_metric",
-             lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"]), "f"),
-        Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f),
-             "f riemann lam gamma0 ginv"),
-        Step("blowup_formula_vs_spectrum", _blowup_spectrum,
-             "sol pts f riemann ginv"),
-        Step("blowup_exponent", _blowup_exponent, "sol")), {
+             lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"])),
+        Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f)),
+        Step("blowup_formula_vs_spectrum", _blowup_spectrum),
+        Step("blowup_exponent", _blowup_exponent)), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -417,16 +390,14 @@ SCENARIOS = {
         "x_window": Opt(WINDOW, [1.2, 1.8], sizes=(2,)),
     }, {}),
     "flows": (lambda r: "flows", (
-        Step(" ".join(f"circle_{o}" for o in _FLOWS), _orbits, ""),),
+        Step(" ".join(f"circle_{o}" for o in _FLOWS), _orbits),),
         # run time grows linearly in T
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
-        Step("ricci_identity", lambda r: ricci_identity_check(r.f),
-             "f riemann lam gamma0 ginv"),
-        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0),
-             "f riemann lam gamma0 ginv"),
+        Step("ricci_identity", lambda r: ricci_identity_check(r.f)),
+        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0)),
         Step("fppp_limit", lambda r: fppp_limit_check(
-            r.inst.qp.blocks[0].F, 0.5), "inst")),
+            r.inst.qp.blocks[0].F, 0.5))),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
@@ -466,10 +437,8 @@ def _may_start(pattern, prefix):
 def run_scenario(v, only=None):
     """Build the instance of the typed values ``v``, then run the steps
     whose condition holds and that can emit a name starting with a prefix
-    in ``only``, if that is given.  After each step, the chart fields the
-    run holds drop every cached quantity that no later selected step
-    reads.  An ``only`` that selects no step, or whose steps emit no check
-    it names, raises a ConfigError."""
+    in ``only``, if that is given.  An ``only`` that selects no step, or
+    whose steps emit no check it names, raises a ConfigError."""
     build, steps = SCENARIOS[v["scenario"]][:2]
     steps = [st for st in steps
              if not (st.when and v[st.when[0]] != st.when[1])
@@ -481,14 +450,10 @@ def run_scenario(v, only=None):
                           f"{v['scenario']!r}")
     r = Run(v)
     rep = ResidualReport(title=build(r))
-    for i, st in enumerate(steps):
+    for st in steps:
         out = st.emit(r)
         rep.entries += [e for e in getattr(out, "entries", out)
                         if only is None or e.name.startswith(only)]
-        # a cached quantity that no later step reads goes now
-        later = {n for s in steps[i + 1:] for n in s.reads.split()}
-        for flds in r.fields():
-            flds.forget(later)
     if not rep.entries:
         # a report without checks must not read as a pass
         raise ConfigError(f"{sel} selects no check this run emits")
@@ -512,7 +477,7 @@ def main(argv=None) -> int:
 
     only = (tuple(p.strip() for p in args.only.split(",") if p.strip())
             if args.only else None)
-    made = []
+    made, written = [], []
     try:
         # a non-finite value fails its check or is refused with one error
         # line, so numpy's floating-point warnings would only add noise
@@ -533,10 +498,25 @@ def main(argv=None) -> int:
                         raise ConfigError(f"--csv: {exc}") from None
                     made = missing
                 rep, run = run_scenario(v, only)
+                elapsed = time.monotonic() - t0
+                # the CSV files go before the report, and a file that
+                # cannot be written refuses the run
+                for name, (header, rows) in (run.csv.items() if args.csv
+                                             else ()):
+                    lines = [header] + [[fmt(x) for x in row] for row in rows]
+                    path = args.csv / f"{name}.csv"
+                    try:
+                        path.write_text(
+                            "".join(",".join(line) + "\n" for line in lines))
+                    except OSError as exc:
+                        raise ConfigError(f"--csv: {exc}") from None
+                    written.append(path)
     except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
             JetError, KahlerError) as exc:
+        for p in written:
+            p.unlink()
         for p in made:
-            p.rmdir()  # empty: the CSV files are written after the run
+            p.rmdir()  # empty once this run's CSV files are gone
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.list_checks:
@@ -545,7 +525,6 @@ def main(argv=None) -> int:
             for name in st.names.split():
                 print(name + cond)
         return 0
-    elapsed = time.monotonic() - t0
 
     rep.provenance = {"config_hash": config_hash(serialize_config(cfg)),
                       "seed": v["seed"], "version": __version__,
@@ -553,11 +532,6 @@ def main(argv=None) -> int:
     sys.stdout.write(rep.format() + "# timestamp="
                      f"{time.strftime('%Y-%m-%dT%H:%M:%S')}"
                      f" elapsed={elapsed:.2f}s\n")
-    if args.csv:
-        for name, (header, rows) in run.csv.items():
-            lines = [header] + [[fmt(x) for x in row] for row in rows]
-            (args.csv / f"{name}.csv").write_text(
-                "".join(",".join(line) + "\n" for line in lines))
     return 0 if rep.overall_pass else 1
 
 

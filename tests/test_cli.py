@@ -195,6 +195,21 @@ def test_refused_run_leaves_no_csv_directory(monkeypatch, tmp_path, capsys):
     assert list(Path("kept").iterdir()) == []
 
 
+def test_unwritable_csv_file_refuses_the_run(monkeypatch, tmp_path, capsys):
+    # a directory where the last portrait's CSV file goes: the run is
+    # refused before the report, and the files it wrote go again
+    monkeypatch.chdir(tmp_path)
+    Path("out/portrait_rho2.csv").mkdir(parents=True)
+    assert main(["run", str(CONFIGS / "phase-portraits.cfg"),
+                 "--csv", "out"]) == 2
+    out, err = capsys.readouterr()
+    lines = err.splitlines()
+    assert out == "" and len(lines) == 1, err
+    assert lines[0].startswith("error: --csv: ")
+    assert [p.name for p in Path("out").iterdir()] == ["portrait_rho2.csv"]
+    assert list(Path("out/portrait_rho2.csv").iterdir()) == []
+
+
 # the rho' guard of a real block
 FLAT_RHO = "rho' of a Real1D block vanishes on its window"
 
@@ -424,42 +439,23 @@ def _canonical_runs():
 
 
 class RecordingRun:
-    """A Run that records the names of the attributes read through it, and
-    the cached quantities read on the chart fields it holds, also those
-    read while one of its attributes or another quantity is built."""
+    """A Run that records the names of the attributes read through it."""
 
-    def __init__(self, run, monkeypatch):
-        self.run, self.reads, self.field_reads = run, set(), []
-        real = builders.ChartFields.__getattribute__
-
-        def recorded(flds, name):
-            if name in builders._DERIVED_INPUTS:
-                self.field_reads.append((flds, name))
-            return real(flds, name)
-
-        monkeypatch.setattr(builders.ChartFields, "__getattribute__",
-                            recorded)
+    def __init__(self, run):
+        self.run, self.reads = run, set()
 
     def __getattr__(self, name):
         self.reads.add(name)
         return getattr(self.run, name)
 
-    def quantities(self):
-        held = self.run.fields()
-        return {name for flds, name in self.field_reads
-                if any(flds is h for h in held)}
-
 
 @pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
-def test_every_step_reads_the_run(monkeypatch, kind):
+def test_every_step_reads_the_run(kind):
     # a step that reads nothing of the run but the CSV table evaluates a
     # constant of the code; such an identity belongs in a unit test, not
     # in the report.  Each step runs alone, on a run that holds the built
-    # instance and fields with nothing cached, as under --only, and its
-    # reads name exactly the run attributes and the cached field
-    # quantities it read: the run frees a quantity after the last step
-    # that names it
-    assert cli.Step._fields == ("names", "emit", "reads", "when")
+    # instance and fields with nothing cached, as under --only
+    assert cli.Step._fields == ("names", "emit", "when")
     v = _canonical_runs()[kind]
     build, steps = cli.SCENARIOS[kind][:2]
     base = cli.Run(v)
@@ -470,12 +466,9 @@ def test_every_step_reads_the_run(monkeypatch, kind):
         build(run)
         if hasattr(base, "inst"):
             run.f = dataclasses.replace(base.f)
-        with monkeypatch.context() as m:
-            rec = RecordingRun(run, m)
-            st.emit(rec)
+        rec = RecordingRun(run)
+        st.emit(rec)
         assert rec.reads - {"csv"}, st.names
-        read = (rec.reads - {"v", "csv"}) | rec.quantities()
-        assert read == set(st.reads.split()), st.names
 
 
 @pytest.mark.parametrize("name,other", [
@@ -957,12 +950,28 @@ def test_only_skips_unselected_work(monkeypatch, capsys):
     assert orders == [1]
 
 
+def test_blowup_spectrum_counts_the_samples_it_reads(tmp_path, capsys):
+    # one grid point and no random samples: the spectrum line reads one
+    text = (CONFIGS / "jordan2.cfg").read_text()
+    for old, new in (("grid = 5", "grid = 1"), ("random = 64", "random = 0")):
+        assert f"\n{old}\n" in text
+        text = text.replace(f"\n{old}\n", f"\n{new}\n", 1)
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(text)
+    assert main(["run", str(cfg), "--only", "blowup_formula"]) == 0
+    line, = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("check=")]
+    assert line.startswith("check=blowup_formula_vs_spectrum ")
+    assert " samples=1 " in line
+
+
 def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     # the largest shipped run: its partner is built at order 1, omega is
     # cut to order 1, the curvature is formed in blocks of samples, and
-    # each cached field quantity goes after its last reader; the traced
-    # peak read 105 MB with the partner at order 2, 77 MB with the whole
-    # batch's Christoffel jet and R held to the end, and reads 57.7 MB now
+    # the Ricci step forms R on a copy of the fields, which goes with it;
+    # the traced peak read 105 MB with the partner at order 2, 77 MB with
+    # the whole batch's Christoffel jet and R held to the end, and reads
+    # 57.7 MB now
     runs = []
     real = cli.run_scenario
 
@@ -982,7 +991,8 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     assert "check=partner_roundtrip" in capsys.readouterr().out
     assert peak <= 62e6
     assert "ghat" in vars(runs[0]) and runs[0].ghat.g.order == 1
-    held = runs[0].fields()
+    r = runs[0]
+    held = [r.f, r.fl, r.shifted[0], r.ghat]
     assert len({id(flds) for flds in held}) == 3  # f = fl, shifted, ghat
     assert not any("riemann" in vars(flds) for flds in held)
     assert runs[0].f.omega.order == 1
@@ -994,6 +1004,8 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     ("mobility2", "lie_v,eigenvalue,killing_detC"),
     ("jordan2", "blowup,proj"),
     ("phase-portraits", "circle_rho^2+,circle_rho("),
+    ("mobility2", "ricci_identity,det_,partner"),
+    ("appendix", "spectrum_,ricci"),
 ])
 def test_only_output_equals_filtered_full_report(capsys, name, only):
     path = str(CONFIGS / f"{name}.cfg")
