@@ -509,34 +509,49 @@ def complex_char_poly(A: Jet, J: Jet):
     tr(B_k dA), with B_1 = J and B_(k+1) = A B_k + J A^k.  So every
     matrix product runs one order below A, as in ``jet_det``; the
     gradients against dA are one contraction, those against dJ another.
+    Each B_k and A^k is written into one stack as it is formed, and only
+    the stack's values outlive the two contractions.
     """
     ncx = A.c[0].shape[-1] // 2
     low = max(A.order - 1, 0)
     Al, Jl = A.truncate(low), J.truncate(low)
-    pows, Bs = [Al], [Jl]          # A^k and B_k, k = 1..ncx
-    for _ in range(1, ncx):
-        Bs.append(jet_matmul(Al, Bs[-1]) + jet_matmul(Jl, pows[-1]))
-        pows.append(jet_matmul(pows[-1], Al))
+    # axis 1: B_1..B_ncx, then A^1..A^ncx
+    dtype = np.result_type(A.c[0], J.c[0])
+    stack = [np.empty(c.shape[:1] + (2 * ncx,) + c.shape[1:], dtype)
+             for c in Al.c]
+
+    def put(i, m):
+        """Write m to slot i of the stack; the slot, as a jet of views."""
+        for s, c in zip(stack, m.c):
+            s[:, i] = c
+        return Jet._of(A.dim, low, [s[:, i] for s in stack])
+
+    Ak, Bk = put(ncx, Al), put(0, Jl)
+    for k in range(1, ncx):
+        Bk = put(k, jet_matmul(Al, Bk) + jet_matmul(Jl, Ak))
+        Ak = put(ncx + k, jet_matmul(Ak, Al))
     gA = gJ = ()
     if A.order:
-        def traces(mats, dX):
-            """tr(M dX) for each M of ``mats``, on axis 1 of the
-            coefficients."""
-            stack = Jet._of(A.dim, low, [np.stack(cs, axis=1)
-                                         for cs in zip(*(m.c for m in mats))])
-            return jet_einsum("nkij,njia->nka", stack, dX).c
+        def traces(sl, X):
+            """tr(M dX) for each M of the stack slice ``sl``, on axis 1 of
+            the coefficients."""
+            return jet_einsum("nkij,njia->nka", Jet._of(
+                A.dim, low, [s[:, sl] for s in stack]), tensor_partial(X)).c
 
-        # axis 1 of gA: tr(A^k dA) for k < ncx, then tr(B_k dA)
-        gA = traces(pows[:-1] + Bs, tensor_partial(A))
-        gJ = traces(pows, tensor_partial(J))
+        # axis 1 of gA: tr(B_k dA), then tr(A^k dA) for k < ncx
+        gA = traces(slice(0, 2 * ncx - 1), A)
+        gJ = traces(slice(ncx, 2 * ncx), J)
+    vals = stack[0]
+    del stack, Ak, Bk
     ps = []
     for k in range(1, ncx + 1):
         # p_k = (tr A^k - i tr(J A^k)) / 2, coefficient by coefficient
-        Ak = pows[k - 1].c[0]
+        Ak = vals[:, ncx + k - 1]
         tr = jet_trace(A).c if k == 1 else [
-            np.einsum("nii->n", Ak), *(g[:, k - 2] * float(k) for g in gA)]
+            np.einsum("nii->n", Ak),
+            *(g[:, ncx + k - 2] * float(k) for g in gA)]
         trJ = [np.einsum("nij,nji->n", J.c[0], Ak),
-               *(gj[:, k - 1] + ga[:, ncx + k - 2] for gj, ga in zip(gJ, gA))]
+               *(gj[:, k - 1] + ga[:, k - 1] for gj, ga in zip(gJ, gA))]
         ps.append(Jet._of(A.dim, A.order,
                           [(t - 1j * u) * 0.5 for t, u in zip(tr, trJ)]))
     e = [Jet.const(np.ones(A.c[0].shape[0], dtype=complex), A.dim, A.order)]
@@ -588,10 +603,12 @@ class ChartFields:
     """The fields of one chart evaluation and the quantities derived from
     them.
 
-    A Kahler chart sets all of g, omega, J and A; a quotient pair (h, L)
-    and the projective mobility chart set g and A and leave omega and J
-    None.  Each derived quantity is computed on first use and lives as long
-    as the object; one read on a ``replace()`` copy goes with the copy:
+    A Kahler chart sets all of g, omega, J and A, with omega one order
+    below the others (d omega is the one derivative of it a check reads);
+    a quotient pair (h, L) and the projective mobility chart set g and A
+    and leave omega and J None.  Each derived quantity is computed on
+    first use and lives as long as the object; one read on a
+    ``replace()`` copy goes with the copy:
 
     * ``ginv``, ``gamma0``, ``riemann`` and ``det`` (det g, from
       ``ginv``) read g alone.  ``gamma0`` is the Christoffel values.
@@ -1058,21 +1075,26 @@ class KahlerChart:
         ``coframe`` (explicit route: each block's row and mu-hat) gives J
         from the coframe action;
         without it J = g^-1 omega, and that inverse also fills the fields'
-        g^-1."""
+        g^-1.  omega is kept one order below g: d omega is the one
+        derivative a check reads.  The explicit route places it at that
+        order; J = g^-1 omega reads it at g's order, and it is cut after."""
         n = pts.shape[0]
         d, t, u, y = self.dim, self.t_sl, self.u_sl, self.y_sl
+        low = max(order - 1, 0)
         alpha = self._alpha(pts, order)
         chi = self._chi(rhos, order)
         g = self._place_metric(H, h, alpha, chi)
-        wparts = [((u, t), jet_transpose(D)), ((t, u), -D)]
+        wo = low if coframe is not None else order
+        Dw = D.truncate(wo)
+        wparts = [((u, t), jet_transpose(Dw)), ((t, u), -Dw)]
         aparts = [((t, t), T), ((u, u), L)]
         if self.ydim:
-            Dalpha = jet_einsum("niu,niq->nuq", D, alpha)
+            Dalpha = jet_einsum("niu,niq->nuq", Dw, alpha.truncate(wo))
             wparts += [((u, y), Dalpha), ((y, u), -jet_transpose(Dalpha)),
-                       ((y, y), chi * self._wc)]
+                       ((y, y), chi.truncate(wo) * self._wc)]
             aparts += [((y, y), self._Ac), ((t, y), jet_einsum(
                 "nib,nbq->niq", T, alpha) - alpha * self.ceigs)]
-        w = _place(n, d, order, (d, d), wparts)
+        w = _place(n, d, wo, (d, d), wparts)
         A = _place(n, d, order, (d, d), aparts)
 
         if coframe is not None:
@@ -1080,6 +1102,7 @@ class KahlerChart:
         else:
             ginv = metric_inverse(g)
             J = jet_einsum("nac,nbc->nab", ginv, w)
+            w = w.truncate(low)
 
         v = None if self.v_matrix is None else \
             mobility_field(pts, order, self.v_matrix, self.rho_idx)
@@ -1088,7 +1111,7 @@ class KahlerChart:
         if coframe is None:
             # the Leibniz recurrence of the inverse gives its lower orders
             # bitwise, so the full-order inverse serves as g^-1
-            fields.__dict__["ginv"] = ginv.truncate(max(order - 1, 0))
+            fields.__dict__["ginv"] = ginv.truncate(low)
         return fields
 
     def _assemble_J(self, n, order, coframe, alpha):

@@ -102,8 +102,7 @@ class Run:
             raise BuilderError(
                 f"the metric or its derivatives are not finite at "
                 f"{np.count_nonzero(~finite)} of {finite.size} samples")
-        # d omega is the one derivative of omega that a step reads
-        return f if f.omega is None else f.replace(omega=f.omega.truncate(1))
+        return f
 
     @cached_property
     def fl(self):
@@ -202,6 +201,16 @@ def _partner_roundtrip(r):
                        1e-9, samples=len(r.pts), note=note)]
 
 
+def _kahler_ricci_identity(r):
+    # R is formed on a copy of the fields and goes with it: no later step
+    # reads it.  The Christoffel values, g^-1 and La, which later steps
+    # read too, are formed on the run's fields first, so the copy shares
+    # them and only R goes with it
+    fl = r.fl
+    fl.gamma0, fl.lam
+    return ricci_identity_check(fl.replace())
+
+
 # the lift route a chart was not built by
 OTHER_ROUTE = {"jacobian": "explicit", "explicit": "jacobian"}
 
@@ -293,8 +302,7 @@ KAHLER_STEPS = (
     Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
          lambda r: killing_property_suite(r.ks, r.fl)),
     Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
-    # R is formed on a copy of the fields and goes with it: no later reader
-    Step("ricci_identity", lambda r: ricci_identity_check(r.fl.replace())),
+    Step("ricci_identity", _kahler_ricci_identity),
     Step("det_hessian_hermitian killing_detC",
          lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r)),
     Step("partner_roundtrip", _partner_roundtrip),

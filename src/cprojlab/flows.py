@@ -37,8 +37,7 @@ import numpy as np
 
 from .builders import ProjectiveMobilityChart, mobility_rhs
 from .geometry import (
-    christoffel, lie_endo, lie_metric, max_abs, nan_max, normal_part,
-    span_gram)
+    christoffel, lie_endo, lie_metric, max_abs, nan_max, normal_part)
 from .kahler import partner_fields
 from .ode import OdeError, integrate
 from .report import CheckEntry, ResidualReport
@@ -151,8 +150,14 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
     acc = traj.acc + np.einsum("ncab,na,nb->nc", gam, v, v)
     Jv_v = np.einsum("nab,nb->na", Jv, v)
     span = np.stack([v, Jv_v], axis=1)                  # (n, 2, d)
-    gram, rel_det = span_gram(span, gv)
-    ok = rel_det >= 1e-8
+    gram = np.einsum("nia,nab,njb->nij", span, gv, span)
+    # keep the samples whose Gram matrix is far from singular on the scale
+    # of g and of the span, so a slow curve or a small metric measures as
+    # a fast or large one; a null span (G = 0) is never kept
+    det = np.abs(gram[:, 0, 0] * gram[:, 1, 1] - gram[:, 0, 1] * gram[:, 1, 0])
+    scale = (np.sqrt(np.einsum("nij,nij->n", gram, gram))
+             * max_abs(gv) * max_abs(span) ** 2)
+    ok = det > 1e-8 * scale
     if not ok.any():
         raise FlowError("velocity span degenerate along the trajectory")
     acc = acc[ok]

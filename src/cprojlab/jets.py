@@ -438,16 +438,11 @@ def jstack(cells) -> Jet:
     while isinstance(probe, (list, tuple)):
         shape.append(len(probe))
         probe = probe[0]
-    flat = []
-
-    def _flatten(x):
-        if isinstance(x, (list, tuple)):
-            for y in x:
-                _flatten(y)
-        else:
-            flat.append(x)
-
-    _flatten(cells)
+    # one nesting level at a time; a recursive closure would hold the
+    # jets in a reference cycle until the cycle collector runs
+    flat = list(cells)
+    for _ in shape[1:]:
+        flat = [y for x in flat for y in x]
     j0 = flat[0]
     n = j0.c[0].shape[0]
     coeffs = []

@@ -118,9 +118,27 @@ def test_routes_agree_on_all_pair_kinds(qp_ell1, qp_dini, qp_complex):
         fa, fb = cha.eval(pts, 2), chb.eval(pts, 2)
         for nm in ("g", "omega", "J", "A"):
             a, b = getattr(fa, nm), getattr(fb, nm)
-            for k in range(3):
+            assert a.order == b.order, nm
+            for k in range(a.order + 1):
                 assert a.c[k].dtype == b.c[k].dtype == np.float64, (nm, k)
                 assert max_abs(a.c[k] - b.c[k]) <= 1e-10, (nm, k)
+
+
+@pytest.mark.parametrize("route", ["jacobian", "explicit"])
+def test_omega_is_one_order_below_the_metric(qp_dini, route):
+    # d omega is the one derivative of omega a check reads; g and J keep
+    # the evaluation's order, and a lower order's coefficients are the
+    # bytes of the order-2 evaluation's
+    chart = lift_pair(qp_dini, (ConstantBlock(0.0, 2),), route=route)
+    pts = sample(chart, 12)
+    top = chart.eval(pts, 2)
+    for k in range(3):
+        f = chart.eval(pts, k)
+        assert f.omega.order == max(k - 1, 0)
+        assert f.g.order == f.J.order == k
+        for got, want in ((f.g, top.g), (f.g, chart.metric(pts, k)),
+                          (f.J, top.J), (f.omega, top.omega)):
+            assert all(same_bytes(a, b) for a, b in zip(got.c, want.c))
 
 
 def test_cb_empty_identical_to_plain_lift(qp_ell1):

@@ -9,10 +9,10 @@ from cprojlab.builders import (
 )
 from cprojlab.curvspec import lambda_two_eigen
 from cprojlab.flows import (
-    ODES, TRANSPORT_POINTS, Trajectory, circle_fit, eigenvalue_flow,
-    flow_point, integrate_geodesic, integrate_jplanar, jordan2_fprime,
-    jordan3_fprime, jplanarity_residual, lie_residual_suite, logistic,
-    tail_exponent, transport_check, volume_coefficient,
+    ODES, TRANSPORT_POINTS, FlowError, Trajectory, circle_fit,
+    eigenvalue_flow, flow_point, integrate_geodesic, integrate_jplanar,
+    jordan2_fprime, jordan3_fprime, jplanarity_residual, lie_residual_suite,
+    logistic, tail_exponent, transport_check, volume_coefficient,
 )
 from cprojlab.geometry import christoffel, max_abs
 
@@ -83,6 +83,31 @@ def test_geodesic_transfers_to_partner(qp_dini):
     traj = integrate_geodesic(chart, x0, [0.2, 0.1, 0.15, -0.1], T=1.0,
                               tol=1e-8)
     assert jplanarity_residual(traj, chart, metric="partner") <= 1e-6
+
+
+@pytest.mark.parametrize("seed,k", [(24520513, 0), (253207296, 2)])
+def test_partner_jplanarity_keeps_small_well_conditioned_spans(qp_dini, seed,
+                                                               k):
+    # start velocity k (from 0) of those the trajectories benchmark draws
+    # at ``seed``: along these geodesics the partner Gram matrix of
+    # {v, J v} is about +-8e-5 Id, whose |det G| / (1 + max|G|)^2 reads
+    # 2e-9 to 7e-9, so a margin that depends on scale dropped every sample
+    chart = lift_pair(qp_dini, route="jacobian")
+    rng = np.random.default_rng(seed)
+    for _ in range(k + 1):
+        v = rng.normal(size=chart.dim)
+    traj = integrate_geodesic(chart, chart.window.center(),
+                              0.6 * v / np.linalg.norm(v), T=1.0, tol=1e-9)
+    assert jplanarity_residual(traj, chart, metric="partner") <= 1e-5
+
+
+def test_jplanarity_refuses_a_null_span(flat_chart):
+    # v = 0 at every sample: G = 0 is singular at any scale
+    ts = np.linspace(0.0, 1.0, 5)
+    x = np.zeros((5, 2))
+    traj = Trajectory(t=ts, x=x, v=np.zeros_like(x), acc=np.zeros_like(x))
+    with pytest.raises(FlowError, match="velocity span degenerate"):
+        jplanarity_residual(traj, flat_chart)
 
 
 def _equation_of_motion(chart, traj, beta):

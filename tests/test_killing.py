@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 
 from cprojlab.builders import ChartFields
-from cprojlab.geometry import gradient, max_abs, metric_inverse
+from cprojlab.geometry import GridSpec, gradient, max_abs, metric_inverse
 from cprojlab.jets import Jet, jstack
+from cprojlab.kahler import check_kahler, cproj_residual
 from cprojlab.killing import (
     CanonicalKillingSet, a_on_k_recurrence, build_canonical_killing,
     killing_property_suite, totally_geodesic_residual,
@@ -165,3 +168,27 @@ def test_nan_in_the_second_field_fails_the_suite(corpus):
     for key in ("lie_g", "lie_J", "lie_A", "brackets"):
         e = rep.entry(f"killing_{key}")
         assert np.isnan(e.value) and not e.passed, key
+
+
+def test_mobility2_corpus_sequence_stays_under_its_memory_bound(corpus):
+    # the mobility2 chart of the acceptance corpus at the benchmark grid
+    # (N = 793, d = 6), from its order-2 evaluation to the A-on-K
+    # recurrence: the memory peak of a corpus pass.  The traced peak read
+    # 63.0 MB with omega built at order 2 and the characteristic
+    # polynomial's matrix powers held next to a stacked copy of them, and
+    # reads 50.9 MB now, in the Killing build
+    name, chart, consts = corpus[5]
+    assert name == "mobility2"
+    pts = GridSpec(3, 64, seed=0).points(chart.window)
+    assert pts.shape == (793, 6)
+    tracemalloc.start()
+    try:
+        fl = chart.eval(pts, order=2)
+        reps = [check_kahler(fl), cproj_residual(fl)]
+        ks = build_canonical_killing(fl, consts)
+        reps += [killing_property_suite(ks, fl), a_on_k_recurrence(ks, fl)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.overall_pass for rep in reps)
+    assert peak <= 52e6
