@@ -618,9 +618,6 @@ class ChartFields:
     * ``lam`` reads g, A and J;
     * ``char_poly``, the coefficients of det_C(t Id - A), reads A and J.
 
-    ``shifted(c)`` is the copy with A + c Id: it shares the g-only
-    quantities computed so far, and its ``char_poly``, on first use, is
-    this one's by the exact shift.
     The class is frozen, so a cached quantity cannot outlive the field it
     came from: build an edited copy with ``dataclasses.replace`` or the
     ``replace`` method.
@@ -687,16 +684,7 @@ class ChartFields:
         """Complex jets e_0..e_n with det_C(t Id - A) = sum (-1)^k e_k
         t^(n-k); needs J.  ``complex_char_poly`` builds them from the
         power sums' values and gradients, with every matrix product one
-        order below A.  A ``shifted`` copy takes its base's shifted
-        exactly, det_C(t Id - A - c) = p(t - c): the new e_k is
-        sum_j C(n-j, k-j) c^(k-j) e_j, with no matrix products."""
-        if "_shift_of" in self.__dict__:
-            base, c = self.__dict__["_shift_of"]
-            e = base.char_poly
-            n = len(e) - 1
-            return [sum(e[j] * (math.comb(n - j, k - j) * c ** (k - j))
-                        for j in range(k + 1))
-                    for k in range(n + 1)]
+        order below A."""
         return complex_char_poly(self.A, self.J)
 
     def replace(self, **changes) -> "ChartFields":
@@ -706,15 +694,6 @@ class ChartFields:
         for name, inputs in _DERIVED_INPUTS.items():
             if name in self.__dict__ and not changes.keys() & inputs:
                 new.__dict__[name] = self.__dict__[name]
-        return new
-
-    def shifted(self, c: float) -> "ChartFields":
-        """The fields with A + c Id, which solves the same compatibility
-        equation.  Its ``char_poly``, when read, is this one's shifted."""
-        if c == 0.0:
-            return self
-        new = self.replace(A=shift_endo(self.A, c))
-        new.__dict__["_shift_of"] = (self, c)
         return new
 
 

@@ -27,8 +27,8 @@ from .geometry import GeometryError, GridSpec, max_abs, nan_max
 from .jets import Jet, JetError
 from .builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
-    build_mobility2, build_quotient_pair,
-    jordan_pair_spec, lift_pair, mobility_spec, solve_jordan_odes)
+    build_mobility2, build_quotient_pair, jordan_pair_spec, lift_pair,
+    mobility_spec, shift_endo, solve_jordan_odes)
 from .kahler import (
     KahlerError, check_kahler, commuting_gradients_residual,
     connection_difference_check, cproj_residual, eigenvector_gradient_residual,
@@ -70,7 +70,10 @@ def _pair_spec(v) -> CompatiblePairSpec:
 
 class Run:
     """One scenario run: its typed values, the built instance and the state
-    the check steps share, each piece built on first use and at most once."""
+    the check steps share, each piece built on first use and at most once.
+    A Kahler run holds its fields ``f`` (and ``fl``, f with the seeded
+    omega defect if one is set) and the partner ``ghat``; the shifted
+    spectrum that the partner and det_C read is the number ``shift``."""
 
     def __init__(self, v):
         self.v, self.csv = v, {}
@@ -128,21 +131,18 @@ class Run:
         return build_canonical_killing(self.fl, self.inst.const_eigs)
 
     @cached_property
-    def shifted(self):
-        # fl and its note; zero eigenvalues block the inverse, and a
-        # constant shift of A solves the same equation and clears the
-        # spectrum
-        c0 = spectrum_safe_shift(self.fl)
-        return self.fl.shifted(c0), f"shift={c0:g}" if c0 else ""
+    def shift(self):
+        # zero eigenvalues block the inverse, and A + shift Id solves the
+        # same equation and clears the spectrum
+        return spectrum_safe_shift(self.fl)
 
     @cached_property
     def ghat(self):
-        # the partner metric's chart fields, its det and inverse kept,
-        # built from the shifted fields cut to order 1: its readers take
-        # orders 0 and 1 alone, which are the order-2 partner's bytes
-        fl = self.shifted[0]
-        return partner_fields(fl.replace(
-            g=fl.g.truncate(1), J=fl.J.truncate(1), A=fl.A.truncate(1)))
+        # the partner metric's chart fields, its det and inverse kept, of
+        # A + shift Id; partner_fields cuts its input to the order its
+        # readers take
+        return partner_fields(
+            self.fl.replace(A=shift_endo(self.fl.A, self.shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -187,18 +187,19 @@ def _build_appendix(r):
 # check steps that are more than one suite call
 # ---------------------------------------------------------------------------
 
-def _noted(rep, r):
-    for e in rep.entries:
-        e.note = r.shifted[1]
-    return rep
+def _noted(entries, r):
+    # the shifted-spectrum steps' entries, each noted with the shift
+    for e in entries:
+        e.note = f"shift={r.shift:g}" if r.shift else ""
+    return entries
 
 
 def _partner_roundtrip(r):
-    fl, note = r.shifted
-    Arec = recover_endo(fl, r.ghat)
-    rt = max_abs(Arec.c[0] - fl.A.c[0]) / (1.0 + max_abs(fl.A.c[0]))
-    return [CheckEntry("partner_roundtrip", "recover(partner(g,A))=A", rt,
-                       1e-9, samples=len(r.pts), note=note)]
+    A = shift_endo(r.fl.A.truncate(0), r.shift).c[0]
+    Arec = recover_endo(r.fl, r.ghat)
+    rt = max_abs(Arec.c[0] - A) / (1.0 + max_abs(A))
+    return _noted([CheckEntry("partner_roundtrip", "recover(partner(g,A))=A",
+                              rt, 1e-9, samples=len(r.pts))], r)
 
 
 def _kahler_ricci_identity(r):
@@ -216,13 +217,15 @@ OTHER_ROUTE = {"jacobian": "explicit", "explicit": "jacobian"}
 
 
 def _route_agreement(r):
-    # the run's chart against the one the other route builds
+    # the run's chart against the one the other route builds: the values
+    # and first derivatives of g, J and A and the values of omega, each
+    # relative to the size of that field at that order
     fa = lift_pair(r.inst.qp, cb=r.cb,
                    route=OTHER_ROUTE[r.v["route"]]).eval(r.pts, order=1)
-    fb = r.f
-    diffs = [getattr(fa, k).c[0] - getattr(fb, k).c[0]
-             for k in ("g", "omega", "J", "A")]
-    dev = max_abs(*diffs) / (1.0 + max_abs(fb.g.c[0]))
+    dev = nan_max(*(
+        max_abs(getattr(fa, k).c[o] - b) / (1.0 + max_abs(b))
+        for k, orders in (("g", 2), ("omega", 1), ("J", 2), ("A", 2))
+        for o, b in enumerate(getattr(r.f, k).c[:orders])))
     return [CheckEntry("route_agreement", "explicit == jacobian route", dev,
                        1e-9, samples=len(r.pts))]
 
@@ -303,11 +306,11 @@ KAHLER_STEPS = (
          lambda r: killing_property_suite(r.ks, r.fl)),
     Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
     Step("ricci_identity", _kahler_ricci_identity),
-    Step("det_hessian_hermitian killing_detC",
-         lambda r: _noted(hamiltonian_killing_check(r.shifted[0]), r)),
+    Step("det_hessian_hermitian killing_detC", lambda r: _noted(
+        hamiltonian_killing_check(r.fl, r.shift).entries, r)),
     Step("partner_roundtrip", _partner_roundtrip),
     Step("connection_difference", lambda r: _noted(
-        connection_difference_check(r.shifted[0], r.ghat), r)),
+        connection_difference_check(r.fl, r.ghat).entries, r)),
 )
 
 PROJ_STEP = Step("proj_compat", lambda r: proj_residual(r.f))

@@ -146,24 +146,25 @@ def spectrum_safe_shift(flds) -> float:
 
 def partner_fields(flds) -> ChartFields:
     """The partner ghat = (det A)^(-1/2) g(A^{-1} . , .) of chart fields
-    (g, A) as chart fields: g = ghat, the same J, and A = A^{-1}, the
+    (g, J, A) as chart fields: g = ghat, the same J, and A = A^{-1}, the
     endomorphism of ghat relative to g.  A is inverted once, and the det
     and inverse of ghat are derived once and kept.
 
-    The partner has the order of the fields it is given.  Its readers,
-    ``recover_endo`` and ``connection_difference_check``, take orders 0
-    and 1 alone, and jet arithmetic forms order k from orders <= k alone,
-    so fields cut to order 1 give the order-2 partner's orders 0 and 1
-    bit for bit."""
-    Ainv = jet_inv(flds.A)
-    detA = jet_det(flds.A, Ainv)
+    The partner is built from g, J and A cut to order 1 (or their own
+    order if lower).  Its readers, ``recover_endo``,
+    ``connection_difference_check`` and ``flows.jplanarity_residual``,
+    take orders 0 and 1 alone, and jet arithmetic forms order k from
+    orders <= k alone, so the cut gives the order-2 partner's orders 0 and
+    1 bit for bit and holds no order-2 jet of it."""
+    g, J, A = (x.truncate(min(x.order, 1)) for x in (flds.g, flds.J, flds.A))
+    Ainv = jet_inv(A)
+    detA = jet_det(A, Ainv)
     if np.any(detA.c[0] <= 0.0):
         bad = np.nonzero(detA.c[0] <= 0.0)[0][:4]
         raise KahlerError(f"det A not positive at samples {bad.tolist()}")
-    gAinv = jet_einsum("ncb,nca->nab", flds.g, Ainv)
+    gAinv = jet_einsum("ncb,nca->nab", g, Ainv)
     ghat = jet_einsum("nab,n->nab", gAinv, detA ** (-0.5))
-    return ChartFields(g=ghat, omega=None, J=flds.J, A=Ainv, rhos=[],
-                       mus=[])
+    return ChartFields(g=ghat, omega=None, J=J, A=Ainv, rhos=[], mus=[])
 
 
 def _det_ratio(flds, partner) -> Jet:
@@ -190,9 +191,16 @@ def recover_endo(flds, partner) -> Jet:
 # complex determinant and the non-constant factor of char_poly
 # ---------------------------------------------------------------------------
 
-def complex_det(flds) -> Jet:
-    """det_C A as a real jet (smooth, sign included)."""
-    return flds.char_poly[-1].real
+def complex_det(flds, shift=0.0) -> Jet:
+    """det_C(A + shift Id) as a real jet (smooth, sign included).  With
+    det_C(t Id - A) = sum (-1)^k e_k t^(n-k) (the fields' ``char_poly``),
+    it is sum_j shift^(n-j) e_j, and no other coefficient of the shifted
+    polynomial is formed."""
+    e = flds.char_poly
+    if shift == 0.0:
+        return e[-1].real
+    n = len(e) - 1
+    return sum(e[j] * shift ** (n - j) for j in range(n + 1)).real
 
 
 def nonconstant_factor(e, constant_eigs):
@@ -234,8 +242,11 @@ def nonconstant_factor(e, constant_eigs):
 # hamiltonian Killing check and connection difference
 # ---------------------------------------------------------------------------
 
-def hamiltonian_killing_check(flds, tol=1e-6) -> ResidualReport:
-    """det_C A generates a Killing field: hermitian Hessian + L_K g."""
+def hamiltonian_killing_check(flds, shift=0.0, tol=1e-6) -> ResidualReport:
+    """det_C(A + shift Id) generates a Killing field: hermitian Hessian +
+    L_K g.  A + shift Id solves the compatibility equation whenever A
+    does, so a shift that keeps the spectrum off zero changes nothing
+    else; the [A, J] guard reads A itself."""
     g, J, A = flds.g, flds.J, flds.A
     n = g.c[0].shape[0]
     comm = np.einsum("nab,nbc->nac", A.c[0], J.c[0]) \
@@ -243,7 +254,7 @@ def hamiltonian_killing_check(flds, tol=1e-6) -> ResidualReport:
     cres = max_abs(comm) / (1.0 + max_abs(A.c[0]))
     if cres > 1e-8:
         raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
-    f = complex_det(flds)
+    f = complex_det(flds, shift)
     # only the Hessian's values are read: Gamma values suffice at any order
     hess = hessian_cov(f.truncate(2), flds.gamma0).c[0]
     Jv = J.c[0]

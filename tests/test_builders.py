@@ -799,7 +799,8 @@ def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_riemann):
     fl2 = fl.replace(g=g2)
     assert "gamma0" not in fl2.__dict__ and "riemann" not in fl2.__dict__
     assert fl2.gamma0.c[0].tobytes() == christoffel(g2).c[0].tobytes()
-    for kept in (fl.replace(omega=fl.omega * 2.0), fl.shifted(1.0)):
+    for kept in (fl.replace(omega=fl.omega * 2.0),
+                 fl.replace(A=shift_endo(fl.A, 1.0))):
         assert kept.gamma0 is gam0
         assert kept.__dict__.get("riemann") is R
 
@@ -809,7 +810,7 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     # an order-2 mobility2 evaluation, of more samples than one curvature
     # block takes, through every suite that reads Gamma values: each
     # sample's values are built once from the first-order metric, of fl
-    # (shared by sh) and of the partner, and only the curvature builds
+    # and of the partner, and only the curvature builds
     # Gamma from the order-2 metric, once per sample in its block
     from cprojlab import curvspec, kahler, killing
     _, chart, consts = corpus[5]
@@ -824,10 +825,10 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     killing.killing_property_suite(ks, fl)
     killing.a_on_k_recurrence(ks, fl)
     curvspec.nabla_lambda_endo(fl)
-    sh = fl.shifted(kahler.spectrum_safe_shift(fl))
-    kahler.hamiltonian_killing_check(sh)
-    partner = kahler.partner_fields(sh)
-    kahler.connection_difference_check(sh, partner)
+    c = kahler.spectrum_safe_shift(fl)
+    kahler.hamiltonian_killing_check(fl, c)
+    partner = kahler.partner_fields(fl.replace(A=shift_endo(fl.A, c)))
+    kahler.connection_difference_check(fl, partner)
     g0, ghat0 = fl.g.c[0], partner.g.c[0]
     assert len(calls) == 2
     for a in (g0, ghat0):

@@ -21,6 +21,7 @@ from cprojlab.config import (
 )
 from cprojlab.cli import main, run_scenario
 from cprojlab.flows import FlowError
+from cprojlab.jets import Jet
 from cprojlab.report import ResidualReport
 
 from conftest import christoffel_rows, sample
@@ -122,7 +123,7 @@ def test_only_filter_and_list_checks():
     assert code == 0 and "cproj_compat" in out
 
 
-def test_grid_and_seed_flags(capsys):
+def test_seed_flag_is_recorded_and_grid_flag_refused(capsys):
     # the seed flag is recorded in the provenance; the grid is the
     # config's alone
     path = str(CONFIGS / "dini-pair.cfg")
@@ -490,6 +491,36 @@ def test_route_agreement_builds_the_other_route(monkeypatch, capsys, name,
     assert len(checks) == 1 and checks[0].startswith("check=route_agreement ")
 
 
+@pytest.mark.parametrize("field", ["g", "J", "A"])
+def test_route_agreement_fails_on_a_first_derivative_defect(
+        monkeypatch, capsys, field):
+    # the other route's first derivatives of one field off by 1e-6, its
+    # values untouched: the line compares orders 0 and 1, so it FAILs
+    class Defective:
+        def __init__(self, chart):
+            self.chart = chart
+
+        def eval(self, pts, order=2):
+            fl = self.chart.eval(pts, order)
+            j = getattr(fl, field)
+            bad = Jet(j.dim, j.order, [j.c[0], j.c[1] + 1e-6, *j.c[2:]])
+            return fl.replace(**{field: bad})
+
+    charts = []
+
+    def second_defective(*a, **kw):
+        charts.append(builders.lift_pair(*a, **kw))
+        return charts[-1] if len(charts) == 1 else Defective(charts[-1])
+
+    monkeypatch.setattr(cli, "lift_pair", second_defective)
+    path = CONFIGS / "dini-lift.cfg"
+    assert main(["run", str(path), "--only", "route_agreement"]) == 1
+    line, = [l for l in capsys.readouterr().out.splitlines()
+             if l.startswith("check=route_agreement ")]
+    assert line.endswith(" FAIL")
+    assert len(charts) == 2
+
+
 def test_main_example_scenario_exits_2(tmp_path, capsys):
     # a lift with route = explicit runs the route cross-check
     text = (CONFIGS / "complex-pair.cfg").read_text()
@@ -728,7 +759,7 @@ def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
         assert run.sample(chart) == "chart"
 
 
-def test_grid_flag_below_one_exits_2(capsys):
+def test_grid_flag_is_refused_as_unknown(capsys):
     # the grid is the config's alone: --grid is an unknown flag
     lines = refused_by_argparse(capsys, ["run", str(CONFIGS / "dini-pair.cfg"),
                                          "--grid", "0"])
@@ -829,7 +860,7 @@ def test_appendix_samples_with_the_seed_flag(capsys):
 
 def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     # a constant block at c = 0 puts a zero eigenvalue in A, so the lift
-    # also runs its spectrum-shifted copy of the fields; the projective
+    # also runs its shifted-spectrum steps; the projective
     # steps of the two pair scenarios read the same derived layer on h;
     # the lift and jordan2 read the curvature, dini-pair does not
     cfgs = [parse_config_text(
@@ -892,8 +923,8 @@ def _count_derivations(monkeypatch):
 
 @pytest.mark.parametrize("name,only,char_polys,inverses", [
     ("mobility2", None, 1, 3), ("mobility2", "partner,connection", 0, 3),
-    # the Ricci step's copy takes g^-1 from the run's fields, so the
-    # shifted fields of det_hessian_hermitian share it
+    # the Ricci step's copy takes g^-1 from the run's fields, and
+    # det_hessian_hermitian reads it there
     ("mobility2", "ricci_identity,det_", 1, 1),
     # one inverse each of h and L
     ("dini-pair", None, 0, 2)],
@@ -901,8 +932,9 @@ def _count_derivations(monkeypatch):
          "dini-pair"])
 def test_mobility2_derives_char_poly_and_inverses_once(
         monkeypatch, capsys, name, only, char_polys, inverses):
-    # the shifted copy takes its characteristic polynomial from the
-    # fields' one, and only when a step reads it; the partner metric is
+    # the shifted determinant is formed from the fields' one
+    # characteristic polynomial, and only when a step reads it; the
+    # partner metric is
     # built once: one inverse each of g, A and the partner metric
     calls = _count_derivations(monkeypatch)
     argv = ["run", str(CONFIGS / f"{name}.cfg")]
@@ -913,18 +945,19 @@ def test_mobility2_derives_char_poly_and_inverses_once(
 
 
 def test_shifted_char_poly_is_the_exact_shift(corpus):
-    from cprojlab.kahler import complex_char_poly
+    # det_C(A + c Id) from the fields' characteristic polynomial equals
+    # the determinant of the shifted endomorphism's own
+    from cprojlab.kahler import complex_char_poly, complex_det
     for name, chart, _ in corpus:
         fl = chart.eval(sample(chart, 20), order=2)
         d = fl.A.c[0].shape[-1]
         for c in (2.0, -0.75):
-            got = fl.shifted(c).char_poly
-            want = complex_char_poly(fl.A + c * np.eye(d), fl.J)
-            for k, (g, w) in enumerate(zip(got, want, strict=True)):
-                scale = max(geometry.max_abs(wc) for wc in w.c)
-                for gc, wc in zip(g.c, w.c, strict=True):
-                    assert geometry.max_abs(gc - wc) <= 1e-13 * scale, \
-                        (name, c, k)
+            got = complex_det(fl, c)
+            want = complex_char_poly(fl.A + c * np.eye(d), fl.J)[-1].real
+            scale = max(geometry.max_abs(wc) for wc in want.c)
+            for k, (gc, wc) in enumerate(zip(got.c, want.c, strict=True)):
+                assert geometry.max_abs(gc - wc) <= 1e-13 * scale, \
+                    (name, c, k)
 
 
 def test_only_skips_unselected_work(monkeypatch, capsys):
@@ -998,8 +1031,10 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     assert peak <= 57e6
     assert "ghat" in vars(runs[0]) and runs[0].ghat.g.order == 1
     r = runs[0]
-    held = [r.f, r.fl, r.shifted[0], r.ghat]
-    assert len({id(flds) for flds in held}) == 3  # f = fl, shifted, ghat
+    # the shift is a number: no shifted copy of the fields is held
+    assert not hasattr(cli.Run, "shifted") and "shifted" not in vars(r)
+    held = [r.f, r.fl, r.ghat]
+    assert len({id(flds) for flds in held}) == 2  # f = fl, ghat
     assert not any("riemann" in vars(flds) for flds in held)
     assert runs[0].f.omega.order == 1
 
@@ -1012,6 +1047,7 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     ("phase-portraits", "circle_rho^2+,circle_rho("),
     ("mobility2", "ricci_identity,det_,partner"),
     ("appendix", "spectrum_,ricci"),
+    ("mobility2", "det_,killing_detC,partner,connection"),
 ])
 def test_only_output_equals_filtered_full_report(capsys, name, only):
     path = str(CONFIGS / f"{name}.cfg")
@@ -1027,6 +1063,11 @@ def test_only_output_equals_filtered_full_report(capsys, name, only):
     assert sum(l.startswith("check=") for l in kept) >= len(prefixes)
     assert out == kept + ["overall=" + ("pass" if ok else "FAIL")]
     assert code == (0 if ok else 1)
+    if "connection" in prefixes:
+        # the four shifted-spectrum lines, each noted with the shift
+        checks = [l for l in out if l.startswith("check=")]
+        assert len(checks) == 4
+        assert all(l.endswith(" note=shift=2") for l in checks)
 
 
 def _mutants(text):
@@ -1091,3 +1132,32 @@ def test_config_fuzzer(tmp_path, mutant):
         lines = err.getvalue().splitlines()
         assert out.getvalue() == "" and len(lines) == 1, data
         assert lines[0].startswith("error: "), data
+
+
+# every shipped and test config by the curvature of its chart: curved
+# when max |R^d_cab| / (1 + max |g|) exceeds 1e-10; the flows scenario
+# builds no chart
+CURVATURE = {
+    "appendix": "curved", "complex-pair": "flat", "dini-lift": "flat",
+    "dini-pair": "flat", "jordan2": "curved", "mobility2": "curved",
+    "phase-portraits": None, "seeded-defect": "flat",
+    "curved-complex": "curved", "curved-lift": "curved",
+    "curved-pair": "curved", "jordan3": "curved", "mixed": "curved",
+}
+
+
+def test_each_config_is_named_flat_or_curved():
+    paths = sorted(CONFIGS.glob("*.cfg")) + sorted(TEST_CONFIGS.glob("*.cfg"))
+    assert sorted(p.stem for p in paths) == sorted(CURVATURE)
+    args = argparse.Namespace(seed=None)
+    for path in paths:
+        v = cli.validate(parse_config(path), args)
+        r = cli.Run(v)
+        cli.SCENARIOS[v["scenario"]][0](r)
+        if not hasattr(r, "inst"):
+            assert CURVATURE[path.stem] is None, path.stem
+            continue
+        size = (geometry.max_abs(r.f.riemann)
+                / (1.0 + geometry.max_abs(r.f.g.c[0])))
+        kind = "curved" if size > 1e-10 else "flat"
+        assert CURVATURE[path.stem] == kind, (path.stem, size)

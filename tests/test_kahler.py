@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cprojlab.jets import Jet, jstack
+from cprojlab.jets import Jet, jet_det, jet_einsum, jet_inv, jstack
 from cprojlab.geometry import max_abs
 from cprojlab.kahler import (
     KahlerError, check_kahler, commuting_gradients_residual,
@@ -153,16 +153,22 @@ def test_partner_roundtrip_on_instances(corpus):
 
 
 def test_partner_of_order_1_fields_is_the_order_2_partner_cut(corpus):
-    # orders 0 and 1 of each partner quantity, and the two checks that
-    # read the partner, are bit for bit those of the order-2 partner
+    # partner_fields of order-2 fields is built at order 1, and orders 0
+    # and 1 of each partner quantity, and the two checks that read the
+    # partner, are bit for bit those of the order-2 partner
     for name, chart, _ in corpus:
         fl = chart.eval(sample(chart, 25), order=2)
-        sh = fl.shifted(spectrum_safe_shift(fl))
-        full = partner_fields(sh)
-        cut = partner_fields(sh.replace(g=sh.g.truncate(1),
-                                        J=sh.J.truncate(1),
-                                        A=sh.A.truncate(1)))
-        assert cut.g.order == 1, name
+        sh = fl.replace(A=shift_endo(fl.A, spectrum_safe_shift(fl)))
+        # the reference: the partner built from the order-2 fields uncut
+        Ainv = jet_inv(sh.A)
+        detA = jet_det(sh.A, Ainv)
+        ghat = jet_einsum("nab,n->nab",
+                          jet_einsum("ncb,nca->nab", sh.g, Ainv),
+                          detA ** (-0.5))
+        full = ChartFields(g=ghat, omega=None, J=sh.J, A=Ainv, rhos=[],
+                           mus=[])
+        cut = partner_fields(sh)
+        assert full.g.order == 2 and cut.g.order == 1, name
         # ginv and gamma0 are one order below g and gamma0 is values only
         for q, order in (("g", 1), ("A", 1), ("det", 1), ("ginv", 0),
                          ("gamma0", 0)):

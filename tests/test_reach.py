@@ -92,9 +92,10 @@ def _functions():
 
 
 def _runs():
-    """The argument lists of the census: every shipped config and the two
-    of ``tests/configs`` at seeds 0 and 3, each one's ``--list-checks``, and one
-    ``--only`` run; with the exit code each must give."""
+    """The argument lists of the census: every shipped config and every
+    one of ``tests/configs`` at seeds 0 and 3, each one's
+    ``--list-checks``, and one ``--only`` run; with the exit code each
+    must give."""
     cfgs = sorted(CONFIGS.glob("*.cfg")) + sorted(TEST_CONFIGS.glob("*.cfg"))
     runs = []
     for cfg in cfgs:
