@@ -431,38 +431,21 @@ class ConstantBlock:
             raise BuilderError("signature length must be dim/2")
         object.__setattr__(self, "signature", tuple(sig))
 
-    def matrices(self):
-        k = self.dim
-        g = np.zeros((k, k))
-        w = np.zeros((k, k))
-        J = np.zeros((k, k))
-        for p, s in enumerate(self.signature):
-            i = 2 * p
-            g[i, i] = g[i + 1, i + 1] = s
-            J[i + 1, i] = 1.0
-            J[i, i + 1] = -1.0
-            w[i, i + 1] = s
-            w[i + 1, i] = -s
-        return g, w, J
-
 
 def _const_matrices(cb):
-    if not cb:
-        z = np.zeros((0, 0))
-        return z, z, z, z, np.zeros(0)
-    n = sum(b.dim for b in cb)
-    G = np.zeros((n, n)); W = np.zeros((n, n)); JJ = np.zeros((n, n))
-    eigs = []
-    i = 0
-    for blk in cb:
-        g, w, J = blk.matrices()
-        k = blk.dim
-        G[i:i + k, i:i + k] = g
-        W[i:i + k, i:i + k] = w
-        JJ[i:i + k, i:i + k] = J
-        eigs.append(np.full(k, blk.c))
-        i += k
-    return G, W, JJ, np.diag(np.concatenate(eigs)), np.concatenate(eigs)
+    """g, omega, J and A of the flat factors, block diagonal over the
+    complex lines of all blocks, and A's eigenvalues.  A line of sign s
+    carries g = s Id, omega = s [[0, 1], [-1, 0]] and J = [[0, -1],
+    [1, 0]]; A is c Id on its block's lines."""
+    signs = [s for b in cb for s in b.signature]
+    eigs = np.array([b.c for b in cb for _ in range(b.dim)])
+    n = 2 * len(signs)
+    G, W, JJ = (np.zeros((n, n)) for _ in range(3))
+    for i, s in zip(range(0, n, 2), signs):
+        G[i, i] = G[i + 1, i + 1] = W[i, i + 1] = s
+        W[i + 1, i] = -s
+        JJ[i, i + 1], JJ[i + 1, i] = -1.0, 1.0
+    return G, W, JJ, np.diag(eigs), eigs
 
 
 # ---------------------------------------------------------------------------
@@ -606,21 +589,17 @@ class ChartFields:
     A Kahler chart sets all of g, omega, J and A, with omega one order
     below the others (d omega is the one derivative of it a check reads);
     a quotient pair (h, L) and the projective mobility chart set g and A
-    and leave omega and J None.  Each derived quantity is computed on
-    first use and lives as long as the object; one read on a
-    ``replace()`` copy goes with the copy:
+    and leave omega and J None.  Each derived quantity is formed by its
+    own property on first read and lives as long as the object:
+    ``ginv``, ``gamma0``, ``riemann`` and ``det`` read g alone, ``lam``
+    reads g, A and J, and ``char_poly`` reads A and J.  ``copy.copy``
+    shares what is already cached; ``dataclasses.replace`` makes an
+    edited copy that derives everything again.
 
-    * ``ginv``, ``gamma0``, ``riemann`` and ``det`` (det g, from
-      ``ginv``) read g alone.  ``gamma0`` is the Christoffel values.
-      ``riemann`` is formed in blocks of samples, each from its own
-      order-1 Christoffel jet, so no jet of the whole batch is held; the
-      blocks' values become ``gamma0`` if that is not cached yet;
-    * ``lam`` reads g, A and J;
-    * ``char_poly``, the coefficients of det_C(t Id - A), reads A and J.
-
-    The class is frozen, so a cached quantity cannot outlive the field it
-    came from: build an edited copy with ``dataclasses.replace`` or the
-    ``replace`` method.
+    Two writers fill another property's slot: ``riemann`` stores the
+    Christoffel values its sample blocks form as ``gamma0`` if that is
+    not cached yet, and the Jacobian route of ``KahlerChart`` stores the
+    g^-1 it inverted for J as ``ginv``.
     """
 
     g: Jet
@@ -686,20 +665,6 @@ class ChartFields:
         power sums' values and gradients, with every matrix product one
         order below A."""
         return complex_char_poly(self.A, self.J)
-
-    def replace(self, **changes) -> "ChartFields":
-        """``dataclasses.replace`` that keeps the derived quantities whose
-        inputs are unchanged (the g-only ones when g is kept)."""
-        new = dataclasses.replace(self, **changes)
-        for name, inputs in _DERIVED_INPUTS.items():
-            if name in self.__dict__ and not changes.keys() & inputs:
-                new.__dict__[name] = self.__dict__[name]
-        return new
-
-
-_DERIVED_INPUTS = {"ginv": {"g"}, "gamma0": {"g"}, "riemann": {"g"},
-                   "det": {"g"}, "lam": {"g", "A", "J"},
-                   "char_poly": {"A", "J"}}
 
 
 def _rows(j: Jet, rows: slice) -> Jet:
@@ -793,7 +758,7 @@ class QuotientPair:
         if self.split:
             v = _place(n, dim, order, (self.dim,),
                        [p for row in rows for p in row.block.v_slices(row)])
-        return qpf.replace(A=L, v=v)
+        return dataclasses.replace(qpf, A=L, v=v)
 
     def eval(self, pts, order=2) -> ChartFields:
         """Jet-valued (h, L) at sample points, as g and A."""
@@ -864,6 +829,9 @@ class KahlerChart:
 
     def __init__(self, qp: QuotientPair, cb, route, t_window=(-1.0, 1.0),
                  name=""):
+        if route not in ("jacobian", "explicit"):
+            raise BuilderError(f"unknown lift route {route!r}: the routes "
+                               "are 'jacobian' and 'explicit'")
         for b in qp.blocks:
             b.check_lift()
         self.qp = qp

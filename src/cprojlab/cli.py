@@ -11,6 +11,8 @@ vanishing det L).
 from __future__ import annotations
 
 import argparse
+import copy
+import dataclasses
 import sys
 import time
 from functools import cached_property
@@ -118,7 +120,8 @@ class Run:
         for (i, j), s in (((1, 2), eps), ((2, 1), -eps)):
             coeffs[0][:, i, j] += s * self.pts[:, 0]
             coeffs[1][:, i, j, 0] += s
-        return self.f.replace(omega=Jet(w.dim, w.order, coeffs))
+        return dataclasses.replace(self.f,
+                                   omega=Jet(w.dim, w.order, coeffs))
 
     @cached_property
     def cb(self):
@@ -141,8 +144,8 @@ class Run:
         # the partner metric's chart fields, its det and inverse kept, of
         # A + shift Id; partner_fields cuts its input to the order its
         # readers take
-        return partner_fields(
-            self.fl.replace(A=shift_endo(self.fl.A, self.shift)))
+        return partner_fields(dataclasses.replace(
+            self.fl, A=shift_endo(self.fl.A, self.shift)))
 
 
 # ---------------------------------------------------------------------------
@@ -203,13 +206,13 @@ def _partner_roundtrip(r):
 
 
 def _kahler_ricci_identity(r):
-    # R is formed on a copy of the fields and goes with it: no later step
-    # reads it.  The Christoffel values, g^-1 and La, which later steps
+    # no later step reads R, so it is formed on a copy of the fields and
+    # goes with it; the Christoffel values, g^-1 and La, which later steps
     # read too, are formed on the run's fields first, so the copy shares
-    # them and only R goes with it
+    # them
     fl = r.fl
     fl.gamma0, fl.lam
-    return ricci_identity_check(fl.replace())
+    return ricci_identity_check(copy.copy(fl))
 
 
 # the lift route a chart was not built by
@@ -486,10 +489,12 @@ def main(argv=None) -> int:
                       help="list the scenario's checks and exit")
     args = ap.parse_args(argv)
 
-    only = (tuple(p.strip() for p in args.only.split(",") if p.strip())
-            if args.only else None)
+    only = (None if args.only is None else
+            tuple(p.strip() for p in args.only.split(",") if p.strip()))
     made, written = [], []
     try:
+        if only == ():
+            raise ConfigError(f"--only {args.only!r} names no check prefix")
         # a non-finite value fails its check or is refused with one error
         # line, so numpy's floating-point warnings would only add noise
         with np.errstate(all="ignore"):

@@ -62,9 +62,12 @@ class ResidualReport:
         raise KeyError(name)
 
     def max_value(self, *names) -> float:
-        pool = [e for e in self.entries
-                if not names or e.name in names]
-        return max((e.value for e in pool), default=0.0)
+        """The largest value of the entries ``names`` (all if none is
+        given), 0.0 if there is none and NaN if any is NaN."""
+        vals = [e.value for e in self.entries if not names or e.name in names]
+        if any(v != v for v in vals):
+            return float("nan")
+        return max(vals, default=0.0)
 
     def format(self) -> str:
         lines = [f"report={self.title}"]

@@ -19,7 +19,7 @@ from cprojlab.builders import (
     jordan_pair_spec, lift_pair, mobility_spec, solve_jordan_odes,
 )
 from cprojlab.config import parse_config_text
-from cprojlab.geometry import GridSpec
+from cprojlab.geometry import GridSpec, nan_max
 from cprojlab.jets import Jet
 from cprojlab.kahler import (
     check_kahler, commuting_gradients_residual, cproj_residual,
@@ -128,7 +128,7 @@ def test_criterion_01_construction_soundness(corpus_fields):
     for name, chart, consts, fl in fields:
         rk = check_kahler(fl, tol=1e-6)
         rc = cproj_residual(fl, tol=1e-6)
-        worst = max(worst, rk.max_value(), rc.max_value())
+        worst = nan_max(worst, rk.max_value(), rc.max_value())
         assert rk.overall_pass and rc.overall_pass, name
     elapsed = (time.monotonic() - t0) + build_time
     ok = worst <= 1e-6 and elapsed <= 60.0
@@ -144,12 +144,11 @@ def test_criterion_02_killing_suite(corpus_fields):
         ks = build_canonical_killing(fl, consts)
         rep = killing_property_suite(ks, fl, tol=1e-6)
         assert rep.overall_pass, f"{name}:\n{rep}"
-        worst_suite = max(worst_suite,
-                          max(e.value for e in rep.entries
-                              if e.mode == "max<=tol"))
+        worst_suite = nan_max(worst_suite, *(
+            e.value for e in rep.entries if e.mode == "max<=tol"))
         rec = a_on_k_recurrence(ks, fl, tol=1e-7)
         assert rec.overall_pass, name
-        worst_rec = max(worst_rec, rec.entries[0].value)
+        worst_rec = nan_max(worst_rec, rec.entries[0].value)
     ok = worst_suite <= 1e-6 and worst_rec <= 1e-7
     assert report(2, ok,
                   f"canonical-field suite {worst_suite:.2e} <= 1e-6, "
@@ -173,10 +172,10 @@ def test_criterion_03_duality_identities(jordan2_sol, jordan3_sol):
     for qp in pairs:
         pts = GridSpec(per_axis=5, n_random=64, seed=0).points(qp.window)
         f = qp.eval(pts, order=2)
-        worst = max(worst,
-                    mu_hat_duality_residual(f, tol=1e-7).entries[0].value,
-                    commuting_gradients_residual(
-                        f, tol=1e-7).entries[0].value)
+        worst = nan_max(worst,
+                        mu_hat_duality_residual(f, tol=1e-7).entries[0].value,
+                        commuting_gradients_residual(
+                            f, tol=1e-7).entries[0].value)
     ok = worst <= 1e-7
     assert report(3, ok,
                   f"reciprocal-eigenvalue and commuting-gradient "
@@ -189,8 +188,8 @@ def test_criterion_04_mobility_dynamics(mobility_runs):
            + entries(runs, "lie_v_endo", 1e-6))
     # the transport step integrates rho over t in [-3, 3]
     tr = entries(runs, "eigenvalue_transport", 1e-6)
-    worst_lie = max(e.value for e in lie)
-    worst_tr = max(e.value for e in tr)
+    worst_lie = nan_max(*(e.value for e in lie))
+    worst_tr = nan_max(*(e.value for e in tr))
     ok = worst_lie <= 1e-6 and worst_tr <= 1e-6
     assert report(4, ok,
                   f"canonical Lie equations {worst_lie:.2e} <= 1e-6, "
@@ -200,7 +199,7 @@ def test_criterion_04_mobility_dynamics(mobility_runs):
 
 def test_criterion_05_volume_coefficient(mobility_runs):
     vol = entries(mobility_runs.values(), "volume_coefficient", 1e-5)
-    worst = max(e.value for e in vol)
+    worst = nan_max(*(e.value for e in vol))
     # at C = -1 the predicted coefficient itself vanishes: measure |f|
     assert mobility_runs[-1.0].entry("volume_coefficient").note in (
         "predicted=0", "predicted=-0")
@@ -208,7 +207,7 @@ def test_criterion_05_volume_coefficient(mobility_runs):
     repp = volume_coefficient(chp, tol=1e-5)
     assert repp.overall_pass
     assert "predicted=-0.25" in repp.entries[0].note
-    worst = max(worst, repp.entries[0].value)
+    worst = nan_max(worst, repp.entries[0].value)
     ok = worst <= 1e-5
     assert report(5, ok,
                   f"volume response constants (both variants) "
@@ -225,7 +224,7 @@ def test_criterion_06_curvature_spectra(mob_l2):
         lam = lambda_two_eigen(prof, fl.rhos[0].c[0][s],
                                fl.rhos[1].c[0][s])
         spec = np.linalg.eigvals(curvature_operator_matrix(fl, s)[0])
-        worst_i = max(worst_i, float(np.min(np.abs(spec - lam))))
+        worst_i = nan_max(worst_i, float(np.min(np.abs(spec - lam))))
     # (ii) the cubic profile gives the constant 1/4
     cubic = PowerProfile(1.0, 0.0, 3.0)
     r1 = np.linspace(0.05, 0.45, 12)
@@ -234,8 +233,8 @@ def test_criterion_06_curvature_spectra(mob_l2):
         lambda_two_eigen(cubic, r1, r2) - 0.25)))
     # (iii) Richardson-extrapolated collision limit at delta = 1e-2
     quart = PowerProfile(1.0, 0.0, 4.0)
-    worst_iii = max(fppp_limit_check(prof, 0.5, tol=1e-3).entries[0].value,
-                    fppp_limit_check(quart, 0.5, tol=1e-3).entries[0].value)
+    worst_iii = nan_max(*(fppp_limit_check(p, 0.5, tol=1e-3).entries[0].value
+                          for p in (prof, quart)))
     # (iv) spectral predictions: distinct eigenvalues on the geometric
     # instance, the derivative rule on a Jordan algebraic instance
     coef, _ = fit_nabla_lambda_poly(fl, sample=0)
@@ -268,8 +267,8 @@ def test_criterion_06_curvature_spectra(mob_l2):
     for j in range(k):
         Rm[:, j] = basis.reshape(k, -1) @ op(basis[j]).ravel()
     dp = coeffs[1] + 2 * coeffs[2] * rho
-    worst_iv = max(worst_iv,
-                   float(np.min(np.abs(np.linalg.eigvals(Rm) - dp))))
+    worst_iv = nan_max(worst_iv,
+                       float(np.min(np.abs(np.linalg.eigvals(Rm) - dp))))
     # and geometrically: the derivative rule on a nilpotent-block pair
     sol = solve_jordan_odes("2x2", 2, -1.5, (0.5, 0.1), (0.2, 0.8))
     qp = build_quotient_pair(jordan_pair_spec(sol,
@@ -280,8 +279,8 @@ def test_criterion_06_curvature_spectra(mob_l2):
         coefj, _ = fit_nabla_lambda_poly(fj, sample=s)
         dpj = np.polynomial.Polynomial(coefj).deriv()(pts[s, 1])
         eigs = np.linalg.eigvals(curvature_operator_matrix(fj, s)[0])
-        worst_iv = max(worst_iv, float(np.min(np.abs(eigs - dpj)))
-                       / (1.0 + abs(dpj)))
+        worst_iv = nan_max(worst_iv, float(np.min(np.abs(eigs - dpj)))
+                           / (1.0 + abs(dpj)))
     ok = (worst_i <= 1e-5 and worst_ii <= 1e-8 and worst_iii <= 1e-3
           and worst_iv <= 1e-5)
     assert report(6, ok,
@@ -302,7 +301,7 @@ def test_criterion_07_commutator_identity(corpus_fields):
             fl = chart.eval(pts, order=2)
         rep = ricci_identity_check(fl, tol=1e-6)
         assert rep.overall_pass, name
-        worst = max(worst, rep.entries[0].value)
+        worst = nan_max(worst, rep.entries[0].value)
     ok = worst <= 1e-6
     assert report(7, ok,
                   f"curvature commutator identity {worst:.2e} <= 1e-6 "
@@ -318,22 +317,22 @@ def test_criterion_08_symmetric_function_kernels():
             if np.min(np.diff(rho)) < 1e-2:
                 continue
             k = lambda t: np.exp(0.6 * t) + np.cos(t)
-            worst_agree = max(worst_agree,
-                              abs(sum_over_delta(k, rho)
-                                  - det_quotient(k, rho)))
+            worst_agree = nan_max(worst_agree,
+                                  abs(sum_over_delta(k, rho)
+                                      - det_quotient(k, rho)))
     worst_ann = 0.0
     rho = np.array([0.13, 0.41, 0.78])
     for j in range(2):
-        worst_ann = max(worst_ann,
-                        abs(sum_over_delta(lambda t, j=j: t ** j, rho)))
+        worst_ann = nan_max(worst_ann,
+                            abs(sum_over_delta(lambda t, j=j: t ** j, rho)))
     worst_end = 0.0
     for ell in (1, 2, 3):
         make = lambda C, ell=ell: PowerProfile(1.0, C, 1.0 + ell + C)
         lower = locate_window_endpoint(make, 0.0, ell, -2.7, -1.3)
         upper = locate_window_endpoint(make, 1.0, ell,
                                        (1 - ell) - 0.7, (1 - ell) + 0.7)
-        worst_end = max(worst_end, abs(lower + 2.0),
-                        abs(upper - (1.0 - ell)))
+        worst_end = nan_max(worst_end, abs(lower + 2.0),
+                            abs(upper - (1.0 - ell)))
     ok = worst_agree <= 1e-11 and worst_ann < 1e-12 and worst_end <= 0.05
     assert report(8, ok,
                   f"sum/determinant agreement {worst_agree:.2e} <= 1e-11; "
@@ -358,8 +357,8 @@ def test_criterion_09_blowup_certificates(jordan_runs):
         # difference quotient stays conditioned
         vals = (lambda_two_eigen(prof, 1 - 2 * s2, 1 - s2) if C == -3.0
                 else lambda_two_eigen(prof, s2, 2 * s2))
-        worst_var = max(worst_var,
-                        float(np.max(np.abs(vals[-8:] - vals[-8]))))
+        worst_var = nan_max(worst_var,
+                            float(np.max(np.abs(vals[-8:] - vals[-8]))))
     ok = ok_j and ok_div and worst_var <= 1e-3
     assert report(9, ok,
                   f"nilpotent-block exponent {expo:.3f} within 3 +- 0.1; "
@@ -375,7 +374,7 @@ def test_criterion_10_block_ode_solutions(jordan_runs):
     split = (entries(runs, "split_lie_endo", 1e-6)
              + entries(runs, "split_lie_metric", 1e-6))
     d2, d3 = (e.value for e in ode)
-    worst_split = max(e.value for e in split)
+    worst_split = nan_max(*(e.value for e in split))
     # the scalar analogue against its closed form
     n2, C = 2, -0.7
     sol1 = solve_jordan_odes("1x1", n2, C, (0.4,), (0.2, 0.8))
@@ -402,8 +401,8 @@ def test_criterion_11_planarity_transfer():
         v0 = 0.6 * v0 / np.linalg.norm(v0)
         traj = integrate_geodesic(chart, chart.window.center(), v0,
                                   T=1.0, tol=1e-9)
-        worst = max(worst,
-                    jplanarity_residual(traj, chart, metric="partner"))
+        worst = nan_max(worst,
+                        jplanarity_residual(traj, chart, metric="partner"))
     ok = worst <= 1e-5
     assert report(11, ok,
                   f"geodesics stay complex-planar for the partner "

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import itertools
 
@@ -455,7 +456,7 @@ def test_split_lie_suite_fails_on_a_perturbed_block(request, size, field):
         coeffs = [old.c[0] + 1e-3 * np.eye(size), *old.c[1:]]
     else:
         coeffs = [(1.0 + 1e-3) * c for c in old.c]
-    bad = f.replace(**{field: Jet(old.dim, old.order, coeffs)})
+    bad = dataclasses.replace(f, **{field: Jet(old.dim, old.order, coeffs)})
     assert split_lie_suite(f, sol.n2, sol.C, tol=1e-7).overall_pass
     rep = split_lie_suite(bad, sol.n2, sol.C, tol=1e-7)
     assert [e.passed for e in rep.entries] == [False, False], rep.entries
@@ -722,40 +723,58 @@ def test_jacobian_route_rejects_order3(qp_ell1):
         ch.eval(sample(ch, 4), order=3)
 
 
+@pytest.mark.parametrize("route", ["Jacobian", "implicit", ""])
+def test_lift_refuses_an_unknown_route(qp_ell1, route):
+    # eval and metric test only for "jacobian", so any other name would
+    # build by the explicit route
+    with pytest.raises(BuilderError, match=(
+            f"unknown lift route '{route}': the routes are 'jacobian' "
+            "and 'explicit'")):
+        lift_pair(qp_ell1, route=route)
+
+
 def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     chart = lift_pair(qp_ell1, (ConstantBlock(0.0, 2),), route="explicit")
     pts = sample(chart, 12)
     fl = chart.eval(pts, order=2)
     with pytest.raises(dataclasses.FrozenInstanceError):
         fl.g = fl.g
-    gam, ginv, lam, R = fl.gamma0, fl.ginv, fl.lam, fl.riemann
-    assert fl.gamma0 is gam and fl.riemann is R  # computed once, then kept
-    # a conformal change of g moves Gamma; both replace spellings recompute
+    derived = ("gamma0", "ginv", "lam", "det", "char_poly")
+    gam, ginv, lam, det, cp = (getattr(fl, k) for k in derived)
+    assert fl.gamma0 is gam and fl.char_poly is cp  # computed once, kept
+    # a copy shares every cached quantity; R formed on it stays off fl
+    dup = copy.copy(fl)
+    assert all(vars(dup)[k] is vars(fl)[k] for k in derived)
+    R = dup.riemann
+    assert dup.riemann is R and dup.gamma0 is gam
+    assert "riemann" not in vars(fl)
+    # a conformal change of g moves Gamma
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
-    for fl2 in (dataclasses.replace(fl, g=g2), fl.replace(g=g2)):
-        assert fl2.gamma0 is not gam and fl2.riemann is not R
-        np.testing.assert_array_equal(fl2.gamma0.c[0], christoffel(g2).c[0])
-        np.testing.assert_array_equal(fl2.riemann, riemann(christoffel(g2)))
-        assert max_abs(fl2.gamma0.c[0] - gam.c[0]) > 1e-3
-    # a new omega (the seeded-defect path) keeps det and char_poly
-    det, cp = fl.det, fl.char_poly
-    fl5 = fl.replace(omega=fl.omega * 2.0)
-    assert fl5.det is det and fl5.char_poly is cp
-    # a new A keeps the g-only quantities and recomputes La and char_poly
-    fl3 = fl.replace(A=shift_endo(fl.A, 1.0))
-    assert fl3.gamma0 is gam and fl3.ginv is ginv and fl3.det is det
-    assert fl3.riemann is R
-    assert fl3.lam is not lam
-    np.testing.assert_array_equal(fl3.lam.c[0], lam.c[0])
-    assert fl3.char_poly is not cp
+    fl2 = dataclasses.replace(fl, g=g2)
+    assert fl2.gamma0 is not gam and fl2.riemann is not R
+    np.testing.assert_array_equal(fl2.gamma0.c[0], christoffel(g2).c[0])
+    np.testing.assert_array_equal(fl2.riemann, riemann(christoffel(g2)))
+    assert max_abs(fl2.gamma0.c[0] - gam.c[0]) > 1e-3
+    # an edit of omega, A or J derives everything again, with the same
+    # bytes where the edit does not reach
+    edits = {"omega": fl.omega * 2.0, "A": shift_endo(fl.A, 1.0), "J": None}
+    for k, new in edits.items():
+        fl3 = dataclasses.replace(fl, **{k: new})
+        assert not vars(fl3).keys() & set(derived), k
+        assert fl3.det is not det and same_bytes(fl3.det.c[0], det.c[0])
+        assert same_bytes(fl3.ginv.c[0], ginv.c[0])
+        # without J, La takes the projective weight 1/2
+        assert fl3.lam is not lam
+        assert same_bytes(fl3.lam.c[0], (2.0 if k == "J" else 1.0) * lam.c[0])
+        if k != "J":
+            assert fl3.char_poly is not cp
+    cp5 = dataclasses.replace(fl, omega=edits["omega"]).char_poly
+    assert all(same_bytes(a.c[0], b.c[0]) for a, b in zip(cp5, cp))
     ncx = chart.dim // 2       # e_1 = tr_C A moves by ncx under A + Id
-    np.testing.assert_allclose(fl3.char_poly[1].c[0], cp[1].c[0] + ncx,
-                               rtol=1e-14, atol=1e-14)
-    # without J, La takes the projective weight 1/2
-    fl4 = fl.replace(J=None)
-    assert fl4.gamma0 is gam and fl4.lam is not lam
-    np.testing.assert_array_equal(fl4.lam.c[0], 2.0 * lam.c[0])
+    np.testing.assert_allclose(
+        dataclasses.replace(fl, A=edits["A"]).char_poly[1].c[0],
+        cp[1].c[0] + ncx, rtol=1e-14, atol=1e-14)
 
 
 @pytest.mark.parametrize("order", [1, 2])
@@ -796,13 +815,19 @@ def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_riemann):
     R = fl.riemann if read_riemann else None
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
-    fl2 = fl.replace(g=g2)
-    assert "gamma0" not in fl2.__dict__ and "riemann" not in fl2.__dict__
+    fl2 = dataclasses.replace(fl, g=g2)
+    assert "gamma0" not in vars(fl2) and "riemann" not in vars(fl2)
     assert fl2.gamma0.c[0].tobytes() == christoffel(g2).c[0].tobytes()
-    for kept in (fl.replace(omega=fl.omega * 2.0),
-                 fl.replace(A=shift_endo(fl.A, 1.0))):
-        assert kept.gamma0 is gam0
-        assert kept.__dict__.get("riemann") is R
+    # a copy keeps them; an edit of omega or A derives them again with
+    # the same bytes
+    dup = copy.copy(fl)
+    assert dup.gamma0 is gam0 and vars(dup).get("riemann") is R
+    for edited in (dataclasses.replace(fl, omega=fl.omega * 2.0),
+                   dataclasses.replace(fl, A=shift_endo(fl.A, 1.0))):
+        assert "gamma0" not in vars(edited)
+        assert same_bytes(edited.gamma0.c[0], gam0.c[0])
+        if read_riemann:
+            assert same_bytes(edited.riemann, R)
 
 
 def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
@@ -827,7 +852,8 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     curvspec.nabla_lambda_endo(fl)
     c = kahler.spectrum_safe_shift(fl)
     kahler.hamiltonian_killing_check(fl, c)
-    partner = kahler.partner_fields(fl.replace(A=shift_endo(fl.A, c)))
+    partner = kahler.partner_fields(
+        dataclasses.replace(fl, A=shift_endo(fl.A, c)))
     kahler.connection_difference_check(fl, partner)
     g0, ghat0 = fl.g.c[0], partner.g.c[0]
     assert len(calls) == 2

@@ -2,6 +2,7 @@ import argparse
 import contextlib
 import dataclasses
 import fnmatch
+import functools
 import inspect
 import io
 import re
@@ -504,7 +505,7 @@ def test_route_agreement_fails_on_a_first_derivative_defect(
             fl = self.chart.eval(pts, order)
             j = getattr(fl, field)
             bad = Jet(j.dim, j.order, [j.c[0], j.c[1] + 1e-6, *j.c[2:]])
-            return fl.replace(**{field: bad})
+            return dataclasses.replace(fl, **{field: bad})
 
     charts = []
 
@@ -519,6 +520,39 @@ def test_route_agreement_fails_on_a_first_derivative_defect(
              if l.startswith("check=route_agreement ")]
     assert line.endswith(" FAIL")
     assert len(charts) == 2
+
+
+@pytest.mark.parametrize("name", ["dini-lift", "complex-pair"])
+def test_killing_omega_kk_fails_on_a_constant_omega_defect(monkeypatch,
+                                                           capsys, name):
+    # omega + 1e-3 dt_0 ^ dt_1 on the run's fields: a constant 2-form is
+    # closed, so the build succeeds and d omega stays 0, but omega(K_0, K_1)
+    # moves.  Both charts have ell = 2; on mobility2 (ell = 1) omega(K, K)
+    # is 0 by antisymmetry whatever omega is
+    built = cli.Run.__dict__["f"].func
+
+    def defective(run):
+        f = built(run)
+        w = f.omega
+        coeffs = [c.copy() for c in w.c]
+        coeffs[0][:, 0, 1] += 1e-3
+        coeffs[0][:, 1, 0] -= 1e-3
+        return dataclasses.replace(f, omega=Jet(w.dim, w.order, coeffs))
+
+    path = str(CONFIGS / f"{name}.cfg")
+    assert main(["run", path]) == 0
+    clean = capsys.readouterr().out
+    assert re.search(r"^check=killing_omega_KK .* pass$", clean, re.M)
+    f = functools.cached_property(defective)
+    f.__set_name__(cli.Run, "f")
+    monkeypatch.setattr(cli.Run, "f", f)
+    assert main(["run", path]) == 1
+    out = capsys.readouterr().out
+    kk, = re.findall(r"^check=killing_omega_KK .*$", out, re.M)
+    assert kk.endswith(" FAIL")
+    # 2.5e-4 on both charts
+    assert 2e-4 < float(re.search(r" value=(\S+)", kk).group(1)) < 3e-4
+    assert re.search(r"^check=domega .* value=0 .* pass$", out, re.M)
 
 
 def test_main_example_scenario_exits_2(tmp_path, capsys):
@@ -641,7 +675,7 @@ OWN_BOUNDS = {
 
 
 @pytest.mark.parametrize("name", ["phase-portraits", "appendix"])
-def test_tol_scale_reaches_every_fixed_tolerance(capsys, name):
+def test_tol_scale_is_refused_and_each_line_keeps_its_bound(capsys, name):
     # no flag scales a bound: --tol-scale is an unknown flag, and each
     # line carries the bound its function writes
     path = str(CONFIGS / f"{name}.cfg")
@@ -827,6 +861,10 @@ def test_only_killing_detC_skips_the_killing_suite(monkeypatch, capsys):
     ("jordan2", "g1", False),
     # spectrum_* may start with the prefix, but emits no such name
     ("appendix", "spectrum_zzz", True),
+    # text that holds no prefix is refused before the build
+    ("dini-pair", "", False),
+    ("dini-pair", ",", False),
+    ("dini-pair", " , ", False),
 ])
 def test_only_selecting_nothing_exits_2(monkeypatch, capsys, name, only,
                                         built):

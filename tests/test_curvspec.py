@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -127,7 +129,7 @@ def test_nan_in_a_at_one_sample_fails_ricci_identity(corpus):
     _, chart, _ = corpus[3]
     fl = chart.eval(sample(chart, 10), order=2)
     e = ricci_identity_check(
-        fl.replace(A=with_nan(fl.A, 0, (4, 1, 2)))).entries[0]
+        dataclasses.replace(fl, A=with_nan(fl.A, 0, (4, 1, 2)))).entries[0]
     assert np.isnan(e.value) and not e.passed
 
 
@@ -338,7 +340,8 @@ def test_third_order_equation():
     x = Jet.seed(0, pts[:, 0], d, 3)
     y = Jet.seed(1, pts[:, 1], d, 3)
     L2 = jstack([[x * y, zero], [zero, x + y]])
-    assert third_order_residual(pair.replace(A=L2), 0.77).entries[0].value \
+    assert third_order_residual(
+        dataclasses.replace(pair, A=L2), 0.77).entries[0].value \
         > 1e-2
 
 
@@ -360,7 +363,7 @@ def test_real_fit_rejects_noncommuting_nabla_lambda(qp_jordan2):
     N = np.zeros((3, 3))
     N[0, 2] = 1.0
     with pytest.raises(ValueError, match="does not commute"):
-        fit_nabla_lambda_poly(f.replace(A=f.A + N))
+        fit_nabla_lambda_poly(dataclasses.replace(f, A=f.A + N))
 
 
 def test_jordan_divergence_formulas_certified(qp_jordan2, qp_jordan3,

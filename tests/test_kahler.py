@@ -13,6 +13,7 @@ from cprojlab.kahler import (
     proj_residual, recover_endo, spectrum_safe_shift,
 )
 from cprojlab.builders import ChartFields, lift_pair, shift_endo
+from cprojlab.report import CheckEntry, ResidualReport
 
 from conftest import same_bytes, sample, with_nan
 from fd_oracle import fd_gradient, fd_hessian
@@ -98,15 +99,29 @@ def _dini_fields(qp_dini):
 def test_nan_in_a_at_one_sample_fails_cproj(qp_dini):
     # a NaN residual at one sample is the check's value, not dropped
     fl = _dini_fields(qp_dini)
-    e = cproj_residual(fl.replace(A=with_nan(fl.A, 0, (3, 0, 0)))).entries[0]
+    e = cproj_residual(replace(fl, A=with_nan(fl.A, 0, (3, 0, 0)))).entries[0]
     assert np.isnan(e.value) and not e.passed
 
 
 def test_nan_in_domega_at_one_sample_fails_domega(qp_dini):
     fl = _dini_fields(qp_dini)
-    rep = check_kahler(fl.replace(omega=with_nan(fl.omega, 1, (3, 0, 1, 2))))
+    rep = check_kahler(replace(fl, omega=with_nan(fl.omega, 1, (3, 0, 1, 2))))
     e = rep.entry("domega")
     assert np.isnan(e.value) and not e.passed
+    assert np.isnan(rep.max_value()) and np.isnan(rep.max_value("domega"))
+
+
+@pytest.mark.parametrize("nan_at", [0, 1])
+def test_max_value_of_a_nan_entry_is_nan(nan_at):
+    # Python's max keeps a NaN only in first place, so a NaN residual
+    # would pass ``rep.max_value() <= tol``
+    rep = ResidualReport("r", [CheckEntry(f"c{i}", "x", 0.1, 1e-6)
+                               for i in range(2)])
+    rep.entries[nan_at].value = np.nan
+    assert np.isnan(rep.max_value())
+    assert np.isnan(rep.max_value(f"c{nan_at}"))
+    assert rep.max_value(f"c{1 - nan_at}") == 0.1
+    assert rep.max_value("zzz") == 0.0
 
 
 def test_proj_residual_dini_and_identity(qp_dini):
@@ -136,7 +151,7 @@ def test_partner_metric_scalar_cases():
     gh = partner_fields(fl).g
     assert max_abs(gh.c[0] - fl.g.c[0]) <= 1e-14     # A = Id -> ghat = g
     A4 = Jet(fl.A.dim, fl.A.order, [4.0 * fl.A.c[0]] + list(fl.A.c[1:]))
-    gh4 = partner_fields(fl.replace(A=A4)).g
+    gh4 = partner_fields(replace(fl, A=A4)).g
     ncx = 2
     # A = 4 Id on complex dim n: ghat = 4^(-n-1) g
     assert max_abs(gh4.c[0] - 4.0 ** (-(ncx + 1)) * fl.g.c[0]) <= 1e-14
@@ -147,7 +162,7 @@ def test_partner_roundtrip_on_instances(corpus):
         fl = chart.eval(sample(chart, 25), order=2)
         c0 = spectrum_safe_shift(fl)
         A = shift_endo(fl.A, c0)
-        Arec = recover_endo(fl, partner_fields(fl.replace(A=A)))
+        Arec = recover_endo(fl, partner_fields(replace(fl, A=A)))
         dev = max_abs(Arec.c[0] - A.c[0]) / (1.0 + max_abs(A.c[0]))
         assert dev <= 1e-9, name
 
@@ -158,7 +173,7 @@ def test_partner_of_order_1_fields_is_the_order_2_partner_cut(corpus):
     # partner, are bit for bit those of the order-2 partner
     for name, chart, _ in corpus:
         fl = chart.eval(sample(chart, 25), order=2)
-        sh = fl.replace(A=shift_endo(fl.A, spectrum_safe_shift(fl)))
+        sh = replace(fl, A=shift_endo(fl.A, spectrum_safe_shift(fl)))
         # the reference: the partner built from the order-2 fields uncut
         Ainv = jet_inv(sh.A)
         detA = jet_det(sh.A, Ainv)
@@ -186,7 +201,7 @@ def test_partner_metric_rejects_singular_endo():
     pts, fl = flat_complex_chart()
     A0 = Jet(fl.A.dim, fl.A.order, [0.0 * fl.A.c[0]] + list(fl.A.c[1:]))
     with pytest.raises(Exception):
-        partner_fields(fl.replace(A=A0)).g
+        partner_fields(replace(fl, A=A0)).g
 
 
 def test_complex_det_matches_mu_product(corpus):
@@ -280,12 +295,12 @@ def test_connection_difference(corpus):
     rep = connection_difference_check(fl, fl)
     assert rep.entries[0].value <= 1e-14
     g3 = Jet(fl.g.dim, fl.g.order, [3.0 * c for c in fl.g.c])
-    rep = connection_difference_check(fl, fl.replace(g=g3))
+    rep = connection_difference_check(fl, replace(fl, g=g3))
     assert rep.entries[0].value <= 1e-14
     for name, chart, _ in corpus[:4]:
         fl = chart.eval(sample(chart, 20), order=2)
         c0 = spectrum_safe_shift(fl)
-        gh = partner_fields(fl.replace(A=shift_endo(fl.A, c0)))
+        gh = partner_fields(replace(fl, A=shift_endo(fl.A, c0)))
         rep = connection_difference_check(fl, gh)
         assert rep.entries[0].value <= 1e-7, name
 
@@ -302,7 +317,7 @@ def test_eigenvector_gradients_refuse_fields_without_eigenvalues(corpus):
     for name, chart, _ in corpus:
         fl = chart.eval(sample(chart, 10), order=2)
         with pytest.raises(KahlerError, match="eigenvalue jets"):
-            eigenvector_gradient_residual(fl.replace(rhos=[]))
+            eigenvector_gradient_residual(replace(fl, rhos=[]))
 
 
 @pytest.mark.parametrize("name", ["complex-pair", "dini-lift"])
@@ -313,7 +328,7 @@ def test_eigenvector_gradients_fail_on_a_moved_endo(corpus, name):
     fl = chart.eval(sample(chart, 30), order=2)
     coeffs = [c.copy() for c in fl.A.c]
     coeffs[0][:, 0, 1] += 1e-3
-    moved = fl.replace(A=Jet(fl.A.dim, fl.A.order, coeffs))
+    moved = replace(fl, A=Jet(fl.A.dim, fl.A.order, coeffs))
     assert eigenvector_gradient_residual(fl).overall_pass, name
     (entry,) = eigenvector_gradient_residual(moved).entries
     assert not entry.passed and entry.value > 1e-4, name
