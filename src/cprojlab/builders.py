@@ -82,10 +82,19 @@ EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
 RANGE_MARGIN = 0.01
 ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
 Y_WINDOW = (-0.8, 0.8)  # each flat constant-factor coordinate's range
-# the bytes of order-1 Christoffel jet that one block of the curvature
-# holds: 124 samples at dim 6 and 585 at dim 4, so a large batch's jet,
-# which outweighs R itself, is never held whole
-CURVATURE_BLOCK_BYTES = 1_500_000
+# the bytes of per-sample work that one block of samples holds: the
+# order-1 Christoffel jet of the curvature (124 samples at dim 6, 585 at
+# dim 4) and the stack of matrix powers of the characteristic polynomial
+# (124 samples at dim 6 with A of order 2), so a large batch never holds
+# either whole
+BLOCK_BYTES = 1_500_000
+
+
+def _sample_blocks(n, sample_bytes):
+    """Slices of n samples, each of the rows that ``BLOCK_BYTES`` holds at
+    ``sample_bytes`` a sample (at least one)."""
+    rows = max(1, BLOCK_BYTES // sample_bytes)
+    return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
 class BuilderError(ValueError):
@@ -493,8 +502,27 @@ def complex_char_poly(A: Jet, J: Jet):
     matrix product runs one order below A, as in ``jet_det``; the
     gradients against dA are one contraction, those against dJ another.
     Each B_k and A^k is written into one stack as it is formed, and only
-    the stack's values outlive the two contractions.
+    the stack's values outlive the two contractions.  The samples are
+    taken a block at a time (``BLOCK_BYTES`` of the stack), each block's
+    coefficients written to its rows of the output, so the stack and the
+    contractions never hold more than one block.
     """
+    n, d = A.c[0].shape[0], A.c[0].shape[-1]
+    low = max(A.order - 1, 0)
+    itemsize = np.result_type(A.c[0], J.c[0]).itemsize
+    out = [Jet._of(A.dim, A.order, [
+        np.empty((n,) + (A.dim,) * k, complex) for k in range(A.order + 1)])
+        for _ in range(d // 2 + 1)]
+    for rows in _sample_blocks(
+            n, itemsize * d ** 3 * sum(A.dim ** k for k in range(low + 1))):
+        for o, e in zip(out, _char_poly_rows(A.rows(rows), J.rows(rows))):
+            for oc, c in zip(o.c, e.c):
+                oc[rows] = c
+    return out
+
+
+def _char_poly_rows(A: Jet, J: Jet):
+    """``complex_char_poly`` of one block of samples."""
     ncx = A.c[0].shape[-1] // 2
     low = max(A.order - 1, 0)
     Al, Jl = A.truncate(low), J.truncate(low)
@@ -596,10 +624,18 @@ class ChartFields:
     shares what is already cached; ``dataclasses.replace`` makes an
     edited copy that derives everything again.
 
-    Two writers fill another property's slot: ``riemann`` stores the
-    Christoffel values its sample blocks form as ``gamma0`` if that is
-    not cached yet, and the Jacobian route of ``KahlerChart`` stores the
-    g^-1 it inverted for J as ``ginv``.
+    Two quantities that grow as N d^4 are formed a block of samples at a
+    time (``BLOCK_BYTES`` of each block's work): R, by
+    ``curvature_blocks``, and the stack of matrix powers behind
+    ``char_poly``.  The results are held whole: the coefficients of
+    ``char_poly``, and R as ``riemann`` when a reader asks for all of it.
+    A reader that takes R block by block, as the Ricci identity does,
+    holds no more than one block of it, unless the batch is one block.
+
+    Two writers fill another property's slot: ``curvature_blocks``
+    stores the Christoffel values its blocks form as ``gamma0`` if that
+    is not cached yet, and the Jacobian route of ``KahlerChart`` stores
+    the g^-1 it inverted for J as ``ginv``.
     """
 
     g: Jet
@@ -631,27 +667,45 @@ class ChartFields:
 
     @cached_property
     def riemann(self) -> np.ndarray:
-        """Curvature values R^d_cab, formed a block of samples at a time:
-        each block builds its order-1 Gamma jet from its rows of g and
-        g^-1, writes its rows of R and drops the jet.  The blocks' Gamma
-        values are ``gamma0``'s bytes and become it if it is not cached."""
+        """Curvature values R^d_cab of every sample, each block of
+        ``curvature_blocks`` written to its rows."""
+        n, d = self.g.c[0].shape[:2]
+        out = np.empty((n,) + (d,) * 4,
+                       np.result_type(self.g.c[0], self.ginv.c[0]))
+        for _ in self.curvature_blocks(out):
+            pass
+        return out
+
+    def curvature_blocks(self, out=None):
+        """(rows, Gamma values, R^d_cab) a block of samples at a time; the
+        Gamma values are an order-0 jet at those rows.
+
+        Each block builds its order-1 Gamma jet from its rows of g and
+        g^-1 and forms its rows of R, in the rows of ``out`` when that is
+        given; only the jet's values outlive the block.  Once every block
+        is read, the values become ``gamma0`` (the same bytes) if that is
+        not cached.  A reader without ``out`` gets R whole, as one block of
+        all rows, when ``riemann`` is cached or the batch is one block:
+        that block holds all of R anyway, so it is cached as ``riemann``
+        for the next reader."""
         g = self.g.truncate(min(self.g.order, 2))
         ginv = self.ginv.truncate(max(g.order - 1, 0))
         n, d = g.c[0].shape[:2]
-        rows = max(1, CURVATURE_BLOCK_BYTES
-                   // (g.c[0].itemsize * d ** 3 * (1 + d)))
-        out = np.empty((n,) + (d,) * 4, np.result_type(g.c[0], ginv.c[0]))
-        gam0 = (None if "gamma0" in self.__dict__
-                else np.empty(out.shape[:4], out.dtype))
-        for lo in range(0, n, rows):
-            block = slice(lo, lo + rows)
-            gamma = christoffel(_rows(g, block), _rows(ginv, block))
-            riemann(gamma, out[block])
+        blocks = _sample_blocks(n, g.c[0].itemsize * d ** 3 * (1 + d))
+        if out is None and ("riemann" in self.__dict__ or len(blocks) == 1):
+            R = self.riemann       # first: forming R leaves gamma0
+            yield slice(None), self.gamma0, R
+            return
+        gam0 = (None if "gamma0" in self.__dict__ else np.empty(
+            (n,) + (d,) * 3, np.result_type(g.c[0], ginv.c[0])))
+        for rows in blocks:
+            gamma = christoffel(g.rows(rows), ginv.rows(rows))
             if gam0 is not None:
-                gam0[block] = gamma.c[0]
+                gam0[rows] = gamma.c[0]
+            yield rows, gamma.truncate(0), riemann(
+                gamma, None if out is None else out[rows])
         if gam0 is not None:
             self.__dict__["gamma0"] = Jet._of(g.dim, 0, [gam0])
-        return out
 
     @cached_property
     def det(self) -> Jet:
@@ -665,11 +719,6 @@ class ChartFields:
         power sums' values and gradients, with every matrix product one
         order below A."""
         return complex_char_poly(self.A, self.J)
-
-
-def _rows(j: Jet, rows: slice) -> Jet:
-    """The jet at a slice of its samples, as views."""
-    return Jet._of(j.dim, j.order, [c[rows] for c in j.c])
 
 
 # ---------------------------------------------------------------------------

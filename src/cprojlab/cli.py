@@ -11,7 +11,6 @@ vanishing det L).
 from __future__ import annotations
 
 import argparse
-import copy
 import dataclasses
 import sys
 import time
@@ -205,16 +204,6 @@ def _partner_roundtrip(r):
                               rt, 1e-9, samples=len(r.pts))], r)
 
 
-def _kahler_ricci_identity(r):
-    # no later step reads R, so it is formed on a copy of the fields and
-    # goes with it; the Christoffel values, g^-1 and La, which later steps
-    # read too, are formed on the run's fields first, so the copy shares
-    # them
-    fl = r.fl
-    fl.gamma0, fl.lam
-    return ricci_identity_check(copy.copy(fl))
-
-
 # the lift route a chart was not built by
 OTHER_ROUTE = {"jacobian": "explicit", "explicit": "jacobian"}
 
@@ -308,7 +297,9 @@ KAHLER_STEPS = (
     Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
          lambda r: killing_property_suite(r.ks, r.fl)),
     Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
-    Step("ricci_identity", _kahler_ricci_identity),
+    # R is read a block of samples at a time, and a batch of more than
+    # one block keeps none of it
+    Step("ricci_identity", lambda r: ricci_identity_check(r.fl)),
     Step("det_hessian_hermitian killing_detC", lambda r: _noted(
         hamiltonian_killing_check(r.fl, r.shift).entries, r)),
     Step("partner_roundtrip", _partner_roundtrip),

@@ -137,19 +137,27 @@ def nabla_lambda_endo(flds):
 def _ricci_defect(flds, k):
     """Worst relative defect of k [R(u, v), A] = k [u ^_J v, nabla La] over
     the coordinate wedges, which are real wedges when ``flds.J`` is None.
-    One wedge is measured at a time, each with its own scale, so no
-    array holds more than one wedge; a NaN at any sample reads NaN."""
-    Rc, NL = flds.riemann, nabla_lambda_endo(flds)
-    Av, gv = flds.A.c[0], flds.g.c[0]
+    R is read a block of samples at a time (``curvature_blocks``), nabla
+    La is formed from each block's Gamma values and the wedges per block,
+    so no array holds more than one wedge of one block.  Each wedge keeps
+    running maxima of |defect|, |R X| and |X| over the blocks and takes its
+    scale from them at the end: the value of the whole batch, and a NaN at
+    any sample reads NaN."""
+    lam, Av, gv = flds.lam, flds.A.c[0], flds.g.c[0]
     Jv = None if flds.J is None else flds.J.c[0]
-    base = max_abs(Av, NL)
-    worst = 0.0
-    for (a, b), X in _coordinate_wedges(gv, Jv):
-        RX = k * Rc[:, :, :, a, b]
-        defect = (RX @ Av - Av @ RX) - k * (X @ NL - NL @ X)
-        scale = 1.0 + nan_max(max_abs(RX), max_abs(X), base)
-        worst = nan_max(worst, max_abs(defect) / scale)
-    return worst
+    base, peaks = 0.0, {}       # peaks[(a, b)]: max |defect|, |R X|, |X|
+    for rows, gam, Rc in flds.curvature_blocks():
+        A = Av[rows]
+        N = np.swapaxes(cov_deriv_vector(lam.rows(rows), gam), -1, -2)
+        base = nan_max(base, max_abs(A, N))
+        for ab, X in _coordinate_wedges(
+                gv[rows], None if Jv is None else Jv[rows]):
+            RX = k * Rc[:, :, :, ab[0], ab[1]]
+            defect = (RX @ A - A @ RX) - k * (X @ N - N @ X)
+            peaks[ab] = [nan_max(p, max_abs(t)) for p, t in zip(
+                peaks.get(ab, (0.0,) * 3), (defect, RX, X))]
+    return nan_max(0.0, *(dm / (1.0 + nan_max(rm, xm, base))
+                          for dm, rm, xm in peaks.values()))
 
 
 def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:

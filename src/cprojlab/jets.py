@@ -56,9 +56,9 @@ Construction: the public ``Jet(dim, order, coeffs)`` checks the order
 integer coefficients to float; ``Jet.seed`` and ``Jet.const`` check the
 dim and order they are given.  ``Jet._of`` checks nothing: it takes
 arrays that were just computed from a jet's own (arithmetic, ``truncate``,
-``compose1``, ``imag``, ``conj``, ``jstack``, the contractions) or built
-with the right shape and a float or complex dtype (the seed and constant
-coefficients, the builders' exact fields).
+``rows``, ``compose1``, ``imag``, ``conj``, ``jstack``, the contractions)
+or built with the right shape and a float or complex dtype (the seed and
+constant coefficients, the builders' exact fields).
 """
 
 from __future__ import annotations
@@ -198,6 +198,10 @@ class Jet:
             raise JetError(f"cannot truncate an order-{self.order} jet to "
                            f"order {order}")
         return Jet._of(self.dim, order, self.c[: order + 1])
+
+    def rows(self, rows: slice) -> "Jet":
+        """The jet at a slice of its samples, as views."""
+        return Jet._of(self.dim, self.order, [c[rows] for c in self.c])
 
     # -- arithmetic ----------------------------------------------------
 

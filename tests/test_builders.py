@@ -873,7 +873,7 @@ def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
     # whole batch's Christoffel jet and values
     _, chart, _ = corpus[5]
     d = chart.dim
-    rows = builders.CURVATURE_BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+    rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
     fl = chart.eval(sample(chart, 2 * rows + rows // 2), order=2)
     blocks = []
     real = builders.christoffel
@@ -885,6 +885,30 @@ def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
     assert same_bytes(fl.gamma0.c[0], christoffel(
         fl.g.truncate(1), fl.ginv.truncate(0)).c[0])
     assert len(blocks) == 3        # the values were left by the blocks
+
+
+def test_blocked_char_poly_equals_the_whole_batch(monkeypatch, corpus):
+    # the mobility2 chart at two whole blocks of the polynomial's stack
+    # (B_k and A^k, one order below A) and half of a third, in one call:
+    # the coefficients are the bytes of one whole-batch pass
+    _, chart, _ = corpus[5]
+    d = chart.dim
+    # a sample's stack: d matrices of d x d at orders 0 and 1
+    rows = builders.BLOCK_BYTES // (8 * d * d * d * (1 + d))
+    fl = chart.eval(sample(chart, 2 * rows + rows // 2), order=2)
+    blocks = []
+    real = builders._char_poly_rows
+    monkeypatch.setattr(builders, "_char_poly_rows", lambda A, J: (
+        blocks.append(len(A.c[0])) or real(A, J)))
+    got = builders.complex_char_poly(fl.A, fl.J)
+    assert blocks == [rows, rows, rows // 2]
+    monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
+    want = builders.complex_char_poly(fl.A, fl.J)
+    assert blocks[3:] == [len(fl.A.c[0])]
+    assert len(got) == len(want) == d // 2 + 1
+    for e, w in zip(got, want):
+        assert e.order == w.order == 2
+        assert all(same_bytes(a, b) for a, b in zip(e.c, w.c, strict=True))
 
 
 _METRIC_CBS = {"plain": (), "cb": (ConstantBlock(0.0, 2),

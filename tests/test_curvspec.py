@@ -123,6 +123,51 @@ def test_ricci_identity_keeps_the_bytes_of_the_stacked_wedges(
             ricci_defect_stacked(f, 1.0)
 
 
+def test_streamed_ricci_defect_equals_the_whole_curvature(monkeypatch,
+                                                          corpus):
+    # the mobility2 chart at two whole curvature blocks and half of a
+    # third: the defect read block by block, with nabla La from each
+    # block's Gamma values, is the value of one whole R, and the check
+    # keeps no R on the fields; each sample's Gamma is formed once
+    from cprojlab import builders
+    from cprojlab.curvspec import _ricci_defect
+    _, chart, _ = corpus[5]
+    d = chart.dim
+    rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+    pts = sample(chart, 2 * rows + rows // 2)
+    fl = chart.eval(pts, order=2)
+    blocks = []
+    real = builders.christoffel
+    monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
+        blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
+    value = ricci_identity_check(fl).entries[0].value
+    assert blocks == [(rows, 2), (rows, 2), (rows // 2, 2)]
+    assert "riemann" not in vars(fl) and "gamma0" in vars(fl)
+    monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
+    whole = chart.eval(pts, order=2)
+    assert _ricci_defect(whole, 4.0) == value
+    assert "riemann" in vars(whole) and blocks[3:] == [(len(pts), 2)]
+    assert ricci_defect_stacked(whole, 4.0) == value
+
+
+def test_streamed_real_ricci_defect_and_nan_in_a_later_block(
+        monkeypatch, qp_dini):
+    # five samples a block: the real wedges give the value of the whole
+    # batch, and a NaN in the third block reads NaN
+    from cprojlab import builders
+    f = qp_dini.eval(sample(qp_dini, 12), order=2)
+    d = f.g.c[0].shape[-1]
+    monkeypatch.setattr(builders, "BLOCK_BYTES", 5 * 8 * d ** 3 * (1 + d))
+    value = real_ricci_identity_check(f).entries[0].value
+    assert "riemann" not in vars(f)
+    bad = dataclasses.replace(f, A=with_nan(f.A, 0, (11, 0, 1)))
+    e = real_ricci_identity_check(bad).entries[0]
+    assert np.isnan(e.value) and not e.passed
+    monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
+    assert real_ricci_identity_check(dataclasses.replace(f)).entries[0] \
+        .value == value == ricci_defect_stacked(f, 1.0)
+
+
 def test_nan_in_a_at_one_sample_fails_ricci_identity(corpus):
     # a NaN at one sample of A reaches the value through every wedge it
     # enters, and the check fails
