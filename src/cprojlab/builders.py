@@ -619,23 +619,19 @@ class ChartFields:
     a quotient pair (h, L) and the projective mobility chart set g and A
     and leave omega and J None.  Each derived quantity is formed by its
     own property on first read and lives as long as the object:
-    ``ginv``, ``gamma0``, ``riemann`` and ``det`` read g alone, ``lam``
-    reads g, A and J, and ``char_poly`` reads A and J.  ``copy.copy``
-    shares what is already cached; ``dataclasses.replace`` makes an
-    edited copy that derives everything again.
+    ``ginv``, ``gamma0`` and ``det`` read g alone, ``lam`` reads g, A
+    and J, and ``char_poly`` reads A and J.  ``copy.copy`` shares what is
+    already cached; ``dataclasses.replace`` makes an edited copy that
+    derives everything again.
 
     Two quantities that grow as N d^4 are formed a block of samples at a
-    time (``BLOCK_BYTES`` of each block's work): R, by
-    ``curvature_blocks``, and the stack of matrix powers behind
-    ``char_poly``.  The results are held whole: the coefficients of
-    ``char_poly``, and R as ``riemann`` when a reader asks for all of it.
-    A reader that takes R block by block, as the Ricci identity does,
-    holds no more than one block of it, unless the batch is one block.
+    time (``BLOCK_BYTES`` of each block's work): the stack of matrix
+    powers behind ``char_poly``, whose coefficients are held whole, and
+    R, which is never held: ``curvature`` forms it at the rows asked for
+    and ``curvature_blocks`` walks the blocks.
 
-    Two writers fill another property's slot: ``curvature_blocks``
-    stores the Christoffel values its blocks form as ``gamma0`` if that
-    is not cached yet, and the Jacobian route of ``KahlerChart`` stores
-    the g^-1 it inverted for J as ``ginv``.
+    One writer fills another property's slot: the Jacobian route of
+    ``KahlerChart`` stores the g^-1 it inverted for J as ``ginv``.
     """
 
     g: Jet
@@ -665,47 +661,21 @@ class ChartFields:
         weight = 0.5 if self.J is None else 0.25
         return gradient(jet_trace(self.A), self.ginv) * weight
 
-    @cached_property
-    def riemann(self) -> np.ndarray:
-        """Curvature values R^d_cab of every sample, each block of
-        ``curvature_blocks`` written to its rows."""
-        n, d = self.g.c[0].shape[:2]
-        out = np.empty((n,) + (d,) * 4,
-                       np.result_type(self.g.c[0], self.ginv.c[0]))
-        for _ in self.curvature_blocks(out):
-            pass
-        return out
-
-    def curvature_blocks(self, out=None):
-        """(rows, Gamma values, R^d_cab) a block of samples at a time; the
-        Gamma values are an order-0 jet at those rows.
-
-        Each block builds its order-1 Gamma jet from its rows of g and
-        g^-1 and forms its rows of R, in the rows of ``out`` when that is
-        given; only the jet's values outlive the block.  Once every block
-        is read, the values become ``gamma0`` (the same bytes) if that is
-        not cached.  A reader without ``out`` gets R whole, as one block of
-        all rows, when ``riemann`` is cached or the batch is one block:
-        that block holds all of R anyway, so it is cached as ``riemann``
-        for the next reader."""
+    def curvature(self, rows):
+        """(Gamma values, R^d_cab) at the samples ``rows``: the order-1
+        Gamma jet of those rows of g (cut to order 2) and g^-1, its values
+        as an order-0 jet, and the curvature it gives."""
         g = self.g.truncate(min(self.g.order, 2))
-        ginv = self.ginv.truncate(max(g.order - 1, 0))
-        n, d = g.c[0].shape[:2]
-        blocks = _sample_blocks(n, g.c[0].itemsize * d ** 3 * (1 + d))
-        if out is None and ("riemann" in self.__dict__ or len(blocks) == 1):
-            R = self.riemann       # first: forming R leaves gamma0
-            yield slice(None), self.gamma0, R
-            return
-        gam0 = (None if "gamma0" in self.__dict__ else np.empty(
-            (n,) + (d,) * 3, np.result_type(g.c[0], ginv.c[0])))
-        for rows in blocks:
-            gamma = christoffel(g.rows(rows), ginv.rows(rows))
-            if gam0 is not None:
-                gam0[rows] = gamma.c[0]
-            yield rows, gamma.truncate(0), riemann(
-                gamma, None if out is None else out[rows])
-        if gam0 is not None:
-            self.__dict__["gamma0"] = Jet._of(g.dim, 0, [gam0])
+        gamma = christoffel(
+            g.rows(rows), self.ginv.truncate(max(g.order - 1, 0)).rows(rows))
+        return gamma.truncate(0), riemann(gamma)
+
+    def curvature_blocks(self):
+        """(rows, Gamma values, R^d_cab) of ``curvature`` a block of
+        samples at a time, so no more than one block of R is held."""
+        n, d = self.g.c[0].shape[:2]
+        for rows in _sample_blocks(n, self.g.c[0].itemsize * d ** 3 * (1 + d)):
+            yield (rows, *self.curvature(rows))
 
     @cached_property
     def det(self) -> Jet:

@@ -107,7 +107,7 @@ def curvature_operator_matrix(flds, sample=0):
     """
     gv = flds.g.c[0][sample]
     Jv = None if flds.J is None else flds.J.c[0][sample]
-    Rc = flds.riemann[sample]            # R^d_cab
+    Rc = flds.curvature(slice(sample, sample + 1))[1][0]  # R^d_cab
     basis, wedges = unitary_basis(gv, Jv)
     k = basis.shape[0]
     wmats = np.stack([w for _, w in wedges])

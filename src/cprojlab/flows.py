@@ -137,12 +137,14 @@ def jplanarity_residual(traj: Trajectory, chart, metric="g") -> float:
     component orthogonal to span{velocity, J velocity}.
 
     ``metric`` selects whose connection measures the acceleration: the
-    chart metric 'g' or its 'partner'.  The trajectory must carry its
-    coordinate accelerations gamma''."""
+    chart metric 'g' or its 'partner'; any other name is an error.  The
+    trajectory must carry its coordinate accelerations gamma''."""
+    if metric not in ("g", "partner"):
+        raise FlowError(f"metric must be 'g' or 'partner', not {metric!r}")
     if traj.acc is None:
         raise FlowError("trajectory carries no acceleration data")
     fl = chart.eval(traj.x, order=1)
-    if metric != "g":
+    if metric == "partner":
         fl = partner_fields(fl)
     gv, gam = fl.g.c[0], fl.gamma0.c[0]
     Jv = fl.J.c[0]

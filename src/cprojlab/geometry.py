@@ -147,17 +147,16 @@ def christoffel(g: Jet, ginv: Jet | None = None) -> Jet:
     return gamma
 
 
-def riemann(gamma: Jet, out: np.ndarray | None = None) -> np.ndarray:
+def riemann(gamma: Jet) -> np.ndarray:
     """Coordinate curvature values R^d_cab from order->=1 Christoffel jets.
     The four terms are summed into one output, left to right, so only one
-    quadratic term is held beside it; ``out``, if given, is that output,
-    so a caller that forms R in blocks writes each block in place."""
+    quadratic term is held beside it."""
     if gamma.order < 1:
         raise JetError("riemann needs Christoffel jets of order >= 1")
     G = gamma.c[0]                     # (N,c,a,b)
     dG = gamma.c[1]                    # (N,c,a,b,p)
     out = np.subtract(np.einsum("ndbca->ndcab", dG),
-                      np.einsum("ndacb->ndcab", dG), out=out)
+                      np.einsum("ndacb->ndcab", dG))
     out += contract("ndae,nebc->ndcab", G, G)
     out -= contract("ndbe,neac->ndcab", G, G)
     return out

@@ -1,5 +1,7 @@
 """Shared instance corpus, built once per session."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,12 @@ def christoffel_rows(calls, g0, order=None):
             lo = (a.ctypes.data - g0.ctypes.data) // g0.strides[0]
             count[lo:lo + len(a)] += 1
     return count
+
+
+def derived_keys(flds):
+    """The names of what the fields ``flds`` hold beyond their own
+    fields: the derived quantities formed on them so far."""
+    return vars(flds).keys() - {f.name for f in dataclasses.fields(flds)}
 
 
 def same_bytes(x, y):

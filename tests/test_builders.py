@@ -22,7 +22,8 @@ from cprojlab.jets import Jet, JetError, jet_einsum, jet_matmul, jet_trace
 from cprojlab.kahler import check_kahler, cproj_residual, proj_residual
 
 from conftest import (
-    christoffel_rows, pair_complex, pair_dini, pair_ell1, same_bytes, sample,
+    christoffel_rows, derived_keys, pair_complex, pair_dini, pair_ell1,
+    same_bytes, sample,
 )
 from fd_oracle import fd_gradient
 
@@ -742,19 +743,19 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     derived = ("gamma0", "ginv", "lam", "det", "char_poly")
     gam, ginv, lam, det, cp = (getattr(fl, k) for k in derived)
     assert fl.gamma0 is gam and fl.char_poly is cp  # computed once, kept
-    # a copy shares every cached quantity; R formed on it stays off fl
+    # a copy shares every cached quantity; the curvature caches nothing
     dup = copy.copy(fl)
     assert all(vars(dup)[k] is vars(fl)[k] for k in derived)
-    R = dup.riemann
-    assert dup.riemann is R and dup.gamma0 is gam
-    assert "riemann" not in vars(fl)
+    dup.curvature(slice(None))
+    assert derived_keys(dup) == derived_keys(fl) == set(derived)
     # a conformal change of g moves Gamma
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
     fl2 = dataclasses.replace(fl, g=g2)
-    assert fl2.gamma0 is not gam and fl2.riemann is not R
+    assert fl2.gamma0 is not gam
     np.testing.assert_array_equal(fl2.gamma0.c[0], christoffel(g2).c[0])
-    np.testing.assert_array_equal(fl2.riemann, riemann(christoffel(g2)))
+    np.testing.assert_array_equal(fl2.curvature(slice(None))[1],
+                                  riemann(christoffel(g2)))
     assert max_abs(fl2.gamma0.c[0] - gam.c[0]) > 1e-3
     # an edit of omega, A or J derives everything again, with the same
     # bytes where the edit does not reach
@@ -779,55 +780,55 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_christoffel_values_in_either_read_order(corpus, order):
-    # the Gamma values read before the curvature, or left by it, are the
-    # values of the full Christoffel jet; an order-1 evaluation has no
-    # curvature, and asking for it leaves the values as they were
+    # the Gamma values read before the curvature or after it, and those
+    # the curvature returns, are the values of the full Christoffel jet,
+    # and the curvature leaves nothing on the fields; an order-1
+    # evaluation has no curvature
     for name, chart, _ in corpus:
         pts = sample(chart, 10)
         for values_first in (True, False):
             fl = chart.eval(pts, order=order)
             want = christoffel(fl.g, fl.ginv)
+            gam0 = fl.gamma0 if values_first else None
+            held = derived_keys(fl)
             if order == 1:
-                gam0 = fl.gamma0 if values_first else None
                 with pytest.raises(JetError, match="order >= 1"):
-                    fl.riemann
-                assert "riemann" not in vars(fl), name
-                assert vars(fl).get("gamma0") is gam0, name
-                gam0 = fl.gamma0
-            elif values_first:
-                gam0, R = fl.gamma0, fl.riemann
+                    fl.curvature(slice(None))
             else:
-                R = fl.riemann
-                assert "gamma0" in vars(fl), name  # left by the curvature
-                gam0 = fl.gamma0
+                gam, R = fl.curvature(slice(None))
+                assert gam.order == 0, name
+                assert same_bytes(gam.c[0], want.c[0]), name
+                assert same_bytes(R, riemann(want)), name
+            assert derived_keys(fl) == held, name
+            assert vars(fl).get("gamma0") is gam0, name
+            gam0 = fl.gamma0
             assert gam0.order == 0, name
             assert same_bytes(gam0.c[0], want.c[0]), name
-            if order == 2:
-                assert same_bytes(R, riemann(want)), name
 
 
-@pytest.mark.parametrize("read_riemann", [False, True])
-def test_christoffel_values_are_kept_unless_g_changes(qp_ell1, read_riemann):
+@pytest.mark.parametrize("read_curvature", [False, True])
+def test_christoffel_values_are_kept_unless_g_changes(qp_ell1,
+                                                      read_curvature):
     chart = lift_pair(qp_ell1, (ConstantBlock(0.0, 2),), route="explicit")
     pts = sample(chart, 12)
     fl = chart.eval(pts, order=2)
     gam0 = fl.gamma0
-    R = fl.riemann if read_riemann else None
+    R = fl.curvature(slice(None))[1] if read_curvature else None
     phi = Jet.seed(0, pts[:, 0], chart.dim, 2) * 0.1 + 1.0
     g2 = jet_einsum("nab,n->nab", fl.g, phi)
     fl2 = dataclasses.replace(fl, g=g2)
-    assert "gamma0" not in vars(fl2) and "riemann" not in vars(fl2)
+    assert "gamma0" not in vars(fl2)
     assert fl2.gamma0.c[0].tobytes() == christoffel(g2).c[0].tobytes()
-    # a copy keeps them; an edit of omega or A derives them again with
-    # the same bytes
+    # a copy keeps them; an edit of omega or A derives them, and the
+    # curvature, again with the same bytes
     dup = copy.copy(fl)
-    assert dup.gamma0 is gam0 and vars(dup).get("riemann") is R
+    assert dup.gamma0 is gam0
     for edited in (dataclasses.replace(fl, omega=fl.omega * 2.0),
                    dataclasses.replace(fl, A=shift_endo(fl.A, 1.0))):
         assert "gamma0" not in vars(edited)
         assert same_bytes(edited.gamma0.c[0], gam0.c[0])
-        if read_riemann:
-            assert same_bytes(edited.riemann, R)
+        if read_curvature:
+            assert same_bytes(edited.curvature(slice(None))[1], R)
 
 
 def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
@@ -860,8 +861,9 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     for a in (g0, ghat0):
         assert (christoffel_rows(calls, a, 1) == 1).all()
         assert (christoffel_rows(calls, a) == 1).all()
-    fl.riemann
-    assert len(calls) > 3          # the curvature took several blocks
+    for _ in fl.curvature_blocks():
+        pass
+    assert len(calls) == 5         # the curvature took three blocks
     assert (christoffel_rows(calls, g0, 2) == 1).all()
     assert (christoffel_rows(calls, g0) == 2).all()
     assert (christoffel_rows(calls, ghat0) == 1).all()
@@ -869,22 +871,52 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
 
 def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
     # the mobility2 chart at two whole curvature blocks and half of a
-    # third: R and the Gamma values its blocks leave are the bytes of the
-    # whole batch's Christoffel jet and values
+    # third: R and the Gamma values of the blocks are the bytes of the
+    # whole batch's Christoffel jet and values, and the blocks leave
+    # nothing on the fields, so Gamma values read later are formed anew
     _, chart, _ = corpus[5]
     d = chart.dim
     rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
-    fl = chart.eval(sample(chart, 2 * rows + rows // 2), order=2)
+    n = 2 * rows + rows // 2
+    fl = chart.eval(sample(chart, n), order=2)
     blocks = []
     real = builders.christoffel
     monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
         blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
-    R = fl.riemann
+    walked = list(fl.curvature_blocks())
     assert blocks == [(rows, 2), (rows, 2), (rows // 2, 2)]
+    assert [r for r, _, _ in walked] == [
+        slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 3 * rows)]
+    assert derived_keys(fl) == {"ginv"}
+    R = np.concatenate([Rc for _, _, Rc in walked])
+    gam = np.concatenate([g.c[0] for _, g, _ in walked])
     assert same_bytes(R, riemann(christoffel(fl.g, fl.ginv)))
-    assert same_bytes(fl.gamma0.c[0], christoffel(
+    assert same_bytes(gam, christoffel(
         fl.g.truncate(1), fl.ginv.truncate(0)).c[0])
-    assert len(blocks) == 3        # the values were left by the blocks
+    assert same_bytes(fl.gamma0.c[0], gam)
+    assert blocks[3:] == [(n, 1)]
+
+
+@pytest.mark.parametrize("which", ["mobility2", "jordan2"])
+def test_one_sample_curvature_is_the_row_of_the_whole_batch(
+        corpus, qp_jordan2, which):
+    # one sample's R is the row of the whole batch's R, bit for bit: on
+    # the mobility2 chart of three curvature blocks at the first and last
+    # row of each block, and on a Jordan pair at every sample
+    if which == "mobility2":
+        _, chart, _ = corpus[5]
+        d = chart.dim
+        rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+        n = 2 * rows + rows // 2
+        fl = chart.eval(sample(chart, n), order=2)
+        picks = (0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1)
+    else:
+        fl = qp_jordan2.eval(sample(qp_jordan2, 12), order=2)
+        picks = range(12)
+    whole = riemann(christoffel(fl.g, fl.ginv))
+    for s in picks:
+        _, R = fl.curvature(slice(s, s + 1))
+        assert same_bytes(R, whole[s:s + 1]), (which, s)
 
 
 def test_blocked_char_poly_equals_the_whole_batch(monkeypatch, corpus):

@@ -110,6 +110,17 @@ def test_jplanarity_refuses_a_null_span(flat_chart):
         jplanarity_residual(traj, flat_chart)
 
 
+@pytest.mark.parametrize("metric", ["G", "partners", "ghat", ""])
+def test_jplanarity_refuses_an_unknown_metric(flat_chart, metric):
+    # any name but 'g' once measured against the partner
+    ts = np.linspace(0.0, 1.0, 5)
+    x = np.zeros((5, 2))
+    traj = Trajectory(t=ts, x=x, v=np.ones_like(x), acc=np.zeros_like(x))
+    with pytest.raises(FlowError, match=(
+            f"metric must be 'g' or 'partner', not '{metric}'")):
+        jplanarity_residual(traj, flat_chart, metric=metric)
+
+
 def _equation_of_motion(chart, traj, beta):
     """gamma'' = -Gamma(gamma', gamma') + beta J gamma' at the output
     states of ``traj``, written out apart from the integrator: an oracle
