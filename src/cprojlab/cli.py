@@ -28,8 +28,8 @@ from .geometry import GeometryError, GridSpec, max_abs, nan_max
 from .jets import Jet, JetError
 from .builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
-    build_mobility2, build_quotient_pair, jordan_pair_spec, lift_pair,
-    mobility_spec, shift_endo, solve_jordan_odes)
+    _sample_blocks, build_mobility2, build_quotient_pair, jordan_pair_spec,
+    lift_pair, mobility_spec, shift_endo, solve_jordan_odes)
 from .kahler import (
     KahlerError, check_kahler, commuting_gradients_residual,
     connection_difference_check, cproj_residual, eigenvector_gradient_residual,
@@ -46,10 +46,12 @@ from .flows import (
     lie_residual_suite, split_lie_suite, tail_exponent, transport_check,
     volume_coefficient)
 
-# the one sample cap: a run's memory grows as its sample count
-# n = grid**dim + random times max(dim, 8)**4, by about 100 bytes a unit,
-# and n * max(dim, 8)**4 <= MAX_SAMPLES * 8**4 keeps it under about 2 GB
-# (n <= MAX_SAMPLES up to dim 8)
+# the one sample cap: a run's time grows as its sample count
+# n = grid**dim + random times max(dim, 8)**4, and n * max(dim, 8)**4 <=
+# MAX_SAMPLES * 8**4 bounds it (n <= MAX_SAMPLES up to dim 8).  A run
+# holds one block of samples and the values of A at all n, so its memory
+# hardly grows with n: at the cap, a 6-dim chart (mobility2 with
+# random = 4271) peaks at 51 MB RSS and 15.5 MB traced, in 1.0 s
 MAX_SAMPLES = 5000
 
 
@@ -72,12 +74,13 @@ def _pair_spec(v) -> CompatiblePairSpec:
 class Run:
     """One scenario run: its typed values, the built instance and the state
     the check steps share, each piece built on first use and at most once.
-    A Kahler run holds its fields ``f`` (and ``fl``, f with the seeded
-    omega defect if one is set) and the partner ``ghat``; the shifted
-    spectrum that the partner and det_C read is the number ``shift``."""
+    Its samples ``pts`` are checked a block ``rows`` at a time (all until
+    ``check`` sets it): the block's order-2 fields ``f`` (``fl`` with the
+    seeded omega defect), Killing set ``ks`` and partner ``ghat`` go with
+    the block; the spectrum's ``shift`` is one number for the run."""
 
     def __init__(self, v):
-        self.v, self.csv = v, {}
+        self.v, self.csv, self.rows = v, {}, slice(None)
 
     def sample(self, inst, title=None):
         grid, rnd, dim = self.v["grid"], self.v["random"], inst.window.dim
@@ -85,7 +88,7 @@ class Run:
         if n * w ** 4 > MAX_SAMPLES * 8 ** 4:
             raise ConfigError(
                 f"'grid' = {grid} and 'random' = {rnd} draw {n} samples of a "
-                f"{dim}-dim chart, which need more memory than a run may "
+                f"{dim}-dim chart, which need more time than a run may "
                 f"take ({n} * {w}**4 > {MAX_SAMPLES} * 8**4)")
         self.inst = inst
         return title or inst.name
@@ -97,9 +100,9 @@ class Run:
 
     @cached_property
     def f(self):
-        # the run's one order-2 evaluation; a metric that overflows at
+        # the block's one order-2 evaluation; a metric that overflows at
         # extreme profile scales is refused here, for every scenario
-        f = self.inst.eval(self.pts, order=2)
+        f = self.inst.eval(self.pts[self.rows], order=2)
         finite = np.all([np.isfinite(c.reshape(len(c), -1)).all(axis=1)
                          for c in f.g.c], axis=0)
         if not finite.all():
@@ -117,7 +120,7 @@ class Run:
         w = self.f.omega
         coeffs = [c.copy() for c in w.c]
         for (i, j), s in (((1, 2), eps), ((2, 1), -eps)):
-            coeffs[0][:, i, j] += s * self.pts[:, 0]
+            coeffs[0][:, i, j] += s * self.pts[self.rows, 0]
             coeffs[1][:, i, j, 0] += s
         return dataclasses.replace(self.f,
                                    omega=Jet(w.dim, w.order, coeffs))
@@ -135,8 +138,9 @@ class Run:
     @cached_property
     def shift(self):
         # zero eigenvalues block the inverse, and A + shift Id solves the
-        # same equation and clears the spectrum
-        return spectrum_safe_shift(self.fl)
+        # same equation and clears the spectrum; the omega defect leaves A
+        # as it is
+        return spectrum_safe_shift(self.inst.eval(self.pts, order=0))
 
     @cached_property
     def ghat(self):
@@ -145,6 +149,23 @@ class Run:
         # readers take
         return partner_fields(dataclasses.replace(
             self.fl, A=shift_endo(self.fl.A, self.shift)))
+
+    def check(self, steps, whole=False):
+        """Each step's entries of each block of samples (one if ``whole``),
+        merged into the run's; a step marked ``once`` runs on the first."""
+        d = self.inst.window.dim if hasattr(self, "inst") else 0
+        blocks = ([slice(None)] if whole or not d else _sample_blocks(
+            len(self.pts), 8 * d * d * (1 + d + d * d)))  # an order-2 field
+        outs = [[] for _ in steps]
+        for b, self.rows in enumerate(blocks):
+            for name in ("f", "fl", "ks", "ghat"):
+                self.__dict__.pop(name, None)
+            for st, out in zip(steps, outs):
+                if not (b and st.once):
+                    new = list(getattr(new := st.emit(self), "entries", new))
+                    out[:] = [e.merge(x) for e, x in zip(out, new, strict=True)
+                              ] if b else new
+        return outs
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +220,9 @@ def _noted(entries, r):
 def _partner_roundtrip(r):
     A = shift_endo(r.fl.A.truncate(0), r.shift).c[0]
     Arec = recover_endo(r.fl, r.ghat)
-    rt = max_abs(Arec.c[0] - A) / (1.0 + max_abs(A))
-    return _noted([CheckEntry("partner_roundtrip", "recover(partner(g,A))=A",
-                              rt, 1e-9, samples=len(r.pts))], r)
+    return _noted([CheckEntry.of(
+        "partner_roundtrip", "recover(partner(g,A))=A",
+        [(max_abs(Arec.c[0] - A), max_abs(A))], 1e-9, samples=len(A))], r)
 
 
 # the lift route a chart was not built by
@@ -212,24 +233,24 @@ def _route_agreement(r):
     # the run's chart against the one the other route builds: the values
     # and first derivatives of g, J and A and the values of omega, each
     # relative to the size of that field at that order
-    fa = lift_pair(r.inst.qp, cb=r.cb,
-                   route=OTHER_ROUTE[r.v["route"]]).eval(r.pts, order=1)
-    dev = nan_max(*(
-        max_abs(getattr(fa, k).c[o] - b) / (1.0 + max_abs(b))
-        for k, orders in (("g", 2), ("omega", 1), ("J", 2), ("A", 2))
-        for o, b in enumerate(getattr(r.f, k).c[:orders])))
-    return [CheckEntry("route_agreement", "explicit == jacobian route", dev,
-                       1e-9, samples=len(r.pts))]
+    fa = lift_pair(r.inst.qp, cb=r.cb, route=OTHER_ROUTE[r.v["route"]]
+                   ).eval(r.pts[r.rows], order=1)
+    terms = [(max_abs(getattr(fa, k).c[o] - b), max_abs(b))
+             for k, orders in (("g", 2), ("omega", 1), ("J", 2), ("A", 2))
+             for o, b in enumerate(getattr(r.f, k).c[:orders])]
+    return [CheckEntry.of("route_agreement", "explicit == jacobian route",
+                          terms, 1e-9, samples=len(fa.g.c[0]))]
 
 
 def _blowup_spectrum(r):
     # the closed-form curvature eigenvalue against the assembled operator
-    # at a few samples
+    # at the run's first three samples
     dev, pts = [], r.pts[:3]
+    f = r.inst.eval(pts, order=2)
     for s, p in enumerate(pts):
         val = (jordan2_fprime(r.sol, p[0], p[1]) if r.v["kind"] == "2x2"
                else jordan3_fprime(r.sol, p[1], p[2]))
-        eigs = np.linalg.eigvals(curvature_operator_matrix(r.f, s)[0])
+        eigs = np.linalg.eigvals(curvature_operator_matrix(f, s)[0])
         dev.append(float(np.min(np.abs(eigs - val))) / (1.0 + abs(val)))
     return [CheckEntry("blowup_formula_vs_spectrum",
                        "closed-form eigenvalue in spec(R)", nan_max(*dev),
@@ -281,11 +302,13 @@ class Step(NamedTuple):
     """The names a check step emits, space-separated (``*`` a wildcard
     suffix); its function of the ``Run``, which returns the entries, each
     bounded by the function that builds it (a suite's ``tol`` default or
-    the number a helper step writes); and its run condition, if any: a
-    key and the typed value it must have."""
+    the number a helper step writes); its run condition, if any: a key
+    and the typed value it must have; and whether it runs ``once``, on no
+    block of samples (an ODE, the chart or samples of its own)."""
     names: str
     emit: Callable
     when: tuple = ()
+    once: bool = False
 
 
 KAHLER_STEPS = (
@@ -362,11 +385,12 @@ SCENARIOS = {
         "route": Opt(tuple(OTHER_ROUTE), "jacobian"),
     }, {"block": 1, "constant_block": 0}),
     "mobility2": (_build_mobility2, KAHLER_STEPS + (
-        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst)),
+        Step("lie_v_metric lie_v_endo", lambda r: lie_residual_suite(r.inst),
+             once=True),
         Step("eigenvalue_transport", lambda r: transport_check(r.inst),
-             ("ell", 1)),
+             ("ell", 1), True),
         Step("volume_coefficient", lambda r: volume_coefficient(r.inst),
-             ("ell", 1))), {
+             ("ell", 1), True)), {
         **KAHLER,
         "name": Opt(str, "mobility2"),
         "ell": Opt(int, 1, "[1, 6]"),
@@ -376,16 +400,16 @@ SCENARIOS = {
     "jordan": (_build_jordan, (
         Step("ode_defect", lambda r: [CheckEntry(
             "ode_defect", "dense-output integral defect", r.sol.defect(),
-            1e-9)]),
+            1e-9)], once=True),
         Step("g1_constancy", lambda r: [CheckEntry(
             "g1_constancy", "G1' = 0", r.sol.g1_constancy(), 1e-12)],
-             ("kind", "3x3")),
+             ("kind", "3x3"), True),
         PROJ_STEP,
         Step("split_lie_endo split_lie_metric",
              lambda r: split_lie_suite(r.f, r.v["n2"], r.v["C"])),
         Step("real_ricci_identity", lambda r: real_ricci_identity_check(r.f)),
-        Step("blowup_formula_vs_spectrum", _blowup_spectrum),
-        Step("blowup_exponent", _blowup_exponent)), {
+        Step("blowup_formula_vs_spectrum", _blowup_spectrum, once=True),
+        Step("blowup_exponent", _blowup_exponent, once=True)), {
         **SAMPLED,
         "kind": Opt(("2x2", "3x3"), "2x2"),
         "n2": Opt(float, 2.0),
@@ -400,9 +424,10 @@ SCENARIOS = {
         {**COMMON, "T": Opt(float, 6.0, "(0, 100]")}, {}),
     "appendix": (_build_appendix, (
         Step("ricci_identity", lambda r: ricci_identity_check(r.f)),
-        Step("spectrum_*", lambda r: compare_with_numeric(r.f, sample=0)),
+        Step("spectrum_*", lambda r: compare_with_numeric(
+            r.inst.eval(r.pts[:1], order=2)), once=True),
         Step("fppp_limit", lambda r: fppp_limit_check(
-            r.inst.qp.blocks[0].F, 0.5))),
+            r.inst.qp.blocks[0].F, 0.5), once=True)),
         {**COMMON, "C": Opt(float, -1.5, MOBILITY_C)}, {}),
 }
 
@@ -455,9 +480,18 @@ def run_scenario(v, only=None):
                           f"{v['scenario']!r}")
     r = Run(v)
     rep = ResidualReport(title=build(r))
-    for st in steps:
-        out = st.emit(r)
-        rep.entries += [e for e in getattr(out, "entries", out)
+    try:
+        outs = r.check(steps)
+    except ValueError:
+        # a guard's value at the block that holds the batch's largest
+        # residual is at least the whole batch's (the same residual over a
+        # scale no larger), and a guard on single samples fires in the
+        # block that holds them, so a block raises wherever the whole batch
+        # does; the whole batch then decides, with its own sample indices
+        # and values
+        outs = r.check(steps, whole=True)
+    for out in outs:
+        rep.entries += [e for e in out
                         if only is None or e.name.startswith(only)]
     if not rep.entries:
         # a report without checks must not read as a pass

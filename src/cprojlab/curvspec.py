@@ -140,9 +140,9 @@ def _ricci_defect(flds, k):
     R is read a block of samples at a time (``curvature_blocks``), nabla
     La is formed from each block's Gamma values and the wedges per block,
     so no array holds more than one wedge of one block.  Each wedge keeps
-    running maxima of |defect|, |R X| and |X| over the blocks and takes its
-    scale from them at the end: the value of the whole batch, and a NaN at
-    any sample reads NaN."""
+    running maxima of |defect|, |R X| and |X| over the blocks; its term of
+    the check's entry (``CheckEntry.of``) is its largest |defect| and the
+    largest of |R X|, |X|, |A| and |nabla La|."""
     lam, Av, gv = flds.lam, flds.A.c[0], flds.g.c[0]
     Jv = None if flds.J is None else flds.J.c[0]
     base, peaks = 0.0, {}       # peaks[(a, b)]: max |defect|, |R X|, |X|
@@ -156,16 +156,15 @@ def _ricci_defect(flds, k):
             defect = (RX @ A - A @ RX) - k * (X @ N - N @ X)
             peaks[ab] = [nan_max(p, max_abs(t)) for p, t in zip(
                 peaks.get(ab, (0.0,) * 3), (defect, RX, X))]
-    return nan_max(0.0, *(dm / (1.0 + nan_max(rm, xm, base))
-                          for dm, rm, xm in peaks.values()))
+    return [(dm, nan_max(rm, xm, base)) for dm, rm, xm in peaks.values()]
 
 
 def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
     """[R(X), A] = 4 [X, nabla La] over the spanning wedge set."""
     rep = ResidualReport(title="ricci-identity")
-    rep.add(CheckEntry("ricci_identity", "[R(X),A]=4[X,nablaLambda]",
-                       _ricci_defect(flds, 4.0), tol,
-                       samples=flds.g.c[0].shape[0]))
+    rep.add(CheckEntry.of("ricci_identity", "[R(X),A]=4[X,nablaLambda]",
+                          _ricci_defect(flds, 4.0), tol,
+                          samples=flds.g.c[0].shape[0]))
     return rep
 
 
@@ -260,10 +259,10 @@ def compare_with_numeric(flds, sample=0, tol=1e-5) -> ResidualReport:
 def real_ricci_identity_check(flds, tol=1e-6) -> ResidualReport:
     """[R(u, v), L] = [u ^ v, nabla La] over coordinate pairs."""
     rep = ResidualReport(title="real-ricci-identity")
-    rep.add(CheckEntry("real_ricci_identity",
-                       "[R(u,v),L]=[u^v,nablaLambda]",
-                       _ricci_defect(flds, 1.0), tol,
-                       samples=flds.g.c[0].shape[0]))
+    rep.add(CheckEntry.of("real_ricci_identity",
+                          "[R(u,v),L]=[u^v,nablaLambda]",
+                          _ricci_defect(flds, 1.0), tol,
+                          samples=flds.g.c[0].shape[0]))
     return rep
 
 

@@ -263,15 +263,15 @@ def split_lie_suite(flds, n2, C, tol=1e-6) -> ResidualReport:
     rhs_L = L - np.einsum("nab,nbc->nac", L, L)
     hL = np.einsum("nac,ncb->nab", h, L)
     rhs_h = (n2 - 1.0) * hL - (trL + C + n2)[:, None, None] * h
-    rL = max_abs(lie_endo(flds.A, flds.v) - rhs_L) / (1.0 + max_abs(rhs_L))
-    rh = max_abs(lie_metric(flds.g, flds.v) - rhs_h) / (1.0 + max_abs(rhs_h))
+    rL = max_abs(lie_endo(flds.A, flds.v) - rhs_L), max_abs(rhs_L)
+    rh = max_abs(lie_metric(flds.g, flds.v) - rhs_h), max_abs(rhs_h)
     n = h.shape[0]
     rep = ResidualReport(title="split-lie")
-    rep.add(CheckEntry("split_lie_endo", "L_v L = L - L^2", rL, tol,
-                       samples=n),
-            CheckEntry("split_lie_metric",
-                       "L_v h = (n2-1) hL - (tr L + C + n2) h", rh, tol,
-                       samples=n))
+    rep.add(CheckEntry.of("split_lie_endo", "L_v L = L - L^2", [rL], tol,
+                          samples=n),
+            CheckEntry.of("split_lie_metric",
+                          "L_v h = (n2-1) hL - (tr L + C + n2) h", [rh],
+                          tol, samples=n))
     return rep
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .jets import Jet, JetError, contract, jet_einsum, jet_inv, jet_map, \
     tensor_partial
+from .report import nan_max
 
 __all__ = [
     "Box", "GridSpec", "GeometryError",
@@ -99,17 +100,6 @@ class GridSpec:
 # ---------------------------------------------------------------------------
 # residual norms
 # ---------------------------------------------------------------------------
-
-def nan_max(*values) -> float:
-    """The largest value, or NaN if any is NaN: Python's ``max`` keeps a
-    NaN only in first place, so a residual that is NaN would read as a
-    pass."""
-    out = values[0]
-    for v in values[1:]:
-        if v > out or v != v:
-            out = v
-    return out
-
 
 def max_abs(*arrays) -> float:
     """The largest |entry| of the arrays (None skipped), 0.0 if there is

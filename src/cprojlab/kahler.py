@@ -60,34 +60,24 @@ def check_kahler(flds, tol=1e-6) -> ResidualReport:
     g, J, w = flds.g, flds.J, flds.omega
     n = g.c[0].shape[0]
     rep = ResidualReport(title="kahler")
-    scale = 1.0 + max_abs(g.c[0], J.c[0], w.c[0])
-
+    scale = max_abs(g.c[0], J.c[0], w.c[0])
     J2 = contract("nab,nbc->nac", J.c[0], J.c[0])
-    eye = np.eye(J.c[0].shape[-1])[None]
-    rep.add(CheckEntry("J_squared", "J^2+Id", max_abs(J2 + eye) / scale,
-                       tol, samples=n))
-
     gJ = contract("ncd,nca->nad", g.c[0], J.c[0])
     gJJ = contract("nad,ndb->nab", gJ, J.c[0])
-    rep.add(CheckEntry("hermitian_metric", "g(J.,J.)-g",
-                       max_abs(gJJ - g.c[0]) / scale, tol, samples=n))
-
-    rep.add(CheckEntry("omega_def", "omega-g(J.,.)",
-                       max_abs(w.c[0] - gJ) / scale, tol, samples=n))
-
-    rep.add(CheckEntry("domega", "d(omega)",
-                       max_abs(ext_deriv_two_form(w)) / scale, tol,
-                       samples=n))
-
-    rep.add(CheckEntry("parallel_J", "nabla(J)",
-                       max_abs(cov_deriv_endo(J, flds.gamma0)) / scale, tol,
-                       samples=n))
+    for name, anchor, peak in (
+            ("J_squared", "J^2+Id", max_abs(J2 + np.eye(J2.shape[-1]))),
+            ("hermitian_metric", "g(J.,J.)-g", max_abs(gJJ - g.c[0])),
+            ("omega_def", "omega-g(J.,.)", max_abs(w.c[0] - gJ)),
+            ("domega", "d(omega)", max_abs(ext_deriv_two_form(w))),
+            ("parallel_J", "nabla(J)",
+             max_abs(cov_deriv_endo(J, flds.gamma0)))):
+        rep.add(CheckEntry.of(name, anchor, [(peak, scale)], tol, samples=n))
     return rep
 
 
 def _compat_defect(flds):
     """nabla A minus the right side of the compatibility equation, with the
-    J terms when ``flds.J`` is set, and the residual's scale."""
+    J terms when ``flds.J`` is set, and the size it is relative to."""
     g, A, lv = flds.g.c[0], flds.A.c[0], flds.lam.c[0]
     lflat = np.einsum("ncb,nb->nc", g, lv)
     rhs = (np.einsum("nac,nb->nabc", g, lv)
@@ -100,16 +90,16 @@ def _compat_defect(flds):
         rhs = (rhs + contract("nac,nb->nabc", gJ, Jlam)
                + np.einsum("nc,nba->nabc", Jlflat, Jv))
     return (cov_deriv_endo(flds.A, flds.gamma0) - rhs,
-            1.0 + max_abs(A, g, lv))
+            max_abs(A, g, lv))
 
 
 def cproj_residual(flds, tol=1e-6) -> ResidualReport:
     """Defect of the c-compatibility equation over all basis directions."""
     resid, scale = _compat_defect(flds)
     rep = ResidualReport(title="cproj")
-    rep.add(CheckEntry("cproj_compat", "nabla_A=4-term(Lambda)",
-                       max_abs(resid) / scale, tol,
-                       samples=flds.g.c[0].shape[0]))
+    rep.add(CheckEntry.of("cproj_compat", "nabla_A=4-term(Lambda)",
+                          [(max_abs(resid), scale)], tol,
+                          samples=flds.g.c[0].shape[0]))
     return rep
 
 
@@ -126,8 +116,9 @@ def proj_residual(flds, tol=1e-6) -> ResidualReport:
             f"{worst}")
     resid, scale = _compat_defect(flds)
     rep = ResidualReport(title="proj")
-    rep.add(CheckEntry("proj_compat", "nabla_L=2-term(Lambda)",
-                       max_abs(resid) / scale, tol, samples=hL.shape[0]))
+    rep.add(CheckEntry.of("proj_compat", "nabla_L=2-term(Lambda)",
+                          [(max_abs(resid), scale)], tol,
+                          samples=hL.shape[0]))
     return rep
 
 
@@ -259,16 +250,15 @@ def hamiltonian_killing_check(flds, shift=0.0, tol=1e-6) -> ResidualReport:
     hess = hessian_cov(f.truncate(2), flds.gamma0).c[0]
     Jv = J.c[0]
     herm = np.einsum("nca,ncd,ndb->nab", Jv, hess, Jv) - hess
-    scale = 1.0 + max_abs(hess)
     rep = ResidualReport(title="hamiltonian-killing")
-    rep.add(CheckEntry("det_hessian_hermitian", "herm(nabla^2 detC A)",
-                       max_abs(herm) / scale, tol, samples=n))
+    rep.add(CheckEntry.of("det_hessian_hermitian", "herm(nabla^2 detC A)",
+                          [(max_abs(herm), max_abs(hess))], tol, samples=n))
     K = jet_einsum("nab,nb->na", J.truncate(f.order - 1),
                    gradient(f, flds.ginv))
     lg = lie_metric(g.truncate(K.order), K)
-    rep.add(CheckEntry("killing_detC", "L_K g, K=J grad detC A",
-                       max_abs(lg) / (1.0 + max_abs(g.c[0], K.c[0])), tol,
-                       samples=n))
+    rep.add(CheckEntry.of("killing_detC", "L_K g, K=J grad detC A",
+                          [(max_abs(lg), max_abs(g.c[0], K.c[0]))], tol,
+                          samples=n))
     return rep
 
 
@@ -294,10 +284,10 @@ def connection_difference_check(flds, partner, tol=1e-6
          - np.einsum("na,ncb->ncab", PhiJ, Jv)
          - np.einsum("nb,nca->ncab", PhiJ, Jv))
     resid = (gamhat - gam) - T
-    scale = 1.0 + max_abs(gam, gamhat)
     rep = ResidualReport(title="connection-difference")
-    rep.add(CheckEntry("connection_difference", "Gammahat-Gamma=T(Phi)",
-                       max_abs(resid) / scale, tol, samples=n))
+    rep.add(CheckEntry.of("connection_difference", "Gammahat-Gamma=T(Phi)",
+                          [(max_abs(resid), max_abs(gam, gamhat))], tol,
+                          samples=n))
     return rep
 
 
@@ -334,7 +324,7 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
     vals = [r.c[0] for r in flds.rhos]
     mask = gap_mask(vals, [])
     excluded = int((~mask).sum())
-    worst = 0.0
+    terms = []
     for r in flds.rhos:
         grad = gradient(r, flds.ginv).c[0]
         Av = A.c[0]
@@ -342,11 +332,10 @@ def eigenvector_gradient_residual(flds, tol=1e-7) -> ResidualReport:
         Jgrad = np.einsum("nab,nb->na", J.c[0], grad)
         res2 = np.einsum("nab,nb->na", Av, Jgrad) \
             - r.c[0][:, None] * Jgrad
-        s = 1.0 + max_abs(grad[mask], Av[mask])
-        worst = nan_max(worst, max_abs(res[mask]) / s,
-                        max_abs(res2[mask]) / s)
-    rep.add(CheckEntry("eigenvector_gradients", "(A-rho)grad rho",
-                       worst, tol, samples=n, excluded=excluded))
+        s = max_abs(grad[mask], Av[mask])
+        terms += [(max_abs(res[mask]), s), (max_abs(res2[mask]), s)]
+    rep.add(CheckEntry.of("eigenvector_gradients", "(A-rho)grad rho",
+                          terms, tol, samples=n, excluded=excluded))
     return rep
 
 
@@ -359,15 +348,11 @@ def commuting_gradients_residual(flds, tol=1e-7) -> ResidualReport:
     eigenvalues of a compatible pair (order >= 2 jets required)."""
     grads = [gradient(mu, flds.ginv) for mu in flds.mus[1:]]
     n = flds.g.c[0].shape[0]
-    worst = 0.0
-    for i, u in enumerate(grads):
-        for v in grads[i + 1:]:
-            worst = nan_max(worst, max_abs(lie_bracket(u, v))
-                            / ((1.0 + max_abs(u.c[0]))
-                               * (1.0 + max_abs(v.c[0]))))
+    terms = [(max_abs(lie_bracket(u, v)), max_abs(u.c[0]), max_abs(v.c[0]))
+             for i, u in enumerate(grads) for v in grads[i + 1:]]
     rep = ResidualReport(title="commuting-gradients")
-    rep.add(CheckEntry("commuting_gradients", "[grad mu_i, grad mu_j]",
-                       worst, tol, samples=n))
+    rep.add(CheckEntry.of("commuting_gradients", "[grad mu_i, grad mu_j]",
+                          terms, tol, samples=n))
     return rep
 
 
@@ -382,7 +367,7 @@ def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
         raise KahlerError("det L vanishes at a sample")
     Linv = jet_inv(L)
     detL = jet_det(L, Linv)
-    worst = 0.0
+    terms = []
     inv_det = 1.0 / detL
     for i in range(1, ell + 1):
         dmu = tensor_partial(flds.mus[i])           # (n, a)
@@ -390,10 +375,10 @@ def mu_hat_duality_residual(flds, tol=1e-7) -> ResidualReport:
         lhs = jet_einsum("nb,n->nb", lhs, inv_det.truncate(dmu.order))
         muhat = flds.mus[i - 1] * inv_det           # muhat_{ell+1-i}
         rhs = tensor_partial(muhat)
-        worst = nan_max(worst, max_abs(lhs.c[0] + rhs.c[0])
-                        / (1.0 + max_abs(lhs.c[0], rhs.c[0])))
+        terms.append((max_abs(lhs.c[0] + rhs.c[0]),
+                      max_abs(lhs.c[0], rhs.c[0])))
     rep = ResidualReport(title="mu-hat-duality")
-    rep.add(CheckEntry("mu_hat_duality",
-                       "d mu_i o L^{-1} / det L = -d muhat_{l+1-i}",
-                       worst, tol, samples=n))
+    rep.add(CheckEntry.of("mu_hat_duality",
+                          "d mu_i o L^{-1} / det L = -d muhat_{l+1-i}",
+                          terms, tol, samples=n))
     return rep

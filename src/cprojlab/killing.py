@@ -81,40 +81,36 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
     n = g.c[0].shape[0]
     excl = int((~mask).sum())
     rep = ResidualReport(title="killing-suite")
-    scale_g = 1.0 + max_abs(g.c[0])
-
-    worst = {k: 0.0 for k, _ in KILLING_CHECKS[:-1]}
-    JK = []
-    for K in ks.K:
-        JK.append(jet_einsum("nab,nb->na", J.truncate(K.order), K))
+    G, Am = max_abs(g.c[0]), max_abs(A.c[0])
+    terms = {k: [] for k, _ in KILLING_CHECKS[:-1]}
+    JK = [jet_einsum("nab,nb->na", J.truncate(K.order), K) for K in ks.K]
 
     for i, K in enumerate(ks.K):
-        ord1 = K.order
-        sK = 1.0 + max_abs(K.c[0])
-        worst["lie_g"] = nan_max(worst["lie_g"], max_abs(
-            lie_metric(g.truncate(ord1), K)[mask]) / (scale_g * sK))
-        worst["lie_J"] = nan_max(worst["lie_J"], max_abs(
-            lie_endo(J.truncate(ord1), K)[mask]) / sK)
-        worst["lie_A"] = nan_max(worst["lie_A"], max_abs(
-            lie_endo(A.truncate(ord1), K)[mask]) /
-            (sK * (1.0 + max_abs(A.c[0]))))
+        ord1, sK = K.order, max_abs(K.c[0])
+        terms["lie_g"].append((max_abs(
+            lie_metric(g.truncate(ord1), K)[mask]), G, sK))
+        terms["lie_J"].append((max_abs(
+            lie_endo(J.truncate(ord1), K)[mask]), sK))
+        terms["lie_A"].append((max_abs(
+            lie_endo(A.truncate(ord1), K)[mask]), sK, Am))
         # hamiltonian property: omega(K_i, .) + d mu_i = 0
         ham = np.einsum("nab,na->nb", w.c[0], K.c[0]) + ks.mus[i].c[1]
-        worst["ham"] = nan_max(worst["ham"], max_abs(ham[mask]) / sK)
+        terms["ham"].append((max_abs(ham[mask]), sK))
         for j, K2 in enumerate(ks.K):
-            worst["omega_KK"] = nan_max(worst["omega_KK"], max_abs(
-                np.einsum("nab,na,nb->n", w.c[0], K.c[0], K2.c[0])[mask])
-                / (sK * (1.0 + max_abs(K2.c[0]))))
+            terms["omega_KK"].append((max_abs(np.einsum(
+                "nab,na,nb->n", w.c[0], K.c[0], K2.c[0])[mask]),
+                sK, max_abs(K2.c[0])))
             for u, v_ in ((K, K2), (K, JK[j]), (JK[i], JK[j])):
-                worst["brackets"] = nan_max(worst["brackets"], max_abs(
-                    lie_bracket(u, v_)[mask])
-                    / ((1.0 + max_abs(u.c[0])) * (1.0 + max_abs(v_.c[0]))))
+                terms["brackets"].append((max_abs(lie_bracket(u, v_)[mask]),
+                                          max_abs(u.c[0]), max_abs(v_.c[0])))
 
-    # Gram nondegeneracy margin of span{K_i}
+    # Gram nondegeneracy margin of span{K_i}: min |det| at regular
+    # samples over (1 + max |gram|)^ell
     Kv = np.stack([K.c[0] for K in ks.K], axis=1)      # (n, ell, d)
-    gram, rel_det = span_gram(Kv, g.c[0])
+    gram, _ = span_gram(Kv, g.c[0])
     gram_inv = np.linalg.inv(gram)
-    margin = np.min(rel_det[mask]) if mask.any() else 0.0
+    margin = (np.min(np.abs(np.linalg.det(gram[mask])), initial=np.inf),
+              max_abs(gram), ks.ell)
 
     # statement: J nabla_{K_i} K_j stays in span{K}
     nablaK = [cov_deriv_vector(Kj, flds.gamma0) for Kj in ks.K]
@@ -122,16 +118,15 @@ def killing_property_suite(ks: CanonicalKillingSet, flds, tol=1e-6
         for nKj in nablaK:
             w_ = np.einsum("nab,nb->na", J.c[0],
                            np.einsum("na,nab->nb", Ki.c[0], nKj))
-            worst["span"] = nan_max(worst["span"], max_abs(
-                normal_part(w_, Kv, g.c[0], gram_inv)[mask])
-                / (1.0 + max_abs(w_)))
+            terms["span"].append((max_abs(
+                normal_part(w_, Kv, g.c[0], gram_inv)[mask]), max_abs(w_)))
 
     for key, anchor in KILLING_CHECKS[:-1]:
-        rep.add(CheckEntry(f"killing_{key}", anchor, worst[key], tol,
-                           samples=n, excluded=excl))
+        rep.add(CheckEntry.of(f"killing_{key}", anchor, terms[key], tol,
+                              samples=n, excluded=excl))
     key, anchor = KILLING_CHECKS[-1]
-    rep.add(CheckEntry(f"killing_{key}", anchor, float(margin), GRAM_MARGIN,
-                       mode="min>=tol", samples=n, excluded=excl))
+    rep.add(CheckEntry.of(f"killing_{key}", anchor, [margin], GRAM_MARGIN,
+                          mode="min>=tol", samples=n, excluded=excl))
     return rep
 
 
@@ -145,16 +140,15 @@ def a_on_k_recurrence(ks: CanonicalKillingSet, flds, tol=1e-7
         rep.add(CheckEntry("a_on_k", "A K_i = mu_i K_1 - K_{i+1}", 0.0,
                            tol, samples=n, note="vacuous, ell=0"))
         return rep
-    worst = 0.0
+    terms = []
     for i, K in enumerate(ks.K):
         AK = np.einsum("nab,nb->na", A, K.c[0])
         rhs = ks.mus[i].c[0][:, None] * ks.K[0].c[0]
         if i + 1 < ks.ell:
             rhs = rhs - ks.K[i + 1].c[0]
-        worst = nan_max(worst, max_abs((AK - rhs)[ks.mask])
-                        / (1.0 + max_abs(AK, rhs)))
-    rep.add(CheckEntry("a_on_k", "A K_i = mu_i K_1 - K_{i+1}", worst, tol,
-                       samples=n, excluded=int((~ks.mask).sum())))
+        terms.append((max_abs((AK - rhs)[ks.mask]), max_abs(AK, rhs)))
+    rep.add(CheckEntry.of("a_on_k", "A K_i = mu_i K_1 - K_{i+1}", terms,
+                          tol, samples=n, excluded=int((~ks.mask).sum())))
     return rep
 
 

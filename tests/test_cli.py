@@ -192,7 +192,7 @@ def test_refused_run_leaves_no_csv_directory(monkeypatch, tmp_path, capsys):
     out, err = capsys.readouterr()
     lines = err.splitlines()
     assert out == "" and len(lines) == 1, err
-    assert " need more memory than a run may take " in lines[0]
+    assert " need more time than a run may take " in lines[0]
     assert sorted(p.name for p in Path().iterdir()) == ["big.cfg", "kept"]
     assert list(Path("kept").iterdir()) == []
 
@@ -456,8 +456,9 @@ def test_every_step_reads_the_run(kind):
     # a step that reads nothing of the run but the CSV table evaluates a
     # constant of the code; such an identity belongs in a unit test, not
     # in the report.  Each step runs alone, on a run that holds the built
-    # instance and fields with nothing cached, as under --only
-    assert cli.Step._fields == ("names", "emit", "when")
+    # instance and fields with nothing cached, as under --only; a step
+    # that runs once reads no quantity of a block of samples
+    assert cli.Step._fields == ("names", "emit", "when", "once")
     v = _canonical_runs()[kind]
     build, steps = cli.SCENARIOS[kind][:2]
     base = cli.Run(v)
@@ -471,6 +472,8 @@ def test_every_step_reads_the_run(kind):
         rec = RecordingRun(run)
         st.emit(rec)
         assert rec.reads - {"csv"}, st.names
+        assert not st.once or not rec.reads & {
+            "rows", "f", "fl", "ks", "ghat"}, st.names
 
 
 @pytest.mark.parametrize("name,other", [
@@ -776,9 +779,10 @@ def test_bad_block_key_exits_2(tmp_path, capsys, name, old, new):
     (2, 2610, 9, True), (2, 2609, 9, False),
     (1, 987, 12, True), (1, 986, 12, False)])
 def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
-    # memory grows as samples * max(dim, 8)**4: 4104 samples of a 12-dim
-    # chart (mobility2 at ell = 4 beside two constant blocks) need about
-    # 8 GB; 1032 of a 10-dim chart fit, and up to dim 8 the cap is 5000
+    # run time grows as samples * max(dim, 8)**4, and memory by one block
+    # of samples: 4104 samples of a 12-dim chart (mobility2 at ell = 4
+    # beside two constant blocks) are refused; 1032 of a 10-dim chart
+    # fit, and up to dim 8 the cap is 5000
     run = cli.Run({"grid": grid, "random": rnd})
     chart = SimpleNamespace(window=SimpleNamespace(dim=dim), name="chart")
     n, w = grid ** dim + rnd, max(dim, 8)
@@ -787,7 +791,7 @@ def test_sample_is_capped_by_its_memory(grid, rnd, dim, refused):
             run.sample(chart)
         assert str(exc.value) == (
             f"'grid' = {grid} and 'random' = {rnd} draw {n} samples of a "
-            f"{dim}-dim chart, which need more memory than a run may take "
+            f"{dim}-dim chart, which need more time than a run may take "
             f"({n} * {w}**4 > 5000 * 8**4)")
     else:
         assert run.sample(chart) == "chart"
@@ -901,7 +905,7 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
     # also runs its shifted-spectrum steps; the projective
     # steps of the two pair scenarios read the same derived layer on h;
     # the lift and jordan2 read the curvature, dini-pair does not, and
-    # jordan2 forms it once more at each of its three spectrum samples
+    # jordan2 evaluates its three spectrum samples on their own
     cfgs = [parse_config_text(
         "scenario = lift\nroute = explicit\ngrid = 2\nrandom = 8\n"
         "[block]\nkind = real1d\neps = 1\nrho = 0.1 0.5 0.2\n"
@@ -931,11 +935,9 @@ def test_kahler_chart_checks_derive_gamma_and_inverse_once(monkeypatch):
         assert sum(a is g0 for a, _ in seen["metric_inverse"]) == 1, kind
         # each sample's Gamma values from the first-order metric once, and
         # its full jet, in its block, from the order-2 metric once if the
-        # curvature is read, twice at a spectrum sample
+        # curvature is read
         calls = seen["christoffel"]
         want = np.full(len(g0), reads_r)
-        if kind == "jordan":
-            want[:3] = 2
         assert (christoffel_rows(calls, g0, 1) == 1).all(), kind
         assert (christoffel_rows(calls, g0, 2) == want).all(), kind
         assert (christoffel_rows(calls, g0) == 1 + want).all(), kind
@@ -965,7 +967,7 @@ def _count_derivations(monkeypatch):
 
 @pytest.mark.parametrize("name,only,char_polys,inverses", [
     ("mobility2", None, 1, 3), ("mobility2", "partner,connection", 0, 3),
-    # the Ricci step forms g^-1 on the run's fields, and
+    # the Ricci step forms g^-1 on the block's fields, and
     # det_hessian_hermitian reads it there
     ("mobility2", "ricci_identity,det_", 1, 1),
     # one inverse each of h and L
@@ -976,14 +978,21 @@ def test_mobility2_derives_char_poly_and_inverses_once(
         monkeypatch, capsys, name, only, char_polys, inverses):
     # the shifted determinant is formed from the fields' one
     # characteristic polynomial, and only when a step reads it; the
-    # partner metric is
-    # built once: one inverse each of g, A and the partner metric
+    # partner metric is built once: one inverse each of g, A and the
+    # partner metric; each count is per block of samples (mobility2 has
+    # seven, dini-pair one)
+    blocks = []
+    real = cli._sample_blocks
+    monkeypatch.setattr(cli, "_sample_blocks", lambda n, b: (
+        blocks.extend(real(n, b)) or real(n, b)))
     calls = _count_derivations(monkeypatch)
     argv = ["run", str(CONFIGS / f"{name}.cfg")]
     assert main(argv + (["--only", only] if only else [])) == 0
     if name == "mobility2":
         assert "note=shift=2" in capsys.readouterr().out
-    assert calls == {"complex_char_poly": char_polys, "jet_inv": inverses}
+    assert len(blocks) == (7 if name == "mobility2" else 1)
+    assert calls == {"complex_char_poly": len(blocks) * char_polys,
+                     "jet_inv": len(blocks) * inverses}
 
 
 def test_shifted_char_poly_is_the_exact_shift(corpus):
@@ -1046,15 +1055,15 @@ def test_blowup_spectrum_counts_the_samples_it_reads(tmp_path, capsys):
 
 def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
     # the largest shipped run: its partner is built at order 1, omega is
-    # evaluated one order below g, the Ricci step reads R a block of
-    # samples at a time and keeps none of it, and the characteristic
-    # polynomial is formed a block of samples at a time; the traced peak
-    # read 105 MB with the partner at order 2, 77 MB with the whole
-    # batch's Christoffel jet and R held to the end, 57.7 MB with omega
-    # built at order 2 and the powers held next to a stacked copy of
-    # them, 52.6 MB with the whole R formed on a copy of the fields and
-    # the polynomial's stack of the whole batch, and reads 47.9-48.6 MB
-    # now; the bound leaves about 4 MB
+    # evaluated one order below g, and the run walks its samples a block
+    # at a time, each block's fields, Killing set and partner dropped
+    # with it; the traced peak read 105 MB with the partner at order 2,
+    # 77 MB with the whole batch's Christoffel jet and R held to the end,
+    # 57.7 MB with omega built at order 2 and the powers held next to a
+    # stacked copy of them, 52.6 MB with the whole R formed on a copy of
+    # the fields and the polynomial's stack of the whole batch, 47.9-48.6
+    # MB with the fields of the whole batch held, and reads 11.2 MB now;
+    # the bound leaves about 4 MB
     runs = []
     real = cli.run_scenario
 
@@ -1072,18 +1081,40 @@ def test_mobility2_run_stays_under_its_memory_bound(monkeypatch, capsys):
         tracemalloc.stop()
     assert code == 0
     assert "check=partner_roundtrip" in capsys.readouterr().out
-    assert peak <= 52e6
+    assert peak <= 15e6
     assert "ghat" in vars(runs[0]) and runs[0].ghat.g.order == 1
     r = runs[0]
     # the shift is a number: no shifted copy of the fields is held
     assert not hasattr(cli.Run, "shifted") and "shifted" not in vars(r)
+    # the last block's quantities: 121 samples a block, 51 in the last
     held = [r.f, r.fl, r.ghat]
+    assert len(r.f.g.c[0]) == 777 - 6 * 121
     assert len({id(flds) for flds in held}) == 2  # f = fl, ghat
     # the fields hold only the derived quantities that are cached by
     # design, and no curvature
     assert all(derived_keys(flds) <= {"ginv", "gamma0", "lam", "det",
                                       "char_poly"} for flds in held)
     assert runs[0].f.omega.order == 1
+
+
+def test_mobility2_peak_does_not_grow_with_its_samples(tmp_path, capsys):
+    # the run holds one block of samples and the values of A at all of
+    # them: at 777 and 1500 samples the traced peaks differ by less than
+    # 2 MB (with the whole batch held they grew by 37 MB)
+    text = (CONFIGS / "mobility2.cfg").read_text()
+    assert "\nrandom = 48\n" in text
+    peaks = []
+    for rnd in (48, 771):
+        path = tmp_path / f"random{rnd}.cfg"
+        path.write_text(text.replace("\nrandom = 48\n", f"\nrandom = {rnd}\n"))
+        tracemalloc.start()
+        try:
+            assert main(["run", str(path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert " samples=1500 " in capsys.readouterr().out
+    assert abs(peaks[1] - peaks[0]) < 2e6, peaks
 
 
 @pytest.mark.parametrize("name,only", [
@@ -1209,3 +1240,173 @@ def test_each_config_is_named_flat_or_curved():
                 / (1.0 + geometry.max_abs(r.f.g.c[0])))
         kind = "curved" if size > 1e-10 else "flat"
         assert CURVATURE[path.stem] == kind, (path.stem, size)
+
+
+
+def _reports(paths):
+    """The exit code, stderr and non-comment stdout lines of each config
+    of ``paths`` run at seeds 0 and 3."""
+    out = {}
+    for path in paths:
+        for seed in ("0", "3"):
+            o, e = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):
+                code = main(["run", str(path), "--seed", seed])
+            out[path.stem, seed] = (code, e.getvalue(), [
+                l for l in o.getvalue().splitlines() if not l.startswith("#")])
+    return out
+
+
+def _split(monkeypatch, rows):
+    """Make a run take its samples ``rows`` a block, and the blocks of the
+    curvature and the characteristic polynomial hold as many; a list of
+    ``rows`` splits the first samples by it and takes the rest as one
+    block."""
+    real = builders._sample_blocks
+
+    def blocks(n, sample_bytes):
+        if isinstance(rows, list):
+            cuts = np.cumsum([0] + rows)
+            return ([slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+                    + [slice(cuts[-1], n)])
+        monkeypatch.setattr(builders, "BLOCK_BYTES", rows * sample_bytes)
+        return real(n, sample_bytes)
+
+    monkeypatch.setattr(cli, "_sample_blocks", blocks)
+
+
+ALL_CONFIGS = sorted(CONFIGS.glob("*.cfg")) + sorted(TEST_CONFIGS.glob("*.cfg"))
+
+
+@pytest.fixture(scope="module")
+def whole_reports():
+    # every config with its samples in one block, as the whole batch
+    with pytest.MonkeyPatch.context() as mp:
+        _split(mp, 10 ** 9)
+        return _reports(ALL_CONFIGS)
+
+
+# a block of 7 or 50 samples, the shipped budget (121 samples a block at
+# dim 6, one block below), and one sample a block over the first 40
+# samples; each sample alone over the whole run takes 40 s at 777
+# samples a run, so the last stands in for it
+@pytest.mark.parametrize("rows", [7, 50, None, [1] * 40],
+                         ids=["7", "50", "shipped", "1x40"])
+def test_blocked_run_keeps_every_report_byte(monkeypatch, whole_reports,
+                                             rows):
+    # an entry of a block keeps the maxima (and a margin's minimum) its
+    # value is formed from, so the blocks merge to the whole batch's
+    # report, line for line, and to its exit code
+    if rows is not None:
+        _split(monkeypatch, rows)
+    got = _reports(ALL_CONFIGS)
+    assert got.keys() == whole_reports.keys()
+    for key, want in whole_reports.items():
+        assert got[key] == want, key
+    assert {code for code, _, _ in got.values()} == {0, 1}
+
+
+def _run_lines(path, *argv):
+    """Exit code, stderr and non-comment stdout lines of one run."""
+    o, e = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(o), contextlib.redirect_stderr(e):
+        code = main(["run", str(path), *argv])
+    return code, e.getvalue(), [l for l in o.getvalue().splitlines()
+                                if not l.startswith("#")]
+
+
+
+def _built_run(path):
+    """The run of the config at ``path``, built, with nothing evaluated."""
+    run = cli.Run(cli.validate(parse_config(path),
+                               argparse.Namespace(seed=None)))
+    cli.SCENARIOS[run.v["scenario"]][0](run)
+    return run
+
+
+def test_nan_in_a_later_block_reads_nan(monkeypatch):
+    # a NaN in the first derivatives of A at sample 300 of mobility2, in
+    # the third of its seven blocks: every line that reads them is NaN
+    # and FAILs, as in the whole batch
+    path = CONFIGS / "mobility2.cfg"
+    bad = _built_run(path).pts[300]
+    real = builders.KahlerChart.eval
+
+    def with_nan(self, pts, order=2):
+        f = real(self, pts, order)
+        if order:
+            f.A.c[1][(pts == bad).all(axis=1), 0, 0] = np.nan
+        return f
+
+    monkeypatch.setattr(builders.KahlerChart, "eval", with_nan)
+    got = _run_lines(path)
+    _split(monkeypatch, 10 ** 9)
+    assert got == _run_lines(path)
+    code, _, lines = got
+    assert code == 1
+    for name in ("cproj_compat", "killing_lie_A", "killing_gram_margin",
+                 "ricci_identity"):
+        line, = [l for l in lines if l.startswith(f"check={name} ")]
+        assert " value=nan " in line and line.endswith(" FAIL"), line
+
+
+def test_non_finite_metric_in_later_blocks_is_counted_over_the_run(
+        monkeypatch):
+    # an infinite first derivative of g at samples 300 and 500 of
+    # mobility2, in its third and fifth blocks: one error line that
+    # counts them over the run, as the whole batch's
+    path = CONFIGS / "mobility2.cfg"
+    bad = _built_run(path).pts[[300, 500]]
+    real = builders.KahlerChart.eval
+
+    def with_inf(self, pts, order=2):
+        f = real(self, pts, order)
+        if order:
+            hit = (pts[:, None] == bad[None]).all(axis=2).any(axis=1)
+            f.g.c[1][hit, 0, 0, 0] = np.inf
+        return f
+
+    monkeypatch.setattr(builders.KahlerChart, "eval", with_inf)
+    got = _run_lines(path)
+    _split(monkeypatch, 10 ** 9)
+    assert got == _run_lines(path) == (2, (
+        "error: the metric or its derivatives are not finite at 2 of 777 "
+        "samples\n"), [])
+
+
+@pytest.mark.parametrize("large", [True, False])
+def test_guard_in_a_later_block_reads_as_the_whole_batch(monkeypatch,
+                                                         large):
+    # dini-pair at 7 samples a block, L skewed at sample 16 in its third
+    # block: the h-selfadjoint guard decides at the run's scale and names
+    # the run's sample, as in the whole batch.  The small skew is above
+    # the guard's bound at the scale of samples 14-20 and below it at the
+    # run's, so the run passes
+    path = CONFIGS / "dini-pair.cfg"
+    run = _built_run(path)
+    f = run.f
+    size = np.abs(np.einsum("nac,ncb->nab", f.g.c[0], f.A.c[0])).max(
+        axis=(1, 2))
+    lo, hi = 1.0 + size[14:21].max(), 1.0 + size.max()
+    assert hi > 1.01 * lo
+    skew = 1e-3 if large else 1e-8 * np.sqrt(lo * hi)
+    real = builders.QuotientPair.eval
+
+    def skewed(self, pts, order=2):
+        f = real(self, pts, order)
+        hit = (pts == run.pts[16]).all(axis=1)
+        f.A.c[0][hit, 0, 1] += skew / f.g.c[0][hit, 0, 0]
+        return f
+
+    monkeypatch.setattr(builders.QuotientPair, "eval", skewed)
+    _split(monkeypatch, 7)
+    got = _run_lines(path)
+    _split(monkeypatch, 10 ** 9)
+    assert got == _run_lines(path)
+    code, err, lines = got
+    if large:
+        assert (code, lines) == (2, [])
+        assert err == (f"error: L is not h-selfadjoint: residual "
+                       f"{skew / hi:.3e} worst at sample 16\n")
+    else:
+        assert (code, err) == (0, "")

@@ -131,7 +131,6 @@ def test_streamed_ricci_defect_equals_the_whole_curvature(monkeypatch,
     # keeps no Gamma values on the fields; each sample's Gamma is formed
     # once
     from cprojlab import builders
-    from cprojlab.curvspec import _ricci_defect
     _, chart, _ = corpus[5]
     d = chart.dim
     rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
@@ -146,7 +145,7 @@ def test_streamed_ricci_defect_equals_the_whole_curvature(monkeypatch,
     assert derived_keys(fl) == {"ginv", "lam"}
     monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
     whole = chart.eval(pts, order=2)
-    assert _ricci_defect(whole, 4.0) == value
+    assert ricci_identity_check(whole).entries[0].value == value
     assert blocks[3:] == [(len(pts), 2)]
     assert ricci_defect_stacked(whole, 4.0) == value
 

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -122,6 +123,28 @@ def test_max_value_of_a_nan_entry_is_nan(nan_at):
     assert np.isnan(rep.max_value(f"c{nan_at}"))
     assert rep.max_value(f"c{1 - nan_at}") == 0.1
     assert rep.max_value("zzz") == 0.0
+
+
+def test_entries_of_blocks_merge_to_the_whole_batch():
+    # each maximum by max and a margin's minimum by min, a NaN kept and
+    # the counts summed; a margin over no regular sample reads 0
+    def of(terms, **kw):
+        return CheckEntry.of("c", "x", terms, 1e-6, samples=4, excluded=1,
+                             **kw)
+
+    got = of([(1.0, 2.0), (3.0, 1.0, 4.0)]).merge(
+        of([(2.0, 1.0), (1.0, 5.0, 0.5)]))
+    want = of([(2.0, 2.0), (3.0, 5.0, 4.0)])
+    assert (got.value, got.terms) == (want.value, want.terms) == (
+        2.0 / 3.0, want.terms)
+    assert (got.samples, got.excluded) == (8, 2)
+    assert np.isnan(of([(1.0, 2.0)]).merge(of([(np.nan, 0.0)])).value)
+    margin = {"mode": "min>=tol"}
+    empty = of([(math.inf, 5.0, 2)], **margin)
+    assert empty.value == 0.0 and empty.merge(empty).value == 0.0
+    got = empty.merge(of([(0.5, 1.0, 2)], **margin))
+    assert got.value == 0.5 / 36.0 and got.terms == ((0.5, 5.0, 2),)
+    assert np.isnan(got.merge(of([(np.nan, 1.0, 2)], **margin)).value)
 
 
 def test_proj_residual_dini_and_identity(qp_dini):
