@@ -82,11 +82,10 @@ EIGEN_GAP = 1e-6  # samples with closer eigenvalues count as non-regular
 RANGE_MARGIN = 0.01
 ROOT_SAMPLES = 400  # values per root in the eigenvalue-range checks
 Y_WINDOW = (-0.8, 0.8)  # each flat constant-factor coordinate's range
-# the bytes of per-sample work that one block of samples holds: the
-# order-1 Christoffel jet of the curvature (124 samples at dim 6, 585 at
-# dim 4) and the stack of matrix powers of the characteristic polynomial
-# (124 samples at dim 6 with A of order 2), so a large batch never holds
-# either whole
+# the bytes of per-sample work that one block of samples holds: a run's
+# order-2 fields (``cli.Run.check``) and the stack of matrix powers of the
+# characteristic polynomial (124 samples at dim 6 with A of order 2), so
+# a large batch never holds either whole
 BLOCK_BYTES = 1_500_000
 
 
@@ -624,11 +623,11 @@ class ChartFields:
     already cached; ``dataclasses.replace`` makes an edited copy that
     derives everything again.
 
-    Two quantities that grow as N d^4 are formed a block of samples at a
-    time (``BLOCK_BYTES`` of each block's work): the stack of matrix
-    powers behind ``char_poly``, whose coefficients are held whole, and
-    R, which is never held: ``curvature`` forms it at the rows asked for
-    and ``curvature_blocks`` walks the blocks.
+    Two quantities grow as N d^4.  The stack of matrix powers behind
+    ``char_poly`` is formed a block of samples at a time (``BLOCK_BYTES``
+    of it), and its coefficients are held whole.  R is never held:
+    ``curvature`` forms it at the rows asked for, and a run's block of
+    samples bounds those rows.
 
     One writer fills another property's slot: the Jacobian route of
     ``KahlerChart`` stores the g^-1 it inverted for J as ``ginv``.
@@ -662,20 +661,11 @@ class ChartFields:
         return gradient(jet_trace(self.A), self.ginv) * weight
 
     def curvature(self, rows):
-        """(Gamma values, R^d_cab) at the samples ``rows``: the order-1
-        Gamma jet of those rows of g (cut to order 2) and g^-1, its values
-        as an order-0 jet, and the curvature it gives."""
+        """R^d_cab at the samples ``rows``, from the order-1 Gamma jet of
+        those rows of g (cut to order 2) and g^-1; nothing is kept."""
         g = self.g.truncate(min(self.g.order, 2))
-        gamma = christoffel(
-            g.rows(rows), self.ginv.truncate(max(g.order - 1, 0)).rows(rows))
-        return gamma.truncate(0), riemann(gamma)
-
-    def curvature_blocks(self):
-        """(rows, Gamma values, R^d_cab) of ``curvature`` a block of
-        samples at a time, so no more than one block of R is held."""
-        n, d = self.g.c[0].shape[:2]
-        for rows in _sample_blocks(n, self.g.c[0].itemsize * d ** 3 * (1 + d)):
-            yield (rows, *self.curvature(rows))
+        return riemann(christoffel(
+            g.rows(rows), self.ginv.truncate(max(g.order - 1, 0)).rows(rows)))
 
     @cached_property
     def det(self) -> Jet:

@@ -46,6 +46,11 @@ from .flows import (
     lie_residual_suite, split_lie_suite, tail_exponent, transport_check,
     volume_coefficient)
 
+# the errors of a config or an instance that cannot be built or checked,
+# which main reports with exit 2
+ERRORS = (ConfigError, BuilderError, FlowError, GeometryError, JetError,
+          KahlerError)
+
 # the one sample cap: a run's time grows as its sample count
 # n = grid**dim + random times max(dim, 8)**4, and n * max(dim, 8)**4 <=
 # MAX_SAMPLES * 8**4 bounds it (n <= MAX_SAMPLES up to dim 8).  A run
@@ -320,8 +325,7 @@ KAHLER_STEPS = (
     Step(" ".join("killing_" + k for k, _ in KILLING_CHECKS),
          lambda r: killing_property_suite(r.ks, r.fl)),
     Step("a_on_k", lambda r: a_on_k_recurrence(r.ks, r.fl)),
-    # R is read a block of samples at a time, and a batch of more than
-    # one block keeps none of it
+    # R is formed for the block of samples and kept by none
     Step("ricci_identity", lambda r: ricci_identity_check(r.fl)),
     Step("det_hessian_hermitian killing_detC", lambda r: _noted(
         hamiltonian_killing_check(r.fl, r.shift).entries, r)),
@@ -482,7 +486,7 @@ def run_scenario(v, only=None):
     rep = ResidualReport(title=build(r))
     try:
         outs = r.check(steps)
-    except ValueError:
+    except ERRORS:
         # a guard's value at the block that holds the batch's largest
         # residual is at least the whole batch's (the same residual over a
         # scale no larger), and a guard on single samples fires in the
@@ -552,8 +556,7 @@ def main(argv=None) -> int:
                     except OSError as exc:
                         raise ConfigError(f"--csv: {exc}") from None
                     written.append(path)
-    except (ConfigError, OSError, BuilderError, FlowError, GeometryError,
-            JetError, KahlerError) as exc:
+    except (*ERRORS, OSError) as exc:
         for p in written:
             p.unlink()
         for p in made:

@@ -107,7 +107,7 @@ def curvature_operator_matrix(flds, sample=0):
     """
     gv = flds.g.c[0][sample]
     Jv = None if flds.J is None else flds.J.c[0][sample]
-    Rc = flds.curvature(slice(sample, sample + 1))[1][0]  # R^d_cab
+    Rc = flds.curvature(slice(sample, sample + 1))[0]  # R^d_cab
     basis, wedges = unitary_basis(gv, Jv)
     k = basis.shape[0]
     wmats = np.stack([w for _, w in wedges])
@@ -135,28 +135,21 @@ def nabla_lambda_endo(flds):
 
 
 def _ricci_defect(flds, k):
-    """Worst relative defect of k [R(u, v), A] = k [u ^_J v, nabla La] over
-    the coordinate wedges, which are real wedges when ``flds.J`` is None.
-    R is read a block of samples at a time (``curvature_blocks``), nabla
-    La is formed from each block's Gamma values and the wedges per block,
-    so no array holds more than one wedge of one block.  Each wedge keeps
-    running maxima of |defect|, |R X| and |X| over the blocks; its term of
-    the check's entry (``CheckEntry.of``) is its largest |defect| and the
-    largest of |R X|, |X|, |A| and |nabla La|."""
-    lam, Av, gv = flds.lam, flds.A.c[0], flds.g.c[0]
+    """Each coordinate wedge's term of k [R(u, v), A] = k [u ^_J v, nabla La]
+    (real wedges when ``flds.J`` is None) in the check's entry
+    (``CheckEntry.of``): its largest |defect| and the largest of |R X|,
+    |X|, |A| and |nabla La|.  R is formed once for the samples of
+    ``flds``, which a run hands over one block at a time."""
+    Rc, N = flds.curvature(slice(None)), nabla_lambda_endo(flds)
+    Av = flds.A.c[0]
     Jv = None if flds.J is None else flds.J.c[0]
-    base, peaks = 0.0, {}       # peaks[(a, b)]: max |defect|, |R X|, |X|
-    for rows, gam, Rc in flds.curvature_blocks():
-        A = Av[rows]
-        N = np.swapaxes(cov_deriv_vector(lam.rows(rows), gam), -1, -2)
-        base = nan_max(base, max_abs(A, N))
-        for ab, X in _coordinate_wedges(
-                gv[rows], None if Jv is None else Jv[rows]):
-            RX = k * Rc[:, :, :, ab[0], ab[1]]
-            defect = (RX @ A - A @ RX) - k * (X @ N - N @ X)
-            peaks[ab] = [nan_max(p, max_abs(t)) for p, t in zip(
-                peaks.get(ab, (0.0,) * 3), (defect, RX, X))]
-    return [(dm, nan_max(rm, xm, base)) for dm, rm, xm in peaks.values()]
+    base, terms = max_abs(Av, N), []
+    for (a, b), X in _coordinate_wedges(flds.g.c[0], Jv):
+        RX = k * Rc[:, :, :, a, b]
+        defect = (RX @ Av - Av @ RX) - k * (X @ N - N @ X)
+        terms.append((max_abs(defect),
+                      nan_max(max_abs(RX), max_abs(X), base)))
+    return terms
 
 
 def ricci_identity_check(flds, tol=1e-6) -> ResidualReport:

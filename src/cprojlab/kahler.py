@@ -127,8 +127,12 @@ def proj_residual(flds, tol=1e-6) -> ResidualReport:
 # ---------------------------------------------------------------------------
 
 def spectrum_safe_shift(flds) -> float:
-    """A shift c0 with the spectrum of A + c0 Id away from zero."""
-    eigs = np.linalg.eigvals(flds.A.c[0])
+    """A shift c0 with the spectrum of A + c0 Id away from zero; an A
+    that is not finite has no spectrum and is refused."""
+    A = flds.A.c[0]
+    if bad := np.count_nonzero(~np.isfinite(A).reshape(len(A), -1).all(1)):
+        raise KahlerError(f"A is not finite at {bad} of {len(A)} samples")
+    eigs = np.linalg.eigvals(A)
     low = float(np.min(np.abs(eigs)))
     if low > 0.05:
         return 0.0

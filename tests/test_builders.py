@@ -754,7 +754,7 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
     fl2 = dataclasses.replace(fl, g=g2)
     assert fl2.gamma0 is not gam
     np.testing.assert_array_equal(fl2.gamma0.c[0], christoffel(g2).c[0])
-    np.testing.assert_array_equal(fl2.curvature(slice(None))[1],
+    np.testing.assert_array_equal(fl2.curvature(slice(None)),
                                   riemann(christoffel(g2)))
     assert max_abs(fl2.gamma0.c[0] - gam.c[0]) > 1e-3
     # an edit of omega, A or J derives everything again, with the same
@@ -780,10 +780,10 @@ def test_chart_fields_frozen_and_replace_recomputes(qp_ell1):
 
 @pytest.mark.parametrize("order", [1, 2])
 def test_christoffel_values_in_either_read_order(corpus, order):
-    # the Gamma values read before the curvature or after it, and those
-    # the curvature returns, are the values of the full Christoffel jet,
-    # and the curvature leaves nothing on the fields; an order-1
-    # evaluation has no curvature
+    # the Gamma values read before the curvature or after it are the
+    # values of the full Christoffel jet, the curvature is the R of that
+    # jet and leaves nothing on the fields; an order-1 evaluation has no
+    # curvature
     for name, chart, _ in corpus:
         pts = sample(chart, 10)
         for values_first in (True, False):
@@ -795,9 +795,7 @@ def test_christoffel_values_in_either_read_order(corpus, order):
                 with pytest.raises(JetError, match="order >= 1"):
                     fl.curvature(slice(None))
             else:
-                gam, R = fl.curvature(slice(None))
-                assert gam.order == 0, name
-                assert same_bytes(gam.c[0], want.c[0]), name
+                R = fl.curvature(slice(None))
                 assert same_bytes(R, riemann(want)), name
             assert derived_keys(fl) == held, name
             assert vars(fl).get("gamma0") is gam0, name
@@ -833,11 +831,11 @@ def test_christoffel_values_are_kept_unless_g_changes(qp_ell1,
 
 def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
                                                         corpus):
-    # an order-2 mobility2 evaluation, of more samples than one curvature
-    # block takes, through every suite that reads Gamma values: each
-    # sample's values are built once from the first-order metric, of fl
-    # and of the partner, and only the curvature builds
-    # Gamma from the order-2 metric, once per sample in its block
+    # an order-2 mobility2 evaluation of 300 samples, more than a run's
+    # block, through every suite that reads Gamma values: each sample's
+    # values are built once from the first-order metric, of fl and of the
+    # partner, and only the curvature builds Gamma from the order-2
+    # metric, once per sample
     from cprojlab import curvspec, kahler, killing
     _, chart, consts = corpus[5]
     calls = []
@@ -861,39 +859,34 @@ def test_value_readers_build_no_christoffel_derivatives(monkeypatch,
     for a in (g0, ghat0):
         assert (christoffel_rows(calls, a, 1) == 1).all()
         assert (christoffel_rows(calls, a) == 1).all()
-    for _ in fl.curvature_blocks():
-        pass
-    assert len(calls) == 5         # the curvature took three blocks
+    fl.curvature(slice(None))
+    assert len(calls) == 3         # the curvature took the 300 rows at once
     assert (christoffel_rows(calls, g0, 2) == 1).all()
     assert (christoffel_rows(calls, g0) == 2).all()
     assert (christoffel_rows(calls, ghat0) == 1).all()
 
 
 def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
-    # the mobility2 chart at two whole curvature blocks and half of a
-    # third: R and the Gamma values of the blocks are the bytes of the
-    # whole batch's Christoffel jet and values, and the blocks leave
-    # nothing on the fields, so Gamma values read later are formed anew
+    # the mobility2 chart at two whole blocks of a run and half of a
+    # third: R of each block's rows, from that block's Christoffel jet,
+    # is the bytes of the whole batch's, and the curvature leaves nothing
+    # on the fields, so Gamma values read later are formed anew
     _, chart, _ = corpus[5]
     d = chart.dim
-    rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+    rows = builders.BLOCK_BYTES // (8 * d * d * (1 + d + d * d))
     n = 2 * rows + rows // 2
     fl = chart.eval(sample(chart, n), order=2)
     blocks = []
     real = builders.christoffel
     monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
         blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
-    walked = list(fl.curvature_blocks())
+    R = np.concatenate([fl.curvature(slice(lo, lo + rows))
+                        for lo in range(0, n, rows)])
     assert blocks == [(rows, 2), (rows, 2), (rows // 2, 2)]
-    assert [r for r, _, _ in walked] == [
-        slice(0, rows), slice(rows, 2 * rows), slice(2 * rows, 3 * rows)]
     assert derived_keys(fl) == {"ginv"}
-    R = np.concatenate([Rc for _, _, Rc in walked])
-    gam = np.concatenate([g.c[0] for _, g, _ in walked])
     assert same_bytes(R, riemann(christoffel(fl.g, fl.ginv)))
-    assert same_bytes(gam, christoffel(
+    assert same_bytes(fl.gamma0.c[0], christoffel(
         fl.g.truncate(1), fl.ginv.truncate(0)).c[0])
-    assert same_bytes(fl.gamma0.c[0], gam)
     assert blocks[3:] == [(n, 1)]
 
 
@@ -901,12 +894,12 @@ def test_blocked_curvature_equals_the_whole_batch(monkeypatch, corpus):
 def test_one_sample_curvature_is_the_row_of_the_whole_batch(
         corpus, qp_jordan2, which):
     # one sample's R is the row of the whole batch's R, bit for bit: on
-    # the mobility2 chart of three curvature blocks at the first and last
+    # the mobility2 chart of three blocks of a run at the first and last
     # row of each block, and on a Jordan pair at every sample
     if which == "mobility2":
         _, chart, _ = corpus[5]
         d = chart.dim
-        rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
+        rows = builders.BLOCK_BYTES // (8 * d * d * (1 + d + d * d))
         n = 2 * rows + rows // 2
         fl = chart.eval(sample(chart, n), order=2)
         picks = (0, rows - 1, rows, 2 * rows - 1, 2 * rows, n - 1)
@@ -915,7 +908,7 @@ def test_one_sample_curvature_is_the_row_of_the_whole_batch(
         picks = range(12)
     whole = riemann(christoffel(fl.g, fl.ginv))
     for s in picks:
-        _, R = fl.curvature(slice(s, s + 1))
+        R = fl.curvature(slice(s, s + 1))
         assert same_bytes(R, whole[s:s + 1]), (which, s)
 
 

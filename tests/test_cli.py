@@ -697,8 +697,7 @@ def test_tol_scale_is_refused_and_each_line_keeps_its_bound(capsys, name):
 
 
 @pytest.mark.parametrize("kind", sorted(cli.SCENARIOS))
-def test_listed_tolerance_key_is_the_one_that_moves_the_line(monkeypatch,
-                                                             kind):
+def test_every_suite_entry_carries_its_default_bound(monkeypatch, kind):
     # no key moves a line: run_scenario passes each step the run alone,
     # and the steps call each suite without a tol, so its entries carry
     # the suite's default (the Gram margin its module constant)
@@ -1235,8 +1234,7 @@ def test_each_config_is_named_flat_or_curved():
         if not hasattr(r, "inst"):
             assert CURVATURE[path.stem] is None, path.stem
             continue
-        size = (max(geometry.max_abs(Rc)
-                    for _, _, Rc in r.f.curvature_blocks())
+        size = (geometry.max_abs(r.f.curvature(slice(None)))
                 / (1.0 + geometry.max_abs(r.f.g.c[0])))
         kind = "curved" if size > 1e-10 else "flat"
         assert CURVATURE[path.stem] == kind, (path.stem, size)
@@ -1259,16 +1257,15 @@ def _reports(paths):
 
 def _split(monkeypatch, rows):
     """Make a run take its samples ``rows`` a block, and the blocks of the
-    curvature and the characteristic polynomial hold as many; a list of
-    ``rows`` splits the first samples by it and takes the rest as one
-    block."""
+    characteristic polynomial hold as many; a list of ``rows`` splits the
+    first samples by it and takes the rest as one block, and, as
+    ``_sample_blocks``, makes no block empty."""
     real = builders._sample_blocks
 
     def blocks(n, sample_bytes):
         if isinstance(rows, list):
-            cuts = np.cumsum([0] + rows)
-            return ([slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
-                    + [slice(cuts[-1], n)])
+            cuts = [c for c in np.cumsum([0] + rows) if c < n] + [n]
+            return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
         monkeypatch.setattr(builders, "BLOCK_BYTES", rows * sample_bytes)
         return real(n, sample_bytes)
 
@@ -1348,6 +1345,45 @@ def test_nan_in_a_later_block_reads_nan(monkeypatch):
                  "ricci_identity"):
         line, = [l for l in lines if l.startswith(f"check={name} ")]
         assert " value=nan " in line and line.endswith(" FAIL"), line
+
+
+def test_non_finite_a_is_refused_before_its_spectrum(monkeypatch):
+    # a NaN in the values of A at the first sample of each evaluation of
+    # dini-lift: the spectrum's shift refuses the run with one error line
+    # and no report, where the eigenvalue solve raised its own error
+    path = CONFIGS / "dini-lift.cfg"
+    n = len(_built_run(path).pts)
+    real = builders.KahlerChart.eval
+
+    def with_nan(self, pts, order=2):
+        f = real(self, pts, order)
+        f.A.c[0][0, 0, 0] = np.nan
+        return f
+
+    monkeypatch.setattr(builders.KahlerChart, "eval", with_nan)
+    assert _run_lines(path) == (
+        2, f"error: A is not finite at 1 of {n} samples\n", [])
+
+
+def test_a_fault_in_a_later_block_is_not_checked_again(monkeypatch):
+    # a plain ValueError, which no guard of the package raises, from the
+    # Ricci step in the second of mobility2's blocks leaves the run: the
+    # whole batch, whose pass would hide the fault, is not checked again
+    real, seen, passes = cli.ricci_identity_check, [], []
+
+    def faulty(fl):
+        seen.append(len(fl.g.c[0]))
+        if len(seen) == 2:
+            raise ValueError("a fault in the block path")
+        return real(fl)
+
+    check = cli.Run.check
+    monkeypatch.setattr(cli, "ricci_identity_check", faulty)
+    monkeypatch.setattr(cli.Run, "check", lambda self, steps, whole=False: (
+        passes.append(whole) or check(self, steps, whole)))
+    with pytest.raises(ValueError, match="a fault in the block path"):
+        main(["run", str(CONFIGS / "mobility2.cfg")])
+    assert passes == [False] and len(seen) == 2
 
 
 def test_non_finite_metric_in_later_blocks_is_counted_over_the_run(

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cprojlab.curvspec import (
 )
 from cprojlab.geometry import max_abs
 from cprojlab.jets import Jet, jstack
+from cprojlab.report import CheckEntry
 
 from conftest import derived_keys, sample, with_nan
 
@@ -91,7 +93,7 @@ def test_ricci_identity_on_corpus(corpus):
 def ricci_defect_stacked(flds, k):
     """The Ricci-identity defect with all coordinate wedges stacked on
     axis 1 as (n, w, d, d) arrays, each product one batched matmul."""
-    Rc, NL = flds.curvature(slice(None))[1], nabla_lambda_endo(flds)
+    Rc, NL = flds.curvature(slice(None)), nabla_lambda_endo(flds)
     Av, gv = flds.A.c[0], flds.g.c[0]
     Jv = None if flds.J is None else flds.J.c[0]
     pairs, wedges = zip(*_coordinate_wedges(gv, Jv))
@@ -124,57 +126,52 @@ def test_ricci_identity_keeps_the_bytes_of_the_stacked_wedges(
 
 
 def test_streamed_ricci_defect_equals_the_whole_curvature(monkeypatch,
-                                                          corpus):
-    # the mobility2 chart at two whole curvature blocks and half of a
-    # third: the defect read block by block, with nabla La from each
-    # block's Gamma values, is the value of one whole R, and the check
-    # keeps no Gamma values on the fields; each sample's Gamma is formed
-    # once
+                                                          corpus, qp_dini):
+    # the mobility2 chart at two whole blocks of a run and half of a
+    # third, and a pair with real wedges at five samples a block: the
+    # entries of the blocks merge to the value of one whole R and of the
+    # stacked wedges; each block forms its R and its Gamma values once,
+    # and keeps the values for the suites that read them later
     from cprojlab import builders
     _, chart, _ = corpus[5]
     d = chart.dim
-    rows = builders.BLOCK_BYTES // (8 * d ** 3 * (1 + d))
-    pts = sample(chart, 2 * rows + rows // 2)
-    fl = chart.eval(pts, order=2)
-    blocks = []
-    real = builders.christoffel
-    monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
-        blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
-    value = ricci_identity_check(fl).entries[0].value
-    assert blocks == [(rows, 2), (rows, 2), (rows // 2, 2)]
-    assert derived_keys(fl) == {"ginv", "lam"}
-    monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
-    whole = chart.eval(pts, order=2)
-    assert ricci_identity_check(whole).entries[0].value == value
-    assert blocks[3:] == [(len(pts), 2)]
-    assert ricci_defect_stacked(whole, 4.0) == value
+    rows = builders.BLOCK_BYTES // (8 * d * d * (1 + d + d * d))
+    cases = [(chart, ricci_identity_check, 4.0, rows,
+              sample(chart, 2 * rows + rows // 2)),
+             (qp_dini, real_ricci_identity_check, 1.0, 5,
+              sample(qp_dini, 12))]
+    for inst, check, k, rows, pts in cases:
+        cuts = [slice(lo, lo + rows) for lo in range(0, len(pts), rows)]
+        blocks = []
+        real = builders.christoffel
+        monkeypatch.setattr(builders, "christoffel", lambda g, ginv=None: (
+            blocks.append((len(g.c[0]), g.order)) or real(g, ginv)))
+        entries = []
+        for c in cuts:
+            f = inst.eval(pts[c], order=2)
+            entries.append(check(f).entries[0])
+            assert derived_keys(f) == {"ginv", "lam", "gamma0"}
+        assert blocks == [(len(pts[c]), o) for c in cuts for o in (2, 1)]
+        merged = functools.reduce(CheckEntry.merge, entries)
+        monkeypatch.setattr(builders, "christoffel", real)
+        whole = inst.eval(pts, order=2)
+        assert merged.samples == len(pts)
+        assert merged.value == check(whole).entries[0].value == \
+            ricci_defect_stacked(whole, k)
 
 
-def test_streamed_real_ricci_defect_and_nan_in_a_later_block(
-        monkeypatch, qp_dini):
-    # five samples a block: the real wedges give the value of the whole
-    # batch, and a NaN in the third block reads NaN
-    from cprojlab import builders
-    f = qp_dini.eval(sample(qp_dini, 12), order=2)
-    d = f.g.c[0].shape[-1]
-    monkeypatch.setattr(builders, "BLOCK_BYTES", 5 * 8 * d ** 3 * (1 + d))
-    value = real_ricci_identity_check(f).entries[0].value
-    assert derived_keys(f) == {"ginv", "lam"}
-    bad = dataclasses.replace(f, A=with_nan(f.A, 0, (11, 0, 1)))
-    e = real_ricci_identity_check(bad).entries[0]
-    assert np.isnan(e.value) and not e.passed
-    monkeypatch.setattr(builders, "BLOCK_BYTES", 10 ** 12)
-    assert real_ricci_identity_check(dataclasses.replace(f)).entries[0] \
-        .value == value == ricci_defect_stacked(f, 1.0)
-
-
-def test_nan_in_a_at_one_sample_fails_ricci_identity(corpus):
+@pytest.mark.parametrize("wedges", ["complex", "real"])
+def test_nan_in_a_at_one_sample_fails_ricci_identity(corpus, qp_dini,
+                                                     wedges):
     # a NaN at one sample of A reaches the value through every wedge it
-    # enters, and the check fails
-    _, chart, _ = corpus[3]
+    # enters, the J-wedges of a Kahler chart and the real wedges of a
+    # pair, and the check fails
+    if wedges == "complex":
+        chart, check, at = corpus[3][1], ricci_identity_check, (4, 1, 2)
+    else:
+        chart, check, at = qp_dini, real_ricci_identity_check, (4, 0, 1)
     fl = chart.eval(sample(chart, 10), order=2)
-    e = ricci_identity_check(
-        dataclasses.replace(fl, A=with_nan(fl.A, 0, (4, 1, 2)))).entries[0]
+    e = check(dataclasses.replace(fl, A=with_nan(fl.A, 0, at))).entries[0]
     assert np.isnan(e.value) and not e.passed
 
 
