@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -104,8 +103,7 @@ class BuilderError(ValueError):
 # eigenvalue profiles and block specs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PowerProfile:
+class PowerProfile(NamedTuple):
     """F(t) = a (1-t)^(-C) t^expo on (0, 1)."""
 
     a: float
@@ -162,8 +160,7 @@ def _check_drho(b, on_window):
     """Refuse the lift of a polynomial block whose rho' has a zero on its
     closed window (a constant rho has one everywhere)."""
     drho = _derivative(b.rho)
-    if not np.any(drho) or np.any(
-            on_window(np.polynomial.polynomial.polyroots(drho))):
+    if not np.any(drho) or np.any(on_window(np.roots(drho[::-1]))):
         raise BuilderError(
             f"rho' of a {type(b).__name__} block vanishes on its window "
             f"{b.window}, so its lift is degenerate")
@@ -174,22 +171,20 @@ def _re_im_columns(cs):
     return jstack([[2.0 * c.real, -2.0 * c.imag] for c in cs])
 
 
-@dataclass(frozen=True)
 class Real1D(_Block):
     """One real non-constant eigenvalue rho(x) on its own coordinate:
     h = eps Delta dx^2."""
 
-    eps: int
-    rho: tuple            # polynomial coefficients, lowest degree first
-    window: tuple         # (lo, hi) for the coordinate
-
-    def __post_init__(self):
-        if self.eps == 0:
+    def __init__(self, eps, rho, window):
+        if eps == 0:
             raise BuilderError("a real1d block needs eps != 0")
+        self.eps = eps
+        self.rho = rho        # polynomial coefficients, lowest degree first
+        self.window = window  # (lo, hi) for the coordinate
 
     def root_values(self):
         x = np.linspace(*self.window, ROOT_SAMPLES)
-        return [np.polynomial.polynomial.polyval(x, self.rho)]
+        return [np.polyval(self.rho[::-1], x)]
 
     def seed(self, seed, off):
         x = seed(off)
@@ -221,23 +216,22 @@ class Real1D(_Block):
                 ((slice(0, ell), ell + off), jstack([-c for c in col])))
 
 
-@dataclass(frozen=True)
 class Complex2D(_Block):
     """A complex-conjugate eigenvalue pair rho(z), z = x + i y:
     h = -(1/4)(Delta dz^2 + c.c.)."""
 
-    rho: tuple            # polynomial coefficients of z, lowest first
-    window: tuple         # ((xlo, xhi), (ylo, yhi)); keep y away from 0
-
     ncoord = 2
     mults = (1, 1)
+
+    def __init__(self, rho, window):
+        self.rho = rho        # polynomial coefficients of z, lowest first
+        self.window = window  # ((xlo, xhi), (ylo, yhi)); keep y away from 0
 
     def root_values(self):
         (xl, xh), (yl, yh) = self.window
         k = int(np.sqrt(ROOT_SAMPLES)) + 1
         X, Y = np.meshgrid(np.linspace(xl, xh, k), np.linspace(yl, yh, k))
-        vals = np.polynomial.polynomial.polyval((X + 1j * Y).ravel(),
-                                                self.rho)
+        vals = np.polyval(self.rho[::-1], (X + 1j * Y).ravel())
         return [vals, np.conj(vals)]
 
     def seed(self, seed, off):
@@ -286,15 +280,15 @@ class Complex2D(_Block):
                  _re_im_columns(col)))
 
 
-@dataclass(frozen=True)
 class RealRho(_Block):
     """A real eigenvalue used directly as the coordinate, with profile F:
     h = Delta / F drho^2."""
 
-    F: PowerProfile
-    window: tuple         # (lo, hi) for rho itself
-
     eps = 1               # the sign that the shared ``J_rows`` reads
+
+    def __init__(self, F, window):
+        self.F = F            # a PowerProfile
+        self.window = window  # (lo, hi) for rho itself
 
     def root_values(self):
         return [np.linspace(*self.window, ROOT_SAMPLES)]
@@ -320,7 +314,11 @@ class RealRho(_Block):
 
 class _Nilpotent(_Block):
     """A k x k nilpotent block in coordinates (x_1, .., x_(k-1), rho), one
-    root of multiplicity k; needs F + (k-1) x_(k-1) != 0 and has no lift."""
+    root of multiplicity k; needs F + (k-1) x_(k-1) != 0 and has no lift.
+    F is a ``JordanOdeSolution``, and the window holds one (lo, hi) pair a
+    coordinate."""
+
+    __init__ = RealRho.__init__
 
     def root_values(self):
         return [np.linspace(*self.window[-1], ROOT_SAMPLES)]
@@ -336,12 +334,8 @@ class _Nilpotent(_Block):
         raise BuilderError("Jordan blocks do not lift to a Kahler chart")
 
 
-@dataclass(frozen=True)
 class Jordan2(_Nilpotent):
     """2x2 nilpotent block in coordinates (x, rho); needs F + x != 0."""
-
-    F: "JordanOdeSolution"
-    window: tuple         # ((xlo, xhi), (rlo, rhi))
 
     ncoord = 2
     mults = (2,)
@@ -369,12 +363,8 @@ class Jordan2(_Nilpotent):
         return [((row.off,), G), self.leaf(row)]
 
 
-@dataclass(frozen=True)
 class Jordan3(_Nilpotent):
     """3x3 nilpotent block in coordinates (x1, x2, rho); F + 2 x2 != 0."""
-
-    F: "JordanOdeSolution"
-    window: tuple
 
     ncoord = 3
     mults = (3,)
@@ -412,8 +402,7 @@ class Jordan3(_Nilpotent):
         return [((row.off,), G), ((row.off + 1,), H), self.leaf(row)]
 
 
-@dataclass(frozen=True)
-class CompatiblePairSpec:
+class CompatiblePairSpec(NamedTuple):
     blocks: tuple
     name: str = "pair"
 
@@ -423,21 +412,17 @@ class CompatiblePairSpec:
                                     for b in self.blocks]).T.copy())
 
 
-@dataclass(frozen=True)
 class ConstantBlock:
-    """Flat Kahler factor carrying A = c * Id."""
+    """Flat Kahler factor carrying A = c * Id on ``dim`` real dimensions
+    (even), with one sign per complex line in ``signature`` (default +1)."""
 
-    c: float
-    dim: int                      # real dimension, even
-    signature: tuple = ()         # one sign per complex line; default +1
-
-    def __post_init__(self):
-        if self.dim % 2:
+    def __init__(self, c, dim, signature=()):
+        if dim % 2:
             raise BuilderError("constant block dimension must be even")
-        sig = self.signature or (1,) * (self.dim // 2)
-        if len(sig) != self.dim // 2:
+        sig = signature or (1,) * (dim // 2)
+        if len(sig) != dim // 2:
             raise BuilderError("signature length must be dim/2")
-        object.__setattr__(self, "signature", tuple(sig))
+        self.c, self.dim, self.signature = c, dim, tuple(sig)
 
 
 def _const_matrices(cb):
@@ -608,7 +593,8 @@ def _place(n, dim, order, shape, parts) -> Jet:
 # chart fields and the quantities derived from them
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+# frozen, for dataclasses.replace; nothing compares or prints fields
+@dataclasses.dataclass(frozen=True, eq=False, repr=False)
 class ChartFields:
     """The fields of one chart evaluation and the quantities derived from
     them.
@@ -705,19 +691,23 @@ class QuotientPair:
         self.split = any(isinstance(b, _Nilpotent) for b in self.blocks)
         self.validate()
 
-    def root_value_sets(self):
-        """Dense value set of each root over its own block window.
-
-        The blocks separate variables, so pairwise range distances decide
-        eigenvalue separation on the whole window exactly (up to sampling
-        resolution of the smooth 1-d / 2-d value maps)."""
-        return [vals for b in self.blocks for vals in b.root_values()]
-
     def validate(self):
-        sets = self.root_value_sets()
+        """Refuse roots whose value sets come closer than ``RANGE_MARGIN``.
+
+        ``root_sets`` keeps the dense value set of each root over its own
+        block window.  The blocks separate variables, so pairwise range
+        distances decide eigenvalue separation on the whole window exactly
+        (up to sampling resolution of the smooth 1-d / 2-d value maps)."""
+        self.root_sets = sets = [vals for b in self.blocks
+                                 for vals in b.root_values()]
         for i in range(len(sets)):
             for j in range(i + 1, len(sets)):
-                dist = np.min(np.abs(sets[i][:, None] - sets[j][None, :]))
+                # 32 rows at a time: the allocator reuses the small
+                # temporaries, where a fresh process page-faults through
+                # the 3 MB of a whole complex outer difference
+                dist = np.min([np.min(np.abs(sets[i][k:k + 32, None]
+                                             - sets[j]))
+                               for k in range(0, len(sets[i]), 32)])
                 if dist < RANGE_MARGIN:
                     raise BuilderError(
                         f"eigenvalue collision (range distance {dist:.2e} "
@@ -877,7 +867,7 @@ class KahlerChart:
                     raise BuilderError(
                         f"constant eigenvalues {c} and {c2} are closer than "
                         f"{EIGEN_GAP:g}; give them one constant block")
-        for vals in self.qp.root_value_sets():
+        for vals in self.qp.root_sets:
             for c, _ in self.const_eigs:
                 dist = float(np.min(np.abs(vals - c)))
                 if dist < RANGE_MARGIN:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-from dataclasses import dataclass, field
 from typing import NamedTuple
 
 __all__ = ["ConfigError", "Opt", "REQUIRED", "FLOATS", "INTS", "WINDOW",
@@ -90,13 +89,13 @@ class Opt(NamedTuple):
         return out
 
 
-@dataclass
 class ScenarioConfig:
-    options: dict = field(default_factory=dict)
-    sections: list = field(default_factory=list)   # (name, dict) pairs
-    # (section index or None for the top level, key) -> line; the key None
-    # gives a section's header line
-    lines: dict = field(default_factory=dict, compare=False)
+    def __init__(self):
+        self.options = {}
+        self.sections = []     # (name, dict) pairs
+        # (section index or None for the top level, key) -> line; the key
+        # None gives a section's header line
+        self.lines = {}
 
     def at(self, i, key):
         """Key ``key`` of section ``i`` (None: the top level) and the line

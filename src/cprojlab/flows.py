@@ -31,8 +31,6 @@ at all their points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .builders import ProjectiveMobilityChart, mobility_rhs
@@ -59,13 +57,13 @@ class FlowError(ValueError):
     pass
 
 
-@dataclass
 class Trajectory:
-    t: np.ndarray          # (m,)
-    x: np.ndarray          # (m, d) positions
-    v: np.ndarray | None   # (m, d) velocities (None for flows without)
-    acc: np.ndarray | None = None   # (m, d) accelerations gamma''
-    exit_time: float | None = None  # the window exit or escape, if any
+    def __init__(self, t, x, v, acc=None, exit_time=None):
+        self.t = t          # (m,)
+        self.x = x          # (m, d) positions
+        self.v = v          # (m, d) velocities (None for flows without)
+        self.acc = acc      # (m, d) accelerations gamma''
+        self.exit_time = exit_time    # the window exit or escape, if any
 
 
 def _solve(rhs, T, y0, tol, event=None):

@@ -19,7 +19,7 @@ Index conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,16 +44,12 @@ class GeometryError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
 class Box:
     """Open coordinate box; all sampling stays strictly inside."""
 
-    lo: np.ndarray
-    hi: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lo", np.asarray(self.lo, dtype=float))
-        object.__setattr__(self, "hi", np.asarray(self.hi, dtype=float))
+    def __init__(self, lo, hi):
+        self.lo = np.asarray(lo, dtype=float)
+        self.hi = np.asarray(hi, dtype=float)
         if self.lo.shape != self.hi.shape or np.any(self.lo >= self.hi):
             raise GeometryError("invalid box bounds")
 
@@ -81,8 +77,7 @@ class Box:
         return 0.5 * (self.lo + self.hi)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Sampling plan: a regular grid plus uniform random interior points."""
 
     per_axis: int = 5

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
 
 
 def nan_max(*values) -> float:
@@ -23,23 +22,23 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-@dataclass
 class CheckEntry:
     """A check's value against its tolerance.  An entry over samples keeps
     the numbers its value is formed from (``of``), so that the entries of
-    blocks of samples ``merge`` to the whole batch's, byte for byte."""
-    name: str
-    anchor: str                 # short tag of the identity being checked
-    value: float                # measured residual / margin / deviation
-    tolerance: float
-    mode: str = "max<=tol"      # or "min>=tol"
-    samples: int = 0
-    excluded: int = 0
-    note: str = ""
-    # the signed quantity behind a value that is a distance to a target,
-    # for readers of the entry; line() does not print it
-    measured: float | None = None
-    terms: tuple = ()
+    blocks of samples ``merge`` to the whole batch's, byte for byte.
+
+    ``value`` is the measured residual, margin or deviation, held to
+    ``tolerance`` by ``mode`` (max<=tol or min>=tol), and ``anchor`` is a
+    short tag of the identity checked; ``measured`` is the signed
+    quantity behind a value that is a distance to a target, for readers
+    of the entry (``line`` does not print it)."""
+
+    def __init__(self, name, anchor, value, tolerance, mode="max<=tol",
+                 samples=0, excluded=0, note="", measured=None, terms=()):
+        self.name, self.anchor, self.value = name, anchor, value
+        self.tolerance, self.mode, self.note = tolerance, mode, note
+        self.samples, self.excluded = samples, excluded
+        self.measured, self.terms = measured, terms
 
     @classmethod
     def of(cls, name, anchor, terms, tolerance, **kw):
@@ -85,11 +84,9 @@ class CheckEntry:
         return out
 
 
-@dataclass
 class ResidualReport:
-    title: str
-    entries: list = field(default_factory=list)
-    provenance: dict = field(default_factory=dict)
+    def __init__(self, title, entries=()):
+        self.title, self.entries, self.provenance = title, list(entries), {}
 
     def add(self, *entries):
         self.entries.extend(entries)

@@ -1,12 +1,17 @@
+import argparse
 import copy
 import dataclasses
 import itertools
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 
-from cprojlab import builders
+from cprojlab import builders, cli
+from cprojlab.config import parse_config
 from cprojlab.builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Jordan2,
     Jordan3, PowerProfile, QuotientPair, Real1D, build_main_example,
@@ -498,6 +503,63 @@ def test_jordan_pair_spec_takes_the_block_kind_from_the_solution(
 def test_unbuildable_instances_are_refused(request, build, match):
     with pytest.raises(BuilderError, match=match):
         build(request.getfixturevalue)
+
+
+@pytest.mark.parametrize("r,refused", [(0.8 - 1e-6, True),
+                                       (0.8 + 1e-6, False)])
+def test_cubic_rho_is_refused_when_rho_prime_vanishes_in_its_window(
+        r, refused):
+    # rho' = x^2 - r^2 vanishes at x = r, just inside or just outside the
+    # window's upper end
+    spec = CompatiblePairSpec((Real1D(1, (0.0, -r * r, 0.0, 1.0 / 3.0),
+                                      (0.2, 0.8)),))
+    qp = build_quotient_pair(spec)
+    if refused:
+        with pytest.raises(BuilderError, match=(
+                "rho' of a Real1D block vanishes on its window "
+                r"\(0.2, 0.8\), so its lift is degenerate")):
+            lift_pair(qp, route="explicit")
+    else:
+        assert lift_pair(qp, route="explicit").dim == 2
+
+
+def _spec_blocks():
+    """Every polynomial block of the shipped and test configs and of the
+    benchmark corpus."""
+    root = Path(__file__).resolve().parent.parent
+    args = argparse.Namespace(seed=None)
+    blocks = []
+    for path in sorted(root.glob("configs/*.cfg")) + sorted(
+            root.glob("tests/configs/*.cfg")):
+        v = cli.validate(parse_config(path), args)
+        if "block" in v:
+            blocks += cli._pair_spec(v).blocks
+    sys.path.insert(0, str(root / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(root / "perfbench"))
+    return blocks + [b for spec in workloads._pairs() for b in spec.blocks]
+
+
+def test_root_values_equal_numpy_polynomial_polyval_bitwise():
+    blocks = _spec_blocks()
+    assert {type(b) for b in blocks} == {Real1D, Complex2D}
+    for b in blocks:
+        if isinstance(b, Real1D):
+            x = np.linspace(*b.window, builders.ROOT_SAMPLES)
+        else:
+            (xl, xh), (yl, yh) = b.window
+            k = int(np.sqrt(builders.ROOT_SAMPLES)) + 1
+            X, Y = np.meshgrid(np.linspace(xl, xh, k),
+                               np.linspace(yl, yh, k))
+            x = (X + 1j * Y).ravel()
+        want = P.polyval(x, b.rho)
+        got = b.root_values()
+        assert got[0].dtype == want.dtype
+        assert got[0].tobytes() == want.tobytes(), (b.rho, b.window)
+        if isinstance(b, Complex2D):
+            assert got[1].tobytes() == np.conj(want).tobytes()
 
 
 def test_esp_jets_values():

@@ -58,8 +58,9 @@ def test_config_roundtrip():
     assert cfg.options["grid"] == "4"
     assert [n for n, _ in cfg.sections] == ["block", "block"]
     again = parse_config_text(serialize_config(cfg))
-    assert again == cfg
-    assert parse_config_text(serialize_config(again)) == again
+    assert (again.options, again.sections) == (cfg.options, cfg.sections)
+    last = parse_config_text(serialize_config(again))
+    assert (last.options, last.sections) == (again.options, again.sections)
 
 
 def test_config_errors_carry_line_numbers():
@@ -650,8 +651,7 @@ TOL_CLASSES = ("kahler cproj proj killing aonk dual ricci lie volume "
 @pytest.mark.parametrize("name", [
     "appendix", "complex-pair", "dini-lift", "dini-pair", "jordan2",
     "mobility2", "phase-portraits"])
-def test_scenario_takes_the_tolerance_keys_of_its_checks(tmp_path, capsys,
-                                                         name):
+def test_tolerance_keys_are_refused(tmp_path, capsys, name):
     # no scenario takes a tolerance key
     assert not hasattr(cli, "DEFAULT_TOLS")
     text = (CONFIGS / f"{name}.cfg").read_text()

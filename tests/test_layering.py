@@ -9,6 +9,7 @@ from pathlib import Path
 import cprojlab
 
 SRC = Path(cprojlab.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parent.parent
 # each module may import only modules of its own or an earlier layer
 LAYERS = (
     ("report", "config", "jets", "ode"),
@@ -74,3 +75,45 @@ def test_builders_loads_no_check_module():
                          capture_output=True, text=True).stdout.split()
     assert "cprojlab.builders" in out
     assert not {f"cprojlab.{m}" for m in CHECK_MODULES} & set(out)
+
+
+def test_only_chart_fields_is_a_dataclass():
+    # the decorator writes each class's methods as source and compiles them
+    # at import; ChartFields needs dataclasses.replace, every other record
+    # is a NamedTuple or a plain class
+    found = []
+    for mod, tree in _trees().items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for dec in cls.decorator_list:
+                    dec = dec.func if isinstance(dec, ast.Call) else dec
+                    if "dataclass" in (getattr(dec, "id", None),
+                                       getattr(dec, "attr", None)):
+                        found.append(f"{mod}.{cls.name}")
+    assert found == ["builders.ChartFields"]
+
+
+def test_start_up_loads_no_numpy_polynomial():
+    # a fresh process that imports the CLI and builds the benchmark's corpus
+    # lifts and a mobility-two chart: numpy.polynomial waits for the Jordan
+    # and appendix scenarios
+    code = f"""if True:
+        import sys, argparse, numpy
+        sys.path.insert(0, {str(ROOT / "perfbench")!r})
+        import workloads
+        before = set(sys.modules)
+        import cprojlab.cli
+        from cprojlab.builders import (
+            ConstantBlock, build_mobility2, build_quotient_pair, lift_pair)
+        ell1, dini, cplx = workloads._pairs()
+        for spec, route in ((ell1, "explicit"), (dini, "jacobian"),
+                            (cplx, "explicit")):
+            lift_pair(build_quotient_pair(spec), route=route)
+        build_mobility2(1, 1.0, -0.5, cb=(ConstantBlock(0.0, 2),
+                                          ConstantBlock(1.0, 2)))
+        print(" ".join(sorted(set(sys.modules) - before)))
+    """
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True).stdout.split()
+    assert "cprojlab.cli" in out
+    assert "numpy.polynomial" not in out
