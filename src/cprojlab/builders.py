@@ -37,7 +37,7 @@ constant (y) block, coupled only through the coframe; a field's y columns
 are its t columns carried by alpha, one ``jet_einsum`` each, and the
 constant factors are order-0 slices.
 
-Mobility-two charts additionally carry a vector field ``v`` with
+Mobility-two charts have a vector field ``v`` (``v_field``) with
 ``L_v A = A(Id - A)`` and ``L_v g = -gA - (sum rho_i + C) g``: the leaf
 term ``sum rho_i (1 - rho_i) d/drho_i`` plus a linear map of the
 coordinates, written in closed form (``fit_mobility_field``): it takes
@@ -191,6 +191,11 @@ class Real1D(_Block):
         return [polyval(self.rho, x)], polyval(_derivative(self.rho), x)
 
     def check_lift(self):
+        # the explicit Gram weight eps rho'^2 / Delta and the Jacobian
+        # route's rho'^2 / (eps Delta) agree only when eps^2 = 1
+        if abs(self.eps) != 1:
+            raise BuilderError(f"a real1d block of a lift needs eps = 1 or "
+                               f"-1, got eps = {self.eps}")
         lo, hi = self.window
         # a double root of rho' may come back split off the axis
         _check_drho(self, lambda z: (
@@ -599,11 +604,13 @@ class ChartFields:
     """The fields of one chart evaluation and the quantities derived from
     them.
 
-    A Kahler chart sets all of g, omega, J and A, with omega one order
-    below the others (d omega is the one derivative of it a check reads);
-    a quotient pair (h, L) and the projective mobility chart set g and A
-    and leave omega and J None.  Each derived quantity is formed by its
-    own property on first read and lives as long as the object:
+    A Kahler chart sets all but v, with omega one order below the others
+    (d omega is the one derivative of it a check reads); a quotient pair
+    (h, L) and the projective mobility chart leave omega and J None, and
+    ``partner_fields`` sets g, J and A.  Only a Jordan pair sets v, its
+    split field; a chart's own field is asked of it (``v_field``).  Each
+    derived quantity is formed by its own property on first read and
+    lives as long as the object:
     ``ginv``, ``gamma0`` and ``det`` read g alone, ``lam`` reads g, A
     and J, and ``char_poly`` reads A and J.  ``copy.copy`` shares what is
     already cached; ``dataclasses.replace`` makes an edited copy that
@@ -620,11 +627,11 @@ class ChartFields:
     """
 
     g: Jet
-    omega: Jet | None
-    J: Jet | None
     A: Jet
-    rhos: list
-    mus: list
+    omega: Jet | None = None
+    J: Jet | None = None
+    rhos: list | tuple = ()
+    mus: list | tuple = ()
     v: Jet | None = None
 
     @cached_property
@@ -720,9 +727,9 @@ class QuotientPair:
         """One pass over the blocks: seed each block once, then build the
         roots with their multiplicities, mu, each block's Delta jets and h.
 
-        Returns the fields without A = L (``_complete`` adds it) and one
-        ``_Row`` per block, which the Kahler lifts read for the block's
-        own root and Delta.  ``ambient_dim``/``offset`` embed the quotient
+        Returns ``(h, rhos, mus, rows)`` with one ``_Row`` per block, which
+        ``_L`` and the Kahler lifts read for the block's own root and
+        Delta.  ``ambient_dim``/``offset`` embed the quotient
         coordinates in a lift's chart, which puts the Killing coordinates
         first.
         """
@@ -744,24 +751,22 @@ class QuotientPair:
                              b.own(_delta_jets(r, others, dim, order))))
         h = _place(n, dim, order, (self.dim, self.dim),
                    [p for row in rows for p in row.block.h_slices(row)])
-        return ChartFields(g=h, omega=None, J=None, A=None,
-                           rhos=rhos, mus=mus), rows
+        return h, rhos, mus, rows
 
-    def _complete(self, qpf, rows) -> ChartFields:
-        """The fields of ``_parts`` with A = L added and, on Jordan specs,
-        the projective field of the split equations."""
-        dim, order, n = qpf.g.dim, qpf.g.order, qpf.g.c[0].shape[0]
-        L = _place(n, dim, order, (self.dim, self.dim),
-                   [p for row in rows for p in row.block.L_slices(row)])
-        v = None
-        if self.split:
-            v = _place(n, dim, order, (self.dim,),
-                       [p for row in rows for p in row.block.v_slices(row)])
-        return dataclasses.replace(qpf, A=L, v=v)
+    def _L(self, h, rows) -> Jet:
+        """L of the pass that gave ``rows``, at the order of h."""
+        return _place(h.c[0].shape[0], h.dim, h.order, (self.dim, self.dim),
+                      [p for row in rows for p in row.block.L_slices(row)])
 
     def eval(self, pts, order=2) -> ChartFields:
-        """Jet-valued (h, L) at sample points, as g and A."""
-        return self._complete(*self._parts(pts, order))
+        """Jet-valued (h, L) at sample points, as g and A; on a Jordan
+        spec v is the projective field of the split equations."""
+        h, rhos, mus, rows = self._parts(pts, order)
+        v = None
+        if self.split:
+            v = _place(h.c[0].shape[0], h.dim, order, (self.dim,),
+                       [p for row in rows for p in row.block.v_slices(row)])
+        return ChartFields(h, self._L(h, rows), rhos=rhos, mus=mus, v=v)
 
 
 class _Row(NamedTuple):
@@ -923,53 +928,50 @@ class KahlerChart:
         """The metric alone, equal to ``eval(pts, order).g``: the same
         route parts and block placement, without omega, J or A."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.route == "jacobian":
-            qpf, _, h, _, H = self._jacobian_parts(pts, order)
-        else:
-            qpf, _, _, H = self._explicit_parts(pts, order)
-            h = qpf.g
+        parts = (self._jacobian_parts if self.route == "jacobian"
+                 else self._explicit_parts)
+        h, rhos, _, _, _, H = parts(pts, order)
         return self._place_metric(H, h, self._alpha(pts, order),
-                                  self._chi(qpf.rhos, order))
+                                  self._chi(rhos, order))
 
     def _jacobian_parts(self, pts, order):
-        """What g is built from on the Jacobian route: the quotient pass
-        one order up (fields without L, and blocks), h, the Jacobi matrix P
-        of mu_1..mu_ell in the quotient coordinates and the Gram matrix
+        """What g is built from on the Jacobian route: h, and the roots,
+        mu and blocks of the quotient pass one order up; the Jacobi matrix
+        P of mu_1..mu_ell in the quotient coordinates and the Gram matrix
         H = P h^-1 P^T."""
         if order > 2:
             raise BuilderError("the Jacobian route supports order <= 2 "
                                "(one order is spent on P)")
         ell = self.ell
-        qpf, rows = self.qp._parts(pts[:, self.u_sl], order + 1,
-                                   ambient_dim=self.dim, offset=ell)
-        h = qpf.g.truncate(order)
+        h, rhos, mus, rows = self.qp._parts(pts[:, self.u_sl], order + 1,
+                                            ambient_dim=self.dim, offset=ell)
+        h = h.truncate(order)
         # d mu_a / d u_i: the u columns of the gradient of (mu_1..mu_ell),
         # copied contiguous so the products below get the layout of a jstack
-        dmu = tensor_partial(jstack(qpf.mus[1:ell + 1]))
+        dmu = tensor_partial(jstack(mus[1:ell + 1]))
         P = Jet._of(self.dim, order, [np.ascontiguousarray(c[:, :, self.u_sl])
                                       for c in dmu.c])
         H = jet_matmul(P, jet_matmul(jet_inv(h), jet_transpose(P)))
-        return qpf, rows, h, P, H
+        return h, rhos, mus, rows, P, H
 
     def _eval_jacobian(self, pts, order):
-        qpf, rows, h, P, H = self._jacobian_parts(pts, order)
-        qpf = self.qp._complete(qpf, rows)
-        L = qpf.A.truncate(order)
+        h, rhos, mus, rows, P, H = self._jacobian_parts(pts, order)
+        L = self.qp._L(h, rows)
         T = jet_transpose(jet_matmul(P, jet_matmul(L, jet_inv(P))))
-        mus = [m.truncate(order) for m in qpf.mus]
-        rhos = [r.truncate(order) for r in qpf.rhos]
+        mus = [m.truncate(order) for m in mus]
+        rhos = [r.truncate(order) for r in rhos]
         # omega(x_u, t_i) = d_u mu_i = P, exact at this order from the
         # higher mu
         return self._assemble(pts, order, h, L, rhos, mus, H, T, P)
 
     def _explicit_parts(self, pts, order):
-        """What g is built from on the explicit route: the quotient fields,
-        the blocks, the symmetric functions mu-hat of each block's other
-        roots and the Gram matrix H of the Killing fields."""
+        """What g is built from on the explicit route: h, the roots, mu and
+        blocks of the quotient pass, the symmetric functions mu-hat of each
+        block's other roots and the Gram matrix H of the Killing fields."""
         n = pts.shape[0]
         d, ell = self.dim, self.ell
-        qpf, rows = self.qp._parts(pts[:, self.u_sl], order,
-                                   ambient_dim=d, offset=ell)
+        h, rhos, mus, rows = self.qp._parts(pts[:, self.u_sl], order,
+                                            ambient_dim=d, offset=ell)
         muhs = [row.block.own(esp_jets(row.others, d, order, (n,),
                                        upto=max(ell - 1, 0)))
                 for row in rows]
@@ -980,23 +982,22 @@ class KahlerChart:
                  for row, muh in zip(rows, muhs)]
         Hu = sum(terms[1:], terms[0])
         H = _place(n, d, order, (ell, ell), [(iu, Hu), (iu[::-1], Hu)])
-        return qpf, rows, muhs, H
+        return h, rhos, mus, rows, muhs, H
 
     def _eval_explicit(self, pts, order):
         n = pts.shape[0]
         d, ell = self.dim, self.ell
-        qpf, rows, muhs, H = self._explicit_parts(pts, order)
+        h, rhos, mus, rows, muhs, H = self._explicit_parts(pts, order)
         # A on the Killing directions: A K_i = mu_i K_1 - K_{i+1}
         T = _place(n, d, order, (ell, ell), [
             ((slice(None), slice(None)), -np.eye(ell, k=-1)),
-            ((0, slice(None)), jstack(qpf.mus[1:ell + 1]))])
+            ((0, slice(None)), jstack(mus[1:ell + 1]))])
         # d_u mu_i without losing jet order: one column per real
         # coordinate of each block
         coframe = list(zip(rows, muhs))
         D = _place(n, d, order, (ell, self.udim),
                    [row.block.dmu_column(row, muh) for row, muh in coframe])
-        qpf = self.qp._complete(qpf, rows)
-        return self._assemble(pts, order, qpf.g, qpf.A, qpf.rhos, qpf.mus,
+        return self._assemble(pts, order, h, self.qp._L(h, rows), rhos, mus,
                               H, T, D, coframe=coframe)
 
     def _place_metric(self, H, h, alpha, chi) -> Jet:
@@ -1050,10 +1051,7 @@ class KahlerChart:
             J = jet_einsum("nac,nbc->nab", ginv, w)
             w = w.truncate(low)
 
-        v = None if self.v_matrix is None else \
-            mobility_field(pts, order, self.v_matrix, self.rho_idx)
-        fields = ChartFields(g=g, omega=w, J=J, A=A, rhos=rhos, mus=mus,
-                             v=v)
+        fields = ChartFields(g, A, omega=w, J=J, rhos=rhos, mus=mus)
         if coframe is None:
             # the Leibniz recurrence of the inverse gives its lower orders
             # bitwise, so the full-order inverse serves as g^-1
@@ -1083,7 +1081,7 @@ class KahlerChart:
     # -- mobility vector field -------------------------------------------
 
     def v_field(self, pts, order=1) -> Jet:
-        """The vector field alone (no tensor assembly)."""
+        """The mobility field v, which ``eval`` does not carry."""
         if self.v_matrix is None:
             raise BuilderError("chart carries no mobility vector field")
         return mobility_field(pts, order, self.v_matrix, self.rho_idx)
@@ -1206,10 +1204,8 @@ class ProjectiveMobilityChart:
         r = Jet.seed(0, pts[:, 0], d, order)
         A = _place(n, d, order, (d, d),
                    [((0, 0), r), ((y, y), np.diag(self.ceigs))])
-        v = None if self.v_matrix is None else \
-            mobility_field(pts, order, self.v_matrix, self.rho_idx)
-        return ChartFields(g=self._metric(r), omega=None, J=None, A=A,
-                           rhos=[r], mus=esp_jets([r], d, order, (n,)), v=v)
+        return ChartFields(self._metric(r), A, rhos=[r],
+                           mus=esp_jets([r], d, order, (n,)))
 
     def metric(self, pts, order=2) -> Jet:
         """The metric alone, equal to ``eval(pts, order).g``."""

@@ -221,8 +221,9 @@ def predicted_eigenvalues(coeffs, eig_pairs):
     """Spectral predictions from the polynomial p: each distinct pair
     (l_i, l_j) of ``eig_pairs`` gives (l_i, l_j, (p(l_i)-p(l_j))/(l_i-l_j)).
     """
-    p = np.polynomial.Polynomial(coeffs)
-    return [(li, lj, (p(li) - p(lj)) / (li - lj)) for li, lj in eig_pairs]
+    p = np.asarray(coeffs)[::-1]
+    return [(li, lj, (np.polyval(p, li) - np.polyval(p, lj)) / (li - lj))
+            for li, lj in eig_pairs]
 
 
 def compare_with_numeric(flds, sample=0, tol=1e-5) -> ResidualReport:

@@ -224,24 +224,22 @@ def logistic(rho0, t):
 # Lie-derivative residual suite along (c-)projective fields
 # ---------------------------------------------------------------------------
 
-def _v_fields(chart, n, seed):
-    """``n`` window points drawn with ``seed`` and the chart fields at
-    them to order 1, which must carry the vector field v."""
+def _v_points(chart, n, seed):
+    """``n`` window points drawn with ``seed`` and the chart's vector field
+    v at them to order 1."""
     pts = chart.window.random(n, np.random.default_rng(seed))
-    fl = chart.eval(pts, order=1)
-    if fl.v is None:
-        raise FlowError("chart carries no vector field")
-    return pts, fl
+    return pts, chart.v_field(pts, order=1)
 
 
 def lie_residual_suite(chart, tol=1e-6) -> ResidualReport:
     """Residuals of L_v A and L_v g against the canonical mobility form
     L_v A = A(Id - A), L_v g = -gA - (sum rho_i + C) g."""
-    grid_pts, fl = _v_fields(chart, 80, 11)
+    grid_pts, v = _v_points(chart, 80, 11)
+    fl = chart.eval(grid_pts, order=1)
     n = grid_pts.shape[0]
     rhs_g, rhs_A = mobility_rhs(fl, chart.meta["C"])
-    lg = lie_metric(fl.g, fl.v)
-    lA = lie_endo(fl.A, fl.v)
+    lg = lie_metric(fl.g, v)
+    lA = lie_endo(fl.A, v)
     rep = ResidualReport(title="lie-residuals")
     rep.add(CheckEntry("lie_v_metric", "L_v g = canonical RHS",
                        max_abs(lg - rhs_g) / (1.0 + max_abs(rhs_g)),
@@ -331,7 +329,8 @@ def volume_coefficient(chart, tol=1e-5) -> ResidualReport:
     if getattr(chart, "ell", None) != 1:
         raise FlowError("volume coefficient needs one non-constant "
                         "eigenvalue")
-    grid_pts, fl = _v_fields(chart, 40, 5)
+    grid_pts, v = _v_points(chart, 40, 5)
+    g = chart.metric(grid_pts, order=1)
     d = chart.dim
     rho_idx = chart.rho_idx[0]
     leaf = [i for i in range(d) if i != rho_idx]
@@ -343,14 +342,14 @@ def volume_coefficient(chart, tol=1e-5) -> ResidualReport:
         predicted = (-C - 1.0) * (m0 + m1 + 1.0)
 
     # v must preserve the leaf distribution: v^rho depends on rho only
-    vrho_leafgrad = fl.v.c[1][:, rho_idx, :][:, leaf]
+    vrho_leafgrad = v.c[1][:, rho_idx, :][:, leaf]
     if max_abs(vrho_leafgrad) > 1e-8:
         raise FlowError("v does not preserve the leaf foliation")
 
-    g2 = fl.g.c[0][np.ix_(range(len(grid_pts)), leaf, leaf)]
-    dg2 = fl.g.c[1][np.ix_(range(len(grid_pts)), leaf, leaf, leaf)]
-    v2 = fl.v.c[0][:, leaf]
-    dv2 = fl.v.c[1][np.ix_(range(len(grid_pts)), leaf, leaf)]
+    g2 = g.c[0][np.ix_(range(len(grid_pts)), leaf, leaf)]
+    dg2 = g.c[1][np.ix_(range(len(grid_pts)), leaf, leaf, leaf)]
+    v2 = v.c[0][:, leaf]
+    dv2 = v.c[1][np.ix_(range(len(grid_pts)), leaf, leaf)]
     lg2 = (np.einsum("nabc,nc->nab", dg2, v2)
            + np.einsum("ncb,nca->nab", g2, dv2)
            + np.einsum("nac,ncb->nab", g2, dv2))

@@ -159,7 +159,7 @@ def partner_fields(flds) -> ChartFields:
         raise KahlerError(f"det A not positive at samples {bad.tolist()}")
     gAinv = jet_einsum("ncb,nca->nab", g, Ainv)
     ghat = jet_einsum("nab,n->nab", gAinv, detA ** (-0.5))
-    return ChartFields(g=ghat, omega=None, J=J, A=Ainv, rhos=[], mus=[])
+    return ChartFields(ghat, Ainv, J=J)
 
 
 def _det_ratio(flds, partner) -> Jet:

@@ -237,11 +237,11 @@ def test_mobility_v_certified(mob_l2):
               for C in (-1.5, -1.0, -0.5)]
     for ch in charts + [mob_l2]:
         pts = sample(ch, 25)
-        fl = ch.eval(pts, order=1)
+        fl, v = ch.eval(pts, order=1), ch.v_field(pts, order=1)
         rhs_g, rhs_A = mobility_rhs(fl, ch.meta["C"])
-        assert max_abs(lie_metric(fl.g, fl.v) - rhs_g) \
+        assert max_abs(lie_metric(fl.g, v) - rhs_g) \
             / (1 + max_abs(rhs_g)) <= 1e-10
-        assert max_abs(lie_endo(fl.A, fl.v) - rhs_A) \
+        assert max_abs(lie_endo(fl.A, v) - rhs_A) \
             / (1 + max_abs(rhs_A)) <= 1e-10
 
 
@@ -1022,15 +1022,46 @@ def test_metric_equals_eval_g_bitwise(pair, route, orders, cb):
 @pytest.mark.parametrize("route", ["explicit", "jacobian"])
 def test_metric_builds_no_L(monkeypatch, qp_dini, route):
     calls = []
-    complete = QuotientPair._complete
-    monkeypatch.setattr(QuotientPair, "_complete",
-                        lambda self, *a: calls.append(1) or complete(self, *a))
+    place_L = QuotientPair._L
+    monkeypatch.setattr(QuotientPair, "_L",
+                        lambda self, *a: calls.append(1) or place_L(self, *a))
     chart = lift_pair(qp_dini, route=route)
     pts = sample(chart, 4)
     chart.metric(pts, 1)
     assert calls == []
     chart.eval(pts, 1)
     assert calls == [1]
+
+
+def test_one_chart_fields_per_evaluation(monkeypatch, qp_dini, qp_jordan2,
+                                         mob_l2):
+    # a quotient pair, both lift routes, mobility2 and the projective chart
+    # each build the fields of an evaluation once, with no half-built copy
+    calls = []
+    init = builders.ChartFields.__init__
+    monkeypatch.setattr(builders.ChartFields, "__init__",
+                        lambda self, *a, **kw: calls.append(1)
+                        or init(self, *a, **kw))
+    charts = [qp_dini, qp_jordan2, lift_pair(qp_dini, route="explicit"),
+              lift_pair(qp_dini, route="jacobian"), mob_l2,
+              build_mobility2_projective(-0.5, m0=1, m1=1)]
+    for chart in charts:
+        for order in (0, 1, 2):
+            calls.clear()
+            chart.eval(sample(chart, 4), order)
+            assert calls == [1], (chart, order)
+
+
+def test_only_a_jordan_pair_carries_v(qp_jordan2, mob_l2):
+    # a chart's mobility field is asked of the chart; the Jordan pair's
+    # split field is part of its evaluation
+    proj = build_mobility2_projective(-0.5, m0=1, m1=1)
+    for chart in (mob_l2, proj):
+        pts = sample(chart, 4)
+        assert chart.eval(pts, 2).v is None
+        assert chart.v_field(pts, order=2).c[0].shape == (4, chart.dim)
+    fl = qp_jordan2.eval(sample(qp_jordan2, 4), 2)
+    assert fl.v.order == 2 and fl.v.c[0].shape == (4, qp_jordan2.dim)
 
 
 def test_projective_metric_equals_eval_g_bitwise():

@@ -280,6 +280,32 @@ def test_unbuildable_instance_exits_2(tmp_path, name, old, new, guard):
     assert guard in lines[0], err
 
 
+@pytest.mark.parametrize("name, eps", [
+    ("dini-lift", 2), ("dini-lift", -3), ("dini-pair", 2), ("dini-pair", -3),
+])
+def test_only_a_lift_refuses_eps_other_than_a_sign(tmp_path, name, eps):
+    # the two lift routes agree only at eps = 1 or -1, so a lift refuses
+    # any other eps on either route; a quotient pair takes every nonzero
+    # eps and passes
+    text = (CONFIGS / f"{name}.cfg").read_text()
+    assert "\neps = 1\n" in text
+    text = text.replace("\neps = 1\n", f"\neps = {eps}\n", 1)
+    routes = ["jacobian", "explicit"] if name == "dini-lift" else [None]
+    for route in routes:
+        cfg = tmp_path / f"eps-{route}.cfg"
+        cfg.write_text(text if route is None else text.replace(
+            "\nroute = jacobian\n", f"\nroute = {route}\n"))
+        code, out, err = run_cli("run", str(cfg))
+        if route is None:
+            assert (code, err) == (0, "")
+            checks = [l for l in out.splitlines() if l.startswith("check=")]
+            assert checks and all(l.endswith(" pass") for l in checks)
+        else:
+            assert (code, out) == (2, "")
+            assert err == ("error: a real1d block of a lift needs eps = 1 "
+                           f"or -1, got eps = {eps}\n")
+
+
 def _run_mobility2_with_a(tmp_path, a):
     text = (CONFIGS / "mobility2.cfg").read_text()
     assert "\na = 1.0\n" in text
@@ -1219,7 +1245,8 @@ CURVATURE = {
     "dini-pair": "flat", "jordan2": "curved", "mobility2": "curved",
     "phase-portraits": None, "seeded-defect": "flat",
     "curved-complex": "curved", "curved-lift": "curved",
-    "curved-pair": "curved", "jordan3": "curved", "mixed": "curved",
+    "curved-pair": "curved", "definite-lift": "curved", "jordan3": "curved",
+    "mixed": "curved",
 }
 
 
@@ -1238,6 +1265,35 @@ def test_each_config_is_named_flat_or_curved():
                 / (1.0 + geometry.max_abs(r.f.g.c[0])))
         kind = "curved" if size > 1e-10 else "flat"
         assert CURVATURE[path.stem] == kind, (path.stem, size)
+
+
+# every shipped and test config by the number of negative eigenvalues of
+# its metric at each sample; the flows scenario builds no chart
+NEGATIVE_EIGENVALUES = {
+    "appendix": 2, "complex-pair": 2, "dini-lift": 2, "dini-pair": 1,
+    "jordan2": 1, "mobility2": 2, "phase-portraits": None,
+    "seeded-defect": 2, "curved-complex": 2, "curved-lift": 2,
+    "curved-pair": 1, "definite-lift": 0, "jordan3": 1, "mixed": 2,
+}
+
+
+def test_each_config_is_named_by_the_signature_of_its_metric():
+    # eps = -1 on the first block of curved-lift makes g definite; every
+    # config with eps = 1 on its real blocks has an indefinite g
+    assert sorted(p.stem for p in ALL_CONFIGS) == sorted(NEGATIVE_EIGENVALUES)
+    args = argparse.Namespace(seed=None)
+    for path in ALL_CONFIGS:
+        v = cli.validate(parse_config(path), args)
+        r = cli.Run(v)
+        cli.SCENARIOS[v["scenario"]][0](r)
+        if not hasattr(r, "inst"):
+            assert NEGATIVE_EIGENVALUES[path.stem] is None, path.stem
+            continue
+        ev = np.linalg.eigvalsh(r.inst.eval(r.pts, order=0).g.c[0])
+        # no eigenvalue near 0, so the count is not a rounding accident
+        assert np.min(np.abs(ev)) > 1e-3, path.stem
+        negative = np.count_nonzero(ev < 0.0, axis=1)
+        assert set(negative) == {NEGATIVE_EIGENVALUES[path.stem]}, path.stem
 
 
 

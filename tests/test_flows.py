@@ -255,6 +255,17 @@ def test_volume_coefficient_all_cases():
     assert "predicted=-0.25" in rep.entries[0].note
 
 
+def test_volume_coefficient_reads_the_metric_not_eval(monkeypatch):
+    # the check reads g and v alone: g by ``metric``, v by ``v_field``
+    cb = (ConstantBlock(0.0, 2), ConstantBlock(1.0, 2))
+    for ch in (build_mobility2(1, 1.0, -0.5, cb=cb),
+               build_mobility2_projective(-0.5, m0=1, m1=0)):
+        calls = _count_calls(monkeypatch, ch, ("eval", "metric", "v_field"))
+        rep = volume_coefficient(ch)
+        assert rep.entries[0].value <= 1e-9
+        assert calls == {"eval": 0, "metric": 1, "v_field": 1}
+
+
 def test_blowup_scan_exponents(jordan2_sol, jordan3_sol):
     # toward F + x = 0 (2x2) and F + 2 x2 = 0 (3x3) at rho1 = 0.5
     s = np.geomspace(1e-1, 1e-4, 16)

@@ -28,7 +28,6 @@ GUARD = "a guard for library callers"
 
 # function -> why no run reaches it
 UNREACHED = {
-    "builders.KahlerChart.metric": BENCH,
     "builders.PowerProfile.__call__": JORDAN_PLUS,
     "builders.ProjectiveMobilityChart.__init__": VECTOR_FIELD,
     "builders.ProjectiveMobilityChart._metric": VECTOR_FIELD,
