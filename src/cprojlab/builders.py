@@ -61,7 +61,8 @@ from .jets import (
 from .geometry import (
     Box, christoffel, gradient, metric_inverse, riemann,
 )
-from .ode import OdeError, integrate
+from .ode import integrate
+from .report import Error
 
 __all__ = [
     "Real1D", "Complex2D", "RealRho", "Jordan2", "Jordan3",
@@ -95,7 +96,7 @@ def _sample_blocks(n, sample_bytes):
     return [slice(lo, lo + rows) for lo in range(0, n, rows)]
 
 
-class BuilderError(ValueError):
+class BuilderError(Error):
     pass
 
 
@@ -1263,12 +1264,9 @@ class JordanOdeSolution:
         if y0.size != self.NSTATE[kind]:
             raise BuilderError("initial state size does not match the kind")
         mid = 0.5 * (lo + hi)
-        try:
-            self._left, self._right = [
-                integrate(self._rhs, (mid, b), y0, 1e-12, 1e-14)[0]
-                for b in (lo, hi)]
-        except OdeError as exc:
-            raise BuilderError(f"ODE solve failed: {exc}") from None
+        self._left, self._right = [
+            integrate(self._rhs, (mid, b), y0, 1e-12, 1e-14)[0]
+            for b in (lo, hi)]
         self._mid = mid
 
     def _entries(self, t):

@@ -5,7 +5,8 @@ and optional CSV data.
 Exit codes: 0 when every selected check passes, 1 when a check fails,
 2 on a bad config, an ``--only`` that selects no check or an instance
 that cannot be built or checked (a singular or overflowing metric, a
-vanishing det L).
+vanishing det L): a ``report.Error``, whose line names the first sample
+of the run that a guard refuses, if the guard decides at each sample.
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ import numpy as np
 from . import __version__
 from .config import (
     FLOATS, INTS, WINDOW, ConfigError, Opt, parse_config, serialize_config)
-from .report import CheckEntry, ResidualReport, config_hash, fmt
-from .geometry import GeometryError, GridSpec, max_abs, nan_max
-from .jets import Jet, JetError
+from .report import CheckEntry, Error, ResidualReport, config_hash, fmt
+from .geometry import GridSpec, max_abs, max_abs_at, nan_max
+from .jets import Jet
 from .builders import (
     BuilderError, CompatiblePairSpec, Complex2D, ConstantBlock, Real1D,
     _sample_blocks, build_mobility2, build_quotient_pair, jordan_pair_spec,
     lift_pair, mobility_spec, shift_endo, solve_jordan_odes)
 from .kahler import (
-    KahlerError, check_kahler, commuting_gradients_residual,
+    check_kahler, commuting_gradients_residual,
     connection_difference_check, cproj_residual, eigenvector_gradient_residual,
     hamiltonian_killing_check, mu_hat_duality_residual, partner_fields,
     proj_residual, recover_endo, spectrum_safe_shift)
@@ -42,21 +43,17 @@ from .curvspec import (
     compare_with_numeric, curvature_operator_matrix, fppp_limit_check,
     real_ricci_identity_check, ricci_identity_check)
 from .flows import (
-    FlowError, circle_fit, eigenvalue_flow, jordan2_fprime, jordan3_fprime,
+    circle_fit, eigenvalue_flow, jordan2_fprime, jordan3_fprime,
     lie_residual_suite, split_lie_suite, tail_exponent, transport_check,
     volume_coefficient)
 
-# the errors of a config or an instance that cannot be built or checked,
-# which main reports with exit 2
-ERRORS = (ConfigError, BuilderError, FlowError, GeometryError, JetError,
-          KahlerError)
-
 # the one sample cap: a run's time grows as its sample count
 # n = grid**dim + random times max(dim, 8)**4, and n * max(dim, 8)**4 <=
-# MAX_SAMPLES * 8**4 bounds it (n <= MAX_SAMPLES up to dim 8).  A run
-# holds one block of samples and the values of A at all n, so its memory
-# hardly grows with n: at the cap, a 6-dim chart (mobility2 with
-# random = 4271) peaks at 51 MB RSS and 15.5 MB traced, in 1.0 s
+# MAX_SAMPLES * 8**4 bounds it (n <= MAX_SAMPLES up to dim 8).  A run,
+# refused or not, holds one block of samples and the values of A at all
+# n, so its memory hardly grows with n: at the cap, a 6-dim chart
+# (mobility2 with random = 4271) peaks at 51 MB RSS and 15.5 MB traced,
+# in 1.0 s
 MAX_SAMPLES = 5000
 
 
@@ -108,12 +105,10 @@ class Run:
         # the block's one order-2 evaluation; a metric that overflows at
         # extreme profile scales is refused here, for every scenario
         f = self.inst.eval(self.pts[self.rows], order=2)
-        finite = np.all([np.isfinite(c.reshape(len(c), -1)).all(axis=1)
-                         for c in f.g.c], axis=0)
+        finite = np.isfinite(max_abs_at(*f.g.c))
         if not finite.all():
-            raise BuilderError(
-                f"the metric or its derivatives are not finite at "
-                f"{np.count_nonzero(~finite)} of {finite.size} samples")
+            raise BuilderError("the metric or its derivatives are not "
+                               "finite", int(np.argmin(finite)))
         return f
 
     @cached_property
@@ -155,21 +150,28 @@ class Run:
         return partner_fields(dataclasses.replace(
             self.fl, A=shift_endo(self.fl.A, self.shift)))
 
-    def check(self, steps, whole=False):
-        """Each step's entries of each block of samples (one if ``whole``),
-        merged into the run's; a step marked ``once`` runs on the first."""
+    def check(self, steps):
+        """Each step's entries of each block of samples, merged into the
+        run's; a step marked ``once`` runs on the first.  An Error that
+        names a sample of its block names it as the run counts it."""
         d = self.inst.window.dim if hasattr(self, "inst") else 0
-        blocks = ([slice(None)] if whole or not d else _sample_blocks(
-            len(self.pts), 8 * d * d * (1 + d + d * d)))  # an order-2 field
+        blocks = _sample_blocks(len(self.pts), 8 * d * d * (1 + d + d * d)
+                                ) if d else [slice(0, None)]  # order-2 field
         outs = [[] for _ in steps]
         for b, self.rows in enumerate(blocks):
             for name in ("f", "fl", "ks", "ghat"):
                 self.__dict__.pop(name, None)
-            for st, out in zip(steps, outs):
-                if not (b and st.once):
-                    new = list(getattr(new := st.emit(self), "entries", new))
-                    out[:] = [e.merge(x) for e, x in zip(out, new, strict=True)
-                              ] if b else new
+            try:
+                for st, out in zip(steps, outs):
+                    if not (b and st.once):
+                        new = list(getattr(new := st.emit(self), "entries",
+                                           new))
+                        out[:] = [e.merge(x) for e, x in
+                                  zip(out, new, strict=True)] if b else new
+            except Error as exc:
+                if exc.sample is not None:
+                    exc.sample += self.rows.start
+                raise
         return outs
 
 
@@ -484,17 +486,7 @@ def run_scenario(v, only=None):
                           f"{v['scenario']!r}")
     r = Run(v)
     rep = ResidualReport(title=build(r))
-    try:
-        outs = r.check(steps)
-    except ERRORS:
-        # a guard's value at the block that holds the batch's largest
-        # residual is at least the whole batch's (the same residual over a
-        # scale no larger), and a guard on single samples fires in the
-        # block that holds them, so a block raises wherever the whole batch
-        # does; the whole batch then decides, with its own sample indices
-        # and values
-        outs = r.check(steps, whole=True)
-    for out in outs:
+    for out in r.check(steps):
         rep.entries += [e for e in out
                         if only is None or e.name.startswith(only)]
     if not rep.entries:
@@ -556,7 +548,7 @@ def main(argv=None) -> int:
                     except OSError as exc:
                         raise ConfigError(f"--csv: {exc}") from None
                     written.append(path)
-    except (*ERRORS, OSError) as exc:
+    except (Error, OSError) as exc:
         for p in written:
             p.unlink()
         for p in made:

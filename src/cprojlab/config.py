@@ -17,6 +17,8 @@ import contextlib
 import math
 from typing import NamedTuple
 
+from .report import Error
+
 __all__ = ["ConfigError", "Opt", "REQUIRED", "FLOATS", "INTS", "WINDOW",
            "ScenarioConfig", "parse_config", "parse_config_text",
            "serialize_config"]
@@ -25,7 +27,7 @@ REQUIRED = object()                 # the default of a key that must be set
 FLOATS, INTS, WINDOW = "floats", "ints", "window"   # list kinds of an Opt
 
 
-class ConfigError(ValueError):
+class ConfigError(Error):
     pass
 
 

@@ -37,8 +37,8 @@ from .builders import ProjectiveMobilityChart, mobility_rhs
 from .geometry import (
     christoffel, lie_endo, lie_metric, max_abs, nan_max, normal_part)
 from .kahler import partner_fields
-from .ode import OdeError, integrate
-from .report import CheckEntry, ResidualReport
+from .ode import integrate
+from .report import CheckEntry, Error, ResidualReport
 
 __all__ = [
     "FlowError", "Trajectory", "integrate_jplanar", "integrate_geodesic",
@@ -53,7 +53,7 @@ TRANSPORT_POINTS = 60  # output points per direction of the transport check
 TAIL = 8               # points in the tail fit of a divergence exponent
 
 
-class FlowError(ValueError):
+class FlowError(Error):
     pass
 
 
@@ -72,10 +72,7 @@ def _solve(rhs, T, y0, tol, event=None):
     it did not).  The callers here pass tol <= 1e-8, so they all run at
     the 1e-13 floor."""
     it = max(tol * tol, _INTERNAL_FLOOR)
-    try:
-        return integrate(rhs, (0.0, T), y0, it, it, event)
-    except OdeError as exc:
-        raise FlowError(f"integration failed: {exc}") from None
+    return integrate(rhs, (0.0, T), y0, it, it, event)
 
 
 def _connection(chart, pts, need_J):

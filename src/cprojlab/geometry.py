@@ -25,7 +25,7 @@ import numpy as np
 
 from .jets import Jet, JetError, contract, jet_einsum, jet_inv, jet_map, \
     tensor_partial
-from .report import nan_max
+from .report import Error, nan_max
 
 __all__ = [
     "Box", "GridSpec", "GeometryError",
@@ -33,14 +33,14 @@ __all__ = [
     "cov_deriv_endo", "cov_deriv_vector", "lie_metric", "lie_endo",
     "lie_scalar", "lie_two_form", "lie_vector", "lie_christoffel",
     "ext_deriv_two_form", "gradient", "hessian_cov", "third_cov_scalar",
-    "max_abs", "nan_max", "span_gram", "normal_part",
+    "max_abs", "max_abs_at", "nan_max", "span_gram", "normal_part",
 ]
 
 
 SHRINK = 0.02  # sampled points keep this fraction of each side off a face
 
 
-class GeometryError(ValueError):
+class GeometryError(Error):
     pass
 
 
@@ -103,15 +103,20 @@ def max_abs(*arrays) -> float:
                           if a is not None and np.size(a)))
 
 
+def max_abs_at(*arrays) -> np.ndarray:
+    """``max_abs`` at each sample (axis 0), NaN where an entry is NaN."""
+    return np.max([np.abs(a).max(axis=tuple(range(1, np.ndim(a))))
+                   for a in arrays], axis=0)
+
+
 # ---------------------------------------------------------------------------
 # connection and curvature
 # ---------------------------------------------------------------------------
 
 def metric_inverse(g: Jet) -> Jet:
-    det = np.linalg.det(g.c[0])
-    if np.any(np.abs(det) < 1e-14):
-        bad = int(np.argmin(np.abs(det)))
-        raise GeometryError(f"singular metric at sample {bad}")
+    singular = np.abs(np.linalg.det(g.c[0])) < 1e-14
+    if singular.any():
+        raise GeometryError("singular metric", int(np.argmax(singular)))
     return jet_inv(g)
 
 

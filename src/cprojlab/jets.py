@@ -69,6 +69,8 @@ import math
 
 import numpy as np
 
+from .report import Error
+
 __all__ = [
     "Jet",
     "JetError",
@@ -93,7 +95,7 @@ MAX_ORDER = 3
 _DAX = "xyz"
 
 
-class JetError(ValueError):
+class JetError(Error):
     pass
 
 

@@ -26,9 +26,9 @@ import numpy as np
 from .jets import Jet, contract, jet_det, jet_einsum, jet_inv, tensor_partial
 from .geometry import (
     cov_deriv_endo, ext_deriv_two_form, gradient, hessian_cov, lie_bracket,
-    lie_metric, max_abs, nan_max,
+    lie_metric, max_abs, max_abs_at,
 )
-from .report import CheckEntry, ResidualReport
+from .report import CheckEntry, Error, ResidualReport
 # complex_char_poly lives next to ChartFields.char_poly, its one caller,
 # and stays public here
 from .builders import EIGEN_GAP, ChartFields, complex_char_poly
@@ -47,8 +47,15 @@ __all__ = [
 ROOT_TOL = 1e-6
 
 
-class KahlerError(ValueError):
+class KahlerError(Error):
     pass
+
+
+def _refuse(bad, value, what):
+    """Raise ``what`` of its ``value`` at the first sample ``bad`` holds."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise KahlerError(what.format(value[i]), i)
 
 
 # ---------------------------------------------------------------------------
@@ -107,13 +114,8 @@ def proj_residual(flds, tol=1e-6) -> ResidualReport:
     """Defect of the projective compatibility equation for (h, L), the g
     and A of fields without J."""
     hL = np.einsum("nac,ncb->nab", flds.g.c[0], flds.A.c[0])
-    skew = np.abs(hL - np.swapaxes(hL, -1, -2))
-    sa = max_abs(skew) / (1.0 + max_abs(hL))
-    if sa > 1e-8:
-        worst = int(np.argmax(np.max(skew, axis=(-1, -2))))
-        raise KahlerError(
-            f"L is not h-selfadjoint: residual {sa:.3e} worst at sample "
-            f"{worst}")
+    sa = max_abs_at(hL - np.swapaxes(hL, -1, -2)) / (1.0 + max_abs_at(hL))
+    _refuse(sa > 1e-8, sa, "L is not h-selfadjoint: residual {:.3e}")
     resid, scale = _compat_defect(flds)
     rep = ResidualReport(title="proj")
     rep.add(CheckEntry.of("proj_compat", "nabla_L=2-term(Lambda)",
@@ -154,9 +156,7 @@ def partner_fields(flds) -> ChartFields:
     g, J, A = (x.truncate(min(x.order, 1)) for x in (flds.g, flds.J, flds.A))
     Ainv = jet_inv(A)
     detA = jet_det(A, Ainv)
-    if np.any(detA.c[0] <= 0.0):
-        bad = np.nonzero(detA.c[0] <= 0.0)[0][:4]
-        raise KahlerError(f"det A not positive at samples {bad.tolist()}")
+    _refuse(detA.c[0] <= 0.0, detA.c[0], "det A not positive")
     gAinv = jet_einsum("ncb,nca->nab", g, Ainv)
     ghat = jet_einsum("nab,n->nab", gAinv, detA ** (-0.5))
     return ChartFields(ghat, Ainv, J=J)
@@ -204,33 +204,31 @@ def nonconstant_factor(e, constant_eigs):
 
     ``constant_eigs`` is a list of (c, multiplicity) with complex
     multiplicities.  Returns the mu_i jets (elementary symmetric functions
-    of the non-constant eigenvalues) and the worst division remainder.
+    of the non-constant eigenvalues); each sample holds the remainders, at
+    its own scale, and the mu_i's imaginary parts to ``ROOT_TOL``.
     """
     ncx = len(e) - 1
     # coefficients of t^(n-k) are (-1)^k e_k; synthetic division by (t - c)
     coeffs = [e[k] * ((-1.0) ** k) for k in range(ncx + 1)]
-    scale = 1.0 + max_abs(*(c.c[0] for c in coeffs))
-    worst = 0.0
+    scale = 1.0 + max_abs_at(*(c.c[0] for c in coeffs))
+    worst = np.zeros_like(scale)
     for c, mult in constant_eigs:
         for _ in range(mult):
             out = [coeffs[0]]
             for k in range(1, len(coeffs)):
                 out.append(coeffs[k] + out[-1] * c)
-            rem = out.pop()
-            worst = nan_max(worst, max_abs(rem.c[0]) / scale)
+            worst = np.maximum(worst, np.abs(out.pop().c[0]) / scale)
             coeffs = out
-    if worst > ROOT_TOL:
-        raise KahlerError(
-            f"a declared constant eigenvalue is not a root of the complex "
-            f"characteristic polynomial (remainder {worst:.3e})")
-    mus = []
-    for k, cf in enumerate(coeffs):
-        mu = cf * ((-1.0) ** k)
-        imag = max_abs(mu.c[0].imag)
-        if imag > ROOT_TOL:
-            raise KahlerError(f"mu_{k} has imaginary part {imag:.3e}")
-        mus.append(mu.real)
-    return mus, worst
+    _refuse(worst > ROOT_TOL, worst, "a declared constant eigenvalue is not a "
+            "root of the complex characteristic polynomial (remainder {:.3e})")
+    # the first sample with a complex mu_k, and the first such k there
+    bad = np.abs([cf.c[0].imag for cf in coeffs]) > ROOT_TOL
+    if bad.any():
+        i = int(np.argmax(bad.any(axis=0)))
+        k = int(np.argmax(bad[:, i]))
+        imag = abs(coeffs[k].c[0][i].imag)
+        raise KahlerError(f"mu_{k} has imaginary part {imag:.3e}", i)
+    return [(cf * ((-1.0) ** k)).real for k, cf in enumerate(coeffs)]
 
 
 # ---------------------------------------------------------------------------
@@ -246,9 +244,8 @@ def hamiltonian_killing_check(flds, shift=0.0, tol=1e-6) -> ResidualReport:
     n = g.c[0].shape[0]
     comm = np.einsum("nab,nbc->nac", A.c[0], J.c[0]) \
         - np.einsum("nab,nbc->nac", J.c[0], A.c[0])
-    cres = max_abs(comm) / (1.0 + max_abs(A.c[0]))
-    if cres > 1e-8:
-        raise KahlerError(f"[A, J] residual {cres:.3e} above tolerance")
+    cres = max_abs_at(comm) / (1.0 + max_abs_at(A.c[0]))
+    _refuse(cres > 1e-8, cres, "[A, J] residual {:.3e} above tolerance")
     f = complex_det(flds, shift)
     # only the Hessian's values are read: Gamma values suffice at any order
     hess = hessian_cov(f.truncate(2), flds.gamma0).c[0]

@@ -62,8 +62,8 @@ def build_canonical_killing(flds, constant_eigs=()) -> CanonicalKillingSet:
     synthetic division.
     """
     g, J = flds.g, flds.J
-    mus, _rem = nonconstant_factor(flds.char_poly, constant_eigs)
-    mus = mus[1:]  # drop mu_0 = 1
+    # mu_0 = 1 dropped
+    mus = nonconstant_factor(flds.char_poly, constant_eigs)[1:]
     K = []
     for mu in mus:
         grad = gradient(mu, flds.ginv)

@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .report import Error
+
 __all__ = ["OdeError", "DenseSolution", "integrate"]
 
 EPS = np.finfo(float).eps
@@ -218,7 +220,7 @@ D[:, [0, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15]] = [
      -0.14972683625798562581422125276e+3]]
 
 
-class OdeError(ArithmeticError):
+class OdeError(Error):
     """The step size fell below the spacing of floats at the current t."""
 
 

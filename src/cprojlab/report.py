@@ -1,9 +1,23 @@
-"""Residual reports: named check -> measured value vs tolerance."""
+"""Residual reports: named check -> measured value vs tolerance; and the
+package's one error base, ``Error``."""
 
 from __future__ import annotations
 
 import hashlib
 import math
+
+
+class Error(ValueError):
+    """A config or instance that cannot be built or checked; ``sample``
+    is the first failing one of a guard that decides at each sample."""
+
+    def __init__(self, what, sample=None):
+        super().__init__(what)
+        self.sample = sample
+
+    def __str__(self):
+        at = "" if self.sample is None else f" at sample {self.sample}"
+        return super().__str__() + at
 
 
 def nan_max(*values) -> float:

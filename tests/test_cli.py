@@ -317,12 +317,12 @@ def _run_mobility2_with_a(tmp_path, a):
 @pytest.mark.parametrize("a", ["1e-300", "1e-200"])
 def test_overflowing_metric_exits_2(tmp_path, a):
     # g or its derivatives overflow at every sample of the run's order-2
-    # evaluation; the error line is all of stderr, with no numpy warning
-    # before it
+    # evaluation, and the first is named; the error line is all of stderr,
+    # with no numpy warning before it
     code, out, err = _run_mobility2_with_a(tmp_path, a)
     assert (code, out) == (2, "")
     assert err == ("error: the metric or its derivatives are not finite at "
-                   "777 of 777 samples\n")
+                   "sample 0\n")
 
 
 @pytest.mark.parametrize("a", ["1e100", "1e300"])
@@ -1423,9 +1423,9 @@ def test_non_finite_a_is_refused_before_its_spectrum(monkeypatch):
 
 def test_a_fault_in_a_later_block_is_not_checked_again(monkeypatch):
     # a plain ValueError, which no guard of the package raises, from the
-    # Ricci step in the second of mobility2's blocks leaves the run: the
-    # whole batch, whose pass would hide the fault, is not checked again
-    real, seen, passes = cli.ricci_identity_check, [], []
+    # Ricci step in the second of mobility2's blocks leaves the run: no
+    # block is checked again, whose pass would hide the fault
+    real, seen = cli.ricci_identity_check, []
 
     def faulty(fl):
         seen.append(len(fl.g.c[0]))
@@ -1433,50 +1433,139 @@ def test_a_fault_in_a_later_block_is_not_checked_again(monkeypatch):
             raise ValueError("a fault in the block path")
         return real(fl)
 
-    check = cli.Run.check
     monkeypatch.setattr(cli, "ricci_identity_check", faulty)
-    monkeypatch.setattr(cli.Run, "check", lambda self, steps, whole=False: (
-        passes.append(whole) or check(self, steps, whole)))
     with pytest.raises(ValueError, match="a fault in the block path"):
         main(["run", str(CONFIGS / "mobility2.cfg")])
-    assert passes == [False] and len(seen) == 2
+    assert len(seen) == 2
 
 
-def test_non_finite_metric_in_later_blocks_is_counted_over_the_run(
-        monkeypatch):
-    # an infinite first derivative of g at samples 300 and 500 of
-    # mobility2, in its third and fifth blocks: one error line that
-    # counts them over the run, as the whole batch's
-    path = CONFIGS / "mobility2.cfg"
-    bad = _built_run(path).pts[[300, 500]]
-    real = builders.KahlerChart.eval
+def _first_g1(f, hit, s):
+    f.g.c[1][hit, 0, 0, 0] = s
 
-    def with_inf(self, pts, order=2):
+
+def _g_scaled(f, hit, s):
+    f.g.c[0][hit] *= s
+
+
+def _a00_less(f, hit, s):
+    f.A.c[0][hit, 0, 0] -= s
+
+
+def _a01_more(f, hit, s):
+    f.A.c[0][hit, 0, 1] += s
+
+
+def _a_shifted(f, hit, s):
+    f.A.c[0][hit] += s * np.eye(f.A.c[0].shape[-1])
+
+
+def _l_skewed(f, hit, s):
+    # h L gains the skew s at entry (0, 1)
+    f.A.c[0][hit, 0, 1] += s / f.g.c[0][hit, 0, 0]
+
+
+def _singular_sizes(run, i):
+    # g scaled by s at sample i has |det| = s^d |det g|: 0, and |det| =
+    # 1.1e-14, just above the guard's bound
+    det = np.linalg.det(run.inst.eval(run.pts[i:i + 1], order=0).g.c[0])
+    return 0.0, (1.1e-14 / abs(det[0])) ** (1.0 / run.inst.window.dim)
+
+
+def _det_a_sizes(run, i):
+    # A + shift Id - s E_00 at sample i has det D - s C, C the (0, 0)
+    # cofactor: det A is not positive from s = D / C on
+    A = run.inst.eval(run.pts[i:i + 1], order=0).A.c[0][0]
+    M = A + run.shift * np.eye(len(A))
+    s = np.linalg.det(M) / np.linalg.det(M[1:, 1:])
+    return 1.1 * s, 0.9 * s
+
+
+def _scaled(over, bound):
+    # a size well over the bound, and the one that puts the value the
+    # guard prints, linear in the size, at 0.9 of it
+    return lambda run, i: (over, lambda v: 0.9 * bound * over / v)
+
+
+# each guard of a run: the config, chart class and run sample that break
+# it, the --only that selects its step, the edit of the fields at that
+# sample, the edit's sizes over and just under the guard's bound, and the
+# error line
+GUARDS = {
+    "metric-not-finite": (
+        "mobility2", builders.KahlerChart, 300, "J_squared", _first_g1,
+        lambda run, i: (np.inf, np.finfo(float).max),
+        "the metric or its derivatives are not finite"),
+    "singular-metric": (
+        "mobility2", builders.KahlerChart, 500, "J_squared", _g_scaled,
+        _singular_sizes, "singular metric"),
+    "L-selfadjoint": (
+        "dini-pair", builders.QuotientPair, 80, "proj_compat", _l_skewed,
+        _scaled(1e-3, 1e-8), r"L is not h-selfadjoint: residual (\S+)"),
+    "det-A": (
+        "mobility2", builders.KahlerChart, 640, "partner_roundtrip",
+        _a00_less, _det_a_sizes, "det A not positive"),
+    "A-J": (
+        "mobility2", builders.KahlerChart, 776, "killing_detC", _a01_more,
+        _scaled(1e-6, 1e-8), r"\[A, J\] residual (\S+) above tolerance"),
+    "constant-root": (
+        "mobility2", builders.KahlerChart, 400, "a_on_k", _a_shifted,
+        _scaled(1e-3, 1e-6), r"a declared constant eigenvalue is not a "
+        r"root of the complex characteristic polynomial \(remainder (\S+)\)"),
+}
+
+
+@pytest.mark.parametrize("guard", GUARDS)
+def test_a_guard_names_the_run_sample_it_refuses_at_any_split(monkeypatch,
+                                                              guard):
+    # each guard decides at each sample, against that sample's own scale:
+    # the fields broken at one run sample, in a later block at 7 and 50
+    # samples a block, give one error line naming that sample and no
+    # report at those splits, the shipped blocks and one block; the edit
+    # just under the guard's bound passes at every split
+    name, cls, i, only, edit, sizes, what = GUARDS[guard]
+    path = CONFIGS / f"{name}.cfg"
+    run = _built_run(path)
+    size, under = sizes(run, i)
+    real = cls.eval
+
+    def edited(self, pts, order=2):
         f = real(self, pts, order)
-        if order:
-            hit = (pts[:, None] == bad[None]).all(axis=2).any(axis=1)
-            f.g.c[1][hit, 0, 0, 0] = np.inf
+        hit = (pts == run.pts[i]).all(axis=1)
+        if order == 2 and hit.any():
+            edit(f, hit, size)
         return f
 
-    monkeypatch.setattr(builders.KahlerChart, "eval", with_inf)
-    got = _run_lines(path)
-    _split(monkeypatch, 10 ** 9)
-    assert got == _run_lines(path) == (2, (
-        "error: the metric or its derivatives are not finite at 2 of 777 "
-        "samples\n"), [])
+    def at_each_split():
+        got = set()
+        for rows in (7, 50, None, 10 ** 9):
+            with pytest.MonkeyPatch.context() as mp:
+                if rows:
+                    _split(mp, rows)
+                code, err, lines = _run_lines(path, "--only", only)
+            got.add((code, err, tuple(lines)))
+        return got
+
+    monkeypatch.setattr(cls, "eval", edited)
+    (code, err, lines), = at_each_split()
+    assert (code, lines) == (2, ())
+    m = re.fullmatch(f"error: {what} at sample {i}\n", err)
+    assert m, err
+    size = under(float(m[1])) if callable(under) else under
+    (code, err, lines), = at_each_split()
+    assert code in (0, 1) and err == "" and lines
 
 
 @pytest.mark.parametrize("large", [True, False])
 def test_guard_in_a_later_block_reads_as_the_whole_batch(monkeypatch,
                                                          large):
     # dini-pair at 7 samples a block, L skewed at sample 16 in its third
-    # block: the h-selfadjoint guard decides at the run's scale and names
-    # the run's sample, as in the whole batch.  The small skew is above
-    # the guard's bound at the scale of samples 14-20 and below it at the
-    # run's, so the run passes
+    # block: the h-selfadjoint guard decides at that sample's own scale
+    # and names the run's sample, as in the whole batch.  The small skew
+    # is above the guard's bound at the scale of samples 14-20 and below
+    # it at the run's, so a guard reading the run's scale would pass it
     path = CONFIGS / "dini-pair.cfg"
     run = _built_run(path)
-    f = run.f
+    f = run.inst.eval(run.pts, order=0)
     size = np.abs(np.einsum("nac,ncb->nab", f.g.c[0], f.A.c[0])).max(
         axis=(1, 2))
     lo, hi = 1.0 + size[14:21].max(), 1.0 + size.max()
@@ -1491,14 +1580,41 @@ def test_guard_in_a_later_block_reads_as_the_whole_batch(monkeypatch,
         return f
 
     monkeypatch.setattr(builders.QuotientPair, "eval", skewed)
+    hL = np.einsum("ac,cb->ab", f.g.c[0][16], skewed(
+        run.inst, run.pts[16:17], order=0).A.c[0][0])
+    residual = np.abs(hL - hL.T).max() / (1.0 + np.abs(hL).max())
+    assert residual > 1e-8 and (large or skew / hi < 1e-8)
     _split(monkeypatch, 7)
     got = _run_lines(path)
     _split(monkeypatch, 10 ** 9)
-    assert got == _run_lines(path)
-    code, err, lines = got
-    if large:
-        assert (code, lines) == (2, [])
-        assert err == (f"error: L is not h-selfadjoint: residual "
-                       f"{skew / hi:.3e} worst at sample 16\n")
-    else:
-        assert (code, err) == (0, "")
+    assert got == _run_lines(path) == (2, (
+        f"error: L is not h-selfadjoint: residual {residual:.3e} at "
+        f"sample 16\n"), [])
+
+
+def test_refused_mobility2_run_stays_under_its_memory_bound(monkeypatch,
+                                                            capsys):
+    # [A, J] broken by 1e-6 at the last of mobility2's samples, in its
+    # seventh block: the run is refused there and holds one block, as a
+    # passing run does; checked again as one block it peaked at 66.7 MB
+    path = CONFIGS / "mobility2.cfg"
+    last = _built_run(path).pts[-1]
+    real = builders.KahlerChart.eval
+
+    def edited(self, pts, order=2):
+        f = real(self, pts, order)
+        f.A.c[0][(pts == last).all(axis=1), 0, 1] += 1e-6
+        return f
+
+    monkeypatch.setattr(builders.KahlerChart, "eval", edited)
+    tracemalloc.start()
+    try:
+        code = main(["run", str(path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert re.fullmatch(r"error: \[A, J\] residual \S+ above tolerance at "
+                        r"sample 776\n", err), err
+    assert peak <= 15e6

@@ -243,8 +243,29 @@ def test_complex_det_matches_mu_product(corpus):
 def test_nonconstant_factor_wrong_constant_raises(corpus):
     name, chart, consts = corpus[1]      # the c=0 block instance
     fl = chart.eval(sample(chart, 10), order=2)
-    with pytest.raises(KahlerError):
+    with pytest.raises(KahlerError, match=r"\(remainder \S+\) at sample 0$"):
         nonconstant_factor(fl.char_poly, [(0.37, 1)])
+
+
+def test_nonconstant_factor_names_the_first_sample_of_a_complex_mu():
+    # t^2 - e_1 t + e_2 with no constant factor: the first sample at which
+    # a mu_k is complex is named, with the first such mu_k and its own
+    # imaginary part
+    def factor(e1, e2):
+        return nonconstant_factor([Jet(1, 0, [np.asarray(c, complex)])
+                                   for c in ([1.0] * 4, e1, e2)], [])
+
+    e1, e2 = [1.0, 2.0, 3.0 + 2e-6j, 4.0 + 1e-3j], [1.0, 1.0, 1.0, 1.0 + 1j]
+    with pytest.raises(KahlerError) as exc:
+        factor(e1, e2)
+    assert str(exc.value) == "mu_1 has imaginary part 2.000e-06 at sample 2"
+    e1[2] = 3.0 + 1e-7j
+    with pytest.raises(KahlerError, match="^mu_1 has imaginary part "
+                                          "1.000e-03 at sample 3$"):
+        factor(e1, e2)
+    e1[3], e2[3] = 4.0, 1.0 + 1e-7j
+    mus = factor(e1, e2)
+    assert [mu.c[0].dtype.kind for mu in mus] == ["f"] * 3
 
 
 
@@ -258,12 +279,12 @@ def test_mu_derivatives_match_finite_differences(corpus, mob_l2, name):
     charts["mobility2-ell2"] = (mob_l2, [])
     chart, consts = charts[name]
     pts = sample(chart, 8)
-    mus, _ = nonconstant_factor(chart.eval(pts, order=2).char_poly, consts)
+    mus = nonconstant_factor(chart.eval(pts, order=2).char_poly, consts)
     assert len(mus) > 1
     for i, mu in enumerate(mus[1:], 1):
         def value(x, i=i):
             e = chart.eval(x, order=0).char_poly
-            return nonconstant_factor(e, consts)[0][i].c[0]
+            return nonconstant_factor(e, consts)[i].c[0]
 
         scale = 1.0 + max_abs(mu.c[0])
         assert max_abs(mu.c[1] - fd_gradient(value, pts)) <= 1e-9 * scale

@@ -12,6 +12,7 @@ import pytest
 
 from cprojlab import builders, flows, ode
 from cprojlab.builders import lift_pair, solve_jordan_odes
+from cprojlab.report import Error
 
 solve_ivp = pytest.importorskip("scipy.integrate").solve_ivp
 
@@ -174,14 +175,18 @@ def test_blowup_raises():
         ode.integrate(lambda t, y: y * y, (0.0, 2.0), [1.0], 1e-10, 1e-10)
 
 
-def test_flow_blowup_without_escape_bound_is_flow_error():
-    with pytest.raises(flows.FlowError, match="integration failed"):
+def test_flow_blowup_without_escape_bound_reaches_the_caller_as_an_error():
+    # the step-size underflow refuses the instance as it is, an Error the
+    # CLI reports with exit 2
+    with pytest.raises(Error, match="^required step size") as exc:
         flows.eigenvalue_flow("rho^2", 1.0, 2.0, blowup=np.inf)
+    assert type(exc.value) is ode.OdeError
 
 
-def test_jordan_failure_is_builder_error(monkeypatch):
+def test_jordan_ode_failure_reaches_the_caller_as_an_error(monkeypatch):
     def fail(*args, **kwargs):
         raise ode.OdeError("step size too small")
     monkeypatch.setattr(builders, "integrate", fail)
-    with pytest.raises(builders.BuilderError, match="ODE solve failed"):
+    with pytest.raises(Error, match="^step size too small$") as exc:
         solve_jordan_odes("2x2", 2, -1.5, (0.5, 0.1), (0.2, 0.8))
+    assert type(exc.value) is ode.OdeError

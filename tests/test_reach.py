@@ -93,8 +93,8 @@ def _functions():
 def _runs():
     """The argument lists of the census: every shipped config and every
     one of ``tests/configs`` at seeds 0 and 3, each one's
-    ``--list-checks``, and one ``--only`` run; with the exit code each
-    must give."""
+    ``--list-checks``, one ``--only`` run and one refused run; with the
+    exit code each must give."""
     cfgs = sorted(CONFIGS.glob("*.cfg")) + sorted(TEST_CONFIGS.glob("*.cfg"))
     runs = []
     for cfg in cfgs:
@@ -103,6 +103,8 @@ def _runs():
         runs.append((["run", str(cfg), "--list-checks"], 0))
     runs.append((["run", str(CONFIGS / "dini-lift.cfg"), "--only",
                   "J_squared"], 0))
+    # a refused run, whose one error line `report.Error` forms
+    runs.append((["run", str(CONFIGS / "dini-pair.cfg"), "--only", "zzz"], 2))
     return runs
 
 
